@@ -1,33 +1,5 @@
 #!/usr/bin/env sh
-# Gate: the perf-smoke run must not regress against the committed
-# baseline, BENCH_baseline.json. Two checks:
-#
-#   1. Sequential batch throughput may not drop by more than
-#      MAX_REGRESSION_PCT (default 35%) below the baseline. This is the
-#      tracked bench trajectory's floor — BENCH_pr.json artifacts from the
-#      bench-smoke job are the points.
-#   2. Parallel execution must pay. On a multi-threaded runner (the
-#      current summary's "threads_available" >= 2) the 2-thread batch must
-#      reach MIN_PARALLEL_SPEEDUP (default 1.0) over sequential — threads
-#      that lose throughput are a regression, full stop. On a single-core
-#      runner real speedups are physically impossible and the measured
-#      ratio is mostly scheduler noise (observed spread ~0.6-1.1 on an
-#      idle box), so the gate is a loose relative floor instead: the
-#      2-thread speedup may not collapse below PARALLEL_RELATIVE_FLOOR
-#      (default 0.5) of the baseline's (the baseline factor is clamped at
-#      1.0 — a single-core "speedup" above 1.0 is itself noise and must
-#      not tighten the floor). That catches an order-of-magnitude
-#      regression (per-batch thread overhead reintroduced) without
-#      flaking on noise; the absolute gate on multi-core runners is the
-#      real signal.
-#
-# The baseline is hardware-specific (queries/sec on whatever machine wrote
-# it). When CI hardware changes, refresh it by copying a representative
-# BENCH_pr.json artifact over BENCH_baseline.json in a dedicated commit;
-# the wide 35% band absorbs ordinary runner-to-runner noise, not
-# generational hardware shifts.
-#
-# A second mode validates the server-soak artifact instead:
+# Validate the server-soak artifact:
 #
 #   compare-bench.sh --server-summary BENCH_server.json
 #
@@ -37,17 +9,17 @@
 # high-water mark against that floor — this is how the event-mode soak
 # leg proves its 10k-idle-connection claim.
 #
-# Exit codes: 0 ok, 1 regression beyond a floor, 2 malformed input
-# (missing file, missing sections, non-numeric values). Exercised by
-# ci/selftest-compare-bench.sh in the lint-ci job.
+# (The engine perf-smoke baseline comparison that used to live here is
+# superseded by the repository benchmark — see benchmark/README.md.)
 #
-# Usage: compare-bench.sh [baseline.json] [current.json]
-#        compare-bench.sh --server-summary [BENCH_server.json]
+# Exit codes: 0 ok, 1 a gate failed (divergence, connection floor),
+# 2 malformed input (missing file, missing fields, non-numeric values,
+# bad usage). Exercised by ci/selftest-compare-bench.sh in the lint-ci
+# job.
+#
+# Usage: compare-bench.sh --server-summary [BENCH_server.json]
 set -eu
 
-MAX_REGRESSION_PCT="${MAX_REGRESSION_PCT:-35}"
-MIN_PARALLEL_SPEEDUP="${MIN_PARALLEL_SPEEDUP:-1.0}"
-PARALLEL_RELATIVE_FLOOR="${PARALLEL_RELATIVE_FLOOR:-0.5}"
 MIN_CONNECTIONS="${MIN_CONNECTIONS:-}"
 
 malformed() {
@@ -114,101 +86,8 @@ check_server_summary() {
     exit 0
 }
 
-if [ "${1:-}" = "--server-summary" ]; then
-    check_server_summary "${2:-BENCH_server.json}"
+if [ "${1:-}" != "--server-summary" ]; then
+    echo "usage: compare-bench.sh --server-summary [BENCH_server.json]" >&2
+    exit 2
 fi
-
-BASELINE="${1:-BENCH_baseline.json}"
-CURRENT="${2:-BENCH_pr.json}"
-
-for f in "$BASELINE" "$CURRENT"; do
-    [ -f "$f" ] || malformed "$f not found"
-done
-
-# A well-formed bench-smoke summary carries the v2 schema marker (v2 added
-# median/min/max timing, the phase breakdown and the bin-cache counters),
-# a sequential qps, a non-empty "parallel" section, the phase breakdown
-# and the dedup ratio; a summary missing any of them (e.g. a truncated
-# artifact) must fail the gate loudly instead of being skipped.
-check_summary() {
-    grep -q '"schema": *"concealer-bench-smoke/v2"' "$1" \
-        || malformed "$1 lacks the concealer-bench-smoke/v2 schema marker"
-    grep -q '"parallel": *\[' "$1" \
-        || malformed "$1 lacks the \"parallel\" section"
-    grep -q '"threads":' "$1" \
-        || malformed "$1 has an empty \"parallel\" section"
-    grep -q '"phases": *{' "$1" \
-        || malformed "$1 lacks the \"phases\" breakdown"
-    grep -q '"dedup_ratio":' "$1" \
-        || malformed "$1 lacks the \"dedup_ratio\" field"
-}
-check_summary "$BASELINE"
-check_summary "$CURRENT"
-
-# The summaries are single-purpose JSON written by bench_smoke; pull the
-# gated numbers with sed so the gate needs no jq on the runner.
-extract_seq_qps() {
-    sed -n "s/.*\"sequential\": *{ *\"qps\": *\($NUM\).*/\1/p" "$1" | head -n 1
-}
-extract_dedup() {
-    sed -n "s/.*\"dedup_ratio\": *\($NUM\).*/\1/p" "$1" | head -n 1
-}
-# The speedup of the 2-thread parallel row (each row is one line).
-extract_speedup2() {
-    sed -n "s/.*\"threads\": *2,.*\"speedup\": *\($NUM\).*/\1/p" "$1" | head -n 1
-}
-extract_threads_available() {
-    sed -n "s/.*\"threads_available\": *\([0-9][0-9]*\).*/\1/p" "$1" | head -n 1
-}
-
-base_qps=$(extract_seq_qps "$BASELINE")
-cur_qps=$(extract_seq_qps "$CURRENT")
-[ -n "$base_qps" ] || malformed "$BASELINE has no parseable sequential qps"
-[ -n "$cur_qps" ] || malformed "$CURRENT has no parseable sequential qps"
-
-base_speedup2=$(extract_speedup2 "$BASELINE")
-cur_speedup2=$(extract_speedup2 "$CURRENT")
-[ -n "$base_speedup2" ] || malformed "$BASELINE has no parseable 2-thread speedup"
-[ -n "$cur_speedup2" ] || malformed "$CURRENT has no parseable 2-thread speedup"
-
-cur_threads=$(extract_threads_available "$CURRENT")
-[ -n "$cur_threads" ] || malformed "$CURRENT has no parseable threads_available"
-
-# Belt and braces: the gated values must parse as strictly positive
-# numbers (awk handles exponent notation natively).
-for v in "$base_qps" "$cur_qps" "$base_speedup2" "$cur_speedup2" "$cur_threads"; do
-    awk -v v="$v" 'BEGIN { exit (v + 0 > 0) ? 0 : 1 }' \
-        || malformed "gated value '$v' is not a positive number"
-done
-
-echo "sequential qps: baseline=$base_qps current=$cur_qps (allowed regression: ${MAX_REGRESSION_PCT}%)"
-echo "batch dedup ratio: baseline=$(extract_dedup "$BASELINE") current=$(extract_dedup "$CURRENT")"
-echo "2-thread speedup: baseline=$base_speedup2 current=$cur_speedup2 (runner threads: $cur_threads)"
-
-awk -v base="$base_qps" -v cur="$cur_qps" -v pct="$MAX_REGRESSION_PCT" 'BEGIN {
-    floor = base * (1 - pct / 100);
-    if (cur < floor) {
-        printf "FAIL: %.2f q/s is below the regression floor %.2f q/s (baseline %.2f, -%s%%)\n", cur, floor, base, pct;
-        exit 1;
-    }
-    printf "ok: %.2f q/s clears the regression floor %.2f q/s\n", cur, floor;
-}'
-
-awk -v cur="$cur_speedup2" -v base="$base_speedup2" -v threads="$cur_threads" \
-    -v min="$MIN_PARALLEL_SPEEDUP" -v rel="$PARALLEL_RELATIVE_FLOOR" 'BEGIN {
-    if (threads + 0 >= 2) {
-        if (cur + 0 < min + 0) {
-            printf "FAIL: 2-thread speedup %.3f is below %.3f on a %d-thread runner — parallelism must pay\n", cur, min, threads;
-            exit 1;
-        }
-        printf "ok: 2-thread speedup %.3f meets the %.3f floor (%d-thread runner)\n", cur, min, threads;
-    } else {
-        eff = (base + 0 > 1) ? 1 : base + 0;
-        floor = eff * rel;
-        if (cur + 0 < floor) {
-            printf "FAIL: 2-thread speedup %.3f collapsed below %.3f (%.2f x baseline %.3f, clamped at 1.0) on a single-core runner\n", cur, floor, rel, base;
-            exit 1;
-        }
-        printf "ok: 2-thread speedup %.3f clears the single-core relative floor %.3f\n", cur, floor;
-    }
-}'
+check_server_summary "${2:-BENCH_server.json}"

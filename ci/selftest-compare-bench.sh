@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Self-test for ci/compare-bench.sh: pins the gate's contract — exit 0 on
-# a clean run (including exponent-formatted qps), exit 1 on a throughput
-# regression beyond the floor or a parallel speedup below its floor, exit
-# 2 on any malformed summary (missing file, missing "parallel" or
-# "phases" section, missing/non-numeric qps or speedup). Run by the
-# lint-ci job and runnable locally: sh ci/selftest-compare-bench.sh
+# a well-formed server-load summary, exit 1 on an oracle divergence or a
+# peak below the MIN_CONNECTIONS floor, exit 2 on any malformed summary
+# (missing file, stale schema, unknown serving mode, missing latency or
+# per-member router fields) or bad usage. Run by the lint-ci job and
+# runnable locally: sh ci/selftest-compare-bench.sh
 set -eu
 
 script_dir=$(dirname "$0")
@@ -13,167 +13,6 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 
 failures=0
-
-# Write a minimal well-formed v2 summary.
-# write_summary <path> <seq-qps> <2-thread-speedup> <threads_available>
-write_summary() {
-    cat >"$1" <<EOF
-{
-  "schema": "concealer-bench-smoke/v2",
-  "workload": "selftest",
-  "backend": "memory",
-  "queries": 64,
-  "iterations": 5,
-  "threads_available": $4,
-  "sequential": {"qps": $2, "elapsed_ms": 30.0, "min_ms": 29.0, "max_ms": 31.0},
-  "parallel": [
-    {"threads": 2, "qps": $2, "elapsed_ms": 30.0, "min_ms": 29.0, "max_ms": 31.0, "speedup": $3},
-    {"threads": 4, "qps": $2, "elapsed_ms": 30.0, "min_ms": 29.0, "max_ms": 31.0, "speedup": $3}
-  ],
-  "phases": {"fetch_ms": 5.0, "decrypt_ms": 15.0, "verify_ms": 1.0, "aggregate_ms": 6.0},
-  "bin_cache": {"capacity": 128, "hits": 300, "misses": 10, "evictions": 0},
-  "batch_dedup": {"rows_per_query": 1000, "rows_batched": 100, "dedup_ratio": 10.0}
-}
-EOF
-}
-
-# expect <name> <expected-rc> <baseline> <current>
-expect() {
-    name="$1"
-    want="$2"
-    baseline="$3"
-    current="$4"
-    got=0
-    sh "$compare" "$baseline" "$current" >"$tmp/out" 2>"$tmp/err" || got=$?
-    if [ "$got" -eq "$want" ]; then
-        echo "ok: $name (rc=$got)"
-    else
-        echo "FAIL: $name: expected rc=$want, got rc=$got" >&2
-        sed 's/^/  stdout: /' "$tmp/out" >&2
-        sed 's/^/  stderr: /' "$tmp/err" >&2
-        failures=$((failures + 1))
-    fi
-}
-
-write_summary "$tmp/base.json" "1000.00" "1.4" "2"
-write_summary "$tmp/same.json" "990.00" "1.5" "2"
-write_summary "$tmp/regressed.json" "100.00" "1.5" "2"
-# Exponent-formatted qps on both sides (≈2100 vs ≈2000: within the band).
-write_summary "$tmp/base-exp.json" "2.1e3" "1.5" "2"
-write_summary "$tmp/cur-exp.json" "2.0e3" "1.5" "2"
-# Exponent current against a plain baseline, regressed (2e2 = 200).
-write_summary "$tmp/cur-exp-regressed.json" "2.0e2" "1.5" "2"
-
-expect "clean run passes" 0 "$tmp/base.json" "$tmp/same.json"
-expect "regression beyond the floor fails" 1 "$tmp/base.json" "$tmp/regressed.json"
-expect "exponent qps parses and passes" 0 "$tmp/base-exp.json" "$tmp/cur-exp.json"
-expect "exponent qps parses and regresses" 1 "$tmp/base.json" "$tmp/cur-exp-regressed.json"
-expect "missing current file is malformed" 2 "$tmp/base.json" "$tmp/nonexistent.json"
-
-# Parallel-speedup gate, multi-threaded runner: threads lose throughput →
-# regression, even though sequential qps is fine.
-write_summary "$tmp/slow-parallel.json" "990.00" "0.8" "2"
-expect "sub-1.0 speedup on a 2-thread runner fails" 1 "$tmp/base.json" "$tmp/slow-parallel.json"
-
-# Single-core runner: real speedups are impossible, the gate is a loose
-# relative floor (0.5x the baseline, clamped at 1.0). Ordinary scheduler
-# noise — 0.7 against a 0.97 baseline — passes ...
-write_summary "$tmp/base-1core.json" "1000.00" "0.97" "1"
-write_summary "$tmp/ok-1core.json" "990.00" "0.7" "1"
-expect "noisy speedup on a 1-core runner passes" 0 "$tmp/base-1core.json" "$tmp/ok-1core.json"
-# ... but a collapse to 0.4 (reintroduced per-batch thread overhead)
-# fails ...
-write_summary "$tmp/collapsed-1core.json" "990.00" "0.4" "1"
-expect "collapsed speedup on a 1-core runner fails" 1 "$tmp/base-1core.json" "$tmp/collapsed-1core.json"
-# ... and a baseline "speedup" above 1.0 (itself noise on one core) must
-# not tighten the floor: 0.6 against a 1.3 baseline still passes because
-# the baseline factor is clamped at 1.0 (floor 0.5, not 0.65).
-write_summary "$tmp/base-lucky-1core.json" "1000.00" "1.3" "1"
-write_summary "$tmp/ok-clamped-1core.json" "990.00" "0.6" "1"
-expect "lucky baseline is clamped on a 1-core runner" 0 "$tmp/base-lucky-1core.json" "$tmp/ok-clamped-1core.json"
-
-# The v1 schema (no phases, no min/max) must be rejected so a stale
-# artifact cannot slip through the new gate.
-cat >"$tmp/v1.json" <<'EOF'
-{
-  "schema": "concealer-bench-smoke/v1",
-  "threads_available": 2,
-  "sequential": {"qps": 990.00, "elapsed_ms": 30.0},
-  "parallel": [
-    {"threads": 2, "qps": 990.0, "elapsed_ms": 30.0, "speedup": 1.0}
-  ],
-  "batch_dedup": {"rows_per_query": 1000, "rows_batched": 100, "dedup_ratio": 10.0}
-}
-EOF
-expect "v1 schema is malformed" 2 "$tmp/base.json" "$tmp/v1.json"
-
-# Missing "phases" breakdown → malformed.
-write_summary "$tmp/no-phases.json" "990.00" "1.5" "2"
-sed '/"phases":/d' "$tmp/no-phases.json" >"$tmp/no-phases2.json"
-expect "missing phases breakdown is malformed" 2 "$tmp/base.json" "$tmp/no-phases2.json"
-
-# Missing "parallel" section → malformed, not silently ignored.
-cat >"$tmp/no-parallel.json" <<'EOF'
-{
-  "schema": "concealer-bench-smoke/v2",
-  "threads_available": 2,
-  "sequential": {"qps": 990.00, "elapsed_ms": 30.0, "min_ms": 29.0, "max_ms": 31.0},
-  "phases": {"fetch_ms": 5.0, "decrypt_ms": 15.0, "verify_ms": 1.0, "aggregate_ms": 6.0},
-  "batch_dedup": {"rows_per_query": 1000, "rows_batched": 100, "dedup_ratio": 10.0}
-}
-EOF
-expect "missing parallel section is malformed" 2 "$tmp/base.json" "$tmp/no-parallel.json"
-
-# Empty "parallel" section → malformed.
-cat >"$tmp/empty-parallel.json" <<'EOF'
-{
-  "schema": "concealer-bench-smoke/v2",
-  "threads_available": 2,
-  "sequential": {"qps": 990.00, "elapsed_ms": 30.0, "min_ms": 29.0, "max_ms": 31.0},
-  "parallel": [],
-  "phases": {"fetch_ms": 5.0, "decrypt_ms": 15.0, "verify_ms": 1.0, "aggregate_ms": 6.0},
-  "batch_dedup": {"rows_per_query": 1000, "rows_batched": 100, "dedup_ratio": 10.0}
-}
-EOF
-expect "empty parallel section is malformed" 2 "$tmp/base.json" "$tmp/empty-parallel.json"
-
-# Missing sequential qps → malformed.
-cat >"$tmp/no-qps.json" <<'EOF'
-{
-  "schema": "concealer-bench-smoke/v2",
-  "threads_available": 2,
-  "sequential": {"elapsed_ms": 30.0},
-  "parallel": [
-    {"threads": 2, "qps": 990.0, "elapsed_ms": 30.0, "speedup": 1.0}
-  ],
-  "phases": {"fetch_ms": 5.0, "decrypt_ms": 15.0, "verify_ms": 1.0, "aggregate_ms": 6.0},
-  "batch_dedup": {"rows_per_query": 1000, "rows_batched": 100, "dedup_ratio": 10.0}
-}
-EOF
-expect "missing sequential qps is malformed" 2 "$tmp/base.json" "$tmp/no-qps.json"
-
-# Missing 2-thread speedup → malformed (the parallel gate has nothing to
-# check).
-cat >"$tmp/no-speedup.json" <<'EOF'
-{
-  "schema": "concealer-bench-smoke/v2",
-  "threads_available": 2,
-  "sequential": {"qps": 990.00, "elapsed_ms": 30.0, "min_ms": 29.0, "max_ms": 31.0},
-  "parallel": [
-    {"threads": 4, "qps": 990.0, "elapsed_ms": 30.0, "speedup": 1.0}
-  ],
-  "phases": {"fetch_ms": 5.0, "decrypt_ms": 15.0, "verify_ms": 1.0, "aggregate_ms": 6.0},
-  "batch_dedup": {"rows_per_query": 1000, "rows_batched": 100, "dedup_ratio": 10.0}
-}
-EOF
-expect "missing 2-thread speedup is malformed" 2 "$tmp/base.json" "$tmp/no-speedup.json"
-
-# Garbage file → malformed.
-echo "not json at all" >"$tmp/garbage.json"
-expect "garbage summary is malformed" 2 "$tmp/base.json" "$tmp/garbage.json"
-
-# The committed baseline itself must satisfy the format checks.
-expect "committed baseline is well-formed" 0 "$script_dir/../BENCH_baseline.json" "$script_dir/../BENCH_baseline.json"
 
 # --- --server-summary mode (concealer-server-load/v2) -------------------
 
@@ -303,6 +142,17 @@ expect_server "router_shards entry without member is malformed" 2 "$tmp/srv-rout
 no_writer_entry='{"shard_index": 0, "member": 0, "addr": "127.0.0.1:7001", "requests_forwarded": 144, "errors": 0, "reconnects": 0, "available": true}'
 write_routed_server_summary "$tmp/srv-routed-nowriter.json" "$no_writer_entry"
 expect_server "router_shards entry without writer flag is malformed" 2 "$tmp/srv-routed-nowriter.json"
+
+# Any other invocation (the retired baseline-comparison form included) is
+# a usage error, not a silent pass.
+got=0
+sh "$compare" "$tmp/srv-event.json" "$tmp/srv-event.json" >"$tmp/out" 2>"$tmp/err" || got=$?
+if [ "$got" -eq 2 ]; then
+    echo "ok: invocation without --server-summary is a usage error (rc=2)"
+else
+    echo "FAIL: invocation without --server-summary: expected rc=2, got rc=$got" >&2
+    failures=$((failures + 1))
+fi
 
 if [ "$failures" -ne 0 ]; then
     echo "compare-bench self-test: $failures failure(s)" >&2

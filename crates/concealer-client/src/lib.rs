@@ -36,10 +36,6 @@
 //! session.close()?;
 //! # Ok::<(), concealer_client::ClientError>(())
 //! ```
-//!
-//! The pre-v4 surface (`Connection::connect` and friends) still compiles
-//! as thin `#[deprecated]` shims over the builder; `MIGRATION.md` at the
-//! repository root maps every old call site to its replacement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -261,27 +257,6 @@ fn fresh_nonce() -> [u8; 32] {
         chunk.copy_from_slice(&h.finish().to_le_bytes());
     }
     nonce
-}
-
-/// Connection-establishment options for the deprecated
-/// [`Session::connect_with_options`] shim. New code sets timeouts on
-/// [`ClientBuilder`] directly.
-#[deprecated(
-    since = "0.10.0",
-    note = "set timeouts on ClientBuilder (connect_timeout/read_timeout/write_timeout); \
-            see MIGRATION.md"
-)]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConnectOptions {
-    /// Cap on TCP connection establishment per resolved address.
-    pub connect_timeout: Option<Duration>,
-    /// Cap on each blocking read, including the handshake reply — this is
-    /// what turns a server that accepted but stopped responding into a
-    /// clean [`ClientError::TimedOut`] instead of a hang.
-    pub read_timeout: Option<Duration>,
-    /// Cap on each blocking write (a server that stopped *reading* while
-    /// the client streams a large request).
-    pub write_timeout: Option<Duration>,
 }
 
 /// A ticket for a pipelined request, redeemed with
@@ -509,14 +484,6 @@ pub struct Session {
     /// during the attestation round.
     quotes: Vec<WireQuote>,
 }
-
-/// The pre-v4 name for [`Session`]. The old associated constructors
-/// (`Connection::connect` and friends) still work as deprecated shims.
-#[deprecated(
-    since = "0.10.0",
-    note = "use ClientBuilder / Session; see MIGRATION.md"
-)]
-pub type Connection = Session;
 
 impl Session {
     /// Run the v4 attestation round: challenge, collect quotes, verify
@@ -925,98 +892,6 @@ impl Session {
                 }
             }
         }
-    }
-}
-
-/// The deprecated pre-v4 constructors, kept as thin shims over
-/// [`ClientBuilder`] so existing call sites keep compiling (with a
-/// deprecation warning pointing at `MIGRATION.md`). They enforce the
-/// default [`TrustPolicy`] exactly like the builder does.
-#[allow(deprecated)]
-impl Session {
-    /// Connect and run the attestation + hello/auth handshake as
-    /// `user_id` with the credential the data provider issued.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use ClientBuilder::new(addr).credential(..).client_name(..).connect(); \
-                see MIGRATION.md"
-    )]
-    pub fn connect(
-        addr: impl ToSocketAddrs,
-        user_id: u64,
-        credential: [u8; 32],
-        client_name: &str,
-    ) -> Result<Session, ClientError> {
-        ClientBuilder::new(addr)
-            .credential(user_id, credential)
-            .client_name(client_name)
-            .connect()
-    }
-
-    /// [`Session::connect`] with explicit timeouts.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use ClientBuilder with connect_timeout/read_timeout/write_timeout; \
-                see MIGRATION.md"
-    )]
-    pub fn connect_with_options(
-        addr: impl ToSocketAddrs,
-        user_id: u64,
-        credential: [u8; 32],
-        client_name: &str,
-        options: ConnectOptions,
-    ) -> Result<Session, ClientError> {
-        let mut builder = ClientBuilder::new(addr)
-            .credential(user_id, credential)
-            .client_name(client_name);
-        if let Some(t) = options.connect_timeout {
-            builder = builder.connect_timeout(t);
-        }
-        if let Some(t) = options.read_timeout {
-            builder = builder.read_timeout(t);
-        }
-        if let Some(t) = options.write_timeout {
-            builder = builder.write_timeout(t);
-        }
-        builder.connect()
-    }
-
-    /// [`Session::connect`] with an in-process [`UserHandle`].
-    #[deprecated(
-        since = "0.10.0",
-        note = "use ClientBuilder::new(addr).user(&user).connect(); see MIGRATION.md"
-    )]
-    pub fn connect_user(
-        addr: impl ToSocketAddrs,
-        user: &UserHandle,
-        client_name: &str,
-    ) -> Result<Session, ClientError> {
-        ClientBuilder::new(addr)
-            .user(user)
-            .client_name(client_name)
-            .connect()
-    }
-
-    /// Connect without authenticating (pre-auth surface only).
-    #[deprecated(
-        since = "0.10.0",
-        note = "use ClientBuilder::new(addr).probe(); see MIGRATION.md"
-    )]
-    pub fn connect_probe(
-        addr: impl ToSocketAddrs,
-        options: ConnectOptions,
-    ) -> Result<Session, ClientError> {
-        let mut builder = ClientBuilder::new(addr);
-        if let Some(t) = options.connect_timeout {
-            builder = builder.connect_timeout(t);
-        }
-        if let Some(t) = options.read_timeout {
-            builder = builder.read_timeout(t);
-        }
-        if let Some(t) = options.write_timeout {
-            builder = builder.write_timeout(t);
-        }
-        builder.probe()
     }
 }
 

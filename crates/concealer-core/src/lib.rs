@@ -93,6 +93,7 @@ pub mod types;
 pub mod verify;
 
 mod error;
+mod system;
 
 pub use api::{ExecOptions, IndexStats, SecureIndex, Session, SystemBuilder, BACKEND_ENV_VAR};
 pub use bin_cache::BinCacheStats;

@@ -11,7 +11,9 @@
 //!   row is fetched twice (per-bin fetch sizes unchanged — bins are always
 //!   fetched whole).
 
-use concealer_core::{ConcealerSystem, ExecOptions, Query, QueryAnswer, RangeMethod, UserHandle};
+use concealer_core::{
+    merge_partials, ConcealerSystem, ExecOptions, Query, QueryAnswer, RangeMethod, UserHandle,
+};
 use concealer_examples::demo_system;
 use concealer_workloads::QueryWorkload;
 use proptest::prelude::*;
@@ -54,7 +56,8 @@ proptest! {
 
     /// Batched answers — values *and* execution metadata — equal running
     /// the same queries sequentially under the bin-granular BPB method,
-    /// for the sequential batch path *and* the thread-pool path.
+    /// for the sequential batch path *and* the thread-pool path, through
+    /// `execute_batch` *and* `execute_batch_partials` + `merge_partials`.
     #[test]
     fn batch_answers_equal_sequential(seed in 0u64..1_000, len in 1usize..12) {
         // Force the pool even on single-core hosts, where the engine would
@@ -70,12 +73,35 @@ proptest! {
             .iter()
             .map(|q| session.execute(q).expect("sequential execute"))
             .collect();
+        system.observer().reset();
         let batched: Vec<QueryAnswer> = session
             .execute_batch(&queries)
             .into_iter()
             .map(|r| r.expect("batched execute"))
             .collect();
+        let batch_trace = system.observer().take_events();
         prop_assert_eq!(&batched, &sequential);
+
+        // The partial entry point is the same pipeline stopped before the
+        // merge: at every worker count the merged partials equal the
+        // sequential answers and the event-level trace equals the
+        // sequential batch's.
+        for parallelism in [1usize, 2, 4] {
+            let partials = system
+                .session(user)
+                .with_options(
+                    ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(parallelism),
+                )
+                .execute_batch_partials(&queries);
+            let trace = system.observer().take_events();
+            let merged: Vec<QueryAnswer> = queries
+                .iter()
+                .zip(partials)
+                .map(|(q, p)| merge_partials(q, p.expect("partial batch entry")).expect("merge"))
+                .collect();
+            prop_assert_eq!(&merged, &sequential, "partials at parallelism={}", parallelism);
+            prop_assert_eq!(&trace, &batch_trace, "partial trace at parallelism={}", parallelism);
+        }
 
         // The thread-pool path at every interesting fetch-stage chunk size:
         // single-bin chunks, tiny chunks, auto (one chunk per worker), and

@@ -20,8 +20,8 @@
 //!   answers survive the churn.
 
 use concealer_core::{
-    ConcealerSystem, ExecOptions, MasterKey, Query, QueryAnswer, RangeMethod, Record, SecureIndex,
-    UserHandle,
+    merge_partials, ConcealerSystem, ExecOptions, MasterKey, Query, QueryAnswer, RangeMethod,
+    Record, SecureIndex, UserHandle,
 };
 use concealer_examples::{build_system_with_master, demo_config, demo_wifi_config, demo_workload};
 use concealer_workloads::WifiGenerator;
@@ -184,6 +184,31 @@ fn cache_on_and_cache_off_systems_are_indistinguishable() {
             "pass {pass}: the cache must not change the side-channel meter"
         );
     }
+
+    // Once more through the single-query partial entry point — warm on the
+    // cached twin, cold on the other — so the replay identity is pinned on
+    // the pipeline every execution shares, not only on its batch planner.
+    let run_partials = |system: &ConcealerSystem, user: &UserHandle| {
+        let session = system.session(user);
+        let options = ExecOptions::with_method(RangeMethod::Bpb);
+        system.observer().reset();
+        let (answers, meter) = system.meter().measure(|| {
+            queries
+                .iter()
+                .map(|q| {
+                    let partials = session.execute_partials(q, options).expect("partials");
+                    merge_partials(q, partials).expect("merge")
+                })
+                .collect::<Vec<QueryAnswer>>()
+        });
+        (answers, meter, system.observer().take_events())
+    };
+    let (cached_answers, cached_meter, cached_trace) = run_partials(&cached, &cached_user);
+    let (uncached_answers, uncached_meter, uncached_trace) =
+        run_partials(&uncached, &uncached_user);
+    assert_eq!(cached_answers, uncached_answers, "partials: answers");
+    assert_eq!(cached_trace, uncached_trace, "partials: adversary trace");
+    assert_eq!(cached_meter, uncached_meter, "partials: side-channel meter");
 
     let cached_stats = cached.bin_cache_stats();
     let uncached_stats = uncached.bin_cache_stats();

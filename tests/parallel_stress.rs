@@ -1,6 +1,7 @@
 //! Concurrency stress test: one `ConcealerSystem` hammered from eight
 //! threads with a mix of ingest, point queries, range queries (BPB and
-//! eBPB) and batch executions (sequential and parallel).
+//! eBPB) and batch executions (sequential and parallel), each through
+//! both the direct and the partial (+ `merge_partials`) entry points.
 //!
 //! Asserts, per the PR-3 parallel-execution contract:
 //!
@@ -16,8 +17,8 @@
 //!   pre-ingested epochs plus every concurrently ingested one.
 
 use concealer_core::{
-    ExecOptions, FakeTupleStrategy, GridShape, Query, QueryAnswer, RangeMethod, Record,
-    SecureIndex, SystemConfig, UserHandle,
+    merge_partials, ExecOptions, FakeTupleStrategy, GridShape, Query, QueryAnswer, RangeMethod,
+    Record, SecureIndex, SystemConfig, UserHandle,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -133,10 +134,17 @@ fn eight_threads_mixed_ingest_and_queries_agree_with_sequential_oracle() {
                 for iter in 0..ITERS_PER_QUERIER {
                     // Point + range queries, each checked against the oracle.
                     let session = system.session(user);
+                    // Alternate between the direct entry point and the
+                    // partial one (+ merge): same pipeline, same answers.
                     for (i, (query, opts)) in mix.iter().enumerate() {
-                        let answer = session
-                            .execute_with(query, *opts)
-                            .expect("concurrent execute");
+                        let answer = if (i + iter) % 2 == 0 {
+                            session.execute_with(query, *opts)
+                        } else {
+                            session
+                                .execute_partials(query, *opts)
+                                .and_then(|partials| merge_partials(query, partials))
+                        }
+                        .expect("concurrent execute");
                         assert_eq!(
                             &answer, &oracle[i],
                             "thread {t} iter {iter} query {i} diverged"
@@ -149,17 +157,25 @@ fn eight_threads_mixed_ingest_and_queries_agree_with_sequential_oracle() {
                     // shape runs under contention.
                     let parallelism = if t % 2 == 1 { 4 } else { 1 };
                     let fetch_chunk = [0usize, 1, 2, 8][(t as usize + iter) % 4];
-                    let answers: Vec<QueryAnswer> = system
-                        .session(user)
-                        .with_options(
-                            ExecOptions::with_method(RangeMethod::Bpb)
-                                .with_parallelism(parallelism)
-                                .with_fetch_chunk(fetch_chunk),
-                        )
-                        .execute_batch(batch_queries)
-                        .into_iter()
-                        .map(|r| r.expect("concurrent batch"))
-                        .collect();
+                    let batch_session = system.session(user).with_options(
+                        ExecOptions::with_method(RangeMethod::Bpb)
+                            .with_parallelism(parallelism)
+                            .with_fetch_chunk(fetch_chunk),
+                    );
+                    // Odd iterations go through the partial batch entry
+                    // point and merge per query.
+                    let answers: Vec<QueryAnswer> = if iter % 2 == 0 {
+                        batch_session.execute_batch(batch_queries)
+                    } else {
+                        batch_queries
+                            .iter()
+                            .zip(batch_session.execute_batch_partials(batch_queries))
+                            .map(|(query, partials)| merge_partials(query, partials?))
+                            .collect()
+                    }
+                    .into_iter()
+                    .map(|r| r.expect("concurrent batch"))
+                    .collect();
                     assert_eq!(
                         &answers, batch_oracle,
                         "thread {t} iter {iter} batch diverged"
