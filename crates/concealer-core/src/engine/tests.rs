@@ -267,6 +267,48 @@ fn tampering_is_detected_at_query_time() {
 }
 
 #[test]
+fn tampering_after_a_bin_is_cached_is_detected() {
+    let (system, user, records) = setup(false);
+    let session = system.session(&user);
+    let target = &records[3];
+    let query = Query::count().at_dims(target.dims.clone()).at(target.time);
+
+    // The cold execution verifies and caches the bin; the next is warm.
+    system.observer().reset();
+    let answer = session.execute(&query).unwrap();
+    let bin_rows = system.observer().per_query_fetch_sets().remove(0);
+    assert_eq!(session.execute(&query).unwrap().value, answer.value);
+    assert_eq!(system.engine().bin_cache_stats().hits, 1);
+
+    // The provider now flips a payload byte of one row of that bin, under
+    // its unchanged index key, one row at a time until it hits a real
+    // tuple. Every rewrite makes the warm replay diverge, so the bin is
+    // fetched and verified cold again: a fake's payload is covered by no
+    // hash chain and the answer stands; a real tuple's is, and the
+    // execution must fail.
+    let stored = system.store().full_scan(0).unwrap();
+    let mut detected = false;
+    for (_, row_id) in bin_rows {
+        let mut tampered = stored[row_id as usize].clone();
+        tampered.payload[5] ^= 0x01;
+        system
+            .store()
+            .rewrite_rows(0, vec![(tampered.index_key.clone(), tampered)])
+            .unwrap();
+        let misses = system.engine().bin_cache_stats().misses;
+        match session.execute(&query) {
+            Err(CoreError::IntegrityViolation { .. }) => {
+                detected = true;
+                break;
+            }
+            other => assert_eq!(other.unwrap().value, answer.value),
+        }
+        assert_eq!(system.engine().bin_cache_stats().misses, misses + 1);
+    }
+    assert!(detected, "a tampered cached bin must not be served warm");
+}
+
+#[test]
 fn multi_epoch_range_query_spans_epochs() {
     let mut rng = StdRng::seed_from_u64(5);
     let mut system = ConcealerSystem::new(test_config(false), &mut rng);

@@ -1,359 +1,88 @@
-//! An in-memory B+Tree over byte-string keys.
+//! The index over the `Index` column: bulk-built once per segment, and
+//! pointer-free on the lookup path.
 //!
 //! This plays the role MySQL's secondary B-tree index plays in the paper:
 //! the data provider ships tuples whose `Index` column holds the
 //! deterministic ciphertext `E_k(cid || counter)`, the DBMS indexes that
-//! column, and every query the enclave issues is an exact-match lookup of a
-//! trapdoor against this index. Leaves are chained so ordered iteration and
-//! range scans are cheap (used by the baselines and by table statistics).
+//! column, and every query the enclave issues is |bin| exact-match lookups
+//! of trapdoors against this index. Exact match is the *only* operation
+//! the server needs — there is no range scan, no ordered iteration and no
+//! single-row insert, because epochs arrive whole and §6 rewrites swap
+//! whole bins (see [`crate::EncryptedTable::replace_rows`]). So the index
+//! is what a bulk-loaded B+-tree's leaf level is, flattened: one sorted
+//! array of 8-byte big-endian key prefixes beside one array of row
+//! positions. A lookup binary-searches the contiguous prefix array and
+//! touches a row's `index_key` only to confirm the hit; no key bytes are
+//! copied into the index, so every key is stored once (in its row).
 //!
-//! The tree is arena-allocated (nodes live in a `Vec`, children are
-//! indices). Keys are unique — the `Index` ciphertexts are unique by
-//! construction because the per-cell counter is part of the plaintext.
+//! Prefix order agrees with byte-string order wherever two prefixes
+//! differ, and keys shorter than 8 bytes are zero-padded, so `[1]` and
+//! `[1, 0]` share a prefix: entries with equal prefixes are ordered by
+//! full key at build time (which is also what makes a duplicate key
+//! adjacent to its twin, and therefore detectable), and a lookup walks the
+//! run of equal prefixes comparing full keys. The `Index` column holds SIV
+//! ciphertexts whose first 16 bytes are a CMAC, so a run longer than one
+//! entry takes a 64-bit MAC collision.
 
+use crate::table::EncryptedRow;
 use crate::{Result, StorageError};
 
-/// Maximum number of keys per node. Chosen so interior nodes stay a few
-/// cache lines wide; correctness does not depend on the exact value and the
-/// property tests run with several orders.
-const ORDER: usize = 32;
-const MIN_KEYS: usize = ORDER / 2;
-
-type NodeId = usize;
-
-#[derive(Debug, Clone)]
-enum Node {
-    Internal {
-        /// Separator keys; `children.len() == keys.len() + 1`.
-        keys: Vec<Vec<u8>>,
-        children: Vec<NodeId>,
-    },
-    Leaf {
-        keys: Vec<Vec<u8>>,
-        values: Vec<u64>,
-        /// Next leaf in key order, forming the leaf chain.
-        next: Option<NodeId>,
-    },
+/// The first 8 bytes of `key` as a big-endian integer, zero-padded.
+fn prefix(key: &[u8]) -> u64 {
+    let mut buf = [0u8; 8];
+    let n = key.len().min(8);
+    buf[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(buf)
 }
 
-/// A B+Tree mapping byte-string keys to `u64` row locators.
-#[derive(Debug, Clone)]
-pub struct BPlusTree {
-    nodes: Vec<Node>,
-    root: NodeId,
-    len: usize,
+/// Exact-match index from `index_key` to row position over one segment's
+/// rows. It borrows the keys from the rows it was built over: every
+/// method takes that same row slice.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeyIndex {
+    /// Key prefixes, ascending (ties in full-key order).
+    prefixes: Vec<u64>,
+    /// `positions[i]` is the row whose key has `prefixes[i]`.
+    positions: Vec<u32>,
 }
 
-impl Default for BPlusTree {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-enum InsertResult {
-    Done,
-    Split { sep: Vec<u8>, right: NodeId },
-    Duplicate,
-}
-
-impl BPlusTree {
-    /// Create an empty tree.
-    #[must_use]
-    pub fn new() -> Self {
-        BPlusTree {
-            nodes: vec![Node::Leaf {
-                keys: Vec::new(),
-                values: Vec::new(),
-                next: None,
-            }],
-            root: 0,
-            len: 0,
+impl KeyIndex {
+    /// Index `rows` by their `index_key`. Keys must be unique.
+    pub(crate) fn build(rows: &[EncryptedRow]) -> Result<Self> {
+        assert!(
+            u32::try_from(rows.len()).is_ok(),
+            "a segment holds at most u32::MAX rows"
+        );
+        let key_of = |pos: u32| rows[pos as usize].index_key.as_slice();
+        let mut entries: Vec<(u64, u32)> = rows
+            .iter()
+            .enumerate()
+            .map(|(pos, row)| (prefix(&row.index_key), pos as u32))
+            .collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key_of(a.1).cmp(key_of(b.1))));
+        if entries
+            .windows(2)
+            .any(|w| w[0].0 == w[1].0 && key_of(w[0].1) == key_of(w[1].1))
+        {
+            return Err(StorageError::DuplicateKey);
         }
+        let (prefixes, positions) = entries.into_iter().unzip();
+        Ok(KeyIndex {
+            prefixes,
+            positions,
+        })
     }
 
-    /// Number of key/value pairs stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the tree is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Height of the tree (a single leaf has height 1).
-    #[must_use]
-    pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut node = self.root;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { .. } => return h,
-                Node::Internal { children, .. } => {
-                    node = children[0];
-                    h += 1;
-                }
-            }
-        }
-    }
-
-    /// Number of nodes currently allocated (leaves + internal).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Insert a key/value pair. Returns an error if the key already exists.
-    pub fn insert(&mut self, key: &[u8], value: u64) -> Result<()> {
-        match self.insert_rec(self.root, key, value) {
-            InsertResult::Done => {
-                self.len += 1;
-                Ok(())
-            }
-            InsertResult::Duplicate => Err(StorageError::DuplicateKey),
-            InsertResult::Split { sep, right } => {
-                // Root split: create a new root.
-                let new_root = self.nodes.len();
-                let old_root = self.root;
-                self.nodes.push(Node::Internal {
-                    keys: vec![sep],
-                    children: vec![old_root, right],
-                });
-                self.root = new_root;
-                self.len += 1;
-                Ok(())
-            }
-        }
-    }
-
-    fn insert_rec(&mut self, node: NodeId, key: &[u8], value: u64) -> InsertResult {
-        match &self.nodes[node] {
-            Node::Leaf { keys, .. } => {
-                let pos = match keys.binary_search_by(|k| k.as_slice().cmp(key)) {
-                    Ok(_) => return InsertResult::Duplicate,
-                    Err(pos) => pos,
-                };
-                if let Node::Leaf { keys, values, .. } = &mut self.nodes[node] {
-                    keys.insert(pos, key.to_vec());
-                    values.insert(pos, value);
-                }
-                self.maybe_split_leaf(node)
-            }
-            Node::Internal { keys, children } => {
-                let idx = match keys.binary_search_by(|k| k.as_slice().cmp(key)) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                let child = children[idx];
-                match self.insert_rec(child, key, value) {
-                    InsertResult::Done => InsertResult::Done,
-                    InsertResult::Duplicate => InsertResult::Duplicate,
-                    InsertResult::Split { sep, right } => {
-                        if let Node::Internal { keys, children } = &mut self.nodes[node] {
-                            keys.insert(idx, sep);
-                            children.insert(idx + 1, right);
-                        }
-                        self.maybe_split_internal(node)
-                    }
-                }
-            }
-        }
-    }
-
-    fn maybe_split_leaf(&mut self, node: NodeId) -> InsertResult {
-        let needs_split =
-            matches!(&self.nodes[node], Node::Leaf { keys, .. } if keys.len() > ORDER);
-        if !needs_split {
-            return InsertResult::Done;
-        }
-        let new_id = self.nodes.len();
-        let (sep, right) = if let Node::Leaf { keys, values, next } = &mut self.nodes[node] {
-            let mid = keys.len() / 2;
-            let right_keys = keys.split_off(mid);
-            let right_values = values.split_off(mid);
-            let sep = right_keys[0].clone();
-            let right = Node::Leaf {
-                keys: right_keys,
-                values: right_values,
-                next: *next,
-            };
-            *next = Some(new_id);
-            (sep, right)
-        } else {
-            unreachable!("maybe_split_leaf called on internal node")
-        };
-        self.nodes.push(right);
-        InsertResult::Split { sep, right: new_id }
-    }
-
-    fn maybe_split_internal(&mut self, node: NodeId) -> InsertResult {
-        let needs_split =
-            matches!(&self.nodes[node], Node::Internal { keys, .. } if keys.len() > ORDER);
-        if !needs_split {
-            return InsertResult::Done;
-        }
-        let new_id = self.nodes.len();
-        let (sep, right) = if let Node::Internal { keys, children } = &mut self.nodes[node] {
-            let mid = keys.len() / 2;
-            // Separator moves up; right node gets keys after it.
-            let right_keys = keys.split_off(mid + 1);
-            let sep = keys.pop().expect("non-empty after split point");
-            let right_children = children.split_off(mid + 1);
-            let right = Node::Internal {
-                keys: right_keys,
-                children: right_children,
-            };
-            (sep, right)
-        } else {
-            unreachable!("maybe_split_internal called on leaf")
-        };
-        self.nodes.push(right);
-        InsertResult::Split { sep, right: new_id }
-    }
-
-    /// Exact-match lookup.
-    #[must_use]
-    pub fn get(&self, key: &[u8]) -> Option<u64> {
-        let mut node = self.root;
-        loop {
-            match &self.nodes[node] {
-                Node::Internal { keys, children } => {
-                    let idx = match keys.binary_search_by(|k| k.as_slice().cmp(key)) {
-                        Ok(i) => i + 1,
-                        Err(i) => i,
-                    };
-                    node = children[idx];
-                }
-                Node::Leaf { keys, values, .. } => {
-                    return keys
-                        .binary_search_by(|k| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| values[i]);
-                }
-            }
-        }
-    }
-
-    /// Whether the tree contains `key`.
-    #[must_use]
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Iterate over all `(key, value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], u64)> + '_ {
-        BTreeIter {
-            tree: self,
-            leaf: Some(self.first_leaf()),
-            pos: 0,
-        }
-    }
-
-    /// All values whose keys lie in `[lo, hi]` (inclusive), in key order.
-    #[must_use]
-    pub fn range_inclusive(&self, lo: &[u8], hi: &[u8]) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (k, v) in self.iter() {
-            if k > hi {
-                break;
-            }
-            if k >= lo {
-                out.push(v);
-            }
-        }
-        out
-    }
-
-    fn first_leaf(&self) -> NodeId {
-        let mut node = self.root;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { .. } => return node,
-                Node::Internal { children, .. } => node = children[0],
-            }
-        }
-    }
-
-    /// Check structural invariants; used by tests.
-    ///
-    /// Verifies that (1) leaf keys are globally sorted and unique, (2) the
-    /// number of keys equals `len()`, (3) every internal node has
-    /// `children = keys + 1`, and (4) no non-root node underflows its
-    /// minimum occupancy after pure insertion workloads (no deletions are
-    /// supported, matching the append-only usage in Concealer).
-    #[must_use]
-    pub fn check_invariants(&self) -> bool {
-        // 1 & 2: sorted unique leaf chain covering all entries.
-        let mut prev: Option<Vec<u8>> = None;
-        let mut count = 0usize;
-        for (k, _) in self.iter() {
-            if let Some(p) = &prev {
-                if p.as_slice() >= k {
-                    return false;
-                }
-            }
-            prev = Some(k.to_vec());
-            count += 1;
-        }
-        if count != self.len {
-            return false;
-        }
-        // 3 & 4: node shape.
-        self.check_node(self.root, true)
-    }
-
-    fn check_node(&self, node: NodeId, is_root: bool) -> bool {
-        match &self.nodes[node] {
-            Node::Leaf { keys, values, .. } => {
-                if keys.len() != values.len() {
-                    return false;
-                }
-                if keys.len() > ORDER + 1 {
-                    return false;
-                }
-                true
-            }
-            Node::Internal { keys, children } => {
-                if children.len() != keys.len() + 1 {
-                    return false;
-                }
-                if !is_root && keys.len() < MIN_KEYS / 2 {
-                    // Under pure insertion nodes are at least half of half full.
-                    return false;
-                }
-                children.iter().all(|c| self.check_node(*c, false))
-            }
-        }
-    }
-}
-
-struct BTreeIter<'a> {
-    tree: &'a BPlusTree,
-    leaf: Option<NodeId>,
-    pos: usize,
-}
-
-impl<'a> Iterator for BTreeIter<'a> {
-    type Item = (&'a [u8], u64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let leaf_id = self.leaf?;
-            match &self.tree.nodes[leaf_id] {
-                Node::Leaf { keys, values, next } => {
-                    if self.pos < keys.len() {
-                        let item = (keys[self.pos].as_slice(), values[self.pos]);
-                        self.pos += 1;
-                        return Some(item);
-                    }
-                    self.leaf = *next;
-                    self.pos = 0;
-                }
-                Node::Internal { .. } => unreachable!("leaf chain points at internal node"),
-            }
-        }
+    /// Position in `rows` of the row whose `index_key` equals `key`.
+    pub(crate) fn get(&self, key: &[u8], rows: &[EncryptedRow]) -> Option<usize> {
+        let wanted = prefix(key);
+        let start = self.prefixes.partition_point(|&p| p < wanted);
+        self.prefixes[start..]
+            .iter()
+            .zip(&self.positions[start..])
+            .take_while(|(&p, _)| p == wanted)
+            .map(|(_, &pos)| pos as usize)
+            .find(|&pos| rows[pos].index_key == key)
     }
 }
 
@@ -363,53 +92,55 @@ mod tests {
     use proptest::prelude::*;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn rows_of<K: AsRef<[u8]>>(keys: impl IntoIterator<Item = K>) -> Vec<EncryptedRow> {
+        keys.into_iter()
+            .map(|k| EncryptedRow {
+                index_key: k.as_ref().to_vec(),
+                filters: Vec::new(),
+                payload: Vec::new(),
+            })
+            .collect()
+    }
+
+    /// The round-trip law: after `build(rows)`, looking up `rows[i]`'s key
+    /// yields `i`, for every `i`.
+    fn assert_round_trip(rows: &[EncryptedRow]) -> KeyIndex {
+        let index = KeyIndex::build(rows).unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(index.get(&row.index_key, rows), Some(i));
+        }
+        index
+    }
 
     #[test]
     fn empty_tree() {
-        let t = BPlusTree::new();
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.get(b"anything"), None);
-        assert_eq!(t.height(), 1);
-        assert!(t.check_invariants());
+        let index = KeyIndex::build(&[]).unwrap();
+        assert_eq!(index.get(b"anything", &[]), None);
+        assert_eq!(index.get(b"", &[]), None);
     }
 
     #[test]
     fn insert_and_get_small() {
-        let mut t = BPlusTree::new();
-        t.insert(b"b", 2).unwrap();
-        t.insert(b"a", 1).unwrap();
-        t.insert(b"c", 3).unwrap();
-        assert_eq!(t.get(b"a"), Some(1));
-        assert_eq!(t.get(b"b"), Some(2));
-        assert_eq!(t.get(b"c"), Some(3));
-        assert_eq!(t.get(b"d"), None);
-        assert_eq!(t.len(), 3);
-        assert!(t.check_invariants());
+        let rows = rows_of([b"b", b"a", b"c"]);
+        let index = assert_round_trip(&rows);
+        assert_eq!(index.get(b"d", &rows), None);
+        assert_eq!(index.get(b"", &rows), None);
     }
 
     #[test]
     fn duplicate_rejected() {
-        let mut t = BPlusTree::new();
-        t.insert(b"k", 1).unwrap();
-        assert_eq!(t.insert(b"k", 2), Err(StorageError::DuplicateKey));
-        assert_eq!(t.get(b"k"), Some(1));
-        assert_eq!(t.len(), 1);
+        assert_eq!(
+            KeyIndex::build(&rows_of([b"k", b"j", b"k"])).err(),
+            Some(StorageError::DuplicateKey)
+        );
     }
 
     #[test]
     fn many_sequential_inserts() {
-        let mut t = BPlusTree::new();
-        let n = 10_000u64;
-        for i in 0..n {
-            t.insert(&i.to_be_bytes(), i).unwrap();
-        }
-        assert_eq!(t.len(), n as usize);
-        assert!(t.height() > 1, "tree should have split");
-        for i in 0..n {
-            assert_eq!(t.get(&i.to_be_bytes()), Some(i));
-        }
-        assert!(t.check_invariants());
+        let rows = rows_of((0..10_000u64).map(u64::to_be_bytes));
+        assert_round_trip(&rows);
     }
 
     #[test]
@@ -417,78 +148,105 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let mut keys: Vec<u64> = (0..5000).collect();
         keys.shuffle(&mut rng);
-        let mut t = BPlusTree::new();
-        for &k in &keys {
-            t.insert(&k.to_be_bytes(), k * 10).unwrap();
-        }
-        for &k in &keys {
-            assert_eq!(t.get(&k.to_be_bytes()), Some(k * 10));
-        }
-        assert!(t.check_invariants());
-    }
-
-    #[test]
-    fn iteration_is_sorted() {
-        let mut t = BPlusTree::new();
-        for i in [5u64, 1, 9, 3, 7, 2, 8, 0, 6, 4] {
-            t.insert(&i.to_be_bytes(), i).unwrap();
-        }
-        let values: Vec<u64> = t.iter().map(|(_, v)| v).collect();
-        assert_eq!(values, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn range_inclusive_scan() {
-        let mut t = BPlusTree::new();
-        for i in 0..100u64 {
-            t.insert(&i.to_be_bytes(), i).unwrap();
-        }
-        let vals = t.range_inclusive(&10u64.to_be_bytes(), &20u64.to_be_bytes());
-        assert_eq!(vals, (10..=20).collect::<Vec<_>>());
-        // Empty range.
-        let vals = t.range_inclusive(&200u64.to_be_bytes(), &300u64.to_be_bytes());
-        assert!(vals.is_empty());
+        let rows = rows_of(keys.iter().map(|k| k.to_be_bytes()));
+        let index = assert_round_trip(&rows);
+        assert_eq!(index.get(&5000u64.to_be_bytes(), &rows), None);
     }
 
     #[test]
     fn variable_length_keys() {
-        let mut t = BPlusTree::new();
-        let keys: Vec<Vec<u8>> = vec![
+        let rows = rows_of([
             b"".to_vec(),
             b"a".to_vec(),
             b"aa".to_vec(),
             b"aaa".to_vec(),
             b"ab".to_vec(),
             vec![0xff; 100],
-        ];
-        for (i, k) in keys.iter().enumerate() {
-            t.insert(k, i as u64).unwrap();
-        }
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(t.get(k), Some(i as u64));
-        }
-        assert!(t.check_invariants());
+            // Equal zero-padded prefixes, different keys.
+            vec![1],
+            vec![1, 0],
+            vec![1, 0, 0, 0, 0, 0, 0, 0],
+            vec![1, 0, 0, 0, 0, 0, 0, 0, 0],
+        ]);
+        let index = assert_round_trip(&rows);
+        assert_eq!(index.get(&[1, 0, 0], &rows), None);
+        assert_eq!(index.get(&[0xff; 99], &rows), None);
+    }
+
+    /// A shipment holding exactly `keys`, in an order drawn from `seed`.
+    fn shipment(keys: BTreeSet<Vec<u8>>, seed: u64) -> Vec<EncryptedRow> {
+        let mut keys: Vec<Vec<u8>> = keys.into_iter().collect();
+        keys.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        rows_of(keys)
+    }
+
+    /// Index ≡ `BTreeMap<key, position>`, on the shipment's own keys (the
+    /// round-trip law) and on `probes`.
+    fn matches_btreemap(rows: &[EncryptedRow], probes: &[Vec<u8>]) -> bool {
+        let reference: BTreeMap<&[u8], usize> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.index_key.as_slice(), i))
+            .collect();
+        let index = assert_round_trip(rows);
+        probes
+            .iter()
+            .all(|k| index.get(k, rows) == reference.get(k.as_slice()).copied())
+    }
+
+    /// Keys below 8 bytes over three byte values: zero-padding ties such as
+    /// `[1]` vs `[1, 0]` are common.
+    fn short_key() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(0u8..3, 0..8)
+    }
+
+    fn with_head(head: &[u8], tails: impl IntoIterator<Item = Vec<u8>>) -> Vec<Vec<u8>> {
+        tails.into_iter().map(|t| [head, &t].concat()).collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn prop_matches_std_btreemap(entries in proptest::collection::btree_map(
-            proptest::collection::vec(any::<u8>(), 0..24), any::<u64>(), 0..600)) {
-            let mut t = BPlusTree::new();
-            for (k, v) in &entries {
-                t.insert(k, *v).unwrap();
-            }
-            prop_assert_eq!(t.len(), entries.len());
-            for (k, v) in &entries {
-                prop_assert_eq!(t.get(k), Some(*v));
-            }
-            // Iteration order matches the reference map.
-            let ours: Vec<(Vec<u8>, u64)> = t.iter().map(|(k, v)| (k.to_vec(), v)).collect();
-            let reference: Vec<(Vec<u8>, u64)> = entries.iter().map(|(k, v)| (k.clone(), *v)).collect();
-            prop_assert_eq!(ours, reference);
-            prop_assert!(t.check_invariants());
+        fn prop_matches_std_btreemap(
+            keys in proptest::collection::btree_set(proptest::collection::vec(any::<u8>(), 0..24), 0..600),
+            probes in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..50),
+            seed in any::<u64>(),
+        ) {
+            prop_assert!(matches_btreemap(&shipment(keys, seed), &probes));
+        }
+
+        #[test]
+        fn prop_keys_sharing_a_prefix_match_std_btreemap(
+            head in proptest::collection::vec(any::<u8>(), 8..12),
+            tails in proptest::collection::btree_set(proptest::collection::vec(0u8..4, 0..4), 0..80),
+            probes in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..4), 0..40),
+            seed in any::<u64>(),
+        ) {
+            let keys = with_head(&head, tails).into_iter().collect();
+            prop_assert!(matches_btreemap(&shipment(keys, seed), &with_head(&head, probes)));
+        }
+
+        #[test]
+        fn prop_short_keys_match_std_btreemap(
+            keys in proptest::collection::btree_set(short_key(), 0..100),
+            probes in proptest::collection::vec(short_key(), 0..40),
+            seed in any::<u64>(),
+        ) {
+            prop_assert!(matches_btreemap(&shipment(keys, seed), &probes));
+        }
+
+        #[test]
+        fn prop_a_duplicate_anywhere_is_rejected(
+            keys in proptest::collection::btree_set(proptest::collection::vec(any::<u8>(), 0..24), 1..200),
+            seed in any::<u64>(),
+            from in any::<usize>(),
+            to in any::<usize>(),
+        ) {
+            let mut rows = shipment(keys, seed);
+            let twin = rows[from % rows.len()].clone();
+            rows.insert(to % (rows.len() + 1), twin);
+            prop_assert_eq!(KeyIndex::build(&rows).err(), Some(StorageError::DuplicateKey));
         }
 
         #[test]
@@ -496,12 +254,11 @@ mod tests {
             present in proptest::collection::btree_set(any::<u32>(), 1..200),
             probe in any::<u32>(),
         ) {
-            let mut t = BPlusTree::new();
-            for k in &present {
-                t.insert(&k.to_be_bytes(), u64::from(*k)).unwrap();
-            }
-            let expect = present.contains(&probe).then(|| u64::from(probe));
-            prop_assert_eq!(t.get(&probe.to_be_bytes()), expect);
+            let keys: Vec<u32> = present.iter().copied().collect();
+            let rows = rows_of(keys.iter().map(|k| k.to_be_bytes()));
+            let index = KeyIndex::build(&rows).unwrap();
+            let expect = keys.iter().position(|k| *k == probe);
+            prop_assert_eq!(index.get(&probe.to_be_bytes(), &rows), expect);
         }
     }
 }

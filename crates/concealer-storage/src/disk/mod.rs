@@ -788,13 +788,12 @@ mod tests {
             .unwrap();
         assert_eq!(rows.0, rows.1);
 
-        // Writes are refused until promotion.
-        let err = EpochStore::with_backend(Arc::new(replica)).ingest_epoch(
-            7200,
-            sample_rows(5, 3),
-            sample_meta(3),
-        );
+        // Writes are refused until promotion, and a refused ingest is not
+        // an ingest the adversary saw.
+        let replica = EpochStore::with_backend(Arc::new(replica));
+        let err = replica.ingest_epoch(7200, sample_rows(5, 3), sample_meta(3));
         assert!(matches!(err, Err(StorageError::ReadOnly { .. })));
+        assert_eq!(replica.observer().trace(), vec![]);
         // The writer is never read-only and its refresh is a no-op.
         assert!(!writer.backend().read_only());
         assert_eq!(writer.backend().refresh().unwrap(), Vec::<u64>::new());

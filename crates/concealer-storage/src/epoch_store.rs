@@ -39,7 +39,7 @@ pub struct EpochMetadata {
 /// One stored epoch: the table segment and its metadata.
 #[derive(Debug, Clone)]
 pub struct StoredEpoch {
-    /// Encrypted tuples with the B+Tree index over the `Index` column.
+    /// Encrypted tuples with the index over the `Index` column.
     pub table: EncryptedTable,
     /// Encrypted metadata vectors and tags.
     pub metadata: EpochMetadata,
@@ -179,11 +179,6 @@ impl EpochStore {
         let bytes: usize = rows.iter().map(EncryptedRow::byte_size).sum();
         let row_count = rows.len();
         let table = EncryptedTable::bulk_load(rows)?;
-        self.observer.record(AccessEvent::EpochIngested {
-            epoch_id,
-            rows: row_count,
-            bytes,
-        });
         self.backend.put_epoch(
             epoch_id,
             StoredEpoch {
@@ -191,7 +186,14 @@ impl EpochStore {
                 metadata,
                 rewrite_count: 0,
             },
-        )
+        )?;
+        // Only a committed shipment is an ingest the adversary saw happen.
+        self.observer.record(AccessEvent::EpochIngested {
+            epoch_id,
+            rows: row_count,
+            bytes,
+        });
+        Ok(())
     }
 
     /// Epoch ids currently stored, ascending.
@@ -236,22 +238,11 @@ impl EpochStore {
         trapdoor: &[u8],
     ) -> Result<Option<EncryptedRow>> {
         let mut out = None;
+        let mut events = Vec::with_capacity(2);
         self.backend.with_epoch(epoch_id, &mut |epoch| {
-            let hit = epoch.table.lookup(trapdoor);
-            self.observer.record(AccessEvent::TrapdoorIssued {
-                epoch_id,
-                trapdoor_len: trapdoor.len(),
-                hit: hit.is_some(),
-            });
-            if let Some((row_id, row)) = hit {
-                self.observer.record(AccessEvent::RowFetched {
-                    epoch_id,
-                    row_id,
-                    bytes: row.byte_size(),
-                });
-                out = Some(row.clone());
-            }
+            out = lookup_observed(&epoch.table, epoch_id, trapdoor, &mut events).cloned();
         })?;
+        self.observer.record_batch(events);
         Ok(out)
     }
 
@@ -269,18 +260,7 @@ impl EpochStore {
         let mut events = Vec::with_capacity(trapdoors.len() * 2);
         self.backend.with_epoch(epoch_id, &mut |epoch| {
             for t in trapdoors {
-                let hit = epoch.table.lookup(t);
-                events.push(AccessEvent::TrapdoorIssued {
-                    epoch_id,
-                    trapdoor_len: t.len(),
-                    hit: hit.is_some(),
-                });
-                if let Some((row_id, row)) = hit {
-                    events.push(AccessEvent::RowFetched {
-                        epoch_id,
-                        row_id,
-                        bytes: row.byte_size(),
-                    });
+                if let Some(row) = lookup_observed(&epoch.table, epoch_id, t, &mut events) {
                     out.push(row.clone());
                 }
             }
@@ -311,18 +291,7 @@ impl EpochStore {
         let mut same = true;
         self.backend.with_epoch(epoch_id, &mut |epoch| {
             for t in trapdoors {
-                let hit = epoch.table.lookup(t);
-                events.push(AccessEvent::TrapdoorIssued {
-                    epoch_id,
-                    trapdoor_len: t.len(),
-                    hit: hit.is_some(),
-                });
-                if let Some((row_id, row)) = hit {
-                    events.push(AccessEvent::RowFetched {
-                        epoch_id,
-                        row_id,
-                        bytes: row.byte_size(),
-                    });
+                if let Some(row) = lookup_observed(&epoch.table, epoch_id, t, &mut events) {
                     same = same && expected.get(matched) == Some(row);
                     matched += 1;
                 }
@@ -424,26 +393,8 @@ impl EpochStore {
         self.backend.update_epoch(epoch_id, &mut |epoch| {
             let replacements = replacements.take().expect("update closure runs once");
             if !replacements.is_empty() {
-                let mut rows: Vec<EncryptedRow> =
-                    epoch.table.scan().map(|(_, r)| r.clone()).collect();
-                let mut by_old_key: std::collections::HashMap<Vec<u8>, EncryptedRow> =
-                    replacements.into_iter().collect();
-                let replaced_total = by_old_key.len();
-                let mut replaced = 0usize;
-                for row in &mut rows {
-                    if let Some(new_row) = by_old_key.remove(&row.index_key) {
-                        *row = new_row;
-                        replaced += 1;
-                    }
-                }
-                if replaced != replaced_total {
-                    return Err(StorageError::CardinalityMismatch {
-                        expected: replaced_total,
-                        got: replaced,
-                    });
-                }
-                row_count = rows.len();
-                epoch.table = EncryptedTable::bulk_load(rows)?;
+                epoch.table.replace_rows(replacements)?;
+                row_count = epoch.table.len();
                 epoch.rewrite_count += 1;
             }
             for (cell_id, tag) in tag_updates.take().expect("update closure runs once") {
@@ -484,6 +435,29 @@ impl EpochStore {
             .with_epoch(epoch_id, &mut |e| out = e.rewrite_count)?;
         Ok(out)
     }
+}
+
+/// Run one trapdoor against `table`, appending to `events` what the
+/// adversary observes: `TrapdoorIssued`, then `RowFetched` on a hit.
+fn lookup_observed<'a>(
+    table: &'a EncryptedTable,
+    epoch_id: u64,
+    trapdoor: &[u8],
+    events: &mut Vec<AccessEvent>,
+) -> Option<&'a EncryptedRow> {
+    let hit = table.lookup(trapdoor);
+    events.push(AccessEvent::TrapdoorIssued {
+        epoch_id,
+        trapdoor_len: trapdoor.len(),
+        hit: hit.is_some(),
+    });
+    let (row_id, row) = hit?;
+    events.push(AccessEvent::RowFetched {
+        epoch_id,
+        row_id,
+        bytes: row.byte_size(),
+    });
+    Some(row)
 }
 
 #[cfg(test)]
@@ -599,6 +573,89 @@ mod tests {
         let mut extra = rows.clone();
         extra.push(row(&[9, 9, 9], 9));
         assert!(!store.fetch_batch_matches(1, &trapdoors, &extra).unwrap());
+    }
+
+    #[test]
+    fn rewrite_after_a_fetch_fails_the_replay_but_not_its_trace() {
+        let store = EpochStore::new();
+        store
+            .ingest_epoch(1, sample_epoch(10, 1), EpochMetadata::default())
+            .unwrap();
+        let trapdoors = vec![vec![1, 0, 2], vec![8, 8, 8], vec![1, 0, 3]];
+        let cached = store.fetch_batch(1, &trapdoors).unwrap();
+
+        // The provider swaps one fetched row's payload under its old key.
+        let mut tampered = cached[1].clone();
+        tampered.payload[0] ^= 1;
+        store
+            .rewrite_rows(1, vec![(vec![1, 0, 3], tampered)])
+            .unwrap();
+
+        store.observer().reset();
+        assert!(!store.fetch_batch_matches(1, &trapdoors, &cached).unwrap());
+        let replay_trace = store.observer().take_events();
+        let refetched = store.fetch_batch(1, &trapdoors).unwrap();
+        assert_eq!(store.observer().take_events(), replay_trace);
+        assert_ne!(refetched, cached);
+    }
+
+    /// Pins the adversary trace of a fixed shipment and trapdoor list, row
+    /// ids included: a row id is the row's position in the shipment, not its
+    /// rank in key order, and an index change must not renumber rows.
+    #[test]
+    fn golden_trace_of_a_fixed_epoch() {
+        let mut shipment = sample_epoch(10, 1);
+        shipment.reverse();
+        shipment.swap(2, 6);
+        let store = EpochStore::new();
+        store
+            .ingest_epoch(4, shipment, EpochMetadata::default())
+            .unwrap();
+        let trapdoors = vec![
+            vec![1, 0, 3],
+            vec![1, 0, 7],
+            vec![1, 0],
+            vec![1, 0, 0],
+            vec![1, 0, 9, 0],
+            vec![1, 0, 9],
+        ];
+        store.fetch_batch(4, &trapdoors).unwrap();
+        store.mark_query_boundary();
+        store.fetch_by_trapdoor(4, &[1, 0, 5]).unwrap();
+
+        let issued = |trapdoor_len, hit| AccessEvent::TrapdoorIssued {
+            epoch_id: 4,
+            trapdoor_len,
+            hit,
+        };
+        let fetched = |row_id| AccessEvent::RowFetched {
+            epoch_id: 4,
+            row_id,
+            bytes: 67,
+        };
+        assert_eq!(
+            store.observer().trace(),
+            vec![
+                AccessEvent::EpochIngested {
+                    epoch_id: 4,
+                    rows: 10,
+                    bytes: 670,
+                },
+                issued(3, true),
+                fetched(2),
+                issued(3, true),
+                fetched(6),
+                issued(2, false),
+                issued(3, true),
+                fetched(9),
+                issued(4, false),
+                issued(3, true),
+                fetched(0),
+                AccessEvent::QueryBoundary,
+                issued(3, true),
+                fetched(4),
+            ]
+        );
     }
 
     #[test]

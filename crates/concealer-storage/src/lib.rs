@@ -6,13 +6,12 @@
 //! (PB-tree, IB-tree): *no custom index traversal protocol is needed at the
 //! server*. This crate provides the equivalent embedded substrate:
 //!
-//! * [`btree`] — a from-scratch B+Tree mapping arbitrary byte keys (the
-//!   deterministic `Index` ciphertexts) to row locations, with bulk load,
-//!   point lookup and ordered iteration. It plays the role of the MySQL
-//!   index.
-//! * [`table`] — [`table::EncryptedTable`], the encrypted relation: an
-//!   append-only heap of [`table::EncryptedRow`]s plus the B+Tree index over
-//!   the `Index` column.
+//! * [`table`] — [`table::EncryptedTable`], the encrypted relation: one
+//!   epoch's [`table::EncryptedRow`]s in shipment order plus the index over
+//!   the `Index` column. The index (`btree.rs`, private) plays the role of
+//!   the MySQL index: built once per segment from the deterministic `Index`
+//!   ciphertexts, it answers exact-match lookups — the only operation the
+//!   server needs.
 //! * [`epoch_store`] — [`epoch_store::EpochStore`], the service provider's
 //!   database: one table segment per epoch/round plus the encrypted
 //!   metadata blobs (`Ecell_id[]`, `Ec_tuple[]`, verifiable tags) DP ships
@@ -36,16 +35,15 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod btree;
 pub mod disk;
 pub mod epoch_store;
 pub mod observer;
 pub mod table;
 
+mod btree;
 mod error;
 
 pub use backend::{shard_of_epoch, MemoryBackend, RewrapFn, StorageBackend};
-pub use btree::BPlusTree;
 pub use disk::DiskEpochStore;
 pub use epoch_store::{EpochMetadata, EpochStore, StoredEpoch};
 pub use error::StorageError;

@@ -162,7 +162,7 @@ impl AccessObserver {
     /// Summarize the whole trace.
     #[must_use]
     pub fn summary(&self) -> ObserverSummary {
-        Self::summarize(&self.trace())
+        Self::summarize(&self.events.lock())
     }
 
     /// Summarize an arbitrary slice of events.
@@ -200,23 +200,12 @@ impl AccessObserver {
     /// segment.
     #[must_use]
     pub fn per_query_summaries(&self) -> Vec<ObserverSummary> {
-        let trace = self.trace();
-        let mut out = Vec::new();
-        let mut current = Vec::new();
-        for e in trace {
-            if matches!(e, AccessEvent::QueryBoundary) {
-                if !current.is_empty() {
-                    out.push(Self::summarize(&current));
-                    current.clear();
-                }
-            } else {
-                current.push(e);
-            }
-        }
-        if !current.is_empty() {
-            out.push(Self::summarize(&current));
-        }
-        out
+        self.events
+            .lock()
+            .split(|e| matches!(e, AccessEvent::QueryBoundary))
+            .filter(|segment| !segment.is_empty())
+            .map(Self::summarize)
+            .collect()
     }
 
     /// The multiset of rows fetched in each query segment, as sorted vectors
@@ -224,29 +213,24 @@ impl AccessObserver {
     /// the same bin produce *identical* fetch sets.
     #[must_use]
     pub fn per_query_fetch_sets(&self) -> Vec<Vec<(u64, u64)>> {
-        let trace = self.trace();
-        let mut out = Vec::new();
-        let mut current = Vec::new();
-        for e in trace {
-            match e {
-                AccessEvent::QueryBoundary if !current.is_empty() => {
-                    let mut set: Vec<(u64, u64)> = std::mem::take(&mut current);
-                    set.sort_unstable();
-                    out.push(set);
-                }
-                AccessEvent::RowFetched {
-                    epoch_id, row_id, ..
-                } => {
-                    current.push((epoch_id, row_id));
-                }
-                _ => {}
-            }
-        }
-        if !current.is_empty() {
-            current.sort_unstable();
-            out.push(current);
-        }
-        out
+        self.events
+            .lock()
+            .split(|e| matches!(e, AccessEvent::QueryBoundary))
+            .map(|segment| {
+                let mut set: Vec<(u64, u64)> = segment
+                    .iter()
+                    .filter_map(|e| match e {
+                        AccessEvent::RowFetched {
+                            epoch_id, row_id, ..
+                        } => Some((*epoch_id, *row_id)),
+                        _ => None,
+                    })
+                    .collect();
+                set.sort_unstable();
+                set
+            })
+            .filter(|set| !set.is_empty())
+            .collect()
     }
 }
 

@@ -1,5 +1,5 @@
-//! The encrypted relation: rows of opaque ciphertext columns plus a B+Tree
-//! index over the `Index` column.
+//! The encrypted relation: rows of opaque ciphertext columns plus the
+//! exact-match index over the `Index` column.
 //!
 //! One [`EncryptedTable`] holds the tuples of a single epoch/round segment
 //! (the paper sends data epoch by epoch). Rows follow the layout of Table 2c
@@ -8,10 +8,12 @@
 //! TPC-H, the concatenation of the non-indexed attributes), and the
 //! *Index* column `E_k(cid||counter)` on which the DBMS builds its index.
 
-use crate::{BPlusTree, Result, StorageError};
+use crate::btree::KeyIndex;
+use crate::{Result, StorageError};
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a row within one table segment.
+/// Identifier of a row within one table segment: its position in the
+/// shipment.
 pub type RowId = u64;
 
 /// One encrypted tuple as shipped by the data provider.
@@ -40,7 +42,7 @@ impl EncryptedRow {
 #[derive(Debug, Clone, Default)]
 pub struct EncryptedTable {
     rows: Vec<EncryptedRow>,
-    index: BPlusTree,
+    index: KeyIndex,
 }
 
 impl EncryptedTable {
@@ -53,21 +55,48 @@ impl EncryptedTable {
     /// Bulk-load a batch of rows (one epoch's shipment). The DBMS builds the
     /// index on the `Index` column as part of the load, exactly as the paper
     /// describes ("SP inserts the data into DBMS that creates/modifies the
-    /// index").
+    /// index"). A row's id is its position in `rows`. Fails with
+    /// [`StorageError::DuplicateKey`] when two rows share an `Index` value.
     pub fn bulk_load(rows: Vec<EncryptedRow>) -> Result<Self> {
-        let mut table = EncryptedTable::new();
-        for row in rows {
-            table.insert(row)?;
-        }
-        Ok(table)
+        let index = KeyIndex::build(&rows)?;
+        Ok(EncryptedTable { rows, index })
     }
 
-    /// Insert a single row, updating the index.
-    pub fn insert(&mut self, row: EncryptedRow) -> Result<()> {
-        let row_id = self.rows.len() as RowId;
-        self.index.insert(&row.index_key, row_id)?;
-        self.rows.push(row);
-        Ok(())
+    /// Swap replacement rows in place of the rows currently stored under
+    /// the given old `Index` values (a §6 bin rewrite), keeping every row
+    /// id, and rebuild the index. All-or-nothing: an old key the table does
+    /// not hold yields [`StorageError::CardinalityMismatch`], new keys that
+    /// collide yield [`StorageError::DuplicateKey`], and either way the
+    /// table is left exactly as it was.
+    pub fn replace_rows(&mut self, mut replacements: Vec<(Vec<u8>, EncryptedRow)>) -> Result<()> {
+        let positions: Vec<usize> = replacements
+            .iter()
+            .filter_map(|(old_key, _)| self.index.get(old_key, &self.rows))
+            .collect();
+        if positions.len() != replacements.len() {
+            return Err(StorageError::CardinalityMismatch {
+                expected: replacements.len(),
+                got: positions.len(),
+            });
+        }
+        // Each swap parks the displaced row in `replacements`, so undoing
+        // them in reverse order restores the table even when two
+        // replacements named the same old key.
+        for (&pos, (_, row)) in positions.iter().zip(&mut replacements) {
+            std::mem::swap(&mut self.rows[pos], row);
+        }
+        match KeyIndex::build(&self.rows) {
+            Ok(index) => {
+                self.index = index;
+                Ok(())
+            }
+            Err(e) => {
+                for (&pos, (_, row)) in positions.iter().zip(&mut replacements).rev() {
+                    std::mem::swap(&mut self.rows[pos], row);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Number of rows stored.
@@ -86,8 +115,8 @@ impl EncryptedTable {
     /// and a reference to the row.
     #[must_use]
     pub fn lookup(&self, trapdoor: &[u8]) -> Option<(RowId, &EncryptedRow)> {
-        let row_id = self.index.get(trapdoor)?;
-        Some((row_id, &self.rows[row_id as usize]))
+        let pos = self.index.get(trapdoor, &self.rows)?;
+        Some((pos as RowId, &self.rows[pos]))
     }
 
     /// Fetch a row by id.
@@ -110,23 +139,19 @@ impl EncryptedTable {
     pub fn byte_size(&self) -> usize {
         self.rows.iter().map(EncryptedRow::byte_size).sum()
     }
-
-    /// Index statistics: `(height, node_count)` — a proxy for the index
-    /// maintenance cost that the paper's Exp 1 throughput measurement
-    /// includes implicitly.
-    #[must_use]
-    pub fn index_stats(&self) -> (usize, usize) {
-        (self.index.height(), self.index.node_count())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn key(key: u64) -> Vec<u8> {
+        key.to_be_bytes().to_vec()
+    }
+
     fn row(key: u64, payload: u8) -> EncryptedRow {
         EncryptedRow {
-            index_key: key.to_be_bytes().to_vec(),
+            index_key: self::key(key),
             filters: vec![vec![payload; 8], vec![payload ^ 0xff; 8]],
             payload: vec![payload; 32],
         }
@@ -147,10 +172,57 @@ mod tests {
 
     #[test]
     fn duplicate_index_value_rejected() {
-        let mut table = EncryptedTable::new();
-        table.insert(row(1, 1)).unwrap();
-        assert_eq!(table.insert(row(1, 2)), Err(StorageError::DuplicateKey));
-        assert_eq!(table.len(), 1);
+        let shipment = vec![row(1, 1), row(2, 0), row(1, 2)];
+        assert_eq!(
+            EncryptedTable::bulk_load(shipment).err(),
+            Some(StorageError::DuplicateKey)
+        );
+    }
+
+    #[test]
+    fn replace_rows_keeps_row_ids_and_is_all_or_nothing() {
+        let rows: Vec<EncryptedRow> = (0..20u64).map(|i| row(i, i as u8)).collect();
+        let mut table = EncryptedTable::bulk_load(rows.clone()).unwrap();
+        let unchanged = |table: &EncryptedTable| {
+            rows.iter()
+                .enumerate()
+                .all(|(i, r)| table.lookup(&r.index_key) == Some((i as RowId, r)))
+        };
+
+        // Unknown old key: nothing moves, not even the known replacement.
+        let err = table.replace_rows(vec![(key(3), row(3, 0xAA)), (key(99), row(99, 0xBB))]);
+        assert_eq!(
+            err,
+            Err(StorageError::CardinalityMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
+        assert!(unchanged(&table));
+        // A new key that collides with an untouched row, or with another
+        // replacement: rejected, and the swaps are undone.
+        let err = table.replace_rows(vec![(key(3), row(30, 0xAA)), (key(4), row(5, 0xBB))]);
+        assert_eq!(err, Err(StorageError::DuplicateKey));
+        let err = table.replace_rows(vec![(key(3), row(30, 0xAA)), (key(4), row(30, 0xBB))]);
+        assert_eq!(err, Err(StorageError::DuplicateKey));
+        assert!(unchanged(&table));
+
+        // Same key with a new payload, a fresh key, and two rows trading keys.
+        table
+            .replace_rows(vec![
+                (key(3), row(3, 0xAA)),
+                (key(7), row(70, 0xBB)),
+                (key(8), row(9, 0xCC)),
+                (key(9), row(8, 0xDD)),
+            ])
+            .unwrap();
+        assert_eq!(table.len(), 20);
+        assert_eq!(table.lookup(&key(3)), Some((3, &row(3, 0xAA))));
+        assert_eq!(table.lookup(&key(70)), Some((7, &row(70, 0xBB))));
+        assert_eq!(table.lookup(&key(7)), None);
+        assert_eq!(table.lookup(&key(9)), Some((8, &row(9, 0xCC))));
+        assert_eq!(table.lookup(&key(8)), Some((9, &row(8, 0xDD))));
+        assert_eq!(table.lookup(&key(12)), Some((12, &rows[12])));
     }
 
     #[test]
@@ -180,13 +252,5 @@ mod tests {
         assert_eq!(r.byte_size(), 8 + 8 + 8 + 32);
         let table = EncryptedTable::bulk_load(vec![row(1, 3), row(2, 4)]).unwrap();
         assert_eq!(table.byte_size(), 2 * (8 + 8 + 8 + 32));
-    }
-
-    #[test]
-    fn index_stats_grow_with_table() {
-        let small = EncryptedTable::bulk_load((0..10u64).map(|i| row(i, 0)).collect()).unwrap();
-        let large = EncryptedTable::bulk_load((0..5000u64).map(|i| row(i, 0)).collect()).unwrap();
-        assert!(large.index_stats().0 >= small.index_stats().0);
-        assert!(large.index_stats().1 > small.index_stats().1);
     }
 }

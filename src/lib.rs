@@ -8,7 +8,7 @@
 //! * [`core`] — bin packing, grid mapping, query engine ([`concealer_core`])
 //! * [`crypto`] — deterministic AES-CMAC encryption, KDF, PRFs
 //! * [`enclave`] — simulated SGX enclave: filtering, verification, oblivious ops
-//! * [`storage`] — B+-tree index, epoch store, access-pattern observer
+//! * [`storage`] — exact-match index, epoch store, access-pattern observer
 //! * [`baselines`] — cleartext / det-index / Opaque-style comparison systems
 //! * [`workloads`] — WiFi and TPC-H style data and query generators
 //! * [`examples`] — shared demo plumbing used by `examples/*.rs`
