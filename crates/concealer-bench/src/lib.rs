@@ -3,8 +3,8 @@
 //! Every table and figure of the paper's evaluation (§9) has a
 //! corresponding experiment function in [`experiments`]; the
 //! `paper_tables` binary runs them and prints rows in the same shape the
-//! paper reports, and the Criterion benches under `benches/` measure the
-//! same operations with statistical rigor.
+//! paper reports. (The repository's performance benchmark is the separate
+//! `benchmark/` package.)
 //!
 //! Scale: the paper runs on 26M ("small") and 136M ("large") rows. This
 //! harness defaults to a ~1000× scale-down so a full run finishes in

@@ -33,7 +33,9 @@
 //! unchanged: [`RouterHandler`] implements
 //! [`ServeHandler`], so
 //! `Server::with_handler` gives it frame handling, the connection state
-//! machine, pipelining caps, busy refusal, and graceful drain — by
+//! machine (version check, batch and frame limits included — they come
+//! from the [`ServerConfig`](concealer_server::ServerConfig) it is served
+//! with), pipelining caps, busy refusal, and graceful drain — by
 //! default on the readiness-driven event core, where upstream fan-out
 //! blocks a worker thread, never the event loop.
 //!
@@ -68,18 +70,20 @@ use std::time::{Duration, Instant};
 use concealer_client::{ClientBuilder, ClientError, Pending, Session, TrustPolicy};
 use concealer_core::{merge_partials, shard_of_epoch, Query, UserHandle};
 use concealer_server::protocol::{
-    Request, Response, RouterStats, ServerInfo, ShardDescriptor, ShardLoad, ShardRole, WirePartial,
-    WirePartialResult, WireQuote, CONNECTION_LEVEL_ID, DEFAULT_MAX_BATCH, DEFAULT_MAX_FRAME_LEN,
-    PROTOCOL_VERSION,
+    Response, RouterStats, ShardDescriptor, ShardLoad, ShardRole, WirePartial, WirePartialResult,
+    WireQuote, CONNECTION_LEVEL_ID,
 };
-use concealer_server::{ErrorCode, ServeHandler, WireError, WireResult, WireStats};
+use concealer_server::{
+    DeploymentFacts, EngineRequest, ErrorCode, ServeHandler, WireError, WireResult, WireStats,
+};
 
 /// Everything that tunes a router deployment (the serving side — bind
-/// address, connection caps, mode — stays in
+/// address, connection caps, batch and frame limits, mode — stays in
 /// [`ServerConfig`](concealer_server::ServerConfig)).
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Name reported to clients in the handshake.
+    /// Name the router presents to its upstream shards (clients see
+    /// `ServerConfig::server_name`).
     pub router_name: String,
     /// Upstream shard addresses **in shard order**: `shards[i]` must
     /// name the server(s) started with `--shard i/N`. Each entry is a
@@ -87,8 +91,6 @@ pub struct RouterConfig {
     /// one-member set); member roles are discovered from `ShardInfo` at
     /// probe time, and every set must have exactly one writer.
     pub shards: Vec<String>,
-    /// Maximum queries per `ExecuteBatch` accepted from clients.
-    pub max_batch: usize,
     /// Cap on establishing one upstream TCP connection.
     pub connect_timeout: Duration,
     /// Cap on each blocking upstream read. A shard that accepted work
@@ -107,7 +109,6 @@ impl Default for RouterConfig {
         RouterConfig {
             router_name: "concealer-router".to_string(),
             shards: Vec::new(),
-            max_batch: DEFAULT_MAX_BATCH,
             connect_timeout: Duration::from_secs(2),
             read_timeout: Duration::from_secs(30),
             backoff_base: Duration::from_millis(250),
@@ -731,40 +732,17 @@ impl RouterHandler {
         )
         .map_err(|e| WireError::from(&e))
     }
-
-    fn batch_too_large(&self, id: u64, len: usize) -> Response {
-        Response::Error {
-            id,
-            error: WireError::new(
-                ErrorCode::BatchTooLarge,
-                format!(
-                    "batch of {len} queries exceeds the {}-query limit",
-                    self.config.max_batch
-                ),
-            ),
-        }
-    }
 }
 
 impl ServeHandler for RouterHandler {
-    /// Version-check locally, then authenticate the credential against
-    /// the first reachable member — the router holds no credential store
-    /// of its own, so upstream acceptance *is* the authentication.
+    /// Authenticate the credential against the first reachable member —
+    /// the router holds no credential store of its own, so upstream
+    /// acceptance *is* the authentication.
     fn handshake(
         &self,
-        version: u32,
         user_id: u64,
         credential: [u8; 32],
-    ) -> Result<(UserHandle, ServerInfo), Response> {
-        if version != PROTOCOL_VERSION {
-            return Err(Response::Error {
-                id: CONNECTION_LEVEL_ID,
-                error: WireError::new(
-                    ErrorCode::UnsupportedVersion,
-                    format!("router speaks protocol {PROTOCOL_VERSION}, client sent {version}"),
-                ),
-            });
-        }
+    ) -> Result<(UserHandle, DeploymentFacts), Response> {
         let user = UserHandle {
             user_id: concealer_core::UserId(user_id),
             credential: concealer_core::Credential(credential),
@@ -782,18 +760,14 @@ impl ServeHandler for RouterHandler {
                 member.requests_forwarded.fetch_add(1, Ordering::Relaxed);
                 match self.dial(member, &user) {
                     Ok(conn) => {
-                        let upstream_info = conn.server_info().clone();
+                        let upstream = conn.server_info();
+                        let facts = DeploymentFacts {
+                            backend: upstream.backend.clone(),
+                            ingest_allowed: upstream.ingest_allowed,
+                        };
                         member.checkin(user_id, conn);
                         member.mark_up();
-                        let info = ServerInfo {
-                            protocol_version: PROTOCOL_VERSION,
-                            server_name: self.config.router_name.clone(),
-                            backend: upstream_info.backend,
-                            max_batch: self.config.max_batch as u64,
-                            max_frame_len: DEFAULT_MAX_FRAME_LEN as u64,
-                            ingest_allowed: upstream_info.ingest_allowed,
-                        };
-                        return Ok((user, info));
+                        return Ok((user, facts));
                     }
                     Err(ClientError::Handshake(e)) => {
                         // The member answered and refused: the credential
@@ -829,9 +803,9 @@ impl ServeHandler for RouterHandler {
         })
     }
 
-    fn execute(&self, user: &UserHandle, request: Request) -> Response {
+    fn execute(&self, user: &UserHandle, request: EngineRequest) -> Response {
         match request {
-            Request::Execute { id, query, options } => {
+            EngineRequest::Execute { id, query, options } => {
                 let outcomes = self.fan(
                     user,
                     &|conn| conn.submit_partial(&query, options),
@@ -844,14 +818,11 @@ impl ServeHandler for RouterHandler {
                     Err(error) => Response::Error { id, error },
                 }
             }
-            Request::ExecuteBatch {
+            EngineRequest::ExecuteBatch {
                 id,
                 queries,
                 options,
             } => {
-                if queries.len() > self.config.max_batch {
-                    return self.batch_too_large(id, queries.len());
-                }
                 let per_shard = self.fan(
                     user,
                     &|conn| conn.submit_batch_partial(&queries, options),
@@ -872,7 +843,7 @@ impl ServeHandler for RouterHandler {
                     .collect();
                 Response::BatchAnswer { id, results }
             }
-            Request::ExecutePartial { id, query, options } => {
+            EngineRequest::ExecutePartial { id, query, options } => {
                 let outcomes = self.fan(
                     user,
                     &|conn| conn.submit_partial(&query, options),
@@ -884,14 +855,11 @@ impl ServeHandler for RouterHandler {
                 };
                 Response::PartialAnswer { id, result }
             }
-            Request::ExecuteBatchPartial {
+            EngineRequest::ExecuteBatchPartial {
                 id,
                 queries,
                 options,
             } => {
-                if queries.len() > self.config.max_batch {
-                    return self.batch_too_large(id, queries.len());
-                }
                 let per_shard = self.fan(
                     user,
                     &|conn| conn.submit_batch_partial(&queries, options),
@@ -906,7 +874,7 @@ impl ServeHandler for RouterHandler {
                     .collect();
                 Response::BatchPartialAnswer { id, results }
             }
-            Request::IngestEpoch {
+            EngineRequest::IngestEpoch {
                 id,
                 epoch_start,
                 records,
@@ -929,7 +897,7 @@ impl ServeHandler for RouterHandler {
                     },
                 }
             }
-            Request::Promote { id } => {
+            EngineRequest::Promote { id } => {
                 // Promotion is member-addressed: the wire carries no way
                 // to say *which* member of *which* set should take over,
                 // and the router already promotes automatically when an
@@ -945,7 +913,7 @@ impl ServeHandler for RouterHandler {
                     ),
                 }
             }
-            Request::Stats { id } => {
+            EngineRequest::Stats { id } => {
                 // Aggregate the backend profile across the deployment:
                 // counters sum, the security properties hold only if
                 // every slice upholds them. One member per set answers —
@@ -981,15 +949,6 @@ impl ServeHandler for RouterHandler {
                         error: WireError::new(ErrorCode::ShardUnavailable, "no shards configured"),
                     },
                 }
-            }
-            Request::Hello { .. }
-            | Request::Goodbye
-            | Request::Shutdown { .. }
-            | Request::ServeStats { .. }
-            | Request::ShardInfo { .. }
-            | Request::Attest { .. }
-            | Request::RouterStats { .. } => {
-                unreachable!("connection-level requests never reach the handler executor")
             }
         }
     }

@@ -1,32 +1,16 @@
-//! Per-connection state for the event core: the incremental frame
-//! decoder on the read side, the pending-reply buffer on the write side,
-//! and the lifecycle flags the loop steers by.
+//! Per-connection transport state for the event core: the incremental
+//! frame decoder on the read side, the pending-reply buffer on the write
+//! side, the protocol machine between them, and the socket-lifecycle
+//! flags the loop steers by.
 
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Instant;
 
-use concealer_core::UserHandle;
 use serde::frame::FrameDecoder;
 
+use crate::conn::{Machine, Shared};
 use crate::protocol::Response;
-
-/// Protocol phase of a connection (the threaded core's states plus an
-/// in-validation step, because this core validates hellos off-loop).
-pub(super) enum Auth {
-    /// Nothing accepted yet but `Request::Attest`, `Request::ShardInfo`
-    /// or (once attested) `Request::Hello`.
-    AwaitingHello,
-    /// An `Attest` was dispatched to a worker (a router dials its
-    /// upstreams for quotes); decoding is paused until the outcome lands,
-    /// preserving request order exactly like [`Auth::HelloPending`].
-    AttestPending,
-    /// A `Hello` was dispatched to a worker for validation; decoding is
-    /// paused until the outcome lands (pipelined frames sent behind the
-    /// hello wait in the buffer, preserving request order).
-    HelloPending,
-    /// Handshake done; engine requests may flow.
-    Ready(UserHandle),
-}
 
 /// How a connection ends once its output buffer drains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,16 +33,9 @@ pub(super) struct Conn {
     /// has taken them.
     pub(super) out: Vec<u8>,
     pub(super) out_pos: usize,
-    pub(super) auth: Auth,
-    /// Whether this connection has completed a successful `Attest` (v4);
-    /// `Hello` is refused until it has.
-    pub(super) attested: bool,
-    /// Engine requests dispatched to the worker pool and unanswered.
-    pub(super) in_flight: usize,
-    /// A `Goodbye` arrived: stop reading, answer `Bye` once `in_flight`
-    /// hits zero (protects pipelined replies despite out-of-order
-    /// completion), then close.
-    pub(super) goodbye_pending: bool,
+    /// What the bytes mean: every frame decoded goes in, every reply
+    /// queued comes out.
+    pub(super) machine: Machine,
     /// Close style to apply once `out` is flushed; `None` = keep serving.
     pub(super) closing: Option<Closing>,
     /// Set once a `Linger` close has shut the write half: discard reads
@@ -67,7 +44,8 @@ pub(super) struct Conn {
     /// The peer half-closed (EOF on read). Pending replies still flush.
     pub(super) read_closed: bool,
     /// Interest currently registered with the poller (`None` =
-    /// deregistered, e.g. pipeline-cap pause with nothing to write).
+    /// deregistered, e.g. the machine takes no frame and nothing is
+    /// waiting to be written).
     pub(super) interest: Option<mio::Interest>,
     /// Whether this connection counts toward the serving cap (busy
     /// refusals do not).
@@ -84,16 +62,13 @@ pub(super) enum FlushState {
 }
 
 impl Conn {
-    pub(super) fn new(stream: TcpStream, max_frame_len: usize, serving: bool) -> Conn {
+    pub(super) fn new(stream: TcpStream, shared: &Arc<Shared>, serving: bool) -> Conn {
         Conn {
             stream,
-            decoder: FrameDecoder::new(max_frame_len),
+            decoder: FrameDecoder::new(shared.config.max_frame_len),
             out: Vec::new(),
             out_pos: 0,
-            auth: Auth::AwaitingHello,
-            attested: false,
-            in_flight: 0,
-            goodbye_pending: false,
+            machine: Machine::new(Arc::clone(shared)),
             closing: None,
             discard_deadline: None,
             read_closed: false,

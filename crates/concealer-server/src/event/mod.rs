@@ -9,11 +9,11 @@
 //!             ┌───────────────────────────────────────────────┐
 //!             │               event loop thread               │
 //!  accept ───▶│ listener ──▶ Conn{ FrameDecoder │ out buffer }│◀── poll readiness
-//!             │                   │ decoded requests          │
+//!             │                   │ frames ▶ Machine ▶ steps  │
 //!             │                   ▼                           │
-//!             │              job queue ──▶ worker pool (N)    │
+//!             │              work queue ─▶ worker pool (N)    │
 //!             │                   ▲              │            │
-//!             │  completions ◀────┴── replies ───┘            │
+//!             │  completions ◀────┴──── done ────┘            │
 //!             │  (drained every iteration; waker-notified)    │
 //!             └───────────────────────────────────────────────┘
 //! ```
@@ -21,14 +21,13 @@
 //! * **Reads** accumulate partial frames in a per-connection incremental
 //!   [`FrameDecoder`](serde::frame::FrameDecoder); a request may arrive
 //!   split across any number of readiness events.
-//! * **Blocking handler work** — engine requests
-//!   (`Execute`/`ExecuteBatch`/partials/`IngestEpoch`/`Promote`/`Stats`) and
-//!   `Hello` validation — is dispatched to a small worker pool and
-//!   completes out of order; cheap connection-level requests (`Goodbye`,
-//!   `Shutdown`, `ServeStats`, `ShardInfo`, `RouterStats`) are answered
-//!   on the loop itself. Per-connection pipelining is capped
-//!   ([`ServerConfig::max_pipeline`]): at the cap the loop stops reading
-//!   that socket, so TCP flow control backpressures the client.
+//! * **The protocol** is the shared connection machine (`crate::conn`):
+//!   every decoded frame goes in, and the loop only carries out the step
+//!   that comes back — queue a reply, close, or hand a work item to the
+//!   pool. Work completes out of order; while the machine takes no frame
+//!   (pipeline cap, a pending `Hello`, a close waiting for replies) the
+//!   loop stops reading that socket, so TCP flow control backpressures
+//!   the client.
 //! * **Writes** go to a per-connection buffer flushed eagerly and then
 //!   on writable readiness; interest is re-registered only when it
 //!   actually changes.
@@ -38,29 +37,26 @@
 //!   with a grace deadline against peers that stop reading.
 //!
 //! Nothing here changes the trust argument: this is untrusted-zone
-//! plumbing shuffling the same frames as the threaded core, bit for bit
-//! (the loopback suite runs unchanged against both).
+//! plumbing around the same machine the threaded core drives.
 
 mod conn;
 mod workers;
 
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mio::{Events, Interest, Poll, Token, Waker};
 use serde::frame::FrameError;
 
-use crate::error::ErrorCode;
-use crate::protocol::{Request, Response, ServeStats, CONNECTION_LEVEL_ID};
-use crate::server::{
-    error_reply, reserved_id_reply, ServeHandler, ServeReport, ServerConfig, ServerMode,
-};
+use crate::conn::{Shared, Step};
+use crate::protocol::Request;
+use crate::server::{busy_reply, ServeHandler, ServeReport};
 
-use conn::{Auth, Closing, Conn};
-use workers::{Completion, Job, WorkerPool};
+use conn::{Closing, Conn};
+use workers::WorkerPool;
 
 /// Token of the accepting listener.
 const LISTENER: usize = 0;
@@ -91,9 +87,8 @@ const MAX_READ_PER_EVENT: usize = 64 * 1024;
 #[allow(clippy::type_complexity)]
 pub(crate) fn spawn(
     handler: Arc<dyn ServeHandler>,
-    config: ServerConfig,
+    shared: Arc<Shared>,
     listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
 ) -> std::io::Result<(
     std::thread::JoinHandle<ServeReport>,
     Option<Arc<dyn Fn() + Send + Sync>>,
@@ -106,17 +101,10 @@ pub(crate) fn spawn(
             let _ = waker.wake();
         })
     };
-    let config = Arc::new(config);
-    let pool = WorkerPool::spawn(
-        Arc::clone(&handler),
-        config.max_in_flight,
-        Arc::clone(&waker),
-    );
+    let pool = WorkerPool::spawn(handler, Arc::clone(&shared), Arc::clone(&waker));
     let event_loop = EventLoop {
-        handler,
-        config,
+        shared,
         listener,
-        shutdown,
         poll,
         waker,
         pool,
@@ -126,12 +114,6 @@ pub(crate) fn spawn(
         drain_deadline: None,
         fatal: false,
         lingering: 0,
-        live_serving: 0,
-        peak: 0,
-        total_in_flight: 0,
-        loop_iterations: 0,
-        connections_served: 0,
-        requests_served: 0,
         rejected_busy: 0,
     };
     let thread = std::thread::Builder::new()
@@ -141,10 +123,8 @@ pub(crate) fn spawn(
 }
 
 struct EventLoop {
-    handler: Arc<dyn ServeHandler>,
-    config: Arc<ServerConfig>,
+    shared: Arc<Shared>,
     listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
     poll: Poll,
     waker: Arc<Waker>,
     pool: WorkerPool,
@@ -156,15 +136,6 @@ struct EventLoop {
     fatal: bool,
     /// Connections in linger-discard with a deadline pending.
     lingering: usize,
-    /// Connections counting toward the serving cap (excludes busy
-    /// refusals).
-    live_serving: usize,
-    peak: usize,
-    /// Engine requests dispatched and unanswered, across connections.
-    total_in_flight: usize,
-    loop_iterations: u64,
-    connections_served: u64,
-    requests_served: u64,
     rejected_busy: u64,
 }
 
@@ -190,7 +161,10 @@ impl EventLoop {
                     break;
                 }
             }
-            self.loop_iterations += 1;
+            self.shared
+                .counters
+                .loop_iterations
+                .fetch_add(1, Ordering::Relaxed);
             for event in &events {
                 match event.token().0 {
                     LISTENER => self.on_accept(),
@@ -199,24 +173,25 @@ impl EventLoop {
                 }
             }
             self.process_completions();
-            if self.shutdown.load(Ordering::Acquire) && !self.draining {
+            if self.shared.draining() && !self.draining {
                 self.begin_drain();
             }
             if self.draining {
                 self.sweep();
             }
             self.check_deadlines();
-            if self.draining && self.conns.is_empty() && self.total_in_flight == 0 {
+            if self.draining && self.conns.is_empty() {
                 graceful = true;
                 break;
             }
         }
         // Workers finish any queued jobs; their replies have nowhere to
-        // go (all connections are closed by now), so drop them.
-        drop(self.pool.shutdown());
+        // go (all connections are closed by now).
+        self.pool.shutdown();
+        let counters = &self.shared.counters;
         ServeReport {
-            connections_served: self.connections_served,
-            requests_served: self.requests_served,
+            connections_served: counters.connections_served.load(Ordering::Relaxed),
+            requests_served: counters.requests_served.load(Ordering::Relaxed),
             rejected_busy: self.rejected_busy,
             graceful,
         }
@@ -236,22 +211,16 @@ impl EventLoop {
                     let _ = stream.set_nodelay(true);
                     let conn_id = self.next_conn_id;
                     self.next_conn_id += 1;
-                    if self.live_serving >= self.config.max_connections {
+                    if !self.shared.has_room() {
                         self.rejected_busy += 1;
-                        let mut conn = Conn::new(stream, self.config.max_frame_len, false);
-                        conn.queue_reply(&error_reply(
-                            CONNECTION_LEVEL_ID,
-                            ErrorCode::Busy,
-                            "connection cap reached; retry later",
-                        ));
+                        let mut conn = Conn::new(stream, &self.shared, false);
+                        conn.queue_reply(&busy_reply());
                         conn.closing = Some(Closing::Linger);
                         self.settle(conn_id, conn);
                         continue;
                     }
-                    self.connections_served += 1;
-                    self.live_serving += 1;
-                    self.peak = self.peak.max(self.live_serving);
-                    let conn = Conn::new(stream, self.config.max_frame_len, true);
+                    self.shared.connection_opened();
+                    let conn = Conn::new(stream, &self.shared, true);
                     self.settle(conn_id, conn);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -321,282 +290,55 @@ impl EventLoop {
         }
     }
 
-    /// Decode and handle every complete request the pipeline cap allows.
+    /// Present every frame the machine will take, and end of stream once
+    /// the peer half-closed and the buffer is decoded out.
     fn drive_decode(&mut self, conn_id: u64, conn: &mut Conn) {
-        loop {
-            if conn.closing.is_some() || conn.goodbye_pending {
-                return;
-            }
-            // A hello (or attest) is resolving on a worker: hold every
-            // frame behind it in the buffer so request order is preserved.
-            if matches!(conn.auth, Auth::HelloPending | Auth::AttestPending) {
-                return;
-            }
-            // Once the peer half-closed no more bytes can arrive, so the
-            // cap no longer protects anything — decode out the remainder
-            // so `mid_frame` means what it says.
-            if !conn.read_closed && conn.in_flight >= self.config.max_pipeline {
-                return;
-            }
-            match conn.decoder.try_decode::<Request>() {
-                Ok(Some(request)) => self.handle_request(conn_id, conn, request),
-                Ok(None) => return,
-                Err(FrameError::TooLarge { len, max }) => {
-                    // Payload already discarded; the stream is aligned and
-                    // the connection survives (blocking-path parity).
-                    self.reply(
-                        conn,
-                        &error_reply(
-                            CONNECTION_LEVEL_ID,
-                            ErrorCode::FrameTooLarge,
-                            format!("frame of {len} bytes exceeds the {max}-byte limit"),
-                        ),
-                    );
+        while conn.closing.is_none() && conn.machine.wants_frame() {
+            let frame = match conn.decoder.try_decode::<Request>() {
+                Ok(Some(request)) => Ok(request),
+                Ok(None) if !conn.read_closed => return,
+                // EOF classification is the caller's (see `FrameDecoder`).
+                Ok(None) if conn.decoder.mid_frame() => {
+                    Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof.into()))
                 }
-                Err(FrameError::Decode(e)) => {
-                    self.reply(
-                        conn,
-                        &error_reply(
-                            CONNECTION_LEVEL_ID,
-                            ErrorCode::MalformedFrame,
-                            format!("payload did not decode as a request: {e}"),
-                        ),
-                    );
-                    conn.closing = Some(Closing::Drop);
-                    return;
+                Ok(None) => Err(FrameError::Closed),
+                Err(e) => Err(e),
+            };
+            let step = conn.machine.on_frame(frame);
+            self.apply(conn_id, conn, step);
+        }
+    }
+
+    /// Carry out one step of the machine.
+    fn apply(&mut self, conn_id: u64, conn: &mut Conn, step: Step) {
+        match step {
+            Step::Wait => {}
+            Step::Reply(reply) => conn.queue_reply(&reply),
+            Step::Work(work) => self.pool.submit(conn_id, work),
+            Step::Close(replies) => {
+                for reply in &replies {
+                    conn.queue_reply(reply);
                 }
-                // The push decoder performs no I/O; it never returns
-                // Io/Closed.
-                Err(FrameError::Io(_) | FrameError::Closed) => return,
+                conn.closing = Some(Closing::Drop);
             }
         }
     }
 
-    /// The connection state machine, mirroring the threaded core's
-    /// `handle_connection` arms.
-    fn handle_request(&mut self, conn_id: u64, conn: &mut Conn, request: Request) {
-        match (&conn.auth, request) {
-            (
-                Auth::AwaitingHello,
-                Request::Hello {
-                    version,
-                    user_id,
-                    credential,
-                    client_name,
-                },
-            ) => {
-                // Validation happens on a worker (a router's handshake
-                // dials upstreams); decoding pauses until the outcome
-                // lands in `process_completions`.
-                let _ = client_name;
-                if !conn.attested {
-                    // Mirrors the threaded core: no credential crosses the
-                    // wire until the enclave has proven its measurement.
-                    self.reply(
-                        conn,
-                        &error_reply(
-                            CONNECTION_LEVEL_ID,
-                            ErrorCode::AttestationFailed,
-                            "Hello before a successful Attest; complete the \
-                             attestation exchange first",
-                        ),
-                    );
-                    conn.closing = Some(Closing::Drop);
-                    return;
-                }
-                conn.auth = Auth::HelloPending;
-                conn.in_flight += 1;
-                self.total_in_flight += 1;
-                self.pool.submit(Job::Hello {
-                    conn_id,
-                    version,
-                    user_id,
-                    credential,
-                });
-            }
-            (Auth::HelloPending | Auth::AttestPending, _) => {
-                unreachable!("decoding is paused while a hello or attest resolves")
-            }
-            // The other pre-auth request besides ShardInfo: the attestation
-            // challenge. Dispatched to a worker because a router's quote
-            // gathering dials every upstream member.
-            (Auth::AwaitingHello, Request::Attest { id, nonce }) => {
-                if id == CONNECTION_LEVEL_ID {
-                    self.refuse_reserved_id(conn);
-                    return;
-                }
-                conn.auth = Auth::AttestPending;
-                conn.in_flight += 1;
-                self.total_in_flight += 1;
-                self.pool.submit(Job::Attest { conn_id, id, nonce });
-            }
-            (Auth::Ready(_), Request::Attest { .. }) => {
-                self.reply(
-                    conn,
-                    &error_reply(
-                        CONNECTION_LEVEL_ID,
-                        ErrorCode::ProtocolViolation,
-                        "Attest must precede authentication",
-                    ),
-                );
-                conn.closing = Some(Closing::Drop);
-            }
-            // Pre-auth topology discovery, mirroring the threaded core: a
-            // router probes shard slices before it holds any credential.
-            (_, Request::ShardInfo { id }) => {
-                if id == CONNECTION_LEVEL_ID {
-                    self.refuse_reserved_id(conn);
-                    return;
-                }
-                let reply = self.handler.shard_info(id);
-                self.reply(conn, &reply);
-            }
-            (Auth::AwaitingHello, _) => {
-                self.reply(
-                    conn,
-                    &error_reply(
-                        CONNECTION_LEVEL_ID,
-                        ErrorCode::NotAuthenticated,
-                        "the first request must be Hello",
-                    ),
-                );
-                conn.closing = Some(Closing::Drop);
-            }
-            (Auth::Ready(_), Request::Hello { .. }) => {
-                self.reply(
-                    conn,
-                    &error_reply(
-                        CONNECTION_LEVEL_ID,
-                        ErrorCode::ProtocolViolation,
-                        "connection is already authenticated",
-                    ),
-                );
-                conn.closing = Some(Closing::Drop);
-            }
-            (Auth::Ready(_), Request::Goodbye) => {
-                // Stop reading; `Bye` goes out once in-flight replies
-                // have been written (see `advance`).
-                conn.goodbye_pending = true;
-            }
-            (Auth::Ready(user), Request::Shutdown { id }) => {
-                if id == CONNECTION_LEVEL_ID {
-                    self.refuse_reserved_id(conn);
-                    return;
-                }
-                // May block briefly (a router forwards the shutdown to
-                // its upstreams) — acceptable on the loop thread because
-                // the deployment is draining anyway.
-                let user = user.clone();
-                self.handler.on_wire_shutdown(&user);
-                self.shutdown.store(true, Ordering::Release);
-                self.reply(conn, &Response::ShutdownOk { id });
-                conn.closing = Some(Closing::Drop);
-            }
-            (Auth::Ready(_), Request::ServeStats { id }) => {
-                if id == CONNECTION_LEVEL_ID {
-                    self.refuse_reserved_id(conn);
-                    return;
-                }
-                let stats = self.serve_stats_snapshot();
-                self.reply(conn, &Response::ServeStatsOk { id, stats });
-            }
-            (Auth::Ready(_), Request::RouterStats { id }) => {
-                if id == CONNECTION_LEVEL_ID {
-                    self.refuse_reserved_id(conn);
-                    return;
-                }
-                let reply = self.handler.router_stats(id);
-                self.reply(conn, &reply);
-            }
-            (
-                Auth::Ready(user),
-                request @ (Request::Execute { .. }
-                | Request::ExecuteBatch { .. }
-                | Request::ExecutePartial { .. }
-                | Request::ExecuteBatchPartial { .. }
-                | Request::IngestEpoch { .. }
-                | Request::Promote { .. }
-                | Request::Stats { .. }),
-            ) => {
-                if request.id() == CONNECTION_LEVEL_ID {
-                    self.refuse_reserved_id(conn);
-                    return;
-                }
-                let user = user.clone();
-                conn.in_flight += 1;
-                self.total_in_flight += 1;
-                self.pool.submit(Job::Engine {
-                    conn_id,
-                    user,
-                    request,
-                });
-            }
-        }
-    }
-
-    fn refuse_reserved_id(&mut self, conn: &mut Conn) {
-        self.reply(conn, &reserved_id_reply());
-        conn.closing = Some(Closing::Drop);
-    }
-
-    fn serve_stats_snapshot(&self) -> ServeStats {
-        ServeStats {
-            mode: ServerMode::Event.name().to_string(),
-            connections: self.live_serving as u64,
-            peak_connections: self.peak as u64,
-            connections_served: self.connections_served,
-            in_flight: self.total_in_flight as u64,
-            backlog: self.pool.backlog() as u64,
-            loop_iterations: self.loop_iterations,
-            requests_served: self.requests_served,
-        }
-    }
-
-    /// Deliver finished worker completions to their connections.
+    /// Deliver finished work to its connection.
     fn process_completions(&mut self) {
-        for (conn_id, completion) in self.pool.drain_completions() {
-            self.total_in_flight -= 1;
-            self.requests_served += 1;
+        for (conn_id, done) in self.pool.drain_completions() {
             let Some(mut conn) = self.conns.remove(&conn_id) else {
                 continue; // Connection died while its request executed.
             };
-            conn.in_flight -= 1;
-            match completion {
-                Completion::Reply(response) => conn.queue_reply(&response),
-                Completion::Hello(Ok((user, info))) => {
-                    conn.auth = Auth::Ready(user);
-                    // Resuming decode of any frames pipelined behind the
-                    // hello happens in `settle` → `advance`.
-                    conn.queue_reply(&Response::HelloOk(info));
-                }
-                Completion::Hello(Err(refusal)) => {
-                    conn.queue_reply(&refusal);
-                    conn.closing = Some(Closing::Drop);
-                }
-                Completion::Attest(reply) => {
-                    // Success unlocks Hello; an error reply leaves the
-                    // connection open and unattested so the client may
-                    // retry the challenge.
-                    if matches!(reply, Response::AttestOk { .. }) {
-                        conn.attested = true;
-                    }
-                    conn.auth = Auth::AwaitingHello;
-                    conn.queue_reply(&reply);
-                }
-            }
+            let step = conn.machine.on_done(done);
+            self.apply(conn_id, &mut conn, step);
+            // Frames held back behind this work are decoded in `settle`.
             self.settle(conn_id, conn);
         }
     }
 
-    /// Queue a loop-generated reply, counting it like the threaded
-    /// core's `send`.
-    fn reply(&mut self, conn: &mut Conn, response: &Response) {
-        conn.queue_reply(response);
-        self.requests_served += 1;
-    }
-
-    /// Run a connection's state machine forward, then either re-track it
-    /// (with its poller interest updated) or close it.
+    /// Run a connection forward, then either re-track it (with its poller
+    /// interest updated) or close it.
     fn settle(&mut self, conn_id: u64, mut conn: Conn) {
         if self.advance(conn_id, &mut conn) {
             self.update_interest(conn_id, &mut conn);
@@ -609,18 +351,7 @@ impl EventLoop {
     /// Decode → reply bookkeeping → flush → close transitions.
     /// `false` = close the connection now.
     fn advance(&mut self, conn_id: u64, conn: &mut Conn) -> bool {
-        if conn.closing.is_none() && conn.discard_deadline.is_none() {
-            self.drive_decode(conn_id, conn);
-        }
-        if conn.goodbye_pending && conn.in_flight == 0 && conn.closing.is_none() {
-            self.reply(conn, &Response::Bye);
-            conn.closing = Some(Closing::Drop);
-        }
-        if conn.read_closed && conn.closing.is_none() && conn.decoder.mid_frame() {
-            // EOF inside a frame: torn stream, close abruptly (the
-            // blocking core's `FrameError::Io(UnexpectedEof)` path).
-            return false;
-        }
+        self.drive_decode(conn_id, conn);
         if conn.flush().is_err() {
             return false;
         }
@@ -636,8 +367,11 @@ impl EventLoop {
                         self.lingering += 1;
                     }
                 }
+                // The drain, transport side: a connection with nothing in
+                // flight and nothing left to flush closes at the frame
+                // boundary.
                 None => {
-                    if conn.in_flight == 0 && (conn.read_closed || self.draining) {
+                    if self.draining && conn.machine.is_idle() {
                         return false;
                     }
                 }
@@ -654,9 +388,8 @@ impl EventLoop {
         } else {
             !conn.read_closed
                 && conn.closing.is_none()
-                && !conn.goodbye_pending
                 && !self.draining
-                && conn.in_flight < self.config.max_pipeline
+                && conn.machine.wants_frame()
         };
         let writable = conn.has_pending_output();
         let desired = match (readable, writable) {
@@ -684,7 +417,7 @@ impl EventLoop {
             let _ = self.poll.deregister(&conn.stream);
         }
         if conn.serving {
-            self.live_serving -= 1;
+            self.shared.connection_closed();
         }
         if conn.discard_deadline.is_some() {
             self.lingering -= 1;

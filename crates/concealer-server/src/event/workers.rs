@@ -1,55 +1,18 @@
-//! The event core's worker pool: blocking handler work (engine requests
-//! and hello validation) is executed off the readiness loop on a small
+//! The event core's worker pool: [`Work`] blocks (engine execution, a
+//! router's upstream dials), so it runs off the readiness loop on a small
 //! fixed pool (its size is the concurrency bound, the role the admission
-//! gate plays in the threaded core). Completions flow back through a
-//! queue the loop drains each iteration, woken by the poller's waker.
+//! gate plays in the threaded core). Results flow back through a queue
+//! the loop drains each iteration, woken by the poller's waker.
 
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use concealer_core::UserHandle;
-
-use crate::protocol::{Request, Response, ServerInfo};
+use crate::conn::{Done, Shared, Work};
 use crate::server::ServeHandler;
 
-/// One blocking task, tagged with the connection awaiting the outcome.
-pub(super) enum Job {
-    /// An authenticated engine-bound request.
-    Engine {
-        conn_id: u64,
-        user: UserHandle,
-        request: Request,
-    },
-    /// A `Hello` to validate. Handled on a worker because a router's
-    /// handshake dials upstream shards — blocking the loop thread on
-    /// that would stall every other connection.
-    Hello {
-        conn_id: u64,
-        version: u32,
-        user_id: u64,
-        credential: [u8; 32],
-    },
-    /// A pre-auth `Attest` challenge. On a worker for the same reason as
-    /// `Hello`: a router gathers quotes by dialing every upstream member.
-    Attest {
-        conn_id: u64,
-        id: u64,
-        nonce: [u8; 32],
-    },
-}
-
-/// What a finished job means for its connection.
-pub(super) enum Completion {
-    /// Queue this reply.
-    Reply(Response),
-    /// The handshake outcome: `Ok` authenticates the connection and
-    /// queues `HelloOk`; `Err` queues the refusal and closes.
-    Hello(Result<(UserHandle, ServerInfo), Response>),
-    /// The attestation outcome: `AttestOk` marks the connection attested
-    /// (unlocking `Hello`); an error reply leaves it unattested but open,
-    /// so the client may retry.
-    Attest(Response),
-}
+/// One work item, tagged with the connection awaiting the outcome.
+type Job = (u64, Work);
 
 struct QueueState {
     jobs: VecDeque<Job>,
@@ -88,19 +51,19 @@ impl JobQueue {
     }
 }
 
-/// Finished completions waiting for the event loop, plus the waker that
-/// tells it to come collect them.
+/// Finished work waiting for the event loop, plus the waker that tells
+/// it to come collect.
 struct Completions {
-    done: Mutex<Vec<(u64, Completion)>>,
+    done: Mutex<Vec<(u64, Done)>>,
     waker: Arc<mio::Waker>,
 }
 
 impl Completions {
-    fn push(&self, conn_id: u64, completion: Completion) {
+    fn push(&self, conn_id: u64, done: Done) {
         self.done
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push((conn_id, completion));
+            .push((conn_id, done));
         // A failed wake means the loop is already tearing down; the
         // completion still sits in the queue for the final drain.
         let _ = self.waker.wake();
@@ -112,13 +75,14 @@ impl Completions {
 pub(super) struct WorkerPool {
     queue: Arc<JobQueue>,
     completions: Arc<Completions>,
+    shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl WorkerPool {
     pub(super) fn spawn(
         handler: Arc<dyn ServeHandler>,
-        workers: usize,
+        shared: Arc<Shared>,
         waker: Arc<mio::Waker>,
     ) -> WorkerPool {
         let queue = Arc::new(JobQueue {
@@ -132,38 +96,18 @@ impl WorkerPool {
             done: Mutex::new(Vec::new()),
             waker,
         });
-        let handles = (0..workers.max(1))
+        let handles = (0..shared.config.max_in_flight.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let completions = Arc::clone(&completions);
                 let handler = Arc::clone(&handler);
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("concealer-worker-{i}"))
                     .spawn(move || {
-                        while let Some(job) = queue.pop() {
-                            match job {
-                                Job::Engine {
-                                    conn_id,
-                                    user,
-                                    request,
-                                } => {
-                                    let reply = handler.execute(&user, request);
-                                    completions.push(conn_id, Completion::Reply(reply));
-                                }
-                                Job::Hello {
-                                    conn_id,
-                                    version,
-                                    user_id,
-                                    credential,
-                                } => {
-                                    let outcome = handler.handshake(version, user_id, credential);
-                                    completions.push(conn_id, Completion::Hello(outcome));
-                                }
-                                Job::Attest { conn_id, id, nonce } => {
-                                    let reply = handler.attest(id, nonce);
-                                    completions.push(conn_id, Completion::Attest(reply));
-                                }
-                            }
+                        while let Some((conn_id, work)) = queue.pop() {
+                            shared.counters.backlog.fetch_sub(1, Ordering::Relaxed);
+                            completions.push(conn_id, work.run(&*handler));
                         }
                     })
                     .expect("spawn worker thread")
@@ -172,25 +116,21 @@ impl WorkerPool {
         WorkerPool {
             queue,
             completions,
+            shared,
             handles,
         }
     }
 
-    pub(super) fn submit(&self, job: Job) {
+    pub(super) fn submit(&self, conn_id: u64, work: Work) {
+        self.shared.counters.backlog.fetch_add(1, Ordering::Relaxed);
         let mut state = self.queue.lock();
-        state.jobs.push_back(job);
+        state.jobs.push_back((conn_id, work));
         drop(state);
         self.queue.available.notify_one();
     }
 
-    /// Jobs queued but not yet picked up by a worker (the `backlog` the
-    /// stats endpoint reports).
-    pub(super) fn backlog(&self) -> usize {
-        self.queue.lock().jobs.len()
-    }
-
     /// Take every completion produced since the last drain.
-    pub(super) fn drain_completions(&self) -> Vec<(u64, Completion)> {
+    pub(super) fn drain_completions(&self) -> Vec<(u64, Done)> {
         std::mem::take(
             &mut self
                 .completions
@@ -201,8 +141,7 @@ impl WorkerPool {
     }
 
     /// Close the queue and join the workers; queued jobs finish first.
-    /// Their completions are returned for the caller's final drain.
-    pub(super) fn shutdown(mut self) -> Vec<(u64, Completion)> {
+    pub(super) fn shutdown(mut self) {
         {
             let mut state = self.queue.lock();
             state.closed = true;
@@ -211,6 +150,5 @@ impl WorkerPool {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        self.drain_completions()
     }
 }

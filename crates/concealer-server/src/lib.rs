@@ -15,7 +15,9 @@
 //!   backpressure, graceful drain), or the readiness-driven `event`
 //!   core (one poller loop + a worker pool; connections cost file
 //!   descriptors, not threads — see `ARCHITECTURE.md` § "Event-driven
-//!   serving").
+//!   serving"). Both are transports around one private connection state
+//!   machine that owns what a connection means: the pre-auth matrix,
+//!   reserved ids, frame errors, limits, the close and drain rules.
 //!
 //! The blocking client side lives in the sibling `concealer-client`
 //! crate; `concealer-load` drives many clients for the CI soak job;
@@ -41,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod conn;
 pub mod error;
 #[cfg(unix)]
 mod event;
@@ -53,5 +56,6 @@ pub use protocol::{
     DEFAULT_MAX_BATCH, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 pub use server::{
-    EngineHandler, ServeHandler, ServeReport, Server, ServerConfig, ServerHandle, ServerMode,
+    DeploymentFacts, EngineHandler, EngineRequest, ServeHandler, ServeReport, Server, ServerConfig,
+    ServerHandle, ServerMode,
 };

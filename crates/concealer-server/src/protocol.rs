@@ -283,9 +283,9 @@ impl From<concealer_core::IndexStats> for WireStats {
 }
 
 /// The serving layer's live profile, reported by
-/// [`Response::ServeStatsOk`]. Event-mode servers fill every field from
-/// the loop's own counters; threaded-mode servers report `backlog` and
-/// `loop_iterations` as zero (there is no readiness loop).
+/// [`Response::ServeStatsOk`]. Both serving cores fill it from the same
+/// counters; only `loop_iterations` is always zero in threaded mode
+/// (there is no readiness loop).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Serving mode: `"threaded"` or `"event"`.
@@ -296,12 +296,13 @@ pub struct ServeStats {
     pub peak_connections: u64,
     /// Connections accepted and served so far (busy-rejects excluded).
     pub connections_served: u64,
-    /// Engine requests dispatched but not yet answered (executing or
-    /// queued for a worker).
+    /// Work handed to the deployment but not yet answered: executing, or
+    /// waiting to start (event mode: queued for a worker; threaded mode:
+    /// admission permits held plus connection threads waiting for one).
     pub in_flight: u64,
-    /// Dispatched requests still waiting for a worker (a subset of
-    /// `in_flight`; always zero in threaded mode, where the connection
-    /// thread itself blocks on the admission gate).
+    /// The waiting part of `in_flight`: queued for a worker in event
+    /// mode, connection threads blocked at the admission gate in
+    /// threaded mode.
     pub backlog: u64,
     /// Readiness-loop iterations so far (zero in threaded mode).
     pub loop_iterations: u64,

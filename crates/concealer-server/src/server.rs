@@ -1,23 +1,25 @@
-//! The multi-client TCP front-end: thread-per-connection on the scoped
-//! thread pool, with a connection cap, engine admission control, and
-//! graceful drain on shutdown.
+//! The multi-client TCP front-end: configuration, the deployment-handler
+//! seam, and the thread-per-connection transport with its connection cap,
+//! admission control, and graceful drain on shutdown.
 //!
-//! Concurrency model:
+//! What a connection *means* — the pre-auth matrix, reserved ids, frame
+//! errors, limits, the close and drain rules — is the private `conn`
+//! module's state machine, shared with the event core. The transport in
+//! this file only moves frames and decides where work runs:
 //!
 //! * One acceptor loop (the serve thread) polls a non-blocking listener
 //!   and hands each accepted socket to a task on the rayon-shim scoped
 //!   pool — one worker per allowed connection, so the pool size *is* the
 //!   connection cap. Connections beyond [`ServerConfig::max_connections`]
 //!   are refused eagerly with a [`ErrorCode::Busy`] error frame.
-//! * Each connection task owns its socket and processes requests
-//!   serially, so one connection has at most one request executing — a
-//!   pipelining client queues further frames in the socket buffer, which
-//!   is the per-session in-flight bound.
-//! * Across connections, execution dispatches into the engine through an
-//!   admission gate bounding concurrently executing requests
-//!   ([`ServerConfig::max_in_flight`]). A connection waiting on the gate
-//!   stops reading its socket, so TCP flow control propagates the
-//!   backpressure all the way to the client.
+//! * Each connection task owns its socket, reads one frame at a time and
+//!   runs the work it leads to inline, so one connection has at most one
+//!   request executing — a pipelining client queues further frames in the
+//!   socket buffer, which is the per-session in-flight bound.
+//! * Across connections, work runs under an admission gate bounding
+//!   concurrent handler calls ([`ServerConfig::max_in_flight`]). A
+//!   connection waiting on the gate stops reading its socket, so TCP flow
+//!   control propagates the backpressure all the way to the client.
 //! * Queries run on the shared [`ConcealerSystem`] through ordinary
 //!   [`Session`](concealer_core::Session) handles; ingest takes `&self`
 //!   on the sharded store, so epochs land concurrently with live query
@@ -31,22 +33,23 @@
 
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use concealer_core::{
-    shard_of_epoch, ConcealerSystem, Credential, ExecOptions, QueryScope, SecureIndex, UserHandle,
-    UserId,
+    shard_of_epoch, ConcealerSystem, Credential, ExecOptions, Query, QueryScope, Record,
+    SecureIndex, UserHandle, UserId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::frame::{read_frame, write_frame, FrameError};
+use serde::frame::{read_frame, write_frame};
 
+use crate::conn::{Machine, Shared, Step};
 use crate::error::{ErrorCode, WireError};
 use crate::protocol::{
-    Request, Response, ServeStats, ServerInfo, ShardDescriptor, WirePartialResult, WireResult,
-    CONNECTION_LEVEL_ID, DEFAULT_MAX_BATCH, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    Response, ShardDescriptor, ShardRole, WirePartialResult, WireQuote, WireResult,
+    CONNECTION_LEVEL_ID, DEFAULT_MAX_BATCH, DEFAULT_MAX_FRAME_LEN,
 };
 
 /// Which serving core handles connections.
@@ -66,7 +69,8 @@ pub enum ServerMode {
 
 impl ServerMode {
     /// Stable lowercase name (`"threaded"` / `"event"`), as reported in
-    /// [`ServeStats::mode`] and the binary's READY line.
+    /// [`ServeStats::mode`](crate::protocol::ServeStats::mode) and the
+    /// binary's READY line.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -82,18 +86,6 @@ impl ServerMode {
             "event" => Ok(ServerMode::Event),
             other => Err(format!("unknown server mode {other:?} (threaded|event)")),
         }
-    }
-
-    /// The default mode, honoring the `CONCEALER_TEST_SERVER_MODE`
-    /// harness hook (same pattern as `CONCEALER_TEST_BACKEND`): it lets
-    /// CI re-run the unchanged loopback suite against the event core.
-    /// Unrecognized values fall back to [`ServerMode::Threaded`].
-    #[must_use]
-    pub fn from_env_default() -> ServerMode {
-        std::env::var("CONCEALER_TEST_SERVER_MODE")
-            .ok()
-            .and_then(|v| ServerMode::parse(&v).ok())
-            .unwrap_or(ServerMode::Threaded)
     }
 }
 
@@ -127,10 +119,11 @@ pub struct ServerConfig {
     pub ingest_seed: u64,
     /// Which serving core runs the deployment (see [`ServerMode`]).
     pub mode: ServerMode,
-    /// Event mode only: maximum requests one connection may have
-    /// dispatched but unanswered. At the cap the loop stops reading that
-    /// connection's socket, so TCP flow control backpressures the client
-    /// exactly as the threaded core's one-at-a-time reads do.
+    /// Maximum requests one connection may have dispatched but
+    /// unanswered. At the cap a transport stops reading that connection's
+    /// socket, so TCP flow control backpressures the client. Only the
+    /// event core can reach it: the threaded core reads one frame at a
+    /// time.
     pub max_pipeline: usize,
     /// Multi-node serving: `Some((index, total))` makes this process own
     /// the epoch-hash slice `index` of `total` (the
@@ -154,16 +147,16 @@ impl Default for ServerConfig {
                 .map_or(1, std::num::NonZeroUsize::get),
             allow_ingest: true,
             ingest_seed: 0xC0CE_A1E5_0000_0001,
-            mode: ServerMode::from_env_default(),
+            mode: ServerMode::Threaded,
             max_pipeline: 64,
             shard: None,
         }
     }
 }
 
-/// What a serving core asks of the deployment behind it. Both cores
-/// (threaded and event) speak the wire protocol themselves — framing,
-/// connection state machine, pipelining, drain — and delegate everything
+/// What a serving core asks of the deployment behind it. The connection
+/// state machine speaks the wire protocol — framing, the pre-auth matrix,
+/// version and limit checks, pipelining, drain — and hands everything
 /// that needs the deployment to a handler:
 ///
 /// * [`EngineHandler`] (what [`Server::new`] installs) answers against a
@@ -172,33 +165,30 @@ impl Default for ServerConfig {
 /// * the `concealer-router` crate's handler answers by fanning out to
 ///   shard servers and merging their per-epoch partials.
 ///
-/// `handshake` and `execute` may block; the event core always calls them
-/// on a worker thread, the threaded core on the connection's own thread.
-/// `shard_info` and `router_stats` must be cheap — the event core answers
-/// them on the loop itself.
+/// Every method may block: the event core calls them on a worker thread,
+/// the threaded core on the connection's own thread under its admission
+/// permit.
 pub trait ServeHandler: Send + Sync + 'static {
-    /// Validate a `Hello`: protocol version, then credential. `Err` is
-    /// the refusal reply to send before closing.
+    /// Authenticate a credential. The machine has already checked the
+    /// protocol version and that the connection attested; it fills the
+    /// protocol half of `ServerInfo` itself. `Err` is the refusal reply
+    /// to send before closing.
     fn handshake(
         &self,
-        version: u32,
         user_id: u64,
         credential: [u8; 32],
-    ) -> Result<(UserHandle, ServerInfo), Response>;
+    ) -> Result<(UserHandle, DeploymentFacts), Response>;
 
-    /// Execute one authenticated engine-bound request
-    /// (`Execute`/`ExecuteBatch`/`ExecutePartial`/`ExecuteBatchPartial`/
-    /// `IngestEpoch`/`Stats`) to completion. The core has already
-    /// rejected reserved ids.
-    fn execute(&self, user: &UserHandle, request: Request) -> Response;
+    /// Execute one authenticated engine request to completion. The
+    /// machine has already rejected reserved ids and over-cap batches.
+    fn execute(&self, user: &UserHandle, request: EngineRequest) -> Response;
 
     /// Answer pre-auth topology discovery (`Request::ShardInfo`).
     fn shard_info(&self, id: u64) -> Response;
 
     /// Answer the pre-auth attestation challenge (`Request::Attest`, v4):
-    /// produce the serving enclave's quote(s) over `nonce`. May block —
-    /// a router dials every upstream member for its quote — so the event
-    /// core always calls this on a worker thread.
+    /// produce the serving enclave's quote(s) over `nonce`. A router
+    /// dials every upstream member for its quote.
     fn attest(&self, id: u64, nonce: [u8; 32]) -> Response;
 
     /// Answer `Request::RouterStats` (shard servers refuse it).
@@ -209,6 +199,72 @@ pub trait ServeHandler: Send + Sync + 'static {
     /// core acknowledges, and may block briefly.
     fn on_wire_shutdown(&self, user: &UserHandle) {
         let _ = user;
+    }
+}
+
+/// What a successful [`ServeHandler::handshake`] reports about the
+/// deployment — the half of `ServerInfo` the protocol layer cannot know.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeploymentFacts {
+    /// Storage backend the sealed epochs live on (`"memory"` / `"disk"`).
+    pub backend: String,
+    /// Whether `IngestEpoch` is accepted.
+    pub ingest_allowed: bool,
+}
+
+/// An authenticated request that executes against the deployment: the
+/// engine-bound variants of [`Request`](crate::protocol::Request), field
+/// for field. Connection-level requests never reach a handler, so they
+/// have no variant here.
+#[derive(Debug, Clone, PartialEq)]
+#[allow(missing_docs)] // Fields are documented on the wire variants.
+pub enum EngineRequest {
+    Execute {
+        id: u64,
+        query: Query,
+        options: Option<ExecOptions>,
+    },
+    ExecuteBatch {
+        id: u64,
+        queries: Vec<Query>,
+        options: Option<ExecOptions>,
+    },
+    ExecutePartial {
+        id: u64,
+        query: Query,
+        options: Option<ExecOptions>,
+    },
+    ExecuteBatchPartial {
+        id: u64,
+        queries: Vec<Query>,
+        options: Option<ExecOptions>,
+    },
+    IngestEpoch {
+        id: u64,
+        epoch_start: u64,
+        records: Vec<Record>,
+    },
+    Stats {
+        id: u64,
+    },
+    Promote {
+        id: u64,
+    },
+}
+
+impl EngineRequest {
+    /// The request id the reply must echo.
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        match self {
+            EngineRequest::Execute { id, .. }
+            | EngineRequest::ExecuteBatch { id, .. }
+            | EngineRequest::ExecutePartial { id, .. }
+            | EngineRequest::ExecuteBatchPartial { id, .. }
+            | EngineRequest::IngestEpoch { id, .. }
+            | EngineRequest::Stats { id }
+            | EngineRequest::Promote { id } => *id,
+        }
     }
 }
 
@@ -226,63 +282,238 @@ impl EngineHandler {
     pub fn new(system: Arc<ConcealerSystem>, config: ServerConfig) -> Self {
         EngineHandler { system, config }
     }
+
+    /// Apply server policy to client-supplied options.
+    fn clamp(&self, options: Option<ExecOptions>) -> ExecOptions {
+        let mut options = options.unwrap_or_default();
+        options.parallelism = options.parallelism.min(self.config.max_parallelism.max(1));
+        options
+    }
 }
 
 impl ServeHandler for EngineHandler {
     fn handshake(
         &self,
-        version: u32,
         user_id: u64,
         credential: [u8; 32],
-    ) -> Result<(UserHandle, ServerInfo), Response> {
-        handshake(&self.system, &self.config, version, user_id, credential)
+    ) -> Result<(UserHandle, DeploymentFacts), Response> {
+        let user_id = UserId(user_id);
+        let credential = Credential(credential);
+        // The handshake authenticates the credential only; scope
+        // authorization stays per-query. `open_session` checks both, so a
+        // credential-valid but aggregate-unauthorized user comes back
+        // `Unauthorized` — accept those here and let each query's own
+        // scope check decide.
+        match self.system.engine().enclave().open_session(
+            user_id,
+            &credential,
+            QueryScope::Aggregate,
+        ) {
+            Ok(_) | Err(concealer_core::EnclaveError::Unauthorized { .. }) => {}
+            Err(e) => {
+                return Err(error_reply(
+                    CONNECTION_LEVEL_ID,
+                    ErrorCode::AuthFailed,
+                    format!("credential rejected: {e}"),
+                ))
+            }
+        }
+        Ok((
+            UserHandle {
+                user_id,
+                credential,
+            },
+            DeploymentFacts {
+                backend: self.system.store().backend_kind().to_string(),
+                ingest_allowed: self.config.allow_ingest,
+            },
+        ))
     }
 
-    fn execute(&self, user: &UserHandle, request: Request) -> Response {
-        execute_engine_request(&self.system, &self.config, user, request)
+    fn execute(&self, user: &UserHandle, request: EngineRequest) -> Response {
+        let (system, config) = (&*self.system, &self.config);
+        match request {
+            EngineRequest::Execute { id, query, options } => {
+                match system
+                    .session(user)
+                    .execute_with(&query, self.clamp(options))
+                {
+                    Ok(answer) => Response::Answer { id, answer },
+                    Err(e) => Response::Error {
+                        id,
+                        error: WireError::from(&e),
+                    },
+                }
+            }
+            EngineRequest::ExecuteBatch {
+                id,
+                queries,
+                options,
+            } => {
+                let results: Vec<WireResult> = system
+                    .session(user)
+                    .with_options(self.clamp(options))
+                    .execute_batch(&queries)
+                    .into_iter()
+                    .map(WireResult::from)
+                    .collect();
+                Response::BatchAnswer { id, results }
+            }
+            EngineRequest::ExecutePartial { id, query, options } => {
+                let result = system
+                    .session(user)
+                    .execute_partials(&query, self.clamp(options));
+                Response::PartialAnswer {
+                    id,
+                    result: WirePartialResult::from(result),
+                }
+            }
+            EngineRequest::ExecuteBatchPartial {
+                id,
+                queries,
+                options,
+            } => {
+                let results: Vec<WirePartialResult> = system
+                    .session(user)
+                    .with_options(self.clamp(options))
+                    .execute_batch_partials(&queries)
+                    .into_iter()
+                    .map(WirePartialResult::from)
+                    .collect();
+                Response::BatchPartialAnswer { id, results }
+            }
+            EngineRequest::IngestEpoch {
+                id,
+                epoch_start,
+                records,
+            } => {
+                // The replica check comes first: "you are talking to the wrong
+                // member" is more actionable than this server's ingest policy,
+                // and it is what the router keys failover on.
+                if system.store_read_only() {
+                    return error_reply(
+                        id,
+                        ErrorCode::NotWriter,
+                        "this server is a read-only replica; ingest goes to the \
+                         shard's writer (or promote this member first)",
+                    );
+                }
+                if !config.allow_ingest {
+                    return error_reply(
+                        id,
+                        ErrorCode::Unauthorized,
+                        "this server does not accept wire ingest",
+                    );
+                }
+                // A sharded process only ingests the epochs its slice owns;
+                // accepting a misrouted epoch would split ownership and break
+                // the disjoint-union merge at the router.
+                if let Some((index, total)) = config.shard {
+                    let owner = shard_of_epoch(epoch_start, total as usize);
+                    if owner != index as usize {
+                        return error_reply(
+                            id,
+                            ErrorCode::InvalidConfig,
+                            format!(
+                                "shard {index}/{total} does not own epoch {epoch_start} \
+                                 (owner is shard {owner})"
+                            ),
+                        );
+                    }
+                }
+                // Deterministic per-epoch RNG (see `ServerConfig::ingest_seed`).
+                let mut rng = StdRng::seed_from_u64(
+                    config.ingest_seed ^ epoch_start.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
+                match system.ingest_epoch(epoch_start, &records, &mut rng) {
+                    Ok(stats) => Response::IngestOk {
+                        id,
+                        epoch_id: epoch_start,
+                        rows_stored: (stats.real_rows + stats.fake_rows) as u64,
+                    },
+                    Err(e) => Response::Error {
+                        id,
+                        error: WireError::from(&e),
+                    },
+                }
+            }
+            EngineRequest::Stats { id } => Response::StatsOk {
+                id,
+                stats: system.answer_stats().into(),
+            },
+            EngineRequest::Promote { id } => match system.promote_to_writer() {
+                Ok(registered) => Response::PromoteOk {
+                    id,
+                    epochs_registered: registered.len() as u64,
+                },
+                Err(e) => Response::Error {
+                    id,
+                    error: WireError::from(&e),
+                },
+            },
+        }
     }
 
+    /// An unsharded deployment reports itself as the whole map (`0/1`).
     fn shard_info(&self, id: u64) -> Response {
+        let (shard_index, shard_total) = self.config.shard.unwrap_or((0, 1));
+        let role = if self.system.store_read_only() {
+            ShardRole::Replica
+        } else {
+            ShardRole::Writer
+        };
         Response::ShardInfoOk {
             id,
-            shard: shard_descriptor(&self.system, &self.config),
+            shard: ShardDescriptor {
+                shard_index,
+                shard_total,
+                epoch_duration: self.system.engine().config().epoch_duration,
+                epochs: self.system.engine().registered_epochs(),
+                role,
+                store_generation: self.system.store().store_generation(),
+            },
         }
     }
 
+    /// This process's own enclave quote, as member `0`: the member index
+    /// is a replica-set notion only a router knows; it rewrites the tag
+    /// when forwarding.
     fn attest(&self, id: u64, nonce: [u8; 32]) -> Response {
+        let (shard_index, _total) = self.config.shard.unwrap_or((0, 1));
+        let timestamp = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs());
+        let quote = self.system.engine().enclave().quote(nonce, timestamp);
         Response::AttestOk {
             id,
-            quotes: vec![local_quote(&self.system, &self.config, nonce)],
+            quotes: vec![WireQuote {
+                shard_index,
+                member: 0,
+                measurement: quote.measurement,
+                code_version: quote.code_version,
+                timestamp: quote.timestamp,
+                nonce: quote.nonce,
+                signature: quote.signature,
+            }],
         }
     }
 
+    /// Per-shard load accounting only exists at a router, so asking a
+    /// shard directly is a protocol violation (the connection survives —
+    /// the request was well-formed, just aimed at the wrong tier).
     fn router_stats(&self, id: u64) -> Response {
-        router_stats_refusal(id)
+        error_reply(
+            id,
+            ErrorCode::ProtocolViolation,
+            "router_stats is a router endpoint; this is a shard server",
+        )
     }
 }
 
-/// Produce this process's own enclave quote as a wire quote. Shared by
-/// [`EngineHandler`] and any deployment that reports its local enclave
-/// (member `0` — the member index is a replica-set notion only a router
-/// knows; it rewrites the tag when forwarding).
-pub(crate) fn local_quote(
-    system: &ConcealerSystem,
-    config: &ServerConfig,
-    nonce: [u8; 32],
-) -> crate::protocol::WireQuote {
-    let (shard_index, _total) = config.shard.unwrap_or((0, 1));
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let quote = system.engine().enclave().quote(nonce, timestamp);
-    crate::protocol::WireQuote {
-        shard_index,
-        member: 0,
-        measurement: quote.measurement,
-        code_version: quote.code_version,
-        timestamp: quote.timestamp,
-        nonce: quote.nonce,
-        signature: quote.signature,
+pub(crate) fn error_reply(id: u64, code: ErrorCode, message: impl Into<String>) -> Response {
+    Response::Error {
+        id,
+        error: WireError::new(code, message),
     }
 }
 
@@ -341,24 +572,18 @@ impl Server {
         let listener = TcpListener::bind(self.config.bind)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let thread_shutdown = Arc::clone(&shutdown);
-        let (thread, waker) = match self.config.mode {
+        let mode = self.config.mode;
+        let shared = Arc::new(Shared::new(self.config));
+        let serving = Arc::clone(&shared);
+        let (thread, waker) = match mode {
             ServerMode::Threaded => {
                 let thread = std::thread::Builder::new()
                     .name("concealer-serve".to_string())
-                    .spawn(move || {
-                        serve(&*self.handler, &self.config, &listener, &thread_shutdown)
-                    })?;
+                    .spawn(move || serve(&*self.handler, &serving, &listener))?;
                 (thread, None)
             }
             #[cfg(unix)]
-            ServerMode::Event => crate::event::spawn(
-                Arc::clone(&self.handler),
-                self.config.clone(),
-                listener,
-                thread_shutdown,
-            )?,
+            ServerMode::Event => crate::event::spawn(self.handler, serving, listener)?,
             #[cfg(not(unix))]
             ServerMode::Event => {
                 return Err(std::io::Error::new(
@@ -369,7 +594,7 @@ impl Server {
         };
         Ok(ServerHandle {
             local_addr,
-            shutdown,
+            shared,
             thread,
             waker,
         })
@@ -380,7 +605,7 @@ impl Server {
 /// thread to join.
 pub struct ServerHandle {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     thread: std::thread::JoinHandle<ServeReport>,
     /// Event mode only: pokes the readiness loop so a locally signalled
     /// shutdown is noticed immediately instead of at the next poll
@@ -393,7 +618,7 @@ impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("local_addr", &self.local_addr)
-            .field("shutdown", &self.shutdown)
+            .field("shutdown", &self.shared.shutdown)
             .field("has_waker", &self.waker.is_some())
             .finish_non_exhaustive()
     }
@@ -411,7 +636,7 @@ impl ServerHandle {
     /// acceptor notices within its poll interval, wakes every connection,
     /// and drains in-flight requests.
     pub fn signal_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.shared.shutdown.store(true, Ordering::Release);
         if let Some(waker) = &self.waker {
             waker();
         }
@@ -420,7 +645,7 @@ impl ServerHandle {
     /// Whether a shutdown has been signalled (locally or over the wire).
     #[must_use]
     pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+        self.shared.draining()
     }
 
     /// Wait for the serve loop to finish and return its report. Panics if
@@ -453,16 +678,21 @@ impl Admission {
         }
     }
 
-    fn acquire(&self) -> AdmissionPermit<'_> {
+    /// Take a slot, counting the caller in `waiting` while it is blocked.
+    fn acquire(&self, waiting: &AtomicU64) -> AdmissionPermit<'_> {
         let mut in_flight = self
             .in_flight
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while *in_flight >= self.max {
-            in_flight = self
-                .freed
-                .wait(in_flight)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if *in_flight >= self.max {
+            waiting.fetch_add(1, Ordering::Relaxed);
+            while *in_flight >= self.max {
+                in_flight = self
+                    .freed
+                    .wait(in_flight)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
+            waiting.fetch_sub(1, Ordering::Relaxed);
         }
         *in_flight += 1;
         AdmissionPermit { gate: self }
@@ -520,16 +750,11 @@ impl ConnRegistry {
 }
 
 /// State shared between the acceptor and every connection task.
-struct ServeShared<'a> {
+struct Threaded<'a> {
     handler: &'a dyn ServeHandler,
-    config: &'a ServerConfig,
-    shutdown: &'a AtomicBool,
+    shared: &'a Arc<Shared>,
     admission: Admission,
     registry: ConnRegistry,
-    active: AtomicUsize,
-    peak: AtomicUsize,
-    connections_served: AtomicU64,
-    requests_served: AtomicU64,
 }
 
 /// How often the acceptor polls the non-blocking listener (and thus the
@@ -537,25 +762,15 @@ struct ServeShared<'a> {
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// The serve loop: accept until shutdown, then drain.
-fn serve(
-    handler: &dyn ServeHandler,
-    config: &ServerConfig,
-    listener: &TcpListener,
-    shutdown: &AtomicBool,
-) -> ServeReport {
-    let shared = ServeShared {
+fn serve(handler: &dyn ServeHandler, shared: &Arc<Shared>, listener: &TcpListener) -> ServeReport {
+    let serving = Threaded {
         handler,
-        config,
-        shutdown,
-        admission: Admission::new(config.max_in_flight),
+        shared,
+        admission: Admission::new(shared.config.max_in_flight),
         registry: ConnRegistry::default(),
-        active: AtomicUsize::new(0),
-        peak: AtomicUsize::new(0),
-        connections_served: AtomicU64::new(0),
-        requests_served: AtomicU64::new(0),
     };
     let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(config.max_connections.max(1))
+        .num_threads(shared.config.max_connections.max(1))
         .build()
         .expect("the shim thread pool builder is infallible");
 
@@ -563,32 +778,29 @@ fn serve(
     pool.scope(|scope| {
         let mut next_conn_id: u64 = 1;
         loop {
-            if shared.shutdown.load(Ordering::Acquire) {
+            if shared.draining() {
                 report.graceful = true;
                 break;
             }
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     let _ = stream.set_nodelay(true);
-                    if shared.active.load(Ordering::Acquire) >= config.max_connections {
+                    if !shared.has_room() {
                         report.rejected_busy += 1;
                         refuse_busy(stream);
                         continue;
                     }
                     let conn_id = next_conn_id;
                     next_conn_id += 1;
-                    report.connections_served += 1;
-                    shared.connections_served.fetch_add(1, Ordering::AcqRel);
                     if let Ok(read_half) = stream.try_clone() {
-                        shared.registry.register(conn_id, read_half);
+                        serving.registry.register(conn_id, read_half);
                     }
-                    let live = shared.active.fetch_add(1, Ordering::AcqRel) + 1;
-                    shared.peak.fetch_max(live, Ordering::AcqRel);
-                    let shared_ref = &shared;
+                    shared.connection_opened();
+                    let serving = &serving;
                     scope.spawn(move |_| {
-                        handle_connection(shared_ref, stream);
-                        shared_ref.registry.deregister(conn_id);
-                        shared_ref.active.fetch_sub(1, Ordering::AcqRel);
+                        handle_connection(serving, stream);
+                        serving.registry.deregister(conn_id);
+                        serving.shared.connection_closed();
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -600,9 +812,10 @@ fn serve(
         }
         // Wake every blocked read so connection tasks can drain; their
         // in-flight replies still go out on the intact write halves.
-        shared.registry.wake_all();
+        serving.registry.wake_all();
     });
-    report.requests_served = shared.requests_served.load(Ordering::Acquire);
+    report.connections_served = shared.counters.connections_served.load(Ordering::Relaxed);
+    report.requests_served = shared.counters.requests_served.load(Ordering::Relaxed);
     report
 }
 
@@ -616,521 +829,54 @@ fn serve(
 /// delivered before the socket goes away.
 fn refuse_busy(mut stream: TcpStream) {
     use std::io::Read as _;
-    let reply = Response::Error {
-        id: CONNECTION_LEVEL_ID,
-        error: WireError::new(ErrorCode::Busy, "connection cap reached; retry later"),
-    };
-    let _ = write_frame(&mut stream, &reply);
+    let _ = write_frame(&mut stream, &busy_reply());
     let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut scratch = [0u8; 512];
     while matches!(stream.read(&mut scratch), Ok(n) if n > 0) {}
 }
 
-/// Per-connection protocol state.
-enum ConnState {
-    AwaitingHello,
-    Ready(UserHandle),
-}
-
-/// Serve one connection until it closes, errors, or the server drains.
-fn handle_connection(shared: &ServeShared<'_>, mut stream: TcpStream) {
-    let mut state = ConnState::AwaitingHello;
-    // Whether this connection has completed a successful `Attest` (v4).
-    // `Hello` is refused until it has, so a client can never hand its
-    // credential to an enclave that failed (or skipped) measurement.
-    let mut attested = false;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            // Drain mode: tell a client that is still talking, then leave.
-            let _ = send(
-                shared,
-                &mut stream,
-                &error_reply(
-                    CONNECTION_LEVEL_ID,
-                    ErrorCode::ShuttingDown,
-                    "server is draining",
-                ),
-            );
-            return;
-        }
-        let request: Request = match read_frame(&mut stream, shared.config.max_frame_len) {
-            Ok(request) => request,
-            Err(FrameError::Closed) => return,
-            Err(FrameError::TooLarge { len, max }) => {
-                // The oversized payload was drained; the stream is still
-                // frame-aligned, so the connection survives.
-                let reply = error_reply(
-                    CONNECTION_LEVEL_ID,
-                    ErrorCode::FrameTooLarge,
-                    format!("frame of {len} bytes exceeds the {max}-byte limit"),
-                );
-                if send(shared, &mut stream, &reply).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Err(FrameError::Decode(e)) => {
-                // A malformed payload means the peer speaks a different
-                // dialect; reply structurally, then close.
-                let reply = error_reply(
-                    CONNECTION_LEVEL_ID,
-                    ErrorCode::MalformedFrame,
-                    format!("payload did not decode as a request: {e}"),
-                );
-                let _ = send(shared, &mut stream, &reply);
-                return;
-            }
-            Err(FrameError::Io(_)) => return,
-        };
-
-        let outcome = match (&state, request) {
-            (
-                ConnState::AwaitingHello,
-                Request::Hello {
-                    version,
-                    user_id,
-                    credential,
-                    client_name,
-                },
-            ) => {
-                let _ = client_name;
-                if !attested {
-                    Outcome::Fatal(error_reply(
-                        CONNECTION_LEVEL_ID,
-                        ErrorCode::AttestationFailed,
-                        "Hello before a successful Attest; complete the \
-                         attestation exchange first",
-                    ))
-                } else {
-                    match shared.handler.handshake(version, user_id, credential) {
-                        Ok((user, info)) => {
-                            state = ConnState::Ready(user);
-                            Outcome::Reply(Response::HelloOk(info))
-                        }
-                        Err(reply) => Outcome::Fatal(reply),
-                    }
-                }
-            }
-            // The pre-authentication surface is exactly {Attest, ShardInfo}.
-            // Topology discovery is answerable before authentication: a
-            // router probes every shard's slice at startup, before it has
-            // any client credential to forward. The descriptor only names
-            // which epochs this process serves — data never moves without
-            // an authenticated session.
-            (_, Request::ShardInfo { id }) => {
-                if id == CONNECTION_LEVEL_ID {
-                    reserved_id()
-                } else {
-                    Outcome::Reply(shared.handler.shard_info(id))
-                }
-            }
-            // Attestation is the other pre-auth request — necessarily so,
-            // because clients refuse to send Hello until quotes verify.
-            // After authentication it is a protocol violation (the
-            // connection's trust decision was already made).
-            (ConnState::AwaitingHello, Request::Attest { id, nonce }) => {
-                if id == CONNECTION_LEVEL_ID {
-                    reserved_id()
-                } else {
-                    let reply = shared.handler.attest(id, nonce);
-                    if matches!(reply, Response::AttestOk { .. }) {
-                        attested = true;
-                    }
-                    Outcome::Reply(reply)
-                }
-            }
-            (ConnState::Ready(_), Request::Attest { .. }) => Outcome::Fatal(error_reply(
-                CONNECTION_LEVEL_ID,
-                ErrorCode::ProtocolViolation,
-                "Attest must precede authentication",
-            )),
-            (ConnState::AwaitingHello, _) => Outcome::Fatal(error_reply(
-                CONNECTION_LEVEL_ID,
-                ErrorCode::NotAuthenticated,
-                "the first request must be Hello",
-            )),
-            (ConnState::Ready(_), Request::Hello { .. }) => Outcome::Fatal(error_reply(
-                CONNECTION_LEVEL_ID,
-                ErrorCode::ProtocolViolation,
-                "connection is already authenticated",
-            )),
-            (ConnState::Ready(user), request) => dispatch(shared, user, request),
-        };
-
-        match outcome {
-            Outcome::Reply(reply) => {
-                if send(shared, &mut stream, &reply).is_err() {
-                    return;
-                }
-            }
-            Outcome::Fatal(reply) => {
-                let _ = send(shared, &mut stream, &reply);
-                return;
-            }
-            Outcome::Close(reply) => {
-                let _ = send(shared, &mut stream, &reply);
-                return;
-            }
-        }
-    }
-}
-
-/// What a handled request means for the connection.
-enum Outcome {
-    /// Send and keep serving.
-    Reply(Response),
-    /// Send and close because the connection is unrecoverable.
-    Fatal(Response),
-    /// Send and close cleanly (Goodbye).
-    Close(Response),
-}
-
-/// Validate the hello frame: protocol version, then credential. Shared
-/// by both serving cores.
-pub(crate) fn handshake(
-    system: &ConcealerSystem,
-    config: &ServerConfig,
-    version: u32,
-    user_id: u64,
-    credential: [u8; 32],
-) -> Result<(UserHandle, ServerInfo), Response> {
-    if version != PROTOCOL_VERSION {
-        return Err(error_reply(
-            CONNECTION_LEVEL_ID,
-            ErrorCode::UnsupportedVersion,
-            format!("server speaks protocol {PROTOCOL_VERSION}, client sent {version}"),
-        ));
-    }
-    let user_id = UserId(user_id);
-    let credential = Credential(credential);
-    // The handshake authenticates the credential only; scope authorization
-    // stays per-query. `open_session` checks both, so a credential-valid
-    // but aggregate-unauthorized user comes back `Unauthorized` — accept
-    // those here and let each query's own scope check decide.
-    match system
-        .engine()
-        .enclave()
-        .open_session(user_id, &credential, QueryScope::Aggregate)
-    {
-        Ok(_) => {}
-        Err(concealer_core::EnclaveError::Unauthorized { .. }) => {}
-        Err(e) => {
-            return Err(error_reply(
-                CONNECTION_LEVEL_ID,
-                ErrorCode::AuthFailed,
-                format!("credential rejected: {e}"),
-            ))
-        }
-    }
-    let info = ServerInfo {
-        protocol_version: PROTOCOL_VERSION,
-        server_name: config.server_name.clone(),
-        backend: system.store().backend_kind().to_string(),
-        max_batch: config.max_batch as u64,
-        max_frame_len: config.max_frame_len as u64,
-        ingest_allowed: config.allow_ingest,
-    };
-    Ok((
-        UserHandle {
-            user_id,
-            credential,
-        },
-        info,
-    ))
-}
-
-/// Execute one authenticated request.
-fn dispatch(shared: &ServeShared<'_>, user: &UserHandle, request: Request) -> Outcome {
-    match request {
-        Request::Hello { .. } => unreachable!("handled by the connection state machine"),
-        Request::Goodbye => Outcome::Close(Response::Bye),
-        Request::ShardInfo { .. } | Request::Attest { .. } => {
-            unreachable!("handled pre-dispatch by the connection state machine")
-        }
-        Request::RouterStats { id } => {
-            if id == CONNECTION_LEVEL_ID {
-                return reserved_id();
-            }
-            Outcome::Reply(shared.handler.router_stats(id))
-        }
-        Request::Execute { id, .. }
-        | Request::ExecuteBatch { id, .. }
-        | Request::ExecutePartial { id, .. }
-        | Request::ExecuteBatchPartial { id, .. }
-        | Request::IngestEpoch { id, .. }
-        | Request::Promote { id }
-        | Request::Stats { id } => {
-            if id == CONNECTION_LEVEL_ID {
-                return reserved_id();
-            }
-            // The admission gate bounds engine concurrency across
-            // connections; in event mode the worker-pool size plays this
-            // role instead, so the gate lives here and not in
-            // `ServeHandler::execute`.
-            let _permit = shared.admission.acquire();
-            Outcome::Reply(shared.handler.execute(user, request))
-        }
-        Request::ServeStats { id } => {
-            if id == CONNECTION_LEVEL_ID {
-                return reserved_id();
-            }
-            Outcome::Reply(Response::ServeStatsOk {
-                id,
-                stats: ServeStats {
-                    mode: ServerMode::Threaded.name().to_string(),
-                    connections: shared.active.load(Ordering::Acquire) as u64,
-                    peak_connections: shared.peak.load(Ordering::Acquire) as u64,
-                    connections_served: shared.connections_served.load(Ordering::Acquire),
-                    in_flight: 0,
-                    backlog: 0,
-                    loop_iterations: 0,
-                    requests_served: shared.requests_served.load(Ordering::Acquire),
-                },
-            })
-        }
-        Request::Shutdown { id } => {
-            if id == CONNECTION_LEVEL_ID {
-                return reserved_id();
-            }
-            shared.handler.on_wire_shutdown(user);
-            shared.shutdown.store(true, Ordering::Release);
-            // Close after acknowledging: the acceptor wakes the remaining
-            // connections within its poll interval.
-            Outcome::Close(Response::ShutdownOk { id })
-        }
-    }
-}
-
-/// Run one engine-bound request to completion and produce its reply.
-/// Shared by both serving cores: the threaded core calls it on the
-/// connection thread (under an admission permit), the event core on a
-/// worker thread (the pool size is the concurrency bound). The caller
-/// has already rejected reserved ids.
-pub(crate) fn execute_engine_request(
-    system: &ConcealerSystem,
-    config: &ServerConfig,
-    user: &UserHandle,
-    request: Request,
-) -> Response {
-    match request {
-        Request::Execute { id, query, options } => {
-            let options = clamp_options(config, options);
-            match system.session(user).execute_with(&query, options) {
-                Ok(answer) => Response::Answer { id, answer },
-                Err(e) => Response::Error {
-                    id,
-                    error: WireError::from(&e),
-                },
-            }
-        }
-        Request::ExecuteBatch {
-            id,
-            queries,
-            options,
-        } => {
-            if queries.len() > config.max_batch {
-                return error_reply(
-                    id,
-                    ErrorCode::BatchTooLarge,
-                    format!(
-                        "batch of {} queries exceeds the {}-query limit",
-                        queries.len(),
-                        config.max_batch
-                    ),
-                );
-            }
-            let options = clamp_options(config, options);
-            let results: Vec<WireResult> = system
-                .session(user)
-                .with_options(options)
-                .execute_batch(&queries)
-                .into_iter()
-                .map(WireResult::from)
-                .collect();
-            Response::BatchAnswer { id, results }
-        }
-        Request::ExecutePartial { id, query, options } => {
-            let options = clamp_options(config, options);
-            let result = system.session(user).execute_partials(&query, options);
-            Response::PartialAnswer {
-                id,
-                result: WirePartialResult::from(result),
-            }
-        }
-        Request::ExecuteBatchPartial {
-            id,
-            queries,
-            options,
-        } => {
-            if queries.len() > config.max_batch {
-                return error_reply(
-                    id,
-                    ErrorCode::BatchTooLarge,
-                    format!(
-                        "batch of {} queries exceeds the {}-query limit",
-                        queries.len(),
-                        config.max_batch
-                    ),
-                );
-            }
-            let options = clamp_options(config, options);
-            let results: Vec<WirePartialResult> = system
-                .session(user)
-                .with_options(options)
-                .execute_batch_partials(&queries)
-                .into_iter()
-                .map(WirePartialResult::from)
-                .collect();
-            Response::BatchPartialAnswer { id, results }
-        }
-        Request::IngestEpoch {
-            id,
-            epoch_start,
-            records,
-        } => {
-            // The replica check comes first: "you are talking to the wrong
-            // member" is more actionable than this server's ingest policy,
-            // and it is what the router keys failover on.
-            if system.store_read_only() {
-                return error_reply(
-                    id,
-                    ErrorCode::NotWriter,
-                    "this server is a read-only replica; ingest goes to the \
-                     shard's writer (or promote this member first)",
-                );
-            }
-            if !config.allow_ingest {
-                return error_reply(
-                    id,
-                    ErrorCode::Unauthorized,
-                    "this server does not accept wire ingest",
-                );
-            }
-            // A sharded process only ingests the epochs its slice owns;
-            // accepting a misrouted epoch would split ownership and break
-            // the disjoint-union merge at the router.
-            if let Some((index, total)) = config.shard {
-                let owner = shard_of_epoch(epoch_start, total as usize);
-                if owner != index as usize {
-                    return error_reply(
-                        id,
-                        ErrorCode::InvalidConfig,
-                        format!(
-                            "shard {index}/{total} does not own epoch {epoch_start} \
-                             (owner is shard {owner})"
-                        ),
-                    );
-                }
-            }
-            // Deterministic per-epoch RNG (see `ServerConfig::ingest_seed`).
-            let mut rng = StdRng::seed_from_u64(
-                config.ingest_seed ^ epoch_start.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            match system.ingest_epoch(epoch_start, &records, &mut rng) {
-                Ok(stats) => Response::IngestOk {
-                    id,
-                    epoch_id: epoch_start,
-                    rows_stored: (stats.real_rows + stats.fake_rows) as u64,
-                },
-                Err(e) => Response::Error {
-                    id,
-                    error: WireError::from(&e),
-                },
-            }
-        }
-        Request::Stats { id } => Response::StatsOk {
-            id,
-            stats: system.answer_stats().into(),
-        },
-        Request::Promote { id } => match system.promote_to_writer() {
-            Ok(registered) => Response::PromoteOk {
-                id,
-                epochs_registered: registered.len() as u64,
-            },
-            Err(e) => Response::Error {
-                id,
-                error: WireError::from(&e),
-            },
-        },
-        Request::Hello { .. }
-        | Request::Goodbye
-        | Request::Shutdown { .. }
-        | Request::ServeStats { .. }
-        | Request::ShardInfo { .. }
-        | Request::RouterStats { .. }
-        | Request::Attest { .. } => {
-            unreachable!("connection-level requests never reach the engine executor")
-        }
-    }
-}
-
-/// Describe this process's epoch slice for topology discovery. Shared by
-/// both serving cores; an unsharded deployment reports itself as the
-/// whole map (`0/1`).
-pub(crate) fn shard_descriptor(system: &ConcealerSystem, config: &ServerConfig) -> ShardDescriptor {
-    let (shard_index, shard_total) = config.shard.unwrap_or((0, 1));
-    let role = if system.store_read_only() {
-        crate::protocol::ShardRole::Replica
-    } else {
-        crate::protocol::ShardRole::Writer
-    };
-    ShardDescriptor {
-        shard_index,
-        shard_total,
-        epoch_duration: system.engine().config().epoch_duration,
-        epochs: system.engine().registered_epochs(),
-        role,
-        store_generation: system.store().store_generation(),
-    }
-}
-
-/// The reply a shard server gives to `Request::RouterStats`: per-shard
-/// load accounting only exists at a router, so asking a shard directly is
-/// a protocol violation (the connection survives — the request was
-/// well-formed, just aimed at the wrong tier).
-pub(crate) fn router_stats_refusal(id: u64) -> Response {
-    error_reply(
-        id,
-        ErrorCode::ProtocolViolation,
-        "router_stats is a router endpoint; this is a shard server",
-    )
-}
-
-fn reserved_id() -> Outcome {
-    Outcome::Fatal(reserved_id_reply())
-}
-
-/// The error reply both cores answer (and then close) when a client uses
-/// the reserved connection-level request id.
-pub(crate) fn reserved_id_reply() -> Response {
+/// What both transports answer a connection over the cap with.
+pub(crate) fn busy_reply() -> Response {
     error_reply(
         CONNECTION_LEVEL_ID,
-        ErrorCode::ProtocolViolation,
-        "request id 0 is reserved for connection-level errors",
+        ErrorCode::Busy,
+        "connection cap reached; retry later",
     )
 }
 
-/// Apply server policy to client-supplied options.
-fn clamp_options(config: &ServerConfig, options: Option<ExecOptions>) -> ExecOptions {
-    let mut options = options.unwrap_or_default();
-    options.parallelism = options.parallelism.min(config.max_parallelism.max(1));
-    options
-}
-
-pub(crate) fn error_reply(id: u64, code: ErrorCode, message: impl Into<String>) -> Response {
-    Response::Error {
-        id,
-        error: WireError::new(code, message),
+/// Serve one connection until its machine closes it. Work runs inline
+/// under the admission gate, so every frame is driven to its reply before
+/// the next one is read; a drain reaches a parked read as end-of-stream.
+fn handle_connection(serving: &Threaded<'_>, mut stream: TcpStream) {
+    let shared = serving.shared;
+    let mut machine = Machine::new(Arc::clone(shared));
+    loop {
+        let mut step = machine.on_frame(read_frame(&mut stream, shared.config.max_frame_len));
+        loop {
+            match step {
+                Step::Work(work) => {
+                    let permit = serving.admission.acquire(&shared.counters.backlog);
+                    let done = work.run(serving.handler);
+                    drop(permit);
+                    step = machine.on_done(done);
+                }
+                Step::Reply(reply) => {
+                    if write_frame(&mut stream, &reply).is_err() {
+                        return;
+                    }
+                    break;
+                }
+                Step::Wait => break,
+                Step::Close(replies) => {
+                    for reply in &replies {
+                        if write_frame(&mut stream, reply).is_err() {
+                            break;
+                        }
+                    }
+                    return;
+                }
+            }
+        }
     }
-}
-
-/// Write one reply frame, counting it.
-fn send(
-    shared: &ServeShared<'_>,
-    stream: &mut TcpStream,
-    reply: &Response,
-) -> Result<(), FrameError> {
-    shared.requests_served.fetch_add(1, Ordering::AcqRel);
-    write_frame(stream, reply)
 }

@@ -3,8 +3,7 @@
 //! produce a signed enclave quote that satisfies the client's
 //! [`TrustPolicy`]; an unattested `Hello` is refused with a structured
 //! `attestation_failed` error in **both** serving cores (each test that
-//! exercises the pre-auth matrix spawns each core explicitly rather than
-//! relying on the `CONCEALER_TEST_SERVER_MODE` matrix).
+//! exercises the pre-auth matrix spawns each core explicitly).
 
 use std::sync::Arc;
 

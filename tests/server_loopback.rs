@@ -6,7 +6,8 @@
 //!
 //! The fixture honors `CONCEALER_TEST_BACKEND`, so the CI backend matrix
 //! reruns this whole suite against the durable store; the restart test
-//! constructs its disk deployment explicitly and runs everywhere.
+//! constructs its disk deployment explicitly and runs everywhere. Every
+//! server test takes the serving core as a parameter and runs on both.
 
 use std::sync::Arc;
 
@@ -17,9 +18,7 @@ use concealer_core::{
     SystemBuilder, UserHandle,
 };
 use concealer_examples::{demo_config, demo_epoch_records, demo_system, demo_workload};
-use concealer_server::{
-    ErrorCode, Request, Response, Server, ServerConfig, CONNECTION_LEVEL_ID, PROTOCOL_VERSION,
-};
+use concealer_server::{ErrorCode, Request, Server, ServerConfig, ServerMode, PROTOCOL_VERSION};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,6 +26,9 @@ use serde::frame::{read_frame, write_frame, FrameError};
 
 const HOURS: u64 = 2;
 const SEED: u64 = 4242;
+
+/// Every server test runs on the threaded core, then the event core.
+const CORES: [ServerMode; 2] = [ServerMode::Threaded, ServerMode::Event];
 
 /// Spawn a server over a fresh demo deployment, returning the shared
 /// system (the oracle), the user, and the handle.
@@ -62,112 +64,107 @@ fn connect_user(
         .connect()
 }
 
-/// Drive the mandatory pre-auth `Attest` exchange on a raw stream, so a
-/// subsequent `Hello` reaches the version/auth checks instead of the v4
-/// pre-auth matrix's `attestation_failed` refusal.
-fn raw_attest(stream: &mut std::net::TcpStream) {
-    write_frame(
-        &mut *stream,
-        &Request::Attest {
-            id: 1,
-            nonce: [7u8; 32],
-        },
-    )
-    .unwrap();
-    let reply: Response = read_frame(&mut *stream, 1 << 20).unwrap();
-    assert!(
-        matches!(reply, Response::AttestOk { id: 1, .. }),
-        "{reply:?}"
-    );
-}
-
 /// ≥ 8 concurrent TCP clients run mixed point/range/batch workloads;
 /// every wire answer must encode byte-for-byte like the in-process oracle
 /// session's answer.
 #[test]
 fn concurrent_clients_match_in_process_oracle_bit_for_bit() {
-    const CLIENTS: usize = 8;
-    const REQUESTS: usize = 18;
-    let (system, user, handle) = spawn_demo_server(ServerConfig::default());
-    let addr = handle.local_addr();
-    let workload = demo_workload(HOURS);
+    for mode in CORES {
+        eprintln!("serving core: {mode:?}");
+        const CLIENTS: usize = 8;
+        const REQUESTS: usize = 18;
+        let (system, user, handle) = spawn_demo_server(ServerConfig {
+            mode,
+            ..ServerConfig::default()
+        });
+        let addr = handle.local_addr();
+        let workload = demo_workload(HOURS);
 
-    std::thread::scope(|scope| {
-        for client_idx in 0..CLIENTS {
-            let system = &system;
-            let user = &user;
-            let workload = &workload;
-            scope.spawn(move || {
-                let mix = server_request_mix(workload, SEED + client_idx as u64, REQUESTS, 6);
-                let mut conn =
-                    connect_user(addr, user, "loopback").expect("connect and authenticate");
-                let oracle = system.session(user);
-                for request in &mix {
-                    match request {
-                        ServerRequest::Query(query, options) => {
-                            let got = conn.execute_with(query, *options).expect("wire query");
-                            let want = oracle.execute_with(query, *options).expect("oracle query");
-                            assert_eq!(wire_bytes(&got), wire_bytes(&want));
-                        }
-                        ServerRequest::Batch(queries, options) => {
-                            let got = conn
-                                .execute_batch_with(queries, *options)
-                                .expect("wire batch");
-                            let want = oracle.clone().with_options(*options).execute_batch(queries);
-                            assert_eq!(got.len(), want.len());
-                            for (g, w) in got.iter().zip(&want) {
-                                let g = g.as_ref().expect("wire batch entry");
-                                let w = w.as_ref().expect("oracle batch entry");
-                                assert_eq!(wire_bytes(g), wire_bytes(w));
+        std::thread::scope(|scope| {
+            for client_idx in 0..CLIENTS {
+                let system = &system;
+                let user = &user;
+                let workload = &workload;
+                scope.spawn(move || {
+                    let mix = server_request_mix(workload, SEED + client_idx as u64, REQUESTS, 6);
+                    let mut conn =
+                        connect_user(addr, user, "loopback").expect("connect and authenticate");
+                    let oracle = system.session(user);
+                    for request in &mix {
+                        match request {
+                            ServerRequest::Query(query, options) => {
+                                let got = conn.execute_with(query, *options).expect("wire query");
+                                let want =
+                                    oracle.execute_with(query, *options).expect("oracle query");
+                                assert_eq!(wire_bytes(&got), wire_bytes(&want));
+                            }
+                            ServerRequest::Batch(queries, options) => {
+                                let got = conn
+                                    .execute_batch_with(queries, *options)
+                                    .expect("wire batch");
+                                let want =
+                                    oracle.clone().with_options(*options).execute_batch(queries);
+                                assert_eq!(got.len(), want.len());
+                                for (g, w) in got.iter().zip(&want) {
+                                    let g = g.as_ref().expect("wire batch entry");
+                                    let w = w.as_ref().expect("oracle batch entry");
+                                    assert_eq!(wire_bytes(g), wire_bytes(w));
+                                }
                             }
                         }
                     }
-                }
-                conn.close().expect("clean goodbye");
-            });
-        }
-    });
+                    conn.close().expect("clean goodbye");
+                });
+            }
+        });
 
-    let report = handle.shutdown_and_join();
-    assert!(report.graceful);
-    assert_eq!(report.connections_served, CLIENTS as u64);
+        let report = handle.shutdown_and_join();
+        assert!(report.graceful);
+        assert_eq!(report.connections_served, CLIENTS as u64);
+    }
 }
 
 /// Pipelined batches on one connection: several tickets in flight, redeemed
 /// out of submission order, each matching the oracle.
 #[test]
 fn pipelined_batches_redeemed_out_of_order() {
-    let (system, user, handle) = spawn_demo_server(ServerConfig::default());
-    let workload = demo_workload(HOURS);
-    let mut rng = StdRng::seed_from_u64(77);
-    let batches: Vec<Vec<Query>> = (0..4)
-        .map(|_| {
-            (0..5)
-                .map(|_| workload.q1(25 * 60, &mut rng))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let options = ExecOptions::with_method(RangeMethod::Bpb);
+    for mode in CORES {
+        eprintln!("serving core: {mode:?}");
+        let (system, user, handle) = spawn_demo_server(ServerConfig {
+            mode,
+            ..ServerConfig::default()
+        });
+        let workload = demo_workload(HOURS);
+        let mut rng = StdRng::seed_from_u64(77);
+        let batches: Vec<Vec<Query>> = (0..4)
+            .map(|_| {
+                (0..5)
+                    .map(|_| workload.q1(25 * 60, &mut rng))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let options = ExecOptions::with_method(RangeMethod::Bpb);
 
-    let mut conn = connect_user(handle.local_addr(), &user, "pipeline").unwrap();
-    let tickets: Vec<_> = batches
-        .iter()
-        .map(|queries| conn.submit_batch(queries, Some(options)).expect("submit"))
-        .collect();
-    // Redeem in reverse order: replies park until their ticket comes up.
-    let oracle = system.session(&user).with_options(options);
-    for (ticket, queries) in tickets.into_iter().zip(&batches).rev() {
-        let got = conn.wait_batch(ticket).expect("pipelined batch");
-        let want = oracle.execute_batch(queries);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(
-                wire_bytes(g.as_ref().unwrap()),
-                wire_bytes(w.as_ref().unwrap())
-            );
+        let mut conn = connect_user(handle.local_addr(), &user, "pipeline").unwrap();
+        let tickets: Vec<_> = batches
+            .iter()
+            .map(|queries| conn.submit_batch(queries, Some(options)).expect("submit"))
+            .collect();
+        // Redeem in reverse order: replies park until their ticket comes up.
+        let oracle = system.session(&user).with_options(options);
+        for (ticket, queries) in tickets.into_iter().zip(&batches).rev() {
+            let got = conn.wait_batch(ticket).expect("pipelined batch");
+            let want = oracle.execute_batch(queries);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    wire_bytes(g.as_ref().unwrap()),
+                    wire_bytes(w.as_ref().unwrap())
+                );
+            }
         }
+        conn.close().unwrap();
+        handle.shutdown_and_join();
     }
-    conn.close().unwrap();
-    handle.shutdown_and_join();
 }
 
 /// Wire ingest lands concurrently with live query traffic; queries bounded
@@ -175,246 +172,191 @@ fn pipelined_batches_redeemed_out_of_order() {
 /// epoch becomes queryable.
 #[test]
 fn wire_ingest_runs_alongside_live_queries() {
-    let (system, user, handle) = spawn_demo_server(ServerConfig::default());
-    let addr = handle.local_addr();
-    let workload = demo_workload(HOURS);
-    let epoch_query = Query::count().at_dims([4]).between(0, HOURS * 3600 - 1);
-    let baseline = system.session(&user).execute(&epoch_query).unwrap();
-
-    std::thread::scope(|scope| {
-        let user = &user;
-        // Ingest client: two follow-up epochs.
-        scope.spawn(move || {
-            let mut conn = connect_user(addr, user, "ingester").unwrap();
-            for k in 1..=2u64 {
-                let epoch_start = k * HOURS * 3600;
-                let records = demo_epoch_records(HOURS, SEED, epoch_start);
-                let rows = conn.ingest_epoch(epoch_start, &records).expect("ingest");
-                assert!(rows > 0);
-            }
-            conn.close().unwrap();
+    for mode in CORES {
+        eprintln!("serving core: {mode:?}");
+        let (system, user, handle) = spawn_demo_server(ServerConfig {
+            mode,
+            ..ServerConfig::default()
         });
-        // Query clients hammering the first epoch while ingest is live.
-        for i in 0..3 {
-            let workload = &workload;
-            let epoch_query = &epoch_query;
-            let baseline = &baseline;
+        let addr = handle.local_addr();
+        let workload = demo_workload(HOURS);
+        let epoch_query = Query::count().at_dims([4]).between(0, HOURS * 3600 - 1);
+        let baseline = system.session(&user).execute(&epoch_query).unwrap();
+
+        std::thread::scope(|scope| {
+            let user = &user;
+            // Ingest client: two follow-up epochs.
             scope.spawn(move || {
-                let mut conn = connect_user(addr, user, "querier").unwrap();
-                let mut rng = StdRng::seed_from_u64(100 + i);
-                for _ in 0..10 {
-                    let q = workload.q1(30 * 60, &mut rng);
-                    conn.execute(&q).expect("query during ingest");
-                    let stable = conn.execute(epoch_query).expect("stable query");
-                    assert_eq!(wire_bytes(&stable), wire_bytes(baseline));
+                let mut conn = connect_user(addr, user, "ingester").unwrap();
+                for k in 1..=2u64 {
+                    let epoch_start = k * HOURS * 3600;
+                    let records = demo_epoch_records(HOURS, SEED, epoch_start);
+                    let rows = conn.ingest_epoch(epoch_start, &records).expect("ingest");
+                    assert!(rows > 0);
                 }
                 conn.close().unwrap();
             });
-        }
-    });
+            // Query clients hammering the first epoch while ingest is live.
+            for i in 0..3 {
+                let workload = &workload;
+                let epoch_query = &epoch_query;
+                let baseline = &baseline;
+                scope.spawn(move || {
+                    let mut conn = connect_user(addr, user, "querier").unwrap();
+                    let mut rng = StdRng::seed_from_u64(100 + i);
+                    for _ in 0..10 {
+                        let q = workload.q1(30 * 60, &mut rng);
+                        conn.execute(&q).expect("query during ingest");
+                        let stable = conn.execute(epoch_query).expect("stable query");
+                        assert_eq!(wire_bytes(&stable), wire_bytes(baseline));
+                    }
+                    conn.close().unwrap();
+                });
+            }
+        });
 
-    // After ingest: a spanning query touches the new epochs, and the wire
-    // answer still matches the oracle on the same (shared) system.
-    let mut conn = connect_user(addr, &user, "after").unwrap();
-    let spanning = Query::count().at_dims([4]).between(0, 3 * HOURS * 3600 - 1);
-    let got = conn.execute(&spanning).unwrap();
-    let want = system.session(&user).execute(&spanning).unwrap();
-    assert_eq!(wire_bytes(&got), wire_bytes(&want));
-    assert_eq!(got.epochs_touched, 3);
-    conn.close().unwrap();
-    handle.shutdown_and_join();
+        // After ingest: a spanning query touches the new epochs, and the wire
+        // answer still matches the oracle on the same (shared) system.
+        let mut conn = connect_user(addr, &user, "after").unwrap();
+        let spanning = Query::count().at_dims([4]).between(0, 3 * HOURS * 3600 - 1);
+        let got = conn.execute(&spanning).unwrap();
+        let want = system.session(&user).execute(&spanning).unwrap();
+        assert_eq!(wire_bytes(&got), wire_bytes(&want));
+        assert_eq!(got.epochs_touched, 3);
+        conn.close().unwrap();
+        handle.shutdown_and_join();
+    }
 }
 
-/// Error replies: bad credentials, premature requests, reserved ids,
-/// oversized batches, oversized frames, and malformed payloads all come
-/// back as structured errors (and only the unrecoverable ones close the
-/// connection).
+/// Error replies through the client library and the real engine: bad
+/// credentials, oversized batches and oversized frames come back as
+/// structured errors, and the recoverable ones leave the connection
+/// usable. (The raw-frame refusals — wrong version, premature requests,
+/// malformed payloads, reserved ids — are scripted against both cores in
+/// `tests/connection_protocol.rs`.)
 #[test]
 fn structured_error_replies() {
-    let (_system, user, handle) = spawn_demo_server(ServerConfig {
-        max_batch: 4,
-        max_frame_len: 64 << 10,
-        ..ServerConfig::default()
-    });
-    let addr = handle.local_addr();
+    for mode in CORES {
+        eprintln!("serving core: {mode:?}");
+        let (_system, user, handle) = spawn_demo_server(ServerConfig {
+            mode,
+            max_batch: 4,
+            max_frame_len: 64 << 10,
+            ..ServerConfig::default()
+        });
+        let addr = handle.local_addr();
 
-    // Wrong credential → AuthFailed at the handshake.
-    let err = ClientBuilder::new(addr)
-        .credential(user.user_id.0, [0u8; 32])
-        .client_name("evil")
-        .connect()
-        .unwrap_err();
-    assert!(
-        matches!(err, ClientError::Handshake(ref m) if m.contains("auth_failed")),
-        "{err}"
-    );
-
-    // Unknown user → AuthFailed too.
-    let err = ClientBuilder::new(addr)
-        .credential(999, user.credential.0)
-        .client_name("ghost")
-        .connect()
-        .unwrap_err();
-    assert!(
-        matches!(err, ClientError::Handshake(ref m) if m.contains("auth_failed")),
-        "{err}"
-    );
-
-    // Wrong protocol version → UnsupportedVersion. (The `Hello` must be
-    // preceded by the mandatory pre-auth `Attest` exchange, or the v4
-    // pre-auth matrix refuses it with `AttestationFailed` first.)
-    {
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        raw_attest(&mut stream);
-        write_frame(
-            &mut stream,
-            &Request::Hello {
-                version: PROTOCOL_VERSION + 1,
-                user_id: user.user_id.0,
-                credential: user.credential.0,
-                client_name: "future".into(),
-            },
-        )
-        .unwrap();
-        let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
-        assert!(matches!(
-            reply,
-            Response::Error { id: CONNECTION_LEVEL_ID, ref error }
-                if error.code == ErrorCode::UnsupportedVersion
-        ));
-    }
-
-    // A request before Hello → NotAuthenticated.
-    {
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        write_frame(&mut stream, &Request::Stats { id: 1 }).unwrap();
-        let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
-        assert!(matches!(
-            reply,
-            Response::Error { ref error, .. } if error.code == ErrorCode::NotAuthenticated
-        ));
-    }
-
-    // A malformed frame (valid length prefix, garbage payload) → a
-    // structured MalformedFrame reply, then close.
-    {
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        use std::io::Write as _;
-        stream.write_all(&8u32.to_le_bytes()).unwrap();
-        stream.write_all(&[0xff; 8]).unwrap();
-        stream.flush().unwrap();
-        let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
-        assert!(matches!(
-            reply,
-            Response::Error { ref error, .. } if error.code == ErrorCode::MalformedFrame
-        ));
-        assert!(matches!(
-            read_frame::<_, Response>(&mut stream, 1 << 20),
-            Err(FrameError::Closed)
-        ));
-    }
-
-    // Oversized batch → BatchTooLarge, and the connection stays usable.
-    {
-        let mut conn = connect_user(addr, &user, "bigbatch").unwrap();
-        let queries: Vec<Query> = (0..5)
-            .map(|i| Query::count().at_dims([i]).at(600))
-            .collect();
-        let err = conn.execute_batch(&queries).unwrap_err();
+        // Wrong credential → AuthFailed at the handshake.
+        let err = ClientBuilder::new(addr)
+            .credential(user.user_id.0, [0u8; 32])
+            .client_name("evil")
+            .connect()
+            .unwrap_err();
         assert!(
-            matches!(err, ClientError::Server(ref e) if e.code == ErrorCode::BatchTooLarge),
+            matches!(err, ClientError::Handshake(ref m) if m.contains("auth_failed")),
             "{err}"
         );
-        // Still serving:
-        conn.execute(&Query::count().at_dims([1]).at(600)).unwrap();
-        conn.close().unwrap();
-    }
 
-    // Oversized frame → FrameTooLarge, connection survives (the server
-    // drains the payload to stay frame-aligned).
-    {
-        let mut conn = connect_user(addr, &user, "bigframe").unwrap();
-        let records: Vec<concealer_core::Record> = (0..20_000)
-            .map(|i| concealer_core::Record::spatial(i % 12, i % 7200, 1000 + i % 40))
-            .collect();
-        let err = conn.ingest_epoch(4 * HOURS * 3600, &records).unwrap_err();
+        // Unknown user → AuthFailed too.
+        let err = ClientBuilder::new(addr)
+            .credential(999, user.credential.0)
+            .client_name("ghost")
+            .connect()
+            .unwrap_err();
         assert!(
-            matches!(err, ClientError::Server(ref e) if e.code == ErrorCode::FrameTooLarge),
+            matches!(err, ClientError::Handshake(ref m) if m.contains("auth_failed")),
             "{err}"
         );
-        conn.execute(&Query::count().at_dims([1]).at(600)).unwrap();
-        conn.close().unwrap();
-    }
 
-    // Reserved request id 0 → ProtocolViolation.
-    {
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        raw_attest(&mut stream);
-        write_frame(
-            &mut stream,
-            &Request::Hello {
-                version: PROTOCOL_VERSION,
-                user_id: user.user_id.0,
-                credential: user.credential.0,
-                client_name: "reserved".into(),
-            },
-        )
-        .unwrap();
-        let _hello: Response = read_frame(&mut stream, 1 << 20).unwrap();
-        write_frame(&mut stream, &Request::Stats { id: 0 }).unwrap();
-        let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
-        assert!(matches!(
-            reply,
-            Response::Error { ref error, .. } if error.code == ErrorCode::ProtocolViolation
-        ));
-    }
+        // Oversized batch → BatchTooLarge, and the connection stays usable.
+        {
+            let mut conn = connect_user(addr, &user, "bigbatch").unwrap();
+            let queries: Vec<Query> = (0..5)
+                .map(|i| Query::count().at_dims([i]).at(600))
+                .collect();
+            let err = conn.execute_batch(&queries).unwrap_err();
+            assert!(
+                matches!(err, ClientError::Server(ref e) if e.code == ErrorCode::BatchTooLarge),
+                "{err}"
+            );
+            // Still serving:
+            conn.execute(&Query::count().at_dims([1]).at(600)).unwrap();
+            conn.close().unwrap();
+        }
 
-    handle.shutdown_and_join();
+        // Oversized frame → FrameTooLarge, connection survives (the server
+        // drains the payload to stay frame-aligned).
+        {
+            let mut conn = connect_user(addr, &user, "bigframe").unwrap();
+            let records: Vec<concealer_core::Record> = (0..20_000)
+                .map(|i| concealer_core::Record::spatial(i % 12, i % 7200, 1000 + i % 40))
+                .collect();
+            let err = conn.ingest_epoch(4 * HOURS * 3600, &records).unwrap_err();
+            assert!(
+                matches!(err, ClientError::Server(ref e) if e.code == ErrorCode::FrameTooLarge),
+                "{err}"
+            );
+            conn.execute(&Query::count().at_dims([1]).at(600)).unwrap();
+            conn.close().unwrap();
+        }
+
+        handle.shutdown_and_join();
+    }
 }
 
 /// Individualized queries still enforce device authorization over the
 /// wire: a user asking about someone else's device gets `Unauthorized`.
 #[test]
 fn wire_queries_enforce_authorization_scope() {
-    let (_system, user, handle) = spawn_demo_server(ServerConfig::default());
-    let mut conn = connect_user(handle.local_addr(), &user, "scope").unwrap();
-    // demo_system authorizes devices 1000..1300; 555 belongs to no one.
-    let foreign = Query::collect_rows().observing(555).between(0, 3_599);
-    let err = conn.execute(&foreign).unwrap_err();
-    assert!(
-        matches!(err, ClientError::Server(ref e) if e.code == ErrorCode::Unauthorized),
-        "{err}"
-    );
-    // The session survives the refusal.
-    conn.execute(&Query::count().at_dims([2]).at(120)).unwrap();
-    conn.close().unwrap();
-    handle.shutdown_and_join();
+    for mode in CORES {
+        eprintln!("serving core: {mode:?}");
+        let (_system, user, handle) = spawn_demo_server(ServerConfig {
+            mode,
+            ..ServerConfig::default()
+        });
+        let mut conn = connect_user(handle.local_addr(), &user, "scope").unwrap();
+        // demo_system authorizes devices 1000..1300; 555 belongs to no one.
+        let foreign = Query::collect_rows().observing(555).between(0, 3_599);
+        let err = conn.execute(&foreign).unwrap_err();
+        assert!(
+            matches!(err, ClientError::Server(ref e) if e.code == ErrorCode::Unauthorized),
+            "{err}"
+        );
+        // The session survives the refusal.
+        conn.execute(&Query::count().at_dims([2]).at(120)).unwrap();
+        conn.close().unwrap();
+        handle.shutdown_and_join();
+    }
 }
 
 /// The connection cap: connections over `max_connections` are refused
 /// with a `Busy` error frame, earlier ones keep working.
 #[test]
 fn connections_over_the_cap_are_refused_busy() {
-    let (_system, user, handle) = spawn_demo_server(ServerConfig {
-        max_connections: 2,
-        ..ServerConfig::default()
-    });
-    let addr = handle.local_addr();
-    let mut first = connect_user(addr, &user, "one").unwrap();
-    let second = connect_user(addr, &user, "two").unwrap();
-    // The third must come back Busy (the cap is checked at accept time;
-    // the refusal path drains the pending Hello so the frame is reliably
-    // delivered, never lost to an RST).
-    let err = connect_user(addr, &user, "three").unwrap_err();
-    assert!(
-        matches!(err, ClientError::Handshake(ref m) if m.contains("busy")),
-        "{err}"
-    );
-    first.execute(&Query::count().at_dims([1]).at(60)).unwrap();
-    drop(second);
-    first.close().unwrap();
-    let report = handle.shutdown_and_join();
-    assert!(report.rejected_busy >= 1);
+    for mode in CORES {
+        eprintln!("serving core: {mode:?}");
+        let (_system, user, handle) = spawn_demo_server(ServerConfig {
+            mode,
+            max_connections: 2,
+            ..ServerConfig::default()
+        });
+        let addr = handle.local_addr();
+        let mut first = connect_user(addr, &user, "one").unwrap();
+        let second = connect_user(addr, &user, "two").unwrap();
+        // The third must come back Busy (the cap is checked at accept time;
+        // the refusal path drains the pending Hello so the frame is reliably
+        // delivered, never lost to an RST).
+        let err = connect_user(addr, &user, "three").unwrap_err();
+        assert!(
+            matches!(err, ClientError::Handshake(ref m) if m.contains("busy")),
+            "{err}"
+        );
+        first.execute(&Query::count().at_dims([1]).at(60)).unwrap();
+        drop(second);
+        first.close().unwrap();
+        let report = handle.shutdown_and_join();
+        assert!(report.rejected_busy >= 1);
+    }
 }
 
 /// Mid-connection server restart on the disk backend: a client loses its
@@ -423,101 +365,110 @@ fn connections_over_the_cap_are_refused_busy() {
 /// before the restart.
 #[test]
 fn disk_backend_survives_mid_connection_server_restart() {
-    let root = std::env::temp_dir().join(format!(
-        "concealer-server-restart-{}-{}",
-        std::process::id(),
-        SEED
-    ));
-    let _ = std::fs::remove_dir_all(&root);
-    let master = MasterKey::from_bytes([21u8; 32]);
-    let records = demo_epoch_records(HOURS, SEED, 0);
-    let queries: Vec<Query> = vec![
-        Query::count().at_dims([4]).between(0, HOURS * 3600 - 1),
-        Query::top_k_locations(5).between(0, HOURS * 3600 - 1),
-        Query::count().at_dims([7]).at(1_800),
-    ];
+    for mode in CORES {
+        eprintln!("serving core: {mode:?}");
+        let root = std::env::temp_dir().join(format!(
+            "concealer-server-restart-{}-{}",
+            std::process::id(),
+            SEED
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let master = MasterKey::from_bytes([21u8; 32]);
+        let records = demo_epoch_records(HOURS, SEED, 0);
+        let queries: Vec<Query> = vec![
+            Query::count().at_dims([4]).between(0, HOURS * 3600 - 1),
+            Query::top_k_locations(5).between(0, HOURS * 3600 - 1),
+            Query::count().at_dims([7]).at(1_800),
+        ];
 
-    let build = |rng_seed: u64| -> (ConcealerSystem, UserHandle) {
-        let mut rng = StdRng::seed_from_u64(rng_seed);
-        let mut system = SystemBuilder::new(demo_config(HOURS))
-            .master(master.clone())
-            .with_backend(Arc::new(DiskEpochStore::open(&root).expect("open root")))
-            .build(&mut rng)
-            .expect("build on durable root");
-        let user = system.register_user(7, (1000..1300).collect(), true);
-        (system, user)
-    };
+        let config = || ServerConfig {
+            mode,
+            ..ServerConfig::default()
+        };
+        let build = |rng_seed: u64| -> (ConcealerSystem, UserHandle) {
+            let mut rng = StdRng::seed_from_u64(rng_seed);
+            let mut system = SystemBuilder::new(demo_config(HOURS))
+                .master(master.clone())
+                .with_backend(Arc::new(DiskEpochStore::open(&root).expect("open root")))
+                .build(&mut rng)
+                .expect("build on durable root");
+            let user = system.register_user(7, (1000..1300).collect(), true);
+            (system, user)
+        };
 
-    // First server generation: ingest, query over the wire, then shut the
-    // server down while the client connection is still open.
-    let before = {
-        let (system, user) = build(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        system.ingest_epoch(0, &records, &mut rng).expect("ingest");
-        let handle = Server::new(Arc::new(system), ServerConfig::default())
+        // First server generation: ingest, query over the wire, then shut the
+        // server down while the client connection is still open.
+        let before = {
+            let (system, user) = build(1);
+            let mut rng = StdRng::seed_from_u64(2);
+            system.ingest_epoch(0, &records, &mut rng).expect("ingest");
+            let handle = Server::new(Arc::new(system), config()).spawn().unwrap();
+            let mut conn = connect_user(handle.local_addr(), &user, "gen1").unwrap();
+            let before: Vec<Vec<u8>> = queries
+                .iter()
+                .map(|q| wire_bytes(&conn.execute(q).expect("pre-restart query")))
+                .collect();
+            // Kill the server mid-connection (not via Goodbye).
+            handle.shutdown_and_join();
+            // The surviving connection now fails cleanly.
+            let err = conn.execute(&queries[0]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ClientError::Closed | ClientError::Io(_) | ClientError::Server(_)
+                ),
+                "{err}"
+            );
+            before
+        };
+
+        // Second generation: reopen the same root (nothing re-ingested) and
+        // serve again (a fresh ephemeral port — the old one may sit in
+        // TIME_WAIT); a fresh client sees bit-identical answers.
+        let (system, user) = build(3);
+        let handle = Server::new(Arc::new(system), config())
             .spawn()
-            .unwrap();
-        let mut conn = connect_user(handle.local_addr(), &user, "gen1").unwrap();
-        let before: Vec<Vec<u8>> = queries
-            .iter()
-            .map(|q| wire_bytes(&conn.execute(q).expect("pre-restart query")))
-            .collect();
-        // Kill the server mid-connection (not via Goodbye).
+            .expect("serve the reopened deployment");
+        let mut conn = connect_user(handle.local_addr(), &user, "gen2").unwrap();
+        assert_eq!(conn.server_info().backend, "disk");
+        for (query, before) in queries.iter().zip(&before) {
+            let after = conn.execute(query).expect("post-restart query");
+            assert_eq!(&wire_bytes(&after), before);
+            assert!(after.verified);
+        }
+        conn.close().unwrap();
         handle.shutdown_and_join();
-        // The surviving connection now fails cleanly.
-        let err = conn.execute(&queries[0]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ClientError::Closed | ClientError::Io(_) | ClientError::Server(_)
-            ),
-            "{err}"
-        );
-        before
-    };
-
-    // Second generation: reopen the same root (nothing re-ingested) and
-    // serve again (a fresh ephemeral port — the old one may sit in
-    // TIME_WAIT); a fresh client sees bit-identical answers.
-    let (system, user) = build(3);
-    let handle = Server::new(Arc::new(system), ServerConfig::default())
-        .spawn()
-        .expect("serve the reopened deployment");
-    let mut conn = connect_user(handle.local_addr(), &user, "gen2").unwrap();
-    assert_eq!(conn.server_info().backend, "disk");
-    for (query, before) in queries.iter().zip(&before) {
-        let after = conn.execute(query).expect("post-restart query");
-        assert_eq!(&wire_bytes(&after), before);
-        assert!(after.verified);
+        let _ = std::fs::remove_dir_all(&root);
     }
-    conn.close().unwrap();
-    handle.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Stats and server info over the wire reflect the deployment.
 #[test]
 fn stats_and_server_info_reflect_the_deployment() {
-    let (system, user, handle) = spawn_demo_server(ServerConfig {
-        server_name: "loopback-fixture".into(),
-        ..ServerConfig::default()
-    });
-    let mut conn = connect_user(handle.local_addr(), &user, "stats").unwrap();
-    let info = conn.server_info().clone();
-    assert_eq!(info.protocol_version, PROTOCOL_VERSION);
-    assert_eq!(info.server_name, "loopback-fixture");
-    assert_eq!(info.backend, system.store().backend_kind());
-    assert!(info.ingest_allowed);
+    for mode in CORES {
+        eprintln!("serving core: {mode:?}");
+        let (system, user, handle) = spawn_demo_server(ServerConfig {
+            mode,
+            server_name: "loopback-fixture".into(),
+            ..ServerConfig::default()
+        });
+        let mut conn = connect_user(handle.local_addr(), &user, "stats").unwrap();
+        let info = conn.server_info().clone();
+        assert_eq!(info.protocol_version, PROTOCOL_VERSION);
+        assert_eq!(info.server_name, "loopback-fixture");
+        assert_eq!(info.backend, system.store().backend_kind());
+        assert!(info.ingest_allowed);
 
-    use concealer_core::SecureIndex as _;
-    let want = system.answer_stats();
-    let got = conn.stats().unwrap();
-    assert_eq!(got.backend, want.backend);
-    assert_eq!(got.epochs as usize, want.epochs);
-    assert_eq!(got.rows_stored as usize, want.rows_stored);
-    assert!(got.volume_hiding && got.verifiable);
-    conn.close().unwrap();
-    handle.shutdown_and_join();
+        use concealer_core::SecureIndex as _;
+        let want = system.answer_stats();
+        let got = conn.stats().unwrap();
+        assert_eq!(got.backend, want.backend);
+        assert_eq!(got.epochs as usize, want.epochs);
+        assert_eq!(got.rows_stored as usize, want.rows_stored);
+        assert!(got.volume_hiding && got.verifiable);
+        conn.close().unwrap();
+        handle.shutdown_and_join();
+    }
 }
 
 // ---------------------------------------------------------------------
