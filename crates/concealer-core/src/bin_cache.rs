@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use concealer_crypto::EpochKey;
 use concealer_enclave::MeterSnapshot;
-use concealer_storage::EncryptedRow;
+use concealer_storage::RowArena;
 use parking_lot::Mutex;
 
 use crate::query::filter::DecodedBin;
@@ -62,8 +62,9 @@ pub(crate) struct BinEntry {
     /// Meter counters trapdoor generation produced cold; replayed verbatim
     /// on every hit so warm and cold executions meter identically.
     pub gen_meter: MeterSnapshot,
-    /// The fetched (still encrypted) rows, in fetch order.
-    pub rows: Vec<EncryptedRow>,
+    /// The fetched (still encrypted) rows, in fetch order: the enclave's
+    /// one copy of what the store returned.
+    pub rows: RowArena,
     /// Lazily populated per-row payload decode results.
     pub decoded: DecodedBin,
     /// Whether the rows passed hash-chain verification when cached. An
@@ -211,7 +212,7 @@ mod tests {
             round,
             trapdoors: Vec::new(),
             gen_meter: MeterSnapshot::default(),
-            rows: Vec::new(),
+            rows: RowArena::new(),
             decoded: DecodedBin::new(0),
             verified: true,
             oblivious: false,

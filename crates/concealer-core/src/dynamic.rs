@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use concealer_crypto::EpochKey;
-use concealer_storage::EncryptedRow;
+use concealer_storage::{EncryptedRow, RowArena};
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
@@ -47,7 +47,7 @@ pub struct ReencryptedBin {
 pub fn reencrypt_bin<R: RngCore>(
     old_key: &EpochKey,
     new_key: &EpochKey,
-    rows: &[EncryptedRow],
+    rows: &RowArena,
     bin_cell_ids: &[u32],
     num_cell_ids: usize,
     rng: &mut R,
@@ -56,17 +56,17 @@ pub fn reencrypt_bin<R: RngCore>(
     let mut new_rows: Vec<EncryptedRow> = Vec::with_capacity(rows.len());
     let mut per_cell: HashMap<u32, Vec<(u32, usize)>> = HashMap::new();
 
-    for row in rows {
+    for row in rows.iter() {
         let index_plain = old_key
             .det
-            .decrypt(&row.index_key)
+            .decrypt(row.index_key())
             .map_err(|_| CoreError::CorruptMetadata)?;
         let new_index = new_key.det.encrypt(&index_plain);
 
         let new_row = if let Some((cid, counter)) = codec::decode_index_plain(&index_plain) {
             // Real tuple: re-encrypt every column under the new key.
-            let mut filters = Vec::with_capacity(row.filters.len());
-            for f in &row.filters {
+            let mut filters = Vec::with_capacity(row.filter_count());
+            for f in row.filters() {
                 let plain = old_key
                     .det
                     .decrypt(f)
@@ -75,7 +75,7 @@ pub fn reencrypt_bin<R: RngCore>(
             }
             let payload_plain = old_key
                 .det
-                .decrypt(&row.payload)
+                .decrypt(row.payload())
                 .map_err(|_| CoreError::CorruptMetadata)?;
             let payload = new_key.det.encrypt(&payload_plain);
             per_cell
@@ -91,15 +91,14 @@ pub fn reencrypt_bin<R: RngCore>(
             // Fake tuple: columns are random filler; refresh them so the
             // rewrite is unlinkable, preserving widths.
             let filters = row
-                .filters
-                .iter()
+                .filters()
                 .map(|f| {
                     let mut fresh = vec![0u8; f.len()];
                     rng.fill_bytes(&mut fresh);
                     fresh
                 })
                 .collect();
-            let mut payload = vec![0u8; row.payload.len()];
+            let mut payload = vec![0u8; row.payload().len()];
             rng.fill_bytes(&mut payload);
             EncryptedRow {
                 index_key: new_index,
@@ -131,7 +130,7 @@ pub fn reencrypt_bin<R: RngCore>(
         .collect();
 
     // Shuffle which replacement row lands in which physical slot.
-    let old_keys: Vec<Vec<u8>> = rows.iter().map(|r| r.index_key.clone()).collect();
+    let old_keys: Vec<Vec<u8>> = rows.iter().map(|r| r.index_key().to_vec()).collect();
     let mut shuffled = new_rows;
     shuffled.shuffle(rng);
     let replacements = old_keys.into_iter().zip(shuffled).collect();
@@ -192,7 +191,7 @@ mod tests {
             real_row(&old, 2, 2),
             fake_row(&old, 0),
         ];
-        let out = reencrypt_bin(&old, &new, &rows, &[2], 4, &mut rng).unwrap();
+        let out = reencrypt_bin(&old, &new, &rows.into(), &[2], 4, &mut rng).unwrap();
         assert_eq!(out.replacements.len(), 3);
 
         // Every replacement's index key decrypts under the *new* key to the
@@ -224,7 +223,7 @@ mod tests {
         let (old, new) = keys();
         let mut rng = StdRng::seed_from_u64(2);
         let rows = vec![real_row(&old, 1, 1)];
-        let out = reencrypt_bin(&old, &new, &rows, &[1], 2, &mut rng).unwrap();
+        let out = reencrypt_bin(&old, &new, &rows.into(), &[1], 2, &mut rng).unwrap();
         let (_, new_row) = &out.replacements[0];
         let plain = new.det.decrypt(&new_row.payload).unwrap();
         let (dims, time, payload) = codec::decode_payload_plain(&plain).unwrap();
@@ -238,7 +237,7 @@ mod tests {
         let (old, new) = keys();
         let mut rng = StdRng::seed_from_u64(3);
         let rows = vec![real_row(&old, 3, 1), real_row(&old, 3, 2)];
-        let out = reencrypt_bin(&old, &new, &rows, &[3], 5, &mut rng).unwrap();
+        let out = reencrypt_bin(&old, &new, &rows.into(), &[3], 5, &mut rng).unwrap();
         assert_eq!(out.new_tags.len(), 1);
         let (cid, tag) = &out.new_tags[0];
         assert_eq!(*cid, 3);
@@ -264,7 +263,7 @@ mod tests {
         let other = MasterKey::from_bytes([6u8; 32]).epoch_key(EpochId(10), 0);
         let mut rng = StdRng::seed_from_u64(4);
         let rows = vec![real_row(&old, 1, 1)];
-        assert!(reencrypt_bin(&other, &new, &rows, &[1], 2, &mut rng).is_err());
+        assert!(reencrypt_bin(&other, &new, &rows.into(), &[1], 2, &mut rng).is_err());
     }
 
     #[test]

@@ -1,26 +1,25 @@
 //! Fetching: one bin (through the decrypted-bin cache) or one cell-group,
-//! hash-chain verification of what came back, and the accumulate step that
-//! folds fetched rows into a query's [`EpochPartial`].
+//! verification of what came back ([`verify_fetch`]), and the accumulate
+//! step that folds fetched rows into a query's [`EpochPartial`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use concealer_crypto::{DetBuffer, EpochId, EpochKey};
+use concealer_crypto::{EpochId, EpochKey};
 use concealer_enclave::SideChannelMeter;
-use concealer_storage::{EncryptedRow, EpochStore};
+use concealer_storage::{EpochStore, RowArena};
 
 use super::{bump_phase, EpochPartial, EpochRuntime, PlanMemo, QueryEngine};
 use crate::api::ExecOptions;
 use crate::bin_cache::{BinEntry, BinKey};
-use crate::codec;
 use crate::query::filter::{
     build_filter_plan, process_rows_oblivious, process_rows_plain, DecodedBin, FilterPlan,
 };
 use crate::query::trapdoor::{generate_oblivious, generate_plain, FetchSpec};
 use crate::query::Query;
-use crate::verify::verify_cell_chain;
-use crate::{CoreError, Result};
+use crate::verify::verify_fetch;
+use crate::Result;
 
 impl QueryEngine {
     /// Fetch one bin (and hash-chain-verify it when verification is
@@ -78,13 +77,12 @@ impl QueryEngine {
 
         let fetch_start = Instant::now();
         let key = self.enclave.epoch_key(EpochId(rt.epoch_id), round);
-        let bin = &rt.bin_plan.bins[bin_idx];
         let spec = bin_fetch_spec(rt, bin_idx);
         // Generate against a private meter so the exact counters this
         // fetch produces can be replayed verbatim on warm hits; the shared
         // meter receives the identical totals via the snapshot below.
         let gen = SideChannelMeter::new();
-        let trapdoors = if oblivious {
+        let issued = if oblivious {
             generate_oblivious(
                 key.as_ref(),
                 &spec,
@@ -98,19 +96,19 @@ impl QueryEngine {
         };
         let gen_meter = gen.snapshot();
         self.enclave.meter().add_snapshot(gen_meter);
-        let rows = store.fetch_batch(rt.epoch_id, &trapdoors)?;
+        let rows = store.fetch_batch(rt.epoch_id, &issued.trapdoors)?;
         bump_phase(&self.phases.fetch_ns, fetch_start);
 
         if want_verify {
             let verify_start = Instant::now();
-            self.verify_bin(rt, key.as_ref(), &bin.cell_ids, &rows)?;
+            verify_fetch(key.as_ref(), &issued, &rows, &rt.tags)?;
             bump_phase(&self.phases.verify_ns, verify_start);
         }
         self.bin_cache.record_miss();
         let entry = Arc::new(BinEntry {
             key,
             round,
-            trapdoors,
+            trapdoors: issued.trapdoors,
             gen_meter,
             decoded: DecodedBin::new(rows.len()),
             rows,
@@ -158,41 +156,6 @@ impl QueryEngine {
         )
     }
 
-    /// Group fetched rows by cell-id (via the authenticated index
-    /// plaintext) and verify each chain against its tag. Index keys are
-    /// decrypted as one batch into a reused scratch arena — one allocation
-    /// for the whole bin instead of one per row; rows whose index key fails
-    /// authentication (fake tuples) come back as empty slots and are
-    /// skipped, exactly as the per-row path skipped decryption failures.
-    fn verify_bin(
-        &self,
-        rt: &EpochRuntime,
-        key: &EpochKey,
-        cell_ids: &[u32],
-        rows: &[EncryptedRow],
-    ) -> Result<()> {
-        let mut scratch = DetBuffer::with_capacity(rows.len(), 24);
-        key.det
-            .decrypt_batch(rows.iter().map(|r| r.index_key.as_slice()), &mut scratch);
-        let mut per_cell: HashMap<u32, Vec<(u32, &EncryptedRow)>> = HashMap::new();
-        for (row, plain) in rows.iter().zip(scratch.iter()) {
-            if let Some((cid, counter)) = plain.and_then(codec::decode_index_plain) {
-                per_cell.entry(cid).or_default().push((counter, row));
-            }
-        }
-        for &cid in cell_ids {
-            let mut entries = per_cell.remove(&cid).unwrap_or_default();
-            entries.sort_unstable_by_key(|(ctr, _)| *ctr);
-            let ordered: Vec<&EncryptedRow> = entries.into_iter().map(|(_, r)| r).collect();
-            let tag = rt
-                .tags
-                .get(cid as usize)
-                .ok_or(CoreError::IntegrityViolation { cell_id: cid })?;
-            verify_cell_chain(key, cid, &ordered, tag)?;
-        }
-        Ok(())
-    }
-
     /// Filter and aggregate one fetch's rows for one query, folding the
     /// matches and the fetch/decrypt counts into the epoch's partial — the
     /// accumulate step every method and both stage executors end in. The
@@ -208,7 +171,7 @@ impl QueryEngine {
         rt: &EpochRuntime,
         key: &EpochKey,
         round: u64,
-        rows: &[EncryptedRow],
+        rows: &RowArena,
         decoded: &DecodedBin,
         query: &Query,
         opts: &ExecOptions,
@@ -236,10 +199,9 @@ impl QueryEngine {
     /// The fetch tail eBPB and winSecRange share: group the cell-ids by
     /// their bin's re-encryption round (so trapdoors and filters use the
     /// right key even after §6 rewrites), and per round generate the
-    /// trapdoors, fetch, hash-chain-verify the fetched cells and fold the
-    /// rows into `part`. The `fakes` padding rides on the first group.
-    /// Fetch and verify time feed the same phase counters as
-    /// [`QueryEngine::fetch_bin_rows`].
+    /// trapdoors, fetch, verify the fetch and fold the rows into `part`.
+    /// The `fakes` padding rides on the first group. Fetch and verify time
+    /// feed the same phase counters as [`QueryEngine::fetch_bin_rows`].
     #[allow(clippy::too_many_arguments)]
     pub(super) fn fetch_cell_groups(
         &self,
@@ -267,13 +229,12 @@ impl QueryEngine {
             let key = self.enclave.epoch_key(EpochId(rt.epoch_id), round);
             let spec = FetchSpec { cells, fake_range };
             fake_range = (0, 0);
-            let trapdoors = generate_plain(key.as_ref(), &spec, self.enclave.meter());
-            let rows = self.store.fetch_batch(rt.epoch_id, &trapdoors)?;
+            let issued = generate_plain(key.as_ref(), &spec, self.enclave.meter());
+            let rows = self.store.fetch_batch(rt.epoch_id, &issued.trapdoors)?;
             bump_phase(&self.phases.fetch_ns, fetch_start);
             if want_verify {
                 let verify_start = Instant::now();
-                let group: Vec<u32> = spec.cells.iter().map(|(c, _)| *c).collect();
-                self.verify_bin(rt, key.as_ref(), &group, &rows)?;
+                verify_fetch(key.as_ref(), &issued, &rows, &rt.tags)?;
                 bump_phase(&self.phases.verify_ns, verify_start);
             }
             let decoded = DecodedBin::new(rows.len());

@@ -284,8 +284,8 @@ impl QueryEngine {
         let bin = &rt.bin_plan.bins[bin_idx];
 
         let spec = bin_fetch_spec(rt, bin_idx);
-        let trapdoors = generate_plain(old_key.as_ref(), &spec, self.enclave.meter());
-        let rows = self.store.fetch_batch(rt.epoch_id, &trapdoors)?;
+        let issued = generate_plain(old_key.as_ref(), &spec, self.enclave.meter());
+        let rows = self.store.fetch_batch(rt.epoch_id, &issued.trapdoors)?;
 
         let mut rng = self.rng.lock();
         let out = dynamic::reencrypt_bin(

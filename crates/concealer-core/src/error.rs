@@ -25,9 +25,11 @@ pub enum CoreError {
     /// ingested.
     NoDataForRange,
     /// Integrity verification failed: the fetched tuples do not match the
-    /// data provider's verifiable tags.
+    /// data provider's verifiable tags, or the store returned a row none
+    /// of the issued trapdoors asked for.
     IntegrityViolation {
-        /// Which cell-id failed verification.
+        /// Which cell-id failed verification (for an unasked-for row, the
+        /// first cell-id of the fetch it came back in).
         cell_id: u32,
     },
     /// The query predicate is incompatible with the aggregate (for example a

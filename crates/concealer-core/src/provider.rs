@@ -14,9 +14,13 @@
 //! 6. pseudo-randomly permutes real and fake tuples together, and
 //! 7. ships the permuted rows plus the encrypted `cell_id[]`, per-cell
 //!    counts and `c_tuple[]` vectors and the tags to the service provider.
+//!
+//! Ciphertext is written straight into the shipment's [`RowArena`] — the
+//! layout the service provider stores — so no per-row allocation is made
+//! and the shipment is handed over without a conversion.
 
 use concealer_crypto::{EpochId, MasterKey};
-use concealer_storage::{EncryptedRow, EpochMetadata};
+use concealer_storage::{EpochMetadata, RowArena};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
@@ -52,7 +56,7 @@ pub struct EpochShipment {
     /// The epoch id (epoch start timestamp).
     pub epoch_id: u64,
     /// Permuted encrypted rows (real and fake tuples interleaved).
-    pub rows: Vec<EncryptedRow>,
+    pub rows: RowArena,
     /// Encrypted metadata vectors and verifiable tags.
     pub metadata: EpochMetadata,
     /// Cleartext statistics retained by the data provider (not shipped).
@@ -108,7 +112,7 @@ impl DataProvider {
         let mut cell_counts = vec![0u32; grid.total_cells() as usize];
 
         // Encrypt real tuples (Lines 4-11 of Algorithm 1).
-        let mut rows = Vec::with_capacity(records.len() * 2);
+        let mut rows = RowArena::new();
         let mut chain = HashChainBuilder::new(&key, num_cell_ids);
         for record in records {
             let coord = grid.locate(&record.dims, record.time)?;
@@ -120,28 +124,24 @@ impl DataProvider {
             let granule = record.time / self.config.time_granularity;
             let observation = record.observation().unwrap_or(0);
 
-            let index_key = key.det.encrypt(&codec::index_real_plain(cid, counter));
-            let filter_dims = key
-                .det
-                .encrypt(&codec::filter_dims_plain(&record.dims, granule));
-            let filter_obs = key
-                .det
-                .encrypt(&codec::filter_obs_plain(observation, granule));
-            let payload = key.det.encrypt(&codec::payload_plain(
-                &record.dims,
-                record.time,
-                &record.payload,
-            ));
-
-            let row = EncryptedRow {
-                index_key,
-                filters: vec![filter_dims, filter_obs],
-                payload,
-            };
-            if self.config.verify_integrity {
-                chain.absorb(cid, &row);
+            let mut row = rows.begin_row();
+            for plain in [
+                codec::index_real_plain(cid, counter),
+                codec::filter_dims_plain(&record.dims, granule),
+                codec::filter_obs_plain(observation, granule),
+                codec::payload_plain(&record.dims, record.time, &record.payload),
+            ] {
+                row.column_with(|buf| key.det.encrypt_into(&plain, buf));
             }
-            rows.push(row);
+            row.finish();
+            if rows.len() == 1 {
+                // The first row sizes the rest: grow the buffer once.
+                rows.reserve(records.len() - 1);
+            }
+            if self.config.verify_integrity {
+                let row = rows.get(rows.len() - 1).expect("just written");
+                chain.absorb_view(cid, row);
+            }
         }
         let real_rows = rows.len();
 
@@ -150,33 +150,29 @@ impl DataProvider {
 
         // Representative column widths so fake rows are indistinguishable
         // from real rows by length.
-        let (filter_dims_len, filter_obs_len, payload_len) = if let Some(r) = rows.first() {
-            (r.filters[0].len(), r.filters[1].len(), r.payload.len())
+        let widths: Vec<usize> = if let Some(r) = rows.get(0) {
+            r.columns().skip(1).map(<[u8]>::len).collect()
         } else {
             // Empty epoch: derive representative widths from a dummy record.
-            let f = key.det.encrypt(&codec::filter_dims_plain(
-                &vec![0; self.config.grid.num_dims()],
-                0,
-            ));
-            let o = key.det.encrypt(&codec::filter_obs_plain(0, 0));
-            let p = key.det.encrypt(&codec::payload_plain(
-                &vec![0; self.config.grid.num_dims()],
-                0,
-                &[0],
-            ));
-            (f.len(), o.len(), p.len())
+            let dims = vec![0; self.config.grid.num_dims()];
+            [
+                codec::filter_dims_plain(&dims, 0),
+                codec::filter_obs_plain(0, 0),
+                codec::payload_plain(&dims, 0, &[0]),
+            ]
+            .iter()
+            .map(|plain| key.det.encrypt(plain).len())
+            .collect()
         };
 
+        rows.reserve(fake_rows);
         for j in 0..fake_rows as u64 {
-            let index_key = key.det.encrypt(&codec::index_fake_plain(j));
-            rows.push(EncryptedRow {
-                index_key,
-                filters: vec![
-                    random_ciphertext(&key, rng, filter_dims_len),
-                    random_ciphertext(&key, rng, filter_obs_len),
-                ],
-                payload: random_ciphertext(&key, rng, payload_len),
-            });
+            let mut row = rows.begin_row();
+            row.column_with(|buf| key.det.encrypt_into(&codec::index_fake_plain(j), buf));
+            for &width in &widths {
+                row.column(&random_ciphertext(&key, rng, width));
+            }
+            row.finish();
         }
 
         // Verifiable tags (Lines 16-21), one per cell-id.
@@ -192,7 +188,11 @@ impl DataProvider {
         let mut perm_seed = [0u8; 32];
         perm_seed.copy_from_slice(&key.permutation_key);
         let mut perm_rng = StdRng::from_seed(perm_seed);
-        rows.shuffle(&mut perm_rng);
+        // Shuffling positions and gathering is shuffling the rows: the
+        // shuffle draws its swaps from the RNG alone, never the elements.
+        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+        order.shuffle(&mut perm_rng);
+        let rows = rows.gather(&order);
 
         // Encrypt metadata vectors (Line 23): cell-id assignment and
         // per-cell counts travel in one blob, c_tuple[] in another.
@@ -335,8 +335,11 @@ mod tests {
         let dp = provider(FakeTupleStrategy::EqualRealFake);
         let mut rng = StdRng::seed_from_u64(3);
         let shipment = dp.encrypt_epoch(0, &sample_records(150), &mut rng).unwrap();
-        let keys: std::collections::BTreeSet<Vec<u8>> =
-            shipment.rows.iter().map(|r| r.index_key.clone()).collect();
+        let keys: std::collections::BTreeSet<Vec<u8>> = shipment
+            .rows
+            .iter()
+            .map(|r| r.index_key().to_vec())
+            .collect();
         assert_eq!(keys.len(), shipment.rows.len());
     }
 
@@ -348,14 +351,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let records = vec![Record::spatial(1, 100, 7), Record::spatial(1, 200, 7)];
         let shipment = dp.encrypt_epoch(0, &records, &mut rng).unwrap();
-        let real: Vec<&EncryptedRow> = shipment
-            .rows
-            .iter()
-            .filter(|r| !r.index_key.is_empty())
-            .collect();
-        assert_eq!(real.len(), 4); // 2 real + 2 fake
-        let payloads: std::collections::BTreeSet<&Vec<u8>> =
-            shipment.rows.iter().map(|r| &r.payload).collect();
+        assert_eq!(shipment.rows.len(), 4); // 2 real + 2 fake
+        let payloads: std::collections::BTreeSet<&[u8]> =
+            shipment.rows.iter().map(|r| r.payload()).collect();
         assert_eq!(payloads.len(), shipment.rows.len());
     }
 
@@ -402,7 +400,7 @@ mod tests {
         let widths: std::collections::BTreeSet<(usize, usize, usize)> = shipment
             .rows
             .iter()
-            .map(|r| (r.filters[0].len(), r.filters[1].len(), r.payload.len()))
+            .map(|r| (r.filter(0).len(), r.filter(1).len(), r.payload().len()))
             .collect();
         assert_eq!(
             widths.len(),

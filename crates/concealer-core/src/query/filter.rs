@@ -26,7 +26,7 @@ use std::sync::OnceLock;
 use concealer_crypto::EpochKey;
 use concealer_enclave::oblivious::{oadd_if, oeq, omove};
 use concealer_enclave::{MeterSnapshot, SideChannelMeter};
-use concealer_storage::EncryptedRow;
+use concealer_storage::{EncryptedRow, RowArena, RowRef};
 
 use crate::codec;
 use crate::config::SystemConfig;
@@ -76,10 +76,13 @@ pub type DecodedRow = (Vec<u64>, u64, Vec<u64>);
 /// [`OnceLock`]s, making concurrent filling from parallel per-query
 /// aggregation tasks safe. Decode *errors* (a corrupt but authentic
 /// payload) are deliberately not cached: they propagate to the caller and
-/// re-surface on every retry.
+/// re-surface on every retry. The slots themselves are allocated by the
+/// first decode, so a bin that only ever answers token-decided counts
+/// never pays for them.
 #[derive(Debug, Default)]
 pub struct DecodedBin {
-    slots: Vec<OnceLock<Option<DecodedRow>>>,
+    rows: usize,
+    slots: OnceLock<Vec<OnceLock<Option<DecodedRow>>>>,
 }
 
 impl DecodedBin {
@@ -87,28 +90,44 @@ impl DecodedBin {
     #[must_use]
     pub fn new(rows: usize) -> Self {
         DecodedBin {
-            slots: (0..rows).map(|_| OnceLock::new()).collect(),
+            rows,
+            slots: OnceLock::new(),
         }
     }
 
     /// The memoized decode of row `idx`, computing it on first use.
     /// `Ok(None)` marks a fake row (payload authentication failed).
+    #[inline]
     fn get_or_decode(
         &self,
         idx: usize,
         key: &EpochKey,
-        row: &EncryptedRow,
+        row: RowRef<'_>,
     ) -> Result<Option<&DecodedRow>> {
-        let slot = &self.slots[idx];
-        if let Some(cached) = slot.get() {
-            return Ok(cached.as_ref());
+        let slots = self
+            .slots
+            .get_or_init(|| (0..self.rows).map(|_| OnceLock::new()).collect());
+        match slots[idx].get() {
+            Some(cached) => Ok(cached.as_ref()),
+            None => decode_into(&slots[idx], key, row),
         }
-        let computed = match key.det.decrypt(&row.payload) {
-            Err(_) => None, // fake tuple: fails authentication by design
-            Ok(plain) => Some(codec::decode_payload_plain(&plain)?),
-        };
-        Ok(slot.get_or_init(|| computed).as_ref())
     }
+}
+
+/// Decrypt and decode `row`'s payload into its (empty) slot. Kept out of
+/// [`DecodedBin::get_or_decode`] so the per-row path of a warm bin stays a
+/// load and a branch.
+#[cold]
+fn decode_into<'s>(
+    slot: &'s OnceLock<Option<DecodedRow>>,
+    key: &EpochKey,
+    row: RowRef<'_>,
+) -> Result<Option<&'s DecodedRow>> {
+    let computed = match key.det.decrypt(row.payload()) {
+        Err(_) => None, // fake tuple: fails authentication by design
+        Ok(plain) => Some(codec::decode_payload_plain(&plain)?),
+    };
+    Ok(slot.get_or_init(|| computed).as_ref())
 }
 
 /// Build the filter plan for a predicate against one epoch window.
@@ -161,7 +180,7 @@ pub fn process_rows_plain(
     key: &EpochKey,
     plan: &FilterPlan,
     aggregate: &Aggregate,
-    rows: &[EncryptedRow],
+    rows: &RowArena,
     decoded: &DecodedBin,
     meter: &SideChannelMeter,
 ) -> Result<(Accumulator, usize)> {
@@ -227,7 +246,7 @@ pub fn process_rows_oblivious(
     key: &EpochKey,
     plan: &FilterPlan,
     aggregate: &Aggregate,
-    rows: &[EncryptedRow],
+    rows: &RowArena,
     decoded: &DecodedBin,
     meter: &SideChannelMeter,
 ) -> Result<(Accumulator, usize)> {
@@ -245,12 +264,12 @@ pub fn process_rows_oblivious(
         let mut dim_match = 0u64;
         for token in &plan.dim_tokens {
             ops.comparisons += 1;
-            dim_match = omove(bytes_eq_flag(token, &row.filters[0]), 1, dim_match);
+            dim_match = omove(bytes_eq_flag(token, row.filter(0)), 1, dim_match);
         }
         let mut obs_match = 0u64;
         for token in &plan.obs_tokens {
             ops.comparisons += 1;
-            obs_match = omove(bytes_eq_flag(token, &row.filters[1]), 1, obs_match);
+            obs_match = omove(bytes_eq_flag(token, row.filter(1)), 1, obs_match);
         }
         let dim_ok = if plan.dim_tokens.is_empty() {
             1
@@ -303,9 +322,9 @@ pub fn process_rows_oblivious(
 /// Whether a row's filter columns satisfy the token sets (plain variant —
 /// early exits are fine here because this path assumes a side-channel-free
 /// enclave).
-fn row_matches_tokens(plan: &FilterPlan, row: &EncryptedRow) -> bool {
-    let dim_ok = plan.dim_tokens.is_empty() || plan.dim_tokens.contains(&row.filters[0]);
-    let obs_ok = plan.obs_tokens.is_empty() || plan.obs_tokens.contains(&row.filters[1]);
+fn row_matches_tokens(plan: &FilterPlan, row: RowRef<'_>) -> bool {
+    let dim_ok = plan.dim_tokens.is_empty() || plan.dim_tokens.contains(row.filter(0));
+    let obs_ok = plan.obs_tokens.is_empty() || plan.obs_tokens.contains(row.filter(1));
     dim_ok && obs_ok
 }
 
@@ -448,12 +467,12 @@ mod tests {
     fn count_matches_without_decryption() {
         let key = key();
         let meter = SideChannelMeter::new();
-        let rows = vec![
+        let rows = RowArena::from(vec![
             real_row(&key, 3, 100, 9),
             real_row(&key, 3, 200, 9),
             real_row(&key, 4, 100, 9),
             fake_row(&key),
-        ];
+        ]);
         let predicate = Predicate::Range {
             dims: Some(vec![3]),
             observation: None,
@@ -478,12 +497,12 @@ mod tests {
     fn sum_decrypts_only_matching_rows() {
         let key = key();
         let meter = SideChannelMeter::new();
-        let rows = vec![
+        let rows = RowArena::from(vec![
             real_row(&key, 3, 100, 10),
             real_row(&key, 3, 200, 20),
             real_row(&key, 5, 100, 99),
             fake_row(&key),
-        ];
+        ]);
         let predicate = Predicate::Range {
             dims: Some(vec![3]),
             observation: None,
@@ -509,11 +528,11 @@ mod tests {
     fn observation_predicate_uses_obs_tokens() {
         let key = key();
         let meter = SideChannelMeter::new();
-        let rows = vec![
+        let rows = RowArena::from(vec![
             real_row(&key, 1, 100, 42),
             real_row(&key, 2, 150, 42),
             real_row(&key, 3, 100, 7),
-        ];
+        ]);
         let predicate = Predicate::Range {
             dims: None,
             observation: Some(42),
@@ -539,11 +558,11 @@ mod tests {
     fn unconstrained_dims_filters_on_decrypted_time() {
         let key = key();
         let meter = SideChannelMeter::new();
-        let rows = vec![
+        let rows = RowArena::from(vec![
             real_row(&key, 1, 100, 1),
             real_row(&key, 2, 2000, 1),
             real_row(&key, 3, 3599, 1),
-        ];
+        ]);
         let predicate = Predicate::Range {
             dims: None,
             observation: None,
@@ -570,12 +589,12 @@ mod tests {
     fn oblivious_matches_plain_results() {
         let key = key();
         let meter = SideChannelMeter::new();
-        let rows = vec![
+        let rows = RowArena::from(vec![
             real_row(&key, 3, 100, 10),
             real_row(&key, 3, 200, 20),
             real_row(&key, 4, 100, 30),
             fake_row(&key),
-        ];
+        ]);
         for aggregate in [
             Aggregate::Count,
             Aggregate::Sum { attr: 0 },
@@ -621,11 +640,11 @@ mod tests {
     fn oblivious_decrypts_every_row_for_value_aggregates() {
         let key = key();
         let meter = SideChannelMeter::new();
-        let rows = vec![
+        let rows = RowArena::from(vec![
             real_row(&key, 3, 100, 10),
             real_row(&key, 9, 100, 20),
             real_row(&key, 9, 200, 30),
-        ];
+        ]);
         let predicate = Predicate::Range {
             dims: Some(vec![3]),
             observation: None,
@@ -649,9 +668,10 @@ mod tests {
     fn oblivious_work_independent_of_predicate_selectivity() {
         let key = key();
         let meter = SideChannelMeter::new();
-        let rows: Vec<EncryptedRow> = (0..20)
+        let rows: RowArena = (0..20)
             .map(|i| real_row(&key, i % 4, 100 + i * 10, i))
-            .collect();
+            .collect::<Vec<_>>()
+            .into();
         let mk_plan = |loc: u64| {
             build_filter_plan(
                 &key,
@@ -694,12 +714,12 @@ mod tests {
     fn decode_cache_reuse_preserves_answers_and_meter_counts() {
         let key = key();
         let meter = SideChannelMeter::new();
-        let rows = vec![
+        let rows = RowArena::from(vec![
             real_row(&key, 3, 100, 10),
             real_row(&key, 3, 200, 20),
             real_row(&key, 4, 100, 30),
             fake_row(&key),
-        ];
+        ]);
         let predicate = Predicate::Range {
             dims: Some(vec![3]),
             observation: None,

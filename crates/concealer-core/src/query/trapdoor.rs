@@ -35,20 +35,60 @@ impl FetchSpec {
     }
 }
 
+/// What a trapdoor encrypts: `Some((cell_id, counter))` for a real tuple,
+/// `None` for a fake.
+pub type TrapdoorLabel = Option<(u32, u32)>;
+
+/// The trapdoors of one fetch, each with the identity it encrypts — what
+/// [`crate::verify::verify_fetch`] assigns the returned rows by, without
+/// decrypting an `Index` column.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LabelledTrapdoors {
+    /// The trapdoors, in issue order.
+    pub trapdoors: Vec<Vec<u8>>,
+    /// `labels[i]` is what `trapdoors[i]` encrypts.
+    pub labels: Vec<TrapdoorLabel>,
+    /// The cell-ids the fetch covers (the spec's, in its order), including
+    /// those that hold no tuple and therefore have no trapdoor.
+    pub cell_ids: Vec<u32>,
+}
+
+impl LabelledTrapdoors {
+    /// No trapdoors yet, with room for all of `spec`'s.
+    fn for_spec(spec: &FetchSpec) -> Self {
+        let total = spec.total_trapdoors() as usize;
+        LabelledTrapdoors {
+            trapdoors: Vec::with_capacity(total),
+            labels: Vec::with_capacity(total),
+            cell_ids: spec.cells.iter().map(|&(cid, _)| cid).collect(),
+        }
+    }
+
+    fn push(&mut self, trapdoor: Vec<u8>, label: TrapdoorLabel) {
+        self.trapdoors.push(trapdoor);
+        self.labels.push(label);
+    }
+}
+
 /// Generate the trapdoors for a fetch spec the straightforward way
 /// (Concealer without side-channel protection).
 #[must_use]
-pub fn generate_plain(key: &EpochKey, spec: &FetchSpec, meter: &SideChannelMeter) -> Vec<Vec<u8>> {
-    let mut out = Vec::with_capacity(spec.total_trapdoors() as usize);
+pub fn generate_plain(
+    key: &EpochKey,
+    spec: &FetchSpec,
+    meter: &SideChannelMeter,
+) -> LabelledTrapdoors {
+    let mut out = LabelledTrapdoors::for_spec(spec);
     for &(cid, count) in &spec.cells {
         for counter in 1..=count {
-            out.push(key.det.encrypt(&codec::index_real_plain(cid, counter)));
+            let trapdoor = key.det.encrypt(&codec::index_real_plain(cid, counter));
+            out.push(trapdoor, Some((cid, counter)));
         }
     }
     for fake in spec.fake_range.0..spec.fake_range.1 {
-        out.push(key.det.encrypt(&codec::index_fake_plain(fake)));
+        out.push(key.det.encrypt(&codec::index_fake_plain(fake)), None);
     }
-    meter.add_trapdoors(out.len() as u64);
+    meter.add_trapdoors(out.trapdoors.len() as u64);
     out
 }
 
@@ -62,7 +102,9 @@ pub fn generate_plain(key: &EpochKey, spec: &FetchSpec, meter: &SideChannelMeter
 ///
 /// The candidate schedule — and therefore the number of encryptions, the
 /// sort network, and every memory touch — depends only on those public
-/// maxima, never on the bin's actual content.
+/// maxima, never on the bin's actual content. Each candidate's label is a
+/// function of its slot and travels through the sort as part of the
+/// element, so labelling adds no data-dependent step.
 #[must_use]
 pub fn generate_oblivious(
     key: &EpochKey,
@@ -71,12 +113,12 @@ pub fn generate_oblivious(
     max_per_cell: u32,
     max_fakes: u64,
     meter: &SideChannelMeter,
-) -> Vec<Vec<u8>> {
-    // Candidate = (validity flag v, trapdoor bytes). Real candidates are
-    // generated for every (cell slot, counter slot) pair; slots beyond the
-    // spec's actual content carry v = 0 and a dummy-but-well-formed
+) -> LabelledTrapdoors {
+    // Candidate = (validity flag v, trapdoor bytes, label). Real candidates
+    // are generated for every (cell slot, counter slot) pair; slots beyond
+    // the spec's actual content carry v = 0 and a dummy-but-well-formed
     // trapdoor.
-    let mut candidates: Vec<(u64, Vec<u8>)> =
+    let mut candidates: Vec<(u64, Vec<u8>, TrapdoorLabel)> =
         Vec::with_capacity(max_cells * max_per_cell as usize + max_fakes as usize);
 
     for cell_slot in 0..max_cells {
@@ -86,7 +128,7 @@ pub fn generate_oblivious(
             // Dummy slots still encrypt a syntactically valid plaintext so
             // the work per slot is identical.
             let trapdoor = key.det.encrypt(&codec::index_real_plain(cid, counter));
-            candidates.push((valid, trapdoor));
+            candidates.push((valid, trapdoor, Some((cid, counter))));
         }
     }
 
@@ -95,18 +137,21 @@ pub fn generate_oblivious(
         let valid = u64::from(j < fake_count);
         let fake_id = spec.fake_range.0 + (j % fake_count.max(1));
         let trapdoor = key.det.encrypt(&codec::index_fake_plain(fake_id));
-        candidates.push((valid, trapdoor));
+        candidates.push((valid, trapdoor, None));
     }
 
     meter.add_trapdoors(candidates.len() as u64);
     meter.add_element_touches(candidates.len() as u64);
 
     // Data-independent sort: valid candidates (v = 1) first.
-    bitonic_sort_by_key(&mut candidates, meter, |(v, _)| 1 - *v);
+    bitonic_sort_by_key(&mut candidates, meter, |(v, _, _)| 1 - *v);
 
-    let valid_total = spec.total_trapdoors() as usize;
-    candidates.truncate(valid_total);
-    candidates.into_iter().map(|(_, t)| t).collect()
+    candidates.truncate(spec.total_trapdoors() as usize);
+    let mut out = LabelledTrapdoors::for_spec(spec);
+    for (_, trapdoor, label) in candidates {
+        out.push(trapdoor, label);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -131,7 +176,7 @@ mod tests {
             cells: vec![(1, 3), (5, 2)],
             fake_range: (10, 14),
         };
-        let trapdoors = generate_plain(&key, &spec, &meter);
+        let trapdoors = generate_plain(&key, &spec, &meter).trapdoors;
         assert_eq!(trapdoors.len(), 3 + 2 + 4);
         assert_eq!(spec.total_trapdoors(), 9);
         // All distinct.
@@ -150,7 +195,51 @@ mod tests {
         };
         let plain = generate_plain(&key, &spec, &meter);
         let obliv = generate_oblivious(&key, &spec, 4, 6, 8, &meter);
-        assert_eq!(sorted(plain), sorted(obliv));
+        assert_eq!(sorted(plain.trapdoors), sorted(obliv.trapdoors));
+    }
+
+    /// Every label names what its trapdoor encrypts, and the oblivious
+    /// schedule labels the same trapdoors the same way as the plain one.
+    #[test]
+    fn labels_name_the_plaintext_and_agree_across_generators() {
+        let key = key();
+        let meter = SideChannelMeter::new();
+        let spec = FetchSpec {
+            cells: vec![(2, 4), (9, 0), (7, 1)],
+            fake_range: (3, 6),
+        };
+        let plain = generate_plain(&key, &spec, &meter);
+        let obliv = generate_oblivious(&key, &spec, 4, 6, 8, &meter);
+        for issued in [&plain, &obliv] {
+            assert_eq!(issued.cell_ids, vec![2, 9, 7]);
+            assert_eq!(issued.labels.len(), issued.trapdoors.len());
+            let mut fakes = Vec::new();
+            for (trapdoor, label) in issued.trapdoors.iter().zip(&issued.labels) {
+                match *label {
+                    Some((cid, counter)) => assert_eq!(
+                        *trapdoor,
+                        key.det.encrypt(&codec::index_real_plain(cid, counter))
+                    ),
+                    None => fakes.push(trapdoor.clone()),
+                }
+            }
+            let want = (3..6).map(|j| key.det.encrypt(&codec::index_fake_plain(j)));
+            assert_eq!(sorted(fakes), sorted(want.collect()));
+        }
+        let pairs = |issued: &LabelledTrapdoors| {
+            let mut pairs: Vec<_> = issued.trapdoors.iter().zip(&issued.labels).collect();
+            pairs.sort();
+            pairs
+                .into_iter()
+                .map(|(t, l)| (t.clone(), *l))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(pairs(&plain), pairs(&obliv));
+        assert_eq!(
+            plain.labels[..5],
+            [(2, 1), (2, 2), (2, 3), (2, 4), (7, 1)].map(Some),
+            "plain issues cells in spec order, counters ascending"
+        );
     }
 
     #[test]
@@ -180,8 +269,10 @@ mod tests {
             cells: vec![],
             fake_range: (0, 0),
         };
-        assert!(generate_plain(&key, &spec, &meter).is_empty());
-        assert!(generate_oblivious(&key, &spec, 2, 3, 2, &meter).is_empty());
+        assert!(generate_plain(&key, &spec, &meter).trapdoors.is_empty());
+        assert!(generate_oblivious(&key, &spec, 2, 3, 2, &meter)
+            .trapdoors
+            .is_empty());
     }
 
     #[test]
@@ -195,7 +286,7 @@ mod tests {
             cells: vec![(9, 2)],
             fake_range: (0, 0),
         };
-        let trapdoors = generate_plain(&key, &spec, &meter);
+        let trapdoors = generate_plain(&key, &spec, &meter).trapdoors;
         assert!(trapdoors.contains(&stored));
     }
 }

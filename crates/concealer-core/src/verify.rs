@@ -19,29 +19,60 @@
 //! implementation chains the concatenation of all columns, which detects
 //! the same tamper classes with a third of the tag volume. The consolidation
 //! is noted in ARCHITECTURE.md.
+//!
+//! Which cell and counter a fetched row belongs to is settled without
+//! decrypting anything ([`verify_fetch`]): the enclave issued the
+//! trapdoor `E_k(cid || counter)` a moment earlier, and a row whose
+//! `Index` column equals that ciphertext byte for byte *is* the row of
+//! `(cid, counter)`. Every returned row must be claimed by one issued
+//! trapdoor, so nothing the provider adds to a fetch reaches the filter
+//! stage unaccounted for.
 
 use concealer_crypto::sha256::{Digest, Sha256};
 use concealer_crypto::EpochKey;
-use concealer_storage::EncryptedRow;
+use concealer_storage::{EncryptedRow, RowArena, RowRef};
 use rand::RngCore;
 
+use crate::query::trapdoor::LabelledTrapdoors;
 use crate::{CoreError, Result};
 
 /// Domain-separation prefix for chain hashing.
-const CHAIN_DOMAIN: &[u8] = b"concealer/hash-chain/v1";
+const CHAIN_DOMAIN: &[u8] = b"concealer/hash-chain/v2";
 
-fn hash_row_into_chain(key: &EpochKey, row: &EncryptedRow, prev: Option<&Digest>) -> Digest {
-    let mut h = Sha256::new();
-    h.update(CHAIN_DOMAIN);
-    h.update(&key.hash_chain_key);
-    h.update(&(row.index_key.len() as u32).to_be_bytes());
-    h.update(&row.index_key);
-    for f in &row.filters {
-        h.update(&(f.len() as u32).to_be_bytes());
-        h.update(f);
+/// The hasher every chain link starts from: `domain ‖ hash_chain_key`
+/// zero-padded to exactly one SHA-256 block, absorbed once per builder or
+/// verification call and cloned per row.
+fn chain_prefix(key: &EpochKey) -> Sha256 {
+    let mut block = [0u8; 64];
+    let (domain, rest) = block.split_at_mut(CHAIN_DOMAIN.len());
+    domain.copy_from_slice(CHAIN_DOMAIN);
+    rest[..key.hash_chain_key.len()].copy_from_slice(&key.hash_chain_key);
+    let mut prefix = Sha256::new();
+    prefix.update(&block);
+    prefix
+}
+
+/// One chain link over a row's columns, owned or viewed: each column
+/// behind its length, then the previous digest. Lengths are LEB128 — one
+/// byte for a column under 128 bytes — which is what lets a WiFi row (138
+/// bytes in four columns, plus the 32-byte digest) end inside its third
+/// block with the padding; four-byte lengths would spill it by three bytes
+/// into a fourth compression.
+fn hash_row_into_chain<'r>(
+    prefix: &Sha256,
+    columns: impl Iterator<Item = &'r [u8]>,
+    prev: Option<&Digest>,
+) -> Digest {
+    let mut h = prefix.clone();
+    for column in columns {
+        let mut len = column.len();
+        while len >= 0x80 {
+            h.update(&[(len & 0x7f) as u8 | 0x80]);
+            len >>= 7;
+        }
+        h.update(&[len as u8]);
+        h.update(column);
     }
-    h.update(&(row.payload.len() as u32).to_be_bytes());
-    h.update(&row.payload);
     if let Some(prev) = prev {
         h.update(prev);
     }
@@ -49,10 +80,18 @@ fn hash_row_into_chain(key: &EpochKey, row: &EncryptedRow, prev: Option<&Digest>
 }
 
 /// Builds per-cell-id hash chains at the data provider.
-#[derive(Debug)]
 pub struct HashChainBuilder<'k> {
     key: &'k EpochKey,
+    prefix: Sha256,
     digests: Vec<Option<Digest>>,
+}
+
+impl std::fmt::Debug for HashChainBuilder<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HashChainBuilder")
+            .field("cell_ids", &self.digests.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl<'k> HashChainBuilder<'k> {
@@ -61,6 +100,7 @@ impl<'k> HashChainBuilder<'k> {
     pub fn new(key: &'k EpochKey, num_cell_ids: usize) -> Self {
         HashChainBuilder {
             key,
+            prefix: chain_prefix(key),
             digests: vec![None; num_cell_ids],
         }
     }
@@ -68,9 +108,17 @@ impl<'k> HashChainBuilder<'k> {
     /// Absorb the next tuple of `cell_id` (tuples must be absorbed in
     /// counter order, which is the order Algorithm 1 encrypts them in).
     pub fn absorb(&mut self, cell_id: u32, row: &EncryptedRow) {
+        self.absorb_columns(cell_id, row.columns());
+    }
+
+    /// [`Self::absorb`] for a row viewed in an arena.
+    pub fn absorb_view(&mut self, cell_id: u32, row: RowRef<'_>) {
+        self.absorb_columns(cell_id, row.columns());
+    }
+
+    fn absorb_columns<'r>(&mut self, cell_id: u32, columns: impl Iterator<Item = &'r [u8]>) {
         let slot = &mut self.digests[cell_id as usize];
-        let next = hash_row_into_chain(self.key, row, slot.as_ref());
-        *slot = Some(next);
+        *slot = Some(hash_row_into_chain(&self.prefix, columns, slot.as_ref()));
     }
 
     /// Encrypt the final digest of every cell-id's chain, producing the
@@ -90,6 +138,30 @@ impl<'k> HashChainBuilder<'k> {
     }
 }
 
+/// Rebuild one cell-id's chain over `rows` (each a row's columns, in
+/// counter order) and compare it with the decrypted tag.
+fn check_chain<'r, C: Iterator<Item = &'r [u8]>>(
+    key: &EpochKey,
+    prefix: &Sha256,
+    cell_id: u32,
+    rows: impl Iterator<Item = C>,
+    enc_tag: &[u8],
+) -> Result<()> {
+    let digest = rows
+        .fold(None, |prev: Option<Digest>, columns| {
+            Some(hash_row_into_chain(prefix, columns, prev.as_ref()))
+        })
+        .unwrap_or([0u8; 32]);
+    let expected = key
+        .rand
+        .decrypt(enc_tag)
+        .map_err(|_| CoreError::IntegrityViolation { cell_id })?;
+    if !concealer_crypto::ct_eq(&expected, &digest) {
+        return Err(CoreError::IntegrityViolation { cell_id });
+    }
+    Ok(())
+}
+
 /// Verify the fetched tuples of one cell-id against its verifiable tag
 /// (enclave side).
 ///
@@ -102,17 +174,60 @@ pub fn verify_cell_chain(
     rows: &[&EncryptedRow],
     enc_tag: &[u8],
 ) -> Result<()> {
-    let mut digest: Option<Digest> = None;
-    for row in rows {
-        digest = Some(hash_row_into_chain(key, row, digest.as_ref()));
+    let rows = rows.iter().map(|row| row.columns());
+    check_chain(key, &chain_prefix(key), cell_id, rows, enc_tag)
+}
+
+/// Verify everything one fetch returned (enclave side): `rows` is the
+/// store's answer to the trapdoors `issued`, and `tags` the epoch's
+/// verifiable tags by cell-id.
+///
+/// A legitimate store returns rows in trapdoor order with misses skipped,
+/// so one forward walk assigns each row to the issued trapdoor its `Index`
+/// column equals. Equality with a ciphertext the enclave itself just
+/// produced identifies the row's `(cell_id, counter)` at least as firmly
+/// as decrypting the column would: the SIV check accepts *any* valid
+/// `E_k(·)`, equality accepts one. A row no remaining trapdoor claims —
+/// foreign, duplicated, out of order, or answering no trapdoor at all —
+/// fails the fetch with [`CoreError::IntegrityViolation`] (reported against
+/// the fetch's first cell-id, `u32::MAX` for an all-fake fetch), because the
+/// filter stage aggregates every returned row. Each cell-id the fetch
+/// covers then has its claimed rows chained in counter order and compared
+/// with its tag; a missing tuple shows there. Fake tuples are claimed but
+/// belong to no chain.
+pub fn verify_fetch(
+    key: &EpochKey,
+    issued: &LabelledTrapdoors,
+    rows: &RowArena,
+    tags: &[Vec<u8>],
+) -> Result<()> {
+    // (cell_id, counter, position in `rows`) of every claimed real tuple.
+    let mut claimed: Vec<(u32, u32, usize)> = Vec::with_capacity(rows.len());
+    let mut unclaimed = issued.trapdoors.iter().zip(&issued.labels);
+    for (pos, row) in rows.iter().enumerate() {
+        let index_key = row.index_key();
+        let Some((_, label)) = unclaimed.find(|(trapdoor, _)| trapdoor.as_slice() == index_key)
+        else {
+            let cell_id = issued.cell_ids.first().copied().unwrap_or(u32::MAX);
+            return Err(CoreError::IntegrityViolation { cell_id });
+        };
+        if let Some((cell_id, counter)) = *label {
+            claimed.push((cell_id, counter, pos));
+        }
     }
-    let digest = digest.unwrap_or([0u8; 32]);
-    let expected = key
-        .rand
-        .decrypt(enc_tag)
-        .map_err(|_| CoreError::IntegrityViolation { cell_id })?;
-    if !concealer_crypto::ct_eq(&expected, &digest) {
-        return Err(CoreError::IntegrityViolation { cell_id });
+    claimed.sort_unstable();
+
+    let prefix = chain_prefix(key);
+    for &cell_id in &issued.cell_ids {
+        let start = claimed.partition_point(|&(cid, _, _)| cid < cell_id);
+        let len = claimed[start..].partition_point(|&(cid, _, _)| cid == cell_id);
+        let cell_rows = claimed[start..start + len]
+            .iter()
+            .map(|&(_, _, pos)| rows.get(pos).expect("claimed position").columns());
+        let tag = tags
+            .get(cell_id as usize)
+            .ok_or(CoreError::IntegrityViolation { cell_id })?;
+        check_chain(key, &prefix, cell_id, cell_rows, tag)?;
     }
     Ok(())
 }
@@ -120,6 +235,8 @@ pub fn verify_cell_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
+    use crate::query::trapdoor::{generate_oblivious, generate_plain, FetchSpec, TrapdoorLabel};
     use concealer_crypto::{EpochId, MasterKey};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -208,14 +325,245 @@ mod tests {
         assert!(verify_cell_chain(&key, 0, &refs, &[0u8; 64]).is_err());
     }
 
+    /// One stored epoch as `verify_fetch` sees it: the rows of six
+    /// cell-ids (cell 1 holds none) and six fakes by `Index` value, and the
+    /// tags the data provider chained over them.
+    struct SealedEpoch {
+        key: EpochKey,
+        rows: std::collections::HashMap<Vec<u8>, EncryptedRow>,
+        tags: Vec<Vec<u8>>,
+    }
+
+    const CELL_COUNTS: [u32; 6] = [3, 0, 4, 2, 1, 3];
+
+    impl SealedEpoch {
+        fn new() -> Self {
+            let key = key();
+            let mut chain = HashChainBuilder::new(&key, CELL_COUNTS.len());
+            let mut rows = std::collections::HashMap::new();
+            let mut next = 0u8;
+            let mut store = |index_plain: Vec<u8>, cell: Option<u32>| {
+                next += 1;
+                let row = EncryptedRow {
+                    index_key: key.det.encrypt(&index_plain),
+                    ..row(next)
+                };
+                if let Some(cell) = cell {
+                    chain.absorb(cell, &row);
+                }
+                rows.insert(row.index_key.clone(), row);
+            };
+            for (cid, &count) in CELL_COUNTS.iter().enumerate() {
+                for counter in 1..=count {
+                    store(
+                        codec::index_real_plain(cid as u32, counter),
+                        Some(cid as u32),
+                    );
+                }
+            }
+            for fake in 0..6 {
+                store(codec::index_fake_plain(fake), None);
+            }
+            let tags = chain.finalize(&mut StdRng::seed_from_u64(4));
+            SealedEpoch { key, rows, tags }
+        }
+
+        /// What an honest store returns: hits in trapdoor order.
+        fn answer(&self, issued: &LabelledTrapdoors) -> Vec<EncryptedRow> {
+            let hit = |t| self.rows.get(t).cloned();
+            issued.trapdoors.iter().filter_map(hit).collect()
+        }
+
+        fn row_of(&self, cid: u32, counter: u32) -> EncryptedRow {
+            self.rows[&self.key.det.encrypt(&codec::index_real_plain(cid, counter))].clone()
+        }
+
+        fn verify(&self, issued: &LabelledTrapdoors, returned: Vec<EncryptedRow>) -> Result<()> {
+            verify_fetch(&self.key, issued, &returned.into(), &self.tags)
+        }
+    }
+
+    /// {plain, oblivious} × {whole-bin, cell-group}: an honest answer
+    /// verifies, and every way of tampering with the returned rows is an
+    /// integrity violation.
+    #[test]
+    fn verify_fetch_accepts_the_honest_answer_and_nothing_else() {
+        let epoch = SealedEpoch::new();
+        let meter = concealer_enclave::SideChannelMeter::new();
+        // A whole bin lists all its cell-ids, the empty one included, and
+        // owns a slice of the fakes; a cell-group is some cell-ids padded
+        // with fakes from zero.
+        let whole_bin = FetchSpec {
+            cells: vec![(0, 3), (1, 0), (2, 4)],
+            fake_range: (2, 5),
+        };
+        let cell_group = FetchSpec {
+            cells: vec![(5, 3), (3, 2)],
+            fake_range: (0, 2),
+        };
+        for (shape, spec) in [("whole bin", &whole_bin), ("cell group", &cell_group)] {
+            for oblivious in [false, true] {
+                let issued = if oblivious {
+                    generate_oblivious(&epoch.key, spec, 3, 4, 4, &meter)
+                } else {
+                    generate_plain(&epoch.key, spec, &meter)
+                };
+                let honest = epoch.answer(&issued);
+                assert_eq!(honest.len(), issued.trapdoors.len(), "every trapdoor hits");
+                // Every trapdoor hit, so row `i` answers trapdoor `i`.
+                let of_cell = |cid: u32| -> Vec<usize> {
+                    let at = |l: &TrapdoorLabel| matches!(l, Some((c, _)) if *c == cid);
+                    (0..issued.labels.len())
+                        .filter(|&i| at(&issued.labels[i]))
+                        .collect()
+                };
+                let (a, b) = (spec.cells[0].0, spec.cells.last().unwrap().0);
+                let (a1, a2) = (of_cell(a)[0], of_cell(a)[1]);
+                let b1 = of_cell(b)[0];
+                let fake = issued.labels.iter().position(Option::is_none).unwrap();
+
+                type Tamper<'a> = Box<dyn Fn(&mut Vec<EncryptedRow>) + 'a>;
+                let cases: Vec<(&str, Tamper)> = vec![
+                    ("one row modified", Box::new(|r| r[a1].payload[0] ^= 1)),
+                    (
+                        "a filter modified",
+                        Box::new(|r| r[b1].filters[1][3] ^= 0x80),
+                    ),
+                    ("one row dropped", Box::new(|r| drop(r.remove(a2)))),
+                    (
+                        "one row duplicated",
+                        Box::new(|r| r.insert(a1, r[a1].clone())),
+                    ),
+                    ("two rows swapped", Box::new(|r| r.swap(a1, a2))),
+                    (
+                        "two rows exchanged between cells",
+                        Box::new(|r| r.swap(a1, b1)),
+                    ),
+                    (
+                        "a fake returned in a real slot",
+                        Box::new(|r| {
+                            r[a2] = r[fake].clone();
+                            r.remove(fake);
+                        }),
+                    ),
+                    (
+                        "an authentic foreign-cell row appended after the fakes",
+                        Box::new(|r| r.push(epoch.row_of(4, 1))),
+                    ),
+                    (
+                        "an authentic row of a fetched cell, counter past its count",
+                        Box::new(|r| {
+                            let mut extra = epoch.row_of(4, 1);
+                            extra.index_key = epoch
+                                .key
+                                .det
+                                .encrypt(&codec::index_real_plain(a, CELL_COUNTS[a as usize] + 1));
+                            r.push(extra);
+                        }),
+                    ),
+                    (
+                        "a row that matches no trapdoor",
+                        Box::new(|r| r.insert(1, row(0xEE))),
+                    ),
+                ];
+                assert_eq!(epoch.verify(&issued, honest.clone()), Ok(()), "{shape}");
+                for (what, tamper) in cases {
+                    let mut returned = honest.clone();
+                    tamper(&mut returned);
+                    assert!(
+                        matches!(
+                            epoch.verify(&issued, returned),
+                            Err(CoreError::IntegrityViolation { .. })
+                        ),
+                        "{shape}, oblivious {oblivious}: {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The store skips misses; a missed fake is not a violation (no chain
+    /// covers fakes), a tag that is not the cell's is.
+    #[test]
+    fn verify_fetch_tolerates_missing_fakes_but_not_foreign_tags() {
+        let epoch = SealedEpoch::new();
+        let meter = concealer_enclave::SideChannelMeter::new();
+        let spec = FetchSpec {
+            cells: vec![(3, 2), (1, 0)],
+            fake_range: (4, 9),
+        };
+        let issued = generate_plain(&epoch.key, &spec, &meter);
+        let returned = epoch.answer(&issued);
+        assert_eq!(returned.len(), 2 + 2, "fakes 6..9 were never shipped");
+        assert_eq!(epoch.verify(&issued, returned.clone()), Ok(()));
+
+        let mut swapped = SealedEpoch::new();
+        swapped.tags.swap(1, 2);
+        assert_eq!(
+            swapped.verify(&issued, returned.clone()),
+            Err(CoreError::IntegrityViolation { cell_id: 1 }),
+            "an empty cell-id answers to its own empty-chain tag"
+        );
+        swapped.tags.truncate(3);
+        assert_eq!(
+            swapped.verify(&issued, returned),
+            Err(CoreError::IntegrityViolation { cell_id: 3 }),
+            "a cell-id without a tag cannot verify"
+        );
+    }
+
+    /// Chain v2, spelled out: provider and enclave share the function, so
+    /// only a test against the layout itself notices it moving.
+    #[test]
+    fn chain_link_layout_is_pinned() {
+        let key = key();
+        let long = EncryptedRow {
+            index_key: vec![1; 25],
+            filters: vec![vec![2; 300], vec![]],
+            payload: vec![3; 128],
+        };
+        let prev = [0xAB; 32];
+        let mut message = b"concealer/hash-chain/v2".to_vec();
+        message.extend_from_slice(&key.hash_chain_key);
+        message.extend_from_slice(&[0; 9]);
+        assert_eq!(message.len(), 64, "the prefix is one SHA-256 block");
+        for (len, column) in [
+            (&[25][..], &long.index_key),
+            (&[0xAC, 0x02], &long.filters[0]),
+            (&[0], &long.filters[1]),
+            (&[0x80, 0x01], &long.payload),
+        ] {
+            message.extend_from_slice(len);
+            message.extend_from_slice(column);
+        }
+        let first = concealer_crypto::sha256::sha256(&message);
+        assert_eq!(
+            hash_row_into_chain(&chain_prefix(&key), long.columns(), None),
+            first
+        );
+        message.extend_from_slice(&prev);
+        assert_eq!(
+            hash_row_into_chain(&chain_prefix(&key), long.columns(), Some(&prev)),
+            concealer_crypto::sha256::sha256(&message)
+        );
+        // Owned rows and views hash through the one routine.
+        let arena = RowArena::from(vec![long.clone()]);
+        let mut owned = HashChainBuilder::new(&key, 1);
+        let mut viewed = HashChainBuilder::new(&key, 1);
+        owned.absorb(0, &long);
+        viewed.absorb_view(0, arena.get(0).unwrap());
+        assert_eq!(owned.digests, viewed.digests);
+        assert_eq!(owned.digests[0], Some(first));
+    }
+
     #[test]
     fn chains_are_key_dependent() {
         let k1 = key();
         let k2 = MasterKey::from_bytes([8u8; 32]).epoch_key(EpochId(5), 0);
         let r = row(1);
         assert_ne!(
-            hash_row_into_chain(&k1, &r, None),
-            hash_row_into_chain(&k2, &r, None)
+            hash_row_into_chain(&chain_prefix(&k1), r.columns(), None),
+            hash_row_into_chain(&chain_prefix(&k2), r.columns(), None)
         );
     }
 }

@@ -58,45 +58,43 @@ impl Sha256 {
         let mut input = data;
 
         if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(input.len());
+            let take = (64 - self.buffer_len).min(input.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
-        }
-
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
+            let block = self.buffer;
             self.compress(&block);
-            input = &input[64..];
+            self.buffer_len = 0;
         }
 
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
+        // Whole blocks are compressed where they lie in the input.
+        let mut blocks = input.chunks_exact(64);
+        for block in &mut blocks {
+            self.compress(block.try_into().expect("64-byte chunk"));
         }
+        let tail = blocks.remainder();
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
     /// Finish and return the digest.
     #[must_use]
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
+        // Padding: 0x80, zeros up to the last 8 bytes of a block, then the
+        // 64-bit big-endian message length — written in place, one extra
+        // block when fewer than 9 bytes of this one are free.
+        let mut block = self.buffer;
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        // Append length manually (do not go through update, which would
-        // change total_len again — but length bytes don't count anyway since
-        // we captured bit_len already; easier to just write into buffer).
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
         let mut out = [0u8; DIGEST_SIZE];
@@ -225,6 +223,38 @@ mod tests {
             hex(&h.finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    /// Lengths on either side of each padding boundary: the last length
+    /// whose padding fits its block (55, 119), the first that spills into
+    /// an extra block (56), and a full block with and without a byte to
+    /// spare (63, 64). Digests from an independent implementation.
+    #[test]
+    fn padding_edges() {
+        for (len, want) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+        ] {
+            assert_eq!(hex(&sha256(&vec![b'a'; len])), want, "{len} bytes");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! is what a bulk-loaded B+-tree's leaf level is, flattened: one sorted
 //! array of 8-byte big-endian key prefixes beside one array of row
 //! positions. A lookup binary-searches the contiguous prefix array and
-//! touches a row's `index_key` only to confirm the hit; no key bytes are
-//! copied into the index, so every key is stored once (in its row).
+//! touches a row's `Index` column only to confirm the hit; no key bytes
+//! are copied into the index, so every key is stored once (in its row).
 //!
 //! Prefix order agrees with byte-string order wherever two prefixes
 //! differ, and keys shorter than 8 bytes are zero-padded, so `[1]` and
@@ -24,7 +24,7 @@
 //! ciphertexts whose first 16 bytes are a CMAC, so a run longer than one
 //! entry takes a 64-bit MAC collision.
 
-use crate::table::EncryptedRow;
+use crate::table::{RowArena, RowRef};
 use crate::{Result, StorageError};
 
 /// The first 8 bytes of `key` as a big-endian integer, zero-padded.
@@ -35,9 +35,14 @@ fn prefix(key: &[u8]) -> u64 {
     u64::from_be_bytes(buf)
 }
 
-/// Exact-match index from `index_key` to row position over one segment's
+/// The row at `pos` of the arena the index was built over.
+fn row_at(rows: &RowArena, pos: usize) -> RowRef<'_> {
+    rows.get(pos).expect("indexed position")
+}
+
+/// Exact-match index from `Index` value to row position over one segment's
 /// rows. It borrows the keys from the rows it was built over: every
-/// method takes that same row slice.
+/// method takes that same arena.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KeyIndex {
     /// Key prefixes, ascending (ties in full-key order).
@@ -47,17 +52,17 @@ pub(crate) struct KeyIndex {
 }
 
 impl KeyIndex {
-    /// Index `rows` by their `index_key`. Keys must be unique.
-    pub(crate) fn build(rows: &[EncryptedRow]) -> Result<Self> {
+    /// Index `rows` by their `Index` column. Keys must be unique.
+    pub(crate) fn build(rows: &RowArena) -> Result<Self> {
         assert!(
             u32::try_from(rows.len()).is_ok(),
             "a segment holds at most u32::MAX rows"
         );
-        let key_of = |pos: u32| rows[pos as usize].index_key.as_slice();
+        let key_of = |pos: u32| row_at(rows, pos as usize).index_key();
         let mut entries: Vec<(u64, u32)> = rows
             .iter()
             .enumerate()
-            .map(|(pos, row)| (prefix(&row.index_key), pos as u32))
+            .map(|(pos, row)| (prefix(row.index_key()), pos as u32))
             .collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key_of(a.1).cmp(key_of(b.1))));
         if entries
@@ -73,60 +78,69 @@ impl KeyIndex {
         })
     }
 
-    /// Position in `rows` of the row whose `index_key` equals `key`.
-    pub(crate) fn get(&self, key: &[u8], rows: &[EncryptedRow]) -> Option<usize> {
+    /// The row of `rows` whose `Index` column equals `key`, and its
+    /// position.
+    pub(crate) fn get<'r>(&self, key: &[u8], rows: &'r RowArena) -> Option<(usize, RowRef<'r>)> {
         let wanted = prefix(key);
         let start = self.prefixes.partition_point(|&p| p < wanted);
         self.prefixes[start..]
             .iter()
             .zip(&self.positions[start..])
             .take_while(|(&p, _)| p == wanted)
-            .map(|(_, &pos)| pos as usize)
-            .find(|&pos| rows[pos].index_key == key)
+            .map(|(_, &pos)| (pos as usize, row_at(rows, pos as usize)))
+            .find(|(_, row)| row.index_key() == key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::EncryptedRow;
     use proptest::prelude::*;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use std::collections::{BTreeMap, BTreeSet};
 
-    fn rows_of<K: AsRef<[u8]>>(keys: impl IntoIterator<Item = K>) -> Vec<EncryptedRow> {
+    fn rows_of<K: AsRef<[u8]>>(keys: impl IntoIterator<Item = K>) -> RowArena {
         keys.into_iter()
             .map(|k| EncryptedRow {
                 index_key: k.as_ref().to_vec(),
                 filters: Vec::new(),
                 payload: Vec::new(),
             })
-            .collect()
+            .collect::<Vec<_>>()
+            .into()
     }
 
     /// The round-trip law: after `build(rows)`, looking up `rows[i]`'s key
     /// yields `i`, for every `i`.
-    fn assert_round_trip(rows: &[EncryptedRow]) -> KeyIndex {
+    /// `KeyIndex::get`, position only.
+    fn get(index: &KeyIndex, key: &[u8], rows: &RowArena) -> Option<usize> {
+        index.get(key, rows).map(|(pos, _)| pos)
+    }
+
+    fn assert_round_trip(rows: &RowArena) -> KeyIndex {
         let index = KeyIndex::build(rows).unwrap();
         for (i, row) in rows.iter().enumerate() {
-            assert_eq!(index.get(&row.index_key, rows), Some(i));
+            assert_eq!(index.get(row.index_key(), rows), Some((i, row)));
         }
         index
     }
 
     #[test]
     fn empty_tree() {
-        let index = KeyIndex::build(&[]).unwrap();
-        assert_eq!(index.get(b"anything", &[]), None);
-        assert_eq!(index.get(b"", &[]), None);
+        let none = RowArena::new();
+        let index = KeyIndex::build(&none).unwrap();
+        assert_eq!(get(&index, b"anything", &none), None);
+        assert_eq!(get(&index, b"", &none), None);
     }
 
     #[test]
     fn insert_and_get_small() {
         let rows = rows_of([b"b", b"a", b"c"]);
         let index = assert_round_trip(&rows);
-        assert_eq!(index.get(b"d", &rows), None);
-        assert_eq!(index.get(b"", &rows), None);
+        assert_eq!(get(&index, b"d", &rows), None);
+        assert_eq!(get(&index, b"", &rows), None);
     }
 
     #[test]
@@ -150,7 +164,7 @@ mod tests {
         keys.shuffle(&mut rng);
         let rows = rows_of(keys.iter().map(|k| k.to_be_bytes()));
         let index = assert_round_trip(&rows);
-        assert_eq!(index.get(&5000u64.to_be_bytes(), &rows), None);
+        assert_eq!(get(&index, &5000u64.to_be_bytes(), &rows), None);
     }
 
     #[test]
@@ -169,12 +183,12 @@ mod tests {
             vec![1, 0, 0, 0, 0, 0, 0, 0, 0],
         ]);
         let index = assert_round_trip(&rows);
-        assert_eq!(index.get(&[1, 0, 0], &rows), None);
-        assert_eq!(index.get(&[0xff; 99], &rows), None);
+        assert_eq!(get(&index, &[1, 0, 0], &rows), None);
+        assert_eq!(get(&index, &[0xff; 99], &rows), None);
     }
 
     /// A shipment holding exactly `keys`, in an order drawn from `seed`.
-    fn shipment(keys: BTreeSet<Vec<u8>>, seed: u64) -> Vec<EncryptedRow> {
+    fn shipment(keys: BTreeSet<Vec<u8>>, seed: u64) -> RowArena {
         let mut keys: Vec<Vec<u8>> = keys.into_iter().collect();
         keys.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
         rows_of(keys)
@@ -182,16 +196,16 @@ mod tests {
 
     /// Index ≡ `BTreeMap<key, position>`, on the shipment's own keys (the
     /// round-trip law) and on `probes`.
-    fn matches_btreemap(rows: &[EncryptedRow], probes: &[Vec<u8>]) -> bool {
+    fn matches_btreemap(rows: &RowArena, probes: &[Vec<u8>]) -> bool {
         let reference: BTreeMap<&[u8], usize> = rows
             .iter()
             .enumerate()
-            .map(|(i, r)| (r.index_key.as_slice(), i))
+            .map(|(i, r)| (r.index_key(), i))
             .collect();
         let index = assert_round_trip(rows);
         probes
             .iter()
-            .all(|k| index.get(k, rows) == reference.get(k.as_slice()).copied())
+            .all(|k| get(&index, k, rows) == reference.get(k.as_slice()).copied())
     }
 
     /// Keys below 8 bytes over three byte values: zero-padding ties such as
@@ -243,10 +257,10 @@ mod tests {
             from in any::<usize>(),
             to in any::<usize>(),
         ) {
-            let mut rows = shipment(keys, seed);
+            let mut rows = shipment(keys, seed).to_rows();
             let twin = rows[from % rows.len()].clone();
             rows.insert(to % (rows.len() + 1), twin);
-            prop_assert_eq!(KeyIndex::build(&rows).err(), Some(StorageError::DuplicateKey));
+            prop_assert_eq!(KeyIndex::build(&rows.into()).err(), Some(StorageError::DuplicateKey));
         }
 
         #[test]
@@ -258,7 +272,7 @@ mod tests {
             let rows = rows_of(keys.iter().map(|k| k.to_be_bytes()));
             let index = KeyIndex::build(&rows).unwrap();
             let expect = keys.iter().position(|k| *k == probe);
-            prop_assert_eq!(index.get(&probe.to_be_bytes(), &rows), expect);
+            prop_assert_eq!(get(&index, &probe.to_be_bytes(), &rows), expect);
         }
     }
 }

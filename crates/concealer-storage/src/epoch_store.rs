@@ -17,7 +17,7 @@
 
 use crate::backend::{MemoryBackend, StorageBackend};
 use crate::observer::{AccessEvent, AccessObserver};
-use crate::table::{EncryptedRow, EncryptedTable};
+use crate::table::{EncryptedRow, EncryptedTable, RowArena, RowRef};
 use crate::{Result, StorageError};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -168,15 +168,17 @@ impl EpochStore {
         self.backend.store_generation()
     }
 
-    /// Ingest a new epoch shipment. Replaces any previous segment for the
+    /// Ingest a new epoch shipment — the data provider's [`RowArena`], or
+    /// owned rows in shipment order. Replaces any previous segment for the
     /// same epoch id (the paper never re-ships an epoch, but tests do).
     pub fn ingest_epoch(
         &self,
         epoch_id: u64,
-        rows: Vec<EncryptedRow>,
+        rows: impl Into<RowArena>,
         metadata: EpochMetadata,
     ) -> Result<()> {
-        let bytes: usize = rows.iter().map(EncryptedRow::byte_size).sum();
+        let rows = rows.into();
+        let bytes = rows.byte_size();
         let row_count = rows.len();
         let table = EncryptedTable::bulk_load(rows)?;
         self.backend.put_epoch(
@@ -240,7 +242,8 @@ impl EpochStore {
         let mut out = None;
         let mut events = Vec::with_capacity(2);
         self.backend.with_epoch(epoch_id, &mut |epoch| {
-            out = lookup_observed(&epoch.table, epoch_id, trapdoor, &mut events).cloned();
+            out = lookup_observed(&epoch.table, epoch_id, trapdoor, &mut events)
+                .map(|row| row.to_row());
         })?;
         self.observer.record_batch(events);
         Ok(out)
@@ -248,33 +251,35 @@ impl EpochStore {
 
     /// Execute a batch of trapdoors (one bin fetch). Rows are returned in
     /// trapdoor order; misses are silently skipped, as a DBMS `IN (...)`
-    /// predicate would.
+    /// predicate would. The hits are copied into one arena — the enclave's
+    /// copy of what the provider sent — not row by row.
     ///
     /// The whole batch runs under a single backend access and its events
     /// are appended to the observer in one [`AccessObserver::record_batch`]
     /// call — per trapdoor this is the same event sequence
     /// [`Self::fetch_by_trapdoor`] records (`TrapdoorIssued`, then
     /// `RowFetched` on a hit), just without re-locking per row.
-    pub fn fetch_batch(&self, epoch_id: u64, trapdoors: &[Vec<u8>]) -> Result<Vec<EncryptedRow>> {
-        let mut out = Vec::with_capacity(trapdoors.len());
+    pub fn fetch_batch(&self, epoch_id: u64, trapdoors: &[Vec<u8>]) -> Result<RowArena> {
+        let mut out = None;
         let mut events = Vec::with_capacity(trapdoors.len() * 2);
         self.backend.with_epoch(epoch_id, &mut |epoch| {
+            let rows = out.insert(epoch.table.rows().sized_for(trapdoors.len()));
             for t in trapdoors {
                 if let Some(row) = lookup_observed(&epoch.table, epoch_id, t, &mut events) {
-                    out.push(row.clone());
+                    rows.push_ref(row);
                 }
             }
         })?;
         self.observer.record_batch(events);
-        Ok(out)
+        Ok(out.expect("with_epoch ran the closure"))
     }
 
     /// Re-execute a batch of trapdoors and compare the hits against
-    /// `expected` **without cloning any row**. The adversary-observable
+    /// `expected` **without copying any row**. The adversary-observable
     /// events are exactly those of [`Self::fetch_batch`] with the same
     /// trapdoors; only the enclave-side copy is skipped. Returns `true`
-    /// when the fetched rows equal `expected` exactly (same rows, same
-    /// order, same count).
+    /// when the fetched rows equal `expected` exactly (same rows byte for
+    /// byte with the same column boundaries, same order, same count).
     ///
     /// This is the warm half of the engine's decrypted-bin cache: a cache
     /// hit still drives the full fetch through the untrusted store — so the
@@ -284,7 +289,7 @@ impl EpochStore {
         &self,
         epoch_id: u64,
         trapdoors: &[Vec<u8>],
-        expected: &[EncryptedRow],
+        expected: &RowArena,
     ) -> Result<bool> {
         let mut events = Vec::with_capacity(trapdoors.len() * 2);
         let mut matched = 0usize;
@@ -306,7 +311,7 @@ impl EpochStore {
     pub fn full_scan(&self, epoch_id: u64) -> Result<Vec<EncryptedRow>> {
         let mut rows: Vec<EncryptedRow> = Vec::new();
         self.backend.with_epoch(epoch_id, &mut |epoch| {
-            rows = epoch.table.scan().map(|(_, r)| r.clone()).collect();
+            rows = epoch.table.rows().to_rows();
         })?;
         self.observer.record(AccessEvent::FullScan {
             epoch_id,
@@ -444,7 +449,7 @@ fn lookup_observed<'a>(
     epoch_id: u64,
     trapdoor: &[u8],
     events: &mut Vec<AccessEvent>,
-) -> Option<&'a EncryptedRow> {
+) -> Option<RowRef<'a>> {
     let hit = table.lookup(trapdoor);
     events.push(AccessEvent::TrapdoorIssued {
         epoch_id,
@@ -564,15 +569,24 @@ mod tests {
         );
 
         // Any divergence between stored rows and the expectation is flagged.
-        let mut tampered = rows.clone();
+        let mut tampered = rows.to_rows();
         tampered[0].payload[0] ^= 1;
-        assert!(!store.fetch_batch_matches(1, &trapdoors, &tampered).unwrap());
         assert!(!store
-            .fetch_batch_matches(1, &trapdoors, &rows[..1])
+            .fetch_batch_matches(1, &trapdoors, &tampered.into())
+            .unwrap());
+        assert!(!store
+            .fetch_batch_matches(1, &trapdoors, &rows.gather(&[0]))
             .unwrap());
         let mut extra = rows.clone();
-        extra.push(row(&[9, 9, 9], 9));
+        extra.push(&row(&[9, 9, 9], 9));
         assert!(!store.fetch_batch_matches(1, &trapdoors, &extra).unwrap());
+        // Same bytes, different column boundaries.
+        let mut shifted = rows.to_rows();
+        let moved = shifted[0].filters[0].pop().unwrap();
+        shifted[0].payload.insert(0, moved);
+        assert!(!store
+            .fetch_batch_matches(1, &trapdoors, &shifted.into())
+            .unwrap());
     }
 
     #[test]
@@ -585,7 +599,7 @@ mod tests {
         let cached = store.fetch_batch(1, &trapdoors).unwrap();
 
         // The provider swaps one fetched row's payload under its old key.
-        let mut tampered = cached[1].clone();
+        let mut tampered = cached.get(1).unwrap().to_row();
         tampered.payload[0] ^= 1;
         store
             .rewrite_rows(1, vec![(vec![1, 0, 3], tampered)])

@@ -7,11 +7,12 @@
 //! server*. This crate provides the equivalent embedded substrate:
 //!
 //! * [`table`] — [`table::EncryptedTable`], the encrypted relation: one
-//!   epoch's [`table::EncryptedRow`]s in shipment order plus the index over
-//!   the `Index` column. The index (`btree.rs`, private) plays the role of
-//!   the MySQL index: built once per segment from the deterministic `Index`
-//!   ciphertexts, it answers exact-match lookups — the only operation the
-//!   server needs.
+//!   epoch's rows in shipment order — one [`table::RowArena`] buffer read
+//!   through borrowed [`table::RowRef`] views, with [`table::EncryptedRow`]
+//!   as the owned row — plus the index over the `Index` column. The index
+//!   (`btree.rs`, private) plays the role of the MySQL index: built once
+//!   per segment from the deterministic `Index` ciphertexts, it answers
+//!   exact-match lookups — the only operation the server needs.
 //! * [`epoch_store`] — [`epoch_store::EpochStore`], the service provider's
 //!   database: one table segment per epoch/round plus the encrypted
 //!   metadata blobs (`Ecell_id[]`, `Ec_tuple[]`, verifiable tags) DP ships
@@ -48,7 +49,7 @@ pub use disk::DiskEpochStore;
 pub use epoch_store::{EpochMetadata, EpochStore, StoredEpoch};
 pub use error::StorageError;
 pub use observer::{AccessEvent, AccessObserver, ObserverSummary};
-pub use table::{EncryptedRow, EncryptedTable, RowId};
+pub use table::{EncryptedRow, EncryptedTable, RowArena, RowId, RowRef, RowWriter};
 
 /// Convenience alias for fallible storage calls.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -7,10 +7,18 @@
 //! `E_k(o||t)`), an encrypted *payload* column (`E_k(o||l||t)` or, for
 //! TPC-H, the concatenation of the non-indexed attributes), and the
 //! *Index* column `E_k(cid||counter)` on which the DBMS builds its index.
+//!
+//! Rows are held in a [`RowArena`]: one byte buffer per segment with every
+//! ciphertext column of a row back to back, row after row in shipment
+//! order, and a flat table of column end-offsets beside it. Readers walk
+//! borrowed [`RowRef`] views; [`EncryptedRow`] is the owned form a caller
+//! builds or keeps one row in. The two are interchangeable without loss:
+//! `RowArena::from(rows).to_rows() == rows`, and
+//! `RowArena::from(arena.to_rows()) == arena`.
 
 use crate::btree::KeyIndex;
 use crate::{Result, StorageError};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// Identifier of a row within one table segment: its position in the
 /// shipment.
@@ -34,14 +42,453 @@ impl EncryptedRow {
     /// Total ciphertext bytes in this row (used for transfer accounting).
     #[must_use]
     pub fn byte_size(&self) -> usize {
-        self.index_key.len() + self.filters.iter().map(Vec::len).sum::<usize>() + self.payload.len()
+        self.columns().map(<[u8]>::len).sum()
+    }
+
+    /// The row's columns in layout order: `Index`, the filters, payload.
+    pub fn columns(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        std::iter::once(self.index_key.as_slice())
+            .chain(self.filters.iter().map(Vec::as_slice))
+            .chain(std::iter::once(self.payload.as_slice()))
+    }
+}
+
+/// Narrow a buffer or table length to the arena's `u32` offsets.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a row arena holds at most u32::MAX bytes and columns")
+}
+
+/// Rows of ciphertext columns in one contiguous buffer.
+///
+/// Row `i` is its position in push order. Every row has at least two
+/// columns — `Index` first, payload last, any number of filter columns
+/// between — and columns may be empty.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowArena {
+    /// Every column of every row, back to back.
+    bytes: Vec<u8>,
+    /// Where the columns lie in `bytes`, row after row: `0`, then the end
+    /// of every column. A column starts where the one before it ends (the
+    /// first column of a row where the last of the row before it ends), so
+    /// column `c` overall is `bytes[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    /// `row_ends[i]` is how many columns rows `0..=i` have together.
+    row_ends: Vec<u32>,
+}
+
+impl Default for RowArena {
+    fn default() -> Self {
+        RowArena {
+            bytes: Vec::new(),
+            offsets: vec![0],
+            row_ends: Vec::new(),
+        }
+    }
+}
+
+impl RowArena {
+    /// An empty arena.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty arena with room for `rows` rows, `cols` columns and `bytes`
+    /// bytes.
+    fn with_capacity(rows: usize, cols: usize, bytes: usize) -> Self {
+        let mut offsets = Vec::with_capacity(cols + 1);
+        offsets.push(0);
+        RowArena {
+            bytes: Vec::with_capacity(bytes),
+            offsets,
+            row_ends: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Bytes and columns of this arena's average row, rounded up — exact
+    /// when its rows share one shape, as an epoch's do.
+    fn row_shape(&self) -> (usize, usize) {
+        let per_row = |total: usize| total.div_ceil(self.len().max(1));
+        (per_row(self.bytes.len()), per_row(self.offsets.len() - 1))
+    }
+
+    /// An empty arena with room for `rows` rows of this arena's average
+    /// shape.
+    #[must_use]
+    pub fn sized_for(&self, rows: usize) -> RowArena {
+        let (bytes, cols) = self.row_shape();
+        RowArena::with_capacity(rows, rows * cols, rows * bytes)
+    }
+
+    /// Make room for `additional` more rows of the average shape of those
+    /// already here, so a producer that knows its row count grows the
+    /// buffer once instead of by doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        let (bytes, cols) = self.row_shape();
+        self.bytes.reserve(additional * bytes);
+        self.offsets.reserve(additional * cols);
+        self.row_ends.reserve(additional);
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.row_ends.len()
+    }
+
+    /// Whether the arena holds no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.row_ends.is_empty()
+    }
+
+    /// Total ciphertext bytes held.
+    #[must_use]
+    pub fn byte_size(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// How many columns the committed rows have together.
+    fn committed_cols(&self) -> usize {
+        self.row_ends.last().map_or(0, |&end| end as usize)
+    }
+
+    /// A view of row `idx`, or `None` past the end.
+    #[must_use]
+    #[inline]
+    pub fn get(&self, idx: usize) -> Option<RowRef<'_>> {
+        let last = *self.row_ends.get(idx)?;
+        let first = match idx {
+            0 => 0,
+            _ => self.row_ends[idx - 1],
+        };
+        Some(RowRef {
+            arena: self,
+            first,
+            last,
+        })
+    }
+
+    /// Views of all rows, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = RowRef<'_>> + '_ {
+        // A row's bounds start on the last bound of the row before it.
+        let mut first = 0;
+        self.row_ends.iter().map(move |&last| {
+            let row = RowRef {
+                arena: self,
+                first,
+                last,
+            };
+            first = last;
+            row
+        })
+    }
+
+    /// Start appending a row. Columns are written through the returned
+    /// writer in layout order; the row joins the arena on
+    /// [`RowWriter::finish`] and leaves no trace if the writer is dropped
+    /// before that.
+    pub fn begin_row(&mut self) -> RowWriter<'_> {
+        RowWriter { arena: self }
+    }
+
+    /// Append a copy of an owned row.
+    pub fn push(&mut self, row: &EncryptedRow) {
+        let mut writer = self.begin_row();
+        for column in row.columns() {
+            writer.column(column);
+        }
+        writer.finish();
+    }
+
+    /// Append a copy of a row viewed in (usually another) arena: one copy
+    /// of its bytes and its column table, moved to this arena's offsets.
+    pub fn push_ref(&mut self, row: RowRef<'_>) {
+        let base = offset(self.bytes.len());
+        self.bytes.extend_from_slice(row.row_bytes());
+        // The row's last column ends where the buffer now does, so this
+        // one check bounds every offset moved below.
+        let end = offset(self.bytes.len());
+        let bounds = row.bounds();
+        self.offsets
+            .extend(bounds[1..].iter().map(|e| e - bounds[0] + base));
+        debug_assert_eq!(self.offsets.last(), Some(&end));
+        self.row_ends.push(offset(self.offsets.len() - 1));
+    }
+
+    /// A new arena holding this arena's rows in the order `order` names
+    /// them: row `k` of the result is row `order[k]` of `self`.
+    #[must_use]
+    pub fn gather(&self, order: &[u32]) -> RowArena {
+        let mut out = self.sized_for(order.len());
+        for &idx in order {
+            out.push_ref(
+                self.get(idx as usize)
+                    .expect("order names rows of this arena"),
+            );
+        }
+        out
+    }
+
+    /// Owned copies of all rows, in order.
+    #[must_use]
+    pub fn to_rows(&self) -> Vec<EncryptedRow> {
+        self.iter().map(|row| row.to_row()).collect()
+    }
+
+    /// Decode one row from `EncryptedRow`'s serde encoding onto the end of
+    /// the arena; on error the arena is as it was.
+    pub(crate) fn push_deserialized<'de, D: Deserializer<'de>>(
+        &mut self,
+        deserializer: &mut D,
+    ) -> std::result::Result<(), D::Error> {
+        fn seq_len<'de, D: Deserializer<'de>>(d: &mut D) -> std::result::Result<usize, D::Error> {
+            let len = d.read_seq_len()?;
+            match d.remaining_hint() {
+                Some(remaining) if len > remaining => {
+                    Err(d.invalid_value("sequence length exceeds input"))
+                }
+                _ => Ok(len),
+            }
+        }
+        fn column<'de, D: Deserializer<'de>>(
+            d: &mut D,
+            row: &mut RowWriter<'_>,
+        ) -> std::result::Result<(), D::Error> {
+            let len = seq_len(d)?;
+            row.column_with(|buf| {
+                buf.reserve(len);
+                for _ in 0..len {
+                    buf.push(u8::deserialize(d)?);
+                }
+                Ok(())
+            })
+        }
+        let mut row = self.begin_row();
+        column(deserializer, &mut row)?;
+        for _ in 0..seq_len(deserializer)? {
+            column(deserializer, &mut row)?;
+        }
+        column(deserializer, &mut row)?;
+        row.finish();
+        Ok(())
+    }
+}
+
+impl From<Vec<EncryptedRow>> for RowArena {
+    fn from(rows: Vec<EncryptedRow>) -> Self {
+        let mut arena = RowArena::with_capacity(
+            rows.len(),
+            rows.iter().map(|r| r.filters.len() + 2).sum(),
+            rows.iter().map(EncryptedRow::byte_size).sum(),
+        );
+        for row in &rows {
+            arena.push(row);
+        }
+        arena
+    }
+}
+
+/// Appends one row to a [`RowArena`], column by column.
+#[derive(Debug)]
+pub struct RowWriter<'a> {
+    arena: &'a mut RowArena,
+}
+
+impl RowWriter<'_> {
+    /// Append one column holding `bytes`.
+    pub fn column(&mut self, bytes: &[u8]) {
+        self.column_with(|buf| buf.extend_from_slice(bytes));
+    }
+
+    /// Append one column by handing `write` the arena's buffer to extend:
+    /// what it appends is the column. This is how ciphertext is produced
+    /// in place, e.g. by an `encrypt_into(plaintext, buf)`.
+    pub fn column_with<T>(&mut self, write: impl FnOnce(&mut Vec<u8>) -> T) -> T {
+        let start = self.arena.bytes.len();
+        let out = write(&mut self.arena.bytes);
+        assert!(
+            self.arena.bytes.len() >= start,
+            "a column writer only appends"
+        );
+        self.arena.offsets.push(offset(self.arena.bytes.len()));
+        out
+    }
+
+    /// Commit the row.
+    pub fn finish(self) {
+        let arena = &mut *self.arena;
+        let cols = arena.offsets.len() - 1;
+        assert!(
+            cols >= arena.committed_cols() + 2,
+            "a row has at least an Index and a payload column"
+        );
+        arena.row_ends.push(offset(cols));
+    }
+}
+
+impl Drop for RowWriter<'_> {
+    /// Cut the arena back to its last committed row (nothing to cut after
+    /// [`RowWriter::finish`]).
+    fn drop(&mut self) {
+        let cols = self.arena.committed_cols();
+        self.arena.offsets.truncate(cols + 1);
+        self.arena.bytes.truncate(self.arena.offsets[cols] as usize);
+    }
+}
+
+/// A borrowed view of one row of a [`RowArena`].
+///
+/// Two views are equal when they have the same columns: the same bytes
+/// *and* the same column boundaries, so `["ab", "c"]` differs from
+/// `["a", "bc"]`.
+#[derive(Clone, Copy)]
+pub struct RowRef<'a> {
+    arena: &'a RowArena,
+    /// The row's bounds are `arena.offsets[first..=last]`, looked up when
+    /// a column is read: walking rows costs nothing per row until then.
+    first: u32,
+    last: u32,
+}
+
+impl<'a> RowRef<'a> {
+    /// Where the row's columns lie in the arena's buffer: column `c` is
+    /// `bytes[bounds[c]..bounds[c + 1]]`.
+    #[inline]
+    fn bounds(&self) -> &'a [u32] {
+        &self.arena.offsets[self.first as usize..=self.last as usize]
+    }
+
+    #[inline]
+    fn column(&self, idx: usize) -> &'a [u8] {
+        assert!(idx < self.cols(), "row has no such column");
+        let at = self.first as usize + idx;
+        let bounds = &self.arena.offsets[at..at + 2];
+        &self.arena.bytes[bounds[0] as usize..bounds[1] as usize]
+    }
+
+    /// The row's columns, back to back.
+    #[inline]
+    fn row_bytes(&self) -> &'a [u8] {
+        let bounds = self.bounds();
+        &self.arena.bytes[bounds[0] as usize..bounds[bounds.len() - 1] as usize]
+    }
+
+    /// Number of columns.
+    #[inline]
+    fn cols(&self) -> usize {
+        (self.last - self.first) as usize
+    }
+
+    /// The searchable `Index` column (see [`EncryptedRow::index_key`]).
+    #[must_use]
+    #[inline]
+    pub fn index_key(&self) -> &'a [u8] {
+        self.column(0)
+    }
+
+    /// Number of filter columns.
+    #[must_use]
+    #[inline]
+    pub fn filter_count(&self) -> usize {
+        self.cols() - 2
+    }
+
+    /// Filter column `idx`. Panics when the row has no such filter.
+    #[must_use]
+    #[inline]
+    pub fn filter(&self, idx: usize) -> &'a [u8] {
+        assert!(idx < self.filter_count(), "row has no such filter column");
+        self.column(idx + 1)
+    }
+
+    /// The filter columns, in order.
+    pub fn filters(&self) -> impl ExactSizeIterator<Item = &'a [u8]> + 'a {
+        let (bounds, bytes) = (self.bounds(), self.arena.bytes.as_slice());
+        bounds[1..bounds.len() - 1]
+            .windows(2)
+            .map(move |w| &bytes[w[0] as usize..w[1] as usize])
+    }
+
+    /// The encrypted payload column (see [`EncryptedRow::payload`]).
+    #[must_use]
+    #[inline]
+    pub fn payload(&self) -> &'a [u8] {
+        self.column(self.cols() - 1)
+    }
+
+    /// The row's columns in layout order: `Index`, the filters, payload.
+    pub fn columns(&self) -> impl ExactSizeIterator<Item = &'a [u8]> + 'a {
+        let (bounds, bytes) = (self.bounds(), self.arena.bytes.as_slice());
+        bounds
+            .windows(2)
+            .map(move |w| &bytes[w[0] as usize..w[1] as usize])
+    }
+
+    /// Total ciphertext bytes in this row (used for transfer accounting).
+    #[must_use]
+    #[inline]
+    pub fn byte_size(&self) -> usize {
+        self.row_bytes().len()
+    }
+
+    /// An owned copy of the row.
+    #[must_use]
+    pub fn to_row(&self) -> EncryptedRow {
+        EncryptedRow {
+            index_key: self.index_key().to_vec(),
+            filters: self.filters().map(<[u8]>::to_vec).collect(),
+            payload: self.payload().to_vec(),
+        }
+    }
+}
+
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.bounds(), other.bounds());
+        a.len() == b.len()
+            && self.row_bytes() == other.row_bytes()
+            && a.iter().zip(b).all(|(x, y)| x - a[0] == y - b[0])
+    }
+}
+
+impl Eq for RowRef<'_> {}
+
+impl PartialEq<EncryptedRow> for RowRef<'_> {
+    fn eq(&self, other: &EncryptedRow) -> bool {
+        self.columns().eq(other.columns())
+    }
+}
+
+impl std::fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RowRef")
+            .field("index_key", &self.index_key())
+            .field("filters", &self.filters().collect::<Vec<_>>())
+            .field("payload", &self.payload())
+            .finish()
+    }
+}
+
+/// Writes exactly what [`EncryptedRow`]'s derived impl writes, so a segment
+/// encoded from views is byte-identical to one encoded from owned rows.
+impl Serialize for RowRef<'_> {
+    fn serialize<S: Serializer>(&self, serializer: &mut S) -> std::result::Result<(), S::Error> {
+        fn column<S: Serializer>(s: &mut S, bytes: &[u8]) -> std::result::Result<(), S::Error> {
+            s.begin_seq(bytes.len())?;
+            bytes.iter().try_for_each(|b| b.serialize(s))
+        }
+        column(serializer, self.index_key())?;
+        serializer.begin_seq(self.filter_count())?;
+        self.filters().try_for_each(|f| column(serializer, f))?;
+        column(serializer, self.payload())
     }
 }
 
 /// An encrypted, index-backed table segment.
 #[derive(Debug, Clone, Default)]
 pub struct EncryptedTable {
-    rows: Vec<EncryptedRow>,
+    rows: RowArena,
     index: KeyIndex,
 }
 
@@ -57,46 +504,46 @@ impl EncryptedTable {
     /// describes ("SP inserts the data into DBMS that creates/modifies the
     /// index"). A row's id is its position in `rows`. Fails with
     /// [`StorageError::DuplicateKey`] when two rows share an `Index` value.
-    pub fn bulk_load(rows: Vec<EncryptedRow>) -> Result<Self> {
+    pub fn bulk_load(rows: impl Into<RowArena>) -> Result<Self> {
+        let rows = rows.into();
         let index = KeyIndex::build(&rows)?;
         Ok(EncryptedTable { rows, index })
     }
 
-    /// Swap replacement rows in place of the rows currently stored under
+    /// Put replacement rows in place of the rows currently stored under
     /// the given old `Index` values (a §6 bin rewrite), keeping every row
-    /// id, and rebuild the index. All-or-nothing: an old key the table does
-    /// not hold yields [`StorageError::CardinalityMismatch`], new keys that
-    /// collide yield [`StorageError::DuplicateKey`], and either way the
-    /// table is left exactly as it was.
-    pub fn replace_rows(&mut self, mut replacements: Vec<(Vec<u8>, EncryptedRow)>) -> Result<()> {
-        let positions: Vec<usize> = replacements
-            .iter()
-            .filter_map(|(old_key, _)| self.index.get(old_key, &self.rows))
-            .collect();
-        if positions.len() != replacements.len() {
+    /// id, and rebuild the index. When two replacements name one old key
+    /// the later wins. All-or-nothing: an old key the table does not hold
+    /// yields [`StorageError::CardinalityMismatch`], new keys that collide
+    /// yield [`StorageError::DuplicateKey`], and either way the table is
+    /// left exactly as it was.
+    pub fn replace_rows(&mut self, replacements: Vec<(Vec<u8>, EncryptedRow)>) -> Result<()> {
+        let mut replaced: Vec<Option<&EncryptedRow>> = vec![None; self.rows.len()];
+        let mut found = 0;
+        for (old_key, row) in &replacements {
+            if let Some((pos, _)) = self.index.get(old_key, &self.rows) {
+                replaced[pos] = Some(row);
+                found += 1;
+            }
+        }
+        if found != replacements.len() {
             return Err(StorageError::CardinalityMismatch {
                 expected: replacements.len(),
-                got: positions.len(),
+                got: found,
             });
         }
-        // Each swap parks the displaced row in `replacements`, so undoing
-        // them in reverse order restores the table even when two
-        // replacements named the same old key.
-        for (&pos, (_, row)) in positions.iter().zip(&mut replacements) {
-            std::mem::swap(&mut self.rows[pos], row);
-        }
-        match KeyIndex::build(&self.rows) {
-            Ok(index) => {
-                self.index = index;
-                Ok(())
-            }
-            Err(e) => {
-                for (&pos, (_, row)) in positions.iter().zip(&mut replacements).rev() {
-                    std::mem::swap(&mut self.rows[pos], row);
-                }
-                Err(e)
+        // A replacement may differ in length from the row it displaces, so
+        // the rows are laid out afresh beside the index rebuild.
+        let mut rows = self.rows.sized_for(self.rows.len());
+        for (old, new) in self.rows.iter().zip(replaced) {
+            match new {
+                Some(row) => rows.push(row),
+                None => rows.push_ref(old),
             }
         }
+        self.index = KeyIndex::build(&rows)?;
+        self.rows = rows;
+        Ok(())
     }
 
     /// Number of rows stored.
@@ -111,18 +558,25 @@ impl EncryptedTable {
         self.rows.is_empty()
     }
 
-    /// Exact-match lookup by `Index` value (a trapdoor). Returns the row id
-    /// and a reference to the row.
+    /// The stored rows, in row-id order.
     #[must_use]
-    pub fn lookup(&self, trapdoor: &[u8]) -> Option<(RowId, &EncryptedRow)> {
-        let pos = self.index.get(trapdoor, &self.rows)?;
-        Some((pos as RowId, &self.rows[pos]))
+    pub fn rows(&self) -> &RowArena {
+        &self.rows
+    }
+
+    /// Exact-match lookup by `Index` value (a trapdoor). Returns the row id
+    /// and a view of the row.
+    #[must_use]
+    pub fn lookup(&self, trapdoor: &[u8]) -> Option<(RowId, RowRef<'_>)> {
+        let (pos, row) = self.index.get(trapdoor, &self.rows)?;
+        Some((pos as RowId, row))
     }
 
     /// Fetch a row by id.
-    pub fn row(&self, row_id: RowId) -> Result<&EncryptedRow> {
-        self.rows
-            .get(row_id as usize)
+    pub fn row(&self, row_id: RowId) -> Result<RowRef<'_>> {
+        usize::try_from(row_id)
+            .ok()
+            .and_then(|idx| self.rows.get(idx))
             .ok_or(StorageError::InvalidRowId {
                 row_id,
                 table_len: self.rows.len() as u64,
@@ -130,20 +584,23 @@ impl EncryptedTable {
     }
 
     /// Iterate over all rows (used by full-scan baselines).
-    pub fn scan(&self) -> impl Iterator<Item = (RowId, &EncryptedRow)> + '_ {
+    pub fn scan(&self) -> impl Iterator<Item = (RowId, RowRef<'_>)> + '_ {
         self.rows.iter().enumerate().map(|(i, r)| (i as RowId, r))
     }
 
     /// Total ciphertext bytes in the segment.
     #[must_use]
     pub fn byte_size(&self) -> usize {
-        self.rows.iter().map(EncryptedRow::byte_size).sum()
+        self.rows.byte_size()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     fn key(key: u64) -> Vec<u8> {
         key.to_be_bytes().to_vec()
@@ -157,6 +614,11 @@ mod tests {
         }
     }
 
+    /// `lookup` with the hit copied out, for comparing against owned rows.
+    fn lookup(table: &EncryptedTable, key: &[u8]) -> Option<(RowId, EncryptedRow)> {
+        table.lookup(key).map(|(id, row)| (id, row.to_row()))
+    }
+
     #[test]
     fn bulk_load_and_lookup() {
         let rows: Vec<EncryptedRow> = (0..1000u64).map(|i| row(i, (i % 251) as u8)).collect();
@@ -165,7 +627,7 @@ mod tests {
         for (i, r) in rows.iter().enumerate() {
             let (rid, found) = table.lookup(&r.index_key).unwrap();
             assert_eq!(rid, i as u64);
-            assert_eq!(found, r);
+            assert_eq!(found, *r);
         }
         assert!(table.lookup(b"not a key").is_none());
     }
@@ -186,7 +648,7 @@ mod tests {
         let unchanged = |table: &EncryptedTable| {
             rows.iter()
                 .enumerate()
-                .all(|(i, r)| table.lookup(&r.index_key) == Some((i as RowId, r)))
+                .all(|(i, r)| lookup(table, &r.index_key) == Some((i as RowId, r.clone())))
         };
 
         // Unknown old key: nothing moves, not even the known replacement.
@@ -217,17 +679,18 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(table.len(), 20);
-        assert_eq!(table.lookup(&key(3)), Some((3, &row(3, 0xAA))));
-        assert_eq!(table.lookup(&key(70)), Some((7, &row(70, 0xBB))));
-        assert_eq!(table.lookup(&key(7)), None);
-        assert_eq!(table.lookup(&key(9)), Some((8, &row(9, 0xCC))));
-        assert_eq!(table.lookup(&key(8)), Some((9, &row(8, 0xDD))));
-        assert_eq!(table.lookup(&key(12)), Some((12, &rows[12])));
+        assert_eq!(lookup(&table, &key(3)), Some((3, row(3, 0xAA))));
+        assert_eq!(lookup(&table, &key(70)), Some((7, row(70, 0xBB))));
+        assert_eq!(lookup(&table, &key(7)), None);
+        assert_eq!(lookup(&table, &key(9)), Some((8, row(9, 0xCC))));
+        assert_eq!(lookup(&table, &key(8)), Some((9, row(8, 0xDD))));
+        assert_eq!(lookup(&table, &key(12)), Some((12, rows[12].clone())));
     }
 
     #[test]
     fn row_by_id_bounds_checked() {
-        let table = EncryptedTable::bulk_load((0..5u64).map(|i| row(i, 0)).collect()).unwrap();
+        let table =
+            EncryptedTable::bulk_load((0..5u64).map(|i| row(i, 0)).collect::<Vec<_>>()).unwrap();
         assert!(table.row(4).is_ok());
         assert!(matches!(
             table.row(5),
@@ -242,8 +705,192 @@ mod tests {
     fn scan_visits_all_rows_in_insertion_order() {
         let rows: Vec<EncryptedRow> = (0..50u64).map(|i| row(i * 7 % 50, i as u8)).collect();
         let table = EncryptedTable::bulk_load(rows.clone()).unwrap();
-        let scanned: Vec<EncryptedRow> = table.scan().map(|(_, r)| r.clone()).collect();
+        let scanned: Vec<EncryptedRow> = table.scan().map(|(_, r)| r.to_row()).collect();
         assert_eq!(scanned, rows);
+    }
+
+    #[test]
+    fn view_equality_sees_column_boundaries() {
+        let split = |index_key: &[u8], filter: &[u8], payload: &[u8]| EncryptedRow {
+            index_key: index_key.to_vec(),
+            filters: vec![filter.to_vec()],
+            payload: payload.to_vec(),
+        };
+        let arena = RowArena::from(vec![
+            split(b"ab", b"c", b"d"),
+            split(b"a", b"bc", b"d"),
+            split(b"ab", b"", b"cd"),
+            split(b"ab", b"c", b"d"),
+        ]);
+        let view = |i| arena.get(i).unwrap();
+        assert_ne!(view(0), view(1));
+        assert_ne!(view(0), view(2));
+        assert_eq!(view(0), view(3), "equal rows at different offsets");
+        assert_eq!(view(1), split(b"a", b"bc", b"d"));
+        assert_ne!(view(1), split(b"ab", b"c", b"d"));
+        // The same bytes with a filter column more or less.
+        let unsplit = EncryptedRow {
+            index_key: b"ab".to_vec(),
+            filters: vec![],
+            payload: b"cd".to_vec(),
+        };
+        assert_ne!(view(2), unsplit);
+        assert_ne!(RowArena::from(vec![unsplit]), arena.gather(&[2]));
+    }
+
+    #[test]
+    fn an_unfinished_row_leaves_no_trace() {
+        let mut arena = RowArena::from(vec![row(1, 1)]);
+        let before = arena.clone();
+        let mut writer = arena.begin_row();
+        writer.column(b"half a row");
+        writer.column_with(|buf| buf.extend_from_slice(b"more"));
+        drop(writer);
+        assert_eq!(arena, before);
+        assert_eq!(arena.byte_size(), before.byte_size());
+
+        // A row cut short on the wire is the same: the error leaves the
+        // arena as it was, and the next push lands where it should.
+        let encoded = serde::bin::to_bytes(&row(2, 2));
+        for cut in 0..encoded.len() {
+            let mut frame = serde::bin::BinDeserializer::new(&encoded[..cut]);
+            assert!(arena.push_deserialized(&mut frame).is_err(), "cut {cut}");
+            assert_eq!(arena, before, "cut {cut}");
+        }
+        let mut frame = serde::bin::BinDeserializer::new(&encoded);
+        arena.push_deserialized(&mut frame).unwrap();
+        assert_eq!(arena.to_rows(), vec![row(1, 1), row(2, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least an Index and a payload column")]
+    fn a_row_needs_two_columns() {
+        let mut arena = RowArena::new();
+        let mut writer = arena.begin_row();
+        writer.column(b"only one");
+        writer.finish();
+    }
+
+    /// A row's columns as drawn: `(Index, filters, payload)`.
+    type Columns = (Vec<u8>, Vec<Vec<u8>>, Vec<u8>);
+
+    /// Rows of every shape the arena must hold: 0–3 filters, empty columns.
+    fn any_row() -> impl Strategy<Value = Columns> {
+        let column = || proptest::collection::vec(any::<u8>(), 0..6);
+        (
+            column(),
+            proptest::collection::vec(column(), 0..4),
+            column(),
+        )
+    }
+
+    fn row_of((index_key, filters, payload): Columns) -> EncryptedRow {
+        EncryptedRow {
+            index_key,
+            filters,
+            payload,
+        }
+    }
+
+    /// Tables of mixed shapes, the empty table included.
+    fn any_rows() -> impl Strategy<Value = Vec<Columns>> {
+        proptest::collection::vec(any_row(), 0..24)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Arena ≡ `Vec<EncryptedRow>`: views read back the rows column for
+        /// column, and the two conversions are inverse to each other — on
+        /// arenas laid out by `from`, and on arenas laid out by copying
+        /// views (`gather`), whose offsets were moved.
+        #[test]
+        fn prop_arena_is_the_rows(rows in any_rows()) {
+            let rows: Vec<EncryptedRow> = rows.into_iter().map(row_of).collect();
+            let arena = RowArena::from(rows.clone());
+            prop_assert_eq!(arena.len(), rows.len());
+            prop_assert_eq!(arena.is_empty(), rows.is_empty());
+            prop_assert_eq!(arena.byte_size(), rows.iter().map(EncryptedRow::byte_size).sum::<usize>());
+            prop_assert!(arena.get(rows.len()).is_none());
+            for (view, row) in arena.iter().zip(&rows) {
+                prop_assert_eq!(view.index_key(), row.index_key.as_slice());
+                prop_assert_eq!(view.filter_count(), row.filters.len());
+                prop_assert!(view.filters().eq(row.filters.iter().map(Vec::as_slice)));
+                prop_assert_eq!(view.payload(), row.payload.as_slice());
+                prop_assert_eq!(view.byte_size(), row.byte_size());
+                prop_assert!(view.columns().eq(row.columns()));
+                prop_assert!(view == *row);
+            }
+            prop_assert_eq!(&arena.to_rows(), &rows);
+            prop_assert_eq!(&RowArena::from(arena.to_rows()), &arena);
+
+            let reversed: Vec<u32> = (0..rows.len() as u32).rev().collect();
+            let gathered = arena.gather(&reversed);
+            prop_assert_eq!(&RowArena::from(gathered.to_rows()), &gathered);
+            prop_assert_eq!(gathered.gather(&reversed), arena);
+        }
+
+        /// Gathering by a shuffled position vector is shuffling the rows:
+        /// what lets the data provider permute an arena and ship the exact
+        /// row order (and therefore row ids) a shuffled `Vec` had.
+        #[test]
+        fn prop_gather_by_shuffled_positions_is_shuffle(rows in any_rows(), seed in any::<u64>()) {
+            let rows: Vec<EncryptedRow> = rows.into_iter().map(row_of).collect();
+            let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+            order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+            let gathered = RowArena::from(rows.clone()).gather(&order);
+            let mut shuffled = rows;
+            shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+            prop_assert_eq!(gathered.to_rows(), shuffled);
+        }
+
+        /// Views encode to the bytes owned rows encode to, and decoding
+        /// onto an arena is `push`.
+        #[test]
+        fn prop_views_encode_as_rows(rows in any_rows()) {
+            let rows: Vec<EncryptedRow> = rows.into_iter().map(row_of).collect();
+            let arena = RowArena::from(rows.clone());
+            let mut decoded = RowArena::new();
+            for (view, row) in arena.iter().zip(&rows) {
+                let bytes = serde::bin::to_bytes(&view);
+                prop_assert_eq!(&bytes, &serde::bin::to_bytes(row));
+                let mut frame = serde::bin::BinDeserializer::new(&bytes);
+                prop_assert!(decoded.push_deserialized(&mut frame).is_ok());
+                prop_assert_eq!(frame.remaining(), 0);
+            }
+            prop_assert_eq!(decoded, arena);
+        }
+
+        /// `replace_rows` against the same replacement done on a `Vec`,
+        /// with replacement rows of other shapes and lengths.
+        #[test]
+        fn prop_replace_rows_matches_vec_model(
+            shapes in proptest::collection::vec(any_row(), 1..16),
+            replacements in proptest::collection::vec((any::<usize>(), any_row()), 0..6),
+        ) {
+            // Unique keys: the position, then whatever the strategy drew.
+            let keyed = |i: usize, columns: Columns| {
+                let mut row = row_of(columns);
+                row.index_key.splice(0..0, (i as u32).to_be_bytes());
+                row
+            };
+            let rows: Vec<EncryptedRow> =
+                shapes.into_iter().enumerate().map(|(i, r)| keyed(i, r)).collect();
+            let mut table = EncryptedTable::bulk_load(rows.clone()).unwrap();
+            let mut model = rows.clone();
+            let mut request = Vec::new();
+            for (k, (at, row)) in replacements.into_iter().enumerate() {
+                let at = at % rows.len();
+                let row = keyed(rows.len() + k, row);
+                model[at] = row.clone();
+                request.push((rows[at].index_key.clone(), row));
+            }
+            table.replace_rows(request).unwrap();
+            prop_assert_eq!(table.rows().to_rows(), model.clone());
+            for (i, row) in model.iter().enumerate() {
+                prop_assert_eq!(lookup(&table, &row.index_key), Some((i as RowId, row.clone())));
+            }
+        }
     }
 
     #[test]
