@@ -65,8 +65,13 @@ pub struct ExecOptions {
     /// Override the enclave's oblivious (Concealer+) mode for this
     /// execution: `None` inherits the deployment default.
     pub oblivious: Option<bool>,
-    /// Worker threads for batch execution (`0` and `1` both mean
-    /// sequential). Only dedup-eligible batches — bin-granular BPB without
+    /// Worker threads for batch execution, the calling thread included
+    /// (`0` and `1` both mean sequential). The engine uses exactly this
+    /// many — never more than the batch has bins to fetch, and with no
+    /// regard to the host's core count: capping it is deployment policy
+    /// (`ServerConfig::max_parallelism` in the serving layer;
+    /// [`Session::par_execute_batch`] asks for one per core). Only
+    /// dedup-eligible batches — bin-granular BPB without
     /// forward privacy — parallelize their fetch+verify and per-query
     /// aggregation stages; answers and the adversary-observable trace are
     /// bit-identical to sequential execution either way. Batches that fall
@@ -75,15 +80,6 @@ pub struct ExecOptions {
     /// their fetches would observably reorder the access pattern the
     /// caller configured.
     pub parallelism: usize,
-    /// Bins per worker task in the parallel fetch stage. `0` (the default)
-    /// slices the batch's bin union evenly across the workers — one chunk
-    /// per worker, minimal task-queue traffic. Smaller chunks trade queue
-    /// overhead for better load balancing when per-bin fetch cost is
-    /// skewed. Purely a scheduling knob: answers and the observable trace
-    /// are identical at every chunk size. Defaults to `0` when absent from
-    /// a serialized request.
-    #[serde(default)]
-    pub fetch_chunk: usize,
 }
 
 impl Default for ExecOptions {
@@ -96,7 +92,6 @@ impl Default for ExecOptions {
             verify: true,
             oblivious: None,
             parallelism: 1,
-            fetch_chunk: 0,
         }
     }
 }
@@ -115,14 +110,6 @@ impl ExecOptions {
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Set the parallel fetch-stage chunk size (builder style); `0` means
-    /// one chunk per worker.
-    #[must_use]
-    pub fn with_fetch_chunk(mut self, fetch_chunk: usize) -> Self {
-        self.fetch_chunk = fetch_chunk;
         self
     }
 }

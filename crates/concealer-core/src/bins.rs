@@ -159,12 +159,6 @@ impl BinPlan {
         self.cell_to_bin.get(&cell_id).copied()
     }
 
-    /// The bin containing a cell-id.
-    #[must_use]
-    pub fn bin_for_cell(&self, cell_id: u32) -> Option<&Bin> {
-        self.bin_of_cell(cell_id).map(|i| &self.bins[i])
-    }
-
     /// Maximum number of cell-ids in any bin (`#C_max` in §4.3, used to size
     /// the oblivious trapdoor generation).
     #[must_use]

@@ -7,8 +7,6 @@
 //! tagged, length-unambiguous, fixed-width encodings with no allocation
 //! tricks. All integers are big-endian.
 
-use bytes::{Buf, BufMut};
-
 use crate::{CoreError, Result};
 
 /// Tag byte distinguishing the kinds of plaintext fed to the deterministic
@@ -22,13 +20,21 @@ mod tag {
     pub const PAYLOAD: u8 = 0x05;
 }
 
+/// Split the next `N` bytes off the front of `buf`. Panics on underflow:
+/// every caller has checked the remaining length first.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf.split_at(N);
+    *buf = rest;
+    head.try_into().expect("split_at(N) yields N bytes")
+}
+
 /// Plaintext for the `Index` column of a real tuple: `E_k(cid || counter)`.
 #[must_use]
 pub fn index_real_plain(cell_id: u32, counter: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(9);
-    out.put_u8(tag::INDEX_REAL);
-    out.put_u32(cell_id);
-    out.put_u32(counter);
+    out.push(tag::INDEX_REAL);
+    out.extend_from_slice(&cell_id.to_be_bytes());
+    out.extend_from_slice(&counter.to_be_bytes());
     out
 }
 
@@ -36,8 +42,8 @@ pub fn index_real_plain(cell_id: u32, counter: u32) -> Vec<u8> {
 #[must_use]
 pub fn index_fake_plain(fake_id: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(9);
-    out.put_u8(tag::INDEX_FAKE);
-    out.put_u64(fake_id);
+    out.push(tag::INDEX_FAKE);
+    out.extend_from_slice(&fake_id.to_be_bytes());
     out
 }
 
@@ -47,12 +53,12 @@ pub fn index_fake_plain(fake_id: u64) -> Vec<u8> {
 #[must_use]
 pub fn filter_dims_plain(dims: &[u64], time_granule: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + 8 * (dims.len() + 1));
-    out.put_u8(tag::FILTER_DIMS);
-    out.put_u16(dims.len() as u16);
+    out.push(tag::FILTER_DIMS);
+    out.extend_from_slice(&(dims.len() as u16).to_be_bytes());
     for d in dims {
-        out.put_u64(*d);
+        out.extend_from_slice(&d.to_be_bytes());
     }
-    out.put_u64(time_granule);
+    out.extend_from_slice(&time_granule.to_be_bytes());
     out
 }
 
@@ -60,9 +66,9 @@ pub fn filter_dims_plain(dims: &[u64], time_granule: u64) -> Vec<u8> {
 #[must_use]
 pub fn filter_obs_plain(observation: u64, time_granule: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(17);
-    out.put_u8(tag::FILTER_OBS);
-    out.put_u64(observation);
-    out.put_u64(time_granule);
+    out.push(tag::FILTER_OBS);
+    out.extend_from_slice(&observation.to_be_bytes());
+    out.extend_from_slice(&time_granule.to_be_bytes());
     out
 }
 
@@ -72,15 +78,15 @@ pub fn filter_obs_plain(observation: u64, time_granule: u64) -> Vec<u8> {
 #[must_use]
 pub fn payload_plain(dims: &[u64], time: u64, payload: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + 4 + 8 * (dims.len() + payload.len() + 1));
-    out.put_u8(tag::PAYLOAD);
-    out.put_u16(dims.len() as u16);
-    out.put_u16(payload.len() as u16);
+    out.push(tag::PAYLOAD);
+    out.extend_from_slice(&(dims.len() as u16).to_be_bytes());
+    out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
     for d in dims {
-        out.put_u64(*d);
+        out.extend_from_slice(&d.to_be_bytes());
     }
-    out.put_u64(time);
+    out.extend_from_slice(&time.to_be_bytes());
     for p in payload {
-        out.put_u64(*p);
+        out.extend_from_slice(&p.to_be_bytes());
     }
     out
 }
@@ -90,15 +96,16 @@ pub fn decode_payload_plain(mut buf: &[u8]) -> Result<(Vec<u64>, u64, Vec<u64>)>
     if buf.len() < 5 || buf[0] != tag::PAYLOAD {
         return Err(CoreError::CorruptMetadata);
     }
-    buf.advance(1);
-    let ndims = buf.get_u16() as usize;
-    let npayload = buf.get_u16() as usize;
-    if buf.remaining() != 8 * (ndims + npayload + 1) {
+    buf = &buf[1..];
+    let ndims = u16::from_be_bytes(take(&mut buf)) as usize;
+    let npayload = u16::from_be_bytes(take(&mut buf)) as usize;
+    if buf.len() != 8 * (ndims + npayload + 1) {
         return Err(CoreError::CorruptMetadata);
     }
-    let dims = (0..ndims).map(|_| buf.get_u64()).collect();
-    let time = buf.get_u64();
-    let payload = (0..npayload).map(|_| buf.get_u64()).collect();
+    let mut next_u64 = || u64::from_be_bytes(take(&mut buf));
+    let dims = (0..ndims).map(|_| next_u64()).collect();
+    let time = next_u64();
+    let payload = (0..npayload).map(|_| next_u64()).collect();
     Ok((dims, time, payload))
 }
 
@@ -107,9 +114,9 @@ pub fn decode_payload_plain(mut buf: &[u8]) -> Result<(Vec<u64>, u64, Vec<u64>)>
 #[must_use]
 pub fn encode_u32_vector(values: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 4 * values.len());
-    out.put_u32(values.len() as u32);
+    out.extend_from_slice(&(values.len() as u32).to_be_bytes());
     for v in values {
-        out.put_u32(*v);
+        out.extend_from_slice(&v.to_be_bytes());
     }
     out
 }
@@ -119,11 +126,11 @@ pub fn decode_u32_vector(mut buf: &[u8]) -> Result<Vec<u32>> {
     if buf.len() < 4 {
         return Err(CoreError::CorruptMetadata);
     }
-    let n = buf.get_u32() as usize;
-    if buf.remaining() != 4 * n {
+    let n = u32::from_be_bytes(take(&mut buf)) as usize;
+    if buf.len() != 4 * n {
         return Err(CoreError::CorruptMetadata);
     }
-    Ok((0..n).map(|_| buf.get_u32()).collect())
+    Ok((0..n).map(|_| u32::from_be_bytes(take(&mut buf))).collect())
 }
 
 /// Decode a real-index plaintext back into `(cell_id, counter)`; returns
@@ -133,16 +140,13 @@ pub fn decode_u32_vector(mut buf: &[u8]) -> Result<Vec<u32>> {
 pub fn decode_index_plain(buf: &[u8]) -> Option<(u32, u32)> {
     if buf.len() == 9 && buf[0] == tag::INDEX_REAL {
         let mut b = &buf[1..];
-        Some((b.get_u32(), b.get_u32()))
+        Some((
+            u32::from_be_bytes(take(&mut b)),
+            u32::from_be_bytes(take(&mut b)),
+        ))
     } else {
         None
     }
-}
-
-/// Whether an index plaintext denotes a fake tuple.
-#[must_use]
-pub fn is_fake_index_plain(buf: &[u8]) -> bool {
-    buf.len() == 9 && buf[0] == tag::INDEX_FAKE
 }
 
 #[cfg(test)]
@@ -156,14 +160,78 @@ mod tests {
         assert_ne!(index_fake_plain(1), index_fake_plain(2));
     }
 
+    /// Provider and enclave must agree on these bytes exactly: one golden
+    /// vector per encoder, pinned independently of how they are written.
+    #[test]
+    fn index_real_plain_golden_bytes() {
+        assert_eq!(
+            index_real_plain(0x0102_0304, 0xA0B0_C0D0),
+            [0x01, 1, 2, 3, 4, 0xA0, 0xB0, 0xC0, 0xD0]
+        );
+    }
+
+    #[test]
+    fn index_fake_plain_golden_bytes() {
+        assert_eq!(
+            index_fake_plain(0x0102_0304_0506_0708),
+            [0x02, 1, 2, 3, 4, 5, 6, 7, 8]
+        );
+    }
+
+    #[test]
+    fn filter_dims_plain_golden_bytes() {
+        assert_eq!(
+            filter_dims_plain(&[0x11, 0x2233], 0x0A0B),
+            [
+                0x03, 0, 2, // tag, ndims
+                0, 0, 0, 0, 0, 0, 0, 0x11, // dims[0]
+                0, 0, 0, 0, 0, 0, 0x22, 0x33, // dims[1]
+                0, 0, 0, 0, 0, 0, 0x0A, 0x0B, // time granule
+            ]
+        );
+    }
+
+    #[test]
+    fn filter_obs_plain_golden_bytes() {
+        assert_eq!(
+            filter_obs_plain(0x03E9, u64::MAX - 1),
+            [
+                0x04, // tag
+                0, 0, 0, 0, 0, 0, 0x03, 0xE9, // observation
+                0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFE, // time granule
+            ]
+        );
+    }
+
+    #[test]
+    fn payload_plain_golden_bytes() {
+        assert_eq!(
+            payload_plain(&[7], 0x0100, &[0xAABB, 1]),
+            [
+                0x05, 0, 1, 0, 2, // tag, ndims, npayload
+                0, 0, 0, 0, 0, 0, 0, 7, // dims[0]
+                0, 0, 0, 0, 0, 0, 1, 0, // time
+                0, 0, 0, 0, 0, 0, 0xAA, 0xBB, // payload[0]
+                0, 0, 0, 0, 0, 0, 0, 1, // payload[1]
+            ]
+        );
+    }
+
+    #[test]
+    fn encode_u32_vector_golden_bytes() {
+        assert_eq!(
+            encode_u32_vector(&[1, 0xDEAD_BEEF]),
+            [0, 0, 0, 2, 0, 0, 0, 1, 0xDE, 0xAD, 0xBE, 0xEF]
+        );
+        assert_eq!(encode_u32_vector(&[]), [0, 0, 0, 0]);
+    }
+
     #[test]
     fn index_roundtrip() {
         let p = index_real_plain(42, 1337);
         assert_eq!(decode_index_plain(&p), Some((42, 1337)));
-        assert!(!is_fake_index_plain(&p));
         let f = index_fake_plain(9);
         assert_eq!(decode_index_plain(&f), None);
-        assert!(is_fake_index_plain(&f));
         assert!(decode_index_plain(b"short").is_none());
     }
 

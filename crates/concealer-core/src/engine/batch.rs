@@ -1,13 +1,13 @@
 //! Batch execution: plan every query, fetch and verify the union of their
 //! `(epoch, bin)` pairs once, and fold each bin into the partials of the
-//! queries that planned it — sequentially or on a scoped thread pool.
+//! queries that planned it — sequentially or on scoped threads.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-use concealer_storage::{AccessEvent, AccessObserver};
-use parking_lot::Mutex;
+use concealer_storage::AccessObserver;
 
 use super::plan::PartialBinPlan;
 use super::{
@@ -27,21 +27,21 @@ fn part_of(parts: &mut [EpochPartial], epoch_id: u64) -> &mut EpochPartial {
     &mut parts[idx]
 }
 
-/// Cap the requested worker count at the host's hardware thread count.
-///
-/// Workers that cannot run concurrently only add spawn and scheduling
-/// overhead — on a single-core host a "parallel" batch is strictly slower
-/// than the sequential loop while producing the identical answers and
-/// trace, so the parallelism knob must never cost throughput there.
-/// Setting `CONCEALER_FORCE_THREADS=1` keeps the requested count; the
-/// trace-equality and stress tests use it so the pool machinery is
-/// exercised even on single-core CI hosts.
-fn effective_workers(requested: usize) -> usize {
-    if std::env::var_os("CONCEALER_FORCE_THREADS").is_some_and(|v| v != "0") {
-        return requested;
-    }
-    let hw = std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZeroUsize::get);
-    requested.min(hw)
+/// Run `job(0)` on the calling thread beside `job(1)`, …, `job(threads - 1)`
+/// on scoped threads of their own, and return the results in index order.
+/// A panicking job resurfaces here once every thread has finished.
+fn on_threads<T: Send>(threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let job = &job;
+        let spawned: Vec<_> = (1..threads).map(|i| scope.spawn(move || job(i))).collect();
+        let mut out = vec![job(0)];
+        out.extend(spawned.into_iter().map(|handle| {
+            handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        out
+    })
 }
 
 impl QueryEngine {
@@ -75,11 +75,12 @@ impl QueryEngine {
     ///   change its semantics.
     ///
     /// With `opts.parallelism > 1`, dedup-eligible batches run their
-    /// fetch+verify stage and their per-query filter/aggregate stage on a
-    /// scoped thread pool. Parallel execution is **observably identical**
+    /// fetch+verify stage and their per-query filter/aggregate stage on
+    /// that many threads (the caller's among them, never more than the
+    /// union has bins). Parallel execution is **observably identical**
     /// to sequential execution: answers (including fetch metadata) are
-    /// bit-identical, and every worker records storage accesses into a
-    /// task-local buffer that is merged into the shared observer in
+    /// bit-identical, and every thread records storage accesses into a
+    /// buffer of its own that is merged into the shared observer in
     /// ascending `(epoch, bin)` order — the order the sequential loop
     /// fetches in — so even the event-level trace matches. The fallback
     /// configurations above ignore the knob entirely and stay sequential:
@@ -116,7 +117,7 @@ impl QueryEngine {
     /// Every `(epoch, bin)` pair the batch needs from this process's slice
     /// is fetched and hash-chain-verified once, then filtered per query by
     /// one of two stage executors — the sequential bin-major loop, or the
-    /// two-stage pool when `opts.parallelism > 1` — with identical
+    /// two threaded stages when `opts.parallelism > 1` — with identical
     /// partials and an identical event-level trace either way. eBPB /
     /// winSecRange batches fall back to sequential per-query partial
     /// execution, and forward-private batches are refused per query, both
@@ -172,7 +173,7 @@ impl QueryEngine {
         let epochs = self.epochs.read();
         bump_phase(&self.phases.aggregate_ns, plan_start);
 
-        let workers = effective_workers(opts.parallelism).min(union.len());
+        let workers = opts.parallelism.min(union.len());
         let results = if workers > 1 {
             self.execute_union_parallel(&epochs, queries, &opts, &union, workers, &plans)
         } else {
@@ -230,21 +231,21 @@ impl QueryEngine {
         results
     }
 
-    /// The parallel stage executor: stage 1 fetches and
-    /// hash-chain-verifies every `(epoch, bin)` of `union` once across the
-    /// pool, in per-worker *chunks* (contiguous slices of the union, sized
-    /// by `opts.fetch_chunk`, default one chunk per worker) so task-queue
-    /// traffic is per-chunk rather than per-bin; stage 2 filters and
-    /// aggregates each query's bins in ascending bin order (the sequential
-    /// order) from the shared fetch results. Both stages run on a **single**
-    /// scope: [`rayon::Scope::quiesce`] is the barrier between them, so the
-    /// pool's threads are spawned (and joined) once per batch, not once per
-    /// stage.
+    /// The parallel stage executor, on [`std::thread::scope`]: `workers`
+    /// threads in total, the calling thread among them, and no queue.
     ///
-    /// Each chunk task records storage accesses into a task-local observer;
-    /// the buffers are concatenated in `union` order and appended to the
-    /// shared observer atomically, so the adversary-visible trace is
-    /// event-for-event identical to the sequential loop.
+    /// Stage 1 cuts `union` into at most `workers` contiguous slices; each
+    /// thread fetches and hash-chain-verifies its slice, recording storage
+    /// accesses into an observer of its own. Joined in slice order — which
+    /// is ascending `(epoch, bin)` order, the order the sequential loop
+    /// fetches in — the per-slice event buffers are appended to the shared
+    /// observer in one call, so the adversary-visible trace is
+    /// event-for-event identical to sequential execution.
+    ///
+    /// Stage 2 filters and aggregates per query over the shared fetch
+    /// results: threads claim query indices from one atomic cursor until
+    /// none are left. A session or planning error is the query's result
+    /// and never reaches stage 2.
     fn execute_union_parallel(
         &self,
         epochs: &BTreeMap<u64, EpochRuntime>,
@@ -254,85 +255,50 @@ impl QueryEngine {
         workers: usize,
         plans: &[Result<PartialBinPlan>],
     ) -> Vec<Result<Vec<EpochPartial>>> {
-        // A session or planning error is the query's result; stage 2 fills
-        // the rest.
+        let slices: Vec<&[(u64, usize)]> = union.chunks(union.len().div_ceil(workers)).collect();
+        let fetch_slice = |w: usize| {
+            let local = AccessObserver::new();
+            let store = self.store.observed_by(local.clone());
+            let fetched: Vec<Result<Arc<BinEntry>>> = slices[w]
+                .iter()
+                .map(|&(epoch_id, bin_idx)| {
+                    let rt = epochs.get(&epoch_id).expect("planned epoch is registered");
+                    self.fetch_bin_rows(&store, rt, bin_idx, opts)
+                })
+                .collect();
+            (fetched, local.take_events())
+        };
+        let mut fetches = Vec::with_capacity(union.len());
+        let mut events = Vec::new();
+        for (fetched, recorded) in on_threads(slices.len(), fetch_slice) {
+            fetches.extend(fetched);
+            events.extend(recorded);
+        }
+        self.store.observer().record_batch(events);
+
         let mut results: Vec<Result<Vec<EpochPartial>>> = plans
             .iter()
             .map(|plan| plan.as_ref().map(|_| Vec::new()).map_err(Clone::clone))
             .collect();
-
-        // The calling thread participates in draining the pool's queue, so
-        // spawn one fewer worker than the requested parallelism: `workers`
-        // threads execute in total, matching the knob's documentation.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(workers - 1)
-            .build()
-            .expect("the threadpool shim never fails to build");
-
-        // `fetch_chunk == 0` means auto: slice the union evenly, one chunk
-        // per worker, so stage 1 enqueues exactly `workers` tasks.
-        let chunk_size = if opts.fetch_chunk == 0 {
-            union.len().div_ceil(workers)
-        } else {
-            opts.fetch_chunk
+        let cursor = AtomicUsize::new(0);
+        let claim_queries = |_| {
+            std::iter::from_fn(|| {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                plans.get(i).map(|plan| (i, plan))
+            })
+            .filter_map(|(i, plan)| {
+                let plan = plan.as_ref().ok()?;
+                let query = &queries[i];
+                let partials =
+                    self.aggregate_planned_query(epochs, union, &fetches, plan, query, opts);
+                Some((i, partials))
+            })
+            .collect::<Vec<_>>()
+        };
+        let aggregated = on_threads(workers.min(queries.len()), claim_queries);
+        for (i, result) in aggregated.into_iter().flatten() {
+            results[i] = result;
         }
-        .max(1);
-
-        // One result slot per union bin (chunk tasks fill disjoint slices)
-        // and one event buffer per chunk, merged in chunk order below.
-        let fetches: Vec<OnceLock<Result<Arc<BinEntry>>>> =
-            union.iter().map(|_| OnceLock::new()).collect();
-        let buffers: Vec<Mutex<Vec<AccessEvent>>> = union
-            .chunks(chunk_size)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        let fetches = &fetches;
-        let buffers = &buffers;
-
-        pool.scope(|s| {
-            // Stage 1: fetch + verify each union bin exactly once, one task
-            // per chunk. Each task reuses one observer for its whole chunk.
-            for (chunk_idx, chunk) in union.chunks(chunk_size).enumerate() {
-                s.spawn(move |_| {
-                    let local = AccessObserver::new();
-                    let store = self.store.observed_by(local.clone());
-                    for (offset, &(epoch_id, bin_idx)) in chunk.iter().enumerate() {
-                        let rt = epochs.get(&epoch_id).expect("planned epoch is registered");
-                        let result = self.fetch_bin_rows(&store, rt, bin_idx, opts);
-                        let slot = chunk_idx * chunk_size + offset;
-                        assert!(
-                            fetches[slot].set(result).is_ok(),
-                            "each union slot is filled exactly once"
-                        );
-                    }
-                    *buffers[chunk_idx].lock() = local.take_events();
-                });
-            }
-
-            // Barrier: wait for stage 1 without tearing the pool down.
-            s.quiesce();
-
-            // Deterministic merge: chunk buffers in ascending (epoch, bin)
-            // order — the exact order the sequential loop records in —
-            // under a single observer lock acquisition.
-            let merged: Vec<AccessEvent> = buffers
-                .iter()
-                .flat_map(|b| std::mem::take(&mut *b.lock()))
-                .collect();
-            self.store.observer().record_batch(merged);
-
-            // Stage 2: per-query filter/aggregate over the shared fetch
-            // results, on the same still-open scope.
-            for ((result, plan), query) in results.iter_mut().zip(plans).zip(queries) {
-                let Ok(plan) = plan else {
-                    continue;
-                };
-                s.spawn(move |_| {
-                    *result =
-                        self.aggregate_planned_query(epochs, union, fetches, plan, query, opts);
-                });
-            }
-        });
         results
     }
 
@@ -345,7 +311,7 @@ impl QueryEngine {
         &self,
         epochs: &BTreeMap<u64, EpochRuntime>,
         union: &[(u64, usize)],
-        fetches: &[OnceLock<Result<Arc<BinEntry>>>],
+        fetches: &[Result<Arc<BinEntry>>],
         plan: &PartialBinPlan,
         query: &Query,
         opts: &ExecOptions,
@@ -356,10 +322,7 @@ impl QueryEngine {
             let idx = union
                 .binary_search(pair)
                 .expect("every planned bin is in the union");
-            let entry = match fetches[idx].get().expect("stage 1 filled every slot") {
-                Ok(entry) => entry,
-                Err(e) => return Err(e.clone()),
-            };
+            let entry = fetches[idx].as_ref().map_err(Clone::clone)?;
             let rt = epochs.get(&pair.0).expect("planned epoch is registered");
             let part = part_of(&mut parts, pair.0);
             self.fold_entry(rt, entry, query, opts, part, &mut memo)?;

@@ -119,7 +119,8 @@ impl QueryEngine {
         Ok(entry)
     }
 
-    /// Fetch one bin and fold its matching tuples into `part`.
+    /// Fetch one bin and fold its matching tuples into `part`, returning
+    /// what was fetched (the §6 protocol re-encrypts exactly that).
     pub(super) fn fetch_and_fold_bin(
         &self,
         rt: &EpochRuntime,
@@ -128,9 +129,10 @@ impl QueryEngine {
         opts: &ExecOptions,
         part: &mut EpochPartial,
         memo: &mut PlanMemo,
-    ) -> Result<()> {
+    ) -> Result<Arc<BinEntry>> {
         let entry = self.fetch_bin_rows(&self.store, rt, bin_idx, opts)?;
-        self.fold_entry(rt, &entry, query, opts, part, memo)
+        self.fold_entry(rt, &entry, query, opts, part, memo)?;
+        Ok(entry)
     }
 
     /// Fold a fetched bin into one query's partial for the bin's epoch.
@@ -257,7 +259,7 @@ impl QueryEngine {
 /// What fetching one whole bin asks the store for: every cell-id packed in
 /// the bin with its tuple count, plus the bin's fake-tuple range clamped to
 /// the fakes the epoch actually shipped.
-pub(super) fn bin_fetch_spec(rt: &EpochRuntime, bin_idx: usize) -> FetchSpec {
+fn bin_fetch_spec(rt: &EpochRuntime, bin_idx: usize) -> FetchSpec {
     let bin = &rt.bin_plan.bins[bin_idx];
     let (lo, hi) = bin.fake_range;
     FetchSpec {

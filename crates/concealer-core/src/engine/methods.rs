@@ -2,25 +2,27 @@
 //! epoch's share of a query, plus the §6 forward-private range protocol
 //! with its bin re-encryption.
 
+use std::sync::Arc;
+
 use concealer_crypto::EpochId;
 use rand::Rng;
 
-use super::fetch::bin_fetch_spec;
 use super::{
     merge_partials, EpochPartial, EpochRuntime, PlanMemo, QueryEngine, RangeMethod, WinSecInterval,
     WinSecPlan,
 };
 use crate::api::ExecOptions;
+use crate::bin_cache::BinEntry;
 use crate::dynamic;
-use crate::query::trapdoor::generate_plain;
 use crate::query::{Query, QueryAnswer};
 use crate::{CoreError, Result};
 
 impl QueryEngine {
     /// Run one epoch's share of a range query with the method in `opts`,
-    /// folding its fetches into `part` and returning the BPB bins fetched
-    /// (the §6 protocol re-encrypts them afterwards; eBPB / winSecRange
-    /// fetch cell-groups and intervals instead, so they return no bins).
+    /// folding its fetches into `part` and returning the BPB bins fetched,
+    /// each with what the fetch returned (the §6 protocol re-encrypts
+    /// exactly that afterwards; eBPB / winSecRange fetch cell-groups and
+    /// intervals instead, so they return no bins).
     pub(super) fn execute_epoch_slice(
         &self,
         rt: &mut EpochRuntime,
@@ -28,15 +30,16 @@ impl QueryEngine {
         opts: &ExecOptions,
         part: &mut EpochPartial,
         memo: &mut PlanMemo,
-    ) -> Result<Vec<usize>> {
+    ) -> Result<Vec<(usize, Arc<BinEntry>)>> {
         match opts.method {
-            RangeMethod::Bpb => {
-                let bin_set = self.range_bins_for_epoch(rt, query, opts)?;
-                for &bin_idx in &bin_set {
-                    self.fetch_and_fold_bin(rt, bin_idx, query, opts, part, memo)?;
-                }
-                Ok(bin_set)
-            }
+            RangeMethod::Bpb => self
+                .range_bins_for_epoch(rt, query, opts)?
+                .into_iter()
+                .map(|bin_idx| {
+                    let entry = self.fetch_and_fold_bin(rt, bin_idx, query, opts, part, memo)?;
+                    Ok((bin_idx, entry))
+                })
+                .collect(),
             RangeMethod::Ebpb => {
                 self.execute_ebpb(rt, query, opts, part, memo)?;
                 Ok(Vec::new())
@@ -236,7 +239,7 @@ impl QueryEngine {
         for epoch_id in span {
             let rt = epochs.get_mut(&epoch_id).expect("registered epoch");
             let mut part = EpochPartial::empty(epoch_id, self.verification_active(opts, rt));
-            let mut bins_fetched: Vec<usize> = if rt.window.overlaps(t_start, t_end) {
+            let mut bins_fetched = if rt.window.overlaps(t_start, t_end) {
                 self.execute_epoch_slice(rt, query, opts, &mut part, &mut memo)?
             } else {
                 Vec::new()
@@ -251,8 +254,11 @@ impl QueryEngine {
                 let mut extras = EpochPartial::empty(epoch_id, part.verified);
                 while bins_fetched.len() < extra.min(num_bins) {
                     let candidate = self.rng.lock().gen_range(0..num_bins);
-                    if !bins_fetched.contains(&candidate) {
-                        self.fetch_and_fold_bin(
+                    if bins_fetched
+                        .iter()
+                        .all(|(fetched, _)| *fetched != candidate)
+                    {
+                        let entry = self.fetch_and_fold_bin(
                             rt,
                             candidate,
                             query,
@@ -260,13 +266,13 @@ impl QueryEngine {
                             &mut extras,
                             &mut memo,
                         )?;
-                        bins_fetched.push(candidate);
+                        bins_fetched.push((candidate, entry));
                     }
                 }
                 part.rows_fetched += extras.rows_fetched;
                 part.rows_decrypted += extras.rows_decrypted;
-                for bin_idx in bins_fetched {
-                    self.reencrypt_and_rewrite_bin(rt, bin_idx)?;
+                for (bin_idx, entry) in bins_fetched {
+                    self.reencrypt_and_rewrite_bin(rt, bin_idx, &entry)?;
                 }
             }
             parts.push(part);
@@ -276,22 +282,25 @@ impl QueryEngine {
     }
 
     /// Re-encrypt a fetched bin under the next round key and write it back
-    /// (§6), bumping the bin's round counter and refreshing its tags.
-    fn reencrypt_and_rewrite_bin(&self, rt: &mut EpochRuntime, bin_idx: usize) -> Result<()> {
-        let old_round = rt.bin_rounds[bin_idx];
-        let old_key = self.enclave.epoch_key(EpochId(rt.epoch_id), old_round);
+    /// (§6), bumping the bin's round counter and refreshing its tags. What
+    /// is re-encrypted is `fetched` — the rows the query itself fetched
+    /// and verified, never a second answer from the provider: the fresh
+    /// tags computed here would vouch for whatever that answer held.
+    fn reencrypt_and_rewrite_bin(
+        &self,
+        rt: &mut EpochRuntime,
+        bin_idx: usize,
+        fetched: &BinEntry,
+    ) -> Result<()> {
+        let old_round = fetched.round;
         let new_key = self.enclave.epoch_key(EpochId(rt.epoch_id), old_round + 1);
         let bin = &rt.bin_plan.bins[bin_idx];
 
-        let spec = bin_fetch_spec(rt, bin_idx);
-        let issued = generate_plain(old_key.as_ref(), &spec, self.enclave.meter());
-        let rows = self.store.fetch_batch(rt.epoch_id, &issued.trapdoors)?;
-
         let mut rng = self.rng.lock();
         let out = dynamic::reencrypt_bin(
-            old_key.as_ref(),
+            fetched.key.as_ref(),
             new_key.as_ref(),
-            &rows,
+            &fetched.rows,
             &bin.cell_ids,
             self.config.grid.num_cell_ids as usize,
             &mut *rng,

@@ -579,8 +579,6 @@ pub(crate) fn scope_for_query(query: &Query) -> QueryScope {
 // The facade lives in `system.rs`; re-exported here so its public path
 // (`concealer_core::engine::ConcealerSystem`) is unchanged.
 pub use crate::system::ConcealerSystem;
-// Re-export for the facade's users.
-pub use concealer_storage::EpochStore as Store;
 
 #[cfg(test)]
 mod tests;

@@ -2,6 +2,11 @@ use super::*;
 use crate::config::{FakeTupleStrategy, GridShape};
 use crate::query::AnswerValue;
 use crate::types::Record;
+use std::sync::Arc;
+
+use concealer_storage::{
+    EncryptedTable, MemoryBackend, Result as StoreResult, RowArena, StorageBackend, StoredEpoch,
+};
 
 fn test_config(oblivious: bool) -> SystemConfig {
     SystemConfig {
@@ -43,13 +48,6 @@ fn cleartext_count(
                 && r.time <= t.1
         })
         .count() as u64
-}
-
-/// On single-core hosts the engine (correctly) caps the worker count
-/// and runs parallel batches sequentially; tests of the pool machinery
-/// force the requested count so it is exercised everywhere.
-fn force_threads() {
-    std::env::set_var("CONCEALER_FORCE_THREADS", "1");
 }
 
 fn setup(oblivious: bool) -> (ConcealerSystem, UserHandle, Vec<Record>) {
@@ -362,6 +360,162 @@ fn forward_private_query_reencrypts_and_stays_correct() {
     assert!(system.store().rewrite_count(3600).unwrap() > 0);
 }
 
+fn forward_private_opts() -> ExecOptions {
+    ExecOptions {
+        method: RangeMethod::Bpb,
+        forward_private: true,
+        ..ExecOptions::default()
+    }
+}
+
+/// Two epochs of 150 records each on `backend`, so a range over both runs
+/// the multi-round §6 protocol.
+fn two_epochs(backend: Arc<dyn StorageBackend>) -> (ConcealerSystem, UserHandle, Vec<Record>) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut system = crate::SystemBuilder::new(test_config(false))
+        .with_backend(backend)
+        .build(&mut rng)
+        .unwrap();
+    let user = system.register_user(1, vec![], true);
+    let mut records = Vec::new();
+    for start in [0, 3600] {
+        let epoch = workload(start, 150);
+        system.ingest_epoch(start, &epoch, &mut rng).unwrap();
+        records.extend(epoch);
+    }
+    (system, user, records)
+}
+
+#[test]
+fn forward_private_query_fetches_each_bin_once() {
+    let (system, user, _) = two_epochs(Arc::new(MemoryBackend::new()));
+
+    // The §6 protocol re-encrypts what the query fetched: the provider
+    // sees exactly the rows the answer accounts for, not a second fetch
+    // of every bin before its rewrite.
+    system.observer().reset();
+    let answer = system
+        .session(&user)
+        .with_options(forward_private_opts())
+        .execute(&Query::count().at_dims([4]).between(0, 7199))
+        .unwrap();
+    assert!(system.store().rewrite_count(0).unwrap() > 0);
+    assert_eq!(
+        system.observer().summary().rows_fetched,
+        answer.rows_fetched
+    );
+}
+
+/// A provider that answers honestly until an epoch's first rewrite and
+/// from then on leaves one chosen row position out of every read of that
+/// epoch (the seed of a fault-injecting backend).
+#[derive(Debug, Default)]
+struct DroppingBackend {
+    inner: MemoryBackend,
+    /// Per epoch: the row position to hide, and whether hiding has begun.
+    victims: Mutex<BTreeMap<u64, (usize, bool)>>,
+}
+
+impl StorageBackend for DroppingBackend {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+    fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> StoreResult<()> {
+        self.inner.put_epoch(epoch_id, epoch)
+    }
+    fn with_epoch(&self, epoch_id: u64, f: &mut dyn FnMut(&StoredEpoch)) -> StoreResult<()> {
+        let hidden = match self.victims.lock().get(&epoch_id) {
+            Some(&(position, true)) => Some(position),
+            _ => None,
+        };
+        self.inner.with_epoch(epoch_id, &mut |epoch| {
+            let Some(position) = hidden else {
+                return f(epoch);
+            };
+            let mut rows = RowArena::new();
+            for (i, row) in epoch.table.rows().iter().enumerate() {
+                if i != position {
+                    rows.push_ref(row);
+                }
+            }
+            let table = EncryptedTable::bulk_load(rows).unwrap();
+            f(&StoredEpoch {
+                table,
+                ..epoch.clone()
+            });
+        })
+    }
+    fn update_epoch(
+        &self,
+        epoch_id: u64,
+        f: &mut dyn FnMut(&mut StoredEpoch) -> StoreResult<()>,
+    ) -> StoreResult<()> {
+        if let Some((_, armed)) = self.victims.lock().get_mut(&epoch_id) {
+            *armed = true;
+        }
+        self.inner.update_epoch(epoch_id, f)
+    }
+    fn epoch_ids(&self) -> Vec<u64> {
+        self.inner.epoch_ids()
+    }
+    fn epoch_count(&self) -> usize {
+        self.inner.epoch_count()
+    }
+    fn total_rows(&self) -> usize {
+        self.inner.total_rows()
+    }
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+}
+
+#[test]
+fn forward_private_rewrite_never_launders_a_dropped_row() {
+    let backend = Arc::new(DroppingBackend::default());
+    let (system, user, records) = two_epochs(backend.clone());
+
+    // The victim: a real tuple of epoch 0's last bin — the bin the §6
+    // protocol rewrites last, so every read of it that follows the
+    // query's own (verified) fetch comes after the epoch's first rewrite.
+    let key = system.engine().enclave().epoch_key(EpochId(0), 0);
+    let victim = {
+        let epochs = system.engine().epochs.read();
+        let plan = &epochs[&0].bin_plan;
+        assert!(plan.num_bins() > 1);
+        let stored = system.store().full_scan(0).unwrap();
+        stored
+            .iter()
+            .position(|row| {
+                let index_plain = key.det.decrypt(&row.index_key).unwrap();
+                codec::decode_index_plain(&index_plain)
+                    .is_some_and(|(cid, _)| plan.bin_of_cell(cid) == Some(plan.num_bins() - 1))
+            })
+            .expect("the last bin holds a real tuple")
+    };
+    backend.victims.lock().insert(0, (victim, false));
+
+    // Every bin of both epochs is fetched, verified and rewritten.
+    let query = Query::count().between(0, 7199);
+    let expected = cleartext_count(&records, None, None, (0, 7199));
+    let session = system.session(&user);
+    let answer = session
+        .execute_with(&query, forward_private_opts())
+        .unwrap();
+    assert_eq!(answer.value, AnswerValue::Count(expected));
+    assert!(system.store().rewrite_count(0).unwrap() > 0);
+
+    // The provider is now withholding a row. A verifying query either
+    // still sees every real tuple (the withheld position holds a fake) or
+    // fails — it never reports a short count as verified.
+    match session.execute_with(&query, ExecOptions::with_method(RangeMethod::Bpb)) {
+        Ok(answer) => {
+            assert!(answer.verified);
+            assert_eq!(answer.value, AnswerValue::Count(expected));
+        }
+        Err(e) => assert!(matches!(e, CoreError::IntegrityViolation { .. }), "{e}"),
+    }
+}
+
 #[test]
 fn superbins_fetch_more_but_answer_identically() {
     let (system, user, records) = setup(false);
@@ -434,43 +588,41 @@ fn parallel_test_queries(records: &[Record]) -> Vec<Query> {
 
 #[test]
 fn parallel_batch_matches_sequential_answers_and_trace() {
-    force_threads();
     let (system, user, records) = setup(false);
     let queries = parallel_test_queries(&records);
-    let session = system
-        .session(&user)
-        .with_options(ExecOptions::with_method(RangeMethod::Bpb));
-
-    system.observer().reset();
-    let sequential: Vec<QueryAnswer> = session
-        .execute_batch(&queries)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
-    let sequential_trace = system.observer().take_events();
-
-    for threads in [2usize, 4, 8] {
-        let par_session = system
+    // Answers, event-level trace and side-channel meter delta of one
+    // batch at the given worker count.
+    let run = |parallelism: usize| {
+        let session = system
             .session(&user)
-            .with_options(ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(threads));
+            .with_options(ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(parallelism));
         system.observer().reset();
-        let parallel: Vec<QueryAnswer> = par_session
-            .execute_batch(&queries)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        let parallel_trace = system.observer().take_events();
-        assert_eq!(parallel, sequential, "answers at parallelism={threads}");
+        let (answers, meter) = system.meter().measure(|| {
+            session
+                .execute_batch(&queries)
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect::<Vec<QueryAnswer>>()
+        });
+        (answers, system.observer().take_events(), meter)
+    };
+
+    let sequential = run(1);
+    // A count that does not divide the union, one above it, and one above
+    // any CI host's cores: the engine spawns what it is asked for.
+    for threads in [2usize, 3, 8] {
+        let parallel = run(threads);
+        assert_eq!(parallel.0, sequential.0, "answers at parallelism={threads}");
         assert_eq!(
-            parallel_trace, sequential_trace,
+            parallel.1, sequential.1,
             "event-level trace at parallelism={threads}"
         );
+        assert_eq!(parallel.2, sequential.2, "meter at parallelism={threads}");
     }
 }
 
 #[test]
 fn par_execute_batch_matches_execute_batch() {
-    force_threads();
     let (system, user, records) = setup(false);
     let queries = parallel_test_queries(&records);
     let session = system
@@ -485,7 +637,6 @@ fn par_execute_batch_matches_execute_batch() {
 
 #[test]
 fn parallel_batch_surfaces_per_query_errors_like_sequential() {
-    force_threads();
     let (system, user, _) = setup(false);
     let queries = vec![
         Query::count().at_dims([1]).between(0, 899),
@@ -505,7 +656,6 @@ fn parallel_batch_reports_integrity_violations_deterministically() {
     // and in parallel: both must fail the same queries with an
     // integrity violation (the per-query error is chosen by ascending
     // bin order, not thread timing).
-    force_threads();
     let (seq_sys, seq_user, records) = setup(false);
     let (par_sys, par_user, _) = setup(false);
     for system in [&seq_sys, &par_sys] {

@@ -234,7 +234,7 @@ impl DataProvider {
             FakeTupleStrategy::SimulateBins => {
                 let bpb = BinPlan::build(c_tuple, PackingAlgorithm::FirstFitDecreasing, None)
                     .total_fake_tuples();
-                let winsec = self.winsec_fake_need(c_tuple, real_rows);
+                let winsec = self.winsec_fake_need(real_rows);
                 bpb.max(winsec) as usize
             }
         }
@@ -242,7 +242,7 @@ impl DataProvider {
 
     /// Upper bound on the fakes the winSecRange interval plan needs:
     /// intervals are padded to the largest interval's size.
-    fn winsec_fake_need(&self, _c_tuple: &[u32], real_rows: usize) -> u64 {
+    fn winsec_fake_need(&self, real_rows: usize) -> u64 {
         let rows_per_interval = self.config.winsec_rows_per_interval.max(1);
         let num_intervals = self
             .config

@@ -26,7 +26,7 @@ use std::sync::OnceLock;
 use concealer_crypto::EpochKey;
 use concealer_enclave::oblivious::{oadd_if, oeq, omove};
 use concealer_enclave::{MeterSnapshot, SideChannelMeter};
-use concealer_storage::{EncryptedRow, RowArena, RowRef};
+use concealer_storage::{RowArena, RowRef};
 
 use crate::codec;
 use crate::config::SystemConfig;
@@ -233,7 +233,7 @@ pub fn process_rows_plain(
                 }
             }
         }
-        fold_record(&mut acc, aggregate, dims, payload);
+        fold_record(&mut acc, aggregate, dims, *time, payload);
     }
     meter.add_snapshot(ops);
     Ok((acc, decrypted))
@@ -309,7 +309,7 @@ pub fn process_rows_oblivious(
                 matched = in_range & obs_ok;
             }
             ops.cmoves += 4;
-            fold_record_oblivious(&mut acc, aggregate, dims, payload, matched);
+            fold_record_oblivious(&mut acc, aggregate, dims, *time, payload, matched);
         } else {
             ops.cmoves += 1;
             acc.count = oadd_if(matched, acc.count, 1);
@@ -343,7 +343,13 @@ fn bytes_eq_flag(a: &[u8], b: &[u8]) -> u64 {
     oeq(u64::from(diff), 0)
 }
 
-fn fold_record(acc: &mut Accumulator, aggregate: &Aggregate, dims: &[u64], payload: &[u64]) {
+fn fold_record(
+    acc: &mut Accumulator,
+    aggregate: &Aggregate,
+    dims: &[u64],
+    time: u64,
+    payload: &[u64],
+) {
     acc.count += 1;
     let attr = aggregate_attr(aggregate);
     let value = payload.get(attr).copied().unwrap_or(0);
@@ -361,7 +367,7 @@ fn fold_record(acc: &mut Accumulator, aggregate: &Aggregate, dims: &[u64], paylo
     if matches!(aggregate, Aggregate::CollectRows) {
         acc.rows.push(crate::types::Record {
             dims: dims.to_vec(),
-            time: 0, // time is re-attached by the caller when needed
+            time,
             payload: payload.to_vec(),
         });
     }
@@ -371,6 +377,7 @@ fn fold_record_oblivious(
     acc: &mut Accumulator,
     aggregate: &Aggregate,
     dims: &[u64],
+    time: u64,
     payload: &[u64],
     matched: u64,
 ) {
@@ -398,7 +405,7 @@ fn fold_record_oblivious(
     if matches!(aggregate, Aggregate::CollectRows) && matched == 1 {
         acc.rows.push(crate::types::Record {
             dims: dims.to_vec(),
-            time: 0,
+            time,
             payload: payload.to_vec(),
         });
     }
@@ -414,18 +421,12 @@ fn aggregate_attr(aggregate: &Aggregate) -> usize {
     }
 }
 
-/// Re-attach exact timestamps to collected rows by decoding the payload
-/// plaintext again — helper for the engine's `CollectRows` path.
-pub fn decode_time(key: &EpochKey, row: &EncryptedRow) -> Option<u64> {
-    let plain = key.det.decrypt(&row.payload).ok()?;
-    codec::decode_payload_plain(&plain).ok().map(|(_, t, _)| t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use concealer_crypto::{EpochId, MasterKey};
+    use concealer_storage::EncryptedRow;
 
     fn key() -> EpochKey {
         MasterKey::from_bytes([6u8; 32]).epoch_key(EpochId(0), 0)

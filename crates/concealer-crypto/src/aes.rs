@@ -139,12 +139,6 @@ impl Aes {
         Self::with_size(key, KeySize::Aes256)
     }
 
-    /// Expand an AES-128 key.
-    #[must_use]
-    pub fn new_128(key: &[u8; 16]) -> Self {
-        Self::with_size(key, KeySize::Aes128)
-    }
-
     fn with_size(key: &[u8], size: KeySize) -> Self {
         let nk = size.key_words();
         let rounds = size.rounds();
@@ -224,14 +218,6 @@ impl Aes {
     pub fn encrypt_block_copy(&self, block: &Block) -> Block {
         let mut b = *block;
         self.encrypt_block(&mut b);
-        b
-    }
-
-    /// Decrypt a copy of `block` and return it.
-    #[must_use]
-    pub fn decrypt_block_copy(&self, block: &Block) -> Block {
-        let mut b = *block;
-        self.decrypt_block(&mut b);
         b
     }
 }

@@ -17,14 +17,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct EpochId(pub u64);
 
-impl EpochId {
-    /// The raw epoch identifier.
-    #[must_use]
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 impl From<u64> for EpochId {
     fn from(v: u64) -> Self {
         EpochId(v)

@@ -48,13 +48,6 @@ impl RangePrf {
     pub fn eval_u64_mod(&self, value: u64, modulus: u64) -> u64 {
         self.eval_mod(&value.to_be_bytes(), modulus)
     }
-
-    /// Raw 64-bit PRF output for `input` (no modular reduction).
-    #[must_use]
-    pub fn eval_u64(&self, input: &[u8]) -> u64 {
-        let tag = hmac_sha256(&self.key, input);
-        u64::from_be_bytes(tag[..8].try_into().expect("8 bytes"))
-    }
 }
 
 #[cfg(test)]

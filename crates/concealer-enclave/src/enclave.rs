@@ -22,8 +22,10 @@ pub struct EnclaveConfig {
     /// When `false`, the enclave behaves like the paper's baseline
     /// "Concealer" variant that assumes SGX is side-channel free.
     pub oblivious: bool,
-    /// Enclave page-cache budget in tuples: above this the in-enclave sort
-    /// switches from bitonic sort to column sort (footnote 5 of the paper).
+    /// Enclave page-cache budget in tuples — the size above which the paper
+    /// would sort with column sort instead of bitonic sort (footnote 5). No
+    /// fetch unit here reaches it; the value only enters the attestation
+    /// measurement.
     pub epc_tuple_budget: usize,
 }
 

@@ -14,8 +14,7 @@
 //! * **oblivious in-enclave computation** for Concealer+: the branch-free
 //!   [`oblivious::omove`] / [`oblivious::ogreater`] operators of
 //!   Ohrimenko et al. that the paper adopts (§4.3, Fig. 2), plus
-//!   data-independent [`sort::bitonic_sort_by_key`] and
-//!   [`sort::column_sort_by_key`];
+//!   data-independent [`sort::bitonic_sort_by_key`];
 //! * **remote attestation**, simulated in [`attest`]: a deterministic
 //!   measurement over the enclave's code version and configuration, and
 //!   signed quotes binding it to a client nonce, so the serving layer's

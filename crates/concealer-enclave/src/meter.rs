@@ -31,19 +31,6 @@ pub struct MeterSnapshot {
     pub trapdoors_generated: u64,
 }
 
-impl MeterSnapshot {
-    /// Total operations (useful for coarse comparisons in benchmarks).
-    #[must_use]
-    pub fn total_ops(&self) -> u64 {
-        self.comparisons
-            + self.cmoves
-            + self.element_touches
-            + self.sort_steps
-            + self.decryptions
-            + self.trapdoors_generated
-    }
-}
-
 /// Thread-safe counter bundle. Cloning shares the underlying counters.
 #[derive(Debug, Clone, Default)]
 pub struct SideChannelMeter {
@@ -156,7 +143,6 @@ mod tests {
         assert_eq!(s.sort_steps, 7);
         assert_eq!(s.decryptions, 1);
         assert_eq!(s.trapdoors_generated, 4);
-        assert_eq!(s.total_ops(), 27);
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! §4.3 of the paper sorts trapdoor lists and fetched tuples with a
 //! *data-independent* sorting algorithm so that the enclave's memory-access
 //! pattern does not depend on which tuples matched the query: bitonic sort
-//! (Batcher 1968) when everything fits in the enclave, and Leighton's
-//! column sort when it does not (footnote 5 of the paper). Both are
-//! implemented here over a generic element type with a `u64` sort key
-//! extracted up front, and both report every compare-exchange step to the
-//! [`SideChannelMeter`] so tests can check the step count depends only on
-//! the input *length*, never on the key values.
+//! (Batcher 1968) when everything fits in the enclave, or Leighton's
+//! column sort when it does not (footnote 5 of the paper). Every fetch
+//! unit here fits, so bitonic sort is the one implemented — over a generic
+//! element type with a `u64` sort key extracted up front, reporting every
+//! compare-exchange step to the [`SideChannelMeter`] so tests can check
+//! the step count depends only on the input *length*, never on the key
+//! values.
 
 use crate::meter::SideChannelMeter;
 use crate::oblivious::{ogreater, oswap_u64};
 
-/// Tag value marking padding / sentinel entries inside the sorting networks.
+/// Tag value marking padding / sentinel entries inside the sorting network.
 const SENTINEL_TAG: u64 = u64::MAX;
 
 /// Sort `items` in ascending order of `key(item)` using a bitonic sorting
@@ -110,126 +111,6 @@ fn bitonic_network(pairs: &mut Vec<(u64, u64)>, meter: &SideChannelMeter) {
     debug_assert_eq!(pairs.len(), n);
 }
 
-/// Collect the original indices of the non-sentinel entries, in sorted
-/// order. Exactly `n` such entries must exist.
-fn extract_permutation(pairs: &[(u64, u64)], n: usize) -> Vec<u64> {
-    let perm: Vec<u64> = pairs
-        .iter()
-        .filter(|p| p.1 != SENTINEL_TAG)
-        .map(|p| p.1)
-        .collect();
-    debug_assert_eq!(perm.len(), n, "sorting network lost elements");
-    perm
-}
-
-/// Sort `items` with Leighton's column sort, the algorithm the paper uses
-/// when the working set exceeds enclave memory (footnote 5). The data is
-/// laid out as an `r × s` matrix (`r` divisible by `s`, `r ≥ 2(s-1)²`)
-/// stored column-major and sorted with the eight fixed columnsort passes;
-/// the access pattern depends only on the length.
-///
-/// Falls back to a single bitonic sort when the input is too small for a
-/// valid column-sort geometry — the fallback is still data-independent.
-pub fn column_sort_by_key<T, F>(items: &mut [T], meter: &SideChannelMeter, key: F)
-where
-    F: Fn(&T) -> u64,
-{
-    let n = items.len();
-    let Some((r, s)) = column_sort_geometry(n) else {
-        bitonic_sort_by_key(items, meter, key);
-        return;
-    };
-
-    // (key, original index) pairs stored column-major, padded to r*s with
-    // high sentinels.
-    let mut pairs: Vec<(u64, u64)> = items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| (key(item), i as u64))
-        .collect();
-    pairs.resize(r * s, (u64::MAX, SENTINEL_TAG));
-
-    let sort_columns = |pairs: &mut [(u64, u64)], meter: &SideChannelMeter| {
-        for c in 0..pairs.len() / r {
-            let col = &mut pairs[c * r..(c + 1) * r];
-            let mut col_vec = col.to_vec();
-            bitonic_network(&mut col_vec, meter);
-            col.copy_from_slice(&col_vec);
-        }
-    };
-
-    // Steps 1-2: sort columns, transpose.
-    sort_columns(&mut pairs, meter);
-    pairs = transpose_cm(&pairs, r, s);
-    // Steps 3-4: sort columns, untranspose.
-    sort_columns(&mut pairs, meter);
-    pairs = untranspose_cm(&pairs, r, s);
-    // Steps 5-6: sort columns, shift down by r/2 into an r×(s+1) matrix.
-    sort_columns(&mut pairs, meter);
-    let mut shifted = shift_cm(&pairs, r);
-    // Step 7: sort columns of the shifted matrix.
-    sort_columns(&mut shifted, meter);
-    // Step 8 (unshift) + extraction: the real elements now appear in sorted
-    // order; sentinels are stripped by tag.
-    let perm = extract_permutation(&shifted, n);
-    apply_permutation(items, &perm);
-}
-
-/// Pick a valid column-sort geometry `(rows, cols)` for `n` elements:
-/// `rows * cols >= n`, `cols >= 2`, `rows % cols == 0`, `rows >= 2*(cols-1)^2`.
-fn column_sort_geometry(n: usize) -> Option<(usize, usize)> {
-    if n < 8 {
-        return None;
-    }
-    for s in [8usize, 4, 2] {
-        let min_r = (2 * (s - 1) * (s - 1)).max(s);
-        let mut r = n.div_ceil(s).max(min_r);
-        r = r.div_ceil(s) * s;
-        if r * s >= n {
-            return Some((r, s));
-        }
-    }
-    None
-}
-
-/// Columnsort step 2: pick the entries up in column-major order and lay
-/// them back down in row-major order (keeping the `r × s` shape, stored
-/// column-major).
-fn transpose_cm(pairs: &[(u64, u64)], r: usize, s: usize) -> Vec<(u64, u64)> {
-    let mut out = vec![(0u64, 0u64); r * s];
-    for (j, p) in pairs.iter().enumerate() {
-        let row = j / s;
-        let col = j % s;
-        out[col * r + row] = *p;
-    }
-    out
-}
-
-/// Columnsort step 4: the inverse of [`transpose_cm`] — pick up in
-/// row-major order, lay down in column-major order.
-fn untranspose_cm(pairs: &[(u64, u64)], r: usize, s: usize) -> Vec<(u64, u64)> {
-    let mut out = vec![(0u64, 0u64); r * s];
-    for (j, slot) in out.iter_mut().enumerate() {
-        let row = j / s;
-        let col = j % s;
-        *slot = pairs[col * r + row];
-    }
-    out
-}
-
-/// Columnsort step 6: shift every entry down by `r/2` positions in flat
-/// column-major order, filling the vacated top half of the first column
-/// with minimal sentinels and the bottom half of the new last column with
-/// maximal sentinels. The result is an `r × (s+1)` matrix.
-fn shift_cm(pairs: &[(u64, u64)], r: usize) -> Vec<(u64, u64)> {
-    let half = r / 2;
-    let mut out = Vec::with_capacity(pairs.len() + r);
-    out.extend(std::iter::repeat_n((0u64, SENTINEL_TAG), half));
-    out.extend_from_slice(pairs);
-    out.extend(std::iter::repeat_n((u64::MAX, SENTINEL_TAG), r - half));
-    out
-}
-
 /// Reorder `items` so that output position `i` receives the input element
 /// at `perm[i]`. Runs in place via cycle-following on the inverse
 /// permutation, so no `Clone` bound is required.
@@ -322,41 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn column_sort_matches_std_sort() {
-        let meter = SideChannelMeter::new();
-        for n in [0usize, 5, 16, 64, 100, 500, 1024, 2000] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64 + 7);
-            let mut v: Vec<u64> = (0..n as u64).map(|i| i * 37 % 101).collect();
-            v.shuffle(&mut rng);
-            let mut expect = v.clone();
-            expect.sort_unstable();
-            column_sort_by_key(&mut v, &meter, |x| *x);
-            assert_eq!(v, expect, "n={n}");
-        }
-    }
-
-    #[test]
-    fn column_sort_step_count_depends_only_on_length() {
-        let meter = SideChannelMeter::new();
-        let mut a: Vec<u64> = (0..300).collect();
-        let (_, d1) = meter.measure(|| column_sort_by_key(&mut a, &meter, |x| *x));
-        let mut b: Vec<u64> = (0..300).rev().collect();
-        let (_, d2) = meter.measure(|| column_sort_by_key(&mut b, &meter, |x| *x));
-        assert_eq!(d1.sort_steps, d2.sort_steps);
-    }
-
-    #[test]
-    fn geometry_is_valid_when_some() {
-        for n in [8usize, 16, 100, 1000, 5000, 12345] {
-            if let Some((r, s)) = column_sort_geometry(n) {
-                assert!(r * s >= n, "n={n} r={r} s={s}");
-                assert_eq!(r % s, 0, "r={r} s={s}");
-                assert!(r >= 2 * (s - 1) * (s - 1), "r={r} s={s}");
-            }
-        }
-    }
-
-    #[test]
     fn apply_permutation_identity_and_reverse() {
         let mut v = vec![10, 20, 30, 40];
         apply_permutation(&mut v, &[0, 1, 2, 3]);
@@ -377,15 +223,6 @@ mod tests {
             let mut expect = v.clone();
             expect.sort_unstable();
             bitonic_sort_by_key(&mut v, &meter, |x| *x);
-            prop_assert_eq!(v, expect);
-        }
-
-        #[test]
-        fn prop_column_matches_std(mut v in proptest::collection::vec(any::<u64>(), 0..400)) {
-            let meter = SideChannelMeter::new();
-            let mut expect = v.clone();
-            expect.sort_unstable();
-            column_sort_by_key(&mut v, &meter, |x| *x);
             prop_assert_eq!(v, expect);
         }
 

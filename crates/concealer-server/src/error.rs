@@ -71,7 +71,7 @@ pub enum ErrorCode {
     /// replica set's writer mutates the shared store root; retry against
     /// the writer, or promote this member first.
     NotWriter,
-    /// The attestation exchange failed (v4): a `Hello` arrived on a
+    /// The attestation exchange failed: a `Hello` arrived on a
     /// connection that never completed a successful `Attest`, or a router
     /// could not gather a single quote from its upstreams. Clients also
     /// raise this code locally when a received quote fails their trust

@@ -6,8 +6,9 @@
 //! positional `serde::bin` LEB128 format. The message enums below *are*
 //! the wire format — variants are tagged by declaration index, fields are
 //! written in declaration order — so **their declaration order is part of
-//! the protocol**: append new variants/fields, never reorder, and bump
-//! [`PROTOCOL_VERSION`] on any incompatible change.
+//! the protocol**: append new variants, never reorder, and bump
+//! [`PROTOCOL_VERSION`] on any incompatible change — which every change
+//! to a struct's fields is.
 //!
 //! A connection's lifecycle:
 //!
@@ -47,21 +48,12 @@ use crate::error::WireError;
 /// `Request::Hello`; the server refuses mismatches with
 /// [`crate::error::ErrorCode::UnsupportedVersion`].
 ///
-/// History: version 1 was the single-process message set (PR 5–7);
-/// version 2 appended the multi-node shard/router messages
-/// ([`Request::ShardInfo`], [`Request::ExecutePartial`],
-/// [`Request::ExecuteBatchPartial`], [`Request::RouterStats`] and their
-/// replies) plus the `shard_unavailable` error code; version 3 appended
-/// the replica-set extensions — [`ShardDescriptor`] grew `role` and
-/// `store_generation`, [`ShardLoad`] grew `member` and `writer`,
-/// [`Request::Promote`] / [`Response::PromoteOk`] and the `not_writer`
-/// error code were added; version 4 appended the attestation pre-auth
-/// exchange — [`Request::Attest`] / [`Response::AttestOk`] carrying
-/// [`WireQuote`]s, the `attestation_failed` error code — and made a
-/// successful `Attest` a precondition for `Hello`. The canonical
+/// No peer of an earlier version was ever deployed, so there is one
+/// layout: versions 1–4 appended the routing, replica-set and attestation
+/// messages, version 5 dropped the last field of `ExecOptions`. The canonical
 /// field-by-field layout of every message lives in `PROTOCOL.md` at the
 /// repository root.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Request id used for connection-level errors that cannot be attributed
 /// to a request (malformed frame, handshake refusal, admission rejection).
@@ -199,7 +191,7 @@ pub enum Request {
         id: u64,
     },
     /// Ask the serving enclave(s) to prove their identity before any
-    /// credential is sent (v4). Like [`Request::ShardInfo`], this is
+    /// credential is sent. Like [`Request::ShardInfo`], this is
     /// answerable **before** authentication — it must be, because clients
     /// refuse to send `Hello` until the quotes verify. Servers in turn
     /// refuse `Hello` on a connection that has not completed a successful
@@ -340,7 +332,7 @@ impl From<Result<QueryAnswer, concealer_core::CoreError>> for WireResult {
     }
 }
 
-/// A server's role within its shard's replica set (v3). Tagged by
+/// A server's role within its shard's replica set. Tagged by
 /// declaration index on the wire, like every protocol enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShardRole {
@@ -370,9 +362,9 @@ pub struct ShardDescriptor {
     pub epoch_duration: u64,
     /// The epoch ids (start times) this server currently holds, ascending.
     pub epochs: Vec<u64>,
-    /// This server's role in the shard's replica set (v3).
+    /// This server's role in the shard's replica set.
     pub role: ShardRole,
-    /// The durable store's monotonic commit-point version (v3); `0` on
+    /// The durable store's monotonic commit-point version; `0` on
     /// backends without one. Replica lag is the writer's value minus the
     /// replica's.
     pub store_generation: u64,
@@ -488,9 +480,8 @@ pub struct RouterStats {
     pub shards: Vec<ShardLoad>,
 }
 
-/// One replica-set member's load counters inside [`RouterStats`]. Before
-/// v3 a shard had exactly one member; a v3 router reports one entry per
-/// member, ascending by `(shard_index, member)`.
+/// One replica-set member's load counters inside [`RouterStats`]: one
+/// entry per member, ascending by `(shard_index, member)`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardLoad {
     /// The shard's index in the deployment.
@@ -506,15 +497,15 @@ pub struct ShardLoad {
     /// Whether the member was reachable at snapshot time (false while the
     /// router is backing off from a failed reconnect).
     pub available: bool,
-    /// The member's position within its shard's replica set (v3; 0-based,
+    /// The member's position within its shard's replica set (0-based,
     /// configuration order).
     pub member: u32,
     /// Whether the router currently routes this shard's ingest to this
-    /// member (v3; moves on promotion).
+    /// member (moves on promotion).
     pub writer: bool,
 }
 
-/// One enclave's attestation evidence inside [`Response::AttestOk`] (v4):
+/// One enclave's attestation evidence inside [`Response::AttestOk`]:
 /// the wire form of [`concealer_enclave::Quote`], tagged with which shard
 /// member produced it. A single server reports one quote; a router reports
 /// one per reachable upstream member, so the client sees every enclave its
@@ -642,7 +633,7 @@ pub enum Response {
         /// server was already the writer).
         epochs_registered: u64,
     },
-    /// Reply to [`Request::Attest`] (v4): the enclave quote(s) answering
+    /// Reply to [`Request::Attest`]: the enclave quote(s) answering
     /// the request's nonce. A failed attestation is a
     /// [`Response::Error`] with
     /// [`crate::error::ErrorCode::AttestationFailed`] instead.

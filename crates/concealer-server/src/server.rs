@@ -8,11 +8,10 @@
 //! this file only moves frames and decides where work runs:
 //!
 //! * One acceptor loop (the serve thread) polls a non-blocking listener
-//!   and hands each accepted socket to a task on the rayon-shim scoped
-//!   pool — one worker per allowed connection, so the pool size *is* the
-//!   connection cap. Connections beyond [`ServerConfig::max_connections`]
-//!   are refused eagerly with a [`ErrorCode::Busy`] error frame.
-//! * Each connection task owns its socket, reads one frame at a time and
+//!   and spawns one scoped thread per accepted connection. Connections
+//!   beyond [`ServerConfig::max_connections`] are refused eagerly with a
+//!   [`ErrorCode::Busy`] error frame.
+//! * Each connection thread owns its socket, reads one frame at a time and
 //!   runs the work it leads to inline, so one connection has at most one
 //!   request executing — a pipelining client queues further frames in the
 //!   socket buffer, which is the per-session in-flight bound.
@@ -29,7 +28,7 @@
 //! `Request::Shutdown`) is graceful: the acceptor stops, every
 //! connection's read half is shut down so blocked reads wake, in-flight
 //! requests still write their replies, and the serve thread joins all
-//! connection tasks before reporting.
+//! connection threads before reporting.
 
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -55,9 +54,8 @@ use crate::protocol::{
 /// Which serving core handles connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServerMode {
-    /// Thread-per-connection on the scoped pool (the PR 5 reference
-    /// implementation): simple, strictly ordered replies, concurrency
-    /// capped at the pool size.
+    /// Thread-per-connection (the PR 5 reference implementation): simple,
+    /// strictly ordered replies, one OS thread per open connection.
     #[default]
     Threaded,
     /// Readiness-driven non-blocking core (`crate::event`): one event
@@ -97,8 +95,9 @@ pub struct ServerConfig {
     pub bind: SocketAddr,
     /// Name reported in the handshake.
     pub server_name: String,
-    /// Maximum concurrently served connections (also the thread-pool
-    /// size). Further connections receive a `Busy` error frame.
+    /// Maximum concurrently served connections — on the threaded core
+    /// also the most connection threads alive at once. Further
+    /// connections receive a `Busy` error frame.
     pub max_connections: usize,
     /// Maximum queries per `ExecuteBatch` request.
     pub max_batch: usize,
@@ -186,7 +185,7 @@ pub trait ServeHandler: Send + Sync + 'static {
     /// Answer pre-auth topology discovery (`Request::ShardInfo`).
     fn shard_info(&self, id: u64) -> Response;
 
-    /// Answer the pre-auth attestation challenge (`Request::Attest`, v4):
+    /// Answer the pre-auth attestation challenge (`Request::Attest`):
     /// produce the serving enclave's quote(s) over `nonce`. A router
     /// dials every upstream member for its quote.
     fn attest(&self, id: u64, nonce: [u8; 32]) -> Response;
@@ -642,12 +641,6 @@ impl ServerHandle {
         }
     }
 
-    /// Whether a shutdown has been signalled (locally or over the wire).
-    #[must_use]
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.draining()
-    }
-
     /// Wait for the serve loop to finish and return its report. Panics if
     /// the serve thread panicked.
     pub fn join(self) -> ServeReport {
@@ -749,7 +742,7 @@ impl ConnRegistry {
     }
 }
 
-/// State shared between the acceptor and every connection task.
+/// State shared between the acceptor and every connection thread.
 struct Threaded<'a> {
     handler: &'a dyn ServeHandler,
     shared: &'a Arc<Shared>,
@@ -769,13 +762,9 @@ fn serve(handler: &dyn ServeHandler, shared: &Arc<Shared>, listener: &TcpListene
         admission: Admission::new(shared.config.max_in_flight),
         registry: ConnRegistry::default(),
     };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(shared.config.max_connections.max(1))
-        .build()
-        .expect("the shim thread pool builder is infallible");
 
     let mut report = ServeReport::default();
-    pool.scope(|scope| {
+    std::thread::scope(|scope| {
         let mut next_conn_id: u64 = 1;
         loop {
             if shared.draining() {
@@ -797,11 +786,21 @@ fn serve(handler: &dyn ServeHandler, shared: &Arc<Shared>, listener: &TcpListene
                     }
                     shared.connection_opened();
                     let serving = &serving;
-                    scope.spawn(move |_| {
-                        handle_connection(serving, stream);
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("conn-{conn_id}"))
+                        .spawn_scoped(scope, move || {
+                            handle_connection(serving, stream);
+                            serving.registry.deregister(conn_id);
+                            serving.shared.connection_closed();
+                        });
+                    if spawned.is_err() {
+                        // No thread to serve it: the closure (and with it
+                        // the socket) is already dropped, which closes the
+                        // connection; undo its bookkeeping and keep
+                        // accepting.
                         serving.registry.deregister(conn_id);
-                        serving.shared.connection_closed();
-                    });
+                        shared.connection_closed();
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(ACCEPT_POLL);
@@ -810,7 +809,7 @@ fn serve(handler: &dyn ServeHandler, shared: &Arc<Shared>, listener: &TcpListene
                 Err(_) => break,
             }
         }
-        // Wake every blocked read so connection tasks can drain; their
+        // Wake every blocked read so connection threads can drain; their
         // in-flight replies still go out on the intact write halves.
         serving.registry.wake_all();
     });

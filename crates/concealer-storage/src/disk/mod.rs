@@ -657,10 +657,14 @@ mod tests {
             store
                 .ingest_epoch(7, sample_rows(10, 3), sample_meta(3))
                 .unwrap();
+            // A §6 bin rewrite: the row and its refreshed tag in one commit.
             store
-                .rewrite_rows(7, vec![(vec![3, 0, 4], row(&[9, 9, 9], 0xEE))])
+                .rewrite_bin(
+                    7,
+                    vec![(vec![3, 0, 4], row(&[9, 9, 9], 0xEE))],
+                    vec![(0, vec![0xAB])],
+                )
                 .unwrap();
-            store.update_tags(7, vec![(0, vec![0xAB])]).unwrap();
         }
         let store = disk_store(&scratch.0);
         assert_eq!(store.rewrite_count(7).unwrap(), 1);
@@ -679,10 +683,19 @@ mod tests {
         store
             .ingest_epoch(1, sample_rows(10, 1), sample_meta(1))
             .unwrap();
-        let err = store.replace_epoch_rows(1, sample_rows(9, 2), None);
+        // One replacement names an old key the segment does not hold: the
+        // whole rewrite is refused, the valid half included.
+        let err = store.rewrite_rows(
+            1,
+            vec![
+                (vec![1, 0, 1], row(&[9, 9, 9], 0xEE)),
+                (vec![7, 7, 7], row(&[8, 8, 8], 0xEE)),
+            ],
+        );
         assert!(matches!(err, Err(StorageError::CardinalityMismatch { .. })));
         assert_eq!(store.rewrite_count(1).unwrap(), 0);
         assert!(store.fetch_by_trapdoor(1, &[1, 0, 1]).unwrap().is_some());
+        assert!(store.fetch_by_trapdoor(1, &[9, 9, 9]).unwrap().is_none());
     }
 
     #[test]

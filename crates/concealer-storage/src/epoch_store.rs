@@ -18,7 +18,7 @@
 use crate::backend::{MemoryBackend, StorageBackend};
 use crate::observer::{AccessEvent, AccessObserver};
 use crate::table::{EncryptedRow, EncryptedTable, RowArena, RowRef};
-use crate::{Result, StorageError};
+use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -80,16 +80,6 @@ impl EpochStore {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Create an in-memory store that reports accesses to an existing
-    /// observer.
-    #[must_use]
-    pub fn with_observer(observer: AccessObserver) -> Self {
-        EpochStore {
-            backend: Arc::new(MemoryBackend::new()),
-            observer,
-        }
     }
 
     /// Create a store over an explicit [`StorageBackend`] (e.g. a
@@ -326,43 +316,6 @@ impl EpochStore {
         self.observer.mark_query_boundary();
     }
 
-    /// Replace an epoch's rows after the enclave re-encrypted them (§6).
-    ///
-    /// The replacement must contain the same number of rows — the dynamic
-    /// insertion protocol rewrites bins in place and must not change the
-    /// observable cardinality.
-    pub fn replace_epoch_rows(
-        &self,
-        epoch_id: u64,
-        rows: Vec<EncryptedRow>,
-        metadata: Option<EpochMetadata>,
-    ) -> Result<()> {
-        let mut rows = Some(rows);
-        let mut metadata = metadata;
-        let mut row_count = 0;
-        self.backend.update_epoch(epoch_id, &mut |epoch| {
-            let rows = rows.take().expect("update closure runs once");
-            if rows.len() != epoch.table.len() {
-                return Err(StorageError::CardinalityMismatch {
-                    expected: epoch.table.len(),
-                    got: rows.len(),
-                });
-            }
-            row_count = rows.len();
-            epoch.table = EncryptedTable::bulk_load(rows)?;
-            if let Some(m) = metadata.take() {
-                epoch.metadata = m;
-            }
-            epoch.rewrite_count += 1;
-            Ok(())
-        })?;
-        self.observer.record(AccessEvent::EpochRewritten {
-            epoch_id,
-            rows: row_count,
-        });
-        Ok(())
-    }
-
     /// Replace a *subset* of an epoch's rows in place, keyed by their old
     /// `Index` values. Used by the dynamic-insertion protocol (§6 of the
     /// paper): the enclave re-encrypts exactly the rows it fetched and the
@@ -418,21 +371,6 @@ impl EpochStore {
         Ok(())
     }
 
-    /// Update a subset of an epoch's verifiable tags (the enclave refreshes
-    /// them after re-encrypting rows).
-    pub fn update_tags(&self, epoch_id: u64, updates: Vec<(usize, Vec<u8>)>) -> Result<()> {
-        let mut updates = Some(updates);
-        self.backend.update_epoch(epoch_id, &mut |epoch| {
-            let updates = updates.take().expect("update closure runs once");
-            for (cell_id, tag) in updates {
-                if let Some(slot) = epoch.metadata.enc_tags.get_mut(cell_id) {
-                    *slot = tag;
-                }
-            }
-            Ok(())
-        })
-    }
-
     /// How many times an epoch has been rewritten.
     pub fn rewrite_count(&self, epoch_id: u64) -> Result<u64> {
         let mut out = 0;
@@ -468,6 +406,7 @@ fn lookup_observed<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StorageError;
 
     fn row(key: &[u8], tag: u8) -> EncryptedRow {
         EncryptedRow {
@@ -684,30 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_epoch_enforces_cardinality() {
-        let store = EpochStore::new();
-        store
-            .ingest_epoch(3, sample_epoch(20, 3), EpochMetadata::default())
-            .unwrap();
-        let err = store.replace_epoch_rows(3, sample_epoch(19, 4), None);
-        assert!(matches!(
-            err,
-            Err(StorageError::CardinalityMismatch {
-                expected: 20,
-                got: 19
-            })
-        ));
-
-        store
-            .replace_epoch_rows(3, sample_epoch(20, 4), None)
-            .unwrap();
-        assert_eq!(store.rewrite_count(3).unwrap(), 1);
-        // New rows are findable, old rows are gone.
-        assert!(store.fetch_by_trapdoor(3, &[4, 0, 1]).unwrap().is_some());
-        assert!(store.fetch_by_trapdoor(3, &[3, 0, 1]).unwrap().is_none());
-    }
-
-    #[test]
     fn metadata_roundtrip() {
         let store = EpochStore::new();
         let meta = EpochMetadata {
@@ -768,22 +683,6 @@ mod tests {
         // Empty replacement list is a no-op.
         store.rewrite_rows(6, vec![]).unwrap();
         assert_eq!(store.rewrite_count(6).unwrap(), 0);
-    }
-
-    #[test]
-    fn update_tags_in_place() {
-        let store = EpochStore::new();
-        let meta = EpochMetadata {
-            enc_tags: vec![vec![1], vec![2], vec![3]],
-            ..Default::default()
-        };
-        store.ingest_epoch(7, sample_epoch(3, 7), meta).unwrap();
-        store
-            .update_tags(7, vec![(1, vec![9, 9]), (5, vec![0])])
-            .unwrap();
-        let m = store.metadata(7).unwrap();
-        assert_eq!(m.enc_tags, vec![vec![1], vec![9, 9], vec![3]]);
-        assert!(store.update_tags(99, vec![]).is_err());
     }
 
     #[test]

@@ -14,7 +14,9 @@
 use concealer_core::{
     merge_partials, ConcealerSystem, ExecOptions, Query, QueryAnswer, RangeMethod, UserHandle,
 };
+use concealer_enclave::MeterSnapshot;
 use concealer_examples::demo_system;
+use concealer_storage::AccessEvent;
 use concealer_workloads::QueryWorkload;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,18 +53,43 @@ fn random_mix(seed: u64, len: usize) -> Vec<Query> {
         .collect()
 }
 
+/// Worker counts every parallel assertion compares with the sequential
+/// batch: 1 (the sequential executor again, for the partial entry point),
+/// two that rarely divide the union, and one above any CI host's cores
+/// (and, for short mixes, above the union length).
+const PARALLELISM_SWEEP: [usize; 4] = [1, 2, 3, 8];
+
+/// One BPB batch on `parallelism` workers through `execute_batch`: the
+/// answers, the side-channel meter delta and the event-level trace.
+fn run_batch(
+    system: &ConcealerSystem,
+    user: &UserHandle,
+    queries: &[Query],
+    parallelism: usize,
+) -> (Vec<QueryAnswer>, MeterSnapshot, Vec<AccessEvent>) {
+    let session = system
+        .session(user)
+        .with_options(ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(parallelism));
+    system.observer().reset();
+    let (answers, meter) = system.meter().measure(|| {
+        session
+            .execute_batch(queries)
+            .into_iter()
+            .map(|r| r.expect("batched execute"))
+            .collect()
+    });
+    (answers, meter, system.observer().take_events())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
 
     /// Batched answers — values *and* execution metadata — equal running
     /// the same queries sequentially under the bin-granular BPB method,
-    /// for the sequential batch path *and* the thread-pool path, through
+    /// for the sequential batch path *and* the threaded one, through
     /// `execute_batch` *and* `execute_batch_partials` + `merge_partials`.
     #[test]
     fn batch_answers_equal_sequential(seed in 0u64..1_000, len in 1usize..12) {
-        // Force the pool even on single-core hosts, where the engine would
-        // otherwise (correctly) fall back to the sequential loop.
-        std::env::set_var("CONCEALER_FORCE_THREADS", "1");
         let (system, user, _) = shared_system();
         let session = system
             .session(user)
@@ -73,26 +100,25 @@ proptest! {
             .iter()
             .map(|q| session.execute(q).expect("sequential execute"))
             .collect();
-        system.observer().reset();
-        let batched: Vec<QueryAnswer> = session
-            .execute_batch(&queries)
-            .into_iter()
-            .map(|r| r.expect("batched execute"))
-            .collect();
-        let batch_trace = system.observer().take_events();
+        let (batched, batch_meter, batch_trace) = run_batch(system, user, &queries, 1);
         prop_assert_eq!(&batched, &sequential);
 
-        // The partial entry point is the same pipeline stopped before the
-        // merge: at every worker count the merged partials equal the
-        // sequential answers and the event-level trace equals the
-        // sequential batch's.
-        for parallelism in [1usize, 2, 4] {
-            let partials = system
-                .session(user)
-                .with_options(
-                    ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(parallelism),
-                )
-                .execute_batch_partials(&queries);
+        // Execute on w workers, then merge ≡ execute on one: through both
+        // entry points (the partial one is the same pipeline stopped
+        // before the merge), answers, the event-level trace and the
+        // side-channel meter equal the sequential batch's.
+        for parallelism in PARALLELISM_SWEEP {
+            let (parallel, meter, trace) = run_batch(system, user, &queries, parallelism);
+            prop_assert_eq!(&parallel, &sequential, "parallelism={}", parallelism);
+            prop_assert_eq!(&trace, &batch_trace, "trace at parallelism={}", parallelism);
+            prop_assert_eq!(meter, batch_meter, "meter at parallelism={}", parallelism);
+
+            let session = system.session(user).with_options(
+                ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(parallelism),
+            );
+            let (partials, meter) = system
+                .meter()
+                .measure(|| session.execute_batch_partials(&queries));
             let trace = system.observer().take_events();
             let merged: Vec<QueryAnswer> = queries
                 .iter()
@@ -101,33 +127,13 @@ proptest! {
                 .collect();
             prop_assert_eq!(&merged, &sequential, "partials at parallelism={}", parallelism);
             prop_assert_eq!(&trace, &batch_trace, "partial trace at parallelism={}", parallelism);
-        }
-
-        // The thread-pool path at every interesting fetch-stage chunk size:
-        // single-bin chunks, tiny chunks, auto (one chunk per worker), and
-        // one chunk swallowing the whole union.
-        for fetch_chunk in [1usize, 2, 0, usize::MAX] {
-            let parallel: Vec<QueryAnswer> = system
-                .session(user)
-                .with_options(
-                    ExecOptions::with_method(RangeMethod::Bpb)
-                        .with_parallelism(4)
-                        .with_fetch_chunk(fetch_chunk),
-                )
-                .execute_batch(&queries)
-                .into_iter()
-                .map(|r| r.expect("parallel batched execute"))
-                .collect();
-            prop_assert_eq!(&parallel, &sequential, "fetch_chunk={}", fetch_chunk);
+            prop_assert_eq!(meter, batch_meter, "partial meter at parallelism={}", parallelism);
         }
     }
 }
 
 #[test]
 fn batch_of_32_fetches_strictly_less_with_identical_answers_and_trace_union() {
-    // Force the pool even on single-core hosts, where the engine would
-    // otherwise (correctly) fall back to the sequential loop.
-    std::env::set_var("CONCEALER_FORCE_THREADS", "1");
     let (system, user, _records) = demo_system(2, 402);
     let workload = QueryWorkload {
         locations: 30,
@@ -163,13 +169,8 @@ fn batch_of_32_fetches_strictly_less_with_identical_answers_and_trace_union() {
         sequential_sets.iter().flatten().copied().collect();
 
     // Batched run.
-    system.observer().reset();
-    let batched: Vec<QueryAnswer> = session
-        .execute_batch(&queries)
-        .into_iter()
-        .map(|r| r.expect("batched"))
-        .collect();
-    let batch_summary = system.observer().summary();
+    let (batched, batch_meter, batch_trace) = run_batch(&system, &user, &queries, 1);
+    let batch_summary = concealer_storage::AccessObserver::summarize(&batch_trace);
 
     // Identical answers, including per-query fetch metadata.
     assert_eq!(batched, sequential);
@@ -195,43 +196,35 @@ fn batch_of_32_fetches_strictly_less_with_identical_answers_and_trace_union() {
     );
     assert_eq!(batch_summary.rows_fetched, sequential_union.len());
 
-    // The thread-pool path satisfies the exact same contract at every
-    // fetch-stage chunk size — single-bin chunks, tiny chunks, auto (one
-    // chunk per worker) and one whole-union chunk: identical answers, row
-    // set = union, no duplicate fetches — and, because chunk traces are
-    // merged back in ascending bin order, the event-level trace equals the
-    // sequential batch trace too.
-    let batch_trace = system.observer().take_events();
-    for fetch_chunk in [1usize, 2, 4, 0, usize::MAX] {
-        let parallel: Vec<QueryAnswer> = system
-            .session(&user)
-            .with_options(
-                ExecOptions::with_method(RangeMethod::Bpb)
-                    .with_parallelism(4)
-                    .with_fetch_chunk(fetch_chunk),
-            )
-            .execute_batch(&queries)
-            .into_iter()
-            .map(|r| r.expect("parallel batched"))
-            .collect();
-        let parallel_trace = system.observer().take_events();
-        assert_eq!(parallel, sequential, "fetch_chunk={fetch_chunk}");
+    // The threaded path satisfies the exact same contract at every worker
+    // count: identical answers, row set = union, no duplicate fetches —
+    // and, because the per-thread traces are merged back in ascending bin
+    // order, the event-level trace and the side-channel meter equal the
+    // sequential batch's too.
+    for parallelism in PARALLELISM_SWEEP {
+        let (parallel, parallel_meter, parallel_trace) =
+            run_batch(&system, &user, &queries, parallelism);
+        assert_eq!(parallel, sequential, "parallelism={parallelism}");
         let parallel_summary = concealer_storage::AccessObserver::summarize(&parallel_trace);
         let parallel_rows: BTreeSet<(u64, u64)> =
             parallel_summary.fetch_frequency.keys().copied().collect();
         assert_eq!(
             parallel_rows, sequential_union,
-            "parallel row set = union (fetch_chunk={fetch_chunk})"
+            "parallel row set = union (parallelism={parallelism})"
         );
         assert!(
             parallel_summary.fetch_frequency.values().all(|&f| f == 1),
             "no row may be fetched more than once by the parallel path \
-             (fetch_chunk={fetch_chunk})"
+             (parallelism={parallelism})"
         );
         assert_eq!(
             parallel_trace, batch_trace,
             "parallel trace must be event-for-event identical to the \
-             sequential batch (fetch_chunk={fetch_chunk})"
+             sequential batch (parallelism={parallelism})"
+        );
+        assert_eq!(
+            parallel_meter, batch_meter,
+            "parallel meter (parallelism={parallelism})"
         );
     }
 }

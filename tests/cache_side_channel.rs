@@ -132,9 +132,6 @@ proptest! {
 /// cached system demonstrably serves hits the uncached one cannot.
 #[test]
 fn cache_on_and_cache_off_systems_are_indistinguishable() {
-    // Pass 2 runs parallel batches; force the pool even on single-core
-    // hosts so cache hits are replayed under real concurrency.
-    std::env::set_var("CONCEALER_FORCE_THREADS", "1");
     let records = demo_records(502);
     let (cached, cached_user) = pinned_system(&records);
     let (uncached, uncached_user) = pinned_system(&records);
@@ -150,14 +147,14 @@ fn cache_on_and_cache_off_systems_are_indistinguishable() {
         })
         .collect();
 
-    // Three passes: pass 2+ is warm on the cached system, always cold on
-    // the uncached one. Mix sequential and parallel batches.
-    for pass in 0..3 {
-        let opts = ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(if pass == 2 {
-            4
-        } else {
-            1
-        });
+    // Pass 1+ is warm on the cached system, always cold on the uncached
+    // one. Passes 0 and 1 run the sequential executor; the later ones the
+    // threaded one at a count that does not divide the union, an odd one,
+    // and one above this host's cores — each must reproduce pass 0's
+    // answers, trace and meter on both systems.
+    let mut sequential = None;
+    for (pass, parallelism) in [1usize, 1, 2, 3, 8].into_iter().enumerate() {
+        let opts = ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(parallelism);
         let run = |system: &ConcealerSystem, user: &UserHandle| {
             system.observer().reset();
             let (answers, meter) = system.meter().measure(|| {
@@ -182,6 +179,12 @@ fn cache_on_and_cache_off_systems_are_indistinguishable() {
         assert_eq!(
             cached_meter, uncached_meter,
             "pass {pass}: the cache must not change the side-channel meter"
+        );
+        let this_pass = (cached_answers, cached_meter, cached_trace);
+        let first = sequential.get_or_insert_with(|| this_pass.clone());
+        assert_eq!(
+            &this_pass, first,
+            "pass {pass}: parallelism={parallelism} must be unobservable"
         );
     }
 

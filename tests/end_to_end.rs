@@ -2,9 +2,9 @@
 //! engine, over the synthetic workload generators, driven through the
 //! `Session` API.
 
-use concealer_baselines::cleartext::record_matches;
+use concealer_baselines::cleartext::{aggregate_records, record_matches};
 use concealer_core::query::AnswerValue;
-use concealer_core::{Aggregate, ExecOptions, Query, RangeMethod};
+use concealer_core::{merge_partials, Aggregate, ExecOptions, Query, RangeMethod, Record};
 use concealer_examples::demo_system;
 use concealer_workloads::{QueryWorkload, TpchConfig, TpchGenerator, TpchIndex};
 use rand::rngs::StdRng;
@@ -15,6 +15,16 @@ fn ground_truth_count(records: &[concealer_core::Record], q: &Query) -> u64 {
         .iter()
         .filter(|r| record_matches(r, &q.predicate))
         .count() as u64
+}
+
+/// The rows of a `CollectRows` answer as a multiset (collection order is
+/// fetch order, which the cleartext baseline does not share).
+fn row_multiset(value: AnswerValue) -> Vec<Record> {
+    let AnswerValue::Rows(mut rows) = value else {
+        panic!("not a CollectRows answer: {value:?}");
+    };
+    rows.sort_by(|a, b| (a.time, &a.dims, &a.payload).cmp(&(b.time, &b.dims, &b.payload)));
+    rows
 }
 
 #[test]
@@ -35,7 +45,27 @@ fn wifi_workload_q1_to_q5_match_ground_truth_for_all_methods() {
         let session = system
             .session(&user)
             .with_options(ExecOptions::with_method(method));
-        for (name, query) in workload.all_range_queries(25 * 60, &mut rng) {
+        // Q4's random device may have no sighting in its random window, so
+        // two `CollectRows` queries known to return rows ride along.
+        let device = records[0].payload[0];
+        let extra = [
+            (
+                "device rows",
+                Query::collect_rows().observing(device).between(0, 7199),
+            ),
+            (
+                "location rows",
+                Query::collect_rows().at_dims([3]).between(600, 2399),
+            ),
+        ];
+        for (_, query) in &extra {
+            assert!(ground_truth_count(&records, query) > 1);
+        }
+        for (name, query) in workload
+            .all_range_queries(25 * 60, &mut rng)
+            .into_iter()
+            .chain(extra)
+        {
             let answer = session
                 .execute(&query)
                 .unwrap_or_else(|e| panic!("{name} failed under {method:?}: {e}"));
@@ -65,12 +95,26 @@ fn wifi_workload_q1_to_q5_match_ground_truth_for_all_methods() {
                         assert!(*count >= *threshold, "{name} {method:?}");
                     }
                 }
-                (Aggregate::CollectRows, AnswerValue::Rows(rows)) => {
-                    assert_eq!(
-                        rows.len() as u64,
-                        ground_truth_count(&records, &query),
-                        "{name} {method:?}"
-                    );
+                (Aggregate::CollectRows, AnswerValue::Rows(_)) => {
+                    // The rows themselves — dims, timestamp, payload —
+                    // equal the cleartext baseline's, plain and oblivious,
+                    // finished in-process and merged from partials.
+                    let matching = records
+                        .iter()
+                        .filter(|r| record_matches(r, &query.predicate));
+                    let expected = row_multiset(aggregate_records(matching, &query));
+                    assert_eq!(row_multiset(answer.value), expected, "{name} {method:?}");
+                    let oblivious = ExecOptions {
+                        oblivious: Some(true),
+                        ..ExecOptions::with_method(method)
+                    };
+                    for opts in [ExecOptions::with_method(method), oblivious] {
+                        let direct = session.execute_with(&query, opts).expect("direct");
+                        let partials = session.execute_partials(&query, opts).expect("partials");
+                        let merged = merge_partials(&query, partials).expect("merge");
+                        assert_eq!(row_multiset(direct.value), expected, "{name} {opts:?}");
+                        assert_eq!(row_multiset(merged.value), expected, "{name} {opts:?}");
+                    }
                 }
                 (agg, val) => panic!("{name}: unexpected combination {agg:?} / {val:?}"),
             }

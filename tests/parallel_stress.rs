@@ -70,9 +70,6 @@ fn oracle_queries(records: &[Record]) -> Vec<(Query, ExecOptions)> {
 
 #[test]
 fn eight_threads_mixed_ingest_and_queries_agree_with_sequential_oracle() {
-    // Force the batch pool even on single-core hosts, where the engine
-    // would otherwise (correctly) fall back to the sequential loop.
-    std::env::set_var("CONCEALER_FORCE_THREADS", "1");
     let mut rng = StdRng::seed_from_u64(2024);
     let mut system = concealer_examples::build_system(stress_config(), &mut rng);
     let user: UserHandle = system.register_user(1, vec![100, 101, 102, 103, 104], true);
@@ -150,17 +147,18 @@ fn eight_threads_mixed_ingest_and_queries_agree_with_sequential_oracle() {
                             "thread {t} iter {iter} query {i} diverged"
                         );
                     }
-                    // Batches: odd threads parallel, even threads
-                    // sequential; parallel threads additionally rotate
-                    // through the fetch-stage chunk sizes (auto,
-                    // single-bin, pairs, oversized) so every scheduling
-                    // shape runs under contention.
-                    let parallelism = if t % 2 == 1 { 4 } else { 1 };
-                    let fetch_chunk = [0usize, 1, 2, 8][(t as usize + iter) % 4];
+                    // Batches: even threads sequential; odd threads
+                    // rotate through the worker counts (one that does not
+                    // divide the union, one above it, one above the
+                    // host's cores) so every slicing runs under
+                    // contention.
+                    let parallelism = if t % 2 == 1 {
+                        [2usize, 3, 8][(t as usize / 2 + iter) % 3]
+                    } else {
+                        1
+                    };
                     let batch_session = system.session(user).with_options(
-                        ExecOptions::with_method(RangeMethod::Bpb)
-                            .with_parallelism(parallelism)
-                            .with_fetch_chunk(fetch_chunk),
+                        ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(parallelism),
                     );
                     // Odd iterations go through the partial batch entry
                     // point and merge per query.
@@ -212,5 +210,27 @@ fn eight_threads_mixed_ingest_and_queries_agree_with_sequential_oracle() {
             oracle[i],
             "post-storm query {i}"
         );
+    }
+
+    // And, with the store quiet again so traces are comparable: every
+    // worker count is unobservable next to `parallelism = 1`.
+    let run = |parallelism: usize| {
+        let session = system
+            .session(user)
+            .with_options(ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(parallelism));
+        system.observer().reset();
+        let (answers, meter) = system.meter().measure(|| {
+            session
+                .execute_batch(batch_queries)
+                .into_iter()
+                .map(|r| r.expect("post-storm batch"))
+                .collect::<Vec<QueryAnswer>>()
+        });
+        (answers, system.observer().take_events(), meter)
+    };
+    let sequential = run(1);
+    assert_eq!(&sequential.0, batch_oracle);
+    for parallelism in [2usize, 3, 8] {
+        assert_eq!(run(parallelism), sequential, "parallelism={parallelism}");
     }
 }

@@ -6,7 +6,7 @@
 //! The format (see `shims/serde`): positional fields in declaration order,
 //! LEB128 varints for integers, enum variants tagged by declaration index.
 
-use concealer_core::{Aggregate, Predicate, Query, Record};
+use concealer_core::{Aggregate, ExecOptions, Predicate, Query, RangeMethod, Record};
 use serde::bin::{from_bytes, to_bytes};
 
 fn roundtrip<T>(value: &T) -> T
@@ -124,6 +124,20 @@ fn golden_wire_bytes_are_pinned() {
             0x01, // dims: Vec length 1
             0x01, // dims[0] = 1
             0x3c, // time = 60
+        ]
+    );
+
+    // Seven fields, nothing after `parallelism` (protocol version 5).
+    assert_eq!(
+        to_bytes(&ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(3)),
+        vec![
+            0x00, // method: RangeMethod::Bpb (variant 0)
+            0x00, // use_superbins = false
+            0x04, // num_super_bins = 4
+            0x00, // forward_private = false
+            0x01, // verify = true
+            0x00, // oblivious: Option tag None
+            0x03, // parallelism = 3
         ]
     );
 }
