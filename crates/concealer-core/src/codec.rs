@@ -226,6 +226,42 @@ mod tests {
         assert_eq!(encode_u32_vector(&[]), [0, 0, 0, 0]);
     }
 
+    /// The DET ciphertext of one plaintext per encoder under a fixed epoch
+    /// key: what the provider stores and the enclave regenerates. Pins key
+    /// derivation, CMAC, AES-256 and the CTR layout together, whichever
+    /// cipher path produced them.
+    #[test]
+    fn det_ciphertext_golden_bytes() {
+        use concealer_crypto::{EpochId, MasterKey};
+        let key = MasterKey::from_bytes([0x42; 32]).epoch_key(EpochId(7), 0);
+        let sealed = |plain: Vec<u8>| -> String {
+            let bytes = key.det.encrypt(&plain);
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        };
+        assert_eq!(
+            sealed(index_real_plain(0x0102_0304, 9)),
+            "d745a68ef1aa00a6b14f74a953441c41e2ec0dc1ee0a29cdb7"
+        );
+        assert_eq!(
+            sealed(index_fake_plain(0x0102_0304_0506_0708)),
+            "2949991886eed744c744c2eae07960c71d90f9eb6b6b887382"
+        );
+        assert_eq!(
+            sealed(filter_dims_plain(&[0x11, 0x2233], 0x0A0B)),
+            "2491633f4c70089de3f5e42eba1aaa9450215d18a33a6b320f\
+             86823d2b09a1ff8e77febd61868ca8a29442"
+        );
+        assert_eq!(
+            sealed(filter_obs_plain(0x03E9, u64::MAX - 1)),
+            "6cae8ded15cd180d842c936f951ecb79954d36306ba6d770efa91756a3a3936f65"
+        );
+        assert_eq!(
+            sealed(payload_plain(&[7], 0x0100, &[0xAABB, 1])),
+            "4a4eef0cccc6eb6ae55c7b25d5a1fb629705895c63a54ae146\
+             27909f19751738b0603fdc3c7b23278a786d09c1235f64683cb9cab9"
+        );
+    }
+
     #[test]
     fn index_roundtrip() {
         let p = index_real_plain(42, 1337);

@@ -258,6 +258,8 @@ impl QueryEngine {
         let slices: Vec<&[(u64, usize)]> = union.chunks(union.len().div_ceil(workers)).collect();
         let fetch_slice = |w: usize| {
             let local = AccessObserver::new();
+            // A served system keeps no trace: then neither do its tasks.
+            local.set_recording(self.store.observer().is_recording());
             let store = self.store.observed_by(local.clone());
             let fetched: Vec<Result<Arc<BinEntry>>> = slices[w]
                 .iter()

@@ -556,6 +556,22 @@ mod tests {
         assert_eq!(owned.digests[0], Some(first));
     }
 
+    /// The digest a two-row chain seals, as bytes: the prefix block, both
+    /// links and the `prev` hand-over, whichever SHA-256 path computed it.
+    #[test]
+    fn two_row_chain_digest_golden_bytes() {
+        let key = key();
+        let mut chain = HashChainBuilder::new(&key, 1);
+        chain.absorb(0, &row(1));
+        chain.absorb(0, &row(2));
+        let digest = chain.digests[0].expect("two rows absorbed");
+        let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "5eabd1ad995ddc9b9399f8b3ff63dfa9825106b467385c66cb0a05861704c82f"
+        );
+    }
+
     #[test]
     fn chains_are_key_dependent() {
         let k1 = key();

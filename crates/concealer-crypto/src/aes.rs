@@ -1,13 +1,21 @@
 //! AES block cipher (FIPS-197), supporting 128-bit and 256-bit keys.
 //!
-//! The implementation is a straightforward byte-oriented version of the
-//! specification: SubBytes / ShiftRows / MixColumns / AddRoundKey over a
-//! 4×4 column-major state. It is deliberately simple — the goal is a
-//! correct, dependency-free block cipher on which the deterministic ([`crate::det`])
-//! and randomized ([`crate::ctr`]) modes used by Concealer are built.
+//! Only the forward permutation exists: the deterministic ([`crate::det`])
+//! and randomized ([`crate::ctr`]) modes Concealer is built on are CTR and
+//! CMAC constructions, which never invert a block.
+//!
+//! Two implementations of the rounds sit under one [`Aes`] value. Where the
+//! CPU has AES instructions (x86_64 AES-NI, detected when the key is
+//! expanded) blocks go through `crate::hw`, up to eight side by side per
+//! call ([`Aes::encrypt_blocks`]). Everywhere else — and as the oracle the
+//! tests hold the hardware path against, byte for byte — the rounds are the
+//! byte-oriented version of the specification: SubBytes / ShiftRows /
+//! MixColumns / AddRoundKey over a 4×4 column-major state. The key schedule
+//! is that byte-oriented code on both paths; it runs once per key.
 //!
 //! Test vectors from FIPS-197 Appendix C are included in the unit tests.
 
+use crate::hw::{AesNi, RoundKeys};
 use crate::{CryptoError, Result};
 
 /// The AES block size in bytes.
@@ -36,17 +44,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// Inverse S-box.
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
-
 /// Round constants used by the key schedule.
 const RCON: [u8; 15] = [
     0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36, 0x6c, 0xd8, 0xab, 0x4d, 0x9a,
@@ -61,20 +58,6 @@ fn xtime(b: u8) -> u8 {
         r ^= 0x1b;
     }
     r
-}
-
-/// General GF(2^8) multiplication (only small constants are ever used).
-#[inline]
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
 }
 
 /// Key size variants supported by [`Aes`].
@@ -102,11 +85,14 @@ impl KeySize {
     }
 }
 
-/// An expanded AES key ready for block encryption / decryption.
+/// An expanded AES key ready for block encryption.
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    round_keys: RoundKeys,
     rounds: usize,
+    /// Which implementation of the rounds this value uses, settled once
+    /// here rather than per block.
+    hw: Option<AesNi>,
 }
 
 impl std::fmt::Debug for Aes {
@@ -119,6 +105,12 @@ impl std::fmt::Debug for Aes {
 impl Aes {
     /// Expand `key` (16 or 32 bytes) into round keys.
     pub fn new(key: &[u8]) -> Result<Self> {
+        Self::with_hw(key, AesNi::detect())
+    }
+
+    /// [`Aes::new`] on a stated implementation of the rounds: `None` is the
+    /// byte-oriented reference whatever the CPU has.
+    pub(crate) fn with_hw(key: &[u8], hw: Option<AesNi>) -> Result<Self> {
         let size = match key.len() {
             16 => KeySize::Aes128,
             32 => KeySize::Aes256,
@@ -129,23 +121,24 @@ impl Aes {
                 })
             }
         };
-        Ok(Self::with_size(key, size))
+        Ok(Self::with_size(key, size, hw))
     }
 
     /// Expand an AES-256 key. Panics if `key` is not 32 bytes; preferred
     /// constructor inside the workspace where key lengths are static.
     #[must_use]
     pub fn new_256(key: &[u8; 32]) -> Self {
-        Self::with_size(key, KeySize::Aes256)
+        Self::with_size(key, KeySize::Aes256, AesNi::detect())
     }
 
-    fn with_size(key: &[u8], size: KeySize) -> Self {
+    fn with_size(key: &[u8], size: KeySize, hw: Option<AesNi>) -> Self {
         let nk = size.key_words();
         let rounds = size.rounds();
         let total_words = 4 * (rounds + 1);
 
         // Key schedule over 4-byte words.
-        let mut w = vec![[0u8; 4]; total_words];
+        let mut w = [[0u8; 4]; 60];
+        let w = &mut w[..total_words];
         for (i, chunk) in key.chunks_exact(4).enumerate() {
             w[i].copy_from_slice(chunk);
         }
@@ -168,15 +161,21 @@ impl Aes {
             }
         }
 
-        let mut round_keys = Vec::with_capacity(rounds + 1);
-        for r in 0..=rounds {
-            let mut rk = [0u8; 16];
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
-            round_keys.push(rk);
+        let mut round_keys = [[0u8; BLOCK_SIZE]; 15];
+        for (rk, words) in round_keys.iter_mut().zip(w.chunks_exact(4)) {
+            rk.copy_from_slice(words.as_flattened());
         }
-        Aes { round_keys, rounds }
+        Aes {
+            round_keys,
+            rounds,
+            hw,
+        }
+    }
+
+    /// Whether this value runs hardware rounds.
+    #[cfg(test)]
+    pub(crate) fn on_hardware(&self) -> bool {
+        self.hw.is_some()
     }
 
     /// Number of rounds for this key size (10 or 14).
@@ -187,6 +186,26 @@ impl Aes {
 
     /// Encrypt a single 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut Block) {
+        self.encrypt_blocks(std::slice::from_mut(block));
+    }
+
+    /// Encrypt every block of `blocks` in place, each independently of the
+    /// others (ECB — the callers are counter-mode keystreams and MAC
+    /// chains run side by side). Hardware rounds take them eight at a
+    /// time, which is what fills the pipeline; the result is the same
+    /// bytes as [`Aes::encrypt_block`] on each.
+    pub fn encrypt_blocks(&self, blocks: &mut [Block]) {
+        match self.hw {
+            Some(ni) => ni.encrypt_blocks(&self.round_keys, self.rounds, blocks),
+            None => {
+                for block in blocks {
+                    self.encrypt_block_portable(block);
+                }
+            }
+        }
+    }
+
+    fn encrypt_block_portable(&self, block: &mut Block) {
         add_round_key(block, &self.round_keys[0]);
         for r in 1..self.rounds {
             sub_bytes(block);
@@ -197,20 +216,6 @@ impl Aes {
         sub_bytes(block);
         shift_rows(block);
         add_round_key(block, &self.round_keys[self.rounds]);
-    }
-
-    /// Decrypt a single 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut Block) {
-        add_round_key(block, &self.round_keys[self.rounds]);
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        for r in (1..self.rounds).rev() {
-            add_round_key(block, &self.round_keys[r]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-        }
-        add_round_key(block, &self.round_keys[0]);
     }
 
     /// Encrypt a copy of `block` and return it.
@@ -236,13 +241,6 @@ fn sub_bytes(state: &mut Block) {
     }
 }
 
-#[inline]
-fn inv_sub_bytes(state: &mut Block) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
 // State is column-major: state[4*c + r] is row r, column c.
 #[inline]
 fn shift_rows(state: &mut Block) {
@@ -264,25 +262,6 @@ fn shift_rows(state: &mut Block) {
 }
 
 #[inline]
-fn inv_shift_rows(state: &mut Block) {
-    // Row 1: shift right by 1.
-    let t = state[13];
-    state[13] = state[9];
-    state[9] = state[5];
-    state[5] = state[1];
-    state[1] = t;
-    // Row 2: shift right by 2.
-    state.swap(2, 10);
-    state.swap(6, 14);
-    // Row 3: shift right by 3 (== left by 1).
-    let t = state[3];
-    state[3] = state[7];
-    state[7] = state[11];
-    state[11] = state[15];
-    state[15] = t;
-}
-
-#[inline]
 fn mix_columns(state: &mut Block) {
     for c in 0..4 {
         let col = [
@@ -298,29 +277,10 @@ fn mix_columns(state: &mut Block) {
     }
 }
 
-#[inline]
-fn inv_mix_columns(state: &mut Block) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] =
-            gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
-        state[4 * c + 1] =
-            gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
-        state[4 * c + 2] =
-            gmul(col[0], 0x0d) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0e) ^ gmul(col[3], 0x0b);
-        state[4 * c + 3] =
-            gmul(col[0], 0x0b) ^ gmul(col[1], 0x0d) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0e);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equivalence::aes_paths;
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -329,36 +289,31 @@ mod tests {
             .collect()
     }
 
+    /// A FIPS-197 Appendix C vector, on both implementations of the rounds.
+    fn check_fips197(key: &str, expect: &str) {
+        for (path, aes) in aes_paths(&hex(key)) {
+            let mut block: Block = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
+            aes.encrypt_block(&mut block);
+            assert_eq!(block.to_vec(), hex(expect), "{path}");
+        }
+    }
+
     #[test]
     fn fips197_aes128_vector() {
         // FIPS-197 Appendix C.1
-        let key = hex("000102030405060708090a0b0c0d0e0f");
-        let plain = hex("00112233445566778899aabbccddeeff");
-        let expect = hex("69c4e0d86a7b0430d8cdb78070b4c55a");
-
-        let aes = Aes::new(&key).unwrap();
-        let mut block: Block = plain.clone().try_into().unwrap();
-        aes.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), expect);
-
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), plain);
+        check_fips197(
+            "000102030405060708090a0b0c0d0e0f",
+            "69c4e0d86a7b0430d8cdb78070b4c55a",
+        );
     }
 
     #[test]
     fn fips197_aes256_vector() {
         // FIPS-197 Appendix C.3
-        let key = hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
-        let plain = hex("00112233445566778899aabbccddeeff");
-        let expect = hex("8ea2b7ca516745bfeafc49904b496089");
-
-        let aes = Aes::new(&key).unwrap();
-        let mut block: Block = plain.clone().try_into().unwrap();
-        aes.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), expect);
-
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), plain);
+        check_fips197(
+            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+            "8ea2b7ca516745bfeafc49904b496089",
+        );
     }
 
     #[test]
@@ -374,31 +329,11 @@ mod tests {
     }
 
     #[test]
-    fn encrypt_decrypt_roundtrip_many_blocks() {
-        let aes = Aes::new_256(&[7u8; 32]);
-        for i in 0..64u8 {
-            let mut block = [i; 16];
-            let original = block;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, original, "ciphertext must differ from plaintext");
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, original);
-        }
-    }
-
-    #[test]
     fn different_keys_give_different_ciphertexts() {
         let a = Aes::new_256(&[1u8; 32]);
         let b = Aes::new_256(&[2u8; 32]);
         let block = [0x42u8; 16];
         assert_ne!(a.encrypt_block_copy(&block), b.encrypt_block_copy(&block));
-    }
-
-    #[test]
-    fn inv_sbox_is_inverse() {
-        for i in 0..=255u8 {
-            assert_eq!(INV_SBOX[SBOX[i as usize] as usize], i);
-        }
     }
 
     #[test]

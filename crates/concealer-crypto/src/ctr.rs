@@ -8,8 +8,8 @@
 //! ciphertext, plus an HMAC-SHA-256 tag (encrypt-then-MAC) so that tampering
 //! with the metadata vectors is detected just like tampering with tuples.
 
-use crate::aes::{Aes, BLOCK_SIZE};
-use crate::hmac::hmac_sha256;
+use crate::aes::{Aes, Block, BLOCK_SIZE};
+use crate::hmac::HmacSha256;
 use crate::{CryptoError, Result};
 use rand::RngCore;
 
@@ -18,22 +18,81 @@ pub const NONCE_SIZE: usize = 16;
 /// Length of the authentication tag appended to each ciphertext.
 pub const TAG_SIZE: usize = 32;
 
+/// Which bytes of a CTR-mode IV hold the block counter (big-endian, added
+/// to what the IV already has there, wrapping inside the lane).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum CounterLane {
+    /// Bytes 12..16: this module's nonce-prefixed scheme.
+    Low32,
+    /// Bytes 8..16: the synthetic-IV scheme of [`crate::det`].
+    Low64,
+}
+
+impl CounterLane {
+    /// The `counter`-th input block of the keystream that starts at `iv`.
+    pub(crate) fn block(self, iv: &Block, counter: u64) -> Block {
+        let mut block = *iv;
+        match self {
+            CounterLane::Low32 => {
+                let lane: &mut [u8; 4] = block.last_chunk_mut().expect("a block has 16 bytes");
+                // Truncating `counter` is wrapping in a 32-bit lane.
+                *lane = u32::from_be_bytes(*lane)
+                    .wrapping_add(counter as u32)
+                    .to_be_bytes();
+            }
+            CounterLane::Low64 => {
+                let lane: &mut [u8; 8] = block.last_chunk_mut().expect("a block has 16 bytes");
+                *lane = u64::from_be_bytes(*lane)
+                    .wrapping_add(counter)
+                    .to_be_bytes();
+            }
+        }
+        block
+    }
+}
+
+/// XOR `data` with the CTR keystream of `cipher` that starts at `iv`: the
+/// one keystream routine of the crate. Counter blocks are built and
+/// encrypted up to eight per [`Aes::encrypt_blocks`] call.
+pub(crate) fn keystream_xor(cipher: &Aes, iv: &Block, lane: CounterLane, data: &mut [u8]) {
+    let mut counter = 0u64;
+    for chunk in data.chunks_mut(8 * BLOCK_SIZE) {
+        let mut keystream = [[0u8; BLOCK_SIZE]; 8];
+        let blocks = &mut keystream[..chunk.len().div_ceil(BLOCK_SIZE)];
+        for block in blocks.iter_mut() {
+            *block = lane.block(iv, counter);
+            counter += 1;
+        }
+        cipher.encrypt_blocks(blocks);
+        xor_into(chunk, blocks.as_flattened());
+    }
+}
+
+/// `dst[i] ^= src[i]` over the shorter of the two.
+fn xor_into(dst: &mut [u8], src: &[u8]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
 /// Randomized authenticated encryption: AES-CTR + HMAC-SHA-256
 /// (encrypt-then-MAC).
 #[derive(Clone)]
 pub struct RandomizedCipher {
     enc: Aes,
-    mac_key: [u8; 32],
+    mac: HmacSha256,
 }
 
 impl RandomizedCipher {
     /// Build a cipher from independent encryption and MAC keys.
     #[must_use]
     pub fn new(enc_key: &[u8; 32], mac_key: &[u8; 32]) -> Self {
-        RandomizedCipher {
-            enc: Aes::new_256(enc_key),
-            mac_key: *mac_key,
-        }
+        Self::from_parts(Aes::new_256(enc_key), HmacSha256::new(mac_key))
+    }
+
+    /// A cipher over an expanded encryption key and a keyed MAC.
+    pub(crate) fn from_parts(enc: Aes, mac: HmacSha256) -> Self {
+        RandomizedCipher { enc, mac }
     }
 
     /// Encrypt `plaintext` with a nonce drawn from `rng`.
@@ -53,8 +112,8 @@ impl RandomizedCipher {
         let mut out = Vec::with_capacity(NONCE_SIZE + plaintext.len() + TAG_SIZE);
         out.extend_from_slice(nonce);
         out.extend_from_slice(plaintext);
-        self.keystream_xor(nonce, &mut out[NONCE_SIZE..]);
-        let tag = hmac_sha256(&self.mac_key, &out);
+        keystream_xor(&self.enc, nonce, CounterLane::Low32, &mut out[NONCE_SIZE..]);
+        let tag = self.mac.mac(&out);
         out.extend_from_slice(&tag);
         out
     }
@@ -67,37 +126,14 @@ impl RandomizedCipher {
             });
         }
         let (body, tag) = ciphertext.split_at(ciphertext.len() - TAG_SIZE);
-        let expected = hmac_sha256(&self.mac_key, body);
+        let expected = self.mac.mac(body);
         if !crate::ct_eq(&expected, tag) {
             return Err(CryptoError::AuthenticationFailed);
         }
         let nonce: [u8; NONCE_SIZE] = body[..NONCE_SIZE].try_into().expect("checked length");
         let mut plaintext = body[NONCE_SIZE..].to_vec();
-        self.keystream_xor(&nonce, &mut plaintext);
+        keystream_xor(&self.enc, &nonce, CounterLane::Low32, &mut plaintext);
         Ok(plaintext)
-    }
-
-    /// XOR `data` with the CTR keystream derived from `nonce`.
-    fn keystream_xor(&self, nonce: &[u8; NONCE_SIZE], data: &mut [u8]) {
-        let mut counter_block = *nonce;
-        let mut offset = 0usize;
-        let mut counter: u32 = 0;
-        while offset < data.len() {
-            // Counter occupies the last 4 bytes (big-endian), added to the nonce.
-            let mut block = counter_block;
-            let base = u32::from_be_bytes([block[12], block[13], block[14], block[15]]);
-            let ctr = base.wrapping_add(counter);
-            block[12..16].copy_from_slice(&ctr.to_be_bytes());
-            self.enc.encrypt_block(&mut block);
-            let take = BLOCK_SIZE.min(data.len() - offset);
-            for i in 0..take {
-                data[offset + i] ^= block[i];
-            }
-            offset += take;
-            counter = counter.wrapping_add(1);
-            // keep counter_block as the original nonce
-            counter_block = *nonce;
-        }
     }
 }
 
@@ -162,6 +198,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let ct = c.encrypt(&mut rng, b"data");
         assert_eq!(other.decrypt(&ct), Err(CryptoError::AuthenticationFailed));
+    }
+
+    /// `nonce ‖ ciphertext ‖ tag` for a fixed key, nonce and plaintext. The
+    /// nonce's counter lane starts one below its wrap, so the second and
+    /// third keystream blocks pin the wrap-within-the-lane rule.
+    #[test]
+    fn encrypt_with_nonce_golden_bytes() {
+        let mut nonce = [0xA5u8; NONCE_SIZE];
+        nonce[12..].copy_from_slice(&0xFFFF_FFFFu32.to_be_bytes());
+        let plaintext: Vec<u8> = (0..40u8).collect();
+        let blob = cipher().encrypt_with_nonce(&nonce, &plaintext);
+        let hex: String = blob.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "a5a5a5a5a5a5a5a5a5a5a5a5ffffffff\
+             ec57bf5cf92a9b9fafe4c1f23eefb61534e87a6fa734171335a5f6e02c837a18560d1a885b93a3a4\
+             ec4e527240afe7cf5f909bc4f98fa1b49071847c661bbe3abb6e0fe46d6b002f",
+            "nonce, forty bytes of ciphertext, tag"
+        );
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 use crate::aes::{Aes, BLOCK_SIZE};
 use crate::cmac::Cmac;
+use crate::ctr::{keystream_xor, CounterLane};
 use crate::{CryptoError, Result};
 
 /// Length of the synthetic IV prepended to every DET ciphertext.
@@ -120,9 +121,14 @@ impl DeterministicCipher {
     /// Build a deterministic cipher from independent MAC and encryption keys.
     #[must_use]
     pub fn new(mac_key: &[u8; 32], enc_key: &[u8; 32]) -> Self {
+        Self::from_ciphers(Aes::new_256(mac_key), Aes::new_256(enc_key))
+    }
+
+    /// A cipher over two already-expanded AES keys.
+    pub(crate) fn from_ciphers(mac: Aes, enc: Aes) -> Self {
         DeterministicCipher {
-            cmac: Cmac::new(Aes::new_256(mac_key)),
-            enc: Aes::new_256(enc_key),
+            cmac: Cmac::new(mac),
+            enc,
         }
     }
 
@@ -144,7 +150,12 @@ impl DeterministicCipher {
         let start = out.len();
         out.extend_from_slice(&siv);
         out.extend_from_slice(plaintext);
-        self.keystream_xor(&siv, &mut out[start + SIV_SIZE..]);
+        keystream_xor(
+            &self.enc,
+            &siv,
+            CounterLane::Low64,
+            &mut out[start + SIV_SIZE..],
+        );
     }
 
     /// Decrypt and authenticate a ciphertext produced by [`Self::encrypt`].
@@ -166,7 +177,7 @@ impl DeterministicCipher {
         let siv: [u8; SIV_SIZE] = siv_bytes.try_into().expect("checked length");
         let start = out.len();
         out.extend_from_slice(body);
-        self.keystream_xor(&siv, &mut out[start..]);
+        keystream_xor(&self.enc, &siv, CounterLane::Low64, &mut out[start..]);
         let expected = self.cmac.mac(&out[start..]);
         if !crate::ct_eq(&expected, &siv) {
             out.truncate(start);
@@ -221,24 +232,6 @@ impl DeterministicCipher {
     #[must_use]
     pub fn token(&self, plaintext: &[u8]) -> Vec<u8> {
         self.encrypt(plaintext)
-    }
-
-    fn keystream_xor(&self, iv: &[u8; SIV_SIZE], data: &mut [u8]) {
-        let mut offset = 0usize;
-        let mut counter: u64 = 0;
-        while offset < data.len() {
-            let mut block = *iv;
-            // Mix the counter into the low 8 bytes of the IV copy.
-            let low = u64::from_be_bytes(block[8..16].try_into().expect("8 bytes"));
-            block[8..16].copy_from_slice(&low.wrapping_add(counter).to_be_bytes());
-            self.enc.encrypt_block(&mut block);
-            let take = BLOCK_SIZE.min(data.len() - offset);
-            for i in 0..take {
-                data[offset + i] ^= block[i];
-            }
-            offset += take;
-            counter = counter.wrapping_add(1);
-        }
     }
 }
 

@@ -10,37 +10,41 @@ use crate::sha256::{Digest, Sha256, DIGEST_SIZE};
 const BLOCK_SIZE: usize = 64;
 
 /// Streaming HMAC-SHA-256.
+///
+/// A keyed instance holds both pads already absorbed — the inner hasher
+/// after `key ⊕ ipad`, the outer after `key ⊕ opad` — so a caller that MACs
+/// many messages under one key keeps one instance and clones it per
+/// message: a short message then costs two compressions, not four.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key_pad: [u8; BLOCK_SIZE],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
     /// Create an HMAC instance keyed with `key` (any length).
     #[must_use]
     pub fn new(key: &[u8]) -> Self {
+        Self::keyed(&Sha256::new(), key)
+    }
+
+    /// [`HmacSha256::new`] over a stated hasher: every digest of this
+    /// instance starts from a clone of `fresh`, which must be unused.
+    pub(crate) fn keyed(fresh: &Sha256, key: &[u8]) -> Self {
         let mut key_block = [0u8; BLOCK_SIZE];
         if key.len() > BLOCK_SIZE {
-            let digest = crate::sha256::sha256(key);
-            key_block[..DIGEST_SIZE].copy_from_slice(&digest);
+            let mut long = fresh.clone();
+            long.update(key);
+            key_block[..DIGEST_SIZE].copy_from_slice(&long.finalize());
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
 
-        let mut ipad = [0u8; BLOCK_SIZE];
-        let mut opad = [0u8; BLOCK_SIZE];
-        for i in 0..BLOCK_SIZE {
-            ipad[i] = key_block[i] ^ 0x36;
-            opad[i] = key_block[i] ^ 0x5c;
-        }
-
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            outer_key_pad: opad,
-        }
+        let mut inner = fresh.clone();
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer = fresh.clone();
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb message bytes.
@@ -51,20 +55,25 @@ impl HmacSha256 {
     /// Finish and return the 32-byte tag.
     #[must_use]
     pub fn finalize(self) -> Digest {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key_pad);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
+    }
+
+    /// The tag of `message` under this instance's key, leaving the
+    /// instance keyed for the next message.
+    #[must_use]
+    pub(crate) fn mac(&self, message: &[u8]) -> Digest {
+        let mut mac = self.clone();
+        mac.update(message);
+        mac.finalize()
     }
 }
 
 /// One-shot HMAC-SHA-256.
 #[must_use]
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    let mut mac = HmacSha256::new(key);
-    mac.update(message);
-    mac.finalize()
+    HmacSha256::new(key).mac(message)
 }
 
 /// Verify a tag in constant time.
@@ -81,22 +90,29 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// One RFC 4231 vector, on both compression functions.
+    fn check_rfc4231(key: &[u8], msg: &[u8], tag: &str) {
+        for (path, fresh) in crate::equivalence::sha_paths() {
+            assert_eq!(hex(&HmacSha256::keyed(&fresh, key).mac(msg)), tag, "{path}");
+        }
+    }
+
     #[test]
     fn rfc4231_test_case_1() {
         let key = [0x0b_u8; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            hex(&tag),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        check_rfc4231(
+            &key,
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     #[test]
     fn rfc4231_test_case_2() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex(&tag),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        check_rfc4231(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
@@ -104,23 +120,20 @@ mod tests {
     fn rfc4231_test_case_3() {
         let key = [0xaa_u8; 20];
         let msg = [0xdd_u8; 50];
-        let tag = hmac_sha256(&key, &msg);
-        assert_eq!(
-            hex(&tag),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        check_rfc4231(
+            &key,
+            &msg,
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
     #[test]
     fn rfc4231_long_key() {
         let key = [0xaa_u8; 131];
-        let tag = hmac_sha256(
+        check_rfc4231(
             &key,
             b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            hex(&tag),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
     }
 

@@ -11,7 +11,8 @@
 //! None of the offline crates permitted for this reproduction provide these
 //! primitives, so they are implemented here from scratch:
 //!
-//! * [`aes`] — AES-128/AES-256 block cipher (encrypt + decrypt).
+//! * [`aes`] — AES-128/AES-256 block cipher (the forward permutation; no
+//!   mode here inverts a block).
 //! * [`sha256`] — SHA-256 with a streaming [`sha256::Sha256`] hasher.
 //! * [`hmac`] — HMAC-SHA-256.
 //! * [`cmac`] — AES-CMAC (used as the deterministic PRF / synthetic IV).
@@ -25,18 +26,28 @@
 //! * [`prf`] — small-domain PRF used by the grid hash `H` that maps
 //!   locations / time subintervals to grid rows and columns.
 //!
-//! These implementations favour clarity and testability over raw speed; the
-//! benchmarks in `concealer-bench` measure the whole pipeline, and the
-//! relative shapes reported by the paper (index vs. full scan, oblivious vs.
-//! plain) are insensitive to constant factors in the cipher itself.
+//! The AES rounds and the SHA-256 compression function each exist twice.
+//! Where the CPU has the instructions (x86_64 AES-NI / SHA-NI, detected at
+//! run time when a key is expanded or a hasher created — nothing is
+//! configured) they run in hardware, several independent blocks side by
+//! side; that is what the enclave of the paper does, it is what the cold
+//! query path's speed rests on, and it has no secret-indexed table load.
+//! Everywhere else they are the byte-oriented FIPS-197 / FIPS 180-4
+//! reference code, which is also the oracle: the crate's tests run every
+//! standard vector on both and compare the two byte for byte on blocks,
+//! CTR streams, CMAC tags, DET batches, digests and HMACs. Every line of
+//! `unsafe` is in the private `hw` module, behind capability values only
+//! successful detection can construct.
 //!
 //! # Security disclaimer
 //!
-//! This code is a research reproduction. It has not been audited, makes no
-//! claim of constant-time execution on real hardware, and must not be used
-//! to protect real data.
+//! This code is a research reproduction. It has not been audited; the
+//! reference path makes no claim of constant-time execution (its S-box is a
+//! table indexed by secret state), the hardware path is constant-time only
+//! as far as the CPU's instructions are, and neither must be used to
+//! protect real data.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
@@ -49,7 +60,11 @@ pub mod keys;
 pub mod prf;
 pub mod sha256;
 
+#[cfg(test)]
+mod equivalence;
 mod error;
+#[allow(unsafe_code)]
+mod hw;
 
 pub use det::{DetBuffer, DeterministicCipher};
 pub use error::CryptoError;

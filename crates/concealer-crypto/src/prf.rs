@@ -8,12 +8,12 @@
 //! adversarial service provider could evaluate it on the attribute domain
 //! and learn the grid layout.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacSha256;
 
 /// Keyed PRF mapping arbitrary byte strings into `[0, modulus)`.
 #[derive(Clone)]
 pub struct RangePrf {
-    key: [u8; 32],
+    mac: HmacSha256,
 }
 
 impl std::fmt::Debug for RangePrf {
@@ -26,7 +26,9 @@ impl RangePrf {
     /// Create a PRF instance from a 32-byte key.
     #[must_use]
     pub fn new(key: [u8; 32]) -> Self {
-        RangePrf { key }
+        RangePrf {
+            mac: HmacSha256::new(&key),
+        }
     }
 
     /// Evaluate the PRF on `input` and reduce into `[0, modulus)`.
@@ -38,7 +40,7 @@ impl RangePrf {
     #[must_use]
     pub fn eval_mod(&self, input: &[u8], modulus: u64) -> u64 {
         assert!(modulus > 0, "modulus must be non-zero");
-        let tag = hmac_sha256(&self.key, input);
+        let tag = self.mac.mac(input);
         let wide = u128::from_be_bytes(tag[..16].try_into().expect("16 bytes"));
         (wide % u128::from(modulus)) as u64
     }

@@ -3,6 +3,14 @@
 //! Used by Concealer for the per-cell hash chains that make the outsourced
 //! data verifiable (§3 "Hash-chain creations" and §4.2 Step 4 of the paper),
 //! and as the compression function inside [`crate::hmac`].
+//!
+//! The compression function exists twice under one [`Sha256`] value: on
+//! the CPU's SHA extensions where it has them (x86_64 SHA-NI, detected
+//! when the hasher is created, in `crate::hw`), and as the scalar FIPS
+//! 180-4 code everywhere else — which is also what the tests hold the
+//! hardware path against, digest for digest.
+
+use crate::hw::ShaNi;
 
 /// Digest length in bytes.
 pub const DIGEST_SIZE: usize = 32;
@@ -10,7 +18,7 @@ pub const DIGEST_SIZE: usize = 32;
 /// A SHA-256 digest.
 pub type Digest = [u8; DIGEST_SIZE];
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -32,6 +40,9 @@ pub struct Sha256 {
     buffer: [u8; 64],
     buffer_len: usize,
     total_len: u64,
+    /// Which compression function this hasher uses, settled once here
+    /// rather than per block.
+    hw: Option<ShaNi>,
 }
 
 impl Default for Sha256 {
@@ -44,11 +55,18 @@ impl Sha256 {
     /// Create a fresh hasher.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_hw(ShaNi::detect())
+    }
+
+    /// [`Sha256::new`] on a stated compression function: `None` is the
+    /// scalar reference whatever the CPU has.
+    pub(crate) fn with_hw(hw: Option<ShaNi>) -> Self {
         Sha256 {
             state: H0,
             buffer: [0u8; 64],
             buffer_len: 0,
             total_len: 0,
+            hw,
         }
     }
 
@@ -80,6 +98,12 @@ impl Sha256 {
         self.buffer_len = tail.len();
     }
 
+    /// Whether this hasher compresses on the SHA extensions.
+    #[cfg(test)]
+    pub(crate) fn on_hardware(&self) -> bool {
+        self.hw.is_some()
+    }
+
     /// Finish and return the digest.
     #[must_use]
     pub fn finalize(mut self) -> Digest {
@@ -105,57 +129,65 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
+        match self.hw {
+            Some(ni) => ni.compress(&mut self.state, block),
+            None => compress_portable(&mut self.state, block),
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
+}
+
+/// The scalar compression function of FIPS 180-4 §6.2.2.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[4 * i],
+            block[4 * i + 1],
+            block[4 * i + 2],
+            block[4 * i + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 /// One-shot SHA-256.
@@ -181,48 +213,57 @@ pub fn sha256_concat(a: &[u8], b: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equivalence::sha_paths;
 
     fn hex(d: &Digest) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// `data` hashes to `want` on both compression functions.
+    fn check(data: &[u8], want: &str) {
+        for (path, mut h) in sha_paths() {
+            h.update(data);
+            assert_eq!(hex(&h.finalize()), want, "{path}, {} bytes", data.len());
+        }
+    }
+
     #[test]
     fn empty_string() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        check(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        check(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_message() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        check(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a() {
-        let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for (path, mut h) in sha_paths() {
+            for _ in 0..1000 {
+                h.update(&chunk);
+            }
+            assert_eq!(
+                hex(&h.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{path}"
+            );
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     /// Lengths on either side of each padding boundary: the last length
@@ -253,7 +294,7 @@ mod tests {
                 "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
             ),
         ] {
-            assert_eq!(hex(&sha256(&vec![b'a'; len])), want, "{len} bytes");
+            check(&vec![b'a'; len], want);
         }
     }
 

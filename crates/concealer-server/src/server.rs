@@ -276,9 +276,14 @@ pub struct EngineHandler {
 }
 
 impl EngineHandler {
-    /// Wrap a local deployment.
+    /// Wrap a local deployment, and stop it keeping the adversary trace:
+    /// nothing that serves reads [`ConcealerSystem::observer`], and an
+    /// unbounded trace nobody drains is memory proportional to the
+    /// requests served. A caller that does read it (a trace check at the
+    /// wire entry point) turns recording back on after this returns.
     #[must_use]
     pub fn new(system: Arc<ConcealerSystem>, config: ServerConfig) -> Self {
+        system.observer().set_recording(false);
         EngineHandler { system, config }
     }
 

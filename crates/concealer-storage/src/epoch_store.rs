@@ -230,12 +230,12 @@ impl EpochStore {
         trapdoor: &[u8],
     ) -> Result<Option<EncryptedRow>> {
         let mut out = None;
-        let mut events = Vec::with_capacity(2);
+        let mut events = self.event_buffer(1);
         self.backend.with_epoch(epoch_id, &mut |epoch| {
             out = lookup_observed(&epoch.table, epoch_id, trapdoor, &mut events)
                 .map(|row| row.to_row());
         })?;
-        self.observer.record_batch(events);
+        self.record_events(events);
         Ok(out)
     }
 
@@ -251,7 +251,7 @@ impl EpochStore {
     /// `RowFetched` on a hit), just without re-locking per row.
     pub fn fetch_batch(&self, epoch_id: u64, trapdoors: &[Vec<u8>]) -> Result<RowArena> {
         let mut out = None;
-        let mut events = Vec::with_capacity(trapdoors.len() * 2);
+        let mut events = self.event_buffer(trapdoors.len());
         self.backend.with_epoch(epoch_id, &mut |epoch| {
             let rows = out.insert(epoch.table.rows().sized_for(trapdoors.len()));
             for t in trapdoors {
@@ -260,7 +260,7 @@ impl EpochStore {
                 }
             }
         })?;
-        self.observer.record_batch(events);
+        self.record_events(events);
         Ok(out.expect("with_epoch ran the closure"))
     }
 
@@ -281,7 +281,7 @@ impl EpochStore {
         trapdoors: &[Vec<u8>],
         expected: &RowArena,
     ) -> Result<bool> {
-        let mut events = Vec::with_capacity(trapdoors.len() * 2);
+        let mut events = self.event_buffer(trapdoors.len());
         let mut matched = 0usize;
         let mut same = true;
         self.backend.with_epoch(epoch_id, &mut |epoch| {
@@ -292,8 +292,23 @@ impl EpochStore {
                 }
             }
         })?;
-        self.observer.record_batch(events);
+        self.record_events(events);
         Ok(same && matched == expected.len())
+    }
+
+    /// Room for the events of `trapdoors` lookups — or nothing at all when
+    /// the observer is not recording, so a serving process does not build
+    /// two events per fetched row only to drop them.
+    fn event_buffer(&self, trapdoors: usize) -> Option<Vec<AccessEvent>> {
+        self.observer
+            .is_recording()
+            .then(|| Vec::with_capacity(trapdoors * 2))
+    }
+
+    fn record_events(&self, events: Option<Vec<AccessEvent>>) {
+        if let Some(events) = events {
+            self.observer.record_batch(events);
+        }
     }
 
     /// Read an entire epoch segment (full scan), as the Opaque-style
@@ -386,9 +401,12 @@ fn lookup_observed<'a>(
     table: &'a EncryptedTable,
     epoch_id: u64,
     trapdoor: &[u8],
-    events: &mut Vec<AccessEvent>,
+    events: &mut Option<Vec<AccessEvent>>,
 ) -> Option<RowRef<'a>> {
     let hit = table.lookup(trapdoor);
+    let Some(events) = events else {
+        return hit.map(|(_, row)| row);
+    };
     events.push(AccessEvent::TrapdoorIssued {
         epoch_id,
         trapdoor_len: trapdoor.len(),

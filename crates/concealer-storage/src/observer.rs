@@ -16,6 +16,7 @@
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// One observable storage-level event.
@@ -91,9 +92,35 @@ pub struct ObserverSummary {
 /// Thread-safe recorder of [`AccessEvent`]s. Cloning shares the underlying
 /// trace (it is an `Arc`), so the storage layer, the enclave and the test
 /// harness can all hold handles to the same observer.
-#[derive(Debug, Clone, Default)]
+///
+/// The trace is unbounded — two events per fetched row — so it is kept only
+/// while somebody is there to read it: recording is on for a fresh
+/// observer, which is what every in-process reader (tests, examples, the
+/// benchmark's probes) relies on, and a serving process, which never reads
+/// its own trace, switches it off
+/// ([`AccessObserver::set_recording`]). What the adversary *can* observe is
+/// the same either way; the switch only decides whether this process keeps
+/// a copy.
+#[derive(Debug, Clone)]
 pub struct AccessObserver {
-    events: Arc<Mutex<Vec<AccessEvent>>>,
+    shared: Arc<Shared>,
+}
+
+#[derive(Debug)]
+struct Shared {
+    events: Mutex<Vec<AccessEvent>>,
+    recording: AtomicBool,
+}
+
+impl Default for AccessObserver {
+    fn default() -> Self {
+        AccessObserver {
+            shared: Arc::new(Shared {
+                events: Mutex::new(Vec::new()),
+                recording: AtomicBool::new(true),
+            }),
+        }
+    }
 }
 
 impl AccessObserver {
@@ -103,9 +130,26 @@ impl AccessObserver {
         Self::default()
     }
 
+    /// Keep (`true`, the default) or stop keeping (`false`) the trace, for
+    /// this handle and every clone of it. While off, [`Self::record`],
+    /// [`Self::record_batch`] and [`Self::mark_query_boundary`] return at
+    /// once; events already recorded stay until drained or reset.
+    pub fn set_recording(&self, on: bool) {
+        self.shared.recording.store(on, Ordering::SeqCst);
+    }
+
+    /// Whether events are being kept. Callers that would build a vector of
+    /// events only to hand it to [`Self::record_batch`] ask first.
+    #[must_use]
+    pub fn is_recording(&self) -> bool {
+        self.shared.recording.load(Ordering::SeqCst)
+    }
+
     /// Record an event.
     pub fn record(&self, event: AccessEvent) {
-        self.events.lock().push(event);
+        if self.is_recording() {
+            self.shared.events.lock().push(event);
+        }
     }
 
     /// Record a query boundary marker.
@@ -125,7 +169,9 @@ impl AccessObserver {
     /// union-of-per-query-traces invariant holds exactly, not just up to
     /// reordering.
     pub fn record_batch(&self, events: Vec<AccessEvent>) {
-        self.events.lock().extend(events);
+        if self.is_recording() {
+            self.shared.events.lock().extend(events);
+        }
     }
 
     /// Drain all recorded events, leaving the observer empty. Used to move
@@ -133,36 +179,36 @@ impl AccessObserver {
     /// [`AccessObserver::record_batch`].
     #[must_use]
     pub fn take_events(&self) -> Vec<AccessEvent> {
-        std::mem::take(&mut *self.events.lock())
+        std::mem::take(&mut *self.shared.events.lock())
     }
 
     /// Number of events recorded so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.shared.events.lock().len()
     }
 
     /// Whether no events have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.shared.events.lock().is_empty()
     }
 
     /// Snapshot the full trace.
     #[must_use]
     pub fn trace(&self) -> Vec<AccessEvent> {
-        self.events.lock().clone()
+        self.shared.events.lock().clone()
     }
 
     /// Clear the trace (between experiments).
     pub fn reset(&self) {
-        self.events.lock().clear();
+        self.shared.events.lock().clear();
     }
 
     /// Summarize the whole trace.
     #[must_use]
     pub fn summary(&self) -> ObserverSummary {
-        Self::summarize(&self.events.lock())
+        Self::summarize(&self.shared.events.lock())
     }
 
     /// Summarize an arbitrary slice of events.
@@ -200,7 +246,8 @@ impl AccessObserver {
     /// segment.
     #[must_use]
     pub fn per_query_summaries(&self) -> Vec<ObserverSummary> {
-        self.events
+        self.shared
+            .events
             .lock()
             .split(|e| matches!(e, AccessEvent::QueryBoundary))
             .filter(|segment| !segment.is_empty())
@@ -213,7 +260,8 @@ impl AccessObserver {
     /// the same bin produce *identical* fetch sets.
     #[must_use]
     pub fn per_query_fetch_sets(&self) -> Vec<Vec<(u64, u64)>> {
-        self.events
+        self.shared
+            .events
             .lock()
             .split(|e| matches!(e, AccessEvent::QueryBoundary))
             .map(|segment| {
@@ -315,6 +363,25 @@ mod tests {
         let drained = obs.take_events();
         assert_eq!(drained.len(), 3);
         assert!(obs.is_empty());
+    }
+
+    /// Off means nothing is kept, by any entry point, on any clone; back on
+    /// means recording resumes where the trace stood.
+    #[test]
+    fn a_paused_observer_records_nothing_until_resumed() {
+        let obs = AccessObserver::new();
+        assert!(obs.is_recording(), "a fresh observer records");
+        obs.record(fetched(1, 1));
+        let handle = obs.clone();
+        handle.set_recording(false);
+        assert!(!obs.is_recording(), "clones share the switch");
+        obs.record(fetched(1, 2));
+        obs.record_batch(vec![fetched(1, 3), fetched(1, 4)]);
+        obs.mark_query_boundary();
+        assert_eq!(obs.trace(), vec![fetched(1, 1)]);
+        obs.set_recording(true);
+        handle.record_batch(vec![fetched(1, 5)]);
+        assert_eq!(obs.trace(), vec![fetched(1, 1), fetched(1, 5)]);
     }
 
     #[test]

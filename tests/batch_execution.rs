@@ -81,6 +81,32 @@ fn run_batch(
     (answers, meter, system.observer().take_events())
 }
 
+/// A system that keeps no trace — what a server makes of the one it
+/// serves — answers exactly the same and records nothing, on one worker
+/// or several (the parallel path's task-local observers are paused with
+/// it); switched back on, it traces exactly as it did before.
+#[test]
+fn a_paused_observer_changes_no_answer_and_keeps_no_event() {
+    let (system, user, _records) = demo_system(2, 401);
+    let queries = random_mix(9, 10);
+    let (want, _, recorded) = run_batch(&system, &user, &queries, 1);
+    assert!(!recorded.is_empty(), "a fresh system records");
+
+    system.observer().set_recording(false);
+    for parallelism in PARALLELISM_SWEEP {
+        let (got, _, trace) = run_batch(&system, &user, &queries, parallelism);
+        assert_eq!(got, want, "paused, parallelism={parallelism}");
+        assert!(trace.is_empty(), "paused, parallelism={parallelism}");
+    }
+
+    system.observer().set_recording(true);
+    for parallelism in PARALLELISM_SWEEP {
+        let (got, _, trace) = run_batch(&system, &user, &queries, parallelism);
+        assert_eq!(got, want, "resumed, parallelism={parallelism}");
+        assert_eq!(trace, recorded, "resumed, parallelism={parallelism}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
 

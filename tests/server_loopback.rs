@@ -124,6 +124,100 @@ fn concurrent_clients_match_in_process_oracle_bit_for_bit() {
     }
 }
 
+/// Send `mix` over one connection, in order, returning every answer's
+/// wire encoding.
+fn run_mix_over_wire(conn: &mut Session, mix: &[ServerRequest]) -> Vec<Vec<u8>> {
+    let mut answers = Vec::new();
+    for request in mix {
+        match request {
+            ServerRequest::Query(query, options) => {
+                answers.push(wire_bytes(
+                    &conn.execute_with(query, *options).expect("wire query"),
+                ));
+            }
+            ServerRequest::Batch(queries, options) => {
+                for answer in conn
+                    .execute_batch_with(queries, *options)
+                    .expect("wire batch")
+                {
+                    answers.push(wire_bytes(&answer.expect("wire batch entry")));
+                }
+            }
+        }
+    }
+    answers
+}
+
+/// The same requests on an in-process session.
+fn run_mix_in_process(
+    system: &ConcealerSystem,
+    user: &UserHandle,
+    mix: &[ServerRequest],
+) -> Vec<Vec<u8>> {
+    let session = system.session(user);
+    let mut answers = Vec::new();
+    for request in mix {
+        match request {
+            ServerRequest::Query(query, options) => {
+                answers.push(wire_bytes(
+                    &session.execute_with(query, *options).expect("oracle query"),
+                ));
+            }
+            ServerRequest::Batch(queries, options) => {
+                for answer in session
+                    .clone()
+                    .with_options(*options)
+                    .execute_batch(queries)
+                {
+                    answers.push(wire_bytes(&answer.expect("oracle batch entry")));
+                }
+            }
+        }
+    }
+    answers
+}
+
+/// A served system records no adversary trace — nothing that serves reads
+/// it — while its answers stay the in-process oracle's; and a caller that
+/// does want the trace at the wire entry point turns recording back on
+/// after `spawn` and gets, event for event, what the same requests record
+/// in process.
+#[test]
+fn a_served_system_keeps_no_trace_unless_asked_and_then_the_in_process_one() {
+    for mode in CORES {
+        eprintln!("serving core: {mode:?}");
+        let (system, user, handle) = spawn_demo_server(ServerConfig {
+            mode,
+            ..ServerConfig::default()
+        });
+        // The same deployment again, never served: answers and trace of
+        // the same requests in process.
+        let (oracle, oracle_user, _records) = demo_system(HOURS, SEED);
+        let mix = server_request_mix(&demo_workload(HOURS), SEED, 24, 6);
+        oracle.observer().reset();
+        let want = run_mix_in_process(&oracle, &oracle_user, &mix);
+        let want_trace = oracle.observer().take_events();
+        assert!(!want_trace.is_empty(), "in-process systems record");
+
+        assert!(!system.observer().is_recording(), "serving switches it off");
+        system.observer().reset(); // what ingest recorded before `spawn`
+        let mut conn = connect_user(handle.local_addr(), &user, "no-trace").expect("connect");
+        assert_eq!(run_mix_over_wire(&mut conn, &mix), want);
+        assert!(
+            system.observer().is_empty(),
+            "{} events kept by a served system",
+            system.observer().len()
+        );
+
+        system.observer().set_recording(true);
+        assert_eq!(run_mix_over_wire(&mut conn, &mix), want);
+        assert_eq!(system.observer().take_events(), want_trace);
+
+        conn.close().expect("clean goodbye");
+        assert!(handle.shutdown_and_join().graceful);
+    }
+}
+
 /// Pipelined batches on one connection: several tickets in flight, redeemed
 /// out of submission order, each matching the oracle.
 #[test]
