@@ -87,7 +87,7 @@ impl QueryEngine {
                 key.as_ref(),
                 &spec,
                 rt.bin_plan.max_cells_per_bin(),
-                rt.c_tuple.iter().copied().max().unwrap_or(0),
+                rt.max_cell_id_load,
                 rt.bin_plan.max_fakes_per_bin(),
                 &gen,
             )

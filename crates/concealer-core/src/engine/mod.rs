@@ -72,6 +72,9 @@ struct EpochRuntime {
     cell_counts: Vec<u32>,
     /// `c_tuple[]`: cell-id → tuple count.
     c_tuple: Vec<u32>,
+    /// `#max`: the largest entry of `c_tuple[]` (the provider's
+    /// `max_cell_id_load`), what an oblivious fetch pads every cell-id to.
+    max_cell_id_load: u32,
     /// cell-id → number of grid cells assigned to it (super-bin weights).
     cells_per_cell_id: Vec<u32>,
     /// Number of fake tuples shipped with the epoch.
@@ -422,6 +425,7 @@ impl QueryEngine {
 
         let bin_plan = BinPlan::build(&c_tuple, PackingAlgorithm::FirstFitDecreasing, None);
         let bin_rounds = vec![0u64; bin_plan.num_bins()];
+        let max_cell_id_load = c_tuple.iter().copied().max().unwrap_or(0);
 
         let runtime = EpochRuntime {
             epoch_id,
@@ -432,6 +436,7 @@ impl QueryEngine {
             cell_assignment,
             cell_counts,
             c_tuple,
+            max_cell_id_load,
             cells_per_cell_id,
             total_fakes,
             tags: metadata.enc_tags,

@@ -17,7 +17,7 @@
 
 use crate::backend::{MemoryBackend, StorageBackend};
 use crate::observer::{AccessEvent, AccessObserver};
-use crate::table::{EncryptedRow, EncryptedTable, RowArena, RowRef};
+use crate::table::{EncryptedRow, EncryptedTable, RowArena, RowId, RowRef};
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -232,8 +232,8 @@ impl EpochStore {
         let mut out = None;
         let mut events = self.event_buffer(1);
         self.backend.with_epoch(epoch_id, &mut |epoch| {
-            out = lookup_observed(&epoch.table, epoch_id, trapdoor, &mut events)
-                .map(|row| row.to_row());
+            let hit = epoch.table.lookup(trapdoor);
+            out = observe_lookup(epoch_id, trapdoor, hit, &mut events).map(|row| row.to_row());
         })?;
         self.record_events(events);
         Ok(out)
@@ -244,9 +244,11 @@ impl EpochStore {
     /// predicate would. The hits are copied into one arena — the enclave's
     /// copy of what the provider sent — not row by row.
     ///
-    /// The whole batch runs under a single backend access and its events
-    /// are appended to the observer in one [`AccessObserver::record_batch`]
-    /// call — per trapdoor this is the same event sequence
+    /// The whole batch runs under a single backend access, its trapdoors
+    /// are resolved against the index together
+    /// ([`EncryptedTable::lookup_many`]), and its events are appended to
+    /// the observer in one [`AccessObserver::record_batch`] call — per
+    /// trapdoor, in trapdoor order, the same event sequence
     /// [`Self::fetch_by_trapdoor`] records (`TrapdoorIssued`, then
     /// `RowFetched` on a hit), just without re-locking per row.
     pub fn fetch_batch(&self, epoch_id: u64, trapdoors: &[Vec<u8>]) -> Result<RowArena> {
@@ -254,8 +256,8 @@ impl EpochStore {
         let mut events = self.event_buffer(trapdoors.len());
         self.backend.with_epoch(epoch_id, &mut |epoch| {
             let rows = out.insert(epoch.table.rows().sized_for(trapdoors.len()));
-            for t in trapdoors {
-                if let Some(row) = lookup_observed(&epoch.table, epoch_id, t, &mut events) {
+            for (t, hit) in trapdoors.iter().zip(epoch.table.lookup_many(trapdoors)) {
+                if let Some(row) = observe_lookup(epoch_id, t, hit, &mut events) {
                     rows.push_ref(row);
                 }
             }
@@ -285,8 +287,8 @@ impl EpochStore {
         let mut matched = 0usize;
         let mut same = true;
         self.backend.with_epoch(epoch_id, &mut |epoch| {
-            for t in trapdoors {
-                if let Some(row) = lookup_observed(&epoch.table, epoch_id, t, &mut events) {
+            for (t, hit) in trapdoors.iter().zip(epoch.table.lookup_many(trapdoors)) {
+                if let Some(row) = observe_lookup(epoch_id, t, hit, &mut events) {
                     same = same && expected.get(matched) == Some(row);
                     matched += 1;
                 }
@@ -395,15 +397,15 @@ impl EpochStore {
     }
 }
 
-/// Run one trapdoor against `table`, appending to `events` what the
-/// adversary observes: `TrapdoorIssued`, then `RowFetched` on a hit.
-fn lookup_observed<'a>(
-    table: &'a EncryptedTable,
+/// Append to `events` what the adversary observes of one trapdoor's
+/// lookup, whose outcome is `hit`: `TrapdoorIssued`, then `RowFetched` on a
+/// hit. Returns the row hit.
+fn observe_lookup<'a>(
     epoch_id: u64,
     trapdoor: &[u8],
+    hit: Option<(RowId, RowRef<'a>)>,
     events: &mut Option<Vec<AccessEvent>>,
 ) -> Option<RowRef<'a>> {
-    let hit = table.lookup(trapdoor);
     let Some(events) = events else {
         return hit.map(|(_, row)| row);
     };

@@ -10,9 +10,11 @@
 //!   epoch's rows in shipment order — one [`table::RowArena`] buffer read
 //!   through borrowed [`table::RowRef`] views, with [`table::EncryptedRow`]
 //!   as the owned row — plus the index over the `Index` column. The index
-//!   (`btree.rs`, private) plays the role of the MySQL index: built once
-//!   per segment from the deterministic `Index` ciphertexts, it answers
-//!   exact-match lookups — the only operation the server needs.
+//!   (`key_index.rs`, private) plays the role of the MySQL index: built
+//!   once per segment from the deterministic `Index` ciphertexts — sorted
+//!   key prefixes under a bucket directory — it answers exact-match
+//!   lookups, one at a time or a bin's worth together, and that is the
+//!   only operation the server needs.
 //! * [`epoch_store`] — [`epoch_store::EpochStore`], the service provider's
 //!   database: one table segment per epoch/round plus the encrypted
 //!   metadata blobs (`Ecell_id[]`, `Ec_tuple[]`, verifiable tags) DP ships
@@ -41,8 +43,8 @@ pub mod epoch_store;
 pub mod observer;
 pub mod table;
 
-mod btree;
 mod error;
+mod key_index;
 
 pub use backend::{shard_of_epoch, MemoryBackend, RewrapFn, StorageBackend};
 pub use disk::DiskEpochStore;

@@ -16,7 +16,7 @@
 //! `RowArena::from(rows).to_rows() == rows`, and
 //! `RowArena::from(arena.to_rows()) == arena`.
 
-use crate::btree::KeyIndex;
+use crate::key_index::KeyIndex;
 use crate::{Result, StorageError};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
@@ -518,10 +518,14 @@ impl EncryptedTable {
     /// yield [`StorageError::DuplicateKey`], and either way the table is
     /// left exactly as it was.
     pub fn replace_rows(&mut self, replacements: Vec<(Vec<u8>, EncryptedRow)>) -> Result<()> {
+        let old_keys: Vec<&[u8]> = replacements.iter().map(|(key, _)| key.as_slice()).collect();
         let mut replaced: Vec<Option<&EncryptedRow>> = vec![None; self.rows.len()];
         let mut found = 0;
-        for (old_key, row) in &replacements {
-            if let Some((pos, _)) = self.index.get(old_key, &self.rows) {
+        for ((_, row), hit) in replacements
+            .iter()
+            .zip(self.index.get_many(&old_keys, &self.rows))
+        {
+            if let Some((pos, _)) = hit {
                 replaced[pos] = Some(row);
                 found += 1;
             }
@@ -570,6 +574,19 @@ impl EncryptedTable {
     pub fn lookup(&self, trapdoor: &[u8]) -> Option<(RowId, RowRef<'_>)> {
         let (pos, row) = self.index.get(trapdoor, &self.rows)?;
         Some((pos as RowId, row))
+    }
+
+    /// [`Self::lookup`] for every trapdoor of a batch (one bin fetch), in
+    /// their order. Equal to looking each up in turn; resolving them
+    /// together lets the index overlap their memory accesses.
+    pub fn lookup_many<K: AsRef<[u8]>>(
+        &self,
+        trapdoors: &[K],
+    ) -> impl ExactSizeIterator<Item = Option<(RowId, RowRef<'_>)>> {
+        self.index
+            .get_many(trapdoors, &self.rows)
+            .into_iter()
+            .map(|hit| hit.map(|(pos, row)| (pos as RowId, row)))
     }
 
     /// Fetch a row by id.
@@ -889,6 +906,33 @@ mod tests {
             prop_assert_eq!(table.rows().to_rows(), model.clone());
             for (i, row) in model.iter().enumerate() {
                 prop_assert_eq!(lookup(&table, &row.index_key), Some((i as RowId, row.clone())));
+            }
+        }
+
+        /// A batch lookup is the single lookups in order — hits, misses,
+        /// keys that share a zero-padded prefix (`[1]`, `[1, 0]`), one
+        /// trapdoor twice in a batch, and the empty batch.
+        #[test]
+        fn prop_lookup_many_is_lookup_per_trapdoor(
+            keys in proptest::collection::btree_set(proptest::collection::vec(0u8..3, 0..10), 0..60),
+            picks in proptest::collection::vec(any::<usize>(), 0..40),
+            misses in proptest::collection::vec(proptest::collection::vec(0u8..3, 0..10), 0..10),
+        ) {
+            let keys: Vec<Vec<u8>> = keys.into_iter().collect();
+            let rows: Vec<EncryptedRow> = keys
+                .iter()
+                .map(|k| EncryptedRow { index_key: k.clone(), filters: vec![], payload: k.clone() })
+                .collect();
+            let table = EncryptedTable::bulk_load(rows).unwrap();
+            let mut trapdoors = misses;
+            if !keys.is_empty() {
+                trapdoors.extend(picks.iter().map(|p| keys[p % keys.len()].clone()));
+            }
+            // Every trapdoor at least twice.
+            trapdoors.extend_from_within(..);
+            for batch in [trapdoors.as_slice(), &[]] {
+                let singles: Vec<_> = batch.iter().map(|t| table.lookup(t)).collect();
+                prop_assert_eq!(table.lookup_many(batch).collect::<Vec<_>>(), singles);
             }
         }
     }
