@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Self-test for ci/compare-bench.sh: pins the gate's contract — exit 0 on
-# a well-formed server-load summary, exit 1 on an oracle divergence or a
-# peak below the MIN_CONNECTIONS floor, exit 2 on any malformed summary
-# (missing file, stale schema, unknown serving mode, missing latency or
-# per-member router fields) or bad usage. Run by the lint-ci job and
-# runnable locally: sh ci/selftest-compare-bench.sh
+# a well-formed server-load summary, exit 1 on an oracle divergence,
+# exit 2 on any malformed summary (missing file, stale schema, unknown
+# serving mode, missing latency or per-member router fields) or bad
+# usage. Run by the lint-ci job and runnable locally:
+# sh ci/selftest-compare-bench.sh
 set -eu
 
 script_dir=$(dirname "$0")
@@ -14,21 +14,19 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 
 failures=0
 
-# --- --server-summary mode (concealer-server-load/v2) -------------------
+# --- --server-summary mode (concealer-server-load/v3) -------------------
 
 # write_server_summary <path> <mode> <peak> <divergences>
 write_server_summary() {
     cat >"$1" <<EOF
 {
-  "schema": "concealer-server-load/v2",
+  "schema": "concealer-server-load/v3",
   "addr": "127.0.0.1:7171",
   "backend": "memory",
   "mode": "$2",
   "clients": 8,
   "requests_per_client": 36,
   "batch_len": 8,
-  "idle_connections_target": 10000,
-  "connections": 10000,
   "max_concurrent_connections": $3,
   "requests": 288,
   "queries": 900,
@@ -43,14 +41,13 @@ write_server_summary() {
 EOF
 }
 
-# expect_server <name> <expected-rc> <file> [min-connections]
+# expect_server <name> <expected-rc> <file>
 expect_server() {
     name="$1"
     want="$2"
     file="$3"
-    min="${4:-}"
     got=0
-    MIN_CONNECTIONS="$min" sh "$compare" --server-summary "$file" \
+    sh "$compare" --server-summary "$file" \
         >"$tmp/out" 2>"$tmp/err" || got=$?
     if [ "$got" -eq "$want" ]; then
         echo "ok: $name (rc=$got)"
@@ -62,22 +59,18 @@ expect_server() {
     fi
 }
 
-write_server_summary "$tmp/srv-event.json" "event" "10004" "0"
 write_server_summary "$tmp/srv-threaded.json" "threaded" "17" "0"
-expect_server "well-formed event summary passes" 0 "$tmp/srv-event.json"
-expect_server "well-formed threaded summary passes" 0 "$tmp/srv-threaded.json"
-expect_server "connection floor holds" 0 "$tmp/srv-event.json" "10000"
-expect_server "peak below the connection floor fails" 1 "$tmp/srv-threaded.json" "10000"
+expect_server "well-formed summary passes" 0 "$tmp/srv-threaded.json"
 
 # Any oracle divergence fails the gate even if the schema is pristine.
-write_server_summary "$tmp/srv-diverged.json" "event" "10004" "3"
+write_server_summary "$tmp/srv-diverged.json" "threaded" "17" "3"
 expect_server "divergences fail the gate" 1 "$tmp/srv-diverged.json"
 
 # "unknown" mode means the ServeStats probe failed — no claim to gate on.
 write_server_summary "$tmp/srv-unknown.json" "unknown" "0" "0"
 expect_server "unknown serving mode is malformed" 2 "$tmp/srv-unknown.json"
 
-# A v1 artifact (no mode, no connection counts) must be rejected.
+# A v1 artifact (no mode, no connection high-water mark) must be rejected.
 cat >"$tmp/srv-v1.json" <<'EOF'
 {
   "schema": "concealer-server-load/v1",
@@ -90,7 +83,7 @@ EOF
 expect_server "server-load v1 schema is malformed" 2 "$tmp/srv-v1.json"
 
 # Missing latency percentiles → malformed.
-write_server_summary "$tmp/srv-nolat.json" "event" "10004" "0"
+write_server_summary "$tmp/srv-nolat.json" "threaded" "17" "0"
 sed '/"latency_ms":/d' "$tmp/srv-nolat.json" >"$tmp/srv-nolat2.json"
 expect_server "missing latency percentiles is malformed" 2 "$tmp/srv-nolat2.json"
 
@@ -106,15 +99,13 @@ expect_server "missing server summary is malformed" 2 "$tmp/srv-nonexistent.json
 write_routed_server_summary() {
     cat >"$1" <<EOF
 {
-  "schema": "concealer-server-load/v2",
+  "schema": "concealer-server-load/v3",
   "addr": "127.0.0.1:7171",
   "backend": "memory",
-  "mode": "event",
+  "mode": "threaded",
   "clients": 8,
   "requests_per_client": 36,
   "batch_len": 8,
-  "idle_connections_target": 0,
-  "connections": 8,
   "max_concurrent_connections": 9,
   "requests": 288,
   "queries": 900,
@@ -146,7 +137,7 @@ expect_server "router_shards entry without writer flag is malformed" 2 "$tmp/srv
 # Any other invocation (the retired baseline-comparison form included) is
 # a usage error, not a silent pass.
 got=0
-sh "$compare" "$tmp/srv-event.json" "$tmp/srv-event.json" >"$tmp/out" 2>"$tmp/err" || got=$?
+sh "$compare" "$tmp/srv-threaded.json" "$tmp/srv-threaded.json" >"$tmp/out" 2>"$tmp/err" || got=$?
 if [ "$got" -eq 2 ]; then
     echo "ok: invocation without --server-summary is a usage error (rc=2)"
 else

@@ -5,17 +5,7 @@
 # bit-for-bit against the in-process oracle, follow-up epochs ingested
 # over the wire while queries are live), then require a graceful wire
 # shutdown. The storage backend follows CONCEALER_TEST_BACKEND (memory /
-# disk) in both processes, and SOAK_MODE selects the serving core
-# (threaded / event) — the CI server-soak job runs the full matrix.
-#
-# Event-mode legs additionally open SOAK_IDLE_CONNECTIONS mostly-idle
-# connections (default 10000 in event mode, 0 in threaded) and gate the
-# server-reported concurrency high-water mark via
-# `compare-bench.sh --server-summary` with MIN_CONNECTIONS. If the
-# runner's fd limit cannot carry the default target, the script lowers it
-# to fit (with a loud note) — the floor gates what was actually attempted,
-# so a constrained runner still proves proportional concurrency instead
-# of flaking. Set SOAK_IDLE_CONNECTIONS explicitly to pin the target.
+# disk) in both processes — the CI server-soak job runs both.
 #
 # With SOAK_ROUTER_SHARDS=N (N >= 2) the soak instead exercises the
 # routed deployment: N epoch-sharded servers behind a concealer-router,
@@ -49,7 +39,7 @@
 # don't finish before the rotation fires; SOAK_REQUESTS still overrides.
 #
 # Exit codes: 0 soak clean, 1 divergence / client error / non-graceful
-# shutdown / concurrency floor missed, 2 binaries missing.
+# shutdown, 2 binaries missing.
 #
 # Usage: server-soak.sh [BENCH_server.json]
 set -eu
@@ -62,7 +52,6 @@ HOURS="${SOAK_HOURS:-2}"
 SEED="${SOAK_SEED:-42}"
 CLIENTS="${SOAK_CLIENTS:-8}"
 REQUESTS="${SOAK_REQUESTS:-36}"
-MODE="${SOAK_MODE:-threaded}"
 ROUTER_SHARDS="${SOAK_ROUTER_SHARDS:-0}"
 REPLICAS="${SOAK_REPLICAS:-0}"
 ROTATE="${SOAK_ROTATE:-0}"
@@ -78,40 +67,9 @@ if [ "$ROTATE" = "1" ] && { [ "$ROUTER_SHARDS" -gt 0 ] || [ "$REPLICAS" -gt 0 ];
 fi
 if [ "$ROTATE" = "1" ]; then
     # A rotation under load needs enough load to still be running when the
-    # rotation fires; release binaries burn the threaded default in well
-    # under the fire delay.
+    # rotation fires; release binaries burn the default in well under the
+    # fire delay.
     REQUESTS="${SOAK_REQUESTS:-200}"
-fi
-
-case "$MODE" in
-    threaded|event) ;;
-    *) echo "error: SOAK_MODE must be 'threaded' or 'event', got '$MODE'" >&2; exit 2 ;;
-esac
-
-# Idle-connection target: event mode defaults to the 10k claim; threaded
-# mode (a thread per connection) defaults to none.
-if [ "$MODE" = "event" ]; then
-    IDLE="${SOAK_IDLE_CONNECTIONS:-10000}"
-else
-    IDLE="${SOAK_IDLE_CONNECTIONS:-0}"
-fi
-
-# Each held connection costs one fd in the load generator and one in the
-# server; leave generous headroom for binaries, logs, and the query
-# clients. Lower the target rather than flake when the limit is tight.
-if [ "$IDLE" -gt 0 ]; then
-    fd_limit=$(ulimit -n 2>/dev/null || echo 1024)
-    case "$fd_limit" in
-        unlimited) ;;
-        *)
-            max_idle=$((fd_limit - 256))
-            if [ "$max_idle" -lt 0 ]; then max_idle=0; fi
-            if [ "$IDLE" -gt "$max_idle" ]; then
-                echo "soak: fd limit $fd_limit cannot hold $IDLE idle connections; lowering target to $max_idle" >&2
-                IDLE="$max_idle"
-            fi
-            ;;
-    esac
 fi
 
 for bin in "$SERVER_BIN" "$LOAD_BIN"; do
@@ -146,7 +104,7 @@ if [ "$ROUTER_SHARDS" -gt 0 ]; then
     # list position must match each server's --shard index).
     i=0
     while [ "$i" -lt "$ROUTER_SHARDS" ]; do
-        "$SERVER_BIN" --mode "$MODE" --hours "$HOURS" --seed "$SEED" \
+        "$SERVER_BIN" --hours "$HOURS" --seed "$SEED" \
             --shard "$i/$ROUTER_SHARDS" \
             >"$workdir/shard$i.out" 2>"$workdir/shard$i.err" &
         eval "shard_pid_$i=$!"
@@ -184,7 +142,7 @@ if [ "$ROUTER_SHARDS" -gt 0 ]; then
     # The router probes the shard map before binding; a READY line means
     # every shard agreed on its slice.
     # shellcheck disable=SC2086
-    "$ROUTER_BIN" $shard_flags --mode "$MODE" \
+    "$ROUTER_BIN" $shard_flags \
         >"$workdir/router.out" 2>"$workdir/router.err" &
     router_pid=$!
     pids="$pids $router_pid"
@@ -207,7 +165,7 @@ if [ "$ROUTER_SHARDS" -gt 0 ]; then
         echo "error: router did not become READY in time" >&2
         exit 1
     fi
-    echo "soak: router ready on $router_addr fronting $ROUTER_SHARDS shard(s) (mode: $MODE)"
+    echo "soak: router ready on $router_addr fronting $ROUTER_SHARDS shard(s)"
 
     # Drive the load through the router; once its query phase has started,
     # SIGKILL the last shard out from under the deployment. The routed
@@ -288,7 +246,7 @@ if [ "$ROUTER_SHARDS" -gt 0 ]; then
 
     sh "$script_dir/compare-bench.sh" --server-summary "$OUT"
     qps=$(sed -n 's/.*"qps": *\([0-9.eE+-]*\).*/\1/p' "$OUT" | head -n 1)
-    echo "soak ok (routed): shards=$ROUTER_SHARDS mode=$MODE killed=$victim tolerated=$unavailable qps=${qps:-?} summary=$OUT"
+    echo "soak ok (routed): shards=$ROUTER_SHARDS killed=$victim tolerated=$unavailable qps=${qps:-?} summary=$OUT"
     exit 0
 fi
 
@@ -342,7 +300,7 @@ if [ "$REPLICAS" -gt 0 ]; then
     # The writer must be READY (base epoch committed to the store root)
     # before any replica opens the root, so each replica absorbs the base
     # epoch during its own startup rather than racing the refresh loop.
-    "$SERVER_BIN" --mode "$MODE" --hours "$HOURS" --seed "$SEED" \
+    "$SERVER_BIN" --hours "$HOURS" --seed "$SEED" \
         --store "$store" \
         >"$workdir/member0.out" 2>"$workdir/member0.err" &
     member_pid_0=$!
@@ -357,7 +315,7 @@ if [ "$REPLICAS" -gt 0 ]; then
 
     i=1
     while [ "$i" -lt "$REPLICAS" ]; do
-        "$SERVER_BIN" --mode "$MODE" --hours "$HOURS" --seed "$SEED" \
+        "$SERVER_BIN" --hours "$HOURS" --seed "$SEED" \
             --store "$store" --replica --refresh-ms 100 \
             >"$workdir/member$i.out" 2>"$workdir/member$i.err" &
         eval "member_pid_$i=$!"
@@ -374,7 +332,7 @@ if [ "$REPLICAS" -gt 0 ]; then
 
     # One shard entry, comma-joined member list; the probe discovers the
     # roles and requires exactly one writer.
-    "$ROUTER_BIN" --shard-addr "$members" --mode "$MODE" \
+    "$ROUTER_BIN" --shard-addr "$members" \
         >"$workdir/router.out" 2>"$workdir/router.err" &
     router_pid=$!
     pids="$pids $router_pid"
@@ -397,7 +355,7 @@ if [ "$REPLICAS" -gt 0 ]; then
         echo "error: router did not become READY in time" >&2
         exit 1
     fi
-    echo "soak: router ready on $router_addr fronting 1 shard x $REPLICAS member(s) (mode: $MODE)"
+    echo "soak: router ready on $router_addr fronting 1 shard x $REPLICAS member(s)"
 
     # Drive the load through the router; once its query phase has started,
     # SIGKILL the writer out from under the set. Same long default run as
@@ -475,7 +433,7 @@ if [ "$REPLICAS" -gt 0 ]; then
     sh "$script_dir/compare-bench.sh" --server-summary "$OUT"
     unavailable=$(sed -n 's/.*"shard_unavailable": *\([0-9][0-9]*\).*/\1/p' "$OUT" | head -n 1)
     qps=$(sed -n 's/.*"qps": *\([0-9.eE+-]*\).*/\1/p' "$OUT" | head -n 1)
-    echo "soak ok (replicated): members=$REPLICAS mode=$MODE killed=writer tolerated=${unavailable:-0} qps=${qps:-?} summary=$OUT"
+    echo "soak ok (replicated): members=$REPLICAS killed=writer tolerated=${unavailable:-0} qps=${qps:-?} summary=$OUT"
     exit 0
 fi
 
@@ -504,16 +462,8 @@ if [ "$ROTATE" = "1" ]; then
     rotate_flags="--store $rotate_store/root --rotate-after-ms ${SOAK_ROTATE_AFTER_MS:-500}"
 fi
 
-# The connection cap must clear the idle pool plus the query clients plus
-# probe headroom; the threaded default (16) only applies with no pool.
-max_connections=$((IDLE + CLIENTS + 64))
-if [ "$IDLE" -eq 0 ]; then
-    max_connections=16
-fi
-
 # shellcheck disable=SC2086
-"$SERVER_BIN" --mode "$MODE" --hours "$HOURS" --seed "$SEED" \
-    --max-connections "$max_connections" $rotate_flags \
+"$SERVER_BIN" --hours "$HOURS" --seed "$SEED" $rotate_flags \
     >"$server_out" 2>"$server_err" &
 server_pid=$!
 
@@ -540,16 +490,11 @@ if [ -z "$addr" ]; then
     exit 1
 fi
 backend=$(sed -n 's/^READY.*backend=\([^ ]*\).*/\1/p' "$server_out")
-ready_mode=$(sed -n 's/^READY.*mode=\([^ ]*\).*/\1/p' "$server_out")
-if [ "$ready_mode" != "$MODE" ]; then
-    echo "error: asked for mode '$MODE' but the server reported '$ready_mode'" >&2
-    exit 1
-fi
-echo "soak: server ready on $addr (backend: ${backend:-unknown}, mode: $MODE, idle target: $IDLE)"
+echo "soak: server ready on $addr (backend: ${backend:-unknown})"
 
 load_rc=0
 "$LOAD_BIN" --addr "$addr" --clients "$CLIENTS" --requests "$REQUESTS" \
-    --hours "$HOURS" --seed "$SEED" --idle-connections "$IDLE" \
+    --hours "$HOURS" --seed "$SEED" \
     --ingest-epochs 2 --shutdown --out "$OUT" || load_rc=$?
 if [ "$load_rc" -ne 0 ]; then
     echo "error: load generator failed (rc=$load_rc): answer divergence, client error, or shutdown refusal" >&2
@@ -591,14 +536,9 @@ if [ "$ROTATE" = "1" ]; then
     echo "soak: master key rotated online to generation $rot_generation ($rot_epochs vault entries re-wrapped) under live load"
 fi
 
-# Validate the v2 summary schema; with an idle pool, also gate the
-# server's concurrency high-water mark against what was attempted.
-if [ "$IDLE" -gt 0 ]; then
-    MIN_CONNECTIONS="$IDLE" sh "$script_dir/compare-bench.sh" --server-summary "$OUT"
-else
-    sh "$script_dir/compare-bench.sh" --server-summary "$OUT"
-fi
+# Validate the summary schema and the zero-divergence gate.
+sh "$script_dir/compare-bench.sh" --server-summary "$OUT"
 
 grep '^SHUTDOWN' "$server_out"
 qps=$(sed -n 's/.*"qps": *\([0-9.eE+-]*\).*/\1/p' "$OUT" | head -n 1)
-echo "soak ok: backend=${backend:-unknown} mode=$MODE qps=${qps:-?} summary=$OUT"
+echo "soak ok: backend=${backend:-unknown} qps=${qps:-?} summary=$OUT"

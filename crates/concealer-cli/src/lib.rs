@@ -113,8 +113,7 @@ impl Args {
 
     /// [`Args::value`] run through a caller-supplied parser, exiting
     /// with the parser's message as a usage error on `Err`. For value
-    /// grammars richer than `FromStr` (`--shard INDEX/TOTAL`,
-    /// `--mode threaded|event`).
+    /// grammars richer than `FromStr` (`--shard INDEX/TOTAL`).
     pub fn parse_with<T>(
         &mut self,
         flag: &str,

@@ -634,8 +634,8 @@ impl Session {
         }
     }
 
-    /// Fetch the serving core's live counters: mode, connection counts,
-    /// in-flight/backlog depth, loop iterations.
+    /// Fetch the serving core's live counters: connection counts and
+    /// in-flight/backlog depth.
     pub fn serve_stats(&mut self) -> Result<ServeStats, ClientError> {
         let id = self.fresh_id();
         write_frame(&mut self.stream, &Request::ServeStats { id })?;

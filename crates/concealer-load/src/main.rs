@@ -1,13 +1,12 @@
 //! `concealer-load`: drive a running Concealer server with N concurrent
 //! clients of mixed point/range/batch workloads, check every answer
 //! bit-for-bit against a local oracle, and emit a `BENCH_server.json`
-//! summary (schema `concealer-server-load/v2`: serving mode, connection
-//! counts, qps, p50/p95/p99 latency).
+//! summary (schema `concealer-server-load/v3`: serving mode, the server's
+//! connection high-water mark, qps, p50/p95/p99 latency).
 //!
 //! ```text
 //! concealer-load --addr HOST:PORT [--clients N] [--requests N]
-//!                [--batch-len N] [--hours H] [--seed S]
-//!                [--idle-connections N] [--ingest-epochs N]
+//!                [--batch-len N] [--hours H] [--seed S] [--ingest-epochs N]
 //!                [--router] [--no-check] [--shutdown]
 //!                [--out BENCH_server.json]
 //! ```
@@ -27,15 +26,6 @@
 //! `RouterStats` endpoint. Divergences and unstructured
 //! (transport-level) errors still fail the run: a dying shard must never
 //! tear the client-facing connection or shrink an answer.
-//!
-//! `--idle-connections N` targets the event server: open N authenticated
-//! connections and *hold* them for the run while the regular clients
-//! supply query traffic, plus a trickle of oracle-checked queries through
-//! every [`IDLE_TRICKLE_STRIDE`]th held connection — mostly-idle sockets
-//! must still answer correctly mid-run. The summary records how many were
-//! achieved (`connections`) and the server's own high-water mark
-//! (`max_concurrent_connections`, from the `ServeStats` endpoint), so a
-//! CI gate can assert a concurrency floor.
 //!
 //! `(hours, seed)` must match the server's: the oracle rebuilds the same
 //! deterministic demo deployment in-process (same master key, data, and
@@ -58,8 +48,8 @@ use concealer_client::{ClientBuilder, ClientError, Session};
 use concealer_examples::{demo_epoch_records, demo_system, demo_workload};
 
 const USAGE: &str = "concealer-load --addr HOST:PORT [--clients N] [--requests N] \
-                     [--batch-len N] [--hours H] [--seed S] [--idle-connections N] \
-                     [--ingest-epochs N] [--router] [--no-check] [--shutdown] \
+                     [--batch-len N] [--hours H] [--seed S] [--ingest-epochs N] \
+                     [--router] [--no-check] [--shutdown] \
                      [--out BENCH_server.json]";
 
 /// One authenticated session to the target deployment. The load
@@ -77,9 +67,6 @@ fn connect(
         .connect()
 }
 
-/// Every stride-th held idle connection carries one checked query.
-const IDLE_TRICKLE_STRIDE: usize = 97;
-
 struct Args {
     addr: String,
     clients: usize,
@@ -87,7 +74,6 @@ struct Args {
     batch_len: usize,
     hours: u64,
     seed: u64,
-    idle_connections: usize,
     ingest_epochs: u64,
     router: bool,
     check: bool,
@@ -104,7 +90,6 @@ fn parse_args() -> Args {
         batch_len: 8,
         hours: 2,
         seed: 42,
-        idle_connections: 0,
         ingest_epochs: 0,
         router: false,
         check: true,
@@ -119,7 +104,6 @@ fn parse_args() -> Args {
             "--batch-len" => args.batch_len = cli.parse("--batch-len"),
             "--hours" => args.hours = cli.parse("--hours"),
             "--seed" => args.seed = cli.parse("--seed"),
-            "--idle-connections" => args.idle_connections = cli.parse("--idle-connections"),
             "--ingest-epochs" => args.ingest_epochs = cli.parse("--ingest-epochs"),
             "--router" => args.router = true,
             "--no-check" => args.check = false,
@@ -286,74 +270,6 @@ fn run_request(
     true
 }
 
-/// Open `target` authenticated connections and hold them. Stops early
-/// (with a note) on the first failure — typically the process's fd limit
-/// or the server's connection cap — so the caller reports what was
-/// actually achieved rather than dying.
-fn open_idle_pool(
-    args: &Args,
-    user: &concealer_core::UserHandle,
-    errors: &mut Vec<String>,
-) -> Vec<Session> {
-    let target = args.idle_connections;
-    let mut pool = Vec::with_capacity(target);
-    for k in 0..target {
-        match connect(args, user, &format!("load-idle-{k}")) {
-            Ok(conn) => pool.push(conn),
-            Err(e) => {
-                errors.push(format!(
-                    "idle connection {k}/{target} failed ({e}); holding {} — raise the fd \
-                     limit (ulimit -n) and the server's --max-connections to go higher",
-                    pool.len()
-                ));
-                break;
-            }
-        }
-        if (k + 1) % 2000 == 0 {
-            eprintln!("concealer-load: {} idle connections open", k + 1);
-        }
-    }
-    pool
-}
-
-/// The idle pool's trickle: one checked query through every
-/// [`IDLE_TRICKLE_STRIDE`]th held connection while the main clients load
-/// the server. Takes ownership of the trickle connections and returns
-/// them so they stay open until the pool is torn down.
-fn run_trickle(
-    args: &Args,
-    mut conns: Vec<Session>,
-    oracle: Option<&concealer_core::ConcealerSystem>,
-    user: &concealer_core::UserHandle,
-) -> (ClientReport, Vec<Session>) {
-    let mut report = ClientReport::default();
-    if conns.is_empty() {
-        return (report, conns);
-    }
-    let workload = demo_workload(args.hours);
-    let mix = server_request_mix(
-        &workload,
-        args.seed.wrapping_add(500_000),
-        conns.len(),
-        args.batch_len.max(1),
-    );
-    let oracle_session = oracle.map(|system| system.session(user));
-    for (idx, (conn, request)) in conns.iter_mut().zip(mix.iter()).enumerate() {
-        let label = format!("idle trickle {idx}");
-        run_request(
-            args,
-            conn,
-            request,
-            oracle_session.as_ref(),
-            &mut report,
-            &label,
-        );
-        // Space the trickle out so the pool stays mostly idle.
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    (report, conns)
-}
-
 /// Latency percentile in milliseconds over sorted samples.
 fn percentile_ms(sorted: &[Duration], pct: f64) -> f64 {
     if sorted.is_empty() {
@@ -375,33 +291,6 @@ fn main() -> ExitCode {
     let (oracle_system, user, _records) = demo_system(args.hours, args.seed);
     let oracle = args.check.then_some(&oracle_system);
 
-    // The idle pool opens before the query phase so its connections are
-    // concurrent with the workload; every stride-th one is pulled aside
-    // to carry the trickle.
-    let mut pool_errors: Vec<String> = Vec::new();
-    let mut idle_pool: Vec<Session> = Vec::new();
-    let mut trickle_conns: Vec<Session> = Vec::new();
-    if args.idle_connections > 0 {
-        eprintln!(
-            "concealer-load: opening {} idle connections",
-            args.idle_connections
-        );
-        let mut opened = open_idle_pool(&args, &user, &mut pool_errors);
-        for (k, conn) in opened.drain(..).enumerate() {
-            if k % IDLE_TRICKLE_STRIDE == 0 {
-                trickle_conns.push(conn);
-            } else {
-                idle_pool.push(conn);
-            }
-        }
-        eprintln!(
-            "concealer-load: holding {} idle + {} trickle connections",
-            idle_pool.len(),
-            trickle_conns.len()
-        );
-    }
-    let idle_achieved = idle_pool.len() + trickle_conns.len();
-
     eprintln!(
         "concealer-load: {} client(s) x {} request(s) (batch-len {}) against {}",
         args.clients, args.requests, args.batch_len, args.addr
@@ -409,13 +298,7 @@ fn main() -> ExitCode {
     let ingested = AtomicU64::new(0);
     let unavailable_ingests = AtomicU64::new(0);
     let started = Instant::now();
-    let (reports, trickle_conns): (Vec<ClientReport>, Vec<Session>) = std::thread::scope(|scope| {
-        let trickle_handle = (!trickle_conns.is_empty()).then(|| {
-            let args = &args;
-            let user = &user;
-            let conns = std::mem::take(&mut trickle_conns);
-            scope.spawn(move || run_trickle(args, conns, oracle, user))
-        });
+    let reports: Vec<ClientReport> = std::thread::scope(|scope| {
         let ingest_handle = (args.ingest_epochs > 0).then(|| {
             let args = &args;
             let user = &user;
@@ -464,29 +347,17 @@ fn main() -> ExitCode {
                 });
             }
         }
-        let mut returned = Vec::new();
-        if let Some(handle) = trickle_handle {
-            let (report, conns) = handle.join().expect("trickle thread panicked");
-            reports.push(report);
-            returned = conns;
-        }
-        (reports, returned)
+        reports
     });
     let elapsed = started.elapsed();
 
-    // Ask the server for its own view — serving mode and the concurrent
-    // connection high-water mark — while the idle pool is still open.
-    // Probe over a held connection when there is one: a fresh connect
-    // could be refused if the pool sits at the server's connection cap.
-    let mut trickle_conns = trickle_conns;
-    let probe_result = match trickle_conns.last_mut() {
-        Some(conn) => conn.serve_stats(),
-        None => connect(&args, &user, "load-stats").and_then(|mut conn| {
-            let stats = conn.serve_stats()?;
-            conn.close()?;
-            Ok(stats)
-        }),
-    };
+    // Ask the server for its own view: serving mode and the concurrent
+    // connection high-water mark.
+    let probe_result = connect(&args, &user, "load-stats").and_then(|mut conn| {
+        let stats = conn.serve_stats()?;
+        conn.close()?;
+        Ok(stats)
+    });
     let (server_mode, max_concurrent) = match probe_result {
         Ok(stats) => (stats.mode, stats.peak_connections),
         Err(e) => {
@@ -494,12 +365,6 @@ fn main() -> ExitCode {
             ("unknown".to_string(), 0)
         }
     };
-    // FIN-close the pool (no Goodbye round-trips — 10k of them would
-    // serialize); the server treats EOF on an idle connection as a clean
-    // close either way.
-    drop(trickle_conns);
-    drop(idle_pool);
-
     // In router mode, pull the per-shard forwarding counters for the
     // summary — the routed soak gates on the deployment having actually
     // fanned out (and, after a kill, reconnected).
@@ -530,10 +395,6 @@ fn main() -> ExitCode {
     let qps = queries as f64 / elapsed.as_secs_f64().max(1e-9);
     let backend = oracle_system.store().backend_kind();
 
-    for warning in &pool_errors {
-        eprintln!("concealer-load: idle pool: {warning}");
-    }
-
     let router_shards_json = router_shards
         .iter()
         .map(|s| {
@@ -554,13 +415,12 @@ fn main() -> ExitCode {
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"schema\": \"concealer-server-load/v2\",\n  \"addr\": \"{}\",\n  \"backend\": \"{backend}\",\n  \"mode\": \"{server_mode}\",\n  \"router\": {},\n  \"clients\": {},\n  \"requests_per_client\": {},\n  \"batch_len\": {},\n  \"idle_connections_target\": {},\n  \"connections\": {idle_achieved},\n  \"max_concurrent_connections\": {max_concurrent},\n  \"requests\": {requests},\n  \"queries\": {queries},\n  \"ingest_epochs\": {},\n  \"elapsed_s\": {:.3},\n  \"qps\": {qps:.2},\n  \"latency_ms\": {{\"p50\": {:.3}, \"p95\": {:.3}, \"p99\": {:.3}, \"max\": {:.3}}},\n  \"checked\": {},\n  \"divergences\": {divergences},\n  \"shard_unavailable\": {shard_unavailable},\n  \"router_shards\": [{router_shards_json}],\n  \"client_errors\": {}\n}}\n",
+        "{{\n  \"schema\": \"concealer-server-load/v3\",\n  \"addr\": \"{}\",\n  \"backend\": \"{backend}\",\n  \"mode\": \"{server_mode}\",\n  \"router\": {},\n  \"clients\": {},\n  \"requests_per_client\": {},\n  \"batch_len\": {},\n  \"max_concurrent_connections\": {max_concurrent},\n  \"requests\": {requests},\n  \"queries\": {queries},\n  \"ingest_epochs\": {},\n  \"elapsed_s\": {:.3},\n  \"qps\": {qps:.2},\n  \"latency_ms\": {{\"p50\": {:.3}, \"p95\": {:.3}, \"p99\": {:.3}, \"max\": {:.3}}},\n  \"checked\": {},\n  \"divergences\": {divergences},\n  \"shard_unavailable\": {shard_unavailable},\n  \"router_shards\": [{router_shards_json}],\n  \"client_errors\": {}\n}}\n",
         args.addr,
         args.router,
         args.clients,
         args.requests,
         args.batch_len,
-        args.idle_connections,
         ingested.load(Ordering::Relaxed),
         elapsed.as_secs_f64(),
         percentile_ms(&latencies, 50.0),
@@ -576,8 +436,8 @@ fn main() -> ExitCode {
     }
     eprintln!(
         "concealer-load: [{server_mode}] {queries} queries in {:.2}s ({qps:.0} q/s), \
-         p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms; {idle_achieved} held connection(s), \
-         server peak {max_concurrent}; {divergences} divergence(s), {} client error(s), \
+         p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms; \
+         server peak {max_concurrent} connection(s); {divergences} divergence(s), {} client error(s), \
          {shard_unavailable} shard-unavailable (tolerated); wrote {}",
         elapsed.as_secs_f64(),
         percentile_ms(&latencies, 50.0),

@@ -29,15 +29,14 @@
 //!   (`Request::Promote`), swaps its writer pointer, and retries the
 //!   ingest exactly once on the new writer.
 //!
-//! The router reuses both serving cores from `concealer-server`
+//! The router reuses the serving core from `concealer-server`
 //! unchanged: [`RouterHandler`] implements
 //! [`ServeHandler`], so
 //! `Server::with_handler` gives it frame handling, the connection state
 //! machine (version check, batch and frame limits included — they come
 //! from the [`ServerConfig`](concealer_server::ServerConfig) it is served
-//! with), pipelining caps, busy refusal, and graceful drain — by
-//! default on the readiness-driven event core, where upstream fan-out
-//! blocks a worker thread, never the event loop.
+//! with), busy refusal, and graceful drain. A request's upstream fan-out
+//! blocks its connection's own thread, under the admission permit.
 //!
 //! Trust: the router lives entirely in the **untrusted zone**. It moves
 //! sealed partials and forwards client credentials verbatim; every
@@ -95,7 +94,7 @@ pub struct RouterConfig {
     pub connect_timeout: Duration,
     /// Cap on each blocking upstream read. A shard that accepted work
     /// and went silent turns into a clean `shard_unavailable` after this
-    /// long instead of wedging a router worker.
+    /// long instead of wedging a connection thread.
     pub read_timeout: Duration,
     /// First backoff applied to an upstream after a transport failure;
     /// doubles per consecutive failure.
@@ -142,7 +141,7 @@ enum ShardFailure {
 }
 
 /// Mutable per-member state, held only across pool operations — never
-/// across network I/O, so concurrent workers fan out in parallel.
+/// across network I/O, so concurrent connections fan out in parallel.
 struct UpstreamState {
     /// Checkout refuses (fast `shard_unavailable`) until this instant.
     down_until: Option<Instant>,
@@ -611,7 +610,7 @@ impl RouterHandler {
 
     /// Fan one pipelined exchange out to **every** shard: submit on all
     /// upstream connections first, then collect the replies — so the
-    /// shards execute concurrently while the router worker blocks only
+    /// shards execute concurrently while the calling thread blocks only
     /// once per upstream, in shard order. Within each replica set the
     /// round-robin cursor picks the member, so successive fans spread
     /// reads across the set.

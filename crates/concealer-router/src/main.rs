@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! concealer-router --shard-addr HOST:PORT [--shard-addr HOST:PORT ...]
-//!                  [--mode threaded|event] [--port N]
-//!                  [--max-connections N] [--max-in-flight N]
+//!                  [--port N] [--max-connections N] [--max-in-flight N]
 //! ```
 //!
 //! Flags accept both `--flag value` and `--flag=value` (parsing shared
@@ -21,11 +20,11 @@
 //! code 1 with a diagnostic naming every disagreeing member, before the
 //! listener binds.
 //!
-//! The default mode is `event`: the router's work is mostly waiting on
-//! upstream sockets, so connections should cost file descriptors, not
-//! threads. `--max-in-flight` sizes the worker pool doing the fan-out.
+//! Each client connection holds one OS thread, at most
+//! `--max-connections` of them; a request's upstream fan-out blocks that
+//! thread, and `--max-in-flight` bounds how many fan-outs run at once.
 //!
-//! Prints one `READY addr=… shards=… protocol=… mode=…` line on stdout
+//! Prints one `READY addr=… shards=… protocol=…` line on stdout
 //! once the listener is bound (the contract `ci/server-soak.sh` waits
 //! for), and a `SHUTDOWN graceful …` line when a wire shutdown drained
 //! cleanly. See `OPERATIONS.md` § "Routed deployment" for the full
@@ -36,14 +35,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use concealer_router::{RouterConfig, RouterHandler};
-use concealer_server::{Server, ServerConfig, ServerMode, PROTOCOL_VERSION};
+use concealer_server::{Server, ServerConfig, PROTOCOL_VERSION};
 
 const USAGE: &str = "concealer-router --shard-addr HOST:PORT [--shard-addr HOST:PORT ...] \
-                     [--mode threaded|event] [--port N] [--max-connections N] \
-                     [--max-in-flight N]";
+                     [--port N] [--max-connections N] [--max-in-flight N]";
 
 struct Args {
-    mode: ServerMode,
     port: u16,
     shards: Vec<String>,
     max_connections: usize,
@@ -53,9 +50,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut cli = concealer_cli::Args::new("concealer-router", USAGE);
     let mut args = Args {
-        // Unlike the shard server, the router defaults to the event core
-        // (fan-out is I/O-bound; see the module docs).
-        mode: ServerMode::Event,
         port: 0,
         shards: Vec::new(),
         max_connections: 64,
@@ -63,7 +57,6 @@ fn parse_args() -> Args {
     };
     while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
-            "--mode" => args.mode = cli.parse_with("--mode", ServerMode::parse),
             "--port" => args.port = cli.parse("--port"),
             "--shard-addr" => args.shards.push(cli.value("--shard-addr")),
             "--max-connections" => args.max_connections = cli.parse("--max-connections"),
@@ -98,7 +91,6 @@ fn main() -> ExitCode {
     let config = ServerConfig {
         bind: SocketAddr::from(([127, 0, 0, 1], args.port)),
         server_name: "concealer-router".to_string(),
-        mode: args.mode,
         max_connections: args.max_connections,
         max_in_flight: args.max_in_flight,
         ..ServerConfig::default()
@@ -114,9 +106,8 @@ fn main() -> ExitCode {
     // Same machine-readable READY contract as concealer-server: one line,
     // stdout, flushed before serving.
     println!(
-        "READY addr={} shards={shard_count} protocol={PROTOCOL_VERSION} mode={}",
-        handle.local_addr(),
-        args.mode.name()
+        "READY addr={} shards={shard_count} protocol={PROTOCOL_VERSION}",
+        handle.local_addr()
     );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();

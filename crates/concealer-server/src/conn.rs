@@ -1,10 +1,10 @@
-//! The connection protocol, stated once: a sans-I/O state machine both
-//! serving cores drive. Frames go in, [`Step`]s come out; the machine
-//! never touches a socket, a thread or a clock, so every transition can
-//! be enumerated in a unit test.
+//! The connection protocol, stated once: a sans-I/O state machine the
+//! transport drives. Frames go in, [`Step`]s come out; the machine never
+//! touches a socket, a thread or a clock, so every transition can be
+//! enumerated in a unit test.
 //!
 //! ```text
-//!  unattested ──Attest ok──▶ attested ──Hello ok──▶ ready ──▶ closing
+//!  unattested ──Attest ok──▶ attested ──Hello ok──▶ ready ──▶ closed
 //!      │  ▲ Attest error        │ Hello refused ─────────────▶   ▲
 //!      └──┘ (retry allowed)     └──────── any fatal reply ───────┘
 //! ```
@@ -15,17 +15,15 @@
 //! § "Serving layer" spells each one out).
 //!
 //! Everything that reaches a [`ServeHandler`] is a [`Work`] item, and
-//! [`Work::run`] is the only caller of the handler. A transport decides
-//! *where* work runs (the threaded core inline under its admission
-//! permit, the event core on its worker pool) and hands the [`Done`]
-//! back through [`Machine::on_done`].
+//! [`Work::run`] is the only caller of the handler. The transport runs
+//! the work (inline, under its admission permit) and hands the [`Done`]
+//! back through [`Machine::on_done`] before it presents the next frame,
+//! so a connection has at most one item outstanding and replies leave in
+//! request order.
 //!
 //! One close rule covers `Goodbye`, fatal errors, end of stream and the
-//! drain alike: a closing connection takes no further frames, the work it
-//! already has in flight is still answered, and only then do the frames
-//! the close owes (`Bye`, the error reply) go out. Replies therefore
-//! leave in the same order whether work ran inline or out of order on a
-//! pool.
+//! drain alike: [`Step::Close`] carries the frames the close owes (`Bye`,
+//! the error reply) and is the last step of the connection.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,7 +39,7 @@ use crate::server::{error_reply, DeploymentFacts, EngineRequest, ServeHandler, S
 
 /// The gauges and totals [`ServeStats`] is a snapshot of. Statistics
 /// only — nothing is published through them — so plain `Relaxed`
-/// updates suffice, except `connections`, which the acceptors read to
+/// updates suffice, except `connections`, which the acceptor reads to
 /// enforce the connection cap.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
@@ -52,10 +50,8 @@ pub(crate) struct Counters {
     /// [`Work`] handed out and not yet returned through
     /// [`Machine::on_done`].
     pub(crate) in_flight: AtomicU64,
-    /// The part of `in_flight` that is waiting to start (threaded: at the
-    /// admission gate; event: in the worker queue).
+    /// The part of `in_flight` that is waiting at the admission gate.
     pub(crate) backlog: AtomicU64,
-    pub(crate) loop_iterations: AtomicU64,
     pub(crate) requests_served: AtomicU64,
 }
 
@@ -110,7 +106,6 @@ impl Shared {
             connections_served: c.connections_served.load(Ordering::Relaxed),
             in_flight: c.in_flight.load(Ordering::Relaxed),
             backlog: c.backlog.load(Ordering::Relaxed),
-            loop_iterations: c.loop_iterations.load(Ordering::Relaxed),
             requests_served: c.requests_served.load(Ordering::Relaxed),
         }
     }
@@ -165,8 +160,7 @@ pub(crate) enum Done {
 
 impl Work {
     /// Run against the deployment. May block (engine execution, a
-    /// router's upstream dials), which is why transports choose the
-    /// thread.
+    /// router's upstream dials).
     pub(crate) fn run(self, handler: &dyn ServeHandler) -> Done {
         match self {
             Work::Attest { id, nonce } => Done::Attest(handler.attest(id, nonce)),
@@ -188,14 +182,12 @@ impl Work {
 /// What the transport does next.
 #[derive(Debug)]
 pub(crate) enum Step {
-    /// Nothing to send yet: the frame was absorbed (a close waiting for
-    /// work in flight).
-    Wait,
     /// Send this reply and keep serving.
     Reply(Response),
     /// Run this, then report through [`Machine::on_done`].
     Work(Work),
-    /// Send these in order, then close the connection.
+    /// Send these in order, then close the connection; the machine takes
+    /// nothing after it.
     Close(Vec<Response>),
 }
 
@@ -205,11 +197,6 @@ enum Auth {
     /// Nothing accepted yet but `Attest`, `ShardInfo` and (once attested)
     /// `Hello`.
     AwaitingHello,
-    /// An `Attest` is with the handler; no frame is taken until it
-    /// resolves, so requests pipelined behind it keep their order.
-    AttestPending,
-    /// A `Hello` is with the handler; likewise paused.
-    HelloPending,
     Ready(UserHandle),
 }
 
@@ -222,11 +209,6 @@ pub(crate) struct Machine {
     /// so a credential never reaches an enclave that failed (or skipped)
     /// measurement.
     attested: bool,
-    /// Work handed out and not yet reported done.
-    in_flight: usize,
-    /// `Some` once the connection is ending: the frames the close still
-    /// owes, sent after the replies of the work in flight.
-    closing: Option<Vec<Response>>,
 }
 
 impl Machine {
@@ -235,31 +217,11 @@ impl Machine {
             shared,
             auth: Auth::AwaitingHello,
             attested: false,
-            in_flight: 0,
-            closing: None,
         }
-    }
-
-    /// Whether the next frame may be presented now. `false` while the
-    /// connection is closing, while an `Attest`/`Hello` resolves, and at
-    /// the pipeline cap — a transport then stops reading the socket, so
-    /// TCP flow control carries the backpressure to the client.
-    pub(crate) fn wants_frame(&self) -> bool {
-        self.closing.is_none()
-            && !matches!(self.auth, Auth::AttestPending | Auth::HelloPending)
-            && self.in_flight < self.shared.config.max_pipeline.max(1)
-    }
-
-    /// Whether nothing is in flight (a draining transport may close).
-    pub(crate) fn is_idle(&self) -> bool {
-        self.in_flight == 0
     }
 
     /// Present the next frame, or the error that ended the stream.
-    pub(crate) fn on_frame(&mut self, frame: Result<Request, FrameError>) -> Step {
-        if self.closing.is_some() {
-            return Step::Wait;
-        }
+    pub(crate) fn on_frame(&self, frame: Result<Request, FrameError>) -> Step {
         let request = match frame {
             Ok(request) => request,
             Err(FrameError::TooLarge { len, max }) => {
@@ -290,36 +252,27 @@ impl Machine {
             );
         }
         match &self.auth {
-            Auth::Ready(user) => {
-                let user = user.clone();
-                self.on_ready(user, request)
-            }
-            _ => self.on_pre_auth(request),
+            Auth::Ready(user) => self.on_ready(user.clone(), request),
+            Auth::AwaitingHello => self.on_pre_auth(request),
         }
     }
 
-    fn on_pre_auth(&mut self, request: Request) -> Step {
-        match (&self.auth, request) {
+    fn on_pre_auth(&self, request: Request) -> Step {
+        match request {
             // Topology discovery is answerable in every place: a router
             // probes each shard's slice at startup, before it holds any
             // client credential. The descriptor only names which epochs a
             // process serves — data never moves without a session.
-            (_, Request::ShardInfo { id }) => self.work(Work::ShardInfo { id }),
+            Request::ShardInfo { id } => self.work(Work::ShardInfo { id }),
             // The challenge must be answerable before authentication:
             // clients refuse to send `Hello` until the quotes verify.
-            (Auth::AwaitingHello, Request::Attest { id, nonce }) => {
-                self.auth = Auth::AttestPending;
-                self.work(Work::Attest { id, nonce })
-            }
-            (
-                Auth::AwaitingHello,
-                Request::Hello {
-                    version,
-                    user_id,
-                    credential,
-                    client_name: _,
-                },
-            ) => {
+            Request::Attest { id, nonce } => self.work(Work::Attest { id, nonce }),
+            Request::Hello {
+                version,
+                user_id,
+                credential,
+                client_name: _,
+            } => {
                 if !self.attested {
                     self.refuse(
                         ErrorCode::AttestationFailed,
@@ -332,7 +285,6 @@ impl Machine {
                         format!("server speaks protocol {PROTOCOL_VERSION}, client sent {version}"),
                     )
                 } else {
-                    self.auth = Auth::HelloPending;
                     self.work(Work::Hello {
                         user_id,
                         credential,
@@ -346,7 +298,7 @@ impl Machine {
         }
     }
 
-    fn on_ready(&mut self, user: UserHandle, request: Request) -> Step {
+    fn on_ready(&self, user: UserHandle, request: Request) -> Step {
         let request = match request {
             Request::Execute { id, query, options } => {
                 EngineRequest::Execute { id, query, options }
@@ -426,49 +378,36 @@ impl Machine {
 
     /// Report a finished [`Work`] item.
     pub(crate) fn on_done(&mut self, done: Done) -> Step {
-        self.in_flight -= 1;
         self.shared
             .counters
             .in_flight
             .fetch_sub(1, Ordering::Relaxed);
-        let reply = match done {
-            Done::Reply(reply) => reply,
+        match done {
+            Done::Reply(reply) => self.reply(reply),
             Done::Attest(reply) => {
                 if matches!(reply, Response::AttestOk { .. }) {
                     self.attested = true;
                 }
-                self.auth = Auth::AwaitingHello;
-                reply
+                self.reply(reply)
             }
             Done::Hello(Ok((user, facts))) => {
                 self.auth = Auth::Ready(user);
                 let config = &self.shared.config;
-                Response::HelloOk(ServerInfo {
+                self.reply(Response::HelloOk(ServerInfo {
                     protocol_version: PROTOCOL_VERSION,
                     server_name: config.server_name.clone(),
                     backend: facts.backend,
                     max_batch: config.max_batch as u64,
                     max_frame_len: config.max_frame_len as u64,
                     ingest_allowed: facts.ingest_allowed,
-                })
+                }))
             }
-            Done::Hello(Err(refusal)) => {
-                self.closing.get_or_insert_with(Vec::new);
-                refusal
-            }
+            Done::Hello(Err(refusal)) => self.close(vec![refusal]),
             Done::Shutdown { id } => {
                 self.shared.shutdown.store(true, Ordering::Release);
-                self.closing.get_or_insert_with(Vec::new);
-                Response::ShutdownOk { id }
+                self.close(vec![Response::ShutdownOk { id }])
             }
-        };
-        if self.in_flight > 0 || self.closing.is_none() {
-            return self.reply(reply);
         }
-        let mut replies = vec![reply];
-        replies.extend(self.closing.replace(Vec::new()).unwrap_or_default());
-        self.count_replies(replies.len());
-        Step::Close(replies)
     }
 
     fn reply(&self, reply: Response) -> Step {
@@ -476,8 +415,7 @@ impl Machine {
         Step::Reply(reply)
     }
 
-    fn work(&mut self, work: Work) -> Step {
-        self.in_flight += 1;
+    fn work(&self, work: Work) -> Step {
         self.shared
             .counters
             .in_flight
@@ -486,17 +424,11 @@ impl Machine {
     }
 
     /// Close over an error that concerns the connection, not one request.
-    fn refuse(&mut self, code: ErrorCode, message: impl Into<String>) -> Step {
+    fn refuse(&self, code: ErrorCode, message: impl Into<String>) -> Step {
         self.close(vec![error_reply(CONNECTION_LEVEL_ID, code, message)])
     }
 
-    /// Stop taking frames; `owed` goes out once nothing is in flight.
-    fn close(&mut self, owed: Vec<Response>) -> Step {
-        if self.in_flight > 0 {
-            self.closing = Some(owed);
-            return Step::Wait;
-        }
-        self.closing = Some(Vec::new());
+    fn close(&self, owed: Vec<Response>) -> Step {
         self.count_replies(owed.len());
         Step::Close(owed)
     }
@@ -506,18 +438,6 @@ impl Machine {
             .counters
             .requests_served
             .fetch_add(n as u64, Ordering::Relaxed);
-    }
-}
-
-impl Drop for Machine {
-    /// A connection that dies with work in flight (peer reset, drain
-    /// deadline) gives its share of the server-wide gauge back; the
-    /// orphaned results are dropped by the transport.
-    fn drop(&mut self) {
-        self.shared
-            .counters
-            .in_flight
-            .fetch_sub(self.in_flight as u64, Ordering::Relaxed);
     }
 }
 
@@ -536,7 +456,6 @@ mod tests {
         Arc::new(Shared::new(ServerConfig {
             max_batch: 3,
             max_frame_len: MAX_FRAME,
-            max_pipeline: 4,
             ..ServerConfig::default()
         }))
     }
@@ -668,66 +587,53 @@ mod tests {
         }
     }
 
-    /// Arbitrary request sequences interleaved with arbitrary handler
-    /// outcomes, completing out of order: no panic, no credential work
-    /// before an `AttestOk`, no engine work before a `Hello` succeeded,
-    /// nothing after a close, and the gauges return to zero.
+    /// Arbitrary request sequences with arbitrary handler outcomes: no
+    /// panic, no credential work before an `AttestOk`, no engine work
+    /// before a `Hello` succeeded, a completion never hands out more
+    /// work, and the gauge returns to zero.
     #[test]
     fn arbitrary_conversations_keep_the_invariants() {
         for seed in 0..400u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let shared = shared();
             let mut machine = Machine::new(Arc::clone(&shared));
-            let mut pending: Vec<Work> = Vec::new();
-            let (mut attest_ok, mut hello_ok, mut closed) = (false, false, false);
+            let (mut attest_ok, mut hello_ok) = (false, false);
             for _ in 0..80 {
-                let complete = !pending.is_empty() && (rng.gen() || !machine.wants_frame());
-                let step = if complete {
-                    let work = pending.swap_remove(rng.gen_range(0..pending.len()));
+                let frame = match rng.gen_range(0u32..12) {
+                    0 => Err(FrameError::TooLarge {
+                        len: 1 << 30,
+                        max: MAX_FRAME as u64,
+                    }),
+                    1 => Err(FrameError::Closed),
+                    _ => Ok(random_request(&mut rng)),
+                };
+                let mut step = machine.on_frame(frame);
+                if let Step::Work(work) = step {
+                    match &work {
+                        Work::Attest { .. } | Work::ShardInfo { .. } => {}
+                        Work::Hello { .. } => assert!(attest_ok, "{seed}: Hello unattested"),
+                        Work::Engine { request, .. } => {
+                            assert!(hello_ok, "{seed}: engine work before Hello");
+                            assert_ne!(request.id(), CONNECTION_LEVEL_ID);
+                        }
+                        Work::RouterStats { .. } | Work::Shutdown { .. } => {
+                            assert!(hello_ok, "{seed}: {work:?} before Hello");
+                        }
+                    }
                     let done = finish(work, rng.gen());
                     attest_ok |= matches!(done, Done::Attest(Response::AttestOk { .. }));
                     hello_ok |= matches!(done, Done::Hello(Ok(_)));
-                    machine.on_done(done)
-                } else if closed || machine.wants_frame() {
-                    let frame = match rng.gen_range(0u32..12) {
-                        0 => Err(FrameError::TooLarge {
-                            len: 1 << 30,
-                            max: MAX_FRAME as u64,
-                        }),
-                        1 => Err(FrameError::Closed),
-                        _ => Ok(random_request(&mut rng)),
-                    };
-                    machine.on_frame(frame)
-                } else {
-                    break;
-                };
-                assert!(!closed || matches!(step, Step::Wait), "{seed}: {step:?}");
+                    step = machine.on_done(done);
+                }
                 match step {
-                    Step::Wait => {}
+                    Step::Work(work) => panic!("{seed}: a completion handed out {work:?}"),
                     Step::Reply(reply) => assert_connection_level(&reply),
-                    Step::Work(work) => {
-                        match &work {
-                            Work::Attest { .. } | Work::ShardInfo { .. } => {}
-                            Work::Hello { .. } => assert!(attest_ok, "{seed}: Hello unattested"),
-                            Work::Engine { request, .. } => {
-                                assert!(hello_ok, "{seed}: engine work before Hello");
-                                assert_ne!(request.id(), CONNECTION_LEVEL_ID);
-                            }
-                            Work::RouterStats { .. } | Work::Shutdown { .. } => {
-                                assert!(hello_ok, "{seed}: {work:?} before Hello");
-                            }
-                        }
-                        pending.push(work);
-                    }
                     Step::Close(replies) => {
-                        assert!(pending.is_empty(), "{seed}: closed over work in flight");
                         replies.iter().for_each(assert_connection_level);
-                        closed = true;
+                        break;
                     }
                 }
-                assert!(!closed || !machine.wants_frame());
             }
-            drop(machine);
             assert_eq!(shared.counters.in_flight.load(Ordering::Relaxed), 0);
         }
     }
@@ -767,7 +673,7 @@ mod tests {
         let mut machine = Machine::new(shared());
         let mut decoder = FrameDecoder::new(MAX_FRAME);
         let mut replies = Vec::new();
-        let mut closed_early = false;
+        let (mut closed, mut closed_early) = (false, false);
         let mut rest = stream;
         loop {
             let eof = rest.is_empty();
@@ -778,7 +684,7 @@ mod tests {
             };
             decoder.extend_from_slice(&rest[..take]);
             rest = &rest[take..];
-            while machine.wants_frame() {
+            while !closed {
                 let frame = match decoder.try_decode::<Request>() {
                     Ok(Some(request)) => Ok(request),
                     Ok(None) if !eof => break,
@@ -793,15 +699,16 @@ mod tests {
                     step = machine.on_done(finish(work, true));
                 }
                 match step {
-                    Step::Wait | Step::Work(_) => {}
+                    Step::Work(_) => unreachable!("run by the loop above"),
                     Step::Reply(reply) => replies.push(reply),
                     Step::Close(last) => {
+                        closed = true;
                         closed_early = !eof || !rest.is_empty();
                         replies.extend(last);
                     }
                 }
             }
-            if eof || !machine.wants_frame() {
+            if closed {
                 return (replies, closed_early);
             }
         }
@@ -847,44 +754,13 @@ mod tests {
         }
     }
 
-    /// The pipelined close rule: work in flight is answered before the
-    /// frames a close owes, whatever order it completes in.
-    #[test]
-    fn a_close_waits_for_work_in_flight() {
-        let mut machine = Machine::new(shared());
-        machine.attested = true;
-        machine.auth = Auth::Ready(user());
-        let mut works = Vec::new();
-        for id in 1..=2 {
-            match machine.on_frame(Ok(Request::Stats { id })) {
-                Step::Work(work) => works.push(work),
-                other => panic!("expected work, got {other:?}"),
-            }
-        }
-        assert!(matches!(machine.on_frame(Ok(Request::Goodbye)), Step::Wait));
-        assert!(!machine.wants_frame());
-        let second = finish(works.pop().expect("two in flight"), true);
-        assert!(matches!(
-            machine.on_done(second),
-            Step::Reply(Response::PromoteOk { id: 2, .. })
-        ));
-        let first = finish(works.pop().expect("one in flight"), true);
-        let Step::Close(replies) = machine.on_done(first) else {
-            panic!("the last completion releases the close");
-        };
-        assert!(matches!(
-            replies.as_slice(),
-            [Response::PromoteOk { id: 1, .. }, Response::Bye]
-        ));
-    }
-
     /// The drain rule: once the flag is up the next frame is refused
     /// with `shutting_down`; end of stream stays a silent close.
     #[test]
     fn drain_refuses_the_next_frame_and_eof_stays_clean() {
         let shared = shared();
         shared.shutdown.store(true, Ordering::Release);
-        let mut machine = Machine::new(Arc::clone(&shared));
+        let machine = Machine::new(Arc::clone(&shared));
         let Step::Close(replies) = machine.on_frame(Ok(Request::ShardInfo { id: 1 })) else {
             panic!("a frame taken during the drain closes");
         };
@@ -893,7 +769,7 @@ mod tests {
             [Response::Error { id: CONNECTION_LEVEL_ID, error }]
                 if error.code == ErrorCode::ShuttingDown
         ));
-        let mut idle = Machine::new(shared);
+        let idle = Machine::new(shared);
         assert!(matches!(
             idle.on_frame(Err(FrameError::Closed)),
             Step::Close(replies) if replies.is_empty()

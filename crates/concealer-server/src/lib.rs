@@ -9,15 +9,11 @@
 //!   replies) and the frame limits;
 //! * [`error`] — the wire-facing [`ErrorCode`] mapping of
 //!   [`concealer_core::CoreError`];
-//! * [`server`] — serving in one of two modes behind the same wire
-//!   protocol ([`ServerConfig::mode`](server::ServerConfig)): the
-//!   thread-per-connection core (connection cap, admission
-//!   backpressure, graceful drain), or the readiness-driven `event`
-//!   core (one poller loop + a worker pool; connections cost file
-//!   descriptors, not threads — see `ARCHITECTURE.md` § "Event-driven
-//!   serving"). Both are transports around one private connection state
-//!   machine that owns what a connection means: the pre-auth matrix,
-//!   reserved ids, frame errors, limits, the close and drain rules.
+//! * [`server`] — the thread-per-connection serving core (connection
+//!   cap, admission backpressure, graceful drain): a transport around one
+//!   private connection state machine that owns what a connection means —
+//!   the pre-auth matrix, reserved ids, frame errors, limits, the close
+//!   and drain rules.
 //!
 //! The blocking client side lives in the sibling `concealer-client`
 //! crate; `concealer-load` drives many clients for the CI soak job;
@@ -45,8 +41,6 @@
 
 mod conn;
 pub mod error;
-#[cfg(unix)]
-mod event;
 pub mod protocol;
 pub mod server;
 

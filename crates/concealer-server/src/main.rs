@@ -2,8 +2,8 @@
 //! and serve it over TCP until a graceful shutdown.
 //!
 //! ```text
-//! concealer-server [--mode threaded|event] [--port N] [--hours H] [--seed S]
-//!                  [--max-connections N] [--max-in-flight N] [--no-ingest]
+//! concealer-server [--port N] [--hours H] [--seed S] [--max-connections N]
+//!                  [--max-in-flight N] [--no-ingest]
 //!                  [--shard INDEX/TOTAL] [--store PATH [--replica] [--refresh-ms N]]
 //!                  [--rotate-after-ms N]
 //! ```
@@ -29,28 +29,22 @@
 //! completes — the hook `ci/server-soak.sh` uses to drive a rotation
 //! under live query load (see `OPERATIONS.md` § "Master-key rotation").
 //!
-//! Prints exactly one `READY addr=… backend=… protocol=… mode=…` line on
-//! stdout once the listener is bound (what `ci/server-soak.sh` waits
-//! for), and a `SHUTDOWN graceful …` line when a wire shutdown drained
-//! cleanly.
-//!
-//! `--mode` selects the serving core: `threaded` (the default;
-//! thread-per-connection) or `event` (one readiness loop plus a worker
-//! pool — use it with `--max-connections` in the thousands).
+//! Prints exactly one `READY addr=… backend=… protocol=…` line on stdout
+//! once the listener is bound (what `ci/server-soak.sh` waits for), and a
+//! `SHUTDOWN graceful …` line when a wire shutdown drained cleanly.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use concealer_server::{Server, ServerConfig, ServerMode, PROTOCOL_VERSION};
+use concealer_server::{Server, ServerConfig, PROTOCOL_VERSION};
 
-const USAGE: &str = "concealer-server [--mode threaded|event] [--port N] [--hours H] \
-                     [--seed S] [--max-connections N] [--max-in-flight N] [--no-ingest] \
+const USAGE: &str = "concealer-server [--port N] [--hours H] [--seed S] \
+                     [--max-connections N] [--max-in-flight N] [--no-ingest] \
                      [--shard INDEX/TOTAL] [--store PATH [--replica] [--refresh-ms N]] \
                      [--rotate-after-ms N]";
 
 struct Args {
-    mode: ServerMode,
     port: u16,
     hours: u64,
     seed: u64,
@@ -87,7 +81,6 @@ fn parse_shard(s: &str) -> Result<(u32, u32), String> {
 fn parse_args() -> Args {
     let mut cli = concealer_cli::Args::new("concealer-server", USAGE);
     let mut args = Args {
-        mode: ServerMode::Threaded,
         port: 0,
         hours: 2,
         seed: 42,
@@ -102,7 +95,6 @@ fn parse_args() -> Args {
     };
     while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
-            "--mode" => args.mode = cli.parse_with("--mode", ServerMode::parse),
             "--port" => args.port = cli.parse("--port"),
             "--hours" => args.hours = cli.parse("--hours"),
             "--seed" => args.seed = cli.parse("--seed"),
@@ -159,7 +151,6 @@ fn main() -> ExitCode {
 
     let config = ServerConfig {
         bind: SocketAddr::from(([127, 0, 0, 1], args.port)),
-        mode: args.mode,
         max_connections: args.max_connections,
         max_in_flight: args.max_in_flight,
         allow_ingest: args.allow_ingest,
@@ -227,9 +218,8 @@ fn main() -> ExitCode {
         (Some(_), true) => " role=replica".to_string(),
     };
     println!(
-        "READY addr={} backend={backend} protocol={PROTOCOL_VERSION} mode={}{shard_suffix}{role_suffix}",
-        handle.local_addr(),
-        args.mode.name()
+        "READY addr={} backend={backend} protocol={PROTOCOL_VERSION}{shard_suffix}{role_suffix}",
+        handle.local_addr()
     );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();

@@ -50,10 +50,10 @@ use crate::error::WireError;
 ///
 /// No peer of an earlier version was ever deployed, so there is one
 /// layout: versions 1–4 appended the routing, replica-set and attestation
-/// messages, version 5 dropped the last field of `ExecOptions`. The canonical
-/// field-by-field layout of every message lives in `PROTOCOL.md` at the
-/// repository root.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// messages, version 5 dropped the last field of `ExecOptions`, version 6
+/// dropped `ServeStats::loop_iterations`. The canonical field-by-field
+/// layout of every message lives in `PROTOCOL.md` at the repository root.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Request id used for connection-level errors that cannot be attributed
 /// to a request (malformed frame, handshake refusal, admission rejection).
@@ -275,12 +275,11 @@ impl From<concealer_core::IndexStats> for WireStats {
 }
 
 /// The serving layer's live profile, reported by
-/// [`Response::ServeStatsOk`]. Both serving cores fill it from the same
-/// counters; only `loop_iterations` is always zero in threaded mode
-/// (there is no readiness loop).
+/// [`Response::ServeStatsOk`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeStats {
-    /// Serving mode: `"threaded"` or `"event"`.
+    /// The serving core's name, always `"threaded"` — kept for
+    /// `benchmark/`, removed with [`ServerMode`](crate::server::ServerMode).
     pub mode: String,
     /// Connections live right now (the replying one included).
     pub connections: u64,
@@ -288,16 +287,12 @@ pub struct ServeStats {
     pub peak_connections: u64,
     /// Connections accepted and served so far (busy-rejects excluded).
     pub connections_served: u64,
-    /// Work handed to the deployment but not yet answered: executing, or
-    /// waiting to start (event mode: queued for a worker; threaded mode:
-    /// admission permits held plus connection threads waiting for one).
+    /// Work handed to the deployment but not yet answered: admission
+    /// permits held plus connection threads waiting for one.
     pub in_flight: u64,
-    /// The waiting part of `in_flight`: queued for a worker in event
-    /// mode, connection threads blocked at the admission gate in
-    /// threaded mode.
+    /// The waiting part of `in_flight`: connection threads blocked at the
+    /// admission gate.
     pub backlog: u64,
-    /// Readiness-loop iterations so far (zero in threaded mode).
-    pub loop_iterations: u64,
     /// Replies written so far, error replies included.
     pub requests_served: u64,
 }
@@ -532,11 +527,9 @@ pub struct WireQuote {
     pub signature: [u8; 32],
 }
 
-/// Server → client messages. Replies echo the request id. The threaded
-/// server answers in request order per connection; the event server
-/// completes pipelined requests out of order — clients must match replies
-/// by id (the `concealer-client` crate parks out-of-order replies, so
-/// both behaviours look identical through it).
+/// Server → client messages. Replies echo the request id, and one
+/// connection's replies leave in request order; clients still match by id
+/// (`concealer-client` redeems pipelined tickets in any order).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// The handshake succeeded; the connection may now issue requests.
@@ -797,13 +790,12 @@ mod tests {
             Response::ServeStatsOk {
                 id: 6,
                 stats: ServeStats {
-                    mode: "event".into(),
+                    mode: "threaded".into(),
                     connections: 3,
                     peak_connections: 11,
                     connections_served: 40,
                     in_flight: 2,
                     backlog: 1,
-                    loop_iterations: 12345,
                     requests_served: 678,
                 },
             },
@@ -915,7 +907,6 @@ mod tests {
                     connections_served: 0,
                     in_flight: 0,
                     backlog: 0,
-                    loop_iterations: 0,
                     requests_served: 0,
                 },
             }

@@ -4,12 +4,12 @@
 //!
 //! What a connection *means* — the pre-auth matrix, reserved ids, frame
 //! errors, limits, the close and drain rules — is the private `conn`
-//! module's state machine, shared with the event core. The transport in
-//! this file only moves frames and decides where work runs:
+//! module's state machine. The transport in this file only moves frames
+//! and decides where work runs:
 //!
-//! * One acceptor loop (the serve thread) polls a non-blocking listener
-//!   and spawns one scoped thread per accepted connection. Connections
-//!   beyond [`ServerConfig::max_connections`] are refused eagerly with a
+//! * One acceptor loop (the serve thread) blocks in `accept()` and spawns
+//!   one scoped thread per accepted connection. Connections beyond
+//!   [`ServerConfig::max_connections`] are refused eagerly with a
 //!   [`ErrorCode::Busy`] error frame.
 //! * Each connection thread owns its socket, reads one frame at a time and
 //!   runs the work it leads to inline, so one connection has at most one
@@ -25,13 +25,14 @@
 //!   traffic.
 //!
 //! Shutdown (via [`ServerHandle::signal_shutdown`] or a wire
-//! `Request::Shutdown`) is graceful: the acceptor stops, every
+//! `Request::Shutdown`) is graceful: whoever raises the drain flag wakes
+//! the acceptor with one loopback connect, the acceptor stops, every
 //! connection's read half is shut down so blocked reads wake, in-flight
 //! requests still write their replies, and the serve thread joins all
 //! connection threads before reporting.
 
 use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -44,45 +45,42 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::frame::{read_frame, write_frame};
 
-use crate::conn::{Machine, Shared, Step};
+use crate::conn::{Done, Machine, Shared, Step};
 use crate::error::{ErrorCode, WireError};
 use crate::protocol::{
     Response, ShardDescriptor, ShardRole, WirePartialResult, WireQuote, WireResult,
     CONNECTION_LEVEL_ID, DEFAULT_MAX_BATCH, DEFAULT_MAX_FRAME_LEN,
 };
 
-/// Which serving core handles connections.
+/// The name of the serving core. There is one, so this is not a choice:
+/// the type, [`ServerConfig::mode`] and
+/// [`ServeStats::mode`](crate::protocol::ServeStats::mode) exist only
+/// because `benchmark/` spells the core it measures; the next
+/// `[benchmark]` PR removes all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServerMode {
-    /// Thread-per-connection (the PR 5 reference implementation): simple,
-    /// strictly ordered replies, one OS thread per open connection.
+    /// Thread-per-connection: strictly ordered replies, one OS thread per
+    /// open connection.
     #[default]
     Threaded,
-    /// Readiness-driven non-blocking core (`crate::event`): one event
-    /// loop multiplexing every socket, a small worker pool executing
-    /// engine requests, connection count decoupled from thread count.
-    /// Unix-only (the readiness shim is epoll/poll-based).
-    Event,
 }
 
 impl ServerMode {
-    /// Stable lowercase name (`"threaded"` / `"event"`), as reported in
+    /// Stable lowercase name (`"threaded"`), as reported in
     /// [`ServeStats::mode`](crate::protocol::ServeStats::mode) and the
-    /// binary's READY line.
+    /// binaries' READY lines.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             ServerMode::Threaded => "threaded",
-            ServerMode::Event => "event",
         }
     }
 
-    /// Parse the CLI/env spelling.
+    /// Parse [`ServerMode::name`]'s spelling.
     pub fn parse(s: &str) -> Result<ServerMode, String> {
         match s {
             "threaded" => Ok(ServerMode::Threaded),
-            "event" => Ok(ServerMode::Event),
-            other => Err(format!("unknown server mode {other:?} (threaded|event)")),
+            other => Err(format!("unknown server mode {other:?} (threaded)")),
         }
     }
 }
@@ -95,9 +93,9 @@ pub struct ServerConfig {
     pub bind: SocketAddr,
     /// Name reported in the handshake.
     pub server_name: String,
-    /// Maximum concurrently served connections — on the threaded core
-    /// also the most connection threads alive at once. Further
-    /// connections receive a `Busy` error frame.
+    /// Maximum concurrently served connections, which is also the most
+    /// connection threads alive at once. Further connections receive a
+    /// `Busy` error frame.
     pub max_connections: usize,
     /// Maximum queries per `ExecuteBatch` request.
     pub max_batch: usize,
@@ -116,14 +114,8 @@ pub struct ServerConfig {
     /// ingests identically (what lets soak oracles predict post-ingest
     /// state).
     pub ingest_seed: u64,
-    /// Which serving core runs the deployment (see [`ServerMode`]).
+    /// The serving core's name — one value, removed with [`ServerMode`].
     pub mode: ServerMode,
-    /// Maximum requests one connection may have dispatched but
-    /// unanswered. At the cap a transport stops reading that connection's
-    /// socket, so TCP flow control backpressures the client. Only the
-    /// event core can reach it: the threaded core reads one frame at a
-    /// time.
-    pub max_pipeline: usize,
     /// Multi-node serving: `Some((index, total))` makes this process own
     /// the epoch-hash slice `index` of `total` (the
     /// [`concealer_core::shard_of_epoch`] discipline). The slice is
@@ -147,16 +139,15 @@ impl Default for ServerConfig {
             allow_ingest: true,
             ingest_seed: 0xC0CE_A1E5_0000_0001,
             mode: ServerMode::Threaded,
-            max_pipeline: 64,
             shard: None,
         }
     }
 }
 
-/// What a serving core asks of the deployment behind it. The connection
+/// What the serving core asks of the deployment behind it. The connection
 /// state machine speaks the wire protocol — framing, the pre-auth matrix,
-/// version and limit checks, pipelining, drain — and hands everything
-/// that needs the deployment to a handler:
+/// version and limit checks, drain — and hands everything that needs the
+/// deployment to a handler:
 ///
 /// * [`EngineHandler`] (what [`Server::new`] installs) answers against a
 ///   local [`ConcealerSystem`] — the single-process and shard-server
@@ -164,9 +155,8 @@ impl Default for ServerConfig {
 /// * the `concealer-router` crate's handler answers by fanning out to
 ///   shard servers and merging their per-epoch partials.
 ///
-/// Every method may block: the event core calls them on a worker thread,
-/// the threaded core on the connection's own thread under its admission
-/// permit.
+/// Every method may block: it is called on the connection's own thread
+/// under its admission permit.
 pub trait ServeHandler: Send + Sync + 'static {
     /// Authenticate a credential. The machine has already checked the
     /// protocol version and that the connection attested; it fills the
@@ -561,9 +551,8 @@ impl Server {
     }
 
     /// Serve an arbitrary [`ServeHandler`] — how `concealer-router` reuses
-    /// both serving cores (frame handling, connection state machine,
-    /// pipelining, drain) with fan-out execution instead of a local
-    /// engine.
+    /// the serving core (frame handling, connection state machine, drain)
+    /// with fan-out execution instead of a local engine.
     #[must_use]
     pub fn with_handler(handler: Arc<dyn ServeHandler>, config: ServerConfig) -> Self {
         Server { handler, config }
@@ -575,32 +564,15 @@ impl Server {
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(self.config.bind)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let mode = self.config.mode;
         let shared = Arc::new(Shared::new(self.config));
         let serving = Arc::clone(&shared);
-        let (thread, waker) = match mode {
-            ServerMode::Threaded => {
-                let thread = std::thread::Builder::new()
-                    .name("concealer-serve".to_string())
-                    .spawn(move || serve(&*self.handler, &serving, &listener))?;
-                (thread, None)
-            }
-            #[cfg(unix)]
-            ServerMode::Event => crate::event::spawn(self.handler, serving, listener)?,
-            #[cfg(not(unix))]
-            ServerMode::Event => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "event mode requires a Unix readiness backend; use ServerMode::Threaded",
-                ))
-            }
-        };
+        let thread = std::thread::Builder::new()
+            .name("concealer-serve".to_string())
+            .spawn(move || serve(&*self.handler, &serving, &listener, local_addr))?;
         Ok(ServerHandle {
             local_addr,
             shared,
             thread,
-            waker,
         })
     }
 }
@@ -611,11 +583,6 @@ pub struct ServerHandle {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     thread: std::thread::JoinHandle<ServeReport>,
-    /// Event mode only: pokes the readiness loop so a locally signalled
-    /// shutdown is noticed immediately instead of at the next poll
-    /// timeout. The threaded acceptor polls on a short interval and needs
-    /// no wake-up.
-    waker: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -623,7 +590,6 @@ impl std::fmt::Debug for ServerHandle {
         f.debug_struct("ServerHandle")
             .field("local_addr", &self.local_addr)
             .field("shutdown", &self.shared.shutdown)
-            .field("has_waker", &self.waker.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -636,14 +602,12 @@ impl ServerHandle {
         self.local_addr
     }
 
-    /// Ask the server to shut down gracefully; returns immediately. The
-    /// acceptor notices within its poll interval, wakes every connection,
-    /// and drains in-flight requests.
+    /// Ask the server to shut down gracefully; returns without waiting
+    /// for the drain. The acceptor wakes every connection and drains
+    /// in-flight requests.
     pub fn signal_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(waker) = &self.waker {
-            waker();
-        }
+        wake_acceptor(self.local_addr);
     }
 
     /// Wait for the serve loop to finish and return its report. Panics if
@@ -753,30 +717,54 @@ struct Threaded<'a> {
     shared: &'a Arc<Shared>,
     admission: Admission,
     registry: ConnRegistry,
+    /// Where [`wake_acceptor`] reaches this server's listener.
+    local_addr: SocketAddr,
 }
 
-/// How often the acceptor polls the non-blocking listener (and thus the
-/// worst-case latency of noticing a shutdown signal).
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Unblock the acceptor so it sees the drain flag its caller has just
+/// raised: one connect to the listener (through loopback when it is bound
+/// to an unspecified address), which the acceptor takes and drops. A
+/// failed connect needs no handling — the listener is then already gone,
+/// or its backlog is full and `accept()` is about to return anyway.
+fn wake_acceptor(local_addr: SocketAddr) {
+    let mut addr = local_addr;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
+}
 
 /// The serve loop: accept until shutdown, then drain.
-fn serve(handler: &dyn ServeHandler, shared: &Arc<Shared>, listener: &TcpListener) -> ServeReport {
+fn serve(
+    handler: &dyn ServeHandler,
+    shared: &Arc<Shared>,
+    listener: &TcpListener,
+    local_addr: SocketAddr,
+) -> ServeReport {
     let serving = Threaded {
         handler,
         shared,
         admission: Admission::new(shared.config.max_in_flight),
         registry: ConnRegistry::default(),
+        local_addr,
     };
 
     let mut report = ServeReport::default();
     std::thread::scope(|scope| {
         let mut next_conn_id: u64 = 1;
         loop {
+            let accepted = listener.accept();
+            // Checked after every return from `accept()`, so whatever came
+            // in once the flag is up — the wake-up connect, or a client
+            // that lost the race — is dropped uncounted.
             if shared.draining() {
                 report.graceful = true;
                 break;
             }
-            match listener.accept() {
+            match accepted {
                 Ok((stream, _peer)) => {
                     let _ = stream.set_nodelay(true);
                     if !shared.has_room() {
@@ -807,9 +795,6 @@ fn serve(handler: &dyn ServeHandler, shared: &Arc<Shared>, listener: &TcpListene
                         shared.connection_closed();
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => break,
             }
@@ -833,20 +818,16 @@ fn serve(handler: &dyn ServeHandler, shared: &Arc<Shared>, listener: &TcpListene
 /// delivered before the socket goes away.
 fn refuse_busy(mut stream: TcpStream) {
     use std::io::Read as _;
-    let _ = write_frame(&mut stream, &busy_reply());
+    let busy = error_reply(
+        CONNECTION_LEVEL_ID,
+        ErrorCode::Busy,
+        "connection cap reached; retry later",
+    );
+    let _ = write_frame(&mut stream, &busy);
     let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut scratch = [0u8; 512];
     while matches!(stream.read(&mut scratch), Ok(n) if n > 0) {}
-}
-
-/// What both transports answer a connection over the cap with.
-pub(crate) fn busy_reply() -> Response {
-    error_reply(
-        CONNECTION_LEVEL_ID,
-        ErrorCode::Busy,
-        "connection cap reached; retry later",
-    )
 }
 
 /// Serve one connection until its machine closes it. Work runs inline
@@ -863,7 +844,11 @@ fn handle_connection(serving: &Threaded<'_>, mut stream: TcpStream) {
                     let permit = serving.admission.acquire(&shared.counters.backlog);
                     let done = work.run(serving.handler);
                     drop(permit);
+                    let raises_drain = matches!(done, Done::Shutdown { .. });
                     step = machine.on_done(done);
+                    if raises_drain {
+                        wake_acceptor(serving.local_addr);
+                    }
                 }
                 Step::Reply(reply) => {
                     if write_frame(&mut stream, &reply).is_err() {
@@ -871,7 +856,6 @@ fn handle_connection(serving: &Threaded<'_>, mut stream: TcpStream) {
                     }
                     break;
                 }
-                Step::Wait => break,
                 Step::Close(replies) => {
                     for reply in &replies {
                         if write_frame(&mut stream, reply).is_err() {

@@ -7,6 +7,8 @@
 //! has no poisoning concept, so this matches its observable behaviour for
 //! code that never relies on poison propagation).
 
+#![forbid(unsafe_code)]
+
 use std::sync;
 
 /// Guard returned by [`Mutex::lock`].

@@ -16,6 +16,8 @@
 //! * `prop_assume!` skips the offending case without replacement rather
 //!   than resampling until the assumption holds.
 
+#![forbid(unsafe_code)]
+
 pub mod arbitrary;
 pub mod collection;
 pub mod strategy;

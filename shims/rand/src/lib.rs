@@ -12,6 +12,8 @@
 //! stream used by the real `rand` crate, so seeded output differs from
 //! upstream; nothing in the workspace depends on upstream byte sequences.
 
+#![forbid(unsafe_code)]
+
 pub mod distributions;
 pub mod rngs;
 pub mod seq;

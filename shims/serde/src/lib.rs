@@ -28,6 +28,8 @@
 //! module directly would migrate to a real format crate such as `bincode`
 //! or `postcard`.
 
+#![forbid(unsafe_code)]
+
 // Lets the code generated by the derive macros refer to this crate as
 // `::serde` even from the crate's own unit tests.
 extern crate self as serde;
@@ -720,8 +722,10 @@ pub mod frame {
     }
 
     /// Incremental (push-based) counterpart of [`read_frame`], for
-    /// non-blocking readers that receive bytes in arbitrary chunks across
-    /// readiness events.
+    /// readers that receive bytes in arbitrary chunks. Nothing in the
+    /// workspace reads a socket with it any more: it stays for
+    /// `benchmark/`'s codec probe and the connection-machine unit tests,
+    /// and the next `[benchmark]` PR moves or removes it with the probe.
     ///
     /// Feed whatever arrived with [`FrameDecoder::extend_from_slice`],
     /// then call [`FrameDecoder::try_decode`] until it returns `Ok(None)`

@@ -17,6 +17,8 @@
 //! have no effect. Swap in the real serde + serde_derive for full fidelity
 //! (see `shims/README.md`).
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::fmt::Write as _;
 

@@ -2,33 +2,26 @@
 //! by protocol v4. Before a credential crosses the wire the server must
 //! produce a signed enclave quote that satisfies the client's
 //! [`TrustPolicy`]; an unattested `Hello` is refused with a structured
-//! `attestation_failed` error in **both** serving cores (each test that
-//! exercises the pre-auth matrix spawns each core explicitly).
+//! `attestation_failed` error.
 
 use std::sync::Arc;
 
 use concealer_client::{ClientBuilder, ClientError, TrustPolicy};
 use concealer_examples::demo_system;
 use concealer_server::{
-    ErrorCode, Request, Response, Server, ServerConfig, ServerHandle, ServerMode,
-    CONNECTION_LEVEL_ID, PROTOCOL_VERSION,
+    ErrorCode, Request, Response, Server, ServerConfig, ServerHandle, CONNECTION_LEVEL_ID,
+    PROTOCOL_VERSION,
 };
 use serde::frame::{read_frame, write_frame, FrameError};
 
 const HOURS: u64 = 2;
 const SEED: u64 = 31_337;
 
-fn spawn_demo_server(mode: ServerMode) -> (concealer_core::UserHandle, ServerHandle) {
+fn spawn_demo_server() -> (concealer_core::UserHandle, ServerHandle) {
     let (system, user, _records) = demo_system(HOURS, SEED);
-    let handle = Server::new(
-        Arc::new(system),
-        ServerConfig {
-            mode,
-            ..ServerConfig::default()
-        },
-    )
-    .spawn()
-    .expect("bind loopback");
+    let handle = Server::new(Arc::new(system), ServerConfig::default())
+        .spawn()
+        .expect("bind loopback");
     (user, handle)
 }
 
@@ -37,7 +30,7 @@ fn spawn_demo_server(mode: ServerMode) -> (concealer_core::UserHandle, ServerHan
 /// queries.
 #[test]
 fn default_policy_attests_verifies_and_serves() {
-    let (user, handle) = spawn_demo_server(ServerMode::Threaded);
+    let (user, handle) = spawn_demo_server();
     let mut conn = ClientBuilder::new(handle.local_addr())
         .user(&user)
         .client_name("attested")
@@ -53,121 +46,112 @@ fn default_policy_attests_verifies_and_serves() {
 }
 
 /// `Hello` before a successful `Attest` → a fatal structured
-/// `attestation_failed` at connection level, then close — in both
-/// serving cores.
+/// `attestation_failed` at connection level, then close.
 #[test]
 fn hello_before_attest_is_refused_in_both_cores() {
-    for mode in [ServerMode::Threaded, ServerMode::Event] {
-        let (user, handle) = spawn_demo_server(mode);
-        let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
-        write_frame(
-            &mut stream,
-            &Request::Hello {
-                version: PROTOCOL_VERSION,
-                user_id: user.user_id.0,
-                credential: user.credential.0,
-                client_name: "unattested".into(),
-            },
-        )
-        .unwrap();
-        let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
-        match reply {
-            Response::Error {
-                id: CONNECTION_LEVEL_ID,
-                ref error,
-            } => {
-                assert_eq!(
-                    error.code,
-                    ErrorCode::AttestationFailed,
-                    "{mode:?}: {error}"
-                );
-                assert!(error.to_string().contains("attestation_failed"), "{error}");
-            }
-            other => panic!("{mode:?}: expected attestation_failed, got {other:?}"),
+    let (user, handle) = spawn_demo_server();
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    write_frame(
+        &mut stream,
+        &Request::Hello {
+            version: PROTOCOL_VERSION,
+            user_id: user.user_id.0,
+            credential: user.credential.0,
+            client_name: "unattested".into(),
+        },
+    )
+    .unwrap();
+    let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
+    match reply {
+        Response::Error {
+            id: CONNECTION_LEVEL_ID,
+            ref error,
+        } => {
+            assert_eq!(error.code, ErrorCode::AttestationFailed, "{error}");
+            assert!(error.to_string().contains("attestation_failed"), "{error}");
         }
-        // The refusal is fatal: the server closes at a frame boundary.
-        assert!(
-            matches!(
-                read_frame::<_, Response>(&mut stream, 1 << 20),
-                Err(FrameError::Closed)
-            ),
-            "{mode:?}: unattested Hello must close the connection"
-        );
-        handle.shutdown_and_join();
+        other => panic!("expected attestation_failed, got {other:?}"),
     }
+    // The refusal is fatal: the server closes at a frame boundary.
+    assert!(
+        matches!(
+            read_frame::<_, Response>(&mut stream, 1 << 20),
+            Err(FrameError::Closed)
+        ),
+        "unattested Hello must close the connection"
+    );
+    handle.shutdown_and_join();
 }
 
 /// The pre-auth surface is exactly {Attest, ShardInfo}: topology
 /// discovery works before attestation, an `Attest` error reply leaves
 /// the connection open for retry, and `Attest` after authentication is a
-/// protocol violation — in both serving cores.
+/// protocol violation.
 #[test]
 fn pre_auth_matrix_is_enforced_in_both_cores() {
-    for mode in [ServerMode::Threaded, ServerMode::Event] {
-        let (user, handle) = spawn_demo_server(mode);
-        let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    let (user, handle) = spawn_demo_server();
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
 
-        // ShardInfo: answerable before any attestation.
-        write_frame(&mut stream, &Request::ShardInfo { id: 1 }).unwrap();
-        let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
-        assert!(
-            matches!(reply, Response::ShardInfoOk { id: 1, .. }),
-            "{mode:?}: {reply:?}"
-        );
+    // ShardInfo: answerable before any attestation.
+    write_frame(&mut stream, &Request::ShardInfo { id: 1 }).unwrap();
+    let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
+    assert!(
+        matches!(reply, Response::ShardInfoOk { id: 1, .. }),
+        "{reply:?}"
+    );
 
-        // A reserved-id Attest is refused — but the refusal is itself an
-        // answer; the matrix only admits {Attest, ShardInfo}, so the
-        // stream keeps serving a corrected retry.
-        write_frame(
-            &mut stream,
-            &Request::Attest {
-                id: 2,
-                nonce: [3u8; 32],
-            },
-        )
-        .unwrap();
-        let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
-        assert!(
-            matches!(reply, Response::AttestOk { id: 2, .. }),
-            "{mode:?}: {reply:?}"
-        );
+    // A reserved-id Attest is refused — but the refusal is itself an
+    // answer; the matrix only admits {Attest, ShardInfo}, so the
+    // stream keeps serving a corrected retry.
+    write_frame(
+        &mut stream,
+        &Request::Attest {
+            id: 2,
+            nonce: [3u8; 32],
+        },
+    )
+    .unwrap();
+    let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
+    assert!(
+        matches!(reply, Response::AttestOk { id: 2, .. }),
+        "{reply:?}"
+    );
 
-        // Authenticate, then re-attest: the trust decision was already
-        // made for this connection — protocol violation, fatal.
-        write_frame(
-            &mut stream,
-            &Request::Hello {
-                version: PROTOCOL_VERSION,
-                user_id: user.user_id.0,
-                credential: user.credential.0,
-                client_name: "matrix".into(),
-            },
-        )
-        .unwrap();
-        let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
-        assert!(matches!(reply, Response::HelloOk(_)), "{mode:?}: {reply:?}");
-        write_frame(
-            &mut stream,
-            &Request::Attest {
-                id: 3,
-                nonce: [4u8; 32],
-            },
-        )
-        .unwrap();
-        let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
-        assert!(
-            matches!(
-                reply,
-                Response::Error {
-                    id: CONNECTION_LEVEL_ID,
-                    ref error
-                } if error.code == ErrorCode::ProtocolViolation
-            ),
-            "{mode:?}: {reply:?}"
-        );
+    // Authenticate, then re-attest: the trust decision was already
+    // made for this connection — protocol violation, fatal.
+    write_frame(
+        &mut stream,
+        &Request::Hello {
+            version: PROTOCOL_VERSION,
+            user_id: user.user_id.0,
+            credential: user.credential.0,
+            client_name: "matrix".into(),
+        },
+    )
+    .unwrap();
+    let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
+    assert!(matches!(reply, Response::HelloOk(_)), "{reply:?}");
+    write_frame(
+        &mut stream,
+        &Request::Attest {
+            id: 3,
+            nonce: [4u8; 32],
+        },
+    )
+    .unwrap();
+    let reply: Response = read_frame(&mut stream, 1 << 20).unwrap();
+    assert!(
+        matches!(
+            reply,
+            Response::Error {
+                id: CONNECTION_LEVEL_ID,
+                ref error
+            } if error.code == ErrorCode::ProtocolViolation
+        ),
+        "{reply:?}"
+    );
 
-        handle.shutdown_and_join();
-    }
+    handle.shutdown_and_join();
 }
 
 /// A measurement pin that does not match the enclave → a structured
@@ -175,7 +159,7 @@ fn pre_auth_matrix_is_enforced_in_both_cores() {
 /// the wire); the matching pin connects.
 #[test]
 fn measurement_pins_gate_the_credential() {
-    let (user, handle) = spawn_demo_server(ServerMode::Threaded);
+    let (user, handle) = spawn_demo_server();
     let addr = handle.local_addr();
 
     // Learn the genuine measurement from a pre-auth probe.
@@ -213,7 +197,7 @@ fn measurement_pins_gate_the_credential() {
 /// — the escape hatch for keyless intermediaries and bring-up.
 #[test]
 fn allow_unattested_skips_verification_but_still_attests() {
-    let (user, handle) = spawn_demo_server(ServerMode::Threaded);
+    let (user, handle) = spawn_demo_server();
     let conn = ClientBuilder::new(handle.local_addr())
         .user(&user)
         .trust_policy(TrustPolicy::allow_unattested())
@@ -231,7 +215,7 @@ fn allow_unattested_skips_verification_but_still_attests() {
 /// test controls the nonce on both legs.
 #[test]
 fn nonce_echo_is_enforced_by_the_trust_policy() {
-    let (_user, handle) = spawn_demo_server(ServerMode::Threaded);
+    let (_user, handle) = spawn_demo_server();
     let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
     write_frame(
         &mut stream,

@@ -1,13 +1,11 @@
-//! The connection protocol is one state machine with two transports.
-//! These tests hold the transports to that over real sockets, against a
+//! The connection protocol is one state machine behind one transport.
+//! These tests hold the transport to it over real sockets, against a
 //! scripted [`ServeHandler`] double (deterministic replies, no engine):
 //!
-//! * **transport parity** — one scripted conversation, written as raw
-//!   pipelined frames, draws the expected refusals and byte-identical
-//!   reply streams from the threaded core and the event core;
+//! * **the script** — one scripted conversation, written as raw pipelined
+//!   frames, draws the expected refusals and replies in request order;
 //! * **live gauges** — while a request blocks inside the handler, a
-//!   second connection's `ServeStats` reads `in_flight >= 1` on both
-//!   cores (the threaded core used to report a literal zero).
+//!   second connection's `ServeStats` reads `in_flight >= 1`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -19,11 +17,9 @@ use concealer_core::{Credential, Query, QueryAnswer, UserHandle, UserId};
 use concealer_server::protocol::WireQuote;
 use concealer_server::{
     DeploymentFacts, EngineRequest, ErrorCode, Request, Response, ServeHandler, Server,
-    ServerConfig, ServerMode, WireError, PROTOCOL_VERSION,
+    ServerConfig, WireError, PROTOCOL_VERSION,
 };
 use serde::frame::{read_frame, write_frame};
-
-const CORES: [ServerMode; 2] = [ServerMode::Threaded, ServerMode::Event];
 
 /// A deployment double: attestation fails for nonces starting `0xFF`,
 /// `Execute` optionally parks on a pair of barriers, and every reply is a
@@ -235,83 +231,63 @@ fn script(max_frame_len: usize) -> Vec<(Vec<Vec<u8>>, &'static [&'static str])> 
 #[test]
 fn one_scripted_conversation_yields_identical_bytes_from_both_cores() {
     const MAX_FRAME_LEN: usize = 2048;
-    let [threaded, event] = CORES.map(|mode| {
-        let server = Server::with_handler(
-            Arc::new(Double::default()),
-            ServerConfig {
-                mode,
-                max_batch: 3,
-                max_frame_len: MAX_FRAME_LEN,
-                // One handler call at a time, so pipelined work completes
-                // in order on the event core too.
-                max_in_flight: 1,
-                ..ServerConfig::default()
-            },
-        )
-        .spawn()
-        .expect("bind loopback");
-        let replies: Vec<Vec<u8>> = script(MAX_FRAME_LEN)
-            .iter()
-            .map(|(frames, _)| {
-                let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-                stream.write_all(&frames.concat()).expect("write script");
-                let mut bytes = Vec::new();
-                stream.read_to_end(&mut bytes).expect("read to close");
-                bytes
-            })
-            .collect();
-        assert!(server.shutdown_and_join().graceful);
-        replies
-    });
-    for (conn, (bytes, (_, expected))) in threaded.iter().zip(script(MAX_FRAME_LEN)).enumerate() {
+    let server = Server::with_handler(
+        Arc::new(Double::default()),
+        ServerConfig {
+            max_batch: 3,
+            max_frame_len: MAX_FRAME_LEN,
+            ..ServerConfig::default()
+        },
+    )
+    .spawn()
+    .expect("bind loopback");
+    for (conn, (frames, expected)) in script(MAX_FRAME_LEN).iter().enumerate() {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.write_all(&frames.concat()).expect("write script");
+        let mut bytes = Vec::new();
+        stream.read_to_end(&mut bytes).expect("read to close");
         let mut rest = bytes.as_slice();
         let mut labels = Vec::new();
         while let Ok(reply) = read_frame::<_, Response>(&mut rest, 1 << 20) {
             labels.push(label(&reply));
         }
-        assert_eq!(labels, expected, "connection {conn}");
-        assert_eq!(bytes, &event[conn], "connection {conn}: cores differ");
+        assert_eq!(&labels, expected, "connection {conn}");
     }
+    assert!(server.shutdown_and_join().graceful);
 }
 
 #[test]
 fn serve_stats_reports_work_in_flight_on_both_cores() {
-    for mode in CORES {
-        let double = Arc::new(Double {
-            gate: Some((Barrier::new(2), Barrier::new(2))),
-        });
-        let handle = Server::with_handler(
-            Arc::clone(&double) as Arc<dyn ServeHandler>,
-            ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            },
-        )
-        .spawn()
-        .expect("bind loopback");
-        let connect = || {
-            ClientBuilder::new(handle.local_addr())
-                .credential(7, [7u8; 32])
-                .trust_policy(TrustPolicy::allow_unattested())
-                .connect()
-                .expect("connect to the double")
-        };
-        let (entered, release) = double.gate.as_ref().expect("gated double");
+    let double = Arc::new(Double {
+        gate: Some((Barrier::new(2), Barrier::new(2))),
+    });
+    let handle = Server::with_handler(
+        Arc::clone(&double) as Arc<dyn ServeHandler>,
+        ServerConfig::default(),
+    )
+    .spawn()
+    .expect("bind loopback");
+    let connect = || {
+        ClientBuilder::new(handle.local_addr())
+            .credential(7, [7u8; 32])
+            .trust_policy(TrustPolicy::allow_unattested())
+            .connect()
+            .expect("connect to the double")
+    };
+    let (entered, release) = double.gate.as_ref().expect("gated double");
 
-        let mut blocked = connect();
-        let ticket = blocked
-            .submit_execute(&Query::count().at_dims([1]).at(60), None)
-            .expect("submit");
-        entered.wait();
-        let mut observer = connect();
-        let stats = observer.serve_stats().expect("serve stats");
-        assert_eq!(stats.mode, mode.name());
-        assert!(stats.in_flight >= 1, "{mode:?}: {stats:?}");
-        assert_eq!(stats.connections, 2, "{mode:?}: {stats:?}");
-        release.wait();
-        blocked.wait_execute(ticket).expect("the parked request");
-        observer.close().expect("goodbye");
-        blocked.close().expect("goodbye");
-        assert!(handle.shutdown_and_join().graceful);
-    }
+    let mut blocked = connect();
+    let ticket = blocked
+        .submit_execute(&Query::count().at_dims([1]).at(60), None)
+        .expect("submit");
+    entered.wait();
+    let mut observer = connect();
+    let stats = observer.serve_stats().expect("serve stats");
+    assert!(stats.in_flight >= 1, "{stats:?}");
+    assert_eq!(stats.connections, 2, "{stats:?}");
+    release.wait();
+    blocked.wait_execute(ticket).expect("the parked request");
+    observer.close().expect("goodbye");
+    blocked.close().expect("goodbye");
+    assert!(handle.shutdown_and_join().graceful);
 }

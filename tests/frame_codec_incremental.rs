@@ -1,6 +1,6 @@
-//! Frame-codec robustness: the incremental [`FrameDecoder`] the event
-//! server feeds from readiness events must agree with the blocking
-//! whole-stream path (`serde::frame::read_frame`) **byte for byte**, no
+//! Frame-codec robustness: the incremental [`FrameDecoder`] must agree
+//! with the blocking whole-stream path (`serde::frame::read_frame`, what
+//! the server and the client read with) **byte for byte**, no
 //! matter how the stream is sliced — one byte at a time, random split
 //! points, truncated mid-frame, or carrying oversized frames.
 //!
@@ -133,7 +133,7 @@ fn incremental_events<T: serde::Serialize + serde::DeserializeOwned>(
         }
     }
     assert_eq!(pos, stream.len(), "chunks must cover the whole stream");
-    // EOF classification: `mid_frame` is the event loop's stand-in for the
+    // EOF classification: `mid_frame` is the decoder's stand-in for the
     // blocking path's Closed-vs-UnexpectedEof distinction.
     events.push(
         if decoder.mid_frame() {
@@ -149,7 +149,7 @@ fn incremental_events<T: serde::Serialize + serde::DeserializeOwned>(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
-    /// Hardest slicing: every byte arrives in its own readiness event.
+    /// Hardest slicing: every byte arrives in its own chunk.
     #[test]
     fn byte_at_a_time_matches_whole_stream_decode(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -215,8 +215,7 @@ proptest! {
     }
 }
 
-/// The same agreement on real protocol frames, byte at a time — the exact
-/// shape the event server decodes off the wire.
+/// The same agreement on real protocol frames, byte at a time.
 #[test]
 fn wire_requests_survive_byte_at_a_time_delivery() {
     use concealer_server::{Request, PROTOCOL_VERSION};

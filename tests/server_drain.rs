@@ -3,10 +3,6 @@
 //! written before the socket dies), close idle connections with a clean
 //! end-of-stream (a FIN at a frame boundary, never a reset mid-frame),
 //! and bring the serve loop to a graceful exit.
-//!
-//! Like `server_loopback`, every test takes the serving core as a
-//! parameter and runs on both: the two transports drive one connection
-//! machine, so they must drain observably identically.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -15,7 +11,7 @@ use std::time::Duration;
 use concealer_client::{ClientBuilder, ClientError, Session};
 use concealer_core::{ConcealerSystem, Query, QueryAnswer, UserHandle};
 use concealer_examples::{demo_system, demo_workload};
-use concealer_server::{Request, Response, Server, ServerConfig, ServerMode, PROTOCOL_VERSION};
+use concealer_server::{Request, Response, Server, ServerConfig, PROTOCOL_VERSION};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::frame::{read_frame, write_frame, FrameError};
@@ -33,23 +29,14 @@ const DISPATCH_WINDOW: Duration = Duration::from_millis(300);
 /// after this timeout instead of hanging the suite on a blocked read.
 const IDLE_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Every server test runs on the threaded core, then the event core.
-const CORES: [ServerMode; 2] = [ServerMode::Threaded, ServerMode::Event];
-
-fn spawn_demo_server(
-    mode: ServerMode,
-) -> (
+fn spawn_demo_server() -> (
     Arc<ConcealerSystem>,
     UserHandle,
     concealer_server::ServerHandle,
 ) {
     let (system, user, _records) = demo_system(HOURS, SEED);
     let system = Arc::new(system);
-    let config = ServerConfig {
-        mode,
-        ..ServerConfig::default()
-    };
-    let handle = Server::new(Arc::clone(&system), config)
+    let handle = Server::new(Arc::clone(&system), ServerConfig::default())
         .spawn()
         .expect("bind loopback");
     (system, user, handle)
@@ -112,154 +99,145 @@ fn idle_stream(addr: std::net::SocketAddr, user: &UserHandle) -> TcpStream {
 /// gracefully.
 #[test]
 fn drain_completes_in_flight_reply_and_closes_idle_connections() {
-    for mode in CORES {
-        eprintln!("serving core: {mode:?}");
-        const IDLE: usize = 5;
-        let (system, user, handle) = spawn_demo_server(mode);
-        let addr = handle.local_addr();
-        let workload = demo_workload(HOURS);
-        let mut rng = StdRng::seed_from_u64(SEED);
+    const IDLE: usize = 5;
+    let (system, user, handle) = spawn_demo_server();
+    let addr = handle.local_addr();
+    let workload = demo_workload(HOURS);
+    let mut rng = StdRng::seed_from_u64(SEED);
 
-        let idlers: Vec<TcpStream> = (0..IDLE).map(|_| idle_stream(addr, &user)).collect();
+    let idlers: Vec<TcpStream> = (0..IDLE).map(|_| idle_stream(addr, &user)).collect();
 
-        let mut active = connect_user(addr, &user, "active").expect("connect active");
-        // One full round trip first, so the submit below is the only frame
-        // the server still owes this connection.
-        let warmup = workload.q1(30 * 60, &mut rng);
-        active.execute(&warmup).expect("warm-up query");
+    let mut active = connect_user(addr, &user, "active").expect("connect active");
+    // One full round trip first, so the submit below is the only frame
+    // the server still owes this connection.
+    let warmup = workload.q1(30 * 60, &mut rng);
+    active.execute(&warmup).expect("warm-up query");
 
-        let pending_query = workload.q1(45 * 60, &mut rng);
-        let ticket = active
-            .submit_execute(&pending_query, None)
-            .expect("submit in-flight query");
-        std::thread::sleep(DISPATCH_WINDOW);
+    let pending_query = workload.q1(45 * 60, &mut rng);
+    let ticket = active
+        .submit_execute(&pending_query, None)
+        .expect("submit in-flight query");
+    std::thread::sleep(DISPATCH_WINDOW);
 
-        handle.signal_shutdown();
+    handle.signal_shutdown();
 
-        // The drain must still deliver the dispatched reply, bit-identical
-        // to the in-process oracle.
-        let got = active
-            .wait_execute(ticket)
-            .expect("in-flight reply survives drain");
-        let want = system
-            .session(&user)
-            .execute(&pending_query)
-            .expect("oracle");
-        assert_eq!(wire_bytes(&got), wire_bytes(&want));
+    // The drain must still deliver the dispatched reply, bit-identical
+    // to the in-process oracle.
+    let got = active
+        .wait_execute(ticket)
+        .expect("in-flight reply survives drain");
+    let want = system
+        .session(&user)
+        .execute(&pending_query)
+        .expect("oracle");
+    assert_eq!(wire_bytes(&got), wire_bytes(&want));
 
-        // Idle connections end with a FIN at a frame boundary — the codec
-        // reports Closed, never a torn frame or a connection reset.
-        for mut stream in idlers {
-            match read_frame::<_, Response>(&mut stream, 1 << 20) {
-                Err(FrameError::Closed) => {}
-                other => panic!("idle connection did not close cleanly: {other:?}"),
-            }
+    // Idle connections end with a FIN at a frame boundary — the codec
+    // reports Closed, never a torn frame or a connection reset.
+    for mut stream in idlers {
+        match read_frame::<_, Response>(&mut stream, 1 << 20) {
+            Err(FrameError::Closed) => {}
+            other => panic!("idle connection did not close cleanly: {other:?}"),
         }
-
-        let report = handle.join();
-        assert!(report.graceful);
-        assert_eq!(report.connections_served, (IDLE + 1) as u64);
-
-        // With the server gone the drained connection refuses further use
-        // cleanly instead of hanging. (Checked only after the join: a request
-        // racing the shutdown signal itself may still be legitimately served
-        // in the instant before the drain fences reads.)
-        let err = active.execute(&warmup).unwrap_err();
-        assert!(
-            matches!(err, ClientError::Closed | ClientError::Io(_)),
-            "{err}"
-        );
     }
+
+    let report = handle.join();
+    assert!(report.graceful);
+    assert_eq!(report.connections_served, (IDLE + 1) as u64);
+
+    // With the server gone the drained connection refuses further use
+    // cleanly instead of hanging. (Checked only after the join: a request
+    // racing the shutdown signal itself may still be legitimately served
+    // in the instant before the drain fences reads.)
+    let err = active.execute(&warmup).unwrap_err();
+    assert!(
+        matches!(err, ClientError::Closed | ClientError::Io(_)),
+        "{err}"
+    );
 }
 
 /// A wire `Shutdown` request: the requester gets its ack, and a query
 /// in flight on another connection still redeems during the drain.
 #[test]
 fn wire_shutdown_acknowledges_then_drains_in_flight_work() {
-    for mode in CORES {
-        eprintln!("serving core: {mode:?}");
-        let (system, user, handle) = spawn_demo_server(mode);
-        let addr = handle.local_addr();
-        let workload = demo_workload(HOURS);
-        let mut rng = StdRng::seed_from_u64(SEED + 1);
+    let (system, user, handle) = spawn_demo_server();
+    let addr = handle.local_addr();
+    let workload = demo_workload(HOURS);
+    let mut rng = StdRng::seed_from_u64(SEED + 1);
 
-        let mut active = connect_user(addr, &user, "active").expect("connect active");
-        let warmup = workload.q1(30 * 60, &mut rng);
-        active.execute(&warmup).expect("warm-up query");
-        let pending_query = workload.q2(40 * 60, 4, &mut rng);
-        let ticket = active
-            .submit_execute(&pending_query, None)
-            .expect("submit in-flight query");
-        std::thread::sleep(DISPATCH_WINDOW);
+    let mut active = connect_user(addr, &user, "active").expect("connect active");
+    let warmup = workload.q1(30 * 60, &mut rng);
+    active.execute(&warmup).expect("warm-up query");
+    let pending_query = workload.q2(40 * 60, 4, &mut rng);
+    let ticket = active
+        .submit_execute(&pending_query, None)
+        .expect("submit in-flight query");
+    std::thread::sleep(DISPATCH_WINDOW);
 
-        let mut controller = connect_user(addr, &user, "controller").expect("connect controller");
-        controller.shutdown_server().expect("shutdown acknowledged");
-        drop(controller);
+    let mut controller = connect_user(addr, &user, "controller").expect("connect controller");
+    controller.shutdown_server().expect("shutdown acknowledged");
+    drop(controller);
 
-        let got = active
-            .wait_execute(ticket)
-            .expect("in-flight reply survives drain");
-        let want = system
-            .session(&user)
-            .execute(&pending_query)
-            .expect("oracle");
-        assert_eq!(wire_bytes(&got), wire_bytes(&want));
+    let got = active
+        .wait_execute(ticket)
+        .expect("in-flight reply survives drain");
+    let want = system
+        .session(&user)
+        .execute(&pending_query)
+        .expect("oracle");
+    assert_eq!(wire_bytes(&got), wire_bytes(&want));
 
-        let report = handle.join();
-        assert!(report.graceful);
-        assert_eq!(report.connections_served, 2);
-    }
+    let report = handle.join();
+    assert!(report.graceful);
+    assert_eq!(report.connections_served, 2);
 }
 
 /// *Every* pipelined request dispatched before the shutdown replies
-/// during the drain, and the tickets redeem out of order. (The event
-/// core dispatches the whole pipeline at once; the threaded core works
-/// through it one frame at a time, which the dispatch window covers.)
+/// during the drain, and the tickets redeem out of order. (The server
+/// works through the pipeline one frame at a time, which the dispatch
+/// window covers.)
 #[test]
 fn pipelined_in_flight_replies_all_flush_during_drain() {
-    for mode in CORES {
-        eprintln!("serving core: {mode:?}");
-        const PIPELINED: usize = 6;
-        let (system, user, handle) = spawn_demo_server(mode);
-        let addr = handle.local_addr();
-        let workload = demo_workload(HOURS);
-        let mut rng = StdRng::seed_from_u64(SEED + 2);
+    const PIPELINED: usize = 6;
+    let (system, user, handle) = spawn_demo_server();
+    let addr = handle.local_addr();
+    let workload = demo_workload(HOURS);
+    let mut rng = StdRng::seed_from_u64(SEED + 2);
 
-        let idler = idle_stream(addr, &user);
+    let idler = idle_stream(addr, &user);
 
-        let mut active = connect_user(addr, &user, "pipeliner").expect("connect active");
-        let queries: Vec<Query> = (0..PIPELINED)
-            .map(|_| workload.q1(30 * 60, &mut rng))
-            .collect();
-        let tickets: Vec<_> = queries
-            .iter()
-            .map(|q| active.submit_execute(q, None).expect("submit"))
-            .collect();
-        std::thread::sleep(DISPATCH_WINDOW);
+    let mut active = connect_user(addr, &user, "pipeliner").expect("connect active");
+    let queries: Vec<Query> = (0..PIPELINED)
+        .map(|_| workload.q1(30 * 60, &mut rng))
+        .collect();
+    let tickets: Vec<_> = queries
+        .iter()
+        .map(|q| active.submit_execute(q, None).expect("submit"))
+        .collect();
+    std::thread::sleep(DISPATCH_WINDOW);
 
-        handle.signal_shutdown();
+    handle.signal_shutdown();
 
-        // Redeem in reverse order: every dispatched reply must have been
-        // written before the connection closed.
-        let oracle = system.session(&user);
-        for (ticket, query) in tickets.into_iter().zip(&queries).rev() {
-            let got = active
-                .wait_execute(ticket)
-                .expect("pipelined reply survives drain");
-            let want = oracle.execute(query).expect("oracle");
-            assert_eq!(wire_bytes(&got), wire_bytes(&want));
-        }
-
-        {
-            let mut stream = idler;
-            match read_frame::<_, Response>(&mut stream, 1 << 20) {
-                Err(FrameError::Closed) => {}
-                other => panic!("idle connection did not close cleanly: {other:?}"),
-            }
-        }
-
-        let report = handle.join();
-        assert!(report.graceful);
-        assert_eq!(report.connections_served, 2);
+    // Redeem in reverse order: every dispatched reply must have been
+    // written before the connection closed.
+    let oracle = system.session(&user);
+    for (ticket, query) in tickets.into_iter().zip(&queries).rev() {
+        let got = active
+            .wait_execute(ticket)
+            .expect("pipelined reply survives drain");
+        let want = oracle.execute(query).expect("oracle");
+        assert_eq!(wire_bytes(&got), wire_bytes(&want));
     }
+
+    {
+        let mut stream = idler;
+        match read_frame::<_, Response>(&mut stream, 1 << 20) {
+            Err(FrameError::Closed) => {}
+            other => panic!("idle connection did not close cleanly: {other:?}"),
+        }
+    }
+
+    let report = handle.join();
+    assert!(report.graceful);
+    assert_eq!(report.connections_served, 2);
 }
