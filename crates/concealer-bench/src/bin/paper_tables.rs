@@ -9,8 +9,8 @@
 //! ```
 //!
 //! Output is plain text with one block per experiment, in the same shape as
-//! the paper's Tables 5-7 and Figures 3-8 (see EXPERIMENTS.md for the
-//! paper-vs-measured comparison).
+//! the paper's Tables 5-7 and Figures 3-8 (PAPER.md §9 has the paper's
+//! side of the comparison).
 
 use concealer_bench::experiments;
 use concealer_bench::setup::WifiScale;

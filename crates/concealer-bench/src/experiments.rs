@@ -4,7 +4,7 @@
 //! returns the rows it would print — the `paper_tables` binary just joins
 //! them. Absolute times are machine- and scale-dependent; the quantities
 //! that should match the paper are the *relationships*: who is faster, by
-//! roughly what factor, and how curves trend (see EXPERIMENTS.md).
+//! roughly what factor, and how curves trend (see PAPER.md §9).
 
 use std::time::Duration;
 

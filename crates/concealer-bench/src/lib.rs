@@ -11,7 +11,7 @@
 //! minutes on a laptop; set the `CONCEALER_SCALE` environment variable to a
 //! multiplier (e.g. `CONCEALER_SCALE=10`) to grow the datasets. The
 //! reproduced quantities are ratios and trends, not absolute times — see
-//! EXPERIMENTS.md.
+//! PAPER.md §9.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,7 +16,9 @@
 //! The manifest itself carries a checksum; because it is only ever replaced
 //! via rename, a checksum failure means damage outside the crash model and
 //! surfaces as [`StorageError::Corrupt`] rather than being silently
-//! "recovered" into an empty store.
+//! "recovered" into an empty store. A manifest written in an older format
+//! is not damage either: it is refused by name
+//! ([`StorageError::UnsupportedFormat`]) and left as it is.
 
 use super::segment::fnv1a;
 use crate::{Result, StorageError};
@@ -27,11 +29,12 @@ use std::path::{Path, PathBuf};
 
 /// Manifest file name within the store root.
 pub(crate) const MANIFEST_FILE: &str = "MANIFEST";
-/// Legacy (pre key-vault) manifest format: entries only. Still readable —
-/// a CMN1 store opens at key generation 0 with an empty vault.
-const MAGIC_V1: [u8; 4] = *b"CMN1";
-/// Current format: entries + master-key generation + wrapped-key vault.
-const MAGIC_V2: [u8; 4] = *b"CMN2";
+/// The one format: entries + master-key generation + wrapped-key vault,
+/// the vault's blobs as `serde::bin` byte strings.
+const MAGIC: [u8; 4] = *b"CMN3";
+/// Magics of the formats before this one. They are refused, not read; each
+/// format bump adds its predecessor here.
+const REFUSED_MAGICS: [&str; 2] = ["CMN1", "CMN2"];
 
 /// Committed epochs plus the master-key lifecycle state: the current key
 /// generation and the per-epoch wrapped seal secrets (the "key vault").
@@ -51,7 +54,7 @@ pub(crate) struct Manifest {
 impl Manifest {
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC_V2);
+        buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&serde::bin::to_bytes(&self.entries));
         buf.extend_from_slice(&serde::bin::to_bytes(&self.key_generation));
         buf.extend_from_slice(&serde::bin::to_bytes(&self.wrapped_keys));
@@ -60,37 +63,31 @@ impl Manifest {
         buf
     }
 
-    pub(crate) fn decode(bytes: &[u8]) -> Option<Manifest> {
-        let body_len = bytes.len().checked_sub(8)?;
-        let (body, tail) = bytes.split_at(body_len);
-        let checksum = u64::from_le_bytes(tail.try_into().ok()?);
-        if body.len() < 4 || fnv1a(body) != checksum {
-            return None;
+    /// Parse the bytes of the manifest file at `path`: an older format is
+    /// refused by name, anything else that is not a whole, checksummed
+    /// manifest is corruption.
+    pub(crate) fn decode(bytes: &[u8], path: &Path) -> Result<Manifest> {
+        if let Some(found) = refused_magic(bytes, &REFUSED_MAGICS) {
+            return Err(unsupported(path, found));
         }
-        let (magic, payload) = body.split_at(4);
-        if magic == MAGIC_V1 {
-            let entries = serde::bin::from_bytes(payload).ok()?;
-            return Some(Manifest {
-                entries,
-                key_generation: 0,
-                wrapped_keys: BTreeMap::new(),
-            });
-        }
-        if magic != MAGIC_V2 {
-            return None;
-        }
-        let mut cursor = serde::bin::BinDeserializer::new(payload);
-        let entries = serde::Deserialize::deserialize(&mut cursor).ok()?;
-        let key_generation = serde::Deserialize::deserialize(&mut cursor).ok()?;
-        let wrapped_keys = serde::Deserialize::deserialize(&mut cursor).ok()?;
-        if cursor.remaining() != 0 {
-            return None;
-        }
-        Some(Manifest {
-            entries,
-            key_generation,
-            wrapped_keys,
+        Self::parse(bytes).ok_or_else(|| StorageError::Corrupt {
+            path: path.display().to_string(),
+            reason: "manifest checksum or framing mismatch",
         })
+    }
+
+    fn parse(bytes: &[u8]) -> Option<Manifest> {
+        let (body, tail) = bytes.split_at(bytes.len().checked_sub(8)?);
+        if fnv1a(body) != u64::from_le_bytes(tail.try_into().ok()?) {
+            return None;
+        }
+        let mut cursor = serde::bin::BinDeserializer::new(body.strip_prefix(&MAGIC)?);
+        let manifest = Manifest {
+            entries: serde::Deserialize::deserialize(&mut cursor).ok()?,
+            key_generation: serde::Deserialize::deserialize(&mut cursor).ok()?,
+            wrapped_keys: serde::Deserialize::deserialize(&mut cursor).ok()?,
+        };
+        (cursor.remaining() == 0).then_some(manifest)
     }
 
     pub(crate) fn path(root: &Path) -> PathBuf {
@@ -98,7 +95,7 @@ impl Manifest {
     }
 
     /// Load the manifest from `root`. A missing file is an empty (fresh)
-    /// store; a present-but-invalid file is corruption.
+    /// store; a present file is held to [`Manifest::decode`].
     pub(crate) fn load(root: &Path) -> Result<Manifest> {
         let path = Self::path(root);
         let bytes = match fs::read(&path) {
@@ -106,10 +103,7 @@ impl Manifest {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Manifest::default()),
             Err(e) => return Err(io_err("read manifest", &path, &e)),
         };
-        Manifest::decode(&bytes).ok_or_else(|| StorageError::Corrupt {
-            path: path.display().to_string(),
-            reason: "manifest checksum or framing mismatch",
-        })
+        Manifest::decode(&bytes, &path)
     }
 
     /// Durably replace the manifest on disk: temp file, fsync, rename over
@@ -134,6 +128,20 @@ impl Manifest {
 pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
     let f = fs::File::open(dir).map_err(|e| io_err("open dir for sync", dir, &e))?;
     f.sync_all().map_err(|e| io_err("sync dir", dir, &e))
+}
+
+/// The magic `bytes` start with, when it is one of `refused`.
+pub(crate) fn refused_magic(bytes: &[u8], refused: &[&'static str]) -> Option<&'static str> {
+    let starts = |magic: &&str| bytes.starts_with(magic.as_bytes());
+    refused.iter().copied().find(starts)
+}
+
+/// The refusal of a file that starts with the magic of an older format.
+pub(crate) fn unsupported(path: &Path, found: &'static str) -> StorageError {
+    StorageError::UnsupportedFormat {
+        path: path.display().to_string(),
+        found,
+    }
 }
 
 /// Wrap an `std::io::Error` (not `Clone`, so stringified) for `op` on `path`.
@@ -190,29 +198,54 @@ mod tests {
     }
 
     #[test]
-    fn legacy_cmn1_manifest_opens_at_generation_zero() {
-        // A pre-vault (CMN1) manifest: magic + entries map + fnv1a footer.
-        let mut entries = BTreeMap::new();
-        entries.insert(7u64, 2u64);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"CMN1");
-        bytes.extend_from_slice(&serde::bin::to_bytes(&entries));
-        let checksum = fnv1a(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
-
-        let decoded = Manifest::decode(&bytes).expect("legacy manifests must stay readable");
-        assert_eq!(decoded.entries, entries);
-        assert_eq!(decoded.key_generation, 0);
-        assert!(decoded.wrapped_keys.is_empty());
-    }
-
-    #[test]
     fn unknown_magic_is_corruption() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"CMN9");
         let checksum = fnv1a(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
-        assert!(Manifest::decode(&bytes).is_none());
+        assert!(matches!(
+            Manifest::decode(&bytes, Path::new("MANIFEST")),
+            Err(StorageError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn older_formats_are_refused_by_name() {
+        // Whole, checksummed manifests of formats 1 (entries only) and 2
+        // (entries, generation, vault), and a bare magic.
+        let entries = serde::bin::to_bytes(&BTreeMap::from([(7u64, 2u64)]));
+        let vault = serde::bin::to_bytes(&(0u64, BTreeMap::<u64, (u64, Vec<u64>)>::new()));
+        for (magic, payload) in [
+            ("CMN1", entries.clone()),
+            ("CMN2", [entries, vault].concat()),
+            ("CMN2", vec![]),
+        ] {
+            let mut bytes = [magic.as_bytes(), &payload].concat();
+            let checksum = fnv1a(&bytes);
+            bytes.extend_from_slice(&checksum.to_le_bytes());
+            assert_eq!(
+                Manifest::decode(&bytes, Path::new("/r/MANIFEST")),
+                Err(StorageError::UnsupportedFormat {
+                    path: "/r/MANIFEST".into(),
+                    found: magic,
+                })
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever the bytes — bare, and behind the magic with a checksum
+        /// that vouches for them — the decoder returns.
+        #[test]
+        fn prop_arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let _ = Manifest::decode(&bytes, Path::new("MANIFEST"));
+            let mut sealed = [&MAGIC[..], &bytes].concat();
+            let checksum = fnv1a(&sealed);
+            sealed.extend_from_slice(&checksum.to_le_bytes());
+            let _ = Manifest::decode(&sealed, Path::new("MANIFEST"));
+        }
     }
 
     #[test]

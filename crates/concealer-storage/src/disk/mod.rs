@@ -6,7 +6,7 @@
 //! ```text
 //! <root>/
 //!   MANIFEST                     committed epochs → segment generation
-//!   segments/ep-<epoch>-g<gen>.seg   one append-only segment per epoch
+//!   segments/ep-<epoch>-g<gen>.seg   one segment per epoch, written whole
 //! ```
 //!
 //! Writes follow write-ahead discipline — segment first (fsync), manifest
@@ -15,12 +15,15 @@
 //! store state. Recovery on [`DiskEpochStore::open`]:
 //!
 //! * a committed segment that parses completely serves queries again;
-//! * a committed segment with a torn tail (crash or external truncation)
-//!   is truncated back to its last intact frame boundary and the epoch is
-//!   dropped from the manifest — a half-epoch must never serve bins, or
-//!   the fixed-size-fetch volume-hiding invariant would break;
+//! * a committed segment that is torn (crash, external truncation, rot)
+//!   has its epoch dropped from the manifest and its file removed — a
+//!   half-epoch must never serve bins, or the fixed-size-fetch
+//!   volume-hiding invariant would break;
 //! * segment files the manifest does not reference (crash between segment
-//!   write and manifest swap, or a superseded generation) are deleted.
+//!   write and manifest swap, or a superseded generation) are deleted;
+//! * a manifest or committed segment in an older on-disk format fails the
+//!   open with [`StorageError::UnsupportedFormat`] before anything under
+//!   the root is written or removed.
 //!
 //! All committed epochs stay resident in a 16-way sharded in-memory cache
 //! (the same shard discipline as the memory backend), so the fetch path —
@@ -30,7 +33,7 @@
 //!
 //! Trust argument: the files are the *untrusted service provider's* disk.
 //! Checksums here detect crashes and rot, not attacks — an adversary who
-//! rewrites a segment consistently (valid frames, matching footer) is
+//! rewrites a segment consistently (valid tables, matching footer) is
 //! caught by the enclave's hash-chain verification at query time, exactly
 //! as with the in-memory store. Durability adds no new trust assumptions.
 //!
@@ -39,8 +42,8 @@
 //! [`DiskEpochStore::open_replica`] opens the same root *read-only* and
 //! non-destructively: it loads committed segments that parse completely,
 //! skips anything torn or in-flight (the writer may be mid-write; the next
-//! refresh retries), and never deletes files, truncates tails, or saves
-//! the manifest — the writer owns the root. [`StorageBackend::refresh`]
+//! refresh retries), and never deletes files or saves the manifest — the
+//! writer owns the root. [`StorageBackend::refresh`]
 //! re-reads `MANIFEST` (with a byte-fingerprint fast path, so an idle
 //! store costs one `read` per tick) and pulls in epochs committed since
 //! the last look; generation changes to epochs already resident — §6
@@ -57,7 +60,7 @@ mod segment;
 use crate::backend::{RewrapFn, ShardedEpochs, StorageBackend};
 use crate::epoch_store::StoredEpoch;
 use crate::{Result, StorageError};
-use manifest::{io_err, sync_dir, Manifest};
+use manifest::{io_err, sync_dir, unsupported, Manifest};
 use parking_lot::Mutex;
 use segment::DecodeOutcome;
 use std::fs;
@@ -103,9 +106,8 @@ impl Drop for DiskEpochStore {
 
 impl DiskEpochStore {
     /// Open (or initialize) a store rooted at `root`, running crash
-    /// recovery: committed epochs are loaded and verified, torn segment
-    /// tails are truncated, uncommitted and superseded segment files are
-    /// removed.
+    /// recovery: committed epochs are loaded and verified, torn segments
+    /// are dropped, uncommitted and superseded segment files are removed.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self> {
         let root = root.into();
         let cache = ShardedEpochs::default();
@@ -125,8 +127,8 @@ impl DiskEpochStore {
     /// process's writer. Non-destructive: committed segments that parse
     /// completely are loaded, anything torn or in-flight is skipped (the
     /// writer may be mid-write; the next [`StorageBackend::refresh`]
-    /// retries), and nothing on disk is created, deleted, truncated or
-    /// rewritten. Writes are refused with [`StorageError::ReadOnly`] until
+    /// retries), and nothing on disk is created, deleted or rewritten.
+    /// Writes are refused with [`StorageError::ReadOnly`] until
     /// [`StorageBackend::promote`] is called. A root the writer has not
     /// initialized yet opens as an empty replica and fills in on refresh.
     pub fn open_replica(root: impl Into<PathBuf>) -> Result<Self> {
@@ -229,18 +231,17 @@ fn parse_segment_name(path: &Path) -> Option<(u64, u64)> {
 
 /// The writer's destructive recovery pass, shared by [`DiskEpochStore::open`]
 /// and [`StorageBackend::promote`]: load committed epochs into `cache`,
-/// truncate torn tails (dropping those epochs from the committed set),
-/// delete uncommitted and superseded segment files, prune manifest entries
-/// whose segment vanished, and persist the manifest if it changed.
+/// drop torn ones from the committed set and remove their files, delete
+/// uncommitted and superseded segment files, prune manifest entries whose
+/// segment vanished, and persist the manifest if it changed.
 ///
 /// `loaded` names the epochs (and the generations) already resident in
 /// `cache` — empty on a fresh open; a promoting replica passes what it has
 /// absorbed so only changed or missing epochs are re-read. Returns the
 /// recovered manifest and the highest generation seen on disk.
 fn recover(root: &Path, cache: &ShardedEpochs, loaded: &Manifest) -> Result<(Manifest, u64)> {
-    let seg_dir = root.join(SEGMENT_DIR);
-    fs::create_dir_all(&seg_dir).map_err(|e| io_err("create segment dir", &seg_dir, &e))?;
-
+    // The manifest before the directory: a root this build refuses is not
+    // even given a `segments/`.
     let mut manifest = Manifest::load(root)?;
     // Vault invariant: `begin_key_rotation` durably bumps the generation
     // counter *before* any entry is re-wrapped, so no crash can leave an
@@ -256,11 +257,15 @@ fn recover(root: &Path, cache: &ShardedEpochs, loaded: &Manifest) -> Result<(Man
             reason: "key vault entry wrapped under a generation the store never began",
         });
     }
-    let mut manifest_dirty = false;
-    let mut max_gen = 0u64;
+    let seg_dir = root.join(SEGMENT_DIR);
+    fs::create_dir_all(&seg_dir).map_err(|e| io_err("create segment dir", &seg_dir, &e))?;
 
-    // Every segment file present, committed or not.
-    let mut on_disk: Vec<(u64, u64, PathBuf)> = Vec::new();
+    // First pass, reading only: what this pass refuses — an older format,
+    // a segment under another epoch's name — it refuses with every file
+    // as it was.
+    let mut max_gen = 0u64;
+    let mut stale: Vec<PathBuf> = Vec::new();
+    let mut committed: Vec<(u64, PathBuf, Option<StoredEpoch>)> = Vec::new();
     let entries = fs::read_dir(&seg_dir).map_err(|e| io_err("scan segment dir", &seg_dir, &e))?;
     for entry in entries {
         let entry = entry.map_err(|e| io_err("scan segment dir", &seg_dir, &e))?;
@@ -269,15 +274,11 @@ fn recover(root: &Path, cache: &ShardedEpochs, loaded: &Manifest) -> Result<(Man
             continue; // not ours; leave unknown files alone
         };
         max_gen = max_gen.max(generation);
-        on_disk.push((epoch_id, generation, path));
-    }
-
-    for (epoch_id, generation, path) in on_disk {
         if manifest.entries.get(&epoch_id) != Some(&generation) {
             // Uncommitted leftover (crash before manifest swap) or a
             // superseded generation (crash before cleanup): the ingest
             // or rewrite it belonged to was never acknowledged.
-            fs::remove_file(&path).map_err(|e| io_err("remove stale segment", &path, &e))?;
+            stale.push(path);
             continue;
         }
         if loaded.entries.get(&epoch_id) == Some(&generation) {
@@ -288,52 +289,55 @@ fn recover(root: &Path, cache: &ShardedEpochs, loaded: &Manifest) -> Result<(Man
             DecodeOutcome::Complete {
                 epoch_id: stored,
                 epoch,
-            } if stored == epoch_id => {
-                cache.shard(epoch_id).write().insert(epoch_id, epoch);
-            }
+            } if stored == epoch_id => committed.push((epoch_id, path, Some(epoch))),
             DecodeOutcome::Complete { .. } => {
                 return Err(StorageError::Corrupt {
                     path: path.display().to_string(),
                     reason: "segment header epoch does not match its file name",
                 });
             }
-            DecodeOutcome::Torn { valid_len } => {
-                // Truncate the torn tail; without a footer the epoch is
-                // not servable, so it leaves the committed set.
-                let f = fs::OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(|e| io_err("open torn segment", &path, &e))?;
-                f.set_len(valid_len)
-                    .map_err(|e| io_err("truncate torn segment", &path, &e))?;
-                f.sync_all()
-                    .map_err(|e| io_err("sync truncated segment", &path, &e))?;
-                manifest.entries.remove(&epoch_id);
-                manifest.wrapped_keys.remove(&epoch_id);
-                manifest_dirty = true;
-                // A promoting replica may hold a stale copy loaded from an
-                // older generation; a half-epoch must never serve bins.
-                cache.shard(epoch_id).write().remove(&epoch_id);
-            }
+            DecodeOutcome::Torn => committed.push((epoch_id, path, None)),
+            DecodeOutcome::Unsupported { found } => return Err(unsupported(&path, found)),
         }
     }
 
+    // Second pass: the store is this build's to repair.
+    let mut torn: Vec<PathBuf> = Vec::new();
+    for (epoch_id, path, epoch) in committed {
+        let mut shard = cache.shard(epoch_id).write();
+        if let Some(epoch) = epoch {
+            shard.insert(epoch_id, epoch);
+            continue;
+        }
+        // Without a footer that vouches for it the epoch is not servable
+        // and leaves the committed set — and the cache, where a promoting
+        // replica may hold a copy from an older generation: a half-epoch
+        // must never serve bins.
+        shard.remove(&epoch_id);
+        manifest.entries.remove(&epoch_id);
+        manifest.wrapped_keys.remove(&epoch_id);
+        torn.push(path);
+    }
     // Committed epochs whose segment file vanished entirely cannot be
     // served either.
     let missing: Vec<u64> = manifest
         .entries
-        .iter()
-        .filter(|(epoch_id, _)| cache.with_epoch(**epoch_id, &mut |_| {}).is_err())
-        .map(|(epoch_id, _)| *epoch_id)
+        .keys()
+        .filter(|epoch_id| cache.with_epoch(**epoch_id, &mut |_| {}).is_err())
+        .copied()
         .collect();
-    for epoch_id in missing {
-        manifest.entries.remove(&epoch_id);
-        manifest.wrapped_keys.remove(&epoch_id);
-        manifest_dirty = true;
+    for epoch_id in &missing {
+        manifest.entries.remove(epoch_id);
+        manifest.wrapped_keys.remove(epoch_id);
     }
-
-    if manifest_dirty {
+    if !(torn.is_empty() && missing.is_empty()) {
         manifest.save(root)?;
+    }
+    // Files last, as on every commit path: a crash before this line leaves
+    // files the manifest does not name, which the next open removes here;
+    // removing first could leave a manifest naming a file that is gone.
+    for path in stale.iter().chain(&torn) {
+        fs::remove_file(path).map_err(|e| io_err("remove stale segment", path, &e))?;
     }
     Ok((manifest, max_gen))
 }
@@ -421,13 +425,12 @@ impl StorageBackend for DiskEpochStore {
         if fingerprint == self.manifest_fingerprint.load(Ordering::Acquire) {
             return Ok(Vec::new()); // unchanged since last fully absorbed look
         }
-        let disk_manifest = Manifest::decode(&bytes).ok_or_else(|| StorageError::Corrupt {
-            path: path.display().to_string(),
-            reason: "manifest checksum or framing mismatch",
-        })?;
+        let disk_manifest = Manifest::decode(&bytes, &path)?;
 
         let mut loaded = self.manifest.lock();
-        let mut new_epochs = Vec::new();
+        // Decoded first, absorbed after: a refused format fails the tick
+        // with the replica exactly as it was.
+        let mut absorbed = Vec::new();
         let mut fully_absorbed = true;
         for (&epoch_id, &generation) in &disk_manifest.entries {
             if loaded.entries.contains_key(&epoch_id) {
@@ -447,14 +450,17 @@ impl StorageBackend for DiskEpochStore {
                 DecodeOutcome::Complete {
                     epoch_id: stored,
                     epoch,
-                } if stored == epoch_id => {
-                    self.cache.shard(epoch_id).write().insert(epoch_id, epoch);
-                    loaded.entries.insert(epoch_id, generation);
-                    new_epochs.push(epoch_id);
-                }
+                } if stored == epoch_id => absorbed.push((epoch_id, generation, epoch)),
+                DecodeOutcome::Unsupported { found } => return Err(unsupported(&seg, found)),
                 // Torn or mislabeled mid-write state: skip, retry next tick.
                 _ => fully_absorbed = false,
             }
+        }
+        let mut new_epochs = Vec::new();
+        for (epoch_id, generation, epoch) in absorbed {
+            self.cache.shard(epoch_id).write().insert(epoch_id, epoch);
+            loaded.entries.insert(epoch_id, generation);
+            new_epochs.push(epoch_id);
         }
         // Master-key lifecycle state replicates unconditionally: a
         // rotation only rewrites the vault, adds no epochs, and the
@@ -700,6 +706,9 @@ mod tests {
 
     #[test]
     fn torn_committed_segment_is_truncated_and_dropped() {
+        // The id is from format 1, which truncated the file and left it
+        // for the next open to delete; it is now removed in the pass that
+        // drops its epoch.
         let scratch = ScratchRoot::new("torn");
         let seg_path;
         {
@@ -712,6 +721,9 @@ mod tests {
                 store
                     .ingest_epoch(3600, sample_rows(30, 2), sample_meta(2))
                     .unwrap();
+                for epoch in [0, 3600] {
+                    disk.seal_key(epoch, 0, vec![7; 64]).unwrap();
+                }
                 disk.segment_path(3600).unwrap()
             };
         }
@@ -730,18 +742,98 @@ mod tests {
             vec![0],
             "the torn epoch must be dropped, the intact one recovered"
         );
-        // The torn tail was truncated back to a frame boundary.
-        let remaining = fs::read(&seg_path).unwrap();
-        assert!(remaining.len() <= cut);
-        assert!(matches!(
-            segment::decode(&remaining),
-            DecodeOutcome::Torn { valid_len } if valid_len as usize == remaining.len()
-        ));
-        // Reopening again is stable: same surviving epochs.
+        // Dropped whole, in that one pass: no entry, no vault blob, no file.
+        assert_eq!(store.backend().sealed_key(3600), None);
+        assert_eq!(store.backend().sealed_key(0), Some((0, vec![7; 64])));
+        assert!(!seg_path.exists(), "a torn segment's file is removed");
+        let after_first = snapshot(&scratch.0);
+        // Reopening again is stable: same surviving epochs, same files.
         drop(store);
         let store = disk_store(&scratch.0);
         assert_eq!(store.epoch_ids(), vec![0]);
         assert!(store.fetch_by_trapdoor(0, &[1, 0, 1]).unwrap().is_some());
+        assert_eq!(snapshot(&scratch.0), after_first);
+    }
+
+    /// Every file under `root`, by path.
+    fn snapshot(root: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+        let mut files = std::collections::BTreeMap::new();
+        let mut dirs = vec![root.to_path_buf()];
+        while let Some(dir) = dirs.pop() {
+            for entry in fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    files.insert(path.clone(), fs::read(&path).unwrap());
+                }
+            }
+        }
+        files
+    }
+
+    /// An empty epoch 3600 as format 1 wrote it: magic, then tag · length ·
+    /// payload frames for header, metadata and footer.
+    fn format_1_segment() -> Vec<u8> {
+        let mut bytes = b"CSG1\x01\x04\x90\x1c\x00\x00\x02\x04\x00\x00\x00\x00".to_vec();
+        let checksum = serde::bin::to_bytes(&segment::fnv1a(&bytes));
+        bytes.extend_from_slice(&[0x7f, 1 + checksum.len() as u8, 0]);
+        bytes.extend_from_slice(&checksum);
+        bytes
+    }
+
+    #[test]
+    fn a_format_2_manifest_is_refused_and_the_root_left_as_it_was() {
+        let scratch = ScratchRoot::new("old-manifest");
+        fs::create_dir_all(&scratch.0).unwrap();
+        // entries {3600 → 1}, key generation 0, an empty vault.
+        let mut manifest = b"CMN2\x01\x90\x1c\x01\x00\x00".to_vec();
+        let checksum = segment::fnv1a(&manifest);
+        manifest.extend_from_slice(&checksum.to_le_bytes());
+        fs::write(Manifest::path(&scratch.0), &manifest).unwrap();
+        let before = snapshot(&scratch.0);
+
+        let refused = Err(StorageError::UnsupportedFormat {
+            path: Manifest::path(&scratch.0).display().to_string(),
+            found: "CMN2",
+        });
+        assert_eq!(DiskEpochStore::open(&scratch.0).map(drop), refused);
+        assert_eq!(DiskEpochStore::open_replica(&scratch.0).map(drop), refused);
+        assert_eq!(snapshot(&scratch.0), before);
+        assert!(!scratch.0.join(SEGMENT_DIR).exists());
+    }
+
+    #[test]
+    fn a_committed_format_1_segment_is_refused_and_the_root_left_as_it_was() {
+        let scratch = ScratchRoot::new("old-segment");
+        let writer = Arc::new(DiskEpochStore::open(&scratch.0).unwrap());
+        let store = EpochStore::with_backend(writer.clone());
+        store
+            .ingest_epoch(0, sample_rows(10, 1), sample_meta(1))
+            .unwrap();
+        let replica = DiskEpochStore::open_replica(&scratch.0).unwrap();
+        store.ingest_epoch(3600, vec![], sample_meta(2)).unwrap();
+        let seg_path = writer.segment_path(3600).unwrap();
+        drop((store, writer));
+        // The committed segment in the older format, and beside it a
+        // leftover any successful recovery would delete.
+        fs::write(&seg_path, format_1_segment()).unwrap();
+        let stray = scratch.0.join(SEGMENT_DIR).join("ep-9999-g77.seg");
+        fs::write(&stray, b"never committed").unwrap();
+        let before = snapshot(&scratch.0);
+
+        let refused = Err(StorageError::UnsupportedFormat {
+            path: seg_path.display().to_string(),
+            found: "CSG1",
+        });
+        assert_eq!(DiskEpochStore::open(&scratch.0).map(drop), refused);
+        assert_eq!(DiskEpochStore::open_replica(&scratch.0).map(drop), refused);
+        // A live replica is refused the same way and keeps what it had.
+        assert_eq!(replica.refresh().map(drop), refused);
+        assert_eq!(replica.promote(), refused);
+        assert!(StorageBackend::read_only(&replica));
+        assert_eq!(replica.epoch_ids(), vec![0]);
+        assert_eq!(snapshot(&scratch.0), before);
     }
 
     #[test]

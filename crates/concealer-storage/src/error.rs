@@ -38,14 +38,23 @@ pub enum StorageError {
         message: String,
     },
     /// On-disk data failed structural validation on open (a manifest whose
-    /// checksum does not match, a segment naming collision, …). Torn
-    /// segment *tails* are not errors — recovery truncates them; this
-    /// variant covers damage recovery cannot safely interpret.
+    /// checksum does not match, a segment naming collision, …). A torn
+    /// *segment* is not an error — recovery drops its epoch; this variant
+    /// covers damage recovery cannot safely interpret.
     Corrupt {
         /// The offending file.
         path: String,
         /// What was wrong with it.
         reason: &'static str,
+    },
+    /// A manifest or a committed segment was written in an on-disk format
+    /// this build no longer reads. Nothing under the root was changed;
+    /// there is no in-place upgrade — re-ingest from the data provider.
+    UnsupportedFormat {
+        /// The offending file.
+        path: String,
+        /// The format magic it starts with (`CSG1`, `CMN2`, …).
+        found: &'static str,
     },
     /// A write reached a backend opened in replica (read-only) mode. The
     /// writer process owns the store root; replicas only ever `refresh`
@@ -75,6 +84,13 @@ impl fmt::Display for StorageError {
             }
             StorageError::Corrupt { path, reason } => {
                 write!(f, "corrupt storage file {path}: {reason}")
+            }
+            StorageError::UnsupportedFormat { path, found } => {
+                write!(
+                    f,
+                    "storage file {path} is in format {found}, which this build does not read; \
+                     re-ingest from the data provider"
+                )
             }
             StorageError::ReadOnly { path } => {
                 write!(
@@ -126,6 +142,12 @@ mod tests {
         }
         .to_string()
         .contains("checksum mismatch"));
+        assert!(StorageError::UnsupportedFormat {
+            path: "MANIFEST".into(),
+            found: "CMN2"
+        }
+        .to_string()
+        .contains("format CMN2"));
         assert!(StorageError::ReadOnly {
             path: "/var/lib/concealer".into()
         }

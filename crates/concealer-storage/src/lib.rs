@@ -24,9 +24,10 @@
 //!   seam behind the store: the in-memory [`backend::MemoryBackend`]
 //!   (default) and the crash-safe on-disk [`disk::DiskEpochStore`] serve
 //!   the same query path with bit-identical answers and traces.
-//! * [`disk`] — the durable backend: one append-only segment file per
-//!   epoch (LEB128 frames, footer checksum), a manifest for atomic epoch
-//!   commit, and reopen-time recovery that truncates torn tails.
+//! * [`disk`] — the durable backend: one segment file per epoch (the
+//!   epoch's `RowArena` behind a footer checksum, written whole), a
+//!   manifest for atomic epoch commit, and reopen-time recovery that
+//!   drops torn epochs whole and refuses older formats untouched.
 //! * [`observer`] — [`observer::AccessObserver`]: everything the untrusted
 //!   service provider can see (which trapdoors were issued, which rows were
 //!   fetched, how many bytes were transferred). The security tests assert

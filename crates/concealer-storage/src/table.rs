@@ -14,7 +14,9 @@
 //! borrowed [`RowRef`] views; [`EncryptedRow`] is the owned form a caller
 //! builds or keeps one row in. The two are interchangeable without loss:
 //! `RowArena::from(rows).to_rows() == rows`, and
-//! `RowArena::from(arena.to_rows()) == arena`.
+//! `RowArena::from(arena.to_rows()) == arena`. An arena is also what a
+//! disk segment stores (its `Serialize` / `Deserialize` impls): the buffer
+//! as it is, the tables as lengths, checked on the way back in.
 
 use crate::key_index::KeyIndex;
 use crate::{Result, StorageError};
@@ -235,44 +237,6 @@ impl RowArena {
     pub fn to_rows(&self) -> Vec<EncryptedRow> {
         self.iter().map(|row| row.to_row()).collect()
     }
-
-    /// Decode one row from `EncryptedRow`'s serde encoding onto the end of
-    /// the arena; on error the arena is as it was.
-    pub(crate) fn push_deserialized<'de, D: Deserializer<'de>>(
-        &mut self,
-        deserializer: &mut D,
-    ) -> std::result::Result<(), D::Error> {
-        fn seq_len<'de, D: Deserializer<'de>>(d: &mut D) -> std::result::Result<usize, D::Error> {
-            let len = d.read_seq_len()?;
-            match d.remaining_hint() {
-                Some(remaining) if len > remaining => {
-                    Err(d.invalid_value("sequence length exceeds input"))
-                }
-                _ => Ok(len),
-            }
-        }
-        fn column<'de, D: Deserializer<'de>>(
-            d: &mut D,
-            row: &mut RowWriter<'_>,
-        ) -> std::result::Result<(), D::Error> {
-            let len = seq_len(d)?;
-            row.column_with(|buf| {
-                buf.reserve(len);
-                for _ in 0..len {
-                    buf.push(u8::deserialize(d)?);
-                }
-                Ok(())
-            })
-        }
-        let mut row = self.begin_row();
-        column(deserializer, &mut row)?;
-        for _ in 0..seq_len(deserializer)? {
-            column(deserializer, &mut row)?;
-        }
-        column(deserializer, &mut row)?;
-        row.finish();
-        Ok(())
-    }
 }
 
 impl From<Vec<EncryptedRow>> for RowArena {
@@ -470,18 +434,60 @@ impl std::fmt::Debug for RowRef<'_> {
     }
 }
 
-/// Writes exactly what [`EncryptedRow`]'s derived impl writes, so a segment
-/// encoded from views is byte-identical to one encoded from owned rows.
-impl Serialize for RowRef<'_> {
+/// The stored form of an arena: its buffer as one byte string, then the
+/// length of every column and the column count of every row. Lengths, not
+/// offsets, so a table costs a byte per column whatever the segment's size
+/// and cannot name a range that runs backwards.
+impl Serialize for RowArena {
     fn serialize<S: Serializer>(&self, serializer: &mut S) -> std::result::Result<(), S::Error> {
-        fn column<S: Serializer>(s: &mut S, bytes: &[u8]) -> std::result::Result<(), S::Error> {
-            s.begin_seq(bytes.len())?;
-            bytes.iter().try_for_each(|b| b.serialize(s))
+        self.bytes.serialize(serializer)?;
+        serializer.begin_seq(self.offsets.len() - 1)?;
+        self.offsets
+            .windows(2)
+            .try_for_each(|w| serializer.write_u64(u64::from(w[1] - w[0])))?;
+        serializer.begin_seq(self.len())?;
+        self.iter()
+            .try_for_each(|row| serializer.write_u64(row.cols() as u64))
+    }
+}
+
+/// The one way from stored bytes to an arena. The input is the untrusted
+/// provider's disk: the tables are rebuilt from the lengths and must
+/// account for the buffer and for each other exactly, so no view of the
+/// result can index out of bounds.
+impl<'de> Deserialize<'de> for RowArena {
+    fn deserialize<D: Deserializer<'de>>(
+        deserializer: &mut D,
+    ) -> std::result::Result<Self, D::Error> {
+        let bytes = Vec::<u8>::deserialize(deserializer)?;
+        let column_lens = Vec::<u32>::deserialize(deserializer)?;
+        let row_cols = Vec::<u32>::deserialize(deserializer)?;
+        let mut arena = RowArena::with_capacity(row_cols.len(), column_lens.len(), 0);
+        let invalid = |what| Err(deserializer.invalid_value(what));
+        let mut end = 0u32;
+        for &len in &column_lens {
+            let Some(next) = end.checked_add(len) else {
+                return invalid("column lengths overflow the arena");
+            };
+            end = next;
+            arena.offsets.push(end);
         }
-        column(serializer, self.index_key())?;
-        serializer.begin_seq(self.filter_count())?;
-        self.filters().try_for_each(|f| column(serializer, f))?;
-        column(serializer, self.payload())
+        if end as usize != bytes.len() {
+            return invalid("column lengths do not cover the row bytes");
+        }
+        let mut cols = 0u32;
+        for &n in &row_cols {
+            let Some(next) = cols.checked_add(n).filter(|_| n >= 2) else {
+                return invalid("a row has at least an Index and a payload column");
+            };
+            cols = next;
+            arena.row_ends.push(cols);
+        }
+        if cols as usize != column_lens.len() {
+            return invalid("rows do not cover the columns");
+        }
+        arena.bytes = bytes;
+        Ok(arena)
     }
 }
 
@@ -613,7 +619,7 @@ impl EncryptedTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::seq::SliceRandom;
@@ -765,18 +771,6 @@ mod tests {
         drop(writer);
         assert_eq!(arena, before);
         assert_eq!(arena.byte_size(), before.byte_size());
-
-        // A row cut short on the wire is the same: the error leaves the
-        // arena as it was, and the next push lands where it should.
-        let encoded = serde::bin::to_bytes(&row(2, 2));
-        for cut in 0..encoded.len() {
-            let mut frame = serde::bin::BinDeserializer::new(&encoded[..cut]);
-            assert!(arena.push_deserialized(&mut frame).is_err(), "cut {cut}");
-            assert_eq!(arena, before, "cut {cut}");
-        }
-        let mut frame = serde::bin::BinDeserializer::new(&encoded);
-        arena.push_deserialized(&mut frame).unwrap();
-        assert_eq!(arena.to_rows(), vec![row(1, 1), row(2, 2)]);
     }
 
     #[test]
@@ -789,10 +783,10 @@ mod tests {
     }
 
     /// A row's columns as drawn: `(Index, filters, payload)`.
-    type Columns = (Vec<u8>, Vec<Vec<u8>>, Vec<u8>);
+    pub(crate) type Columns = (Vec<u8>, Vec<Vec<u8>>, Vec<u8>);
 
     /// Rows of every shape the arena must hold: 0–3 filters, empty columns.
-    fn any_row() -> impl Strategy<Value = Columns> {
+    pub(crate) fn any_row() -> impl Strategy<Value = Columns> {
         let column = || proptest::collection::vec(any::<u8>(), 0..6);
         (
             column(),
@@ -801,7 +795,7 @@ mod tests {
         )
     }
 
-    fn row_of((index_key, filters, payload): Columns) -> EncryptedRow {
+    pub(crate) fn row_of((index_key, filters, payload): Columns) -> EncryptedRow {
         EncryptedRow {
             index_key,
             filters,
@@ -810,7 +804,7 @@ mod tests {
     }
 
     /// Tables of mixed shapes, the empty table included.
-    fn any_rows() -> impl Strategy<Value = Vec<Columns>> {
+    pub(crate) fn any_rows() -> impl Strategy<Value = Vec<Columns>> {
         proptest::collection::vec(any_row(), 0..24)
     }
 
@@ -861,21 +855,25 @@ mod tests {
             prop_assert_eq!(gathered.to_rows(), shuffled);
         }
 
-        /// Views encode to the bytes owned rows encode to, and decoding
-        /// onto an arena is `push`.
+        /// The stored form is the rows, not the layout: an arena filled by
+        /// copying views (offsets moved) encodes to the bytes one filled
+        /// from owned rows does — one stored byte per ciphertext byte,
+        /// one per column and one per row — and decodes back to it.
         #[test]
         fn prop_views_encode_as_rows(rows in any_rows()) {
             let rows: Vec<EncryptedRow> = rows.into_iter().map(row_of).collect();
             let arena = RowArena::from(rows.clone());
-            let mut decoded = RowArena::new();
-            for (view, row) in arena.iter().zip(&rows) {
-                let bytes = serde::bin::to_bytes(&view);
-                prop_assert_eq!(&bytes, &serde::bin::to_bytes(row));
-                let mut frame = serde::bin::BinDeserializer::new(&bytes);
-                prop_assert!(decoded.push_deserialized(&mut frame).is_ok());
-                prop_assert_eq!(frame.remaining(), 0);
-            }
-            prop_assert_eq!(decoded, arena);
+            let bytes = serde::bin::to_bytes(&arena);
+            let shuffled: Vec<u32> = (0..rows.len() as u32).rev().collect();
+            let copied = arena.gather(&shuffled).gather(&shuffled);
+            prop_assert_eq!(&serde::bin::to_bytes(&copied), &bytes);
+            let cols: usize = rows.iter().map(|r| r.filters.len() + 2).sum();
+            let prefixes: usize = [arena.byte_size(), cols, rows.len()]
+                .iter()
+                .map(|&n| serde::bin::to_bytes(&n).len())
+                .sum();
+            prop_assert_eq!(bytes.len(), arena.byte_size() + cols + rows.len() + prefixes);
+            prop_assert_eq!(serde::bin::from_bytes::<RowArena>(&bytes), Ok(arena));
         }
 
         /// `replace_rows` against the same replacement done on a `Vec`,

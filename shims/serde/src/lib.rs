@@ -22,11 +22,13 @@
 //!   single bytes for booleans, IEEE-754 little-endian for floats,
 //!   length-prefixed raw bytes. [`bin::to_bytes`] / [`bin::from_bytes`]
 //!   are the entry points.
+//! * A byte string has one encoding: `Vec<u8>` is written like `String`
+//!   — its length, then the bytes as they are — through the element-type
+//!   hooks [`Serialize::serialize_slice`] / [`Deserialize::deserialize_vec`].
+//!   `[u8; N]` is a fixed tuple of integers and keeps one varint per byte.
 //!
-//! Swapping the real serde back in (see `shims/README.md`) keeps every
-//! derive annotation source-compatible; only code that calls the `bin`
-//! module directly would migrate to a real format crate such as `bincode`
-//! or `postcard`.
+//! This is the workspace's own format, not a stand-in for upstream serde:
+//! the derives are source-compatible with it, the data model is not.
 
 #![forbid(unsafe_code)]
 
@@ -43,6 +45,17 @@ use std::hash::Hash;
 pub trait Serialize {
     /// Write `self` to the serializer.
     fn serialize<S: Serializer>(&self, serializer: &mut S) -> Result<(), S::Error>;
+
+    /// Write a run of `Self` the way `Vec<Self>` is encoded: the length,
+    /// then each element. An element type with a denser encoding for a
+    /// run overrides this; `u8` writes one byte string.
+    fn serialize_slice<S: Serializer>(items: &[Self], serializer: &mut S) -> Result<(), S::Error>
+    where
+        Self: Sized,
+    {
+        serializer.begin_seq(items.len())?;
+        items.iter().try_for_each(|item| item.serialize(serializer))
+    }
 }
 
 /// A type that can be read back from a [`Deserializer`].
@@ -53,6 +66,18 @@ pub trait Serialize {
 pub trait Deserialize<'de>: Sized {
     /// Read a value from the deserializer.
     fn deserialize<D: Deserializer<'de>>(deserializer: &mut D) -> Result<Self, D::Error>;
+
+    /// Read what [`Serialize::serialize_slice`] wrote.
+    fn deserialize_vec<D: Deserializer<'de>>(deserializer: &mut D) -> Result<Vec<Self>, D::Error> {
+        let len = deserializer.read_seq_len()?;
+        check_seq_len(deserializer, len)?;
+        // Cap pre-allocation so corrupt lengths cannot trigger huge allocs.
+        let mut out = Vec::with_capacity(len.min(4096));
+        for _ in 0..len {
+            out.push(Self::deserialize(deserializer)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Marker for types deserializable without borrowing from the input,
@@ -140,7 +165,26 @@ macro_rules! impl_uint {
         }
     )*};
 }
-impl_uint!(u8, u16, u32, u64, usize);
+impl_uint!(u16, u32, u64, usize);
+
+// One `u8` is an integer like the others; a run of them is a byte string.
+impl Serialize for u8 {
+    fn serialize<S: Serializer>(&self, serializer: &mut S) -> Result<(), S::Error> {
+        serializer.write_u64(u64::from(*self))
+    }
+    fn serialize_slice<S: Serializer>(items: &[u8], serializer: &mut S) -> Result<(), S::Error> {
+        serializer.write_bytes(items)
+    }
+}
+impl<'de> Deserialize<'de> for u8 {
+    fn deserialize<D: Deserializer<'de>>(deserializer: &mut D) -> Result<Self, D::Error> {
+        let v = deserializer.read_u64()?;
+        u8::try_from(v).map_err(|_| deserializer.invalid_value("integer out of range"))
+    }
+    fn deserialize_vec<D: Deserializer<'de>>(deserializer: &mut D) -> Result<Vec<u8>, D::Error> {
+        deserializer.read_bytes()
+    }
+}
 
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
@@ -208,23 +252,12 @@ impl Serialize for str {
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize<S: Serializer>(&self, serializer: &mut S) -> Result<(), S::Error> {
-        serializer.begin_seq(self.len())?;
-        for item in self {
-            item.serialize(serializer)?;
-        }
-        Ok(())
+        T::serialize_slice(self, serializer)
     }
 }
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: &mut D) -> Result<Self, D::Error> {
-        let len = deserializer.read_seq_len()?;
-        check_seq_len(deserializer, len)?;
-        // Cap pre-allocation so corrupt lengths cannot trigger huge allocs.
-        let mut out = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            out.push(T::deserialize(deserializer)?);
-        }
-        Ok(out)
+        T::deserialize_vec(deserializer)
     }
 }
 
@@ -1111,6 +1144,24 @@ mod tests {
         assert_eq!(to_bytes(&127u64), vec![0x7f]);
         assert_eq!(to_bytes(&128u64), vec![0x80, 0x01]);
         assert_eq!(to_bytes(&300u64), vec![0xac, 0x02]);
+    }
+
+    /// A `Vec<u8>` is a byte string — `String`'s layout, one stored byte
+    /// per byte whatever its value — at any depth; `[u8; N]` is not.
+    #[test]
+    fn byte_vectors_are_byte_strings() {
+        assert_eq!(to_bytes(&vec![0x80u8, 0xff, 1]), vec![3, 0x80, 0xff, 1]);
+        assert_eq!(to_bytes(&b"hi".to_vec()), to_bytes("hi"));
+        assert_eq!(to_bytes(&[0x80u8, 1]), vec![0x80, 0x01, 1]);
+        let nested = vec![vec![0xfeu8; 200], vec![], vec![0]];
+        let bytes = to_bytes(&nested);
+        assert_eq!(bytes.len(), 1 + (2 + 200) + 1 + 2);
+        assert_eq!(from_bytes::<Vec<Vec<u8>>>(&bytes), Ok(nested));
+        // A declared length past the input fails before anything is copied.
+        assert_eq!(
+            from_bytes::<Vec<u8>>(&[0xff, 0xff, 0xff, 0x7f, 1, 2]),
+            Err(Error::UnexpectedEof)
+        );
     }
 
     #[test]

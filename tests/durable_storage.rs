@@ -206,7 +206,7 @@ proptest! {
         f.set_len(cut).expect("truncate victim segment");
         drop(f);
 
-        // Reopen: recovery truncates the torn tail and drops the victim.
+        // Reopen: recovery drops the torn victim whole.
         let reopened = Arc::new(DiskEpochStore::open(&root).expect("recovery reopen"));
         let surviving: Vec<u64> = (0..num_epochs as u64 - 1).map(|i| i * 3_600).collect();
         let mut rng = StdRng::seed_from_u64(3);
