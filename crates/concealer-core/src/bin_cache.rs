@@ -39,6 +39,7 @@ use concealer_storage::RowArena;
 use parking_lot::Mutex;
 
 use crate::query::filter::DecodedBin;
+use crate::query::trapdoor::Trapdoor;
 
 /// Default number of bins kept resident (see
 /// [`crate::ConcealerSystem::set_bin_cache_capacity`]).
@@ -58,7 +59,7 @@ pub(crate) struct BinEntry {
     /// The bin's re-encryption round at fetch time (filter-plan memo key).
     pub round: u64,
     /// The deterministic trapdoors the cold fetch issued, in issue order.
-    pub trapdoors: Vec<Vec<u8>>,
+    pub trapdoors: Vec<Trapdoor>,
     /// Meter counters trapdoor generation produced cold; replayed verbatim
     /// on every hit so warm and cold executions meter identically.
     pub gen_meter: MeterSnapshot,
@@ -102,7 +103,10 @@ struct CacheInner {
 
 /// The LRU bin cache. Interior-mutable so the engine can consult it from
 /// shared references on the (parallel) query path; the lock is held only
-/// for map bookkeeping, never across fetches or crypto.
+/// for map bookkeeping, never across fetches or crypto. Nor is an entry
+/// freed under it: whatever leaves the map is handed back to the caller,
+/// and dropping the last reference to a bin (its arena, its trapdoors, its
+/// decode slots) happens after the guard is gone.
 pub(crate) struct BinCache {
     inner: Mutex<CacheInner>,
 }
@@ -134,33 +138,30 @@ impl BinCache {
     }
 
     /// Insert (or replace) an entry, evicting the least recently used one
-    /// when full. A capacity of zero disables caching entirely.
-    pub fn insert(&self, key: BinKey, entry: Arc<BinEntry>) {
+    /// when full. A capacity of zero disables caching entirely. Returns
+    /// the entry that left the map — the one evicted, or the one replaced
+    /// — for the caller to drop outside the lock.
+    pub fn insert(&self, key: BinKey, entry: Arc<BinEntry>) -> Option<Arc<BinEntry>> {
         let mut inner = self.inner.lock();
         if inner.capacity == 0 {
-            return;
+            return None;
         }
         inner.stamp += 1;
         let stamp = inner.stamp;
-        if inner.map.len() >= inner.capacity && !inner.map.contains_key(&key) {
-            // O(n) eviction scan: capacities are small (hundreds) and the
-            // scan touches only stamps, so this stays off any profile.
-            if let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (s, _))| *s)
-                .map(|(k, _)| *k)
-            {
-                inner.map.remove(&oldest);
-                inner.evictions += 1;
-            }
-        }
-        inner.map.insert(key, (stamp, entry));
+        let evicted = if inner.map.len() >= inner.capacity && !inner.map.contains_key(&key) {
+            inner.evict_lru()
+        } else {
+            None
+        };
+        let replaced = inner.map.insert(key, (stamp, entry));
+        evicted.or(replaced.map(|(_, entry)| entry))
     }
 
-    /// Drop an entry (stale mode, failed replay, or §6 rewrite cleanup).
-    pub fn invalidate(&self, key: BinKey) {
-        self.inner.lock().map.remove(&key);
+    /// Remove an entry (stale mode, failed replay, or §6 rewrite cleanup),
+    /// handing it back to be dropped outside the lock.
+    pub fn invalidate(&self, key: BinKey) -> Option<Arc<BinEntry>> {
+        let removed = self.inner.lock().map.remove(&key);
+        removed.map(|(_, entry)| entry)
     }
 
     pub fn record_hit(&self) {
@@ -172,21 +173,14 @@ impl BinCache {
     }
 
     /// Resize the cache; shrinking evicts least-recently-used entries, and
-    /// a capacity of zero flushes everything and disables caching.
-    pub fn set_capacity(&self, capacity: usize) {
+    /// a capacity of zero flushes everything and disables caching. Returns
+    /// the evicted entries, least recently used first, for the caller to
+    /// drop outside the lock.
+    pub fn set_capacity(&self, capacity: usize) -> Vec<Arc<BinEntry>> {
         let mut inner = self.inner.lock();
         inner.capacity = capacity;
-        while inner.map.len() > capacity {
-            if let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (s, _))| *s)
-                .map(|(k, _)| *k)
-            {
-                inner.map.remove(&oldest);
-                inner.evictions += 1;
-            }
-        }
+        let excess = inner.map.len().saturating_sub(capacity);
+        (0..excess).filter_map(|_| inner.evict_lru()).collect()
     }
 
     pub fn stats(&self) -> BinCacheStats {
@@ -198,6 +192,21 @@ impl BinCache {
             misses: inner.misses,
             evictions: inner.evictions,
         }
+    }
+}
+
+impl CacheInner {
+    /// Remove the least recently used entry and count the eviction.
+    fn evict_lru(&mut self) -> Option<Arc<BinEntry>> {
+        // O(n) scan: capacities are small (hundreds) and the scan touches
+        // only stamps, so this stays off any profile.
+        let oldest = self
+            .map
+            .iter()
+            .min_by_key(|(_, (s, _))| *s)
+            .map(|(k, _)| *k)?;
+        self.evictions += 1;
+        self.map.remove(&oldest).map(|(_, entry)| entry)
     }
 }
 
@@ -255,6 +264,34 @@ mod tests {
         assert_eq!(stats.evictions, 4);
         cache.set_capacity(0);
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    /// What leaves the map comes back to the caller (to be dropped after
+    /// the lock): `insert` hands back the LRU entry it evicts or the entry
+    /// it replaces, `set_capacity` every entry it sheds, oldest first.
+    #[test]
+    fn removed_entries_are_handed_back_not_dropped_under_the_lock() {
+        let cache = BinCache::new(3);
+        let entries: Vec<Arc<BinEntry>> = (0..6).map(entry).collect();
+        for (bin, e) in entries.iter().take(3).enumerate() {
+            assert!(cache.insert((0, bin, 0), Arc::clone(e)).is_none());
+        }
+        // Bin 0 is touched, so bin 1 is the LRU victim.
+        assert!(cache.lookup((0, 0, 0)).is_some());
+        let evicted = cache.insert((0, 3, 0), Arc::clone(&entries[3]));
+        assert!(Arc::ptr_eq(&evicted.unwrap(), &entries[1]));
+        let replaced = cache.insert((0, 3, 0), Arc::clone(&entries[4]));
+        assert!(Arc::ptr_eq(&replaced.unwrap(), &entries[3]));
+        // Recency now, oldest first: bins 2, 0, 3.
+        let shed = cache.set_capacity(1);
+        assert_eq!(shed.len(), 2);
+        assert!(Arc::ptr_eq(&shed[0], &entries[2]));
+        assert!(Arc::ptr_eq(&shed[1], &entries[0]));
+        assert_eq!(cache.stats().evictions, 3);
+        let removed = cache.invalidate((0, 3, 0));
+        assert!(Arc::ptr_eq(&removed.unwrap(), &entries[4]));
+        assert!(cache.invalidate((0, 3, 0)).is_none());
+        assert!(cache.set_capacity(0).is_empty());
     }
 
     #[test]

@@ -28,23 +28,28 @@ fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
     head.try_into().expect("split_at(N) yields N bytes")
 }
 
+/// Length of an `Index` plaintext, real or fake: a tag byte and eight
+/// bytes of identity.
+pub const INDEX_PLAIN_LEN: usize = 9;
+
+/// `tag` followed by the eight identity bytes `id`.
+fn index_plain(tag: u8, id: [u8; 8]) -> [u8; INDEX_PLAIN_LEN] {
+    let mut out = [tag; INDEX_PLAIN_LEN];
+    out[1..].copy_from_slice(&id);
+    out
+}
+
 /// Plaintext for the `Index` column of a real tuple: `E_k(cid || counter)`.
 #[must_use]
-pub fn index_real_plain(cell_id: u32, counter: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9);
-    out.push(tag::INDEX_REAL);
-    out.extend_from_slice(&cell_id.to_be_bytes());
-    out.extend_from_slice(&counter.to_be_bytes());
-    out
+pub fn index_real_plain(cell_id: u32, counter: u32) -> [u8; INDEX_PLAIN_LEN] {
+    let id = (u64::from(cell_id) << 32) | u64::from(counter);
+    index_plain(tag::INDEX_REAL, id.to_be_bytes())
 }
 
 /// Plaintext for the `Index` column of a fake tuple: `E_k(f || j)`.
 #[must_use]
-pub fn index_fake_plain(fake_id: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9);
-    out.push(tag::INDEX_FAKE);
-    out.extend_from_slice(&fake_id.to_be_bytes());
-    out
+pub fn index_fake_plain(fake_id: u64) -> [u8; INDEX_PLAIN_LEN] {
+    index_plain(tag::INDEX_FAKE, fake_id.to_be_bytes())
 }
 
 /// Plaintext for the dimension filter column: `E_k(l || t)` generalized to
@@ -138,7 +143,7 @@ pub fn decode_u32_vector(mut buf: &[u8]) -> Result<Vec<u32>> {
 /// enclave when mapping fetched rows back onto hash-chain positions.
 #[must_use]
 pub fn decode_index_plain(buf: &[u8]) -> Option<(u32, u32)> {
-    if buf.len() == 9 && buf[0] == tag::INDEX_REAL {
+    if buf.len() == INDEX_PLAIN_LEN && buf[0] == tag::INDEX_REAL {
         let mut b = &buf[1..];
         Some((
             u32::from_be_bytes(take(&mut b)),
@@ -234,29 +239,29 @@ mod tests {
     fn det_ciphertext_golden_bytes() {
         use concealer_crypto::{EpochId, MasterKey};
         let key = MasterKey::from_bytes([0x42; 32]).epoch_key(EpochId(7), 0);
-        let sealed = |plain: Vec<u8>| -> String {
-            let bytes = key.det.encrypt(&plain);
+        let sealed = |plain: &[u8]| -> String {
+            let bytes = key.det.encrypt(plain);
             bytes.iter().map(|b| format!("{b:02x}")).collect()
         };
         assert_eq!(
-            sealed(index_real_plain(0x0102_0304, 9)),
+            sealed(&index_real_plain(0x0102_0304, 9)),
             "d745a68ef1aa00a6b14f74a953441c41e2ec0dc1ee0a29cdb7"
         );
         assert_eq!(
-            sealed(index_fake_plain(0x0102_0304_0506_0708)),
+            sealed(&index_fake_plain(0x0102_0304_0506_0708)),
             "2949991886eed744c744c2eae07960c71d90f9eb6b6b887382"
         );
         assert_eq!(
-            sealed(filter_dims_plain(&[0x11, 0x2233], 0x0A0B)),
+            sealed(&filter_dims_plain(&[0x11, 0x2233], 0x0A0B)),
             "2491633f4c70089de3f5e42eba1aaa9450215d18a33a6b320f\
              86823d2b09a1ff8e77febd61868ca8a29442"
         );
         assert_eq!(
-            sealed(filter_obs_plain(0x03E9, u64::MAX - 1)),
+            sealed(&filter_obs_plain(0x03E9, u64::MAX - 1)),
             "6cae8ded15cd180d842c936f951ecb79954d36306ba6d770efa91756a3a3936f65"
         );
         assert_eq!(
-            sealed(payload_plain(&[7], 0x0100, &[0xAABB, 1])),
+            sealed(&payload_plain(&[7], 0x0100, &[0xAABB, 1])),
             "4a4eef0cccc6eb6ae55c7b25d5a1fb629705895c63a54ae146\
              27909f19751738b0603fdc3c7b23278a786d09c1235f64683cb9cab9"
         );

@@ -115,7 +115,8 @@ impl QueryEngine {
             verified: want_verify,
             oblivious,
         });
-        self.bin_cache.insert(cache_key, Arc::clone(&entry));
+        // The entry this evicts, if any, is freed here, outside the lock.
+        drop(self.bin_cache.insert(cache_key, Arc::clone(&entry)));
         Ok(entry)
     }
 

@@ -126,12 +126,12 @@ impl DataProvider {
 
             let mut row = rows.begin_row();
             for plain in [
-                codec::index_real_plain(cid, counter),
-                codec::filter_dims_plain(&record.dims, granule),
-                codec::filter_obs_plain(observation, granule),
-                codec::payload_plain(&record.dims, record.time, &record.payload),
+                &codec::index_real_plain(cid, counter)[..],
+                &codec::filter_dims_plain(&record.dims, granule),
+                &codec::filter_obs_plain(observation, granule),
+                &codec::payload_plain(&record.dims, record.time, &record.payload),
             ] {
-                row.column_with(|buf| key.det.encrypt_into(&plain, buf));
+                row.column_with(|buf| key.det.encrypt_into(plain, buf));
             }
             row.finish();
             if rows.len() == 1 {

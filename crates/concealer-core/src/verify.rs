@@ -28,6 +28,8 @@
 //! trapdoor, so nothing the provider adds to a fetch reaches the filter
 //! stage unaccounted for.
 
+use std::cell::Cell;
+
 use concealer_crypto::sha256::{Digest, Sha256};
 use concealer_crypto::EpochKey;
 use concealer_storage::{EncryptedRow, RowArena, RowRef};
@@ -39,17 +41,26 @@ use crate::{CoreError, Result};
 /// Domain-separation prefix for chain hashing.
 const CHAIN_DOMAIN: &[u8] = b"concealer/hash-chain/v2";
 
-/// The hasher every chain link starts from: `domain ‖ hash_chain_key`
-/// zero-padded to exactly one SHA-256 block, absorbed once per builder or
-/// verification call and cloned per row.
-fn chain_prefix(key: &EpochKey) -> Sha256 {
+/// What every chain link is hashed from, built once per builder or
+/// verification call: the hasher that has absorbed `domain ‖
+/// hash_chain_key` zero-padded to exactly one SHA-256 block (cloned per
+/// link), and the buffer each link is laid out in (reused per link).
+struct ChainPrefix {
+    hasher: Sha256,
+    link: Cell<Vec<u8>>,
+}
+
+fn chain_prefix(key: &EpochKey) -> ChainPrefix {
     let mut block = [0u8; 64];
     let (domain, rest) = block.split_at_mut(CHAIN_DOMAIN.len());
     domain.copy_from_slice(CHAIN_DOMAIN);
     rest[..key.hash_chain_key.len()].copy_from_slice(&key.hash_chain_key);
-    let mut prefix = Sha256::new();
-    prefix.update(&block);
-    prefix
+    let mut hasher = Sha256::new();
+    hasher.update(&block);
+    ChainPrefix {
+        hasher,
+        link: Cell::default(),
+    }
 }
 
 /// One chain link over a row's columns, owned or viewed: each column
@@ -58,31 +69,39 @@ fn chain_prefix(key: &EpochKey) -> Sha256 {
 /// bytes in four columns, plus the 32-byte digest) end inside its third
 /// block with the padding; four-byte lengths would spill it by three bytes
 /// into a fourth compression.
+///
+/// The link is laid out whole in the prefix's buffer and absorbed with
+/// one `update`, so the hasher copies and buffers it once rather than
+/// once per length, column and digest.
 fn hash_row_into_chain<'r>(
-    prefix: &Sha256,
+    prefix: &ChainPrefix,
     columns: impl Iterator<Item = &'r [u8]>,
     prev: Option<&Digest>,
 ) -> Digest {
-    let mut h = prefix.clone();
+    let mut link = prefix.link.take();
+    link.clear();
     for column in columns {
         let mut len = column.len();
         while len >= 0x80 {
-            h.update(&[(len & 0x7f) as u8 | 0x80]);
+            link.push((len & 0x7f) as u8 | 0x80);
             len >>= 7;
         }
-        h.update(&[len as u8]);
-        h.update(column);
+        link.push(len as u8);
+        link.extend_from_slice(column);
     }
     if let Some(prev) = prev {
-        h.update(prev);
+        link.extend_from_slice(prev);
     }
+    let mut h = prefix.hasher.clone();
+    h.update(&link);
+    prefix.link.set(link);
     h.finalize()
 }
 
 /// Builds per-cell-id hash chains at the data provider.
 pub struct HashChainBuilder<'k> {
     key: &'k EpochKey,
-    prefix: Sha256,
+    prefix: ChainPrefix,
     digests: Vec<Option<Digest>>,
 }
 
@@ -142,7 +161,7 @@ impl<'k> HashChainBuilder<'k> {
 /// counter order) and compare it with the decrypted tag.
 fn check_chain<'r, C: Iterator<Item = &'r [u8]>>(
     key: &EpochKey,
-    prefix: &Sha256,
+    prefix: &ChainPrefix,
     cell_id: u32,
     rows: impl Iterator<Item = C>,
     enc_tag: &[u8],
@@ -236,8 +255,11 @@ pub fn verify_fetch(
 mod tests {
     use super::*;
     use crate::codec;
-    use crate::query::trapdoor::{generate_oblivious, generate_plain, FetchSpec, TrapdoorLabel};
+    use crate::query::trapdoor::{
+        generate_oblivious, generate_plain, FetchSpec, Trapdoor, TrapdoorLabel,
+    };
     use concealer_crypto::{EpochId, MasterKey};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -342,7 +364,7 @@ mod tests {
             let mut chain = HashChainBuilder::new(&key, CELL_COUNTS.len());
             let mut rows = std::collections::HashMap::new();
             let mut next = 0u8;
-            let mut store = |index_plain: Vec<u8>, cell: Option<u32>| {
+            let mut store = |index_plain: [u8; codec::INDEX_PLAIN_LEN], cell: Option<u32>| {
                 next += 1;
                 let row = EncryptedRow {
                     index_key: key.det.encrypt(&index_plain),
@@ -370,7 +392,7 @@ mod tests {
 
         /// What an honest store returns: hits in trapdoor order.
         fn answer(&self, issued: &LabelledTrapdoors) -> Vec<EncryptedRow> {
-            let hit = |t| self.rows.get(t).cloned();
+            let hit = |t: &Trapdoor| self.rows.get(t.as_slice()).cloned();
             issued.trapdoors.iter().filter_map(hit).collect()
         }
 
@@ -570,6 +592,75 @@ mod tests {
             hex,
             "5eabd1ad995ddc9b9399f8b3ff63dfa9825106b467385c66cb0a05861704c82f"
         );
+    }
+
+    /// A chain link as it was hashed before it became one message: the
+    /// same bytes, handed to the hasher piece by piece.
+    fn streaming_link<'r>(
+        prefix: &Sha256,
+        columns: impl Iterator<Item = &'r [u8]>,
+        prev: Option<&Digest>,
+    ) -> Digest {
+        let mut h = prefix.clone();
+        for column in columns {
+            let mut len = column.len();
+            while len >= 0x80 {
+                h.update(&[(len & 0x7f) as u8 | 0x80]);
+                len >>= 7;
+            }
+            h.update(&[len as u8]);
+            h.update(column);
+        }
+        if let Some(prev) = prev {
+            h.update(prev);
+        }
+        h.finalize()
+    }
+
+    /// Columns of a row as drawn: per column a size class and a number —
+    /// under 8 bytes (empty included), 120–159 bytes (either side of the
+    /// two-byte length), or up to 3000 (rows twenty times a WiFi row).
+    fn columns_of(shape: &[(u8, u16)], fill: u8) -> Vec<Vec<u8>> {
+        let len = |(class, n): (u8, u16)| match class {
+            0 => usize::from(n) % 8,
+            1 => 120 + usize::from(n) % 40,
+            _ => usize::from(n) % 3000,
+        };
+        let byte = |c: usize, i: usize| fill.wrapping_add((31 * c + 7 * i) as u8);
+        let column = |(c, &s): (usize, &(u8, u16))| (0..len(s)).map(|i| byte(c, i)).collect();
+        shape.iter().enumerate().map(column).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The one-message link is the streaming one for rows of 2–8
+        /// columns of every size class, with and without a previous
+        /// digest — row after row through one prefix, so its scratch
+        /// buffer is reused across links that grow and shrink.
+        #[test]
+        fn one_message_link_equals_the_streaming_link(
+            rows in proptest::collection::vec(
+                proptest::collection::vec((0u8..3, any::<u16>()), 2..9), 1..4),
+            prev in (any::<u128>(), any::<u128>()),
+            fill in any::<u8>(),
+        ) {
+            let prefix = chain_prefix(&key());
+            let mut digest = [0u8; 32];
+            digest[..16].copy_from_slice(&prev.0.to_le_bytes());
+            digest[16..].copy_from_slice(&prev.1.to_le_bytes());
+            for shape in &rows {
+                let columns = columns_of(shape, fill);
+                let views = || columns.iter().map(Vec::as_slice);
+                for prev in [None, Some(&digest)] {
+                    prop_assert_eq!(
+                        hash_row_into_chain(&prefix, views(), prev),
+                        streaming_link(&prefix.hasher, views(), prev)
+                    );
+                }
+                digest = hash_row_into_chain(&prefix, views(), Some(&digest));
+            }
+        }
     }
 
     #[test]

@@ -56,6 +56,19 @@ impl Cmac {
         self.encrypt(x ^ self.last_word(last)).to_ne_bytes()
     }
 
+    /// The tags of messages of at most one block each, side by side:
+    /// `tags[i]` becomes `self.mac(&messages[i])`. Such a message is its own
+    /// last block, so its tag is one block encryption, and all of them go
+    /// through one [`Aes::encrypt_blocks`] call.
+    pub(crate) fn mac_each<const N: usize>(&self, messages: &[[u8; N]], tags: &mut [Block]) {
+        const { assert!(N <= BLOCK_SIZE, "a message of at most one block") };
+        assert_eq!(messages.len(), tags.len(), "one tag per message");
+        for (tag, message) in tags.iter_mut().zip(messages) {
+            *tag = self.last_word(message).to_ne_bytes();
+        }
+        self.cipher.encrypt_blocks(tags);
+    }
+
     fn encrypt(&self, x: u128) -> u128 {
         u128::from_ne_bytes(self.cipher.encrypt_block_copy(&x.to_ne_bytes()))
     }

@@ -158,6 +158,50 @@ impl DeterministicCipher {
         );
     }
 
+    /// [`Self::encrypt`] every plaintext of `plaintexts`, appending the
+    /// ciphertexts to `out` in order, for plaintexts of at most one block:
+    /// `N ≤ 16` bytes in, `C = 16 + N` bytes out, byte-identical to
+    /// [`Self::encrypt`] on each.
+    ///
+    /// Such a ciphertext is one CMAC block and one CTR block, two
+    /// dependent block encryptions. The items go side by side in groups of
+    /// eight instead — the group's CMAC blocks in one
+    /// [`Aes::encrypt_blocks`] call, then its CTR blocks in another — so
+    /// the hardware rounds have eight independent blocks in flight.
+    pub fn encrypt_lockstep<const N: usize, const C: usize>(
+        &self,
+        plaintexts: impl IntoIterator<Item = [u8; N]>,
+        out: &mut Vec<[u8; C]>,
+    ) {
+        const { assert!(N <= BLOCK_SIZE && C == SIV_SIZE + N, "C = 16 + N, N ≤ 16") };
+        let mut plaintexts = plaintexts.into_iter().fuse();
+        out.reserve(plaintexts.size_hint().0);
+        loop {
+            let mut group = [[0u8; N]; 8];
+            let mut n = 0;
+            for (slot, plain) in group.iter_mut().zip(&mut plaintexts) {
+                *slot = plain;
+                n += 1;
+            }
+            if n == 0 {
+                return;
+            }
+            let mut sivs = [[0u8; BLOCK_SIZE]; 8];
+            self.cmac.mac_each(&group[..n], &mut sivs[..n]);
+            let mut pads = sivs.map(|siv| CounterLane::Low64.block(&siv, 0));
+            self.enc.encrypt_blocks(&mut pads[..n]);
+            for ((plain, siv), pad) in group[..n].iter().zip(&sivs).zip(&pads) {
+                let mut ct = [0u8; C];
+                let (head, body) = ct.split_at_mut(SIV_SIZE);
+                head.copy_from_slice(siv);
+                for ((c, p), k) in body.iter_mut().zip(plain).zip(pad) {
+                    *c = p ^ k;
+                }
+                out.push(ct);
+            }
+        }
+    }
+
     /// Decrypt and authenticate a ciphertext produced by [`Self::encrypt`].
     pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(ciphertext.len().saturating_sub(SIV_SIZE));

@@ -134,7 +134,62 @@ fn encrypt_blocks_agrees_for_every_length_0_to_17() {
     }
 }
 
+/// `count` distinct `N`-byte plaintexts.
+fn short_items<const N: usize>(count: usize, fill: u8) -> Vec<[u8; N]> {
+    (0..count)
+        .map(|i| std::array::from_fn(|j| fill.wrapping_add((31 * i + 7 * j) as u8)))
+        .collect()
+}
+
+/// `encrypt_lockstep` on both paths against `encrypt` per item on the
+/// reference path, appended after what `out` already held.
+fn lockstep_agrees<const N: usize, const C: usize>(
+    mac_key: &[u8; 32],
+    enc_key: &[u8; 32],
+    items: &[[u8; N]],
+) {
+    let [portable, public] = det_paths(mac_key, enc_key);
+    for cipher in [&portable, &public] {
+        let mut out = vec![[0xEE; C]];
+        cipher.encrypt_lockstep(items.iter().copied(), &mut out);
+        assert_eq!(out.len(), 1 + items.len());
+        assert_eq!(out[0], [0xEE; C], "what `out` held stays");
+        for (i, (sealed, item)) in out[1..].iter().zip(items).enumerate() {
+            assert_eq!(
+                sealed.as_slice(),
+                portable.encrypt(item),
+                "item {i} of {}, {N}-byte plaintexts",
+                items.len()
+            );
+        }
+    }
+}
+
+/// No group, one short group, one item short of a full group, one full
+/// group, one past it, and one past two — for index-sized plaintexts, a
+/// whole block (the K1 subkey), the empty plaintext and one byte short.
+#[test]
+fn lockstep_det_agrees_for_group_sizes_0_1_7_8_9_17() {
+    for count in [0, 1, 7, 8, 9, 17] {
+        lockstep_agrees::<9, 25>(&[7; 32], &[8; 32], &short_items(count, 3));
+        lockstep_agrees::<16, 32>(&[7; 32], &[8; 32], &short_items(count, 4));
+        lockstep_agrees::<0, 16>(&[7; 32], &[8; 32], &short_items(count, 5));
+        lockstep_agrees::<15, 31>(&[7; 32], &[8; 32], &short_items(count, 6));
+    }
+}
+
 proptest! {
+    #[test]
+    fn lockstep_det_agrees_at_arbitrary_sizes(
+        mac in (any::<u128>(), any::<u128>()),
+        enc in (any::<u128>(), any::<u128>()),
+        count in 0usize..70,
+        fill in any::<u8>(),
+    ) {
+        lockstep_agrees::<9, 25>(&key(mac), &key(enc), &short_items(count, fill));
+        lockstep_agrees::<16, 32>(&key(mac), &key(enc), &short_items(count, fill));
+    }
+
     #[test]
     fn single_blocks_agree_under_random_keys(
         words in (any::<u128>(), any::<u128>()),

@@ -242,7 +242,8 @@ impl EpochStore {
     /// Execute a batch of trapdoors (one bin fetch). Rows are returned in
     /// trapdoor order; misses are silently skipped, as a DBMS `IN (...)`
     /// predicate would. The hits are copied into one arena — the enclave's
-    /// copy of what the provider sent — not row by row.
+    /// copy of what the provider sent — together, not row by row
+    /// ([`RowArena::extend_from_views`]).
     ///
     /// The whole batch runs under a single backend access, its trapdoors
     /// are resolved against the index together
@@ -251,19 +252,19 @@ impl EpochStore {
     /// trapdoor, in trapdoor order, the same event sequence
     /// [`Self::fetch_by_trapdoor`] records (`TrapdoorIssued`, then
     /// `RowFetched` on a hit), just without re-locking per row.
-    pub fn fetch_batch(&self, epoch_id: u64, trapdoors: &[Vec<u8>]) -> Result<RowArena> {
-        let mut out = None;
+    pub fn fetch_batch<K: AsRef<[u8]>>(&self, epoch_id: u64, trapdoors: &[K]) -> Result<RowArena> {
+        let mut rows = RowArena::new();
         let mut events = self.event_buffer(trapdoors.len());
         self.backend.with_epoch(epoch_id, &mut |epoch| {
-            let rows = out.insert(epoch.table.rows().sized_for(trapdoors.len()));
-            for (t, hit) in trapdoors.iter().zip(epoch.table.lookup_many(trapdoors)) {
-                if let Some(row) = observe_lookup(epoch_id, t, hit, &mut events) {
-                    rows.push_ref(row);
-                }
-            }
+            let hits: Vec<RowRef<'_>> = trapdoors
+                .iter()
+                .zip(epoch.table.lookup_many(trapdoors))
+                .filter_map(|(t, hit)| observe_lookup(epoch_id, t.as_ref(), hit, &mut events))
+                .collect();
+            rows.extend_from_views(&hits);
         })?;
         self.record_events(events);
-        Ok(out.expect("with_epoch ran the closure"))
+        Ok(rows)
     }
 
     /// Re-execute a batch of trapdoors and compare the hits against
@@ -277,10 +278,10 @@ impl EpochStore {
     /// hit still drives the full fetch through the untrusted store — so the
     /// trace cannot reveal the cache — and only reuses the enclave-side
     /// plaintext when the provider returned bit-identical rows.
-    pub fn fetch_batch_matches(
+    pub fn fetch_batch_matches<K: AsRef<[u8]>>(
         &self,
         epoch_id: u64,
-        trapdoors: &[Vec<u8>],
+        trapdoors: &[K],
         expected: &RowArena,
     ) -> Result<bool> {
         let mut events = self.event_buffer(trapdoors.len());
@@ -288,7 +289,7 @@ impl EpochStore {
         let mut same = true;
         self.backend.with_epoch(epoch_id, &mut |epoch| {
             for (t, hit) in trapdoors.iter().zip(epoch.table.lookup_many(trapdoors)) {
-                if let Some(row) = observe_lookup(epoch_id, t, hit, &mut events) {
+                if let Some(row) = observe_lookup(epoch_id, t.as_ref(), hit, &mut events) {
                     same = same && expected.get(matched) == Some(row);
                     matched += 1;
                 }
@@ -507,6 +508,36 @@ mod tests {
         batched.fetch_batch(1, &trapdoors).unwrap();
 
         assert_eq!(batched.observer().trace(), per_row.observer().trace());
+    }
+
+    proptest::proptest! {
+        /// The staged copy is the copy: for hits, misses, trapdoors asked
+        /// twice and the empty batch, `fetch_batch` returns the arena the
+        /// rows of per-trapdoor `fetch_by_trapdoor` calls make, and records
+        /// the events those calls record.
+        #[test]
+        fn fetch_batch_is_the_per_trapdoor_fetches(
+            picks in proptest::collection::vec(0u16..400, 0..60),
+        ) {
+            let store = EpochStore::new();
+            store
+                .ingest_epoch(1, sample_epoch(300, 1), EpochMetadata::default())
+                .unwrap();
+            // Rows 0..300 hold keys [1, hi, lo]; a pick past them misses.
+            let trapdoor = |p: u16| vec![1 + u8::from(p >= 300), (p >> 8) as u8, p as u8];
+            let batch: Vec<Vec<u8>> = picks.iter().map(|&p| trapdoor(p)).collect();
+            for batch in [&batch[..], &[]] {
+                store.observer().reset();
+                let rows: Vec<EncryptedRow> = batch
+                    .iter()
+                    .filter_map(|t| store.fetch_by_trapdoor(1, t).unwrap())
+                    .collect();
+                let singles = store.observer().take_events();
+                let fetched = store.fetch_batch(1, batch).unwrap();
+                proptest::prop_assert_eq!(store.observer().take_events(), singles);
+                proptest::prop_assert_eq!(fetched, RowArena::from(rows));
+            }
+        }
     }
 
     #[test]
