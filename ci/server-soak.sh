@@ -25,7 +25,8 @@
 # bit-identical answers, so the kill may be fully masked — no
 # shard_unavailable floor), the summary carries per-member router
 # counters (member index + writer flag), and the router plus every
-# replica still drain to a graceful SHUTDOWN.
+# replica still drain to a graceful SHUTDOWN. Both router legs are one
+# routine, `router_leg`, parametrised by topology.
 #
 # With SOAK_ROTATE=1 the single-node soak additionally rotates the
 # master-key generation online mid-load: the server runs on a durable
@@ -79,14 +80,15 @@ for bin in "$SERVER_BIN" "$LOAD_BIN"; do
     fi
 done
 
-# --- routed deployment leg ----------------------------------------------
-# N shard servers behind a router, one shard killed mid-load. Runs
-# instead of the single-node flow and exits.
-if [ "$ROUTER_SHARDS" -gt 0 ]; then
-    if [ "$ROUTER_SHARDS" -lt 2 ]; then
-        echo "error: SOAK_ROUTER_SHARDS must be >= 2 (got $ROUTER_SHARDS)" >&2
-        exit 2
-    fi
+# --- router legs ----------------------------------------------------------
+# router_leg <sharded|replicated> <members> — a routed deployment with one
+# member SIGKILLed mid-load; runs instead of the single-node flow and exits.
+# sharded: N epoch-sharded servers, the last shard killed. replicated: one
+# shard as a writer plus N-1 read replicas on a shared store root, the
+# writer killed.
+router_leg() {
+    topology="$1"
+    count="$2"
     if [ ! -x "$ROUTER_BIN" ]; then
         echo "error: $ROUTER_BIN not built (run: cargo build --release -p concealer-router)" >&2
         exit 2
@@ -94,93 +96,92 @@ if [ "$ROUTER_SHARDS" -gt 0 ]; then
 
     workdir=$(mktemp -d)
     pids=""
-    cleanup_routed() {
+    cleanup_router_leg() {
         for pid in $pids; do kill "$pid" 2>/dev/null || true; done
         rm -rf "$workdir"
     }
-    trap cleanup_routed EXIT INT TERM
+    trap cleanup_router_leg EXIT INT TERM
 
-    # Launch the shard servers, in shard order (the router's --shard-addr
-    # list position must match each server's --shard index).
-    i=0
-    while [ "$i" -lt "$ROUTER_SHARDS" ]; do
-        "$SERVER_BIN" --hours "$HOURS" --seed "$SEED" \
-            --shard "$i/$ROUTER_SHARDS" \
-            >"$workdir/shard$i.out" 2>"$workdir/shard$i.err" &
-        eval "shard_pid_$i=$!"
-        pids="$pids $!"
-        i=$((i + 1))
-    done
-    shard_flags=""
-    i=0
-    while [ "$i" -lt "$ROUTER_SHARDS" ]; do
+    # wait_ready <name> <pid> — block until $workdir/<name>.out carries a
+    # READY line (sets $addr), failing loudly if the process dies first.
+    wait_ready() {
         addr=""
         tries=0
         while [ "$tries" -lt 300 ]; do
-            addr=$(sed -n 's/^READY addr=\([^ ]*\).*/\1/p' "$workdir/shard$i.out")
+            addr=$(sed -n 's/^READY addr=\([^ ]*\).*/\1/p' "$workdir/$1.out")
             if [ -n "$addr" ]; then
-                break
+                return 0
             fi
-            eval "pid=\$shard_pid_$i"
-            if ! kill -0 "$pid" 2>/dev/null; then
-                echo "error: shard $i exited before READY" >&2
-                cat "$workdir/shard$i.err" >&2
+            if ! kill -0 "$2" 2>/dev/null; then
+                echo "error: $1 exited before READY" >&2
+                cat "$workdir/$1.err" >&2
                 exit 1
             fi
             tries=$((tries + 1))
             sleep 0.2
         done
-        if [ -z "$addr" ]; then
-            echo "error: shard $i did not become READY in time" >&2
+        echo "error: $1 did not become READY in time" >&2
+        exit 1
+    }
+
+    # Members start one at a time, in order: a shard's --shard index must
+    # match its --shard-addr position, and a replica opens the store root
+    # only after the writer committed the base epoch there, so it absorbs
+    # that epoch at startup rather than racing its refresh loop. Sharded
+    # members are separate --shard-addr flags; a replica set is one
+    # comma-joined entry whose roles the probe discovers.
+    case "$topology" in
+        sharded) victim=$((count - 1)) separator=" --shard-addr " ;;
+        replicated) victim=0 separator="," ;;
+    esac
+    addrs=""
+    i=0
+    while [ "$i" -lt "$count" ]; do
+        role=""
+        flags="--shard $i/$count"
+        if [ "$topology" = replicated ]; then
+            role=writer
+            flags="--store $workdir/shardstore"
+            if [ "$i" -gt 0 ]; then
+                role=replica
+                flags="$flags --replica --refresh-ms 100"
+            fi
+        fi
+        # shellcheck disable=SC2086
+        "$SERVER_BIN" --hours "$HOURS" --seed "$SEED" $flags \
+            >"$workdir/member$i.out" 2>"$workdir/member$i.err" &
+        eval "member_pid_$i=$!"
+        pids="$pids $!"
+        wait_ready "member$i" "$!"
+        if [ -n "$role" ] && ! grep -q "role=$role" "$workdir/member$i.out"; then
+            echo "error: member $i did not report role=$role on its READY line" >&2
             exit 1
         fi
-        shard_flags="$shard_flags --shard-addr $addr"
-        echo "soak: shard $i/$ROUTER_SHARDS ready on $addr"
+        echo "soak: $topology member $i/$count ${role:+($role) }ready on $addr"
+        addrs="${addrs:+$addrs$separator}$addr"
         i=$((i + 1))
     done
 
     # The router probes the shard map before binding; a READY line means
-    # every shard agreed on its slice.
+    # every member agreed on its slice and every set has one writer.
     # shellcheck disable=SC2086
-    "$ROUTER_BIN" $shard_flags \
+    "$ROUTER_BIN" --shard-addr $addrs \
         >"$workdir/router.out" 2>"$workdir/router.err" &
     router_pid=$!
     pids="$pids $router_pid"
-    router_addr=""
-    tries=0
-    while [ "$tries" -lt 300 ]; do
-        router_addr=$(sed -n 's/^READY addr=\([^ ]*\).*/\1/p' "$workdir/router.out")
-        if [ -n "$router_addr" ]; then
-            break
-        fi
-        if ! kill -0 "$router_pid" 2>/dev/null; then
-            echo "error: router exited before READY (startup probe?)" >&2
-            cat "$workdir/router.err" >&2
-            exit 1
-        fi
-        tries=$((tries + 1))
-        sleep 0.2
-    done
-    if [ -z "$router_addr" ]; then
-        echo "error: router did not become READY in time" >&2
-        exit 1
-    fi
-    echo "soak: router ready on $router_addr fronting $ROUTER_SHARDS shard(s)"
+    wait_ready router "$router_pid"
+    router_addr="$addr"
+    echo "soak: router ready on $router_addr fronting $count $topology member(s)"
 
     # Drive the load through the router; once its query phase has started,
-    # SIGKILL the last shard out from under the deployment. The routed
-    # leg needs a longer run than the single-node default so release
-    # binaries don't finish before the kill lands — SOAK_REQUESTS still
-    # overrides.
-    routed_requests="${SOAK_REQUESTS:-400}"
+    # SIGKILL the victim out from under the deployment. The router legs
+    # need a longer run than the single-node default so release binaries
+    # don't finish before the kill lands — SOAK_REQUESTS still overrides.
     "$LOAD_BIN" --addr "$router_addr" --router --clients "$CLIENTS" \
-        --requests "$routed_requests" --hours "$HOURS" --seed "$SEED" \
+        --requests "${SOAK_REQUESTS:-400}" --hours "$HOURS" --seed "$SEED" \
         --ingest-epochs 2 --shutdown --out "$OUT" 2>"$workdir/load.err" &
     load_pid=$!
     pids="$pids $load_pid"
-
-    victim=$((ROUTER_SHARDS - 1))
-    eval "victim_pid=\$shard_pid_$victim"
     tries=0
     while [ "$tries" -lt 300 ]; do
         if grep -q 'client(s) x' "$workdir/load.err" 2>/dev/null; then
@@ -193,11 +194,12 @@ if [ "$ROUTER_SHARDS" -gt 0 ]; then
         sleep 0.1
     done
     sleep 0.1
+    eval "victim_pid=\$member_pid_$victim"
     if kill -0 "$load_pid" 2>/dev/null; then
-        echo "soak: killing shard $victim mid-load (pid $victim_pid)"
+        echo "soak: killing $topology member $victim mid-load (pid $victim_pid)"
         kill -9 "$victim_pid" 2>/dev/null || true
     else
-        echo "error: load finished before the shard kill could land; raise SOAK_REQUESTS" >&2
+        echo "error: load finished before the kill could land; raise SOAK_REQUESTS" >&2
         exit 1
     fi
 
@@ -205,209 +207,28 @@ if [ "$ROUTER_SHARDS" -gt 0 ]; then
     wait "$load_pid" || load_rc=$?
     sed 's/^/soak: load: /' "$workdir/load.err"
     if [ "$load_rc" -ne 0 ]; then
-        echo "error: routed load failed (rc=$load_rc): divergence or unstructured error during failover" >&2
-        exit 1
-    fi
-
-    # The kill must have been *observed* — as structured errors, and only
-    # as structured errors (anything else already failed the load above).
-    unavailable=$(sed -n 's/.*"shard_unavailable": *\([0-9][0-9]*\).*/\1/p' "$OUT" | head -n 1)
-    if [ -z "$unavailable" ] || [ "$unavailable" -lt 1 ]; then
-        echo "error: shard $victim was killed mid-load but no structured shard_unavailable reply was observed" >&2
-        exit 1
-    fi
-    if ! grep -q '"router_shards": \[{' "$OUT"; then
-        echo "error: summary lacks the per-shard router counters" >&2
-        exit 1
-    fi
-
-    # The router and every surviving shard must still drain gracefully.
-    router_rc=0
-    wait "$router_pid" || router_rc=$?
-    if [ "$router_rc" -ne 0 ] || ! grep -q '^SHUTDOWN graceful' "$workdir/router.out"; then
-        echo "error: router exited non-gracefully (rc=$router_rc)" >&2
-        cat "$workdir/router.err" >&2
-        exit 1
-    fi
-    i=0
-    while [ "$i" -lt "$victim" ]; do
-        shard_rc=0
-        eval "pid=\$shard_pid_$i"
-        wait "$pid" || shard_rc=$?
-        if [ "$shard_rc" -ne 0 ] || ! grep -q '^SHUTDOWN graceful' "$workdir/shard$i.out"; then
-            echo "error: shard $i exited non-gracefully (rc=$shard_rc)" >&2
-            cat "$workdir/shard$i.err" >&2
-            exit 1
-        fi
-        i=$((i + 1))
-    done
-    wait "$victim_pid" 2>/dev/null || true
-    pids=""
-
-    sh "$script_dir/compare-bench.sh" --server-summary "$OUT"
-    qps=$(sed -n 's/.*"qps": *\([0-9.eE+-]*\).*/\1/p' "$OUT" | head -n 1)
-    echo "soak ok (routed): shards=$ROUTER_SHARDS killed=$victim tolerated=$unavailable qps=${qps:-?} summary=$OUT"
-    exit 0
-fi
-
-# --- replicated deployment leg ------------------------------------------
-# One shard as a replica set: a writer plus N-1 read replicas on a shared
-# store root, fronted by the router, and the writer SIGKILLed mid-load.
-# Runs instead of the single-node flow and exits.
-if [ "$REPLICAS" -gt 0 ]; then
-    if [ "$REPLICAS" -lt 2 ]; then
-        echo "error: SOAK_REPLICAS must be >= 2 (got $REPLICAS)" >&2
-        exit 2
-    fi
-    if [ ! -x "$ROUTER_BIN" ]; then
-        echo "error: $ROUTER_BIN not built (run: cargo build --release -p concealer-router)" >&2
-        exit 2
-    fi
-
-    workdir=$(mktemp -d)
-    store="$workdir/shardstore"
-    pids=""
-    cleanup_replicated() {
-        for pid in $pids; do kill "$pid" 2>/dev/null || true; done
-        rm -rf "$workdir"
-    }
-    trap cleanup_replicated EXIT INT TERM
-
-    # wait_member_ready <index> — block until member INDEX prints READY
-    # (sets $addr), failing loudly if the process dies first.
-    wait_member_ready() {
-        idx="$1"
-        addr=""
-        tries=0
-        while [ "$tries" -lt 300 ]; do
-            addr=$(sed -n 's/^READY addr=\([^ ]*\).*/\1/p' "$workdir/member$idx.out")
-            if [ -n "$addr" ]; then
-                return 0
-            fi
-            eval "pid=\$member_pid_$idx"
-            if ! kill -0 "$pid" 2>/dev/null; then
-                echo "error: replica-set member $idx exited before READY" >&2
-                cat "$workdir/member$idx.err" >&2
-                exit 1
-            fi
-            tries=$((tries + 1))
-            sleep 0.2
-        done
-        echo "error: replica-set member $idx did not become READY in time" >&2
-        exit 1
-    }
-
-    # The writer must be READY (base epoch committed to the store root)
-    # before any replica opens the root, so each replica absorbs the base
-    # epoch during its own startup rather than racing the refresh loop.
-    "$SERVER_BIN" --hours "$HOURS" --seed "$SEED" \
-        --store "$store" \
-        >"$workdir/member0.out" 2>"$workdir/member0.err" &
-    member_pid_0=$!
-    pids="$pids $member_pid_0"
-    wait_member_ready 0
-    if ! grep -q 'role=writer' "$workdir/member0.out"; then
-        echo "error: member 0 did not report role=writer on its READY line" >&2
-        exit 1
-    fi
-    members="$addr"
-    echo "soak: writer ready on $addr (store: $store)"
-
-    i=1
-    while [ "$i" -lt "$REPLICAS" ]; do
-        "$SERVER_BIN" --hours "$HOURS" --seed "$SEED" \
-            --store "$store" --replica --refresh-ms 100 \
-            >"$workdir/member$i.out" 2>"$workdir/member$i.err" &
-        eval "member_pid_$i=$!"
-        pids="$pids $!"
-        wait_member_ready "$i"
-        if ! grep -q 'role=replica' "$workdir/member$i.out"; then
-            echo "error: member $i did not report role=replica on its READY line" >&2
-            exit 1
-        fi
-        members="$members,$addr"
-        echo "soak: replica $i ready on $addr"
-        i=$((i + 1))
-    done
-
-    # One shard entry, comma-joined member list; the probe discovers the
-    # roles and requires exactly one writer.
-    "$ROUTER_BIN" --shard-addr "$members" \
-        >"$workdir/router.out" 2>"$workdir/router.err" &
-    router_pid=$!
-    pids="$pids $router_pid"
-    router_addr=""
-    tries=0
-    while [ "$tries" -lt 300 ]; do
-        router_addr=$(sed -n 's/^READY addr=\([^ ]*\).*/\1/p' "$workdir/router.out")
-        if [ -n "$router_addr" ]; then
-            break
-        fi
-        if ! kill -0 "$router_pid" 2>/dev/null; then
-            echo "error: router exited before READY (startup probe?)" >&2
-            cat "$workdir/router.err" >&2
-            exit 1
-        fi
-        tries=$((tries + 1))
-        sleep 0.2
-    done
-    if [ -z "$router_addr" ]; then
-        echo "error: router did not become READY in time" >&2
-        exit 1
-    fi
-    echo "soak: router ready on $router_addr fronting 1 shard x $REPLICAS member(s)"
-
-    # Drive the load through the router; once its query phase has started,
-    # SIGKILL the writer out from under the set. Same long default run as
-    # the routed leg so release binaries don't finish before the kill.
-    replicated_requests="${SOAK_REQUESTS:-400}"
-    "$LOAD_BIN" --addr "$router_addr" --router --clients "$CLIENTS" \
-        --requests "$replicated_requests" --hours "$HOURS" --seed "$SEED" \
-        --ingest-epochs 2 --shutdown --out "$OUT" 2>"$workdir/load.err" &
-    load_pid=$!
-    pids="$pids $load_pid"
-
-    tries=0
-    while [ "$tries" -lt 300 ]; do
-        if grep -q 'client(s) x' "$workdir/load.err" 2>/dev/null; then
-            break
-        fi
-        if ! kill -0 "$load_pid" 2>/dev/null; then
-            break
-        fi
-        tries=$((tries + 1))
-        sleep 0.1
-    done
-    sleep 0.1
-    if kill -0 "$load_pid" 2>/dev/null; then
-        echo "soak: killing the writer mid-load (pid $member_pid_0)"
-        kill -9 "$member_pid_0" 2>/dev/null || true
-    else
-        echo "error: load finished before the writer kill could land; raise SOAK_REQUESTS" >&2
-        exit 1
-    fi
-
-    load_rc=0
-    wait "$load_pid" || load_rc=$?
-    sed 's/^/soak: load: /' "$workdir/load.err"
-    if [ "$load_rc" -ne 0 ]; then
-        echo "error: replicated load failed (rc=$load_rc): divergence or unstructured error during failover" >&2
+        echo "error: $topology load failed (rc=$load_rc): divergence or unstructured error during failover" >&2
         exit 1
     fi
 
     # The summary must carry the per-member router counters (the
     # compare-bench gate below re-checks the full schema, including the
     # member index and writer flag on every entry).
-    if ! grep -q '"router_shards": \[{' "$OUT"; then
+    if ! grep -q '"router_shards": \[{' "$OUT" || ! grep -q '"member": ' "$OUT"; then
         echo "error: summary lacks the per-member router counters" >&2
         exit 1
     fi
-    if ! grep -q '"member": ' "$OUT"; then
-        echo "error: router counters are not per-member (stale load binary?)" >&2
+    # A killed shard must have been *observed* — as structured errors, and
+    # only as structured errors (anything else already failed the load
+    # above). A killed writer may be fully masked: reads fail over to
+    # replicas serving bit-identical answers, so there is no floor there.
+    unavailable=$(sed -n 's/.*"shard_unavailable": *\([0-9][0-9]*\).*/\1/p' "$OUT" | head -n 1)
+    if [ "$topology" = sharded ] && [ "${unavailable:-0}" -lt 1 ]; then
+        echo "error: shard $victim was killed mid-load but no structured shard_unavailable reply was observed" >&2
         exit 1
     fi
 
-    # The router and every replica must still drain gracefully.
+    # The router and every surviving member must still drain gracefully.
     router_rc=0
     wait "$router_pid" || router_rc=$?
     if [ "$router_rc" -ne 0 ] || ! grep -q '^SHUTDOWN graceful' "$workdir/router.out"; then
@@ -415,26 +236,40 @@ if [ "$REPLICAS" -gt 0 ]; then
         cat "$workdir/router.err" >&2
         exit 1
     fi
-    i=1
-    while [ "$i" -lt "$REPLICAS" ]; do
-        member_rc=0
+    i=0
+    while [ "$i" -lt "$count" ]; do
         eval "pid=\$member_pid_$i"
-        wait "$pid" || member_rc=$?
-        if [ "$member_rc" -ne 0 ] || ! grep -q '^SHUTDOWN graceful' "$workdir/member$i.out"; then
-            echo "error: replica $i exited non-gracefully (rc=$member_rc)" >&2
+        member_rc=0
+        wait "$pid" 2>/dev/null || member_rc=$?
+        if [ "$i" -ne "$victim" ] &&
+            { [ "$member_rc" -ne 0 ] || ! grep -q '^SHUTDOWN graceful' "$workdir/member$i.out"; }; then
+            echo "error: member $i exited non-gracefully (rc=$member_rc)" >&2
             cat "$workdir/member$i.err" >&2
             exit 1
         fi
         i=$((i + 1))
     done
-    wait "$member_pid_0" 2>/dev/null || true
     pids=""
 
     sh "$script_dir/compare-bench.sh" --server-summary "$OUT"
-    unavailable=$(sed -n 's/.*"shard_unavailable": *\([0-9][0-9]*\).*/\1/p' "$OUT" | head -n 1)
     qps=$(sed -n 's/.*"qps": *\([0-9.eE+-]*\).*/\1/p' "$OUT" | head -n 1)
-    echo "soak ok (replicated): members=$REPLICAS killed=writer tolerated=${unavailable:-0} qps=${qps:-?} summary=$OUT"
+    echo "soak ok ($topology): members=$count killed=$victim tolerated=${unavailable:-0} qps=${qps:-?} summary=$OUT"
     exit 0
+}
+
+if [ "$ROUTER_SHARDS" -gt 0 ]; then
+    if [ "$ROUTER_SHARDS" -lt 2 ]; then
+        echo "error: SOAK_ROUTER_SHARDS must be >= 2 (got $ROUTER_SHARDS)" >&2
+        exit 2
+    fi
+    router_leg sharded "$ROUTER_SHARDS"
+fi
+if [ "$REPLICAS" -gt 0 ]; then
+    if [ "$REPLICAS" -lt 2 ]; then
+        echo "error: SOAK_REPLICAS must be >= 2 (got $REPLICAS)" >&2
+        exit 2
+    fi
+    router_leg replicated "$REPLICAS"
 fi
 
 server_out=$(mktemp)

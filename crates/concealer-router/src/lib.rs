@@ -15,19 +15,16 @@
 //! Each shard position may name a whole **replica set**: a
 //! comma-separated member list (`writer:port,replica:port,...`) whose
 //! members share one durable store root. Roles are not configured — the
-//! startup probe discovers them from each member's extended `ShardInfo`
-//! descriptor (`role`, protocol v3) and validates that every set has
-//! exactly one writer. At serve time:
-//!
-//! - **reads** (partial executions, stats) round-robin across a set's
-//!   members and fail over to the remaining members before a query is
-//!   given up as `shard_unavailable`;
-//! - **ingest** goes to the set's writer only — epoch ownership is a
-//!   partition, and only the writer may mutate the shared store. If the
-//!   writer is unreachable on a *fresh dial* (dead, not merely slow),
-//!   the router promotes the first healthy replica over the wire
-//!   (`Request::Promote`), swaps its writer pointer, and retries the
-//!   ingest exactly once on the new writer.
+//! startup probe discovers them from each member's `ShardInfo` (`role`,
+//! protocol v3) and requires exactly one writer per set. **Reads**
+//! (partial executions, stats) round-robin across a set's members and
+//! fail over before a query is given up as `shard_unavailable`.
+//! **Ingest** goes to the writer only — epoch ownership is a partition,
+//! and only the writer may mutate the shared store; a writer unreachable
+//! on a *fresh dial* (dead, not merely slow) is replaced by promoting a
+//! replica over the wire (`Request::Promote`). These rules live once, in
+//! the pure `members` machine; `merge` validates the shard map and
+//! recombines replies; this file is the I/O shell around both.
 //!
 //! The router reuses the serving core from `concealer-server`
 //! unchanged: [`RouterHandler`] implements
@@ -54,36 +51,46 @@
 //! Failure semantics: a shard whose every member is unreachable
 //! (connect refused, timeout, torn stream) never silently shrinks an
 //! answer. The affected query gets a structured `shard_unavailable`
-//! error naming the shard, the router backs off the failing members,
-//! and later requests retry through fresh connections (see
-//! `OPERATIONS.md` § "Failure playbook").
+//! error naming the shard, the router backs off each member from its
+//! first failed fresh dial, and later requests retry through fresh
+//! connections (see `OPERATIONS.md` § "Failure playbook").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+mod members;
+mod merge;
+
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use concealer_client::{ClientBuilder, ClientError, Pending, Session, TrustPolicy};
-use concealer_core::{merge_partials, shard_of_epoch, Query, UserHandle};
+use concealer_core::{shard_of_epoch, ExecOptions, Query, Record, UserHandle};
 use concealer_server::protocol::{
-    Response, RouterStats, ShardDescriptor, ShardLoad, ShardRole, WirePartial, WirePartialResult,
-    WireQuote, CONNECTION_LEVEL_ID,
+    Response, ShardDescriptor, WirePartialResult, WireQuote, CONNECTION_LEVEL_ID,
 };
 use concealer_server::{
     DeploymentFacts, EngineRequest, ErrorCode, ServeHandler, WireError, WireResult, WireStats,
 };
+
+use members::{Event, MemberId, Members};
+use merge::{combine_partials, merge_answer, split_batch, ShardFailure};
+
+/// The name the router presents to its upstream shards (clients see
+/// `ServerConfig::server_name`).
+const ROUTER_NAME: &str = "concealer-router";
+
+/// Cap on each blocking upstream read or write. A shard that accepted
+/// work and went silent turns into a clean `shard_unavailable` after this
+/// long instead of wedging a connection thread.
+const UPSTREAM_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Everything that tunes a router deployment (the serving side — bind
 /// address, connection caps, batch and frame limits, mode — stays in
 /// [`ServerConfig`](concealer_server::ServerConfig)).
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Name the router presents to its upstream shards (clients see
-    /// `ServerConfig::server_name`).
-    pub router_name: String,
     /// Upstream shard addresses **in shard order**: `shards[i]` must
     /// name the server(s) started with `--shard i/N`. Each entry is a
     /// comma-separated replica-set member list (a single address is a
@@ -92,11 +99,7 @@ pub struct RouterConfig {
     pub shards: Vec<String>,
     /// Cap on establishing one upstream TCP connection.
     pub connect_timeout: Duration,
-    /// Cap on each blocking upstream read. A shard that accepted work
-    /// and went silent turns into a clean `shard_unavailable` after this
-    /// long instead of wedging a connection thread.
-    pub read_timeout: Duration,
-    /// First backoff applied to an upstream after a transport failure;
+    /// First backoff applied to a member after a failed fresh dial;
     /// doubles per consecutive failure.
     pub backoff_base: Duration,
     /// Ceiling of the exponential backoff.
@@ -106,10 +109,8 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            router_name: "concealer-router".to_string(),
             shards: Vec::new(),
             connect_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_secs(30),
             backoff_base: Duration::from_millis(250),
             backoff_max: Duration::from_secs(2),
         }
@@ -130,138 +131,29 @@ impl std::fmt::Display for RouterError {
 
 impl std::error::Error for RouterError {}
 
-/// Why one shard could not contribute to a fan-out.
-enum ShardFailure {
-    /// Transport-level: the shard is unreachable or the stream tore. The
-    /// client sees a structured [`ErrorCode::ShardUnavailable`].
-    Unavailable(String),
-    /// The shard answered with a structured error reply (its stream
-    /// stayed frame-aligned).
-    Server(WireError),
+type Call<'a, T> = &'a mut dyn FnMut(&mut Session) -> Result<T, ClientError>;
+
+/// Whether an exchange may send its request twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Idempotent: a torn pooled stream re-runs it once on a fresh dial.
+    Read,
+    /// Never re-sent — one that half-landed would apply twice. Any torn
+    /// stream is followed by a fresh dial that only learns whether the
+    /// member lives, so a live writer is never replaced.
+    Ingest,
 }
 
-/// Mutable per-member state, held only across pool operations — never
-/// across network I/O, so concurrent connections fan out in parallel.
-struct UpstreamState {
-    /// Checkout refuses (fast `shard_unavailable`) until this instant.
-    down_until: Option<Instant>,
-    /// Consecutive transport failures, driving the exponential backoff.
-    fail_streak: u32,
-    /// Idle authenticated sessions, keyed by user id. Upstream
-    /// sessions are per-credential, so they are not shareable
-    /// across users.
-    pool: HashMap<u64, Vec<Session>>,
-}
-
-/// One replica-set member: its address, connection pool, backoff state,
-/// and load counters (reported by `Request::RouterStats`).
-struct Upstream {
-    /// Shard position this member serves a slice of.
-    shard: u32,
-    /// Position within the shard's replica set (the order of the
-    /// configured member list).
-    member: u32,
-    addr: String,
-    state: Mutex<UpstreamState>,
-    requests_forwarded: AtomicU64,
-    errors: AtomicU64,
-    reconnects: AtomicU64,
-}
-
-impl Upstream {
-    fn new(shard: u32, member: u32, addr: String) -> Upstream {
-        Upstream {
-            shard,
-            member,
-            addr,
-            state: Mutex::new(UpstreamState {
-                down_until: None,
-                fail_streak: 0,
-                pool: HashMap::new(),
-            }),
-            requests_forwarded: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, UpstreamState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Whether checkout would refuse right now (used by the stats
-    /// snapshot's `available` flag).
-    fn in_backoff(&self) -> bool {
-        self.lock()
-            .down_until
-            .is_some_and(|until| until > Instant::now())
-    }
-
-    /// Take an idle pooled session for `user`, if any. `None` means
-    /// the caller dials; `Err` means the member is backing off.
-    fn checkout(&self, user_id: u64) -> Result<Option<Session>, ShardFailure> {
-        let mut state = self.lock();
-        if state.down_until.is_some_and(|until| until > Instant::now()) {
-            return Err(self.unavailable("backing off after a transport failure"));
-        }
-        Ok(state.pool.get_mut(&user_id).and_then(Vec::pop))
-    }
-
-    /// Return a healthy session to the pool.
-    fn checkin(&self, user_id: u64, conn: Session) {
-        self.lock().pool.entry(user_id).or_default().push(conn);
-    }
-
-    /// A request round-tripped: clear the failure streak.
-    fn mark_up(&self) {
-        let mut state = self.lock();
-        state.fail_streak = 0;
-        state.down_until = None;
-    }
-
-    /// A fresh dial (not just a stale pooled stream) failed: back off
-    /// exponentially and drop every pooled connection — they share the
-    /// dead peer.
-    fn mark_down(&self, config: &RouterConfig) {
-        let mut state = self.lock();
-        state.fail_streak = state.fail_streak.saturating_add(1);
-        let exp = state.fail_streak.saturating_sub(1).min(16);
-        let backoff = config
-            .backoff_base
-            .saturating_mul(1u32 << exp)
-            .min(config.backoff_max);
-        state.down_until = Some(Instant::now() + backoff);
-        state.pool.clear();
-    }
-
-    fn unavailable(&self, why: &str) -> ShardFailure {
-        ShardFailure::Unavailable(format!(
-            "shard {} ({}) unavailable: {why}",
-            self.shard, self.addr
-        ))
-    }
-}
-
-/// One shard position's replica set: its members in configured order,
-/// the current writer, and a round-robin cursor for read balancing.
-struct ShardSet {
-    members: Vec<Upstream>,
-    /// Index into `members` of the current writer. Swapped (only) by a
-    /// successful promotion after the probed writer died.
-    writer: AtomicUsize,
-    /// Round-robin cursor: successive reads start at successive members
-    /// so partial executions spread across the set.
-    rr: AtomicUsize,
-}
-
-impl ShardSet {
-    /// Advance the read cursor and return the member index the next
-    /// read should start from.
-    fn next_read(&self) -> usize {
-        self.rr.fetch_add(1, Ordering::Relaxed) % self.members.len()
-    }
+/// The machine and the idle sessions, behind the router's one lock: held
+/// for decisions and pool moves only, never across network I/O, so
+/// concurrent connections fan out in parallel.
+#[derive(Debug)]
+struct State {
+    members: Members,
+    /// Idle authenticated sessions by member and user id. Upstream
+    /// sessions are per-credential, so they are not shareable across
+    /// users.
+    pool: HashMap<(MemberId, u64), Vec<Session>>,
 }
 
 /// The builder every upstream dial starts from: the router's timeouts,
@@ -272,29 +164,21 @@ impl ShardSet {
 /// relayed quotes themselves.
 fn upstream_builder(config: &RouterConfig, addr: &str) -> ClientBuilder {
     ClientBuilder::new(addr)
-        .client_name(&config.router_name)
+        .client_name(ROUTER_NAME)
         .connect_timeout(config.connect_timeout)
-        .read_timeout(config.read_timeout)
-        .write_timeout(config.read_timeout)
+        .read_timeout(UPSTREAM_IO_TIMEOUT)
+        .write_timeout(UPSTREAM_IO_TIMEOUT)
         .trust_policy(TrustPolicy::allow_unattested())
 }
 
-/// Split one configured shard entry into its member addresses (empty
-/// segments from stray commas are dropped).
-fn split_members(entry: &str) -> Vec<String> {
-    entry
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
-fn role_name(role: ShardRole) -> &'static str {
-    match role {
-        ShardRole::Writer => "writer",
-        ShardRole::Replica => "replica",
-    }
+/// Whether a failed call still heard the member answer — a structured
+/// refusal of the request, the handshake or the attestation challenge —
+/// rather than losing the stream.
+fn answered(e: &ClientError) -> bool {
+    matches!(
+        e,
+        ClientError::Server(_) | ClientError::Handshake(_) | ClientError::Attestation(_)
+    )
 }
 
 /// The [`ServeHandler`] that answers by fanning out to shard servers.
@@ -302,441 +186,352 @@ fn role_name(role: ShardRole) -> &'static str {
 /// Built by [`RouterHandler::probe`], which validates the shard map
 /// before any client traffic is accepted; served via
 /// [`Server::with_handler`](concealer_server::Server::with_handler).
+#[derive(Debug)]
 pub struct RouterHandler {
     config: RouterConfig,
-    sets: Vec<ShardSet>,
-    /// Epoch duration every member agreed on at probe time.
-    epoch_duration: u64,
-    /// Union of the members' registered epochs at probe time — a
-    /// startup snapshot for topology discovery, not a live inventory
-    /// (shards keep ingesting after the probe).
-    probed_epochs: Vec<u64>,
-    /// Highest committed store generation reported at probe time.
-    probed_generation: u64,
-}
-
-impl std::fmt::Debug for RouterHandler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RouterHandler")
-            .field("config", &self.config)
-            .field("epoch_duration", &self.epoch_duration)
-            .finish_non_exhaustive()
-    }
+    /// Member addresses, `addrs[shard][member]`, in configured order.
+    addrs: Vec<Vec<String>>,
+    state: Mutex<State>,
+    /// The machine's clock: time since the probe.
+    started: Instant,
+    /// What the router reports as its own `ShardInfo`.
+    descriptor: ShardDescriptor,
 }
 
 impl RouterHandler {
-    /// Probe every configured member and validate the shard map:
-    /// `shards[i]`'s members must all report slice `i` of
-    /// `shards.len()`, every member must agree on the epoch duration,
-    /// and every replica set must have exactly one writer. Refusing to
-    /// start on a disagreement is what keeps a mis-wired deployment
-    /// from serving silently wrong (partially merged) answers — and the
-    /// refusal names **every** disagreeing member and the map it
-    /// reported, so one startup failure is enough to see the whole
-    /// mis-wiring instead of fixing it one address at a time.
+    /// Probe every configured member and validate the shard map (see
+    /// `merge::validate_map` for the rules): a mis-wired deployment is
+    /// refused before any client traffic, with every disagreeing member
+    /// named.
     pub fn probe(config: RouterConfig) -> Result<RouterHandler, RouterError> {
-        if config.shards.is_empty() {
-            return Err(RouterError("router configured with no shards".to_string()));
-        }
-        let total = u32::try_from(config.shards.len())
-            .map_err(|_| RouterError("shard count exceeds u32".to_string()))?;
-        let mut epoch_duration: Option<u64> = None;
-        let mut epochs = BTreeSet::new();
-        let mut probed_generation = 0u64;
-        let mut disagreements: Vec<String> = Vec::new();
-        let mut sets = Vec::new();
-        for (i, entry) in config.shards.iter().enumerate() {
-            let index = i as u32;
-            let addrs = split_members(entry);
-            if addrs.is_empty() {
-                return Err(RouterError(format!(
-                    "shard {index} has no member addresses (entry {entry:?})"
-                )));
-            }
-            let mut members = Vec::new();
-            let mut writers: Vec<usize> = Vec::new();
-            let mut roles: Vec<String> = Vec::new();
-            for (m, addr) in addrs.iter().enumerate() {
+        let addrs = merge::member_lists(&config.shards)?;
+        let mut reports = vec![Vec::new(); addrs.len()];
+        for (index, set) in addrs.iter().enumerate() {
+            for addr in set {
                 let mut conn = upstream_builder(&config, addr).probe().map_err(|e| {
                     RouterError(format!("probing shard {index} at {addr} failed: {e}"))
                 })?;
-                let descriptor = conn.shard_info().map_err(|e| {
+                reports[index].push(conn.shard_info().map_err(|e| {
                     RouterError(format!("shard {index} at {addr} refused ShardInfo: {e}"))
-                })?;
-                if descriptor.shard_total != total {
-                    disagreements.push(format!(
-                        "{addr} reports {}/{} but the router is configured with {total} shards",
-                        descriptor.shard_index, descriptor.shard_total
-                    ));
-                } else if descriptor.shard_index != index {
-                    disagreements.push(format!(
-                        "{addr} reports slice {}/{} but is listed at position {index} (shard \
-                         addresses must be in shard order)",
-                        descriptor.shard_index, descriptor.shard_total
-                    ));
-                }
-                match epoch_duration {
-                    None => epoch_duration = Some(descriptor.epoch_duration),
-                    Some(d) if d != descriptor.epoch_duration => {
-                        disagreements.push(format!(
-                            "{addr} uses epoch duration {} but shard 0 uses {d}",
-                            descriptor.epoch_duration
-                        ));
-                    }
-                    Some(_) => {}
-                }
-                if descriptor.role == ShardRole::Writer {
-                    writers.push(m);
-                }
-                roles.push(format!("{addr}={}", role_name(descriptor.role)));
-                probed_generation = probed_generation.max(descriptor.store_generation);
-                epochs.extend(descriptor.epochs);
-                members.push(Upstream::new(index, m as u32, addr.clone()));
+                })?);
             }
-            let writer = match writers.as_slice() {
-                [w] => *w,
-                [] => {
-                    disagreements.push(format!(
-                        "shard {index} replica set has no writer ({})",
-                        roles.join(", ")
-                    ));
-                    0
-                }
-                many => {
-                    disagreements.push(format!(
-                        "shard {index} replica set has {} writers ({})",
-                        many.len(),
-                        roles.join(", ")
-                    ));
-                    0
-                }
-            };
-            sets.push(ShardSet {
-                members,
-                writer: AtomicUsize::new(writer),
-                rr: AtomicUsize::new(0),
-            });
         }
-        if !disagreements.is_empty() {
-            return Err(RouterError(format!(
-                "shard map disagreement: {}",
-                disagreements.join("; ")
-            )));
-        }
+        let (writers, descriptor) = merge::validate_map(&addrs, reports)?;
+        let sets: Vec<_> = addrs.iter().map(Vec::len).zip(writers).collect();
+        let members = Members::new(&sets, config.backoff_base, config.backoff_max);
+        let pool = HashMap::new();
         Ok(RouterHandler {
             config,
-            sets,
-            epoch_duration: epoch_duration.unwrap_or(0),
-            probed_epochs: epochs.into_iter().collect(),
-            probed_generation,
+            addrs,
+            state: Mutex::new(State { members, pool }),
+            started: Instant::now(),
+            descriptor,
         })
     }
 
-    /// Dial and authenticate a fresh session to `upstream` as `user`
-    /// (the router forwards the client's credential verbatim — it holds
-    /// no authority of its own).
-    fn dial(&self, upstream: &Upstream, user: &UserHandle) -> Result<Session, ClientError> {
-        upstream_builder(&self.config, &upstream.addr)
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Every member of every set, in shard then member order.
+    fn every_member(&self) -> impl Iterator<Item = MemberId> + '_ {
+        self.addrs
+            .iter()
+            .enumerate()
+            .flat_map(|(shard, set)| (0..set.len()).map(move |member| MemberId { shard, member }))
+    }
+
+    fn unavailable(&self, at: MemberId, why: impl std::fmt::Display) -> ShardFailure {
+        let addr = &self.addrs[at.shard][at.member];
+        ShardFailure::Unavailable(format!("shard {} ({addr}) unavailable: {why}", at.shard))
+    }
+
+    /// The machine's gate: a member is not tried while it backs off.
+    fn gate(&self, at: MemberId) -> Result<(), ShardFailure> {
+        let open = self.state().members.may_try(at, self.started.elapsed());
+        let why = "backing off after a transport failure";
+        open.then_some(()).ok_or_else(|| self.unavailable(at, why))
+    }
+
+    /// Pass the gate, then take an idle pooled session, if there is one.
+    fn checkout(&self, at: MemberId, user_id: u64) -> Result<Option<Session>, ShardFailure> {
+        self.gate(at)?;
+        Ok(self.state().pool.get_mut(&(at, user_id)).and_then(Vec::pop))
+    }
+
+    /// Dial and authenticate a fresh session to `at` as `user` (the
+    /// router forwards the client's credential verbatim — it holds no
+    /// authority of its own).
+    fn dial(&self, at: MemberId, user: &UserHandle) -> Result<Session, ClientError> {
+        upstream_builder(&self.config, &self.addrs[at.shard][at.member])
             .credential(user.user_id.0, user.credential.0)
             .connect()
     }
 
-    /// Run one submit/wait exchange against `upstream`, reusing a pooled
-    /// connection when one exists. `retry` allows one full retry on a
-    /// fresh connection — right for idempotent reads, wrong for ingest.
-    ///
-    /// A structured error reply leaves the stream frame-aligned, so the
-    /// connection is still pooled; any transport failure drops it, and a
-    /// failure on a *freshly dialed* connection marks the member down.
-    fn call_shard<T>(
+    /// Run `call` on `session` — taken from the pool (`pooled`) or just
+    /// opened — and report the one event the attempt produced; also says
+    /// whether its stream tore (a failed open is not a tear: it already
+    /// says the member is down). A session that replied returns to the
+    /// pool under `pool_as`, a user id (pre-auth probes are not pooled).
+    /// After a refusal the stream is still frame-aligned, but the session
+    /// is dropped all the same: the client library reports a refusal of
+    /// the request and a connection-level error (after which the member
+    /// closes the connection) alike, so a refused session may be closing.
+    /// A failed fresh session also drops the member's other pooled
+    /// sessions — they share the dead peer.
+    fn attempt<T>(
         &self,
-        upstream: &Upstream,
-        user: &UserHandle,
-        retry: bool,
-        op: &mut dyn FnMut(&mut Session) -> Result<T, ClientError>,
-    ) -> Result<T, ShardFailure> {
-        let user_id = user.user_id.0;
-        let pooled = upstream.checkout(user_id)?;
-        let pooled_was_fresh = pooled.is_none();
-        upstream.requests_forwarded.fetch_add(1, Ordering::Relaxed);
-        let mut conn = match pooled {
-            Some(conn) => conn,
-            None => match self.dial(upstream, user) {
-                Ok(conn) => conn,
-                Err(e) => {
-                    upstream.errors.fetch_add(1, Ordering::Relaxed);
-                    upstream.mark_down(&self.config);
-                    return Err(upstream.unavailable(&e.to_string()));
-                }
-            },
+        at: MemberId,
+        pooled: bool,
+        session: Result<Session, ClientError>,
+        pool_as: Option<u64>,
+        call: Call<'_, T>,
+    ) -> (Result<T, ShardFailure>, bool) {
+        let (result, conn) = match session {
+            Ok(mut conn) => (call(&mut conn), Some(conn)),
+            Err(e) => (Err(e), None),
         };
-        match op(&mut conn) {
-            Ok(value) => {
-                upstream.checkin(user_id, conn);
-                upstream.mark_up();
-                return Ok(value);
-            }
-            Err(ClientError::Server(e)) => {
-                // The reply arrived; only its content was an error. Drop
-                // the connection out of caution (connection-level errors
-                // usually precede a close) but do not back off.
-                return Err(ShardFailure::Server(e));
-            }
-            Err(e) => {
-                upstream.errors.fetch_add(1, Ordering::Relaxed);
-                if pooled_was_fresh || !retry {
-                    // The failure happened on a connection we just
-                    // dialed, so the member itself is unhealthy.
-                    if pooled_was_fresh {
-                        upstream.mark_down(&self.config);
-                    }
-                    return Err(upstream.unavailable(&e.to_string()));
-                }
-            }
-        }
-        // The pooled connection was stale (typical after a member
-        // restart): reconnect and retry the exchange once.
-        upstream.reconnects.fetch_add(1, Ordering::Relaxed);
-        let mut conn = match self.dial(upstream, user) {
-            Ok(conn) => conn,
-            Err(e) => {
-                upstream.errors.fetch_add(1, Ordering::Relaxed);
-                upstream.mark_down(&self.config);
-                return Err(upstream.unavailable(&e.to_string()));
-            }
+        let torn = conn.is_some() && matches!(&result, Err(e) if !answered(e));
+        let event = match &result {
+            Ok(_) => Event::Replied,
+            Err(e) if answered(e) => Event::Refused,
+            Err(_) if pooled => Event::PooledTorn,
+            Err(_) => Event::DialFailed,
         };
-        match op(&mut conn) {
-            Ok(value) => {
-                upstream.checkin(user_id, conn);
-                upstream.mark_up();
-                Ok(value)
+        let mut state = self.state();
+        state.members.report(at, event, self.started.elapsed());
+        match (event, conn.zip(pool_as)) {
+            (Event::Replied, Some((conn, user_id))) => {
+                state.pool.entry((at, user_id)).or_default().push(conn);
             }
-            Err(ClientError::Server(e)) => Err(ShardFailure::Server(e)),
-            Err(e) => {
-                upstream.errors.fetch_add(1, Ordering::Relaxed);
-                upstream.mark_down(&self.config);
-                Err(upstream.unavailable(&e.to_string()))
-            }
+            (Event::DialFailed, _) => state.pool.retain(|(member, _), _| *member != at),
+            _ => {}
         }
+        drop(state);
+        let result = result.map_err(|e| match e {
+            ClientError::Server(e) => ShardFailure::Server(e),
+            ClientError::Handshake(m) | ClientError::Attestation(m) => {
+                let refusal = format!("upstream shard {} refused: {m}", at.shard);
+                ShardFailure::Server(WireError::new(ErrorCode::ShardUnavailable, refusal))
+            }
+            e => self.unavailable(at, e),
+        });
+        (result, torn)
     }
 
-    /// Run a read exchange against `set`, starting at member `start`
-    /// and failing over through the remaining members before giving the
-    /// shard up as unavailable. A structured error reply ends the
-    /// attempt immediately — replicas are bit-identical, so every
-    /// member would answer the same error.
-    fn call_set_from<T>(
+    /// The one upstream exchange: run `call` as `user` on the members in
+    /// `order` until one answers, each over an idle pooled session or a
+    /// fresh dial as `mode` allows. A member the machine's gate refuses,
+    /// or one that cannot be reached, is failed over; a structured refusal
+    /// ends the exchange — members are bit-identical, so each would refuse
+    /// alike. `checked_out` is a session the caller already took from
+    /// `order[0]`'s pool and submitted on (the fan's pipelined attempt).
+    fn exchange<T>(
         &self,
-        set: &ShardSet,
+        order: &[MemberId],
         user: &UserHandle,
-        start: usize,
-        op: &mut dyn FnMut(&mut Session) -> Result<T, ClientError>,
+        mode: Mode,
+        mut checked_out: Option<Session>,
+        call: Call<'_, T>,
     ) -> Result<T, ShardFailure> {
-        let n = set.members.len();
-        let mut last: Option<ShardFailure> = None;
-        for k in 0..n {
-            let member = &set.members[(start + k) % n];
-            match self.call_shard(member, user, true, op) {
-                Ok(value) => return Ok(value),
-                Err(ShardFailure::Server(e)) => return Err(ShardFailure::Server(e)),
-                Err(e) => last = Some(e),
+        let user_id = Some(user.user_id.0);
+        let mut last = None;
+        for &at in order {
+            let pooled = match checked_out.take() {
+                Some(conn) => Ok(Some(conn)),
+                None => self.checkout(at, user.user_id.0),
+            };
+            let (settled, torn) = match pooled {
+                Err(backing_off) => (Err(backing_off), false),
+                Ok(Some(conn)) => match self.attempt(at, true, Ok(conn), user_id, call) {
+                    (_, true) if mode == Mode::Read => {
+                        self.attempt(at, false, self.dial(at, user), user_id, call)
+                    }
+                    done => done,
+                },
+                Ok(None) => self.attempt(at, false, self.dial(at, user), user_id, call),
+            };
+            if torn && mode == Mode::Ingest {
+                let mut nothing = |_: &mut Session| Ok(());
+                let _alive = self.attempt(at, false, self.dial(at, user), user_id, &mut nothing);
+            }
+            match settled {
+                Err(failure @ ShardFailure::Unavailable(_)) => last = Some(failure),
+                done => return done,
             }
         }
         Err(last.expect("replica sets have at least one member"))
     }
 
-    /// A read exchange against `set` starting at the round-robin cursor.
-    fn call_set_read<T>(
-        &self,
-        set: &ShardSet,
-        user: &UserHandle,
-        op: &mut dyn FnMut(&mut Session) -> Result<T, ClientError>,
-    ) -> Result<T, ShardFailure> {
-        let start = set.next_read();
-        self.call_set_from(set, user, start, op)
-    }
-
-    /// Route one ingest to `set`'s writer — never retried there (a
-    /// retried ingest that half-landed would double-apply). If the
-    /// writer is unreachable on a fresh dial, promote the first healthy
-    /// replica over the wire, swap the writer pointer, and retry the
-    /// ingest exactly once on the new writer (the epoch cannot have
+    /// Route one ingest to the writer of the one shard that owns its
+    /// epoch — ownership is a partition. The machine offers replicas to
+    /// promote only if the writer's fresh dial failed; the ingest is
+    /// retried once on the promoted one. The epoch cannot have
     /// half-landed: the dead writer never committed it, and the manifest
     /// commit point makes a torn segment invisible after the promotion's
-    /// recovery pass).
-    fn call_set_ingest(
+    /// recovery pass.
+    fn ingest(
         &self,
-        set: &ShardSet,
         user: &UserHandle,
         epoch_start: u64,
-        records: &[concealer_core::Record],
+        records: &[Record],
     ) -> Result<u64, ShardFailure> {
-        let writer_idx = set.writer.load(Ordering::Acquire);
-        let writer = &set.members[writer_idx];
-        let unavailable = match self.call_shard(writer, user, false, &mut |conn| {
-            conn.ingest_epoch(epoch_start, records)
-        }) {
-            Ok(rows) => return Ok(rows),
-            Err(ShardFailure::Server(e)) => return Err(ShardFailure::Server(e)),
-            Err(e) => e,
+        let shard = shard_of_epoch(epoch_start, self.addrs.len());
+        let mut call = |conn: &mut Session| conn.ingest_epoch(epoch_start, records);
+        let writer = self.state().members.writer(shard);
+        let failure = match self.exchange(&[writer], user, Mode::Ingest, None, &mut call) {
+            Err(failure @ ShardFailure::Unavailable(_)) => failure,
+            done => return done,
         };
-        // A torn pooled stream alone is not death — the exchange's
-        // outcome is unknown and the writer may be fine. Only a failed
-        // *fresh dial* licenses promotion; if the writer still answers,
-        // surface the failure and let the operator (or the next ingest)
-        // decide.
-        if self.dial(writer, user).is_ok() {
-            return Err(unavailable);
-        }
-        // Mid-load failover: the writer is gone. Promotion re-opens the
-        // shared store as owner — no key material moves, and recovery
-        // truncates any segment the dead writer tore mid-write.
-        for k in 1..set.members.len() {
-            let idx = (writer_idx + k) % set.members.len();
-            let member = &set.members[idx];
-            match self.call_shard(member, user, false, &mut |conn| conn.promote()) {
-                Ok(_epochs_registered) => {
-                    set.writer.store(idx, Ordering::Release);
-                    return self.call_shard(member, user, false, &mut |conn| {
-                        conn.ingest_epoch(epoch_start, records)
-                    });
+        let candidates = self.state().members.promotion_order(shard);
+        for at in candidates {
+            // Promotion re-opens the shared store as owner: no key
+            // material moves, and recovery truncates any segment the
+            // dead writer tore mid-write.
+            match self.exchange(&[at], user, Mode::Read, None, &mut |conn| conn.promote()) {
+                Ok(_) if self.state().members.promoted(at) => {
+                    return self.exchange(&[at], user, Mode::Ingest, None, &mut call)
                 }
+                Ok(_) => break,
                 Err(ShardFailure::Server(e)) => return Err(ShardFailure::Server(e)),
-                Err(_) => continue,
+                Err(ShardFailure::Unavailable(_)) => continue,
             }
         }
-        Err(unavailable)
+        Err(failure)
     }
 
-    /// Fan one pipelined exchange out to **every** shard: submit on all
-    /// upstream connections first, then collect the replies — so the
-    /// shards execute concurrently while the calling thread blocks only
-    /// once per upstream, in shard order. Within each replica set the
-    /// round-robin cursor picks the member, so successive fans spread
-    /// reads across the set.
+    /// Fan one pipelined exchange out to **every** shard: submit at each
+    /// shard's first member in read order, then collect the replies in
+    /// shard order — so the shards execute concurrently while the calling
+    /// thread blocks once per upstream. Only an idle pooled session is
+    /// submitted on up front. A shard without one, and a pipelined
+    /// attempt that tears at submit or at wait, goes through the same
+    /// exchange as any other: a fresh dial of that member, then failover.
     ///
     /// Epoch ownership is hash-scattered across the slice space
     /// ([`shard_of_epoch`]), so any time range may touch any shard; the
     /// partition of work happens structurally, because each shard only
     /// holds (and therefore only executes) the epochs its slice owns.
-    /// A member whose checked-out connection tears at submit or wait
-    /// time falls back to a sequential retry through
-    /// [`Self::call_set_from`], which fails over to the set's other
-    /// members.
     fn fan<T>(
         &self,
         user: &UserHandle,
         submit: &dyn Fn(&mut Session) -> Result<Pending, ClientError>,
         wait: &dyn Fn(&mut Session, Pending) -> Result<T, ClientError>,
     ) -> Vec<Result<T, ShardFailure>> {
-        let user_id = user.user_id.0;
-        // Phase 1: put a request on the wire to every reachable shard.
-        let mut in_flight: Vec<(usize, Option<(Session, Pending)>)> = Vec::new();
-        for set in &self.sets {
-            let start = set.next_read();
-            let member = &set.members[start];
-            let slot = match member.checkout(user_id) {
-                Err(_) | Ok(None) => None, // backoff or no pooled conn: sequential path below
-                Ok(Some(mut conn)) => match submit(&mut conn) {
-                    Ok(pending) => {
-                        member.requests_forwarded.fetch_add(1, Ordering::Relaxed);
-                        Some((conn, pending))
-                    }
-                    // Stale pooled stream: drop it; the sequential retry
-                    // below dials fresh.
-                    Err(_) => None,
-                },
-            };
-            in_flight.push((start, slot));
-        }
-        // Phase 2: collect, falling back to a fresh sequential exchange
-        // wherever phase 1 had nothing usable in flight.
-        self.sets
-            .iter()
-            .zip(in_flight)
-            .map(|(set, (start, slot))| match slot {
-                Some((mut conn, pending)) => {
-                    let member = &set.members[start];
-                    match wait(&mut conn, pending) {
-                        Ok(value) => {
-                            member.checkin(user_id, conn);
-                            member.mark_up();
-                            Ok(value)
-                        }
-                        Err(ClientError::Server(e)) => Err(ShardFailure::Server(e)),
-                        Err(_) => {
-                            // The pipelined attempt tore mid-reply; retry
-                            // the whole exchange, failing over through the
-                            // set's other members.
-                            member.errors.fetch_add(1, Ordering::Relaxed);
-                            member.reconnects.fetch_add(1, Ordering::Relaxed);
-                            self.call_set_from(set, user, start, &mut |conn| {
-                                let pending = submit(conn)?;
-                                wait(conn, pending)
-                            })
-                        }
-                    }
-                }
-                None => self.call_set_from(set, user, start, &mut |conn| {
-                    let pending = submit(conn)?;
-                    wait(conn, pending)
-                }),
+        let started: Vec<_> = (0..self.addrs.len())
+            .map(|shard| {
+                let order = self.state().members.read_order(shard);
+                let idle = self.checkout(order[0], user.user_id.0);
+                let sent = idle.ok().flatten().map(|mut conn| {
+                    let ticket = submit(&mut conn);
+                    (conn, ticket)
+                });
+                (order, sent)
             })
-            .collect()
+            .collect();
+        let collect = |(order, sent): (Vec<MemberId>, Option<_>)| {
+            // The first attempt redeems the pipelined ticket; any later
+            // one submits afresh.
+            let (conn, mut ticket) = sent.unzip();
+            self.exchange(&order, user, Mode::Read, conn, &mut |conn| {
+                let pending = match ticket.take() {
+                    Some(ticket) => ticket?,
+                    None => submit(conn)?,
+                };
+                wait(conn, pending)
+            })
+        };
+        started.into_iter().map(collect).collect()
     }
 
-    /// Collapse one query's per-shard partial outcomes into the partial
-    /// union, or the error the client should see. Structured errors win
-    /// over transport errors (they are the more specific diagnosis), and
-    /// the lowest shard index wins among structured errors so the choice
-    /// is deterministic.
-    fn combine_partials(
-        outcomes: Vec<Result<Result<Vec<WirePartial>, WireError>, ShardFailure>>,
-    ) -> Result<Vec<WirePartial>, WireError> {
-        let mut partials = Vec::new();
-        let mut unavailable: Option<WireError> = None;
-        for outcome in outcomes {
-            match outcome {
-                Ok(Ok(shard_partials)) => partials.extend(shard_partials),
-                Ok(Err(e)) | Err(ShardFailure::Server(e)) => return Err(e),
-                Err(ShardFailure::Unavailable(msg)) => {
-                    unavailable
-                        .get_or_insert_with(|| WireError::new(ErrorCode::ShardUnavailable, msg));
-                }
-            }
-        }
-        match unavailable {
-            // A missing slice must never silently shrink an answer.
-            Some(e) => Err(e),
-            None => {
-                partials.sort_by_key(|p| p.epoch_id);
-                Ok(partials)
-            }
-        }
-    }
-
-    /// Merge a query's partial union into the final answer, reproducing
-    /// the single-process execution bit-for-bit (including the
-    /// `NoDataForRange` refusal when no shard held an overlapping epoch).
-    fn merge_answer(
+    /// One query over every shard, merged unless the union was asked for.
+    fn query(
+        &self,
+        user: &UserHandle,
+        id: u64,
         query: &Query,
-        partials: Vec<WirePartial>,
-    ) -> Result<concealer_core::QueryAnswer, WireError> {
-        merge_partials(
-            query,
-            partials
-                .into_iter()
-                .map(WirePartial::into_partial)
-                .collect(),
-        )
-        .map_err(|e| WireError::from(&e))
+        options: Option<ExecOptions>,
+        merge: bool,
+    ) -> Response {
+        let union = combine_partials(self.fan(
+            user,
+            &|conn| conn.submit_partial(query, options),
+            &|conn, pending| conn.wait_partial(pending),
+        ));
+        if !merge {
+            let result = partial_result(union);
+            return Response::PartialAnswer { id, result };
+        }
+        match merge_answer(query, union) {
+            Ok(answer) => Response::Answer { id, answer },
+            Err(error) => Response::Error { id, error },
+        }
+    }
+
+    /// One batch over every shard (each deduplicates its fetches across the
+    /// batch), merged per query unless the unions were asked for.
+    fn batch(
+        &self,
+        user: &UserHandle,
+        id: u64,
+        queries: &[Query],
+        options: Option<ExecOptions>,
+        merge: bool,
+    ) -> Response {
+        let per_shard = self.fan(
+            user,
+            &|conn| conn.submit_batch_partial(queries, options),
+            &|conn, pending| conn.wait_batch_partial(pending),
+        );
+        let unions = split_batch(per_shard, queries.len())
+            .into_iter()
+            .map(combine_partials);
+        if !merge {
+            let results = unions.map(partial_result).collect();
+            return Response::BatchPartialAnswer { id, results };
+        }
+        let results = queries
+            .iter()
+            .zip(unions)
+            .map(|(query, union)| match merge_answer(query, union) {
+                Ok(answer) => WireResult::Ok(answer),
+                Err(e) => WireResult::Err(e),
+            })
+            .collect();
+        Response::BatchAnswer { id, results }
+    }
+
+    /// The backend profile across the deployment. One member per set
+    /// answers — replicas serve the same committed epochs, so any
+    /// member's numbers stand for the shard.
+    fn stats(&self, user: &UserHandle) -> Result<WireStats, WireError> {
+        let per_shard = (0..self.addrs.len())
+            .map(|shard| {
+                let order = self.state().members.read_order(shard);
+                self.exchange(&order, user, Mode::Read, None, &mut |conn| conn.stats())
+            })
+            .collect::<Result<Vec<_>, ShardFailure>>()?;
+        per_shard
+            .into_iter()
+            .reduce(merge::fold_stats)
+            .ok_or_else(|| WireError::new(ErrorCode::ShardUnavailable, "no shards configured"))
+    }
+}
+
+fn partial_result(union: merge::Answered) -> WirePartialResult {
+    match union {
+        Ok(partials) => WirePartialResult::Ok(partials),
+        Err(e) => WirePartialResult::Err(e),
     }
 }
 
 impl ServeHandler for RouterHandler {
-    /// Authenticate the credential against the first reachable member —
-    /// the router holds no credential store of its own, so upstream
-    /// acceptance *is* the authentication.
+    /// Authenticate the credential against the first member that can be
+    /// reached, on a fresh dial (the pool is keyed by user id, not by
+    /// credential) — the router holds no credential store of its own, so
+    /// upstream acceptance *is* the authentication, and a refusal is its
+    /// answer (`auth_failed`), not retried: every member shares the same
+    /// enclave registry.
     fn handshake(
         &self,
         user_id: u64,
@@ -746,156 +541,70 @@ impl ServeHandler for RouterHandler {
             user_id: concealer_core::UserId(user_id),
             credential: concealer_core::Credential(credential),
         };
-        let mut last_unreachable: Option<String> = None;
-        for set in &self.sets {
-            for member in &set.members {
-                if member.in_backoff() {
-                    last_unreachable = Some(format!(
-                        "shard {} ({}) backing off",
-                        member.shard, member.addr
-                    ));
-                    continue;
-                }
-                member.requests_forwarded.fetch_add(1, Ordering::Relaxed);
-                match self.dial(member, &user) {
-                    Ok(conn) => {
-                        let upstream = conn.server_info();
-                        let facts = DeploymentFacts {
-                            backend: upstream.backend.clone(),
-                            ingest_allowed: upstream.ingest_allowed,
-                        };
-                        member.checkin(user_id, conn);
-                        member.mark_up();
-                        return Ok((user, facts));
-                    }
-                    Err(ClientError::Handshake(e)) => {
-                        // The member answered and refused: the credential
-                        // (or version) is bad, and every member shares the
-                        // same enclave registry — propagate instead of
-                        // retrying.
-                        return Err(Response::Error {
-                            id: CONNECTION_LEVEL_ID,
-                            error: WireError::new(
-                                ErrorCode::AuthFailed,
-                                format!("upstream shard {} refused: {e}", member.shard),
-                            ),
-                        });
-                    }
-                    Err(e) => {
-                        member.errors.fetch_add(1, Ordering::Relaxed);
-                        member.mark_down(&self.config);
-                        last_unreachable =
-                            Some(format!("shard {} ({}): {e}", member.shard, member.addr));
-                    }
-                }
+        let fail = |code, why| Response::Error {
+            id: CONNECTION_LEVEL_ID,
+            error: WireError::new(code, why),
+        };
+        let mut last = String::new();
+        for at in self.every_member() {
+            let mut facts = |conn: &mut Session| {
+                let upstream = conn.server_info();
+                Ok(DeploymentFacts {
+                    backend: upstream.backend.clone(),
+                    ingest_allowed: upstream.ingest_allowed,
+                })
+            };
+            let authenticated = self.gate(at).and_then(|()| {
+                let conn = self.dial(at, &user);
+                self.attempt(at, false, conn, Some(user_id), &mut facts).0
+            });
+            match authenticated {
+                Ok(facts) => return Ok((user, facts)),
+                Err(ShardFailure::Unavailable(msg)) => last = msg,
+                Err(ShardFailure::Server(e)) => return Err(fail(ErrorCode::AuthFailed, e.message)),
             }
         }
-        Err(Response::Error {
-            id: CONNECTION_LEVEL_ID,
-            error: WireError::new(
-                ErrorCode::ShardUnavailable,
-                format!(
-                    "no shard reachable to authenticate against (last: {})",
-                    last_unreachable.unwrap_or_else(|| "none tried".to_string())
-                ),
-            ),
-        })
+        let why = format!("no shard reachable to authenticate against (last: {last})");
+        Err(fail(ErrorCode::ShardUnavailable, why))
     }
 
+    /// `Execute` and `ExecutePartial` share one fan and differ only in
+    /// whether the partial union is merged; so do the two batch requests.
     fn execute(&self, user: &UserHandle, request: EngineRequest) -> Response {
+        let merge = matches!(
+            request,
+            EngineRequest::Execute { .. } | EngineRequest::ExecuteBatch { .. }
+        );
         match request {
-            EngineRequest::Execute { id, query, options } => {
-                let outcomes = self.fan(
-                    user,
-                    &|conn| conn.submit_partial(&query, options),
-                    &|conn, pending| conn.wait_partial(pending),
-                );
-                let result =
-                    Self::combine_partials(outcomes).and_then(|p| Self::merge_answer(&query, p));
-                match result {
-                    Ok(answer) => Response::Answer { id, answer },
-                    Err(error) => Response::Error { id, error },
-                }
+            EngineRequest::Execute { id, query, options }
+            | EngineRequest::ExecutePartial { id, query, options } => {
+                self.query(user, id, &query, options, merge)
             }
             EngineRequest::ExecuteBatch {
                 id,
                 queries,
                 options,
-            } => {
-                let per_shard = self.fan(
-                    user,
-                    &|conn| conn.submit_batch_partial(&queries, options),
-                    &|conn, pending| conn.wait_batch_partial(pending),
-                );
-                let per_query = split_batch(per_shard, queries.len());
-                let results = queries
-                    .iter()
-                    .zip(per_query)
-                    .map(|(query, outcomes)| {
-                        match Self::combine_partials(outcomes)
-                            .and_then(|p| Self::merge_answer(query, p))
-                        {
-                            Ok(answer) => WireResult::Ok(answer),
-                            Err(e) => WireResult::Err(e),
-                        }
-                    })
-                    .collect();
-                Response::BatchAnswer { id, results }
             }
-            EngineRequest::ExecutePartial { id, query, options } => {
-                let outcomes = self.fan(
-                    user,
-                    &|conn| conn.submit_partial(&query, options),
-                    &|conn, pending| conn.wait_partial(pending),
-                );
-                let result = match Self::combine_partials(outcomes) {
-                    Ok(partials) => WirePartialResult::Ok(partials),
-                    Err(e) => WirePartialResult::Err(e),
-                };
-                Response::PartialAnswer { id, result }
-            }
-            EngineRequest::ExecuteBatchPartial {
+            | EngineRequest::ExecuteBatchPartial {
                 id,
                 queries,
                 options,
-            } => {
-                let per_shard = self.fan(
-                    user,
-                    &|conn| conn.submit_batch_partial(&queries, options),
-                    &|conn, pending| conn.wait_batch_partial(pending),
-                );
-                let results = split_batch(per_shard, queries.len())
-                    .into_iter()
-                    .map(|outcomes| match Self::combine_partials(outcomes) {
-                        Ok(partials) => WirePartialResult::Ok(partials),
-                        Err(e) => WirePartialResult::Err(e),
-                    })
-                    .collect();
-                Response::BatchPartialAnswer { id, results }
-            }
+            } => self.batch(user, id, &queries, options, merge),
             EngineRequest::IngestEpoch {
                 id,
                 epoch_start,
                 records,
-            } => {
-                // Epoch ownership is a partition: exactly one shard may
-                // take this epoch, so route there — and within the set,
-                // to the writer (with promote-on-death failover).
-                let owner = shard_of_epoch(epoch_start, self.sets.len());
-                let set = &self.sets[owner];
-                match self.call_set_ingest(set, user, epoch_start, &records) {
-                    Ok(rows_stored) => Response::IngestOk {
-                        id,
-                        epoch_id: epoch_start,
-                        rows_stored,
-                    },
-                    Err(ShardFailure::Server(error)) => Response::Error { id, error },
-                    Err(ShardFailure::Unavailable(msg)) => Response::Error {
-                        id,
-                        error: WireError::new(ErrorCode::ShardUnavailable, msg),
-                    },
-                }
-            }
+            } => match self.ingest(user, epoch_start, &records) {
+                Ok(rows_stored) => Response::IngestOk {
+                    id,
+                    epoch_id: epoch_start,
+                    rows_stored,
+                },
+                Err(failure) => Response::Error {
+                    id,
+                    error: failure.into(),
+                },
+            },
             EngineRequest::Promote { id } => {
                 // Promotion is member-addressed: the wire carries no way
                 // to say *which* member of *which* set should take over,
@@ -912,43 +621,10 @@ impl ServeHandler for RouterHandler {
                     ),
                 }
             }
-            EngineRequest::Stats { id } => {
-                // Aggregate the backend profile across the deployment:
-                // counters sum, the security properties hold only if
-                // every slice upholds them. One member per set answers —
-                // replicas serve the same committed epochs, so any
-                // member's numbers stand for the shard.
-                let mut merged: Option<WireStats> = None;
-                for set in &self.sets {
-                    let stats = match self.call_set_read(set, user, &mut |conn| conn.stats()) {
-                        Ok(stats) => stats,
-                        Err(ShardFailure::Server(error)) => return Response::Error { id, error },
-                        Err(ShardFailure::Unavailable(msg)) => {
-                            return Response::Error {
-                                id,
-                                error: WireError::new(ErrorCode::ShardUnavailable, msg),
-                            }
-                        }
-                    };
-                    merged = Some(match merged {
-                        None => stats,
-                        Some(acc) => WireStats {
-                            backend: acc.backend,
-                            epochs: acc.epochs + stats.epochs,
-                            rows_stored: acc.rows_stored + stats.rows_stored,
-                            volume_hiding: acc.volume_hiding && stats.volume_hiding,
-                            verifiable: acc.verifiable && stats.verifiable,
-                        },
-                    });
-                }
-                match merged {
-                    Some(stats) => Response::StatsOk { id, stats },
-                    None => Response::Error {
-                        id,
-                        error: WireError::new(ErrorCode::ShardUnavailable, "no shards configured"),
-                    },
-                }
-            }
+            EngineRequest::Stats { id } => match self.stats(user) {
+                Ok(stats) => Response::StatsOk { id, stats },
+                Err(error) => Response::Error { id, error },
+            },
         }
     }
 
@@ -960,97 +636,47 @@ impl ServeHandler for RouterHandler {
     /// where `Attest` is a protocol violation — and skips members that
     /// are unreachable or backing off: attestation needs proof that the
     /// enclaves *serving* are genuine, and a dead member is not serving.
-    /// Zero reachable members means the client can verify nothing, which
-    /// is a structured `attestation_failed`, never an empty `AttestOk`.
+    /// A failed dial backs the member off like any other. Zero reachable
+    /// members means the client can verify nothing, which is a
+    /// structured `attestation_failed`, never an empty `AttestOk`.
     fn attest(&self, id: u64, nonce: [u8; 32]) -> Response {
         let mut quotes: Vec<WireQuote> = Vec::new();
-        let mut last_failure: Option<String> = None;
-        for set in &self.sets {
-            for member in &set.members {
-                if member.in_backoff() {
-                    last_failure = Some(format!(
-                        "shard {} ({}) backing off",
-                        member.shard, member.addr
-                    ));
-                    continue;
-                }
-                member.requests_forwarded.fetch_add(1, Ordering::Relaxed);
-                match upstream_builder(&self.config, &member.addr)
+        let mut last = String::new();
+        for at in self.every_member() {
+            let relayed = self.gate(at).and_then(|()| {
+                let addr = &self.addrs[at.shard][at.member];
+                let probe = upstream_builder(&self.config, addr)
                     .attest_nonce(nonce)
-                    .probe()
-                {
-                    Ok(session) => {
-                        quotes.extend(session.quotes().iter().map(|quote| WireQuote {
-                            shard_index: member.shard,
-                            member: member.member,
-                            ..quote.clone()
-                        }));
-                        let _ = session.close();
-                    }
-                    Err(e) => {
-                        member.errors.fetch_add(1, Ordering::Relaxed);
-                        last_failure =
-                            Some(format!("shard {} ({}): {e}", member.shard, member.addr));
-                    }
-                }
+                    .probe();
+                let mut take = |session: &mut Session| Ok(session.quotes().to_vec());
+                self.attempt(at, false, probe, None, &mut take).0
+            });
+            match relayed {
+                Ok(relayed) => quotes.extend(relayed.into_iter().map(|quote| WireQuote {
+                    shard_index: at.shard as u32,
+                    member: at.member as u32,
+                    ..quote
+                })),
+                Err(failure) => last = WireError::from(failure).message,
             }
         }
         if quotes.is_empty() {
-            return Response::Error {
-                id,
-                error: WireError::new(
-                    ErrorCode::AttestationFailed,
-                    format!(
-                        "no upstream enclave produced a quote (last: {})",
-                        last_failure.unwrap_or_else(|| "none tried".to_string())
-                    ),
-                ),
-            };
+            let why = format!("no upstream enclave produced a quote (last: {last})");
+            let error = WireError::new(ErrorCode::AttestationFailed, why);
+            return Response::Error { id, error };
         }
         Response::AttestOk { id, quotes }
     }
 
-    /// The router presents itself as the whole map (`0/1`) and reports
-    /// the probe-time union of its shards' epochs — a topology snapshot,
-    /// not a live inventory. It reports the writer role: clients route
-    /// ingest through it, and it is never itself a read replica.
     fn shard_info(&self, id: u64) -> Response {
-        Response::ShardInfoOk {
-            id,
-            shard: ShardDescriptor {
-                shard_index: 0,
-                shard_total: 1,
-                epoch_duration: self.epoch_duration,
-                epochs: self.probed_epochs.clone(),
-                role: ShardRole::Writer,
-                store_generation: self.probed_generation,
-            },
-        }
+        let shard = self.descriptor.clone();
+        Response::ShardInfoOk { id, shard }
     }
 
     fn router_stats(&self, id: u64) -> Response {
-        Response::RouterStatsOk {
-            id,
-            stats: RouterStats {
-                shards: self
-                    .sets
-                    .iter()
-                    .flat_map(|set| {
-                        let writer = set.writer.load(Ordering::Acquire);
-                        set.members.iter().enumerate().map(move |(m, u)| ShardLoad {
-                            shard_index: u.shard,
-                            addr: u.addr.clone(),
-                            requests_forwarded: u.requests_forwarded.load(Ordering::Relaxed),
-                            errors: u.errors.load(Ordering::Relaxed),
-                            reconnects: u.reconnects.load(Ordering::Relaxed),
-                            available: !u.in_backoff(),
-                            member: u.member,
-                            writer: m == writer,
-                        })
-                    })
-                    .collect(),
-            },
-        }
+        let now = self.started.elapsed();
+        let stats = self.state().members.stats(&self.addrs, now);
+        Response::RouterStatsOk { id, stats }
     }
 
     /// A wire shutdown at the router drains the whole deployment:
@@ -1058,59 +684,18 @@ impl ServeHandler for RouterHandler {
     /// are already gone), then let the serving core drain the router
     /// itself.
     fn on_wire_shutdown(&self, user: &UserHandle) {
-        for set in &self.sets {
-            for member in &set.members {
-                let _ = self.call_shard(member, user, false, &mut |conn| conn.shutdown_server());
-            }
+        for at in self.every_member() {
+            let mut shutdown = |conn: &mut Session| conn.shutdown_server();
+            let _ = self.exchange(&[at], user, Mode::Read, None, &mut shutdown);
         }
     }
-}
-
-/// Transpose per-shard batch replies into per-query outcome lists for
-/// positional merging. A shard whose reply does not line up with the
-/// submitted batch is treated as unavailable — a length mismatch means
-/// the upstream is not speaking the protocol we validated at probe time.
-#[allow(clippy::type_complexity)]
-fn split_batch(
-    per_shard: Vec<Result<Vec<Result<Vec<WirePartial>, WireError>>, ShardFailure>>,
-    queries: usize,
-) -> Vec<Vec<Result<Result<Vec<WirePartial>, WireError>, ShardFailure>>> {
-    let mut per_query: Vec<Vec<Result<Result<Vec<WirePartial>, WireError>, ShardFailure>>> =
-        (0..queries).map(|_| Vec::new()).collect();
-    for (shard_index, outcome) in per_shard.into_iter().enumerate() {
-        match outcome {
-            Ok(results) if results.len() == queries => {
-                for (slot, result) in per_query.iter_mut().zip(results) {
-                    slot.push(Ok(result));
-                }
-            }
-            Ok(results) => {
-                let msg = format!(
-                    "shard {shard_index} answered {} results for a {queries}-query batch",
-                    results.len()
-                );
-                for slot in &mut per_query {
-                    slot.push(Err(ShardFailure::Unavailable(msg.clone())));
-                }
-            }
-            Err(ShardFailure::Server(e)) => {
-                for slot in &mut per_query {
-                    slot.push(Err(ShardFailure::Server(e.clone())));
-                }
-            }
-            Err(ShardFailure::Unavailable(msg)) => {
-                for slot in &mut per_query {
-                    slot.push(Err(ShardFailure::Unavailable(msg.clone())));
-                }
-            }
-        }
-    }
-    per_query
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use concealer_server::protocol::WirePartial;
+    use merge::split_members;
 
     #[test]
     fn probe_refuses_empty_shard_list() {
@@ -1128,7 +713,6 @@ mod tests {
         let config = RouterConfig {
             shards: vec![format!("127.0.0.1:{port}")],
             connect_timeout: Duration::from_millis(250),
-            read_timeout: Duration::from_millis(250),
             ..RouterConfig::default()
         };
         let err = RouterHandler::probe(config).unwrap_err();
@@ -1153,42 +737,39 @@ mod tests {
 
     #[test]
     fn round_robin_cursor_cycles_members() {
-        let set = ShardSet {
-            members: vec![
-                Upstream::new(0, 0, "127.0.0.1:1".to_string()),
-                Upstream::new(0, 1, "127.0.0.1:2".to_string()),
-                Upstream::new(0, 2, "127.0.0.1:3".to_string()),
-            ],
-            writer: AtomicUsize::new(0),
-            rr: AtomicUsize::new(0),
-        };
-        let picks: Vec<usize> = (0..6).map(|_| set.next_read()).collect();
+        let mut members = Members::new(&[(3, 0)], Duration::ZERO, Duration::ZERO);
+        let picks: Vec<usize> = (0..6).map(|_| members.read_order(0)[0].member).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
+        let order = |o: Vec<MemberId>| o.iter().map(|at| at.member).collect::<Vec<_>>();
+        assert_eq!(order(members.read_order(0)), vec![0, 1, 2]);
+        assert_eq!(order(members.read_order(0)), vec![1, 2, 0]);
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let config = RouterConfig {
-            backoff_base: Duration::from_millis(100),
-            backoff_max: Duration::from_millis(350),
-            ..RouterConfig::default()
+        let base = Duration::from_millis(100);
+        let max = Duration::from_millis(350);
+        let mut members = Members::new(&[(1, 0)], base, max);
+        let at = MemberId {
+            shard: 0,
+            member: 0,
         };
-        let upstream = Upstream::new(0, 0, "127.0.0.1:1".to_string());
-        assert!(!upstream.in_backoff());
-        upstream.mark_down(&config);
-        assert!(upstream.in_backoff());
-        let first = upstream.lock().down_until.expect("backed off");
-        upstream.mark_down(&config);
-        let second = upstream.lock().down_until.expect("backed off");
-        assert!(second >= first, "backoff must not shrink under failures");
-        // After many failures the backoff saturates at the cap.
-        for _ in 0..20 {
-            upstream.mark_down(&config);
+        let t = Duration::from_secs(7);
+        assert!(members.may_try(at, t));
+        // base · 2^(streak−1), capped: 100, 200, then 400 → 350 for good.
+        let expected = [100, 200, 350, 350, 350].map(Duration::from_millis);
+        for backoff in expected {
+            members.report(at, Event::DialFailed, t);
+            assert!(!members.may_try(at, t + backoff - Duration::from_nanos(1)));
+            assert!(members.may_try(at, t + backoff));
         }
-        let capped = upstream.lock().down_until.expect("backed off");
-        assert!(capped.saturating_duration_since(Instant::now()) <= Duration::from_millis(400));
-        upstream.mark_up();
-        assert!(!upstream.in_backoff());
+        assert_eq!(members.backoff(40), max);
+        // A reply clears the streak: the next failure backs off from base.
+        members.report(at, Event::Replied, t);
+        assert!(members.may_try(at, t));
+        members.report(at, Event::DialFailed, t);
+        assert!(members.may_try(at, t + base));
+        assert!(!members.may_try(at, t + base - Duration::from_nanos(1)));
     }
 
     #[test]

@@ -483,14 +483,15 @@ pub struct ShardLoad {
     pub shard_index: u32,
     /// The member's upstream address, as configured on the router.
     pub addr: String,
-    /// Requests forwarded to this member (auth probes included).
+    /// Exchanges attempted on this member: handshakes and attestation
+    /// probes included, members skipped while backing off not.
     pub requests_forwarded: u64,
-    /// Forwards that failed (timeout, refused connection, wire error).
+    /// Transport failures: torn pooled streams and failed fresh dials.
     pub errors: u64,
-    /// Times the router re-established this member's connections.
+    /// Fresh dials that replaced a torn pooled stream.
     pub reconnects: u64,
-    /// Whether the member was reachable at snapshot time (false while the
-    /// router is backing off from a failed reconnect).
+    /// Whether the member may be tried at snapshot time (false while the
+    /// router backs off after a failed fresh dial).
     pub available: bool,
     /// The member's position within its shard's replica set (0-based,
     /// configuration order).

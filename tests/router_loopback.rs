@@ -935,3 +935,50 @@ fn writer_kill_promotes_replica_with_zero_divergence() {
     router.shutdown_and_join();
     replica.shutdown_and_join();
 }
+
+/// A member that died is backed off from its first failed dial, even when
+/// that dial is the forwarded attestation round: `RouterStats` shows it
+/// unavailable before any read, so the next client to connect does not
+/// re-dial it while the backoff runs.
+#[test]
+fn a_failed_attest_dial_backs_the_member_off() {
+    let root = TempRoot::new("attest-backoff");
+    let (writer, replica, router, replica_system, user) = spawn_replicated_deployment(
+        &root.0,
+        RouterConfig {
+            backoff_base: Duration::from_secs(5),
+            backoff_max: Duration::from_secs(5),
+            connect_timeout: Duration::from_millis(500),
+            ..RouterConfig::default()
+        },
+    );
+    drop(replica_system);
+    replica.shutdown_and_join();
+
+    // Attest (member 0 answers, member 1's dial is refused), then the
+    // handshake, which authenticates against member 0.
+    let mut conn = connect_user(router.local_addr(), &user, "attest-backoff").unwrap();
+    let stats = conn.router_stats().expect("router stats");
+    let counts: Vec<(u32, u64, u64, u64, bool)> = stats
+        .shards
+        .iter()
+        .map(|l| {
+            (
+                l.member,
+                l.requests_forwarded,
+                l.errors,
+                l.reconnects,
+                l.available,
+            )
+        })
+        .collect();
+    assert_eq!(
+        counts,
+        vec![(0, 2, 0, 0, true), (1, 1, 1, 0, false)],
+        "(member, forwarded, errors, reconnects, available)"
+    );
+
+    conn.close().unwrap();
+    router.shutdown_and_join();
+    writer.shutdown_and_join();
+}
