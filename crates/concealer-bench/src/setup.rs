@@ -218,7 +218,7 @@ impl ServerRequest {
 }
 
 /// The deterministic mixed point/range/batch request stream the serving
-/// layer is soaked with — shared by the `concealer-load` generator and the
+/// layer is soaked with — shared by `concealer-server`'s soak test and the
 /// root loopback tests, and regenerable by an oracle process from the same
 /// `(workload, seed)` pair. Every sixth request is a `batch_len`-query BPB
 /// batch (executed with parallelism 2 on the server); the rest alternate

@@ -1,8 +1,8 @@
 //! Shared flag parsing for the Concealer binaries (`concealer-server`,
-//! `concealer-router`, `concealer-load`).
+//! `concealer-router`).
 //!
 //! Before this crate each binary carried its own hand-rolled `while`
-//! loop over `std::env::args()`, and the three had already drifted on
+//! loop over `std::env::args()`, and the copies had already drifted on
 //! details (error wording, `--flag=value` support). [`Args`] is the one
 //! copy: a cursor over the argument list that understands both
 //! `--flag value` and `--flag=value` spellings, parses typed values

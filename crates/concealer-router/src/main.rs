@@ -25,9 +25,9 @@
 //! thread, and `--max-in-flight` bounds how many fan-outs run at once.
 //!
 //! Prints one `READY addr=… shards=… protocol=…` line on stdout
-//! once the listener is bound (the contract `ci/server-soak.sh` waits
-//! for), and a `SHUTDOWN graceful …` line when a wire shutdown drained
-//! cleanly. See `OPERATIONS.md` § "Routed deployment" for the full
+//! once the listener is bound, and a `SHUTDOWN graceful …` line when a
+//! wire shutdown drained cleanly; `tests/binary.rs` holds the binary to
+//! that contract. See `OPERATIONS.md` § "Routed deployment" for the full
 //! recipe.
 
 use std::net::SocketAddr;

@@ -16,9 +16,9 @@
 //!   and drain rules.
 //!
 //! The blocking client side lives in the sibling `concealer-client`
-//! crate; `concealer-load` drives many clients for the CI soak job;
-//! `concealer-router` fronts epoch-sharded deployments with the same
-//! protocol. The canonical field-by-field wire specification is
+//! crate; this crate's `tests/soak.rs` drives the server binary with
+//! many clients; `concealer-router` fronts epoch-sharded deployments with
+//! the same protocol. The canonical field-by-field wire specification is
 //! `PROTOCOL.md` at the repository root; see `ARCHITECTURE.md`
 //! § "Serving layer" for the trust-boundary argument (the wire is part
 //! of the untrusted zone).

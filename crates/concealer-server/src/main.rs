@@ -16,7 +16,7 @@
 //! load generator given the same pair derives the same user credential
 //! and the same oracle answers. The storage backend honors the
 //! `CONCEALER_TEST_BACKEND` harness hook (`memory` default, `disk` for
-//! the durable store), which is how the CI soak matrix runs both.
+//! a scratch durable store).
 //!
 //! `--store PATH` places the sealed epochs in a durable store rooted at
 //! `PATH` instead; with `--replica` the process joins `PATH`'s replica set
@@ -26,16 +26,18 @@
 //! `--rotate-after-ms N` rotates the master-key generation online N
 //! milliseconds after the listener binds, printing one
 //! `ROTATION generation=… epochs=…` line on stdout when the re-wrap
-//! completes — the hook `ci/server-soak.sh` uses to drive a rotation
-//! under live query load (see `OPERATIONS.md` § "Master-key rotation").
+//! completes; a shutdown before then cancels it. The soak test uses it to
+//! rotate under live query load (`OPERATIONS.md` § "Master-key rotation").
 //!
 //! Prints exactly one `READY addr=… backend=… protocol=…` line on stdout
-//! once the listener is bound (what `ci/server-soak.sh` waits for), and a
+//! once the listener is bound (what the soak waits for), and a
 //! `SHUTDOWN graceful …` line when a wire shutdown drained cleanly.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 use concealer_server::{Server, ServerConfig, PROTOCOL_VERSION};
 
@@ -122,6 +124,12 @@ fn parse_args() -> Args {
     args
 }
 
+/// Wait up to `timeout` on `stop`; true once `main` has dropped its sender
+/// because the server drained.
+fn drained_within(stop: &Receiver<()>, timeout: Duration) -> bool {
+    stop.recv_timeout(timeout) != Err(RecvTimeoutError::Timeout)
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
 
@@ -166,35 +174,40 @@ fn main() -> ExitCode {
         }
     };
 
+    // The background threads wait on these instead of sleeping, so neither
+    // outlives the shutdown.
+    let (refresh_stop, refresh_wait) = mpsc::channel::<()>();
+    let (rotate_stop, rotate_wait) = mpsc::channel::<()>();
+
     // A replica's refresh loop: absorb the writer's newly committed epochs
     // every tick. Runs until shutdown; after a wire promotion each tick is
     // a cheap no-op (the store is no longer read-only).
-    let refresh_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let refresh_thread = args.replica.then(|| {
         let system = Arc::clone(&system);
-        let stop = Arc::clone(&refresh_stop);
-        let tick = std::time::Duration::from_millis(args.refresh_ms);
-        std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                match system.refresh_epochs() {
-                    Ok(new_epochs) if !new_epochs.is_empty() => {
-                        eprintln!("concealer-server: replica absorbed epochs {new_epochs:?}");
-                    }
-                    Ok(_) => {}
-                    Err(e) => eprintln!("concealer-server: replica refresh failed: {e}"),
+        let tick = Duration::from_millis(args.refresh_ms);
+        std::thread::spawn(move || loop {
+            match system.refresh_epochs() {
+                Ok(new_epochs) if !new_epochs.is_empty() => {
+                    eprintln!("concealer-server: replica absorbed epochs {new_epochs:?}");
                 }
-                std::thread::sleep(tick);
+                Ok(_) => {}
+                Err(e) => eprintln!("concealer-server: replica refresh failed: {e}"),
+            }
+            if drained_within(&refresh_wait, tick) {
+                break;
             }
         })
     });
 
     // The online-rotation hook: bump the master-key generation mid-serve,
-    // while queries keep flowing. The ROTATION line is the machine-readable
-    // signal ci/server-soak.sh greps for.
+    // while queries keep flowing. A shutdown before the delay cancels it.
+    // The ROTATION line is the machine-readable signal the soak reads.
     let rotate_thread = args.rotate_after_ms.map(|ms| {
         let system = Arc::clone(&system);
         std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
+            if drained_within(&rotate_wait, Duration::from_millis(ms)) {
+                return;
+            }
             match system.rotate_master_generation() {
                 Ok((generation, epochs)) => {
                     println!("ROTATION generation={generation} epochs={epochs}");
@@ -206,7 +219,7 @@ fn main() -> ExitCode {
         })
     });
 
-    // The READY line is the machine-readable contract with ci/server-soak.sh
+    // The READY line is the machine-readable contract with the soak test
     // and any other launcher: one line, stdout, flushed before serving.
     let shard_suffix = args
         .shard
@@ -225,7 +238,7 @@ fn main() -> ExitCode {
     let _ = std::io::stdout().flush();
 
     let report = handle.join();
-    refresh_stop.store(true, std::sync::atomic::Ordering::Release);
+    drop((refresh_stop, rotate_stop));
     if let Some(thread) = refresh_thread {
         let _ = thread.join();
     }

@@ -7,8 +7,9 @@
 //! ```
 //!
 //! For a real two-process setup, run `cargo run --release -p
-//! concealer-server` in one terminal and point `concealer-load` (or your
-//! own `concealer_client::ClientBuilder`) at the printed address.
+//! concealer-server` in one terminal and point a
+//! `concealer_client::ClientBuilder` at the printed address;
+//! `crates/concealer-server/tests/soak.rs` does exactly that under load.
 
 use std::sync::Arc;
 
