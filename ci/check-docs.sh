@@ -10,12 +10,15 @@
 #     external links are not this gate's job. Fenced code blocks are
 #     ignored for both headings and links.
 #
-#  2. Protocol drift guard — the error-code registry table in PROTOCOL.md
-#     must list exactly the `ErrorCode` variants from
-#     crates/concealer-server/src/error.rs (the `name()` match arms, which
-#     the compiler keeps exhaustive and in declaration order): same names,
-#     same order, tags numbered 0..N-1 — so the spec cannot silently fall
-#     behind the enum that defines the wire format.
+#  2. Protocol drift guard — three tag tables in PROTOCOL.md must list
+#     exactly the variants of the enum that defines them: the error-code
+#     registry those of `ErrorCode` in crates/concealer-server/src/error.rs
+#     (the `name()` match arms, which the compiler keeps exhaustive and in
+#     declaration order), and the "Request messages" / "Response
+#     messages" tables those of `enum Request` / `enum Response` in
+#     crates/concealer-server/src/protocol.rs. Same names, same order,
+#     tags numbered 0..N-1 — so the spec cannot silently fall behind the
+#     enums that define the wire format.
 #
 #  3. Attestation drift guard — the constants the attestation docs quote
 #     must match the source of truth: every PROTOCOL.md / OPERATIONS.md
@@ -129,30 +132,57 @@ done
 
 spec="$root/PROTOCOL.md"
 enum="$root/crates/concealer-server/src/error.rs"
-if [ -f "$spec" ] && [ -f "$enum" ]; then
-    tmp=$(mktemp -d)
-    trap 'rm -rf "$tmp"' EXIT INT TERM
-    # Registry rows: "| <tag> | `<name>` | ..." inside the error-code
-    # registry section only (the message tables are numbered too).
-    awk '
-        /^## Error-code registry/ { insec = 1; next }
+proto="$root/crates/concealer-server/src/protocol.rs"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT INT TERM
+
+# Rows "| <tag> | `<name>` | ..." of one "## <section>" of PROTOCOL.md, as
+# "tag name" lines (every tag table is numbered, so the section decides).
+table_rows() {
+    awk -v sec="## $1" '
+        index($0, sec) == 1 { insec = 1; next }
         insec && /^## / { insec = 0 }
-        insec && /^\| *[0-9]+ *\| *`[a-z_]+`/ {
+        insec && /^\| *[0-9]+ *\| *`[A-Za-z_]+`/ {
             split($0, parts, "|")
             tag = parts[2]; name = parts[3]
             gsub(/[ `]/, "", tag); gsub(/[ `]/, "", name)
             print tag, name
         }
-    ' "$spec" >"$tmp/table"
+    ' "$spec"
+}
+
+# same_as_source <section> <what>: the section's table must equal the
+# "tag name" lines in $tmp/code, the source's declaration order.
+same_as_source() {
+    table_rows "$1" >"$tmp/table"
+    if [ ! -s "$tmp/code" ]; then
+        fail "drift guard: no $2 found in the source"
+    elif ! diff -u "$tmp/code" "$tmp/table" >"$tmp/diff" 2>&1; then
+        fail "PROTOCOL.md \"$1\" drifted from $2 (expected vs table):"
+        cat "$tmp/diff" >&2
+    fi
+}
+
+if [ -f "$spec" ] && [ -f "$enum" ]; then
     # The enum, via its name() arms (exhaustive, declaration order).
     sed -n 's/^ *ErrorCode::[A-Za-z]* => "\([a-z_]*\)".*/\1/p' "$enum" |
         awk '{ print NR - 1, $1 }' >"$tmp/code"
-    if [ ! -s "$tmp/code" ]; then
-        fail "drift guard: no ErrorCode::name() arms found in $enum"
-    elif ! diff -u "$tmp/code" "$tmp/table" >"$tmp/diff" 2>&1; then
-        fail "PROTOCOL.md error-code registry drifted from ErrorCode (expected vs table):"
-        cat "$tmp/diff" >&2
-    fi
+    same_as_source "Error-code registry" "ErrorCode::name() arms"
+fi
+if [ -f "$spec" ] && [ -f "$proto" ]; then
+    # The message enums: their variants are the four-space-indented
+    # capitalised names of `pub enum <name> {`, tagged by declaration index.
+    for message in Request Response; do
+        awk -v e="$message" '
+            $0 == "pub enum " e " {" { inenum = 1; next }
+            inenum && /^}/ { exit }
+            inenum && match($0, /^    [A-Z][A-Za-z0-9]*/) {
+                print n + 0, substr($0, 5, RLENGTH - 4)
+                n++
+            }
+        ' "$proto" >"$tmp/code"
+        same_as_source "$message messages" "enum $message"
+    done
 fi
 
 # --- attestation drift guard -----------------------------------------------

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Self-test for ci/check-docs.sh: pins the doc gate's contract — exit 0 on
 # a clean tree (valid relative links, valid same-file and cross-file
-# anchors, registry table matching the enum), exit 1 on a broken link, a
-# broken anchor, or an error-code registry that drifted from the
-# `ErrorCode` enum (renamed, reordered, or missing rows), and exit 2 on a
+# anchors, tag tables matching their enums), exit 1 on a broken link, a
+# broken anchor, an error-code registry that drifted from the `ErrorCode`
+# enum (renamed, reordered, or missing rows), or a message tag table that
+# lists a variant its enum does not have, and exit 2 on a
 # missing directory or a tree with no markdown. Run by the lint-ci job and
 # runnable locally: sh ci/selftest-check-docs.sh
 set -eu
@@ -64,6 +65,35 @@ EOF
 |---|---|---|
 | 0 | \`alpha\` | first |
 | 1 | \`$2\` | second |
+
+## Request messages
+
+| tag | variant | fields |
+|---|---|---|
+| 0 | \`Hello\` | \`version: u32\` |
+| 1 | \`Execute\` | \`id: u64\` |
+
+## Response messages
+
+| tag | variant | fields | replies to |
+|---|---|---|---|
+| 0 | \`HelloOk\` | \`ServerInfo\` | \`Hello\` |
+| 1 | \`Bye\` | — | \`Goodbye\` |
+EOF
+    cat >"$1/crates/concealer-server/src/protocol.rs" <<'EOF'
+pub enum Request {
+    /// The mandatory first frame.
+    Hello {
+        version: u32,
+    },
+    #[allow(missing_docs)]
+    Execute { id: u64 },
+}
+
+pub enum Response {
+    HelloOk(ServerInfo),
+    Bye,
+}
 EOF
     cat >"$1/crates/concealer-server/src/error.rs" <<'EOF'
 impl ErrorCode {
@@ -104,6 +134,13 @@ write_tree "$tmp/short" beta
 grep -v 'beta' "$tmp/short/PROTOCOL.md" >"$tmp/short/PROTOCOL.tmp"
 mv "$tmp/short/PROTOCOL.tmp" "$tmp/short/PROTOCOL.md"
 expect "missing registry row fails" 1 "$tmp/short"
+
+# Exit 1: the Request table still lists a variant the enum dropped.
+write_tree "$tmp/msgdrift" beta
+awk '{ print } /^\| 1 \| `Execute` \|/ { print "| 2 | `ExecutePartial` | `id: u64` |" }' \
+    "$tmp/msgdrift/PROTOCOL.md" >"$tmp/msgdrift/PROTOCOL.tmp"
+mv "$tmp/msgdrift/PROTOCOL.tmp" "$tmp/msgdrift/PROTOCOL.md"
+expect "message tag table drift fails" 1 "$tmp/msgdrift"
 
 # Exit 2: usage errors.
 expect "missing directory is a usage error" 2 "$tmp/does-not-exist"

@@ -777,43 +777,13 @@ impl Session {
         }
     }
 
-    /// Submit a partial execution without waiting: the server answers
-    /// with per-epoch partials over only the epochs it holds (the shard
-    /// half of multi-node serving; see `concealer_core::merge_partials`).
-    pub fn submit_partial(
-        &mut self,
-        query: &Query,
-        options: Option<ExecOptions>,
-    ) -> Result<Pending, ClientError> {
-        let id = self.fresh_id();
-        write_frame(
-            &mut self.stream,
-            &Request::ExecutePartial {
-                id,
-                query: query.clone(),
-                options,
-            },
-        )?;
-        Ok(Pending { id })
-    }
-
-    /// Redeem a [`Session::submit_partial`] ticket. The outer `Result`
-    /// is the transport; the inner one is the shard's structured outcome
-    /// (kept structured so a router can merge errors positionally).
-    #[allow(clippy::type_complexity)]
-    pub fn wait_partial(
-        &mut self,
-        pending: Pending,
-    ) -> Result<Result<Vec<WirePartial>, WireError>, ClientError> {
-        match self.wait_for(pending.id)? {
-            Response::PartialAnswer { result, .. } => Ok(result.into_result()),
-            other => Err(unexpected("PartialAnswer", &other)),
-        }
-    }
-
-    /// Submit a batch of partial executions without waiting; the shard
-    /// deduplicates `(epoch, bin)` fetches across the batch within its
-    /// slice, exactly as a single-process `ExecuteBatch` would.
+    /// Submit a batch of partial executions without waiting: the server
+    /// answers each query with per-epoch partials over only the epochs it
+    /// holds (the shard half of multi-node serving; see
+    /// `concealer_core::merge_partials`), deduplicating `(epoch, bin)`
+    /// fetches across the batch within its slice, exactly as a
+    /// single-process `ExecuteBatch` would. One query's partials are a
+    /// batch of one.
     pub fn submit_batch_partial(
         &mut self,
         queries: &[Query],
@@ -833,6 +803,9 @@ impl Session {
 
     /// Redeem a [`Session::submit_batch_partial`] ticket: per-query
     /// partial outcomes, positionally aligned with the submitted queries.
+    /// The outer `Result` is the transport; each inner one is the shard's
+    /// structured outcome (kept structured so a router can merge errors
+    /// positionally).
     #[allow(clippy::type_complexity)]
     pub fn wait_batch_partial(
         &mut self,

@@ -66,19 +66,18 @@ pub struct ExecOptions {
     /// execution: `None` inherits the deployment default.
     pub oblivious: Option<bool>,
     /// Worker threads for batch execution, the calling thread included
-    /// (`0` and `1` both mean sequential). The engine uses exactly this
-    /// many — never more than the batch has bins to fetch, and with no
-    /// regard to the host's core count: capping it is deployment policy
-    /// (`ServerConfig::max_parallelism` in the serving layer;
-    /// [`Session::par_execute_batch`] asks for one per core). Only
-    /// dedup-eligible batches — bin-granular BPB without
-    /// forward privacy — parallelize their fetch+verify and per-query
-    /// aggregation stages; answers and the adversary-observable trace are
-    /// bit-identical to sequential execution either way. Batches that fall
-    /// back to per-query execution (eBPB, winSecRange, forward privacy)
-    /// ignore this knob and stay fully sequential, because interleaving
-    /// their fetches would observably reorder the access pattern the
-    /// caller configured.
+    /// (`0` and `1` both mean one worker, the calling thread). The engine
+    /// uses exactly this many — never more than the batch has bins to
+    /// fetch, and with no regard to the host's core count: capping it is
+    /// deployment policy (`ServerConfig::max_parallelism` in the serving
+    /// layer; [`Session::par_execute_batch`] asks for one per core). Only
+    /// dedup-eligible batches — bin-granular BPB without forward privacy —
+    /// run their fetch+verify and per-query aggregation stages on these
+    /// workers; answers and the adversary-observable trace are
+    /// bit-identical at every count. Batches that fall back to per-query
+    /// execution (eBPB, winSecRange, forward privacy) ignore this knob and
+    /// stay fully sequential, because interleaving their fetches would
+    /// observably reorder the access pattern the caller configured.
     pub parallelism: usize,
 }
 

@@ -1,6 +1,7 @@
 //! Batch execution: plan every query, fetch and verify the union of their
 //! `(epoch, bin)` pairs once, and fold each bin into the partials of the
-//! queries that planned it — sequentially or on scoped threads.
+//! queries that planned it — one stage executor on `w` scoped threads, the
+//! calling thread among them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,8 +29,9 @@ fn part_of(parts: &mut [EpochPartial], epoch_id: u64) -> &mut EpochPartial {
 }
 
 /// Run `job(0)` on the calling thread beside `job(1)`, …, `job(threads - 1)`
-/// on scoped threads of their own, and return the results in index order.
-/// A panicking job resurfaces here once every thread has finished.
+/// on scoped threads of their own, and return the results in index order;
+/// `threads ≤ 1` runs `job(0)` alone and spawns nothing. A panicking job
+/// resurfaces here once every thread has finished.
 fn on_threads<T: Send>(threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     std::thread::scope(|scope| {
         let job = &job;
@@ -74,18 +76,17 @@ impl QueryEngine {
     ///   after every query, so deduplicating fetches across queries would
     ///   change its semantics.
     ///
-    /// With `opts.parallelism > 1`, dedup-eligible batches run their
-    /// fetch+verify stage and their per-query filter/aggregate stage on
-    /// that many threads (the caller's among them, never more than the
-    /// union has bins). Parallel execution is **observably identical**
-    /// to sequential execution: answers (including fetch metadata) are
-    /// bit-identical, and every thread records storage accesses into a
-    /// buffer of its own that is merged into the shared observer in
-    /// ascending `(epoch, bin)` order — the order the sequential loop
-    /// fetches in — so even the event-level trace matches. The fallback
-    /// configurations above ignore the knob entirely and stay sequential:
-    /// interleaving their fetches across threads would observably reorder
-    /// the access pattern the caller configured.
+    /// Dedup-eligible batches run their fetch+verify stage and their
+    /// per-query filter/aggregate stage on `opts.parallelism` threads (the
+    /// caller's among them, at least one, never more than the union has
+    /// bins). The worker count is **unobservable**: answers (including
+    /// fetch metadata) are bit-identical to per-query execution, and every
+    /// thread records storage accesses into a buffer of its own that is
+    /// merged into the shared observer in ascending `(epoch, bin)` order,
+    /// so even the event-level trace is the same at every count. The
+    /// fallback configurations above ignore the knob entirely and stay
+    /// sequential: interleaving their fetches across threads would
+    /// observably reorder the access pattern the caller configured.
     pub fn execute_batch(
         &self,
         user: &UserHandle,
@@ -115,10 +116,10 @@ impl QueryEngine {
     /// router finishes after the partials crossed the wire.
     ///
     /// Every `(epoch, bin)` pair the batch needs from this process's slice
-    /// is fetched and hash-chain-verified once, then filtered per query by
-    /// one of two stage executors — the sequential bin-major loop, or the
-    /// two threaded stages when `opts.parallelism > 1` — with identical
-    /// partials and an identical event-level trace either way. eBPB /
+    /// is fetched and hash-chain-verified once, then filtered per query, by
+    /// the two stages of one executor on `opts.parallelism` workers — with
+    /// identical partials and an identical event-level trace at every
+    /// worker count. A batch that needs no bin here fetches nothing. eBPB /
     /// winSecRange batches fall back to sequential per-query partial
     /// execution, and forward-private batches are refused per query, both
     /// mirroring [`QueryEngine::execute_batch`]'s fallback rules.
@@ -173,80 +174,33 @@ impl QueryEngine {
         let epochs = self.epochs.read();
         bump_phase(&self.phases.aggregate_ns, plan_start);
 
-        let workers = opts.parallelism.min(union.len());
-        let results = if workers > 1 {
-            self.execute_union_parallel(&epochs, queries, &opts, &union, workers, &plans)
-        } else {
-            self.execute_union_sequential(&epochs, queries, &opts, &union, &plans)
-        };
+        // One worker per bin at most, and the calling thread at least: an
+        // empty union (no queries, or none over this process's epochs) is
+        // one worker with an empty slice, which fetches nothing.
+        let workers = opts.parallelism.min(union.len()).max(1);
+        let results = self.execute_union(&epochs, queries, &opts, &union, workers, &plans);
         self.store.mark_query_boundary();
         results
     }
 
-    /// The sequential stage executor (and the reference the parallel tests
-    /// compare against): fetch each `(epoch, bin)` of `union` once, in
-    /// ascending order, and fold it into the partials of every query that
-    /// planned it. A failing bin — fetch error (integrity violation,
-    /// storage fault, …) or processing error — fails every query that
-    /// needed it with that error; a failed query's remaining bins are no
-    /// longer processed, so the *first* error is the one reported.
-    fn execute_union_sequential(
-        &self,
-        epochs: &BTreeMap<u64, EpochRuntime>,
-        queries: &[Query],
-        opts: &ExecOptions,
-        union: &[(u64, usize)],
-        plans: &[Result<PartialBinPlan>],
-    ) -> Vec<Result<Vec<EpochPartial>>> {
-        let mut results: Vec<Result<Vec<EpochPartial>>> = plans
-            .iter()
-            .map(|plan| {
-                plan.as_ref()
-                    .map(PartialBinPlan::seed)
-                    .map_err(Clone::clone)
-            })
-            .collect();
-        let mut memos: Vec<PlanMemo> = queries.iter().map(|_| PlanMemo::new()).collect();
-
-        for pair @ &(epoch_id, bin_idx) in union {
-            let rt = epochs.get(&epoch_id).expect("planned epoch is registered");
-            let fetch = self.fetch_bin_rows(&self.store, rt, bin_idx, opts);
-            for (i, plan) in plans.iter().enumerate() {
-                let (Ok(plan), Ok(parts)) = (plan, &mut results[i]) else {
-                    continue;
-                };
-                if !plan.bins.contains(pair) {
-                    continue;
-                }
-                let part = part_of(parts, epoch_id);
-                let folded = match &fetch {
-                    Ok(entry) => self.fold_entry(rt, entry, &queries[i], opts, part, &mut memos[i]),
-                    Err(e) => Err(e.clone()),
-                };
-                if let Err(e) = folded {
-                    results[i] = Err(e);
-                }
-            }
-        }
-        results
-    }
-
-    /// The parallel stage executor, on [`std::thread::scope`]: `workers`
-    /// threads in total, the calling thread among them, and no queue.
+    /// The stage executor, on [`std::thread::scope`]: `workers` threads in
+    /// total, the calling thread among them (at `workers = 1` the only
+    /// one — nothing is spawned), and no queue.
     ///
-    /// Stage 1 cuts `union` into at most `workers` contiguous slices; each
-    /// thread fetches and hash-chain-verifies its slice, recording storage
-    /// accesses into an observer of its own. Joined in slice order — which
-    /// is ascending `(epoch, bin)` order, the order the sequential loop
-    /// fetches in — the per-slice event buffers are appended to the shared
-    /// observer in one call, so the adversary-visible trace is
-    /// event-for-event identical to sequential execution.
+    /// Stage 1 cuts `union` into `workers` contiguous slices; each thread
+    /// fetches and hash-chain-verifies its slice. The calling thread's
+    /// slice comes first in `(epoch, bin)` order, so it records storage
+    /// accesses straight into the shared observer; every other thread
+    /// records into an observer of its own, appended after the join in
+    /// slice order. The adversary-visible trace is therefore
+    /// event-for-event the same at every worker count. A failing bin fails
+    /// every query that planned it.
     ///
     /// Stage 2 filters and aggregates per query over the shared fetch
     /// results: threads claim query indices from one atomic cursor until
     /// none are left. A session or planning error is the query's result
     /// and never reaches stage 2.
-    fn execute_union_parallel(
+    fn execute_union(
         &self,
         epochs: &BTreeMap<u64, EpochRuntime>,
         queries: &[Query],
@@ -255,28 +209,28 @@ impl QueryEngine {
         workers: usize,
         plans: &[Result<PartialBinPlan>],
     ) -> Vec<Result<Vec<EpochPartial>>> {
-        let slices: Vec<&[(u64, usize)]> = union.chunks(union.len().div_ceil(workers)).collect();
+        let n = union.len();
+        let slice = |w: usize| &union[w * n / workers..(w + 1) * n / workers];
         let fetch_slice = |w: usize| {
             let local = AccessObserver::new();
             // A served system keeps no trace: then neither do its tasks.
             local.set_recording(self.store.observer().is_recording());
-            let store = self.store.observed_by(local.clone());
-            let fetched: Vec<Result<Arc<BinEntry>>> = slices[w]
+            let buffered = self.store.observed_by(local.clone());
+            let store = if w == 0 { &self.store } else { &buffered };
+            let fetched: Vec<Result<Arc<BinEntry>>> = slice(w)
                 .iter()
                 .map(|&(epoch_id, bin_idx)| {
                     let rt = epochs.get(&epoch_id).expect("planned epoch is registered");
-                    self.fetch_bin_rows(&store, rt, bin_idx, opts)
+                    self.fetch_bin_rows(store, rt, bin_idx, opts)
                 })
                 .collect();
             (fetched, local.take_events())
         };
         let mut fetches = Vec::with_capacity(union.len());
-        let mut events = Vec::new();
-        for (fetched, recorded) in on_threads(slices.len(), fetch_slice) {
+        for (fetched, recorded) in on_threads(workers, fetch_slice) {
             fetches.extend(fetched);
-            events.extend(recorded);
+            self.store.observer().record_batch(recorded);
         }
-        self.store.observer().record_batch(events);
 
         let mut results: Vec<Result<Vec<EpochPartial>>> = plans
             .iter()
@@ -306,9 +260,9 @@ impl QueryEngine {
 
     /// Filter and aggregate one planned query from the batch's shared fetch
     /// results, visiting its bins in ascending order so accumulator merges
-    /// (and therefore collected-row order) match the sequential loop. The
-    /// first failing bin — fetch error or processing error — determines the
-    /// query's error, as in the sequential loop.
+    /// (and therefore collected-row order) match per-query execution. The
+    /// first failing bin — fetch error (integrity violation, storage fault,
+    /// …) or processing error — determines the query's error.
     fn aggregate_planned_query(
         &self,
         epochs: &BTreeMap<u64, EpochRuntime>,

@@ -36,9 +36,9 @@ impl QueryEngine {
     /// enclave-internal work only: trapdoor re-derivation, hash-chain
     /// re-verification and payload re-decryption.
     ///
-    /// Takes the store handle explicitly so the parallel batch path can
+    /// Takes the store handle explicitly so the batch executor can
     /// substitute a handle bound to a task-local observer (same stored
-    /// data, buffered trace); sequential paths pass `&self.store`.
+    /// data, buffered trace); single-query paths pass `&self.store`.
     pub(super) fn fetch_bin_rows(
         &self,
         store: &EpochStore,
@@ -161,7 +161,7 @@ impl QueryEngine {
 
     /// Filter and aggregate one fetch's rows for one query, folding the
     /// matches and the fetch/decrypt counts into the epoch's partial — the
-    /// accumulate step every method and both stage executors end in. The
+    /// accumulate step every method and the batch executor end in. The
     /// filter plan is memoized per `(epoch, round)` in the caller-provided
     /// memo (plans depend only on the round key, the config and the query,
     /// so every fetch of a round shares one plan), and per-row payload

@@ -696,6 +696,47 @@ fn parallel_batch_reports_integrity_violations_deterministically() {
     );
 }
 
+/// A batch whose union is empty — no queries, or queries over none of this
+/// process's epochs (every shard not holding a routed batch's epochs) —
+/// fetches nothing at any worker count and returns the seeded partials.
+#[test]
+fn empty_union_fetches_nothing_at_every_parallelism() {
+    use concealer_storage::AccessEvent;
+    let (system, user, _) = setup(false);
+    let elsewhere = vec![
+        Query::count().at_dims([1]).at(999_999),
+        Query::sum(0).at_dims([2]).between(7_200, 10_799),
+    ];
+    for parallelism in [1usize, 4] {
+        let opts = ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(parallelism);
+        for queries in [&[][..], &elsewhere[..]] {
+            system.observer().reset();
+            let (results, meter) = system
+                .meter()
+                .measure(|| system.engine().execute_batch_partials(&user, queries, opts));
+            assert_eq!(results.len(), queries.len(), "parallelism={parallelism}");
+            for result in results {
+                assert!(result.unwrap().is_empty(), "parallelism={parallelism}");
+            }
+            let fetched = system.observer().take_events().into_iter().any(|e| {
+                matches!(
+                    e,
+                    AccessEvent::TrapdoorIssued { .. } | AccessEvent::RowFetched { .. }
+                )
+            });
+            assert!(!fetched, "parallelism={parallelism}");
+            assert_eq!(meter.trapdoors_generated, 0, "parallelism={parallelism}");
+        }
+        let merged = system
+            .session(&user)
+            .with_options(opts)
+            .execute_batch(&elsewhere);
+        assert!(merged
+            .iter()
+            .all(|r| matches!(r, Err(CoreError::NoDataForRange))));
+    }
+}
+
 #[test]
 fn plan_stats_exposes_winsec_intervals() {
     let (system, user, _) = setup(false);

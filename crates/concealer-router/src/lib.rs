@@ -65,7 +65,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use concealer_client::{ClientBuilder, ClientError, Pending, Session, TrustPolicy};
+use concealer_client::{ClientBuilder, ClientError, Session, TrustPolicy};
 use concealer_core::{shard_of_epoch, ExecOptions, Query, Record, UserHandle};
 use concealer_server::protocol::{
     Response, ShardDescriptor, WirePartialResult, WireQuote, CONNECTION_LEVEL_ID,
@@ -400,24 +400,28 @@ impl RouterHandler {
         Err(failure)
     }
 
-    /// Fan one pipelined exchange out to **every** shard: submit at each
-    /// shard's first member in read order, then collect the replies in
-    /// shard order — so the shards execute concurrently while the calling
-    /// thread blocks once per upstream. Only an idle pooled session is
-    /// submitted on up front. A shard without one, and a pipelined
-    /// attempt that tears at submit or at wait, goes through the same
-    /// exchange as any other: a fresh dial of that member, then failover.
+    /// Fan one partial batch out to **every** shard and return each
+    /// query's partial union. Each shard deduplicates its fetches across
+    /// the batch; one query is a batch of one. The batch is submitted at
+    /// each shard's first member in read order, then the replies are
+    /// collected in shard order — so the shards execute concurrently while
+    /// the calling thread blocks once per upstream. Only an idle pooled
+    /// session is submitted on up front. A shard without one, and a
+    /// pipelined attempt that tears at submit or at wait, goes through the
+    /// same exchange as any other: a fresh dial of that member, then
+    /// failover.
     ///
     /// Epoch ownership is hash-scattered across the slice space
     /// ([`shard_of_epoch`]), so any time range may touch any shard; the
     /// partition of work happens structurally, because each shard only
     /// holds (and therefore only executes) the epochs its slice owns.
-    fn fan<T>(
+    fn fan(
         &self,
         user: &UserHandle,
-        submit: &dyn Fn(&mut Session) -> Result<Pending, ClientError>,
-        wait: &dyn Fn(&mut Session, Pending) -> Result<T, ClientError>,
-    ) -> Vec<Result<T, ShardFailure>> {
+        queries: &[Query],
+        options: Option<ExecOptions>,
+    ) -> Vec<merge::Answered> {
+        let submit = |conn: &mut Session| conn.submit_batch_partial(queries, options);
         let started: Vec<_> = (0..self.addrs.len())
             .map(|shard| {
                 let order = self.state().members.read_order(shard);
@@ -438,67 +442,14 @@ impl RouterHandler {
                     Some(ticket) => ticket?,
                     None => submit(conn)?,
                 };
-                wait(conn, pending)
+                conn.wait_batch_partial(pending)
             })
         };
-        started.into_iter().map(collect).collect()
-    }
-
-    /// One query over every shard, merged unless the union was asked for.
-    fn query(
-        &self,
-        user: &UserHandle,
-        id: u64,
-        query: &Query,
-        options: Option<ExecOptions>,
-        merge: bool,
-    ) -> Response {
-        let union = combine_partials(self.fan(
-            user,
-            &|conn| conn.submit_partial(query, options),
-            &|conn, pending| conn.wait_partial(pending),
-        ));
-        if !merge {
-            let result = partial_result(union);
-            return Response::PartialAnswer { id, result };
-        }
-        match merge_answer(query, union) {
-            Ok(answer) => Response::Answer { id, answer },
-            Err(error) => Response::Error { id, error },
-        }
-    }
-
-    /// One batch over every shard (each deduplicates its fetches across the
-    /// batch), merged per query unless the unions were asked for.
-    fn batch(
-        &self,
-        user: &UserHandle,
-        id: u64,
-        queries: &[Query],
-        options: Option<ExecOptions>,
-        merge: bool,
-    ) -> Response {
-        let per_shard = self.fan(
-            user,
-            &|conn| conn.submit_batch_partial(queries, options),
-            &|conn, pending| conn.wait_batch_partial(pending),
-        );
-        let unions = split_batch(per_shard, queries.len())
+        let per_shard = started.into_iter().map(collect).collect();
+        split_batch(per_shard, queries.len())
             .into_iter()
-            .map(combine_partials);
-        if !merge {
-            let results = unions.map(partial_result).collect();
-            return Response::BatchPartialAnswer { id, results };
-        }
-        let results = queries
-            .iter()
-            .zip(unions)
-            .map(|(query, union)| match merge_answer(query, union) {
-                Ok(answer) => WireResult::Ok(answer),
-                Err(e) => WireResult::Err(e),
-            })
-            .collect();
-        Response::BatchAnswer { id, results }
+            .map(combine_partials)
+            .collect()
     }
 
     /// The backend profile across the deployment. One member per set
@@ -515,13 +466,6 @@ impl RouterHandler {
             .into_iter()
             .reduce(merge::fold_stats)
             .ok_or_else(|| WireError::new(ErrorCode::ShardUnavailable, "no shards configured"))
-    }
-}
-
-fn partial_result(union: merge::Answered) -> WirePartialResult {
-    match union {
-        Ok(partials) => WirePartialResult::Ok(partials),
-        Err(e) => WirePartialResult::Err(e),
     }
 }
 
@@ -568,28 +512,44 @@ impl ServeHandler for RouterHandler {
         Err(fail(ErrorCode::ShardUnavailable, why))
     }
 
-    /// `Execute` and `ExecutePartial` share one fan and differ only in
-    /// whether the partial union is merged; so do the two batch requests.
+    /// Every query request is one fan of a partial batch — `Execute` a
+    /// batch of one — and differs only in whether the unions are merged.
     fn execute(&self, user: &UserHandle, request: EngineRequest) -> Response {
-        let merge = matches!(
-            request,
-            EngineRequest::Execute { .. } | EngineRequest::ExecuteBatch { .. }
-        );
         match request {
-            EngineRequest::Execute { id, query, options }
-            | EngineRequest::ExecutePartial { id, query, options } => {
-                self.query(user, id, &query, options, merge)
+            EngineRequest::Execute { id, query, options } => {
+                let union = self.fan(user, std::slice::from_ref(&query), options).pop();
+                match merge_answer(&query, union.expect("a batch of one has one union")) {
+                    Ok(answer) => Response::Answer { id, answer },
+                    Err(error) => Response::Error { id, error },
+                }
             }
             EngineRequest::ExecuteBatch {
                 id,
                 queries,
                 options,
+            } => {
+                let unions = self.fan(user, &queries, options);
+                let results = queries
+                    .iter()
+                    .zip(unions)
+                    .map(|(query, union)| {
+                        merge_answer(query, union).map_or_else(WireResult::Err, WireResult::Ok)
+                    })
+                    .collect();
+                Response::BatchAnswer { id, results }
             }
-            | EngineRequest::ExecuteBatchPartial {
+            EngineRequest::ExecuteBatchPartial {
                 id,
                 queries,
                 options,
-            } => self.batch(user, id, &queries, options, merge),
+            } => {
+                let unions = self.fan(user, &queries, options);
+                let results = unions
+                    .into_iter()
+                    .map(|union| union.map_or_else(WirePartialResult::Err, WirePartialResult::Ok))
+                    .collect();
+                Response::BatchPartialAnswer { id, results }
+            }
             EngineRequest::IngestEpoch {
                 id,
                 epoch_start,

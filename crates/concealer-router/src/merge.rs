@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use concealer_core::{merge_partials, Query, QueryAnswer};
+use concealer_core::{merge_partials, shard_of_epoch, Query, QueryAnswer};
 use concealer_server::protocol::{ShardDescriptor, ShardRole, WirePartial};
 use concealer_server::{ErrorCode, WireError, WireStats};
 
@@ -64,8 +64,9 @@ pub(crate) fn member_lists(shards: &[String]) -> Result<Vec<Vec<String>>, Router
 
 /// Validate what every member reported at probe time (`reports[i][m]` is
 /// what `addrs[i][m]` said): each of set `i`'s members must report slice
-/// `i` of `addrs.len()`, every member must agree on the epoch duration,
-/// and every set must have exactly one writer. Refusing to start on a
+/// `i` of `addrs.len()` and hold only epochs that slice owns, every member
+/// must agree on the epoch duration, and every set must have exactly one
+/// writer. Refusing to start on a
 /// disagreement is what keeps a mis-wired deployment from serving
 /// silently wrong (partially merged) answers — and the refusal names
 /// **every** disagreeing member and the map it reported, so one startup
@@ -104,6 +105,19 @@ pub(crate) fn validate_map(
                      addresses must be in shard order)",
                     d.shard_index, d.shard_total
                 ));
+            } else {
+                // A slice serves only the epochs it owns: a foreign one
+                // (say, re-registered from a reopened store) would be
+                // counted twice, once here and once by its owner.
+                for &epoch in &d.epochs {
+                    let owner = shard_of_epoch(epoch, addrs.len());
+                    if owner != index as usize {
+                        disagreements.push(format!(
+                            "{addr} (shard {index}) holds epoch {epoch}, which belongs to \
+                             shard {owner}"
+                        ));
+                    }
+                }
             }
             if d.epoch_duration != duration {
                 disagreements.push(format!(
@@ -175,16 +189,20 @@ pub(crate) fn split_batch(
     per_query
 }
 
-/// Collapse one query's per-shard outcomes into the partial union, or the
-/// error the client should see. Structured errors win over transport
-/// errors (they are the more specific diagnosis), and the lowest shard
-/// index wins among structured errors so the choice is deterministic.
+/// Collapse one query's per-shard outcomes (in shard order) into the
+/// partial union, or the error the client should see. Structured errors
+/// win over transport errors (they are the more specific diagnosis), and
+/// the lowest shard index wins among structured errors so the choice is
+/// deterministic. An epoch answered twice is refused: [`merge_partials`]
+/// would count it twice.
 pub(crate) fn combine_partials(outcomes: Vec<Outcome>) -> Answered {
     let mut partials = Vec::new();
     let mut unavailable: Option<String> = None;
-    for outcome in outcomes {
+    for (shard, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
-            Ok(Ok(shard_partials)) => partials.extend(shard_partials),
+            Ok(Ok(shard_partials)) => {
+                partials.extend(shard_partials.into_iter().map(|p| (shard, p)))
+            }
             Ok(Err(e)) | Err(ShardFailure::Server(e)) => return Err(e),
             Err(ShardFailure::Unavailable(msg)) => {
                 unavailable.get_or_insert(msg);
@@ -195,8 +213,22 @@ pub(crate) fn combine_partials(outcomes: Vec<Outcome>) -> Answered {
     if let Some(msg) = unavailable {
         return Err(WireError::new(ErrorCode::ShardUnavailable, msg));
     }
-    partials.sort_by_key(|p| p.epoch_id);
-    Ok(partials)
+    partials.sort_by_key(|(_, p)| p.epoch_id);
+    if let Some(pair) = partials
+        .windows(2)
+        .find(|w| w[0].1.epoch_id == w[1].1.epoch_id)
+    {
+        let ((first, p), (second, _)) = (&pair[0], &pair[1]);
+        return Err(WireError::new(
+            ErrorCode::InvalidConfig,
+            format!(
+                "epoch {} was answered by shard {first} and shard {second}; an epoch has \
+                 one owner",
+                p.epoch_id
+            ),
+        ));
+    }
+    Ok(partials.into_iter().map(|(_, p)| p).collect())
 }
 
 /// Merge a query's partial union into the final answer, reproducing the
@@ -374,5 +406,58 @@ mod tests {
             "{err}"
         );
         assert!(!err.contains("shard 0"), "{err}");
+    }
+
+    #[test]
+    fn a_member_holding_an_epoch_it_does_not_own_is_refused() {
+        // Epoch 0 belongs to shard 0 of 2; shard 1 re-registered it from a
+        // reopened store.
+        let addrs = addrs(&[1, 1]);
+        let mut stray = descriptor(1, 2, ShardRole::Writer);
+        stray.epochs = vec![0, 1];
+        let err = refusal(
+            &addrs,
+            vec![vec![descriptor(0, 2, ShardRole::Writer)], vec![stray]],
+        );
+        assert!(err.starts_with("shard map disagreement: "), "{err}");
+        assert!(
+            err.contains(&format!(
+                "{} (shard 1) holds epoch 0, which belongs to shard 0",
+                addrs[1][0]
+            )),
+            "{err}"
+        );
+        assert!(!err.contains("epoch 1,"), "{err}");
+    }
+
+    #[test]
+    fn an_epoch_answered_by_two_shards_is_refused() {
+        let partial = |epoch_id| WirePartial {
+            epoch_id,
+            count: 3,
+            sum: 0,
+            min: None,
+            max: None,
+            per_location: Vec::new(),
+            rows: Vec::new(),
+            rows_fetched: 64,
+            rows_decrypted: 0,
+            verified: true,
+        };
+        let err = combine_partials(vec![
+            Ok(Ok(vec![partial(0)])),
+            Ok(Ok(vec![partial(0), partial(7200)])),
+        ])
+        .unwrap_err();
+        assert_eq!(err.code, ErrorCode::InvalidConfig, "{err}");
+        assert!(
+            err.message
+                .contains("epoch 0 was answered by shard 0 and shard 1"),
+            "{err}"
+        );
+        // Disjoint slices still combine, ascending by epoch.
+        let union = combine_partials(vec![Ok(Ok(vec![partial(7200)])), Ok(Ok(vec![partial(0)]))])
+            .expect("disjoint union");
+        assert_eq!(union, vec![partial(0), partial(7200)]);
     }
 }

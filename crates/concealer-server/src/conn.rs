@@ -312,9 +312,6 @@ impl Machine {
                 queries,
                 options,
             },
-            Request::ExecutePartial { id, query, options } => {
-                EngineRequest::ExecutePartial { id, query, options }
-            }
             Request::ExecuteBatchPartial {
                 id,
                 queries,
@@ -491,11 +488,6 @@ mod tests {
             Request::Shutdown { id },
             Request::ServeStats { id },
             Request::ShardInfo { id },
-            Request::ExecutePartial {
-                id,
-                query: query.clone(),
-                options: None,
-            },
             Request::ExecuteBatchPartial {
                 id,
                 queries: vec![query],

@@ -51,9 +51,11 @@ use crate::error::WireError;
 /// No peer of an earlier version was ever deployed, so there is one
 /// layout: versions 1–4 appended the routing, replica-set and attestation
 /// messages, version 5 dropped the last field of `ExecOptions`, version 6
-/// dropped `ServeStats::loop_iterations`. The canonical field-by-field
-/// layout of every message lives in `PROTOCOL.md` at the repository root.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// dropped `ServeStats::loop_iterations`, version 7 dropped the
+/// single-query partial pair (one query's partials are a batch of one).
+/// The canonical field-by-field layout of every message lives in
+/// `PROTOCOL.md` at the repository root.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Request id used for connection-level errors that cannot be attributed
 /// to a request (malformed frame, handshake refusal, admission rejection).
@@ -150,22 +152,12 @@ pub enum Request {
         /// Caller-chosen request id echoed in the reply (must be nonzero).
         id: u64,
     },
-    /// Execute one query over only the epochs this server owns, answering
-    /// with per-epoch partials ([`Response::PartialAnswer`]) instead of a
-    /// finished answer. The shard half of routed execution; see
-    /// [`concealer_core::QueryEngine::execute_partials`].
-    ExecutePartial {
-        /// Caller-chosen request id echoed in the reply (must be nonzero).
-        id: u64,
-        /// The query.
-        query: Query,
-        /// Execution options; `None` uses the server's defaults.
-        options: Option<ExecOptions>,
-    },
-    /// Partial-execution batch: like [`Request::ExecuteBatch`] but each
-    /// query answers with its per-epoch partials over this server's slice
-    /// ([`Response::BatchPartialAnswer`]), with `(epoch, bin)` fetches
-    /// deduplicated across the batch within the slice.
+    /// Partial-execution batch, the shard half of routed execution: like
+    /// [`Request::ExecuteBatch`] but each query answers with its per-epoch
+    /// partials over this server's slice ([`Response::BatchPartialAnswer`]),
+    /// with `(epoch, bin)` fetches deduplicated across the batch within the
+    /// slice. One query's partials are a batch of one; see
+    /// [`concealer_core::QueryEngine::execute_batch_partials`].
     ExecuteBatchPartial {
         /// Caller-chosen request id echoed in the reply (must be nonzero).
         id: u64,
@@ -220,7 +212,6 @@ impl Request {
             | Request::Shutdown { id }
             | Request::ServeStats { id }
             | Request::ShardInfo { id }
-            | Request::ExecutePartial { id, .. }
             | Request::ExecuteBatchPartial { id, .. }
             | Request::RouterStats { id }
             | Request::Promote { id }
@@ -367,7 +358,7 @@ pub struct ShardDescriptor {
 
 /// One epoch's contribution to a query answer on the wire — the
 /// serializable form of [`concealer_core::EpochPartial`], carried by
-/// [`Response::PartialAnswer`] / [`Response::BatchPartialAnswer`]. The
+/// [`Response::BatchPartialAnswer`]. The
 /// accumulator fields are flattened (`per_location` as ascending pairs)
 /// because partials cross the wire between shard and router.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -434,7 +425,7 @@ impl WirePartial {
 }
 
 /// One per-query outcome of a partial execution
-/// ([`Response::PartialAnswer`] / [`Response::BatchPartialAnswer`]).
+/// ([`Response::BatchPartialAnswer`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WirePartialResult {
     /// The query's per-epoch partials over this server's slice (possibly
@@ -596,13 +587,6 @@ pub enum Response {
         /// The epoch slice this server owns.
         shard: ShardDescriptor,
     },
-    /// Reply to [`Request::ExecutePartial`].
-    PartialAnswer {
-        /// The echoed request id.
-        id: u64,
-        /// The query's per-epoch partials over this server's slice.
-        result: WirePartialResult,
-    },
     /// Reply to [`Request::ExecuteBatchPartial`], positionally aligned
     /// with the request's `queries`.
     BatchPartialAnswer {
@@ -655,7 +639,6 @@ impl Response {
             | Response::Error { id, .. }
             | Response::ServeStatsOk { id, .. }
             | Response::ShardInfoOk { id, .. }
-            | Response::PartialAnswer { id, .. }
             | Response::BatchPartialAnswer { id, .. }
             | Response::RouterStatsOk { id, .. }
             | Response::PromoteOk { id, .. }
@@ -709,11 +692,6 @@ mod tests {
             Request::Goodbye,
             Request::ServeStats { id: 6 },
             Request::ShardInfo { id: 7 },
-            Request::ExecutePartial {
-                id: 8,
-                query: Query::average(0).between(0, 7199),
-                options: None,
-            },
             Request::ExecuteBatchPartial {
                 id: 9,
                 queries: vec![Query::count().at_dims([1]).at(60)],
@@ -810,21 +788,6 @@ mod tests {
                     role: ShardRole::Replica,
                     store_generation: 12,
                 },
-            },
-            Response::PartialAnswer {
-                id: 8,
-                result: WirePartialResult::Ok(vec![WirePartial {
-                    epoch_id: 7200,
-                    count: 5,
-                    sum: 90,
-                    min: Some(3),
-                    max: Some(40),
-                    per_location: vec![(1, 2), (4, 3)],
-                    rows: vec![Record::spatial(1, 7260, 1001)],
-                    rows_fetched: 64,
-                    rows_decrypted: 64,
-                    verified: true,
-                }]),
             },
             Response::BatchPartialAnswer {
                 id: 9,

@@ -218,11 +218,6 @@ pub enum EngineRequest {
         queries: Vec<Query>,
         options: Option<ExecOptions>,
     },
-    ExecutePartial {
-        id: u64,
-        query: Query,
-        options: Option<ExecOptions>,
-    },
     ExecuteBatchPartial {
         id: u64,
         queries: Vec<Query>,
@@ -248,7 +243,6 @@ impl EngineRequest {
         match self {
             EngineRequest::Execute { id, .. }
             | EngineRequest::ExecuteBatch { id, .. }
-            | EngineRequest::ExecutePartial { id, .. }
             | EngineRequest::ExecuteBatchPartial { id, .. }
             | EngineRequest::IngestEpoch { id, .. }
             | EngineRequest::Stats { id }
@@ -352,15 +346,6 @@ impl ServeHandler for EngineHandler {
                     .map(WireResult::from)
                     .collect();
                 Response::BatchAnswer { id, results }
-            }
-            EngineRequest::ExecutePartial { id, query, options } => {
-                let result = system
-                    .session(user)
-                    .execute_partials(&query, self.clamp(options));
-                Response::PartialAnswer {
-                    id,
-                    result: WirePartialResult::from(result),
-                }
             }
             EngineRequest::ExecuteBatchPartial {
                 id,

@@ -95,7 +95,7 @@ impl EpochStore {
     }
 
     /// A handle on the *same* stored data that reports accesses to a
-    /// different observer. The parallel batch path hands each worker task a
+    /// different observer. The batch executor hands each spawned worker a
     /// handle bound to a task-local observer, then merges the task traces
     /// into the shared observer in deterministic (bin) order — see
     /// [`AccessObserver::record_batch`].

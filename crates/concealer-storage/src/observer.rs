@@ -161,13 +161,13 @@ impl AccessObserver {
     /// acquisition, so no event from another thread can interleave inside
     /// the batch.
     ///
-    /// This is the merge half of the parallel execution protocol: worker
-    /// tasks record into task-local observers (one per `(epoch, bin)`
-    /// fetch), and the engine concatenates the buffers **in ascending bin
-    /// order** before appending them here. The resulting trace is
-    /// byte-identical to a sequential execution of the same batch — the
-    /// union-of-per-query-traces invariant holds exactly, not just up to
-    /// reordering.
+    /// This is the merge half of the batch execution protocol: spawned
+    /// workers record into task-local observers (one per contiguous slice
+    /// of the batch's `(epoch, bin)` union), and the engine appends the
+    /// buffers here **in ascending bin order**, behind the calling
+    /// thread's own slice. The resulting trace is byte-identical at every
+    /// worker count — the union-of-per-query-traces invariant holds
+    /// exactly, not just up to reordering.
     pub fn record_batch(&self, events: Vec<AccessEvent>) {
         if self.is_recording() {
             self.shared.events.lock().extend(events);

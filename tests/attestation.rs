@@ -48,7 +48,7 @@ fn default_policy_attests_verifies_and_serves() {
 /// `Hello` before a successful `Attest` → a fatal structured
 /// `attestation_failed` at connection level, then close.
 #[test]
-fn hello_before_attest_is_refused_in_both_cores() {
+fn hello_before_attest_is_refused() {
     let (user, handle) = spawn_demo_server();
     let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
     write_frame(
@@ -88,7 +88,7 @@ fn hello_before_attest_is_refused_in_both_cores() {
 /// the connection open for retry, and `Attest` after authentication is a
 /// protocol violation.
 #[test]
-fn pre_auth_matrix_is_enforced_in_both_cores() {
+fn pre_auth_matrix_is_enforced() {
     let (user, handle) = spawn_demo_server();
     let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
 

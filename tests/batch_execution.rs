@@ -53,10 +53,10 @@ fn random_mix(seed: u64, len: usize) -> Vec<Query> {
         .collect()
 }
 
-/// Worker counts every parallel assertion compares with the sequential
-/// batch: 1 (the sequential executor again, for the partial entry point),
-/// two that rarely divide the union, and one above any CI host's cores
-/// (and, for short mixes, above the union length).
+/// Worker counts every batch assertion sweeps: 1 (the calling thread
+/// alone, whose batch is the trace and meter reference), two that rarely
+/// divide the union, and one above any CI host's cores (and, for short
+/// mixes, above the union length).
 const PARALLELISM_SWEEP: [usize; 4] = [1, 2, 3, 8];
 
 /// One BPB batch on `parallelism` workers through `execute_batch`: the
@@ -83,7 +83,7 @@ fn run_batch(
 
 /// A system that keeps no trace — what a server makes of the one it
 /// serves — answers exactly the same and records nothing, on one worker
-/// or several (the parallel path's task-local observers are paused with
+/// or several (the batch executor's task-local observers are paused with
 /// it); switched back on, it traces exactly as it did before.
 #[test]
 fn a_paused_observer_changes_no_answer_and_keeps_no_event() {
@@ -111,8 +111,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
 
     /// Batched answers — values *and* execution metadata — equal running
-    /// the same queries sequentially under the bin-granular BPB method,
-    /// for the sequential batch path *and* the threaded one, through
+    /// the same queries one by one under the bin-granular BPB method, at
+    /// every worker count of the one batch executor, through
     /// `execute_batch` *and* `execute_batch_partials` + `merge_partials`.
     #[test]
     fn batch_answers_equal_sequential(seed in 0u64..1_000, len in 1usize..12) {

@@ -229,7 +229,7 @@ fn script(max_frame_len: usize) -> Vec<(Vec<Vec<u8>>, &'static [&'static str])> 
 }
 
 #[test]
-fn one_scripted_conversation_yields_identical_bytes_from_both_cores() {
+fn one_scripted_conversation_yields_identical_bytes() {
     const MAX_FRAME_LEN: usize = 2048;
     let server = Server::with_handler(
         Arc::new(Double::default()),
@@ -257,7 +257,7 @@ fn one_scripted_conversation_yields_identical_bytes_from_both_cores() {
 }
 
 #[test]
-fn serve_stats_reports_work_in_flight_on_both_cores() {
+fn serve_stats_reports_work_in_flight() {
     let double = Arc::new(Double {
         gate: Some((Barrier::new(2), Barrier::new(2))),
     });

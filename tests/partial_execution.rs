@@ -230,8 +230,8 @@ fn merge_is_invariant_under_partial_arrival_order() {
 
 /// Batches: each shard dedupes `(epoch, bin)` fetches within its own
 /// slice, yet per-query fetch metadata (rows_fetched / rows_decrypted)
-/// after the merge is the same however the epochs are split — on the
-/// sequential stage executor and on the pool.
+/// after the merge is the same however the epochs are split — on one
+/// worker and on two.
 #[test]
 fn batch_partials_are_partition_invariant() {
     let deployments: Vec<_> = (1..=3).map(partitioned).collect();
