@@ -68,6 +68,10 @@ pub(crate) struct BinEntry {
     pub rows: RowArena,
     /// Lazily populated per-row payload decode results.
     pub decoded: DecodedBin,
+    /// Which rows a fake trapdoor claimed, as verification found them
+    /// (empty for an unverified entry): the filter stage refuses any of
+    /// them that would contribute, on every hit as on the cold fetch.
+    pub fake_claimed: Vec<bool>,
     /// Whether the rows passed hash-chain verification when cached. An
     /// unverified entry cannot serve a verifying execution.
     pub verified: bool,
@@ -223,6 +227,7 @@ mod tests {
             gen_meter: MeterSnapshot::default(),
             rows: RowArena::new(),
             decoded: DecodedBin::new(0),
+            fake_claimed: Vec::new(),
             verified: true,
             oblivious: false,
         })

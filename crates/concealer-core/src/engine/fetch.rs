@@ -16,7 +16,7 @@ use crate::bin_cache::{BinEntry, BinKey};
 use crate::query::filter::{
     build_filter_plan, process_rows_oblivious, process_rows_plain, DecodedBin, FilterPlan,
 };
-use crate::query::trapdoor::{generate_oblivious, generate_plain, FetchSpec};
+use crate::query::trapdoor::{generate_oblivious, generate_plain, FetchSpec, LabelledTrapdoors};
 use crate::query::Query;
 use crate::verify::verify_fetch;
 use crate::Result;
@@ -99,11 +99,7 @@ impl QueryEngine {
         let rows = store.fetch_batch(rt.epoch_id, &issued.trapdoors)?;
         bump_phase(&self.phases.fetch_ns, fetch_start);
 
-        if want_verify {
-            let verify_start = Instant::now();
-            verify_fetch(key.as_ref(), &issued, &rows, &rt.tags)?;
-            bump_phase(&self.phases.verify_ns, verify_start);
-        }
+        let fake_claimed = self.verify_if(want_verify, key.as_ref(), &issued, &rows, rt)?;
         self.bin_cache.record_miss();
         let entry = Arc::new(BinEntry {
             key,
@@ -112,6 +108,7 @@ impl QueryEngine {
             gen_meter,
             decoded: DecodedBin::new(rows.len()),
             rows,
+            fake_claimed,
             verified: want_verify,
             oblivious,
         });
@@ -152,11 +149,32 @@ impl QueryEngine {
             entry.round,
             &entry.rows,
             &entry.decoded,
+            &entry.fake_claimed,
             query,
             opts,
             part,
             memo,
         )
+    }
+
+    /// Verify what one fetch returned when `want_verify` says so, timing it
+    /// under the verify phase: the rows a fake trapdoor claimed, or no mask
+    /// at all for an unverified fetch.
+    fn verify_if(
+        &self,
+        want_verify: bool,
+        key: &EpochKey,
+        issued: &LabelledTrapdoors,
+        rows: &RowArena,
+        rt: &EpochRuntime,
+    ) -> Result<Vec<bool>> {
+        if !want_verify {
+            return Ok(Vec::new());
+        }
+        let verify_start = Instant::now();
+        let fake_claimed = verify_fetch(key, issued, rows, &rt.tags)?;
+        bump_phase(&self.phases.verify_ns, verify_start);
+        Ok(fake_claimed)
     }
 
     /// Filter and aggregate one fetch's rows for one query, folding the
@@ -167,7 +185,7 @@ impl QueryEngine {
     /// so every fetch of a round shares one plan), and per-row payload
     /// decodes go through the shared [`DecodedBin`] so each row is decrypted
     /// at most once per entry lifetime regardless of how many queries visit
-    /// it.
+    /// it. `fake_claimed` is the fetch's verified fake mask.
     #[allow(clippy::too_many_arguments)]
     fn fold_rows(
         &self,
@@ -176,6 +194,7 @@ impl QueryEngine {
         round: u64,
         rows: &RowArena,
         decoded: &DecodedBin,
+        fake_claimed: &[bool],
         query: &Query,
         opts: &ExecOptions,
         part: &mut EpochPartial,
@@ -187,10 +206,11 @@ impl QueryEngine {
             .entry((rt.epoch_id, round))
             .or_insert_with(|| build_filter_plan(key, &self.config, &query.predicate, rt.window));
         let meter = self.enclave.meter();
+        let aggregate = &query.aggregate;
         let out = if self.oblivious_enabled(opts) {
-            process_rows_oblivious(key, plan, &query.aggregate, rows, decoded, meter)
+            process_rows_oblivious(key, plan, aggregate, rows, decoded, fake_claimed, meter)
         } else {
-            process_rows_plain(key, plan, &query.aggregate, rows, decoded, meter)
+            process_rows_plain(key, plan, aggregate, rows, decoded, fake_claimed, meter)
         };
         bump_phase(&self.phases.decrypt_ns, start);
         let (acc, rows_decrypted) = out?;
@@ -235,11 +255,7 @@ impl QueryEngine {
             let issued = generate_plain(key.as_ref(), &spec, self.enclave.meter());
             let rows = self.store.fetch_batch(rt.epoch_id, &issued.trapdoors)?;
             bump_phase(&self.phases.fetch_ns, fetch_start);
-            if want_verify {
-                let verify_start = Instant::now();
-                verify_fetch(key.as_ref(), &issued, &rows, &rt.tags)?;
-                bump_phase(&self.phases.verify_ns, verify_start);
-            }
+            let fake_claimed = self.verify_if(want_verify, key.as_ref(), &issued, &rows, rt)?;
             let decoded = DecodedBin::new(rows.len());
             self.fold_rows(
                 rt,
@@ -247,6 +263,7 @@ impl QueryEngine {
                 round,
                 &rows,
                 &decoded,
+                &fake_claimed,
                 query,
                 opts,
                 part,

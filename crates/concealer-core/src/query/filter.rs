@@ -19,6 +19,16 @@
 //! unconditionally, accumulates matches branch-free, decrypts every row when
 //! any decryption is needed, and reports its work to the
 //! [`SideChannelMeter`] so indistinguishability is testable.
+//!
+//! A row claimed by a fake trapdoor never contributes: no hash chain covers
+//! fakes, so what the provider stored under a fake's `Index` value is
+//! unchecked. Both variants take the verified fetch's fake mask
+//! ([`crate::verify::verify_fetch`]; empty when the fetch was not verified)
+//! and fail with [`CoreError::IntegrityViolation`] when a masked row matches
+//! the filter tokens or — when the payload decides — authenticates. The
+//! plain variant stops at the first such row; the oblivious one folds a flag
+//! branch-free and checks it after the loop, so its metered work is that of
+//! an honest fetch.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -32,7 +42,10 @@ use crate::codec;
 use crate::config::SystemConfig;
 use crate::query::{Accumulator, Aggregate, Predicate};
 use crate::types::EpochWindow;
-use crate::Result;
+use crate::{CoreError, Result};
+
+/// What a row claimed by a fake trapdoor that would count is reported as.
+const FAKE_SLOT_VIOLATION: CoreError = CoreError::IntegrityViolation { cell_id: u32::MAX };
 
 /// The filter tokens and residual (post-decryption) checks for one query on
 /// one epoch.
@@ -172,6 +185,8 @@ pub fn build_filter_plan(
 }
 
 /// Filter and aggregate the rows of one fetched bin (plain variant).
+/// `fake_claimed[i]` says a fake trapdoor claimed row `i` (see the module
+/// docs); an empty mask checks nothing.
 ///
 /// The metered `decryptions` count follows the processing schedule — one
 /// per row the plain variant decrypts — whether or not `decoded` already
@@ -182,6 +197,7 @@ pub fn process_rows_plain(
     aggregate: &Aggregate,
     rows: &RowArena,
     decoded: &DecodedBin,
+    fake_claimed: &[bool],
     meter: &SideChannelMeter,
 ) -> Result<(Accumulator, usize)> {
     let mut acc = Accumulator::default();
@@ -190,6 +206,7 @@ pub fn process_rows_plain(
     // shared meter mutex is not taken per row (see
     // `SideChannelMeter::add_snapshot`).
     let mut ops = MeterSnapshot::default();
+    let is_fake = |idx: usize| fake_claimed.get(idx).copied().unwrap_or(false);
 
     for (idx, row) in rows.iter().enumerate() {
         // Fake tuples never match any token and their payloads are not
@@ -198,6 +215,10 @@ pub fn process_rows_plain(
         if plan.token_decides {
             if !token_match {
                 continue;
+            }
+            if is_fake(idx) {
+                meter.add_snapshot(ops);
+                return Err(FAKE_SLOT_VIOLATION);
             }
             if !aggregate.needs_decryption() {
                 acc.count += 1;
@@ -223,6 +244,10 @@ pub fn process_rows_plain(
         };
         decrypted += 1;
         ops.decryptions += 1;
+        if is_fake(idx) {
+            meter.add_snapshot(ops);
+            return Err(FAKE_SLOT_VIOLATION);
+        }
         if !plan.token_decides {
             if *time < plan.time_range.0 || *time > plan.time_range.1 {
                 continue;
@@ -241,13 +266,15 @@ pub fn process_rows_plain(
 
 /// Filter and aggregate obliviously (Concealer+): every row and every token
 /// is touched; the number of decryptions equals the number of rows whenever
-/// any decryption is needed at all.
+/// any decryption is needed at all. `fake_claimed` is
+/// [`process_rows_plain`]'s.
 pub fn process_rows_oblivious(
     key: &EpochKey,
     plan: &FilterPlan,
     aggregate: &Aggregate,
     rows: &RowArena,
     decoded: &DecodedBin,
+    fake_claimed: &[bool],
     meter: &SideChannelMeter,
 ) -> Result<(Accumulator, usize)> {
     let mut acc = Accumulator::default();
@@ -257,8 +284,11 @@ pub fn process_rows_oblivious(
     // recorded is unchanged, but the shared mutex is not taken per row or
     // per token (see `SideChannelMeter::add_snapshot`).
     let mut ops = MeterSnapshot::default();
+    // 1 once a row a fake trapdoor claimed would have contributed.
+    let mut fake_contributed = 0u64;
 
     for (idx, row) in rows.iter().enumerate() {
+        let fake = u64::from(fake_claimed.get(idx).copied().unwrap_or(false));
         ops.element_touches += 1;
         // Branch-free token matching: compare against every token.
         let mut dim_match = 0u64;
@@ -282,6 +312,9 @@ pub fn process_rows_oblivious(
             obs_match
         };
         let mut matched = dim_ok & obs_ok;
+        if plan.token_decides {
+            fake_contributed |= fake & matched;
+        }
 
         if needs_payload {
             // Every row is decrypted regardless of the match flag; the
@@ -295,6 +328,9 @@ pub fn process_rows_oblivious(
                     return Err(e);
                 }
             };
+            if !plan.token_decides {
+                fake_contributed |= fake & u64::from(slot.is_some());
+            }
             let Some((dims, time, payload)) = slot else {
                 // Fake rows fail authentication; they contribute nothing but
                 // the work above was already constant.
@@ -316,6 +352,9 @@ pub fn process_rows_oblivious(
         }
     }
     meter.add_snapshot(ops);
+    if fake_contributed != 0 {
+        return Err(FAKE_SLOT_VIOLATION);
+    }
     Ok((acc, decrypted))
 }
 
@@ -487,6 +526,7 @@ mod tests {
             &Aggregate::Count,
             &rows,
             &DecodedBin::new(rows.len()),
+            &[],
             &meter,
         )
         .unwrap();
@@ -517,6 +557,7 @@ mod tests {
             &Aggregate::Sum { attr: 0 },
             &rows,
             &DecodedBin::new(rows.len()),
+            &[],
             &meter,
         )
         .unwrap();
@@ -549,6 +590,7 @@ mod tests {
             &Aggregate::Count,
             &rows,
             &DecodedBin::new(rows.len()),
+            &[],
             &meter,
         )
         .unwrap();
@@ -578,6 +620,7 @@ mod tests {
             &Aggregate::TopKLocations { k: 5 },
             &rows,
             &DecodedBin::new(rows.len()),
+            &[],
             &meter,
         )
         .unwrap();
@@ -615,6 +658,7 @@ mod tests {
                 &aggregate,
                 &rows,
                 &DecodedBin::new(rows.len()),
+                &[],
                 &meter,
             )
             .unwrap();
@@ -624,6 +668,7 @@ mod tests {
                 &aggregate,
                 &rows,
                 &DecodedBin::new(rows.len()),
+                &[],
                 &meter,
             )
             .unwrap();
@@ -659,6 +704,7 @@ mod tests {
             &Aggregate::Sum { attr: 0 },
             &rows,
             &DecodedBin::new(rows.len()),
+            &[],
             &meter,
         )
         .unwrap();
@@ -691,6 +737,7 @@ mod tests {
                 &Aggregate::Count,
                 &rows,
                 &DecodedBin::new(rows.len()),
+                &[],
                 &meter,
             )
             .unwrap()
@@ -702,6 +749,7 @@ mod tests {
                 &Aggregate::Count,
                 &rows,
                 &DecodedBin::new(rows.len()),
+                &[],
                 &meter,
             )
             .unwrap()
@@ -739,6 +787,7 @@ mod tests {
                             &Aggregate::Sum { attr: 0 },
                             &rows,
                             decoded,
+                            &[],
                             &meter,
                         )
                         .unwrap()
@@ -749,6 +798,7 @@ mod tests {
                             &Aggregate::Sum { attr: 0 },
                             &rows,
                             decoded,
+                            &[],
                             &meter,
                         )
                         .unwrap()
@@ -768,6 +818,69 @@ mod tests {
             assert_eq!(fresh_acc.sum, warm_acc.sum, "{variant}");
             assert_eq!(fresh_d, warm_d, "{variant}");
             assert_eq!(fresh_ops, warm_ops, "{variant} meter counters");
+        }
+    }
+
+    /// A fake slot carrying a real row's columns: unmasked it counts, masked
+    /// it is refused whenever it would contribute — by a token match, or by
+    /// authenticating when the payload decides — and the oblivious variant
+    /// meters the refused fetch exactly as it meters it unmasked.
+    #[test]
+    fn a_row_claimed_by_a_fake_trapdoor_never_contributes() {
+        let key = key();
+        let counted = real_row(&key, 3, 100, 10);
+        let honest = RowArena::from(vec![
+            counted.clone(),
+            real_row(&key, 4, 200, 20),
+            fake_row(&key),
+        ]);
+        let carrying = RowArena::from(vec![
+            counted.clone(),
+            real_row(&key, 4, 200, 20),
+            EncryptedRow {
+                index_key: fake_row(&key).index_key,
+                ..counted
+            },
+        ]);
+        let mask = [false, false, true];
+        let range = |dims: Option<Vec<u64>>| Predicate::Range {
+            dims,
+            observation: None,
+            time_start: 0,
+            time_end: 3599,
+        };
+        let meter = SideChannelMeter::new();
+        // Per case, the honest count; the copy adds one.
+        for (predicate, aggregate, count) in [
+            (range(Some(vec![3])), Aggregate::Count, 1),
+            (range(Some(vec![3])), Aggregate::Sum { attr: 0 }, 1),
+            (range(None), Aggregate::TopKLocations { k: 2 }, 2),
+        ] {
+            let plan = build_filter_plan(&key, &config(), &predicate, window());
+            for oblivious in [false, true] {
+                let run = |rows: &RowArena, mask: &[bool]| {
+                    let decoded = DecodedBin::new(rows.len());
+                    meter.measure(|| {
+                        let process = if oblivious {
+                            process_rows_oblivious
+                        } else {
+                            process_rows_plain
+                        };
+                        process(&key, &plan, &aggregate, rows, &decoded, mask, &meter)
+                            .map(|(acc, _)| acc.count)
+                    })
+                };
+                let what = format!("{aggregate:?}, oblivious {oblivious}");
+                let (unmasked, unmasked_ops) = run(&carrying, &[]);
+                let (refused, refused_ops) = run(&carrying, &mask);
+                let (fine, _) = run(&honest, &mask);
+                assert_eq!(unmasked, Ok(count + 1), "{what}: the copy counts unmasked");
+                assert_eq!(refused, Err(FAKE_SLOT_VIOLATION), "{what}");
+                assert_eq!(fine, Ok(count), "{what}: an honest fake is no violation");
+                if oblivious {
+                    assert_eq!(refused_ops, unmasked_ops, "{what}: meter");
+                }
+            }
         }
     }
 

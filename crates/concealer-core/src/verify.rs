@@ -1,19 +1,25 @@
 //! Hash-chain integrity verification (Algorithm 1 lines 16-21 and §4.2
 //! Step 4 of the paper).
 //!
-//! For every cell-id the data provider chains the encrypted tuples that
-//! carry it, in counter order:
+//! For every cell-id the data provider hashes the encrypted tuples that
+//! carry it, in counter order, as **one** keyed SHA-256 message:
 //!
 //! ```text
-//! h_1 = H(row_1),   h_j = H(row_j || h_{j-1})
+//! h = SHA-256(prefix ‖ row_1 ‖ row_2 ‖ … ‖ row_n)
+//! prefix = "concealer/hash-chain/v3" ‖ hash_chain_key ‖ 9 zero bytes
+//! row_j  = column count ‖ (LEB128 length ‖ column)*
 //! ```
 //!
-//! where `row_j` is the concatenation of the tuple's encrypted columns. The
-//! final digest is encrypted (so the service provider cannot recompute or
+//! over every column of the row, `Index` included. SHA-256 is itself a
+//! Merkle–Damgård chain, so the message is the chain the paper asks for
+//! with the compression block as its unit: a dropped, added, reordered or
+//! modified row changes the message and therefore `h`. The column count and
+//! lengths make the encoding injective, so no two row sequences share a
+//! message. A cell-id without tuples seals the digest of the prefix alone.
+//! The digest is encrypted (so the service provider cannot recompute or
 //! forge it) and shipped as the cell-id's *verifiable tag*. At query time
-//! the enclave rebuilds the chain from the fetched tuples and compares it
-//! against the decrypted tag: any tuple modification, deletion, reordering
-//! or injection by the service provider changes the digest.
+//! the enclave rebuilds the message from the fetched tuples and compares
+//! its digest against the decrypted tag.
 //!
 //! The paper builds one chain per column (`E_l`, `E_o`, `E_r`); this
 //! implementation chains the concatenation of all columns, which detects
@@ -28,8 +34,6 @@
 //! trapdoor, so nothing the provider adds to a fetch reaches the filter
 //! stage unaccounted for.
 
-use std::cell::Cell;
-
 use concealer_crypto::sha256::{Digest, Sha256};
 use concealer_crypto::EpochKey;
 use concealer_storage::{EncryptedRow, RowArena, RowRef};
@@ -39,15 +43,17 @@ use crate::query::trapdoor::LabelledTrapdoors;
 use crate::{CoreError, Result};
 
 /// Domain-separation prefix for chain hashing.
-const CHAIN_DOMAIN: &[u8] = b"concealer/hash-chain/v2";
+const CHAIN_DOMAIN: &[u8] = b"concealer/hash-chain/v3";
 
-/// What every chain link is hashed from, built once per builder or
+/// What every cell-id's message starts from, built once per builder or
 /// verification call: the hasher that has absorbed `domain ‖
 /// hash_chain_key` zero-padded to exactly one SHA-256 block (cloned per
-/// link), and the buffer each link is laid out in (reused per link).
+/// cell-id), and the buffer rows are laid out in before they are absorbed
+/// (reused, so the hasher copies each byte once rather than once per
+/// length and column).
 struct ChainPrefix {
     hasher: Sha256,
-    link: Cell<Vec<u8>>,
+    buffer: Vec<u8>,
 }
 
 fn chain_prefix(key: &EpochKey) -> ChainPrefix {
@@ -59,56 +65,43 @@ fn chain_prefix(key: &EpochKey) -> ChainPrefix {
     hasher.update(&block);
     ChainPrefix {
         hasher,
-        link: Cell::default(),
+        buffer: Vec::new(),
     }
 }
 
-/// One chain link over a row's columns, owned or viewed: each column
-/// behind its length, then the previous digest. Lengths are LEB128 — one
-/// byte for a column under 128 bytes — which is what lets a WiFi row (138
-/// bytes in four columns, plus the 32-byte digest) end inside its third
-/// block with the padding; four-byte lengths would spill it by three bytes
-/// into a fourth compression.
-///
-/// The link is laid out whole in the prefix's buffer and absorbed with
-/// one `update`, so the hasher copies and buffers it once rather than
-/// once per length, column and digest.
-fn hash_row_into_chain<'r>(
-    prefix: &ChainPrefix,
-    columns: impl Iterator<Item = &'r [u8]>,
-    prev: Option<&Digest>,
-) -> Digest {
-    let mut link = prefix.link.take();
-    link.clear();
+/// Append `n` as LEB128: one byte under 128. A WiFi row's column count and
+/// each of its four column lengths take one, so its 138 bytes of columns
+/// encode in 143.
+fn push_leb128(out: &mut Vec<u8>, mut n: usize) {
+    while n >= 0x80 {
+        out.push((n & 0x7f) as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+}
+
+/// Append one row of a cell-id's message: its column count, then every
+/// column behind its length.
+fn encode_row<'r>(out: &mut Vec<u8>, columns: impl Iterator<Item = &'r [u8]> + Clone) {
+    push_leb128(out, columns.clone().count());
     for column in columns {
-        let mut len = column.len();
-        while len >= 0x80 {
-            link.push((len & 0x7f) as u8 | 0x80);
-            len >>= 7;
-        }
-        link.push(len as u8);
-        link.extend_from_slice(column);
+        push_leb128(out, column.len());
+        out.extend_from_slice(column);
     }
-    if let Some(prev) = prev {
-        link.extend_from_slice(prev);
-    }
-    let mut h = prefix.hasher.clone();
-    h.update(&link);
-    prefix.link.set(link);
-    h.finalize()
 }
 
-/// Builds per-cell-id hash chains at the data provider.
+/// Builds per-cell-id hash chains at the data provider: one running
+/// message per cell-id, each row absorbed with one `update`.
 pub struct HashChainBuilder<'k> {
     key: &'k EpochKey,
     prefix: ChainPrefix,
-    digests: Vec<Option<Digest>>,
+    messages: Vec<Sha256>,
 }
 
 impl std::fmt::Debug for HashChainBuilder<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HashChainBuilder")
-            .field("cell_ids", &self.digests.len())
+            .field("cell_ids", &self.messages.len())
             .finish_non_exhaustive()
     }
 }
@@ -117,10 +110,11 @@ impl<'k> HashChainBuilder<'k> {
     /// Start chains for `num_cell_ids` cell-ids.
     #[must_use]
     pub fn new(key: &'k EpochKey, num_cell_ids: usize) -> Self {
+        let prefix = chain_prefix(key);
         HashChainBuilder {
             key,
-            prefix: chain_prefix(key),
-            digests: vec![None; num_cell_ids],
+            messages: vec![prefix.hasher.clone(); num_cell_ids],
+            prefix,
         }
     }
 
@@ -135,42 +129,64 @@ impl<'k> HashChainBuilder<'k> {
         self.absorb_columns(cell_id, row.columns());
     }
 
-    fn absorb_columns<'r>(&mut self, cell_id: u32, columns: impl Iterator<Item = &'r [u8]>) {
-        let slot = &mut self.digests[cell_id as usize];
-        *slot = Some(hash_row_into_chain(&self.prefix, columns, slot.as_ref()));
+    fn absorb_columns<'r>(
+        &mut self,
+        cell_id: u32,
+        columns: impl Iterator<Item = &'r [u8]> + Clone,
+    ) {
+        let buffer = &mut self.prefix.buffer;
+        buffer.clear();
+        encode_row(buffer, columns);
+        self.messages[cell_id as usize].update(buffer);
     }
 
-    /// Encrypt the final digest of every cell-id's chain, producing the
-    /// verifiable tags shipped to the service provider. Cell-ids that
-    /// received no tuples get a tag over the empty chain so their absence
-    /// of data is also authenticated.
+    /// Every cell-id's digest so far.
+    #[cfg(test)]
+    fn digests(&self) -> Vec<Digest> {
+        self.messages.iter().map(|m| m.clone().finalize()).collect()
+    }
+
+    /// Encrypt the digest of every cell-id's message, producing the
+    /// verifiable tags shipped to the service provider. A cell-id that
+    /// received no tuples seals the prefix's own digest, so its absence of
+    /// data is authenticated too.
     #[must_use]
     pub fn finalize<R: RngCore>(self, rng: &mut R) -> Vec<Vec<u8>> {
         let key = self.key;
-        self.digests
+        self.messages
             .into_iter()
-            .map(|d| {
-                let digest = d.unwrap_or([0u8; 32]);
-                key.rand.encrypt(rng, &digest)
-            })
+            .map(|message| key.rand.encrypt(rng, &message.finalize()))
             .collect()
     }
 }
 
-/// Rebuild one cell-id's chain over `rows` (each a row's columns, in
-/// counter order) and compare it with the decrypted tag.
-fn check_chain<'r, C: Iterator<Item = &'r [u8]>>(
+/// The digest of one cell-id's message over `rows` (each a row's columns,
+/// in counter order): the rows are laid out whole in the prefix's buffer
+/// and absorbed with one `update`.
+fn cell_digest<'r, C: Iterator<Item = &'r [u8]> + Clone>(
+    prefix: &mut ChainPrefix,
+    rows: impl Iterator<Item = C>,
+) -> Digest {
+    let buffer = &mut prefix.buffer;
+    buffer.clear();
+    for columns in rows {
+        encode_row(buffer, columns);
+    }
+    let mut message = prefix.hasher.clone();
+    message.update(buffer);
+    message.finalize()
+}
+
+/// Rebuild one cell-id's message over `rows` and compare its digest with
+/// the decrypted tag.
+fn check_chain<'r, C: Iterator<Item = &'r [u8]> + Clone>(
     key: &EpochKey,
-    prefix: &ChainPrefix,
+    prefix: &mut ChainPrefix,
     cell_id: u32,
     rows: impl Iterator<Item = C>,
     enc_tag: &[u8],
 ) -> Result<()> {
-    let digest = rows
-        .fold(None, |prev: Option<Digest>, columns| {
-            Some(hash_row_into_chain(prefix, columns, prev.as_ref()))
-        })
-        .unwrap_or([0u8; 32]);
+    let digest = cell_digest(prefix, rows);
     let expected = key
         .rand
         .decrypt(enc_tag)
@@ -194,7 +210,7 @@ pub fn verify_cell_chain(
     enc_tag: &[u8],
 ) -> Result<()> {
     let rows = rows.iter().map(|row| row.columns());
-    check_chain(key, &chain_prefix(key), cell_id, rows, enc_tag)
+    check_chain(key, &mut chain_prefix(key), cell_id, rows, enc_tag)
 }
 
 /// Verify everything one fetch returned (enclave side): `rows` is the
@@ -211,17 +227,23 @@ pub fn verify_cell_chain(
 /// fails the fetch with [`CoreError::IntegrityViolation`] (reported against
 /// the fetch's first cell-id, `u32::MAX` for an all-fake fetch), because the
 /// filter stage aggregates every returned row. Each cell-id the fetch
-/// covers then has its claimed rows chained in counter order and compared
-/// with its tag; a missing tuple shows there. Fake tuples are claimed but
-/// belong to no chain.
+/// covers then has its claimed rows laid out in counter order and hashed as
+/// one message against its tag; a missing tuple shows there.
+///
+/// Fake tuples are claimed but belong to no chain, so whatever the provider
+/// stored under a fake's `Index` value reaches the enclave unchecked. The
+/// returned mask says which rows a fake trapdoor claimed (`true` at their
+/// positions in `rows`); the filter stage fails the fetch if one of them
+/// would contribute to an answer ([`crate::query::filter`]).
 pub fn verify_fetch(
     key: &EpochKey,
     issued: &LabelledTrapdoors,
     rows: &RowArena,
     tags: &[Vec<u8>],
-) -> Result<()> {
+) -> Result<Vec<bool>> {
     // (cell_id, counter, position in `rows`) of every claimed real tuple.
     let mut claimed: Vec<(u32, u32, usize)> = Vec::with_capacity(rows.len());
+    let mut fake_claimed = vec![false; rows.len()];
     let mut unclaimed = issued.trapdoors.iter().zip(&issued.labels);
     for (pos, row) in rows.iter().enumerate() {
         let index_key = row.index_key();
@@ -230,13 +252,14 @@ pub fn verify_fetch(
             let cell_id = issued.cell_ids.first().copied().unwrap_or(u32::MAX);
             return Err(CoreError::IntegrityViolation { cell_id });
         };
-        if let Some((cell_id, counter)) = *label {
-            claimed.push((cell_id, counter, pos));
+        match *label {
+            Some((cell_id, counter)) => claimed.push((cell_id, counter, pos)),
+            None => fake_claimed[pos] = true,
         }
     }
     claimed.sort_unstable();
 
-    let prefix = chain_prefix(key);
+    let mut prefix = chain_prefix(key);
     for &cell_id in &issued.cell_ids {
         let start = claimed.partition_point(|&(cid, _, _)| cid < cell_id);
         let len = claimed[start..].partition_point(|&(cid, _, _)| cid == cell_id);
@@ -246,9 +269,9 @@ pub fn verify_fetch(
         let tag = tags
             .get(cell_id as usize)
             .ok_or(CoreError::IntegrityViolation { cell_id })?;
-        check_chain(key, &prefix, cell_id, cell_rows, tag)?;
+        check_chain(key, &mut prefix, cell_id, cell_rows, tag)?;
     }
-    Ok(())
+    Ok(fake_claimed)
 }
 
 #[cfg(test)]
@@ -401,7 +424,7 @@ mod tests {
         }
 
         fn verify(&self, issued: &LabelledTrapdoors, returned: Vec<EncryptedRow>) -> Result<()> {
-            verify_fetch(&self.key, issued, &returned.into(), &self.tags)
+            verify_fetch(&self.key, issued, &returned.into(), &self.tags).map(drop)
         }
     }
 
@@ -534,21 +557,25 @@ mod tests {
         );
     }
 
-    /// Chain v2, spelled out: provider and enclave share the function, so
-    /// only a test against the layout itself notices it moving.
+    /// Chain v3, spelled out over two rows — one with a 300-byte column
+    /// (a two-byte length) and an empty one — and over none: provider and
+    /// enclave share the encoding, so only a test against the layout itself
+    /// notices it moving.
     #[test]
-    fn chain_link_layout_is_pinned() {
+    fn chain_message_layout_is_pinned() {
         let key = key();
         let long = EncryptedRow {
             index_key: vec![1; 25],
             filters: vec![vec![2; 300], vec![]],
             payload: vec![3; 128],
         };
-        let prev = [0xAB; 32];
-        let mut message = b"concealer/hash-chain/v2".to_vec();
+        let short = row(7);
+        let mut message = b"concealer/hash-chain/v3".to_vec();
         message.extend_from_slice(&key.hash_chain_key);
         message.extend_from_slice(&[0; 9]);
         assert_eq!(message.len(), 64, "the prefix is one SHA-256 block");
+        let prefix_digest = concealer_crypto::sha256::sha256(&message);
+        message.push(4);
         for (len, column) in [
             (&[25][..], &long.index_key),
             (&[0xAC, 0x02], &long.filters[0]),
@@ -558,63 +585,72 @@ mod tests {
             message.extend_from_slice(len);
             message.extend_from_slice(column);
         }
-        let first = concealer_crypto::sha256::sha256(&message);
-        assert_eq!(
-            hash_row_into_chain(&chain_prefix(&key), long.columns(), None),
-            first
-        );
-        message.extend_from_slice(&prev);
-        assert_eq!(
-            hash_row_into_chain(&chain_prefix(&key), long.columns(), Some(&prev)),
-            concealer_crypto::sha256::sha256(&message)
-        );
-        // Owned rows and views hash through the one routine.
-        let arena = RowArena::from(vec![long.clone()]);
-        let mut owned = HashChainBuilder::new(&key, 1);
-        let mut viewed = HashChainBuilder::new(&key, 1);
+        message.push(4);
+        for (len, column) in [
+            (9, &short.index_key),
+            (16, &short.filters[0]),
+            (16, &short.filters[1]),
+            (40, &short.payload),
+        ] {
+            message.push(len);
+            message.extend_from_slice(column);
+        }
+        let want = concealer_crypto::sha256::sha256(&message);
+
+        // Owned rows and views hash alike, and an empty cell-id seals the
+        // prefix's own digest.
+        let arena = RowArena::from(vec![long.clone(), short.clone()]);
+        let mut owned = HashChainBuilder::new(&key, 2);
+        let mut viewed = HashChainBuilder::new(&key, 2);
         owned.absorb(0, &long);
+        owned.absorb(0, &short);
         viewed.absorb_view(0, arena.get(0).unwrap());
-        assert_eq!(owned.digests, viewed.digests);
-        assert_eq!(owned.digests[0], Some(first));
+        viewed.absorb_view(0, arena.get(1).unwrap());
+        assert_eq!(owned.digests(), [want, prefix_digest]);
+        assert_eq!(viewed.digests(), owned.digests());
+        let rows = [&long, &short].map(EncryptedRow::columns);
+        assert_eq!(cell_digest(&mut chain_prefix(&key), rows.into_iter()), want);
     }
 
-    /// The digest a two-row chain seals, as bytes: the prefix block, both
-    /// links and the `prev` hand-over, whichever SHA-256 path computed it.
+    /// The digest a two-row chain seals, as bytes, whichever SHA-256 path
+    /// computed it.
     #[test]
     fn two_row_chain_digest_golden_bytes() {
         let key = key();
         let mut chain = HashChainBuilder::new(&key, 1);
         chain.absorb(0, &row(1));
         chain.absorb(0, &row(2));
-        let digest = chain.digests[0].expect("two rows absorbed");
-        let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+        let hex: String = chain.digests()[0]
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
         assert_eq!(
             hex,
-            "5eabd1ad995ddc9b9399f8b3ff63dfa9825106b467385c66cb0a05861704c82f"
+            "dff60c3b2a1ad2849615c28de692f79174c5c058882ced83ba858328d56061ac"
         );
     }
 
-    /// A chain link as it was hashed before it became one message: the
-    /// same bytes, handed to the hasher piece by piece.
-    fn streaming_link<'r>(
-        prefix: &Sha256,
-        columns: impl Iterator<Item = &'r [u8]>,
-        prev: Option<&Digest>,
-    ) -> Digest {
-        let mut h = prefix.clone();
-        for column in columns {
-            let mut len = column.len();
-            while len >= 0x80 {
-                h.update(&[(len & 0x7f) as u8 | 0x80]);
-                len >>= 7;
+    /// `SHA-256(prefix ‖ rows)` with the message written out by hand: what
+    /// the provider's and the enclave's routines must both compute.
+    fn one_shot(key: &EpochKey, rows: &[Vec<Vec<u8>>]) -> Digest {
+        let mut message = [CHAIN_DOMAIN, &key.hash_chain_key[..]].concat();
+        message.resize(64, 0);
+        let leb128 = |mut n: usize, out: &mut Vec<u8>| loop {
+            let byte = (n % 128) as u8;
+            n /= 128;
+            if n == 0 {
+                break out.push(byte);
             }
-            h.update(&[len as u8]);
-            h.update(column);
+            out.push(byte + 128);
+        };
+        for columns in rows {
+            leb128(columns.len(), &mut message);
+            for column in columns {
+                leb128(column.len(), &mut message);
+                message.extend_from_slice(column);
+            }
         }
-        if let Some(prev) = prev {
-            h.update(prev);
-        }
-        h.finalize()
+        concealer_crypto::sha256::sha256(&message)
     }
 
     /// Columns of a row as drawn: per column a size class and a number —
@@ -634,43 +670,86 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The one-message link is the streaming one for rows of 2–8
-        /// columns of every size class, with and without a previous
-        /// digest — row after row through one prefix, so its scratch
-        /// buffer is reused across links that grow and shrink.
+        /// For rows of 2–8 columns of every size class, cell `k` holding
+        /// the first `k` of them: the builder, absorbing row by row with
+        /// the cells interleaved, the enclave, laying each cell out whole
+        /// through one reused buffer, and the hand-written message agree.
         #[test]
-        fn one_message_link_equals_the_streaming_link(
-            rows in proptest::collection::vec(
-                proptest::collection::vec((0u8..3, any::<u16>()), 2..9), 1..4),
-            prev in (any::<u128>(), any::<u128>()),
+        fn builder_enclave_and_one_shot_messages_agree(
+            shapes in proptest::collection::vec(
+                proptest::collection::vec((0u8..3, any::<u16>()), 2..9), 0..5),
             fill in any::<u8>(),
         ) {
-            let prefix = chain_prefix(&key());
-            let mut digest = [0u8; 32];
-            digest[..16].copy_from_slice(&prev.0.to_le_bytes());
-            digest[16..].copy_from_slice(&prev.1.to_le_bytes());
-            for shape in &rows {
-                let columns = columns_of(shape, fill);
-                let views = || columns.iter().map(Vec::as_slice);
-                for prev in [None, Some(&digest)] {
-                    prop_assert_eq!(
-                        hash_row_into_chain(&prefix, views(), prev),
-                        streaming_link(&prefix.hasher, views(), prev)
-                    );
+            let key = key();
+            let rows: Vec<Vec<Vec<u8>>> = shapes
+                .iter()
+                .enumerate()
+                .map(|(j, shape)| columns_of(shape, fill.wrapping_add(j as u8)))
+                .collect();
+            let views = |k: usize| rows[..k].iter().map(|row| row.iter().map(Vec::as_slice));
+            let mut builder = HashChainBuilder::new(&key, rows.len() + 1);
+            for (j, row) in rows.iter().enumerate() {
+                for cell in j + 1..=rows.len() {
+                    builder.absorb_columns(cell as u32, row.iter().map(Vec::as_slice));
                 }
-                digest = hash_row_into_chain(&prefix, views(), Some(&digest));
+            }
+            let built = builder.digests();
+            let mut prefix = chain_prefix(&key);
+            for k in (0..=rows.len()).rev().chain(0..=rows.len()) {
+                let want = one_shot(&key, &rows[..k]);
+                prop_assert_eq!(built[k], want);
+                prop_assert_eq!(cell_digest(&mut prefix, views(k)), want);
             }
         }
     }
 
+    /// The encoding is injective where a bare concatenation of length-
+    /// prefixed columns is not: the same columns cut into rows differently,
+    /// or one column cut in two, hash differently.
+    #[test]
+    fn moving_a_column_across_rows_or_splitting_one_changes_the_digest() {
+        let key = key();
+        let digest = |rows: &[EncryptedRow]| {
+            let mut chain = HashChainBuilder::new(&key, 1);
+            for row in rows {
+                chain.absorb(0, row);
+            }
+            chain.digests()[0]
+        };
+        let (a, b) = (row(1), row(2));
+        let honest = digest(&[a.clone(), b.clone()]);
+        // `a`'s payload becomes the first column of `b`.
+        let moved = [
+            EncryptedRow {
+                index_key: a.index_key.clone(),
+                filters: vec![a.filters[0].clone()],
+                payload: a.filters[1].clone(),
+            },
+            EncryptedRow {
+                index_key: a.payload.clone(),
+                filters: [vec![b.index_key.clone()], b.filters.clone()].concat(),
+                payload: b.payload.clone(),
+            },
+        ];
+        assert_ne!(digest(&moved), honest);
+        // `a`'s payload cut into two columns.
+        let (front, back) = a.payload.split_at(17);
+        let split = EncryptedRow {
+            filters: [a.filters.clone(), vec![front.to_vec()]].concat(),
+            payload: back.to_vec(),
+            ..a.clone()
+        };
+        assert_ne!(digest(&[split, b.clone()]), honest);
+    }
+
     #[test]
     fn chains_are_key_dependent() {
-        let k1 = key();
-        let k2 = MasterKey::from_bytes([8u8; 32]).epoch_key(EpochId(5), 0);
-        let r = row(1);
-        assert_ne!(
-            hash_row_into_chain(&chain_prefix(&k1), r.columns(), None),
-            hash_row_into_chain(&chain_prefix(&k2), r.columns(), None)
-        );
+        let digest = |key: &EpochKey| {
+            let mut chain = HashChainBuilder::new(key, 1);
+            chain.absorb(0, &row(1));
+            chain.digests()[0]
+        };
+        let other = MasterKey::from_bytes([8u8; 32]).epoch_key(EpochId(5), 0);
+        assert_ne!(digest(&key()), digest(&other));
     }
 }

@@ -803,9 +803,38 @@ mod tests {
         assert!(!scratch.0.join(SEGMENT_DIR).exists());
     }
 
+    /// Epoch 3600 as format 2 wrote it: format 3's bytes under the older
+    /// magic (the layout did not change, the hash-chain tags inside did),
+    /// checksummed as format 2 sealed them.
+    fn format_2_segment(current: &[u8]) -> Vec<u8> {
+        let (body, footer) = current.split_at(current.len() - 16);
+        let mut bytes = [&b"CSG2"[..], &body[4..]].concat();
+        let checksum = segment::fnv1a(&bytes);
+        bytes.extend_from_slice(&footer[..8]);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn a_committed_format_1_segment_is_refused_and_the_root_left_as_it_was() {
-        let scratch = ScratchRoot::new("old-segment");
+        committed_segment_is_refused("old-segment", |_| format_1_segment(), "CSG1");
+    }
+
+    #[test]
+    fn a_committed_format_2_segment_is_refused_and_the_root_left_as_it_was() {
+        committed_segment_is_refused("format-2-segment", format_2_segment, "CSG2");
+    }
+
+    /// Commit epoch 3600, then replace its segment with `older(segment)`, in
+    /// the format whose magic is `found`: opening the root as writer or
+    /// replica, and refreshing or promoting a live replica, is refused, and
+    /// the root is left byte for byte as it was.
+    fn committed_segment_is_refused(
+        name: &str,
+        older: impl FnOnce(&[u8]) -> Vec<u8>,
+        found: &'static str,
+    ) {
+        let scratch = ScratchRoot::new(name);
         let writer = Arc::new(DiskEpochStore::open(&scratch.0).unwrap());
         let store = EpochStore::with_backend(writer.clone());
         store
@@ -817,14 +846,15 @@ mod tests {
         drop((store, writer));
         // The committed segment in the older format, and beside it a
         // leftover any successful recovery would delete.
-        fs::write(&seg_path, format_1_segment()).unwrap();
+        let current = fs::read(&seg_path).unwrap();
+        fs::write(&seg_path, older(&current)).unwrap();
         let stray = scratch.0.join(SEGMENT_DIR).join("ep-9999-g77.seg");
         fs::write(&stray, b"never committed").unwrap();
         let before = snapshot(&scratch.0);
 
         let refused = Err(StorageError::UnsupportedFormat {
             path: seg_path.display().to_string(),
-            found: "CSG1",
+            found,
         });
         assert_eq!(DiskEpochStore::open(&scratch.0).map(drop), refused);
         assert_eq!(DiskEpochStore::open_replica(&scratch.0).map(drop), refused);

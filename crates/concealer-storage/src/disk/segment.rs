@@ -4,7 +4,7 @@
 //! fixed-width footer):
 //!
 //! ```text
-//! "CSG2"                                  4-byte magic
+//! "CSG3"                                  4-byte magic
 //! header   { epoch_id, rewrite_count, row_count }
 //! metadata { enc_cell_id, enc_c_tuple, enc_tags, advertised_rows }
 //! rows     the epoch's RowArena: its buffer as one byte string, then
@@ -37,11 +37,13 @@ use serde::bin::BinDeserializer;
 use serde::{Deserialize, Serialize};
 
 /// Magic prefix of every segment file.
-pub(crate) const MAGIC: [u8; 4] = *b"CSG2";
+pub(crate) const MAGIC: [u8; 4] = *b"CSG3";
 
 /// Magics of the formats before this one. They are refused, not read and
-/// not recovered from; each format bump adds its predecessor here.
-const REFUSED_MAGICS: [&str; 1] = ["CSG1"];
+/// not recovered from; each format bump adds its predecessor here. Format
+/// 2 has format 3's layout, but its tags are hash-chain v2's, which no
+/// verified query accepts any more.
+const REFUSED_MAGICS: [&str; 2] = ["CSG1", "CSG2"];
 
 /// Bytes of the footer: row count and checksum, both `u64` little-endian.
 const FOOTER_LEN: usize = 16;
@@ -229,15 +231,16 @@ mod tests {
         }
     }
 
-    /// Segment format 2, pinned once when PR 24 made the rows section the
-    /// arena: a format change must be a decision (a new magic, the old one
-    /// added to `REFUSED_MAGICS`), never a side effect.
+    /// Segment format 3 — format 2's layout, pinned when the rows section
+    /// became the arena, under the magic of hash-chain v3's tags: a format
+    /// change must be a decision (a new magic, the old one added to
+    /// `REFUSED_MAGICS`), never a side effect.
     #[test]
     fn encoding_is_pinned() {
         let bytes = encode(42, &sample(17, 3));
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (803, 0x5c68_f75f_0c2d_398b));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (803, 0x8b30_c69a_1b23_0710));
         let bytes = encode(7, &mixed_shapes());
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (185, 0x8b11_4fb1_6570_91bc));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (185, 0xab64_78c4_a5e8_6109));
     }
 
     #[test]
@@ -290,14 +293,27 @@ mod tests {
         }
     }
 
+    /// Every flipped bit tears the segment — except those that turn the
+    /// magic into an older format's (`'3'` is one bit from both `'1'` and
+    /// `'2'`), which name a refused format instead. Neither leaves a
+    /// complete segment.
     #[test]
     fn bit_flip_fails_the_checksum() {
         let epoch = sample(6, 1);
         let mut bytes = encode(3, &epoch);
         for bit in 0..bytes.len() * 8 {
             bytes[bit / 8] ^= 1 << (bit % 8);
+            let outcome = decode(&bytes);
+            let older = REFUSED_MAGICS
+                .iter()
+                .find(|m| bytes.starts_with(m.as_bytes()));
             assert!(
-                matches!(decode(&bytes), DecodeOutcome::Torn),
+                match older {
+                    Some(magic) => {
+                        matches!(outcome, DecodeOutcome::Unsupported { found } if found == *magic)
+                    }
+                    None => matches!(outcome, DecodeOutcome::Torn),
+                },
                 "flipping bit {bit} must not leave a complete segment"
             );
             bytes[bit / 8] ^= 1 << (bit % 8);
@@ -314,10 +330,14 @@ mod tests {
         assert!(matches!(decode(b""), DecodeOutcome::Torn));
         // A known older format is not damage: it is named, so the store
         // can refuse it instead of recovering from it.
-        for old in [&b"CSG1"[..], b"CSG1 and a format-1 segment after it"] {
+        for (old, magic) in [
+            (&b"CSG1"[..], "CSG1"),
+            (b"CSG1 and a format-1 segment after it", "CSG1"),
+            (b"CSG2 and a format-2 segment after it", "CSG2"),
+        ] {
             assert!(matches!(
                 decode(old),
-                DecodeOutcome::Unsupported { found: "CSG1" }
+                DecodeOutcome::Unsupported { found } if found == magic
             ));
         }
     }

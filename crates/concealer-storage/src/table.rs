@@ -48,7 +48,7 @@ impl EncryptedRow {
     }
 
     /// The row's columns in layout order: `Index`, the filters, payload.
-    pub fn columns(&self) -> impl Iterator<Item = &[u8]> + '_ {
+    pub fn columns(&self) -> impl Iterator<Item = &[u8]> + Clone + '_ {
         std::iter::once(self.index_key.as_slice())
             .chain(self.filters.iter().map(Vec::as_slice))
             .chain(std::iter::once(self.payload.as_slice()))
@@ -398,7 +398,7 @@ impl<'a> RowRef<'a> {
     }
 
     /// The row's columns in layout order: `Index`, the filters, payload.
-    pub fn columns(&self) -> impl ExactSizeIterator<Item = &'a [u8]> + 'a {
+    pub fn columns(&self) -> impl ExactSizeIterator<Item = &'a [u8]> + Clone + 'a {
         let (bounds, bytes) = (self.bounds(), self.arena.bytes.as_slice());
         bounds
             .windows(2)
