@@ -14,12 +14,13 @@
 //! but `wait_batch` matches on request ids and parks out-of-order replies,
 //! so callers may await pipelined responses in any order.
 //!
-//! The wire is part of Concealer's **untrusted zone**: a client trusts the
-//! answers because they carry the enclave's verification metadata
-//! (`QueryAnswer::verified`) — and, since protocol v4, because it refused
-//! to hand its credential to any enclave whose signed quote failed the
-//! trust policy. The canonical frame-and-message specification this
-//! client implements is `PROTOCOL.md` at the repository root; a session
+//! The wire is part of Concealer's **untrusted zone**. Since protocol v4 a
+//! client refuses to hand its credential to any enclave whose signed
+//! quote fails its trust policy, but nothing authenticates what comes
+//! back: an answer and its `QueryAnswer::verified` flag travel as plain
+//! frames, so the host process or an on-path proxy can rewrite both and
+//! the client cannot tell. The canonical frame-and-message specification
+//! this client implements is `PROTOCOL.md` at the repository root; a session
 //! works identically against a single `concealer-server` or a
 //! `concealer-router` fronting an epoch-sharded deployment.
 //!
@@ -41,6 +42,7 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -384,15 +386,12 @@ impl ClientBuilder {
         };
         let client_name = self.client_name.clone();
         let mut session = self.open_attested()?;
-        write_frame(
-            &mut session.stream,
-            &Request::Hello {
-                version: PROTOCOL_VERSION,
-                user_id,
-                credential,
-                client_name,
-            },
-        )?;
+        session.send(&Request::Hello {
+            version: PROTOCOL_VERSION,
+            user_id,
+            credential,
+            client_name,
+        })?;
         match session.read_response()? {
             Response::HelloOk(info) => {
                 session.info = info;
@@ -452,7 +451,7 @@ impl ClientBuilder {
         stream.set_read_timeout(self.read_timeout)?;
         stream.set_write_timeout(self.write_timeout)?;
         let mut session = Session {
-            stream,
+            conn: BufReader::new(stream),
             info: ServerInfo {
                 protocol_version: 0,
                 server_name: String::new(),
@@ -462,7 +461,7 @@ impl ClientBuilder {
                 ingest_allowed: false,
             },
             next_id: 1,
-            parked: BTreeMap::new(),
+            in_flight: BTreeMap::new(),
             quotes: Vec::new(),
         };
         session.attest(&self.trust, self.attest_nonce)?;
@@ -474,12 +473,16 @@ impl ClientBuilder {
 /// connection to a Concealer server.
 #[derive(Debug)]
 pub struct Session {
-    stream: TcpStream,
+    /// The socket, read through one buffer for the session's life and
+    /// written through `get_mut()`, one `write` per frame.
+    conn: BufReader<TcpStream>,
     info: ServerInfo,
     next_id: u64,
-    /// Replies read while waiting for a different id (pipelining out of
-    /// order), parked until their ticket is redeemed.
-    parked: BTreeMap<u64, Response>,
+    /// Requests sent and not yet redeemed, by id, each with its reply
+    /// once that was read while waiting for a different id (pipelining
+    /// out of order). A reply whose id is not here answers nothing the
+    /// session asked.
+    in_flight: BTreeMap<u64, Option<Response>>,
     /// The quotes received (and, unless the policy opted out, verified)
     /// during the attestation round.
     quotes: Vec<WireQuote>,
@@ -496,7 +499,7 @@ impl Session {
     ) -> Result<(), ClientError> {
         let nonce = nonce_override.unwrap_or_else(fresh_nonce);
         let id = self.fresh_id();
-        write_frame(&mut self.stream, &Request::Attest { id, nonce })?;
+        self.send(&Request::Attest { id, nonce })?;
         let quotes = match self.wait_for(id) {
             Ok(Response::AttestOk { quotes, .. }) => quotes,
             Ok(other) => return Err(unexpected("AttestOk", &other)),
@@ -549,10 +552,11 @@ impl Session {
     }
 
     /// Change the per-read timeout on the live session (`None` blocks
-    /// indefinitely). On [`ClientError::TimedOut`] the stream may be
+    /// indefinitely). On [`ClientError::TimedOut`] part of a frame may
+    /// already sit in the session's read buffer and the stream is
     /// misaligned mid-frame — drop the session rather than reuse it.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        Ok(self.stream.set_read_timeout(timeout)?)
+        Ok(self.conn.get_ref().set_read_timeout(timeout)?)
     }
 
     // ---------------------------------------------------------------
@@ -610,14 +614,11 @@ impl Session {
         records: &[Record],
     ) -> Result<u64, ClientError> {
         let id = self.fresh_id();
-        write_frame(
-            &mut self.stream,
-            &Request::IngestEpoch {
-                id,
-                epoch_start,
-                records: records.to_vec(),
-            },
-        )?;
+        self.send(&Request::IngestEpoch {
+            id,
+            epoch_start,
+            records: records.to_vec(),
+        })?;
         match self.wait_for(id)? {
             Response::IngestOk { rows_stored, .. } => Ok(rows_stored),
             other => Err(unexpected("IngestOk", &other)),
@@ -627,7 +628,7 @@ impl Session {
     /// Fetch the backend's stats profile.
     pub fn stats(&mut self) -> Result<concealer_server::WireStats, ClientError> {
         let id = self.fresh_id();
-        write_frame(&mut self.stream, &Request::Stats { id })?;
+        self.send(&Request::Stats { id })?;
         match self.wait_for(id)? {
             Response::StatsOk { stats, .. } => Ok(stats),
             other => Err(unexpected("StatsOk", &other)),
@@ -638,7 +639,7 @@ impl Session {
     /// in-flight/backlog depth.
     pub fn serve_stats(&mut self) -> Result<ServeStats, ClientError> {
         let id = self.fresh_id();
-        write_frame(&mut self.stream, &Request::ServeStats { id })?;
+        self.send(&Request::ServeStats { id })?;
         match self.wait_for(id)? {
             Response::ServeStatsOk { stats, .. } => Ok(stats),
             other => Err(unexpected("ServeStatsOk", &other)),
@@ -650,7 +651,7 @@ impl Session {
     /// reports itself as slice `0/1`.
     pub fn shard_info(&mut self) -> Result<ShardDescriptor, ClientError> {
         let id = self.fresh_id();
-        write_frame(&mut self.stream, &Request::ShardInfo { id })?;
+        self.send(&Request::ShardInfo { id })?;
         match self.wait_for(id)? {
             Response::ShardInfoOk { shard, .. } => Ok(shard),
             other => Err(unexpected("ShardInfoOk", &other)),
@@ -662,7 +663,7 @@ impl Session {
     /// at the routing tier.
     pub fn router_stats(&mut self) -> Result<RouterStats, ClientError> {
         let id = self.fresh_id();
-        write_frame(&mut self.stream, &Request::RouterStats { id })?;
+        self.send(&Request::RouterStats { id })?;
         match self.wait_for(id)? {
             Response::RouterStatsOk { stats, .. } => Ok(stats),
             other => Err(unexpected("RouterStatsOk", &other)),
@@ -675,7 +676,7 @@ impl Session {
     /// recovery pass newly registered.
     pub fn promote(&mut self) -> Result<u64, ClientError> {
         let id = self.fresh_id();
-        write_frame(&mut self.stream, &Request::Promote { id })?;
+        self.send(&Request::Promote { id })?;
         match self.wait_for(id)? {
             Response::PromoteOk {
                 epochs_registered, ..
@@ -687,7 +688,7 @@ impl Session {
     /// Request a graceful server-wide shutdown and wait for the ack.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
         let id = self.fresh_id();
-        write_frame(&mut self.stream, &Request::Shutdown { id })?;
+        self.send(&Request::Shutdown { id })?;
         match self.wait_for(id)? {
             Response::ShutdownOk { .. } => Ok(()),
             other => Err(unexpected("ShutdownOk", &other)),
@@ -699,7 +700,7 @@ impl Session {
     /// discarded — the server answers in order, so they arrive before the
     /// `Bye`; only a connection-level error aborts the close.
     pub fn close(mut self) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, &Request::Goodbye)?;
+        self.send(&Request::Goodbye)?;
         loop {
             match self.read_response()? {
                 Response::Bye => return Ok(()),
@@ -723,14 +724,11 @@ impl Session {
         options: Option<ExecOptions>,
     ) -> Result<Pending, ClientError> {
         let id = self.fresh_id();
-        write_frame(
-            &mut self.stream,
-            &Request::Execute {
-                id,
-                query: query.clone(),
-                options,
-            },
-        )?;
+        self.send(&Request::Execute {
+            id,
+            query: query.clone(),
+            options,
+        })?;
         Ok(Pending { id })
     }
 
@@ -751,14 +749,11 @@ impl Session {
         options: Option<ExecOptions>,
     ) -> Result<Pending, ClientError> {
         let id = self.fresh_id();
-        write_frame(
-            &mut self.stream,
-            &Request::ExecuteBatch {
-                id,
-                queries: queries.to_vec(),
-                options,
-            },
-        )?;
+        self.send(&Request::ExecuteBatch {
+            id,
+            queries: queries.to_vec(),
+            options,
+        })?;
         Ok(Pending { id })
     }
 
@@ -790,14 +785,11 @@ impl Session {
         options: Option<ExecOptions>,
     ) -> Result<Pending, ClientError> {
         let id = self.fresh_id();
-        write_frame(
-            &mut self.stream,
-            &Request::ExecuteBatchPartial {
-                id,
-                queries: queries.to_vec(),
-                options,
-            },
-        )?;
+        self.send(&Request::ExecuteBatchPartial {
+            id,
+            queries: queries.to_vec(),
+            options,
+        })?;
         Ok(Pending { id })
     }
 
@@ -824,10 +816,16 @@ impl Session {
     // Plumbing
     // ---------------------------------------------------------------
 
+    /// The next request id, counted in flight from here on.
     fn fresh_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
+        self.in_flight.insert(id, None);
         id
+    }
+
+    fn send(&mut self, request: &Request) -> Result<(), ClientError> {
+        Ok(write_frame(self.conn.get_mut(), request)?)
     }
 
     fn read_response(&mut self) -> Result<Response, ClientError> {
@@ -840,14 +838,17 @@ impl Session {
         let cap = usize::try_from(self.info.max_frame_len)
             .unwrap_or(usize::MAX)
             .max(DEFAULT_MAX_FRAME_LEN);
-        Ok(read_frame(&mut self.stream, cap)?)
+        Ok(read_frame(&mut self.conn, cap)?)
     }
 
-    /// Read until the reply for `id` arrives, parking other ids. A
-    /// structured error reply for `id` — or a connection-level error
-    /// (id 0) — surfaces as [`ClientError::Server`].
+    /// Read until the reply for `id` arrives, parking the replies of
+    /// other requests in flight. A structured error reply for `id` — or a
+    /// connection-level error (id 0) — surfaces as
+    /// [`ClientError::Server`]; any other reply that answers no request in
+    /// flight (a second reply to one id, an id never sent, a stray `Bye`)
+    /// is a [`ClientError::Protocol`].
     fn wait_for(&mut self, id: u64) -> Result<Response, ClientError> {
-        if let Some(parked) = self.parked.remove(&id) {
+        if let Some(parked) = self.in_flight.remove(&id).flatten() {
             return Ok(parked);
         }
         loop {
@@ -860,9 +861,14 @@ impl Session {
                     return Err(ClientError::Server(error))
                 }
                 response if response.id() == id => return Ok(response),
-                response => {
-                    self.parked.insert(response.id(), response);
-                }
+                response => match self.in_flight.get_mut(&response.id()) {
+                    Some(slot @ None) => *slot = Some(response),
+                    _ => {
+                        return Err(ClientError::Protocol(format!(
+                            "{response:?} answers no request in flight"
+                        )))
+                    }
+                },
             }
         }
     }
@@ -878,6 +884,9 @@ fn unexpected(wanted: &str, got: &Response) -> ClientError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use concealer_core::query::AnswerValue;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::time::Instant;
 
     /// A server that never answers must produce a clean `TimedOut`, not a
@@ -906,6 +915,153 @@ mod tests {
             "timeout took {elapsed:?}, configured 100ms"
         );
         drop(listener);
+    }
+
+    /// The id of a session's first `Execute`: `Attest` took id 1.
+    const EXECUTE_ID: u64 = 2;
+    const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+    /// What a scripted server sends in reply to one `Execute`: noise,
+    /// valid replies — the matching `Answer`, one for an id never sent,
+    /// errors, a stray `Bye`, the wrong reply shape — and valid replies
+    /// with noise spliced in, in seeded order.
+    fn scripted_replies(rng: &mut StdRng) -> Vec<u8> {
+        let answer = |count| QueryAnswer {
+            value: AnswerValue::Count(count),
+            rows_fetched: 0,
+            rows_decrypted: 0,
+            verified: true,
+            epochs_touched: 1,
+        };
+        let mut stream = Vec::new();
+        for _ in 0..rng.gen_range(1usize..5) {
+            let reply = match rng.gen_range(0u32..6) {
+                0 => Response::Answer {
+                    id: EXECUTE_ID,
+                    answer: answer(rng.gen_range(0u64..100)),
+                },
+                1 => Response::Answer {
+                    id: EXECUTE_ID + 1,
+                    answer: answer(1),
+                },
+                2 => Response::Error {
+                    id: if rng.gen() {
+                        EXECUTE_ID
+                    } else {
+                        CONNECTION_LEVEL_ID
+                    },
+                    error: WireError::new(concealer_server::ErrorCode::Busy, "scripted"),
+                },
+                3 => Response::Bye,
+                4 => Response::ShutdownOk { id: EXECUTE_ID },
+                _ => {
+                    stream.extend((0..rng.gen_range(1usize..40)).map(|_| rng.gen::<u8>()));
+                    continue;
+                }
+            };
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &reply).expect("encode a scripted reply");
+            if rng.gen_range(0u32..4) == 0 {
+                let at = rng.gen_range(0..=frame.len());
+                let noise: Vec<u8> = (0..rng.gen_range(1usize..8)).map(|_| rng.gen()).collect();
+                frame.splice(at..at, noise);
+            }
+            stream.extend(frame);
+        }
+        stream
+    }
+
+    /// Serve one connection: `AttestOk` without quotes, `HelloOk`, then
+    /// `script` for the `Execute` — whole, or in random pieces when
+    /// `pieces` seeds them — and close.
+    fn serve_script(listener: &std::net::TcpListener, script: &[u8], pieces: Option<u64>) {
+        use std::io::Write as _;
+        let (socket, _) = listener.accept().expect("accept");
+        socket.set_nodelay(true).expect("nodelay");
+        let mut reader = BufReader::new(&socket);
+        let mut next = || read_frame::<_, Request>(&mut reader, DEFAULT_MAX_FRAME_LEN);
+        let Ok(Request::Attest { id, .. }) = next() else {
+            panic!("the session opens with Attest");
+        };
+        let quotes = Vec::new();
+        write_frame(&mut &socket, &Response::AttestOk { id, quotes }).expect("attest reply");
+        assert!(matches!(next(), Ok(Request::Hello { .. })));
+        let info = ServerInfo {
+            protocol_version: PROTOCOL_VERSION,
+            server_name: "scripted".into(),
+            backend: "none".into(),
+            max_batch: 1,
+            max_frame_len: DEFAULT_MAX_FRAME_LEN as u64,
+            ingest_allowed: false,
+        };
+        write_frame(&mut &socket, &Response::HelloOk(info)).expect("hello reply");
+        let Ok(Request::Execute { id, .. }) = next() else {
+            panic!("the session sends one Execute");
+        };
+        assert_eq!(id, EXECUTE_ID);
+        let mut rng = pieces.map(StdRng::seed_from_u64);
+        let mut rest = script;
+        while !rest.is_empty() {
+            let n = rng
+                .as_mut()
+                .map_or(rest.len(), |rng| rng.gen_range(1..=rest.len().min(97)));
+            // The client may have settled and hung up already.
+            if (&socket).write_all(&rest[..n]).is_err() {
+                break;
+            }
+            rest = &rest[n..];
+        }
+    }
+
+    /// One `execute` against a server that answers with `script`: the
+    /// outcome, spelled out so two runs compare.
+    fn execute_against(script: &[u8], pieces: Option<u64>) -> String {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        std::thread::scope(|scope| {
+            scope.spawn(|| serve_script(&listener, script, pieces));
+            let started = Instant::now();
+            let outcome = ClientBuilder::new(addr)
+                .credential(7, [0u8; 32])
+                .read_timeout(READ_TIMEOUT)
+                .trust_policy(TrustPolicy::allow_unattested())
+                .connect()
+                .and_then(|mut session| session.execute(&Query::count().at_dims([1]).at(60)));
+            assert!(
+                started.elapsed() < READ_TIMEOUT,
+                "the call outlived its timeout"
+            );
+            format!("{outcome:?}")
+        })
+    }
+
+    /// The client's reply path against noise, valid replies and noise
+    /// spliced into valid replies, written whole and in random pieces:
+    /// the pieces never change the outcome, and the outcome is the answer
+    /// only when the first complete frame is the matching `Answer`.
+    #[test]
+    fn scripted_reply_streams_settle_alike_in_every_chunking() {
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let script = scripted_replies(&mut rng);
+            let reference = execute_against(&script, None);
+            for _ in 0..2 {
+                let pieces = Some(rng.gen());
+                assert_eq!(
+                    execute_against(&script, pieces),
+                    reference,
+                    "seed {seed}: the chunking changed the outcome"
+                );
+            }
+            let first = read_frame::<_, Response>(&mut script.as_slice(), DEFAULT_MAX_FRAME_LEN);
+            match first {
+                Ok(Response::Answer { id, answer }) if id == EXECUTE_ID => {
+                    let ok: Result<QueryAnswer, ClientError> = Ok(answer);
+                    assert_eq!(reference, format!("{ok:?}"), "seed {seed}");
+                }
+                _ => assert!(reference.starts_with("Err("), "seed {seed}: {reference}"),
+            }
+        }
     }
 
     /// A configured connect timeout must bound connection establishment.

@@ -35,11 +35,13 @@
 //! with), busy refusal, and graceful drain. A request's upstream fan-out
 //! blocks its connection's own thread, under the admission permit.
 //!
-//! Trust: the router lives entirely in the **untrusted zone**. It moves
-//! sealed partials and forwards client credentials verbatim; every
-//! answer still carries the enclave's verification metadata, so a
-//! tampering router is detected exactly like a tampering server (see
-//! `ARCHITECTURE.md` § "Multi-node serving"). Promotion moves no key
+//! Trust: the router lives entirely in the **untrusted zone**. It reads
+//! and forwards client credentials, queries and partials in the clear,
+//! and merges the partials itself. Nothing authenticates a partial, the
+//! merged answer or its `verified` flag to the end client, so a
+//! tampering router — like a tampering server, or any proxy on the path —
+//! can rewrite an answer undetected (see `ARCHITECTURE.md`
+//! § "Multi-node serving"). Promotion moves no key
 //! material either — it only tells a replica to re-open the store it
 //! already holds as the writer. Attestation (protocol v4) keeps the
 //! same shape: the router forwards a client's challenge nonce to every

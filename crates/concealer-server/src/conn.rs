@@ -445,7 +445,8 @@ mod tests {
     use concealer_core::{Credential, ExecOptions, Query, Record, UserId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use serde::frame::{write_frame, FrameDecoder};
+    use serde::frame::{read_frame, write_frame};
+    use std::io::{BufReader, Read};
 
     const MAX_FRAME: usize = 4096;
 
@@ -658,50 +659,65 @@ mod tests {
         }
     }
 
-    /// Push `stream` through decoder + machine in the given chunking,
-    /// running work inline, then signal end of stream. Returns every
-    /// reply and whether the machine closed before the stream ended.
-    fn converse(stream: &[u8], rng: &mut StdRng, whole: bool) -> (Vec<Response>, bool) {
-        let mut machine = Machine::new(shared());
-        let mut decoder = FrameDecoder::new(MAX_FRAME);
-        let mut replies = Vec::new();
-        let (mut closed, mut closed_early) = (false, false);
-        let mut rest = stream;
-        loop {
-            let eof = rest.is_empty();
-            let take = if whole {
-                rest.len()
+    /// A byte stream as a socket delivers it: whole (as much as the
+    /// reader asks for), or in random pieces of 1 to 97 bytes, so frames
+    /// split across buffer refills at every offset, prefix included.
+    struct Delivery<'a> {
+        rest: &'a [u8],
+        rng: &'a mut StdRng,
+        whole: bool,
+    }
+
+    impl Read for Delivery<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let most = buf.len().min(self.rest.len());
+            let n = if self.whole || most == 0 {
+                most
             } else {
-                rng.gen_range(0..=rest.len().min(97))
+                self.rng.gen_range(1..=most.min(97))
             };
-            decoder.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            while !closed {
-                let frame = match decoder.try_decode::<Request>() {
-                    Ok(Some(request)) => Ok(request),
-                    Ok(None) if !eof => break,
-                    Ok(None) if decoder.mid_frame() => {
-                        Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof.into()))
-                    }
-                    Ok(None) => Err(FrameError::Closed),
-                    Err(e) => Err(e),
-                };
-                let mut step = machine.on_frame(frame);
-                while let Step::Work(work) = step {
-                    step = machine.on_done(finish(work, true));
-                }
-                match step {
-                    Step::Work(_) => unreachable!("run by the loop above"),
-                    Step::Reply(reply) => replies.push(reply),
-                    Step::Close(last) => {
-                        closed = true;
-                        closed_early = !eof || !rest.is_empty();
-                        replies.extend(last);
-                    }
-                }
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    /// Run `stream` through the server's read path — `read_frame` over a
+    /// `BufReader` — and the machine, running work inline, until the
+    /// machine closes. Returns every reply and whether the machine closed
+    /// early: on a frame or a bad one, not on end of stream (clean or
+    /// torn).
+    fn converse(
+        shared: Arc<Shared>,
+        stream: &[u8],
+        rng: &mut StdRng,
+        whole: bool,
+    ) -> (Vec<Response>, bool) {
+        let mut machine = Machine::new(shared);
+        let mut reader = BufReader::new(Delivery {
+            rest: stream,
+            rng,
+            whole,
+        });
+        let mut replies = Vec::new();
+        loop {
+            let frame = read_frame(&mut reader, MAX_FRAME);
+            let early = match &frame {
+                Err(FrameError::Closed) => false,
+                Err(FrameError::Io(e)) => e.kind() != std::io::ErrorKind::UnexpectedEof,
+                _ => true,
+            };
+            let mut step = machine.on_frame(frame);
+            while let Step::Work(work) = step {
+                step = machine.on_done(finish(work, true));
             }
-            if closed {
-                return (replies, closed_early);
+            match step {
+                Step::Work(_) => unreachable!("run by the loop above"),
+                Step::Reply(reply) => replies.push(reply),
+                Step::Close(last) => {
+                    replies.extend(last);
+                    return (replies, early);
+                }
             }
         }
     }
@@ -724,9 +740,9 @@ mod tests {
                         .expect("encode request frame"),
                 }
             }
-            let (reference, closed_early) = converse(&stream, &mut rng, true);
+            let (reference, closed_early) = converse(shared(), &stream, &mut rng, true);
             for _ in 0..3 {
-                let (chunked, _) = converse(&stream, &mut rng, false);
+                let (chunked, _) = converse(shared(), &stream, &mut rng, false);
                 assert_eq!(
                     chunked, reference,
                     "seed {seed}: chunking changed the replies"
@@ -746,25 +762,35 @@ mod tests {
         }
     }
 
-    /// The drain rule: once the flag is up the next frame is refused
-    /// with `shutting_down`; end of stream stays a silent close.
+    /// The drain rule, through the server's read path: once the flag is
+    /// up the next frame is refused with `shutting_down` — a pipelined
+    /// frame already in the read buffer included — and end of stream
+    /// stays a silent close.
     #[test]
     fn drain_refuses_the_next_frame_and_eof_stays_clean() {
-        let shared = shared();
-        shared.shutdown.store(true, Ordering::Release);
-        let machine = Machine::new(Arc::clone(&shared));
-        let Step::Close(replies) = machine.on_frame(Ok(Request::ShardInfo { id: 1 })) else {
-            panic!("a frame taken during the drain closes");
+        let draining = || {
+            let shared = shared();
+            shared.shutdown.store(true, Ordering::Release);
+            shared
         };
-        assert!(matches!(
-            replies.as_slice(),
-            [Response::Error { id: CONNECTION_LEVEL_ID, error }]
-                if error.code == ErrorCode::ShuttingDown
-        ));
-        let idle = Machine::new(shared);
-        assert!(matches!(
-            idle.on_frame(Err(FrameError::Closed)),
-            Step::Close(replies) if replies.is_empty()
-        ));
+        let mut pipelined = Vec::new();
+        for id in 1..=2 {
+            write_frame(&mut pipelined, &Request::ShardInfo { id }).expect("encode");
+        }
+        let mut rng = StdRng::seed_from_u64(0);
+        for whole in [true, false] {
+            let (replies, early) = converse(draining(), &pipelined, &mut rng, whole);
+            assert!(matches!(
+                replies.as_slice(),
+                [Response::Error { id: CONNECTION_LEVEL_ID, error }]
+                    if error.code == ErrorCode::ShuttingDown
+            ));
+            assert!(early, "the first frame closes; the second is never taken");
+            let (replies, early) = converse(draining(), &[], &mut rng, whole);
+            assert!(
+                replies.is_empty() && !early,
+                "end of stream closes silently"
+            );
+        }
     }
 }

@@ -11,10 +11,11 @@
 //!   one scoped thread per accepted connection. Connections beyond
 //!   [`ServerConfig::max_connections`] are refused eagerly with a
 //!   [`ErrorCode::Busy`] error frame.
-//! * Each connection thread owns its socket, reads one frame at a time and
-//!   runs the work it leads to inline, so one connection has at most one
-//!   request executing — a pipelining client queues further frames in the
-//!   socket buffer, which is the per-session in-flight bound.
+//! * Each connection thread owns its socket, reads one frame at a time
+//!   (through one read buffer, so it reads ahead by at most std's 8 KiB)
+//!   and runs the work it leads to inline, so one connection has at most
+//!   one request executing — a pipelining client queues further frames in
+//!   the socket buffer, which is the per-session in-flight bound.
 //! * Across connections, work runs under an admission gate bounding
 //!   concurrent handler calls ([`ServerConfig::max_in_flight`]). A
 //!   connection waiting on the gate stops reading its socket, so TCP flow
@@ -29,9 +30,12 @@
 //! the acceptor with one loopback connect, the acceptor stops, every
 //! connection's read half is shut down so blocked reads wake, in-flight
 //! requests still write their replies, and the serve thread joins all
-//! connection threads before reporting.
+//! connection threads before reporting. A frame already in a connection's
+//! read buffer when the drain begins is still taken, and refused with
+//! `shutting_down`.
 
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -818,11 +822,15 @@ fn refuse_busy(mut stream: TcpStream) {
 /// Serve one connection until its machine closes it. Work runs inline
 /// under the admission gate, so every frame is driven to its reply before
 /// the next one is read; a drain reaches a parked read as end-of-stream.
-fn handle_connection(serving: &Threaded<'_>, mut stream: TcpStream) {
+/// Frames are read through one buffer for the connection's life (a frame
+/// that arrived whole costs one `read`) and replies are written straight
+/// to the socket, one `write` each.
+fn handle_connection(serving: &Threaded<'_>, stream: TcpStream) {
     let shared = serving.shared;
     let mut machine = Machine::new(Arc::clone(shared));
+    let mut reader = BufReader::new(&stream);
     loop {
-        let mut step = machine.on_frame(read_frame(&mut stream, shared.config.max_frame_len));
+        let mut step = machine.on_frame(read_frame(&mut reader, shared.config.max_frame_len));
         loop {
             match step {
                 Step::Work(work) => {
@@ -836,14 +844,14 @@ fn handle_connection(serving: &Threaded<'_>, mut stream: TcpStream) {
                     }
                 }
                 Step::Reply(reply) => {
-                    if write_frame(&mut stream, &reply).is_err() {
+                    if write_frame(&mut &stream, &reply).is_err() {
                         return;
                     }
                     break;
                 }
                 Step::Close(replies) => {
                     for reply in &replies {
-                        if write_frame(&mut stream, reply).is_err() {
+                        if write_frame(&mut &stream, reply).is_err() {
                             break;
                         }
                     }

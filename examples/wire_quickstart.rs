@@ -49,8 +49,9 @@ fn main() {
         info.server_name, info.protocol_version, info.backend, info.max_batch
     );
 
-    // 3. A point query over the wire. The answer carries the enclave's
-    //    verification metadata — the client trusts that, not the wire.
+    // 3. A point query over the wire. `verified` reports the enclave's
+    //    own check; nothing authenticates it to the client, so a host
+    //    or proxy on the path could rewrite the answer and the flag.
     let point = Query::count().at_dims([3]).at(600);
     let answer = conn.execute(&point).expect("point query");
     println!(

@@ -582,7 +582,13 @@ pub mod bin {
 
     /// Encode a value into the binary format.
     pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-        let mut serializer = BinSerializer::new();
+        append_to(Vec::new(), value)
+    }
+
+    /// Encode `value` onto the end of `out`: how a frame is encoded
+    /// behind its length slot without a second copy of the payload.
+    pub(crate) fn append_to<T: Serialize + ?Sized>(out: Vec<u8>, value: &T) -> Vec<u8> {
+        let mut serializer = BinSerializer { out };
         match value.serialize(&mut serializer) {
             Ok(()) => serializer.into_bytes(),
         }
@@ -624,6 +630,14 @@ pub mod frame {
     //! buffered) before [`FrameError::TooLarge`] is returned, so the
     //! stream stays frame-aligned and the reader can reply with a
     //! structured error instead of tearing the connection down.
+    //!
+    //! [`write_frame`] hands the writer a whole frame in one `write_all`,
+    //! so on a socket a small frame leaves as one segment. [`read_frame`]
+    //! makes several small reads per frame (the prefix, then the
+    //! payload): a socket reader wraps its stream in one
+    //! `std::io::BufReader` for the connection's life, so those reads are
+    //! served from one buffer and a frame that arrived whole costs one
+    //! system call.
 
     use super::{bin, DeserializeOwned, Serialize};
     use std::io::{Read, Write};
@@ -680,20 +694,21 @@ pub mod frame {
         }
     }
 
-    /// Encode `value` with [`bin::to_bytes`] and write it as one
-    /// length-prefixed frame. Flushes the writer so a blocking peer sees
-    /// the frame immediately.
+    /// Encode `value` in the [`bin`] format behind its length prefix and
+    /// write the whole frame with one `write_all`. Flushes the writer so
+    /// a blocking peer sees the frame immediately.
     pub fn write_frame<W: Write, T: Serialize + ?Sized>(
         writer: &mut W,
         value: &T,
     ) -> Result<(), FrameError> {
-        let payload = bin::to_bytes(value);
-        let len = u32::try_from(payload.len()).map_err(|_| FrameError::TooLarge {
-            len: payload.len() as u64,
+        let mut frame = bin::append_to(vec![0; LEN_PREFIX_BYTES], value);
+        let payload_len = frame.len() - LEN_PREFIX_BYTES;
+        let len = u32::try_from(payload_len).map_err(|_| FrameError::TooLarge {
+            len: payload_len as u64,
             max: u64::from(u32::MAX),
         })?;
-        writer.write_all(&len.to_le_bytes())?;
-        writer.write_all(&payload)?;
+        frame[..LEN_PREFIX_BYTES].copy_from_slice(&len.to_le_bytes());
+        writer.write_all(&frame)?;
         writer.flush()?;
         Ok(())
     }
@@ -756,9 +771,10 @@ pub mod frame {
 
     /// Incremental (push-based) counterpart of [`read_frame`], for
     /// readers that receive bytes in arbitrary chunks. Nothing in the
-    /// workspace reads a socket with it any more: it stays for
-    /// `benchmark/`'s codec probe and the connection-machine unit tests,
-    /// and the next `[benchmark]` PR moves or removes it with the probe.
+    /// workspace reads a socket with it any more (sockets are read with
+    /// [`read_frame`] over a `BufReader`): it stays only for
+    /// `benchmark/`'s codec probe, and the next `[benchmark]` PR moves or
+    /// removes it with the probe.
     ///
     /// Feed whatever arrived with [`FrameDecoder::extend_from_slice`],
     /// then call [`FrameDecoder::try_decode`] until it returns `Ok(None)`
@@ -993,6 +1009,107 @@ pub mod frame {
                 read_frame::<_, bool>(&mut reader, 1024),
                 Err(FrameError::Decode(_))
             ));
+        }
+
+        /// A writer that keeps each `write` call's bytes apart.
+        #[derive(Default)]
+        struct WriteCalls(Vec<Vec<u8>>);
+
+        impl Write for WriteCalls {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        fn assert_one_write<T: Serialize + ?Sized>(value: &T, payload_len: usize) {
+            let payload = bin::to_bytes(value);
+            assert_eq!(payload.len(), payload_len);
+            let mut want = (payload_len as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(&payload);
+            let mut calls = WriteCalls::default();
+            write_frame(&mut calls, value).unwrap();
+            assert_eq!(calls.0.len(), 1, "one write per frame");
+            assert!(calls.0[0] == want, "the bytes are len ‖ payload");
+        }
+
+        #[test]
+        fn a_frame_leaves_in_one_write() {
+            assert_one_write("x".repeat(19).as_str(), 20);
+            assert_one_write(&vec![0xABu8; 1 << 20], (1 << 20) + 3);
+        }
+
+        /// A reader that hands out at most `chunk` bytes per `read` and
+        /// counts the calls.
+        struct CountingReader<'a> {
+            rest: &'a [u8],
+            chunk: usize,
+            reads: usize,
+        }
+
+        impl Read for CountingReader<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.reads += 1;
+                let n = buf.len().min(self.chunk).min(self.rest.len());
+                buf[..n].copy_from_slice(&self.rest[..n]);
+                self.rest = &self.rest[n..];
+                Ok(n)
+            }
+        }
+
+        fn counting(bytes: &[u8], chunk: usize) -> std::io::BufReader<CountingReader<'_>> {
+            std::io::BufReader::new(CountingReader {
+                rest: bytes,
+                chunk,
+                reads: 0,
+            })
+        }
+
+        #[test]
+        fn buffered_small_frames_back_to_back_cost_one_read() {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &7u64).unwrap();
+            write_frame(&mut buf, &"hello".to_string()).unwrap();
+            let mut reader = counting(&buf, usize::MAX);
+            assert_eq!(read_frame::<_, u64>(&mut reader, 1024).unwrap(), 7);
+            assert_eq!(read_frame::<_, String>(&mut reader, 1024).unwrap(), "hello");
+            assert_eq!(reader.get_ref().reads, 1);
+        }
+
+        #[test]
+        fn buffered_oversized_frame_spanning_refills_is_drained() {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &vec![7u8; 40_000]).unwrap();
+            write_frame(&mut buf, &42u64).unwrap();
+            let mut reader = counting(&buf, 3000);
+            assert!(matches!(
+                read_frame::<_, Vec<u8>>(&mut reader, 1024),
+                Err(FrameError::TooLarge { max: 1024, .. })
+            ));
+            assert!(reader.get_ref().reads > 10, "the drain spans many reads");
+            assert_eq!(read_frame::<_, u64>(&mut reader, 1024).unwrap(), 42);
+            assert!(matches!(
+                read_frame::<_, u64>(&mut reader, 1024),
+                Err(FrameError::Closed)
+            ));
+        }
+
+        #[test]
+        fn buffered_eof_keeps_closed_apart_from_a_torn_frame() {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &12345u64).unwrap();
+            let torn = |end: usize| read_frame::<_, u64>(&mut counting(&buf[..end], 1), 1024);
+            assert!(matches!(torn(0), Err(FrameError::Closed)));
+            for end in [2, LEN_PREFIX_BYTES + 1] {
+                assert!(
+                    matches!(torn(end), Err(FrameError::Io(e))
+                        if e.kind() == std::io::ErrorKind::UnexpectedEof),
+                    "EOF after {end} bytes is a torn frame"
+                );
+            }
         }
 
         #[test]
