@@ -283,7 +283,7 @@ pub fn exp5_dynamic() -> Vec<String> {
 
 /// Exp 6 / Figure 6: impact of bin size on real vs fake tuples per bin.
 pub fn exp6_binsize() -> Vec<String> {
-    use concealer_core::bins::{BinPlan, PackingAlgorithm};
+    use concealer_core::bins::BinPlan;
     use concealer_core::{EpochWindow, Grid};
     use concealer_crypto::EpochId;
 
@@ -316,7 +316,7 @@ pub fn exp6_binsize() -> Vec<String> {
     // Sweep bin sizes upward from the minimum, mirroring Fig 6's x-axis.
     for factor in [100u64, 105, 110, 115, 120, 125, 130] {
         let size = min_bin * factor / 100;
-        let plan = BinPlan::build(&c_tuple, PackingAlgorithm::FirstFitDecreasing, Some(size));
+        let plan = BinPlan::build(&c_tuple, Some(size));
         let bins = plan.num_bins().max(1) as u64;
         out.push(format!(
             "  bin size {size}: avg real/bin {}, avg fake/bin {} ({} bins)",

@@ -32,7 +32,7 @@ use concealer_storage::{DiskEpochStore, EpochStore, StorageBackend};
 use rand::{Rng, RngCore};
 
 use crate::config::SystemConfig;
-use crate::engine::{scope_for_query, ConcealerSystem, RangeMethod, UserHandle};
+use crate::engine::{ConcealerSystem, RangeMethod, UserHandle};
 use crate::query::{Query, QueryAnswer};
 use crate::types::Record;
 use crate::{CoreError, Result};
@@ -176,9 +176,7 @@ impl<'a> Session<'a> {
     /// Execute one query with explicit options (overriding the session
     /// defaults for this call only).
     pub fn execute_with(&self, query: &Query, options: ExecOptions) -> Result<QueryAnswer> {
-        self.system
-            .engine()
-            .execute(&self.user, query, options, scope_for_query(query))
+        self.system.engine().execute(&self.user, query, options)
     }
 
     /// Execute a batch of queries. Under the bin-granular BPB method
@@ -211,7 +209,7 @@ impl<'a> Session<'a> {
     ) -> Result<Vec<crate::EpochPartial>> {
         self.system
             .engine()
-            .execute_partials(&self.user, query, options, scope_for_query(query))
+            .execute_partials(&self.user, query, options)
     }
 
     /// Partial-execution counterpart of [`Session::execute_batch`]: run a

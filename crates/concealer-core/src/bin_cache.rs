@@ -36,10 +36,11 @@ use std::sync::Arc;
 use concealer_crypto::EpochKey;
 use concealer_enclave::MeterSnapshot;
 use concealer_storage::RowArena;
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::query::filter::DecodedBin;
 use crate::query::trapdoor::Trapdoor;
+use crate::unpoisoned;
 
 /// Default number of bins kept resident (see
 /// [`crate::ConcealerSystem::set_bin_cache_capacity`]).
@@ -133,7 +134,7 @@ impl BinCache {
     /// miss — the caller decides after checking the entry is usable and the
     /// store still matches it.
     pub fn lookup(&self, key: BinKey) -> Option<Arc<BinEntry>> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         inner.stamp += 1;
         let stamp = inner.stamp;
         let (slot_stamp, entry) = inner.map.get_mut(&key)?;
@@ -146,7 +147,7 @@ impl BinCache {
     /// the entry that left the map — the one evicted, or the one replaced
     /// — for the caller to drop outside the lock.
     pub fn insert(&self, key: BinKey, entry: Arc<BinEntry>) -> Option<Arc<BinEntry>> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         if inner.capacity == 0 {
             return None;
         }
@@ -164,16 +165,16 @@ impl BinCache {
     /// Remove an entry (stale mode, failed replay, or §6 rewrite cleanup),
     /// handing it back to be dropped outside the lock.
     pub fn invalidate(&self, key: BinKey) -> Option<Arc<BinEntry>> {
-        let removed = self.inner.lock().map.remove(&key);
+        let removed = unpoisoned(self.inner.lock()).map.remove(&key);
         removed.map(|(_, entry)| entry)
     }
 
     pub fn record_hit(&self) {
-        self.inner.lock().hits += 1;
+        unpoisoned(self.inner.lock()).hits += 1;
     }
 
     pub fn record_miss(&self) {
-        self.inner.lock().misses += 1;
+        unpoisoned(self.inner.lock()).misses += 1;
     }
 
     /// Resize the cache; shrinking evicts least-recently-used entries, and
@@ -181,14 +182,14 @@ impl BinCache {
     /// the evicted entries, least recently used first, for the caller to
     /// drop outside the lock.
     pub fn set_capacity(&self, capacity: usize) -> Vec<Arc<BinEntry>> {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         inner.capacity = capacity;
         let excess = inner.map.len().saturating_sub(capacity);
         (0..excess).filter_map(|_| inner.evict_lru()).collect()
     }
 
     pub fn stats(&self) -> BinCacheStats {
-        let inner = self.inner.lock();
+        let inner = unpoisoned(self.inner.lock());
         BinCacheStats {
             capacity: inner.capacity,
             entries: inner.map.len(),

@@ -3,29 +3,20 @@
 //! The enclave groups cell-ids into **bins of identical size**: the inputs
 //! to the packing algorithm are the cell-ids, each weighted by the number of
 //! tuples that carry it (`c_tuple[]`), the bin capacity is at least the
-//! largest weight, and First-Fit Decreasing (FFD) or Best-Fit Decreasing
-//! (BFD) assigns every cell-id to exactly one bin. Bins that end up lighter
+//! largest weight, and First-Fit Decreasing (FFD) assigns every cell-id to
+//! exactly one bin. Bins that end up lighter
 //! than the capacity are padded with *disjoint* ranges of fake-tuple ids —
 //! disjoint because reusing a fake tuple across two bins would let the
 //! adversary subtract it out (Example 4.1 of the paper).
 //!
 //! Theorem 4.1 of the paper bounds the construction: with bin size `|b|`
-//! at least the maximum weight, FFD/BFD needs at most `2n/|b|` bins and at
+//! at least the maximum weight, FFD needs at most `2n/|b|` bins and at
 //! most `n + |b|/2` fake tuples for `n` real tuples. The property tests at
 //! the bottom of this module check those bounds hold for every generated
 //! instance.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Which classical bin-packing heuristic to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PackingAlgorithm {
-    /// First-Fit Decreasing.
-    FirstFitDecreasing,
-    /// Best-Fit Decreasing.
-    BestFitDecreasing,
-}
 
 /// One bin of the plan.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,19 +56,19 @@ pub struct BinPlan {
 }
 
 impl BinPlan {
-    /// Build a bin plan from the per-cell-id tuple counts.
+    /// Build a bin plan from the per-cell-id tuple counts by First-Fit
+    /// Decreasing.
     ///
     /// * `c_tuple[i]` is the number of real tuples whose cell-id is `i`.
-    /// * `algorithm` selects FFD or BFD.
     /// * `min_bin_size` optionally raises the bin capacity above the
     ///   maximum weight (used by eBPB / winSecRange, which derive the size
     ///   from range-window sums instead).
     #[must_use]
-    pub fn build(c_tuple: &[u32], algorithm: PackingAlgorithm, min_bin_size: Option<u64>) -> Self {
+    pub fn build(c_tuple: &[u32], min_bin_size: Option<u64>) -> Self {
         let max_weight = c_tuple.iter().copied().max().unwrap_or(0) as u64;
         let bin_size = min_bin_size.unwrap_or(0).max(max_weight).max(1);
 
-        // Sort cell-ids by decreasing weight (the "Decreasing" in FFD/BFD).
+        // Sort cell-ids by decreasing weight (the "Decreasing" in FFD).
         let mut order: Vec<u32> = (0..c_tuple.len() as u32).collect();
         order.sort_by_key(|&cid| std::cmp::Reverse(c_tuple[cid as usize]));
 
@@ -86,18 +77,7 @@ impl BinPlan {
 
         for cid in order {
             let w = c_tuple[cid as usize] as u64;
-            let slot = match algorithm {
-                PackingAlgorithm::FirstFitDecreasing => {
-                    loads.iter().position(|&load| load + w <= bin_size)
-                }
-                PackingAlgorithm::BestFitDecreasing => loads
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &load)| load + w <= bin_size)
-                    .max_by_key(|(_, &load)| load)
-                    .map(|(i, _)| i),
-            };
-            match slot {
+            match loads.iter().position(|&load| load + w <= bin_size) {
                 Some(i) => {
                     bins[i].cell_ids.push(cid);
                     bins[i].real_tuples += w;
@@ -186,7 +166,7 @@ mod tests {
     fn paper_example_4_1() {
         // c_tuple[5] = {79, 2, 73, 7, 7}: bin size 79, three bins, 69 fakes.
         let c_tuple = [79u32, 2, 73, 7, 7];
-        let plan = BinPlan::build(&c_tuple, PackingAlgorithm::FirstFitDecreasing, None);
+        let plan = BinPlan::build(&c_tuple, None);
         assert_eq!(plan.bin_size, 79);
         assert_eq!(plan.num_bins(), 3);
         assert_eq!(plan.total_fake_tuples(), 69);
@@ -199,7 +179,7 @@ mod tests {
     #[test]
     fn every_cell_id_in_exactly_one_bin() {
         let c_tuple: Vec<u32> = (0..100).map(|i| (i * 7 % 23) as u32).collect();
-        let plan = BinPlan::build(&c_tuple, PackingAlgorithm::FirstFitDecreasing, None);
+        let plan = BinPlan::build(&c_tuple, None);
         let mut seen = vec![0u32; c_tuple.len()];
         for bin in &plan.bins {
             for &cid in &bin.cell_ids {
@@ -216,37 +196,32 @@ mod tests {
     #[test]
     fn fake_ranges_are_disjoint_and_cover_padding() {
         let c_tuple = [10u32, 3, 9, 1, 0, 6];
-        for algo in [
-            PackingAlgorithm::FirstFitDecreasing,
-            PackingAlgorithm::BestFitDecreasing,
-        ] {
-            let plan = BinPlan::build(&c_tuple, algo, None);
-            let mut ranges: Vec<(u64, u64)> = plan.bins.iter().map(|b| b.fake_range).collect();
-            ranges.sort_unstable();
-            for pair in ranges.windows(2) {
-                assert!(pair[0].1 <= pair[1].0, "ranges overlap: {pair:?}");
-            }
-            for bin in &plan.bins {
-                assert_eq!(bin.total_tuples(), plan.bin_size);
-            }
+        let plan = BinPlan::build(&c_tuple, None);
+        let mut ranges: Vec<(u64, u64)> = plan.bins.iter().map(|b| b.fake_range).collect();
+        ranges.sort_unstable();
+        for pair in ranges.windows(2) {
+            assert!(pair[0].1 <= pair[1].0, "ranges overlap: {pair:?}");
+        }
+        for bin in &plan.bins {
+            assert_eq!(bin.total_tuples(), plan.bin_size);
         }
     }
 
     #[test]
     fn min_bin_size_raises_capacity() {
         let c_tuple = [5u32, 5, 5];
-        let plan = BinPlan::build(&c_tuple, PackingAlgorithm::FirstFitDecreasing, Some(100));
+        let plan = BinPlan::build(&c_tuple, Some(100));
         assert_eq!(plan.bin_size, 100);
         assert_eq!(plan.num_bins(), 1, "all inputs fit one large bin");
     }
 
     #[test]
     fn empty_and_all_zero_inputs() {
-        let plan = BinPlan::build(&[], PackingAlgorithm::FirstFitDecreasing, None);
+        let plan = BinPlan::build(&[], None);
         assert_eq!(plan.num_bins(), 0);
         assert_eq!(plan.total_fake_tuples(), 0);
 
-        let plan = BinPlan::build(&[0, 0, 0], PackingAlgorithm::FirstFitDecreasing, None);
+        let plan = BinPlan::build(&[0, 0, 0], None);
         assert_eq!(plan.total_real_tuples(), 0);
         // Zero-weight cell-ids still land in exactly one bin so point
         // queries on empty cells have something to fetch.
@@ -254,17 +229,6 @@ mod tests {
         for cid in 0..3 {
             assert!(plan.bin_of_cell(cid).is_some());
         }
-    }
-
-    #[test]
-    fn bfd_fills_at_least_as_tightly_as_ffd() {
-        let c_tuple: Vec<u32> = vec![40, 35, 30, 25, 20, 15, 10, 5, 5, 5];
-        let ffd = BinPlan::build(&c_tuple, PackingAlgorithm::FirstFitDecreasing, None);
-        let bfd = BinPlan::build(&c_tuple, PackingAlgorithm::BestFitDecreasing, None);
-        assert_eq!(ffd.total_real_tuples(), bfd.total_real_tuples());
-        // Both respect the capacity.
-        assert!(ffd.bins.iter().all(|b| b.real_tuples <= ffd.bin_size));
-        assert!(bfd.bins.iter().all(|b| b.real_tuples <= bfd.bin_size));
     }
 
     proptest! {
@@ -276,34 +240,32 @@ mod tests {
         /// ignores.)
         #[test]
         fn prop_theorem_4_1_bounds(c_tuple in proptest::collection::vec(0u32..500, 1..200)) {
-            for algo in [PackingAlgorithm::FirstFitDecreasing, PackingAlgorithm::BestFitDecreasing] {
-                let plan = BinPlan::build(&c_tuple, algo, None);
-                let n: u64 = c_tuple.iter().map(|&c| c as u64).sum();
-                let b = plan.bin_size;
-                prop_assert!(plan.num_bins() as u64 <= 2 * n / b + 1,
-                    "bins {} exceeds bound for n={n}, b={b}", plan.num_bins());
-                prop_assert!(plan.total_fake_tuples() <= n + b,
-                    "fakes {} exceeds bound for n={n}, b={b}", plan.total_fake_tuples());
-                // All bins identical size after padding.
-                for bin in &plan.bins {
-                    prop_assert_eq!(bin.total_tuples(), plan.bin_size);
-                }
-                // Every cell-id appears exactly once.
-                let mut count = vec![0u32; c_tuple.len()];
-                for bin in &plan.bins {
-                    for &cid in &bin.cell_ids {
-                        count[cid as usize] += 1;
-                    }
-                }
-                prop_assert!(count.iter().all(|&c| c == 1));
+            let plan = BinPlan::build(&c_tuple, None);
+            let n: u64 = c_tuple.iter().map(|&c| c as u64).sum();
+            let b = plan.bin_size;
+            prop_assert!(plan.num_bins() as u64 <= 2 * n / b + 1,
+                "bins {} exceeds bound for n={n}, b={b}", plan.num_bins());
+            prop_assert!(plan.total_fake_tuples() <= n + b,
+                "fakes {} exceeds bound for n={n}, b={b}", plan.total_fake_tuples());
+            // All bins identical size after padding.
+            for bin in &plan.bins {
+                prop_assert_eq!(bin.total_tuples(), plan.bin_size);
             }
+            // Every cell-id appears exactly once.
+            let mut count = vec![0u32; c_tuple.len()];
+            for bin in &plan.bins {
+                for &cid in &bin.cell_ids {
+                    count[cid as usize] += 1;
+                }
+            }
+            prop_assert!(count.iter().all(|&c| c == 1));
         }
 
-        /// All-but-one bins at least half full (the FFD/BFD property the
+        /// All-but-one bins at least half full (the FFD property the
         /// paper's proof leans on), ignoring zero-weight-only bins.
         #[test]
         fn prop_half_full(c_tuple in proptest::collection::vec(1u32..300, 2..150)) {
-            let plan = BinPlan::build(&c_tuple, PackingAlgorithm::FirstFitDecreasing, None);
+            let plan = BinPlan::build(&c_tuple, None);
             let under_half = plan
                 .bins
                 .iter()

@@ -34,17 +34,16 @@ impl GridShape {
     }
 }
 
-/// How the data provider generates fake tuples (§3 of the paper).
+/// How the data provider generates fake tuples (§3 of the paper). There
+/// is one strategy, so this is not a choice: the type and
+/// [`SystemConfig::fake_strategy`] exist only because `benchmark/` spells
+/// the strategy it deploys, and go when it stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FakeTupleStrategy {
-    /// "Equal number of real and fake rows": ship one fake tuple per real
-    /// tuple. Simple, always sufficient (Theorem 4.1), but ships the most
-    /// fakes.
-    EqualRealFake,
     /// "Simulate the bin-creation method": run the bin-packing algorithm at
     /// DP and ship exactly the number of fakes needed to pad every bin to
-    /// the common bin size. Never ships more fakes than
-    /// [`FakeTupleStrategy::EqualRealFake`].
+    /// the common bin size (at most `n + |b|` for `n` real tuples,
+    /// Theorem 4.1), or the winSecRange interval plan's need if larger.
     SimulateBins,
 }
 
@@ -60,7 +59,8 @@ pub struct SystemConfig {
     /// Query filters are generated per granule, so coarser granularity means
     /// fewer string-matching tokens per range query.
     pub time_granularity: u64,
-    /// Fake-tuple generation strategy.
+    /// Fake-tuple generation strategy (always
+    /// [`FakeTupleStrategy::SimulateBins`]).
     pub fake_strategy: FakeTupleStrategy,
     /// Whether DP attaches hash-chain tags and the enclave verifies them.
     pub verify_integrity: bool,
@@ -90,12 +90,6 @@ impl SystemConfig {
             winsec_rows_per_interval: 2,
         }
     }
-
-    /// Duration in seconds covered by one grid time row.
-    #[must_use]
-    pub fn seconds_per_time_row(&self) -> u64 {
-        (self.epoch_duration / self.grid.time_subintervals).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -119,15 +113,5 @@ mod tests {
         };
         assert_eq!(g4.total_cells(), 1500 * 100 * 10 * 7);
         assert_eq!(g4.num_dims(), 4);
-    }
-
-    #[test]
-    fn seconds_per_time_row() {
-        let mut c = SystemConfig::small_test();
-        c.epoch_duration = 3600;
-        c.grid.time_subintervals = 60;
-        assert_eq!(c.seconds_per_time_row(), 60);
-        c.grid.time_subintervals = 7200;
-        assert_eq!(c.seconds_per_time_row(), 1, "never rounds down to zero");
     }
 }

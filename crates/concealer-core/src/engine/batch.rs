@@ -12,13 +12,13 @@ use concealer_storage::AccessObserver;
 
 use super::plan::PartialBinPlan;
 use super::{
-    bump_phase, merge_partials, scope_for_query, EpochPartial, EpochRuntime, PlanMemo, QueryEngine,
-    RangeMethod, UserHandle,
+    bump_phase, merge_partials, EpochPartial, EpochRuntime, PlanMemo, QueryEngine, RangeMethod,
+    UserHandle,
 };
 use crate::api::ExecOptions;
 use crate::bin_cache::BinEntry;
 use crate::query::{Query, QueryAnswer};
-use crate::Result;
+use crate::{unpoisoned, Result};
 
 /// The partial of `epoch_id` in a plan-seeded (ascending) partial list.
 fn part_of(parts: &mut [EpochPartial], epoch_id: u64) -> &mut EpochPartial {
@@ -96,7 +96,7 @@ impl QueryEngine {
         if opts.forward_private || opts.method != RangeMethod::Bpb {
             return queries
                 .iter()
-                .map(|q| self.execute(user, q, opts, scope_for_query(q)))
+                .map(|q| self.execute(user, q, opts))
                 .collect();
         }
         let partials = self.execute_batch_partials(user, queries, opts);
@@ -132,20 +132,16 @@ impl QueryEngine {
         if opts.forward_private || opts.method != RangeMethod::Bpb {
             return queries
                 .iter()
-                .map(|q| self.execute_partials(user, q, opts, scope_for_query(q)))
+                .map(|q| self.execute_partials(user, q, opts))
                 .collect();
         }
 
         let plan_start = Instant::now();
-        let mut epochs = self.epochs.write();
+        let mut epochs = unpoisoned(self.epochs.write());
         let plans: Vec<Result<PartialBinPlan>> = queries
             .iter()
             .map(|query| {
-                self.enclave.open_session(
-                    user.user_id,
-                    &user.credential,
-                    scope_for_query(query),
-                )?;
+                self.authorize(user, query)?;
                 self.plan_query_bins(&mut epochs, query, &opts)
             })
             .collect();
@@ -171,7 +167,7 @@ impl QueryEngine {
         // `fetch_bin_rows` re-derives each bin's round key at fetch time,
         // so the plans stay valid.
         drop(epochs);
-        let epochs = self.epochs.read();
+        let epochs = unpoisoned(self.epochs.read());
         bump_phase(&self.phases.aggregate_ns, plan_start);
 
         // One worker per bin at most, and the calling thread at least: an

@@ -15,7 +15,7 @@ use crate::api::ExecOptions;
 use crate::bin_cache::BinEntry;
 use crate::dynamic;
 use crate::query::{Query, QueryAnswer};
-use crate::{CoreError, Result};
+use crate::{unpoisoned, CoreError, Result};
 
 impl QueryEngine {
     /// Run one epoch's share of a range query with the method in `opts`,
@@ -218,7 +218,7 @@ impl QueryEngine {
     ) -> Result<QueryAnswer> {
         let (t_start, t_end) = query.predicate.time_span();
 
-        let mut epochs = self.epochs.write();
+        let mut epochs = unpoisoned(self.epochs.write());
         let touched: Vec<u64> = epochs
             .values()
             .filter(|rt| rt.window.overlaps(t_start, t_end))
@@ -253,7 +253,7 @@ impl QueryEngine {
                 let extra = dynamic::extra_bins_per_round(num_bins);
                 let mut extras = EpochPartial::empty(epoch_id, part.verified);
                 while bins_fetched.len() < extra.min(num_bins) {
-                    let candidate = self.rng.lock().gen_range(0..num_bins);
+                    let candidate = unpoisoned(self.rng.lock()).gen_range(0..num_bins);
                     if bins_fetched
                         .iter()
                         .all(|(fetched, _)| *fetched != candidate)
@@ -296,7 +296,7 @@ impl QueryEngine {
         let new_key = self.enclave.epoch_key(EpochId(rt.epoch_id), old_round + 1);
         let bin = &rt.bin_plan.bins[bin_idx];
 
-        let mut rng = self.rng.lock();
+        let mut rng = unpoisoned(self.rng.lock());
         let out = dynamic::reencrypt_bin(
             fetched.key.as_ref(),
             new_key.as_ref(),

@@ -26,20 +26,20 @@ use concealer_crypto::EpochId;
 use concealer_enclave::registry::{Credential, QueryScope, UserId};
 use concealer_enclave::{Enclave, SideChannelMeter};
 use concealer_storage::EpochStore;
-use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, RwLock};
 
 use crate::api::ExecOptions;
 use crate::bin_cache::{BinCache, BinCacheStats, DEFAULT_BIN_CACHE_CAPACITY};
-use crate::bins::{BinPlan, PackingAlgorithm};
+use crate::bins::BinPlan;
 use crate::codec;
 use crate::config::SystemConfig;
 use crate::query::filter::FilterPlan;
 use crate::query::{Accumulator, Predicate, Query, QueryAnswer};
 use crate::superbin::SuperBinPlan;
 use crate::types::EpochWindow;
-use crate::{CoreError, Result};
+use crate::{unpoisoned, CoreError, Result};
 
 mod batch;
 mod fetch;
@@ -289,7 +289,7 @@ pub struct QueryEngine {
 impl std::fmt::Debug for QueryEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryEngine")
-            .field("epochs", &self.epochs.read().len())
+            .field("epochs", &unpoisoned(self.epochs.read()).len())
             .field("oblivious", &self.enclave.is_oblivious())
             .finish_non_exhaustive()
     }
@@ -356,12 +356,12 @@ impl QueryEngine {
     /// Epoch ids currently registered with the engine.
     #[must_use]
     pub fn registered_epochs(&self) -> Vec<u64> {
-        self.epochs.read().keys().copied().collect()
+        unpoisoned(self.epochs.read()).keys().copied().collect()
     }
 
     /// Bin-plan statistics for an epoch: `(num_bins, bin_size)`.
     pub fn bin_stats(&self, epoch_id: u64) -> Result<(usize, u64)> {
-        let epochs = self.epochs.read();
+        let epochs = unpoisoned(self.epochs.read());
         let rt = epochs.get(&epoch_id).ok_or(CoreError::NoDataForRange)?;
         Ok((rt.bin_plan.num_bins(), rt.bin_plan.bin_size))
     }
@@ -370,7 +370,7 @@ impl QueryEngine {
     /// winSecRange interval layout (building the interval plan on demand if
     /// no winSecRange query has run yet).
     pub fn plan_stats(&self, epoch_id: u64) -> Result<PlanStats> {
-        let mut epochs = self.epochs.write();
+        let mut epochs = unpoisoned(self.epochs.write());
         let rt = epochs.get_mut(&epoch_id).ok_or(CoreError::NoDataForRange)?;
         if rt.winsec.is_none() {
             rt.winsec = Some(self.build_winsec_plan(rt));
@@ -423,7 +423,7 @@ impl QueryEngine {
         let real_total: u64 = c_tuple.iter().map(|&c| u64::from(c)).sum();
         let total_fakes = (metadata.advertised_rows as u64).saturating_sub(real_total);
 
-        let bin_plan = BinPlan::build(&c_tuple, PackingAlgorithm::FirstFitDecreasing, None);
+        let bin_plan = BinPlan::build(&c_tuple, None);
         let bin_rounds = vec![0u64; bin_plan.num_bins()];
         let max_cell_id_load = c_tuple.iter().copied().max().unwrap_or(0);
 
@@ -446,7 +446,7 @@ impl QueryEngine {
             ebpb_sizes: HashMap::new(),
             winsec: None,
         };
-        self.epochs.write().insert(epoch_id, runtime);
+        unpoisoned(self.epochs.write()).insert(epoch_id, runtime);
         Ok(())
     }
 
@@ -459,16 +459,17 @@ impl QueryEngine {
     /// re-encryption protocol spans rounds that do not satisfy the query
     /// and cannot be split by epoch; it runs its own loop. Forward-private
     /// *points* fetch one bin of one round and execute like any point.
+    ///
+    /// `user` is authorized for the query's scope (individualized when the
+    /// predicate pins a device, aggregate otherwise) before any trapdoor is
+    /// derived.
     pub fn execute(
         &self,
         user: &UserHandle,
         query: &Query,
         opts: ExecOptions,
-        registry_scope: QueryScope,
     ) -> Result<QueryAnswer> {
-        let _session = self
-            .enclave
-            .open_session(user.user_id, &user.credential, registry_scope)?;
+        self.authorize(user, query)?;
         if opts.forward_private && matches!(query.predicate, Predicate::Range { .. }) {
             return self.execute_forward_private_range(query, &opts);
         }
@@ -500,11 +501,8 @@ impl QueryEngine {
         user: &UserHandle,
         query: &Query,
         opts: ExecOptions,
-        registry_scope: QueryScope,
     ) -> Result<Vec<EpochPartial>> {
-        let _session = self
-            .enclave
-            .open_session(user.user_id, &user.credential, registry_scope)?;
+        self.authorize(user, query)?;
         if opts.forward_private {
             return Err(CoreError::InvalidConfig {
                 reason: "forward-private (§6) executions re-encrypt spanning rounds and \
@@ -532,7 +530,7 @@ impl QueryEngine {
         let mut memo = PlanMemo::new();
         match &query.predicate {
             Predicate::Point { dims, time } => {
-                let epochs = self.epochs.read();
+                let epochs = unpoisoned(self.epochs.read());
                 let Some(rt) = epochs.values().find(|rt| rt.window.contains(*time)) else {
                     return Ok(Vec::new());
                 };
@@ -543,7 +541,7 @@ impl QueryEngine {
             }
             Predicate::Range { .. } => {
                 let (t_start, t_end) = query.predicate.time_span();
-                let mut epochs = self.epochs.write();
+                let mut epochs = unpoisoned(self.epochs.write());
                 let mut out = Vec::new();
                 for rt in epochs
                     .values_mut()
@@ -557,6 +555,15 @@ impl QueryEngine {
                 Ok(out)
             }
         }
+    }
+
+    /// Requirement R2: the enclave checks `user` against the registry for
+    /// `query`'s scope. Every entry point calls this once per query, before
+    /// the query's first trapdoor.
+    fn authorize(&self, user: &UserHandle, query: &Query) -> Result<()> {
+        Ok(self
+            .enclave
+            .authorize(user.user_id, &user.credential, scope_for_query(query))?)
     }
 
     /// Whether this execution runs the oblivious (Concealer+) code paths.
@@ -574,7 +581,7 @@ impl QueryEngine {
 /// Individualized predicates (pinning an observation/device id) need
 /// individualized authorization; everything else runs under the aggregate
 /// scope.
-pub(crate) fn scope_for_query(query: &Query) -> QueryScope {
+fn scope_for_query(query: &Query) -> QueryScope {
     match query.predicate.observation() {
         Some(device_id) => QueryScope::Individualized { device_id },
         None => QueryScope::Aggregate,

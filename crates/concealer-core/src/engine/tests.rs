@@ -6,6 +6,7 @@ use std::collections::btree_map;
 use std::sync::Arc;
 
 use concealer_crypto::EpochKey;
+use concealer_enclave::{EnclaveError, MeterSnapshot};
 use concealer_storage::{
     AccessEvent, AccessObserver, EncryptedRow, EncryptedTable, MemoryBackend,
     Result as StoreResult, StorageBackend, StoredEpoch,
@@ -163,6 +164,129 @@ fn observation_query_requires_owned_device() {
     let query = Query::collect_rows().observing(100).between(0, 3599);
     let err = system.session(&stranger).execute(&query).unwrap_err();
     assert!(matches!(err, CoreError::Enclave(_)));
+}
+
+/// Run `call`, which the enclave must refuse with `expected` before it
+/// issues a trapdoor: no event reaches the observer and the side-channel
+/// meter does not move.
+fn assert_refused_unseen<T: std::fmt::Debug>(
+    system: &ConcealerSystem,
+    expected: &EnclaveError,
+    what: &str,
+    call: impl FnOnce() -> Result<T>,
+) {
+    system.observer().reset();
+    let (result, meter) = system.meter().measure(call);
+    match result {
+        Err(CoreError::Enclave(e)) => assert_eq!(&e, expected, "{what}"),
+        other => panic!("{what}: expected {expected:?}, got {other:?}"),
+    }
+    assert_eq!(meter, MeterSnapshot::default(), "{what}: the meter moved");
+    assert!(system.observer().is_empty(), "{what}: the trace moved");
+}
+
+/// Requirement R2 at every entry point: a forged credential, an unknown
+/// user and an individualized query on a device the user does not own are
+/// refused with the enclave's error before any trapdoor is issued. In a
+/// batch only the refused queries fail: the others' answers, the trace and
+/// the meter are those of the batch without them.
+#[test]
+fn an_unauthorized_query_never_issues_a_trapdoor() {
+    let (system, user, _) = setup(false);
+    let forged = UserHandle {
+        user_id: user.user_id,
+        credential: Credential([0; 32]),
+    };
+    let unknown = UserHandle {
+        user_id: UserId(77),
+        credential: user.credential.clone(),
+    };
+    let aggregate = Query::count().at_dims([1]).between(0, 899);
+    let foreign = Query::count().observing(999).between(0, 899);
+    let cases = [
+        (&forged, &aggregate, EnclaveError::AuthenticationFailed),
+        (&unknown, &aggregate, EnclaveError::UnknownUser),
+        (
+            &user,
+            &foreign,
+            EnclaveError::Unauthorized {
+                reason: "device does not belong to the requesting user",
+            },
+        ),
+    ];
+    let bpb = ExecOptions::with_method(RangeMethod::Bpb);
+    let ebpb = ExecOptions::with_method(RangeMethod::Ebpb);
+
+    for (caller, query, expected) in &cases {
+        let session = system.session(caller);
+        let what = |entry: &str| format!("user {:?}, {entry}", caller.user_id);
+        assert_refused_unseen(&system, expected, &what("execute, BPB"), || {
+            session.execute_with(query, bpb)
+        });
+        assert_refused_unseen(&system, expected, &what("execute, eBPB"), || {
+            session.execute_with(query, ebpb)
+        });
+        assert_refused_unseen(&system, expected, &what("execute_partials"), || {
+            session.execute_partials(query, bpb)
+        });
+        assert_refused_unseen(&system, expected, &what("forward-private range"), || {
+            session.execute_with(query, forward_private_opts())
+        });
+    }
+
+    // Each batch runs on a fresh copy of the deployment (`setup` is
+    // seeded), so a bin the first run cached cannot shape the second.
+    let others = [
+        Query::count().at_dims([2]).between(0, 1799),
+        Query::sum(0).at_dims([3]).between(900, 2699),
+    ];
+    let run = |caller: &UserHandle, queries: &[Query], opts: ExecOptions, partials: bool| {
+        let (system, _, _) = setup(false);
+        let session = system.session(caller).with_options(opts);
+        system.observer().reset();
+        let (outcomes, meter) = system.meter().measure(|| -> Vec<Result<String>> {
+            if partials {
+                let results = session.execute_batch_partials(queries);
+                results
+                    .into_iter()
+                    .map(|r| r.map(|p| format!("{p:?}")))
+                    .collect()
+            } else {
+                let results = session.execute_batch(queries);
+                results
+                    .into_iter()
+                    .map(|r| r.map(|a| format!("{a:?}")))
+                    .collect()
+            }
+        });
+        (outcomes, system.observer().take_events(), meter)
+    };
+    for (opts, partials) in [(bpb, false), (ebpb, false), (bpb, true), (ebpb, true)] {
+        for (caller, query, expected) in &cases {
+            let what = format!("user {:?}, {opts:?}, partials {partials}", caller.user_id);
+            let batch = [others[0].clone(), (*query).clone(), others[1].clone()];
+            let (outcomes, trace, meter) = run(caller, &batch, opts, partials);
+            // A forged or unknown caller is refused for every query; a
+            // registered one only for the foreign device.
+            let admitted: Vec<Query> = if matches!(expected, EnclaveError::Unauthorized { .. }) {
+                others.to_vec()
+            } else {
+                Vec::new()
+            };
+            let (mut alone, alone_trace, alone_meter) = run(caller, &admitted, opts, partials);
+            let refused = Err(CoreError::Enclave(expected.clone()));
+            for (i, outcome) in outcomes.iter().enumerate() {
+                let want = if i == 1 || admitted.is_empty() {
+                    refused.clone()
+                } else {
+                    alone.remove(0)
+                };
+                assert_eq!(outcome, &want, "{what}: query {i}");
+            }
+            assert_eq!(trace, alone_trace, "{what}: trace");
+            assert_eq!(meter, alone_meter, "{what}: meter");
+        }
+    }
 }
 
 #[test]
@@ -455,14 +579,14 @@ impl std::fmt::Debug for FaultyBackend {
 impl FaultyBackend {
     /// Serve every read from now on through `tamper`, counting reads from 0.
     fn arm(&self, tamper: Tamper) {
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         state.reads = 0;
         state.tamper = Some(tamper);
     }
 
     /// Note from now on where each read begins in `observer`'s trace.
     fn watch(&self, observer: AccessObserver) {
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         state.read_starts.clear();
         state.watched = Some(observer);
     }
@@ -470,7 +594,7 @@ impl FaultyBackend {
     /// Per read since [`Self::watch`]: its epoch and the row ids it fetched,
     /// in fetch order (empty for a metadata read).
     fn rows_per_read(&self) -> Vec<(u64, Vec<u64>)> {
-        let state = self.state.lock();
+        let state = unpoisoned(self.state.lock());
         let trace = state.watched.as_ref().expect("watched").trace();
         let starts = &state.read_starts;
         let rows_of = |i: usize, &(epoch, at): &(u64, usize)| {
@@ -499,7 +623,7 @@ impl StorageBackend for FaultyBackend {
         self.inner.put_epoch(epoch_id, epoch)
     }
     fn with_epoch(&self, epoch_id: u64, f: &mut dyn FnMut(&StoredEpoch)) -> StoreResult<()> {
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         let read = state.reads;
         state.reads += 1;
         if let Some(at) = state.watched.as_ref().map(AccessObserver::len) {
@@ -519,7 +643,9 @@ impl StorageBackend for FaultyBackend {
         epoch_id: u64,
         f: &mut dyn FnMut(&mut StoredEpoch) -> StoreResult<()>,
     ) -> StoreResult<()> {
-        if let btree_map::Entry::Vacant(slot) = self.state.lock().as_ingested.entry(epoch_id) {
+        if let btree_map::Entry::Vacant(slot) =
+            unpoisoned(self.state.lock()).as_ingested.entry(epoch_id)
+        {
             let mut current = None;
             self.inner
                 .with_epoch(epoch_id, &mut |epoch| current = Some(epoch.clone()))?;
@@ -551,7 +677,7 @@ fn forward_private_rewrite_never_launders_a_dropped_row() {
     // query's own (verified) fetch comes after the epoch's first rewrite.
     let key = system.engine().enclave().epoch_key(EpochId(0), 0);
     let victim = {
-        let epochs = system.engine().epochs.read();
+        let epochs = unpoisoned(system.engine().epochs.read());
         let plan = &epochs[&0].bin_plan;
         assert!(plan.num_bins() > 1);
         let stored = system.store().full_scan(0).unwrap();
@@ -631,7 +757,7 @@ fn a_fake_slot_never_carries_a_counted_row() {
             codec::decode_index_plain(&index_plain).is_some()
         };
         let bin_of = |r: &Record| {
-            let epochs = system.engine().epochs.read();
+            let epochs = unpoisoned(system.engine().epochs.read());
             let bin = system
                 .engine()
                 .locate_point_bin(&epochs[&0], &r.dims, r.time);
@@ -860,7 +986,7 @@ fn a_malicious_provider_never_gets_a_wrong_answer_verified() {
             assert_eq!((&answer.value, answer.verified), (want, true), "{name}");
         }
         let reads = backend.rows_per_read();
-        let rewritten = !backend.state.lock().as_ingested.is_empty();
+        let rewritten = !unpoisoned(backend.state.lock()).as_ingested.is_empty();
 
         for (n, (epoch_id, fetched)) in reads.into_iter().enumerate() {
             let fetched: Vec<usize> = fetched.into_iter().map(|id| id as usize).collect();

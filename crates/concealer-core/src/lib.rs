@@ -124,3 +124,10 @@ pub use concealer_enclave::{Credential, EnclaveError, QueryScope, UserId};
 
 /// Convenience alias for fallible Concealer calls.
 pub type Result<T> = std::result::Result<T, CoreError>;
+
+/// The guard of a `std::sync` lock call, recovered if the lock is
+/// poisoned: a thread that panicked while holding it does not take the
+/// lock's other users down with it.
+fn unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

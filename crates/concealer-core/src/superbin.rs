@@ -153,7 +153,7 @@ impl SuperBinPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bins::{BinPlan, PackingAlgorithm};
+    use crate::bins::BinPlan;
     use proptest::prelude::*;
 
     /// Build a bin plan whose bins end up with controllable weights by
@@ -161,7 +161,7 @@ mod tests {
     /// number of cell-ids per bin) and assigning cells-per-cell-id directly.
     fn plan_with_weights(num_cell_ids: usize) -> BinPlan {
         let c_tuple = vec![10u32; num_cell_ids];
-        BinPlan::build(&c_tuple, PackingAlgorithm::FirstFitDecreasing, Some(30))
+        BinPlan::build(&c_tuple, Some(30))
     }
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
         let weights = [1u64, 2, 9, 1, 2, 10, 1, 1, 1, 8, 2, 7];
         // Build a synthetic plan with 12 bins of one cell-id each.
         let c_tuple = vec![5u32; 12];
-        let plan = BinPlan::build(&c_tuple, PackingAlgorithm::FirstFitDecreasing, Some(5));
+        let plan = BinPlan::build(&c_tuple, Some(5));
         assert_eq!(plan.num_bins(), 12);
         // cells_per_cell_id keyed by cell-id: bin i holds exactly one
         // cell-id, so map that cell-id to the example's weight.
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn empty_plan() {
-        let plan = BinPlan::build(&[], PackingAlgorithm::FirstFitDecreasing, None);
+        let plan = BinPlan::build(&[], None);
         let sb = SuperBinPlan::build(&plan, &[], 4);
         assert_eq!(sb.num_super_bins(), 0);
         assert_eq!(sb.imbalance(), 1.0);
@@ -236,7 +236,7 @@ mod tests {
             f in 2usize..6,
         ) {
             let c_tuple = vec![5u32; weights.len()];
-            let plan = BinPlan::build(&c_tuple, PackingAlgorithm::FirstFitDecreasing, Some(5));
+            let plan = BinPlan::build(&c_tuple, Some(5));
             prop_assume!(plan.num_bins() == weights.len());
             let mut cells = vec![0u32; weights.len()];
             for (i, bin) in plan.bins.iter().enumerate() {

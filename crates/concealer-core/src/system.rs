@@ -51,18 +51,7 @@ impl ConcealerSystem {
     #[must_use]
     pub fn new<R: RngCore>(config: SystemConfig, rng: &mut R) -> Self {
         let master = MasterKey::generate(rng);
-        Self::with_master(config, master, rng.gen())
-    }
-
-    /// Set up a deployment with an explicit master key and engine RNG seed
-    /// (useful for reproducible tests and benchmarks).
-    ///
-    /// Uses the default in-memory store; to place the sealed segments on a
-    /// different [`concealer_storage::StorageBackend`] (e.g. the durable
-    /// [`concealer_storage::DiskEpochStore`]), use [`crate::SystemBuilder`].
-    #[must_use]
-    pub fn with_master(config: SystemConfig, master: MasterKey, engine_seed: u64) -> Self {
-        Self::assemble(config, master, engine_seed, EpochStore::new())
+        Self::assemble(config, master, rng.gen(), EpochStore::new())
             .expect("an empty in-memory store has no epochs to re-register")
     }
 

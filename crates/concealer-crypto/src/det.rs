@@ -269,14 +269,6 @@ impl DeterministicCipher {
         }
         failures
     }
-
-    /// Produce a *searchable token* for `plaintext`: the deterministic
-    /// ciphertext itself. The enclave uses this to generate trapdoors that
-    /// match the values the data provider stored in the indexed column.
-    #[must_use]
-    pub fn token(&self, plaintext: &[u8]) -> Vec<u8> {
-        self.encrypt(plaintext)
-    }
 }
 
 #[cfg(test)]
@@ -342,12 +334,6 @@ mod tests {
             c.decrypt(&[0u8; 5]),
             Err(CryptoError::MalformedCiphertext { .. })
         ));
-    }
-
-    #[test]
-    fn token_equals_encrypt() {
-        let c = cipher();
-        assert_eq!(c.token(b"cid7||3"), c.encrypt(b"cid7||3"));
     }
 
     #[test]

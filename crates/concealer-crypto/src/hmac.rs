@@ -76,12 +76,6 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     HmacSha256::new(key).mac(message)
 }
 
-/// Verify a tag in constant time.
-#[must_use]
-pub fn verify_hmac_sha256(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-    crate::ct_eq(&hmac_sha256(key, message), tag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,17 +129,6 @@ mod tests {
             b"Test Using Larger Than Block-Size Key - Hash Key First",
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
-    }
-
-    #[test]
-    fn verify_accepts_and_rejects() {
-        let tag = hmac_sha256(b"key", b"msg");
-        assert!(verify_hmac_sha256(b"key", b"msg", &tag));
-        assert!(!verify_hmac_sha256(b"key", b"msg2", &tag));
-        assert!(!verify_hmac_sha256(b"key2", b"msg", &tag));
-        let mut bad = tag;
-        bad[0] ^= 1;
-        assert!(!verify_hmac_sha256(b"key", b"msg", &bad));
     }
 
     #[test]

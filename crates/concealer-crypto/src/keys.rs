@@ -75,6 +75,16 @@ impl MasterKey {
         }
     }
 
+    /// The key user-registry credentials are HMACs under:
+    /// `cred = HMAC(registry_key, user_id)`. The registry is not
+    /// epoch-scoped, so the key sits at the sentinel `(epoch, round) =
+    /// (u64::MAX, u64::MAX)` of the hash-chain purpose — the bytes every
+    /// credential has been issued under.
+    #[must_use]
+    pub fn registry_key(&self) -> [u8; 32] {
+        derive_key(&self.sk, KeyPurpose::HashChain, u64::MAX, u64::MAX)
+    }
+
     /// The grid-hash PRF is intentionally *round-independent*: the enclave
     /// must map query predicates to grid cells the same way DP did at ingest
     /// time, regardless of how many times the epoch has since been
@@ -219,6 +229,27 @@ mod tests {
         // grid PRF from MasterKey::grid_prf is round independent
         let g = mk.grid_prf(EpochId(10));
         assert_eq!(g.eval_u64_mod(5, 99), r0.grid_prf.eval_u64_mod(5, 99));
+    }
+
+    #[test]
+    fn registry_key_is_the_sentinel_epochs_hash_chain_key() {
+        // Credentials issued before `registry_key` existed are HMACs under
+        // this field of the sentinel epoch's key set; they must stay valid.
+        let mk = MasterKey::from_bytes([7u8; 32]);
+        let sentinel = EpochId(u64::MAX);
+        assert_eq!(
+            mk.registry_key(),
+            mk.epoch_key(sentinel, u64::MAX).hash_chain_key
+        );
+        let hex: String = mk
+            .registry_key()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "4830073da0881f541cdbaca0647273e56d61ceaef041efeace8710419138c603"
+        );
     }
 
     #[test]

@@ -198,18 +198,6 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// Hash the concatenation of two byte strings: `SHA-256(a || b)`.
-///
-/// This is the chaining step used by the paper's per-cell hash chains:
-/// `h_i = H(E(l_i) || h_{i-1})`.
-#[must_use]
-pub fn sha256_concat(a: &[u8], b: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(a);
-    h.update(b);
-    h.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,14 +295,5 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
         }
-    }
-
-    #[test]
-    fn concat_helper_matches_manual_concat() {
-        let a = b"hello ";
-        let b = b"world";
-        let mut joined = a.to_vec();
-        joined.extend_from_slice(b);
-        assert_eq!(sha256_concat(a, b), sha256(&joined));
     }
 }

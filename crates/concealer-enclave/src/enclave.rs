@@ -4,16 +4,17 @@
 //! out per-epoch cryptographic material *only to code running "inside"*
 //! (i.e. to callers holding the enclave value — the untrusted side of the
 //! simulation only ever sees what explicitly crosses the boundary), and
-//! exposes an authenticated [`Session`] from which the query-execution code
-//! in `concealer-core` derives trapdoors.
+//! checks every caller against the registry ([`Enclave::authenticate`],
+//! [`Enclave::authorize`]) before the query-execution code in
+//! `concealer-core` derives a trapdoor for it.
 
 use concealer_crypto::{EpochId, EpochKey, MasterKey};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, RwLock};
 
 use crate::meter::SideChannelMeter;
-use crate::registry::{Credential, QueryScope, RegisteredUser, UserId, UserRegistry};
-use crate::Result;
+use crate::registry::{Credential, QueryScope, UserId, UserRegistry};
+use crate::{unpoisoned, Result};
 
 /// Configuration for the simulated enclave.
 #[derive(Debug, Clone)]
@@ -51,7 +52,7 @@ impl EnclaveConfig {
 
 /// Derived epoch keys, memoized by `(epoch, round)` and shared across
 /// enclave clones.
-type KeyCache = Arc<parking_lot::Mutex<std::collections::HashMap<(u64, u64), Arc<EpochKey>>>>;
+type KeyCache = Arc<Mutex<HashMap<(u64, u64), Arc<EpochKey>>>>;
 
 /// The simulated SGX enclave provisioned by the data provider.
 #[derive(Clone)]
@@ -77,7 +78,7 @@ impl std::fmt::Debug for Enclave {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Enclave")
             .field("config", &self.config)
-            .field("registered_users", &self.registry.read().len())
+            .field("registered_users", &unpoisoned(self.registry.read()).len())
             .finish_non_exhaustive()
     }
 }
@@ -94,11 +95,11 @@ impl Enclave {
             registry: Arc::new(RwLock::new(registry)),
             config,
             meter: SideChannelMeter::new(),
-            key_cache: Arc::new(parking_lot::Mutex::new(std::collections::HashMap::new())),
+            key_cache: Arc::default(),
         }
     }
 
-    /// The enclave's side-channel meter (shared with all sessions).
+    /// The enclave's side-channel meter (shared with all clones).
     #[must_use]
     pub fn meter(&self) -> &SideChannelMeter {
         &self.meter
@@ -118,7 +119,7 @@ impl Enclave {
 
     /// Replace the registry (DP pushes an updated registry).
     pub fn update_registry(&self, registry: UserRegistry) {
-        *self.registry.write() = registry;
+        *unpoisoned(self.registry.write()) = registry;
     }
 
     /// Derive the key material for an epoch at a given re-encryption round.
@@ -128,7 +129,7 @@ impl Enclave {
     /// path cost a map lookup, not a KDF run.
     #[must_use]
     pub fn epoch_key(&self, epoch: EpochId, round_counter: u64) -> Arc<EpochKey> {
-        let mut cache = self.key_cache.lock();
+        let mut cache = unpoisoned(self.key_cache.lock());
         if let Some(key) = cache.get(&(epoch.0, round_counter)) {
             return Arc::clone(key);
         }
@@ -148,48 +149,24 @@ impl Enclave {
         &self.master
     }
 
-    /// Authenticate a user and open a query session.
-    pub fn open_session(
+    /// Authenticate a user: `Ok` when `user_id` is registered and
+    /// `credential` is the one DP issued to them. Scope is not checked;
+    /// every query is, by [`Enclave::authorize`].
+    pub fn authenticate(&self, user_id: UserId, credential: &Credential) -> Result<()> {
+        unpoisoned(self.registry.read())
+            .authenticate(&self.master, user_id, credential)
+            .map(drop)
+    }
+
+    /// Authenticate a user and authorize one query's scope (requirement R2):
+    /// called before any trapdoor for the query is derived.
+    pub fn authorize(
         &self,
         user_id: UserId,
         credential: &Credential,
         scope: QueryScope,
-    ) -> Result<Session> {
-        let registry = self.registry.read();
-        let entry = registry.authenticate(&self.master, user_id, credential, scope)?;
-        Ok(Session {
-            user: entry.clone(),
-            scope,
-            enclave: self.clone(),
-        })
-    }
-}
-
-/// An authenticated query session.
-#[derive(Debug, Clone)]
-pub struct Session {
-    user: RegisteredUser,
-    scope: QueryScope,
-    enclave: Enclave,
-}
-
-impl Session {
-    /// The authenticated user.
-    #[must_use]
-    pub fn user(&self) -> &RegisteredUser {
-        &self.user
-    }
-
-    /// The scope this session was authorized for.
-    #[must_use]
-    pub fn scope(&self) -> QueryScope {
-        self.scope
-    }
-
-    /// The enclave this session runs in.
-    #[must_use]
-    pub fn enclave(&self) -> &Enclave {
-        &self.enclave
+    ) -> Result<()> {
+        unpoisoned(self.registry.read()).authorize(&self.master, user_id, credential, scope)
     }
 }
 
@@ -206,36 +183,48 @@ mod tests {
         (enclave, cred)
     }
 
+    // The `session_*` cases are the checks that admit a session (the wire
+    // handshake's `authenticate`) and each query run in it (`authorize`).
+
     #[test]
     fn session_opens_for_valid_user() {
         let (enclave, cred) = setup();
-        let session = enclave
-            .open_session(UserId(1), &cred, QueryScope::Aggregate)
-            .unwrap();
-        assert_eq!(session.user().user_id, UserId(1));
-        assert_eq!(session.scope(), QueryScope::Aggregate);
+        assert_eq!(enclave.authenticate(UserId(1), &cred), Ok(()));
+        for scope in [
+            QueryScope::Aggregate,
+            QueryScope::Individualized { device_id: 55 },
+        ] {
+            assert_eq!(enclave.authorize(UserId(1), &cred, scope), Ok(()));
+        }
     }
 
     #[test]
     fn session_rejected_for_wrong_credential() {
         let (enclave, _) = setup();
-        let err = enclave
-            .open_session(UserId(1), &Credential([9u8; 32]), QueryScope::Aggregate)
-            .unwrap_err();
-        assert_eq!(err, EnclaveError::AuthenticationFailed);
+        let forged = Credential([9u8; 32]);
+        assert_eq!(
+            enclave.authenticate(UserId(1), &forged),
+            Err(EnclaveError::AuthenticationFailed)
+        );
+        assert_eq!(
+            enclave.authorize(UserId(1), &forged, QueryScope::Aggregate),
+            Err(EnclaveError::AuthenticationFailed)
+        );
     }
 
     #[test]
     fn session_rejected_for_foreign_device() {
         let (enclave, cred) = setup();
         let err = enclave
-            .open_session(
+            .authorize(
                 UserId(1),
                 &cred,
                 QueryScope::Individualized { device_id: 999 },
             )
             .unwrap_err();
         assert!(matches!(err, EnclaveError::Unauthorized { .. }));
+        // Authentication alone does not look at scope.
+        assert_eq!(enclave.authenticate(UserId(1), &cred), Ok(()));
     }
 
     #[test]
@@ -253,10 +242,8 @@ mod tests {
         // Push an empty registry: previously valid user is now rejected.
         enclave.update_registry(UserRegistry::new());
         assert_eq!(
-            enclave
-                .open_session(UserId(1), &cred, QueryScope::Aggregate)
-                .unwrap_err(),
-            EnclaveError::UnknownUser
+            enclave.authenticate(UserId(1), &cred),
+            Err(EnclaveError::UnknownUser)
         );
     }
 

@@ -39,10 +39,17 @@ pub mod sort;
 mod error;
 
 pub use attest::{Quote, ATTESTATION_ROOT_KEY, ENCLAVE_CODE_VERSION, MEASUREMENT_DOMAIN};
-pub use enclave::{Enclave, EnclaveConfig, Session};
+pub use enclave::{Enclave, EnclaveConfig};
 pub use error::EnclaveError;
 pub use meter::{MeterSnapshot, SideChannelMeter};
 pub use registry::{Credential, QueryScope, RegisteredUser, UserId, UserRegistry};
 
 /// Convenience alias for fallible enclave calls.
 pub type Result<T> = std::result::Result<T, EnclaveError>;
+
+/// The guard of a `std::sync` lock call, recovered if the lock is
+/// poisoned: a thread that panicked while holding it does not take the
+/// lock's other users down with it.
+fn unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -11,8 +11,9 @@
 //! security tests assert for Concealer+ across different query predicates
 //! that map to the same bin.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+use crate::unpoisoned;
 
 /// A snapshot of the meter's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,32 +47,32 @@ impl SideChannelMeter {
 
     /// Record `n` branch-free comparisons.
     pub fn add_comparisons(&self, n: u64) {
-        self.inner.lock().comparisons += n;
+        unpoisoned(self.inner.lock()).comparisons += n;
     }
 
     /// Record `n` oblivious moves / swaps.
     pub fn add_cmoves(&self, n: u64) {
-        self.inner.lock().cmoves += n;
+        unpoisoned(self.inner.lock()).cmoves += n;
     }
 
     /// Record `n` element touches (oblivious scans, filter passes).
     pub fn add_element_touches(&self, n: u64) {
-        self.inner.lock().element_touches += n;
+        unpoisoned(self.inner.lock()).element_touches += n;
     }
 
     /// Record `n` compare-exchange steps of a data-independent sort.
     pub fn add_sort_steps(&self, n: u64) {
-        self.inner.lock().sort_steps += n;
+        unpoisoned(self.inner.lock()).sort_steps += n;
     }
 
     /// Record `n` in-enclave decryptions.
     pub fn add_decryptions(&self, n: u64) {
-        self.inner.lock().decryptions += n;
+        unpoisoned(self.inner.lock()).decryptions += n;
     }
 
     /// Record `n` generated trapdoors.
     pub fn add_trapdoors(&self, n: u64) {
-        self.inner.lock().trapdoors_generated += n;
+        unpoisoned(self.inner.lock()).trapdoors_generated += n;
     }
 
     /// Fold a whole counter delta in under a single lock acquisition.
@@ -83,7 +84,7 @@ impl SideChannelMeter {
     /// serializing on the meter. (Trapdoor generation already recorded
     /// once per bin via the `add_*` methods.)
     pub fn add_snapshot(&self, delta: MeterSnapshot) {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         inner.comparisons += delta.comparisons;
         inner.cmoves += delta.cmoves;
         inner.element_touches += delta.element_touches;
@@ -95,12 +96,12 @@ impl SideChannelMeter {
     /// Read the current counters.
     #[must_use]
     pub fn snapshot(&self) -> MeterSnapshot {
-        *self.inner.lock()
+        *unpoisoned(self.inner.lock())
     }
 
     /// Reset all counters to zero.
     pub fn reset(&self) {
-        *self.inner.lock() = MeterSnapshot::default();
+        *unpoisoned(self.inner.lock()) = MeterSnapshot::default();
     }
 
     /// Run `f` and return its result together with the counter delta it

@@ -21,13 +21,6 @@ pub fn ogreater(x: u64, y: u64) -> u64 {
     ((diff >> 127) & 1) as u64
 }
 
-/// Oblivious "greater or equal": 1 if `x >= y`, else 0.
-#[inline]
-#[must_use]
-pub fn oge(x: u64, y: u64) -> u64 {
-    1 - ogreater(y, x)
-}
-
 /// Oblivious equality: 1 if `x == y`, else 0.
 #[inline]
 #[must_use]
@@ -46,20 +39,6 @@ pub fn omove(cond: u64, x: u64, y: u64) -> u64 {
     let nz = (cond | cond.wrapping_neg()) >> 63;
     let mask = nz.wrapping_neg();
     (x & mask) | (y & !mask)
-}
-
-/// Oblivious maximum of two values (Fig. 2a of the paper).
-#[inline]
-#[must_use]
-pub fn omax(x: u64, y: u64) -> u64 {
-    omove(ogreater(x, y), x, y)
-}
-
-/// Oblivious minimum of two values.
-#[inline]
-#[must_use]
-pub fn omin(x: u64, y: u64) -> u64 {
-    omove(ogreater(x, y), y, x)
 }
 
 /// Obliviously select between two equal-length byte slices into `out`:
@@ -121,17 +100,6 @@ pub fn oadd_if(matched: u64, acc: u64, value: u64) -> u64 {
     acc.wrapping_add(omove(matched, value, 0))
 }
 
-/// Oblivious linear scan: returns the value at `target_idx` in `data`
-/// while touching every element (no secret-dependent indexing).
-#[must_use]
-pub fn oscan_select(data: &[u64], target_idx: u64) -> u64 {
-    let mut out = 0u64;
-    for (i, &v) in data.iter().enumerate() {
-        out = omove(oeq(i as u64, target_idx), v, out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +118,6 @@ mod tests {
         ];
         for (x, y) in cases {
             assert_eq!(ogreater(x, y), u64::from(x > y), "x={x}, y={y}");
-            assert_eq!(oge(x, y), u64::from(x >= y), "x={x}, y={y}");
             assert_eq!(oeq(x, y), u64::from(x == y), "x={x}, y={y}");
         }
     }
@@ -161,14 +128,6 @@ mod tests {
         assert_eq!(omove(0, 10, 20), 20);
         assert_eq!(omove(u64::MAX, 10, 20), 10, "any non-zero cond selects x");
         assert_eq!(omove(7, 10, 20), 10);
-    }
-
-    #[test]
-    fn omax_omin() {
-        assert_eq!(omax(3, 9), 9);
-        assert_eq!(omin(3, 9), 3);
-        assert_eq!(omax(9, 9), 9);
-        assert_eq!(omax(u64::MAX, 1), u64::MAX);
     }
 
     #[test]
@@ -214,24 +173,11 @@ mod tests {
         assert_eq!(oadd_if(0, 10, 5), 10);
     }
 
-    #[test]
-    fn oscan_select_picks_target() {
-        let data = [10u64, 20, 30, 40];
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(oscan_select(&data, i as u64), v);
-        }
-        // Out-of-range index yields 0 (never matched).
-        assert_eq!(oscan_select(&data, 99), 0);
-    }
-
     proptest! {
         #[test]
         fn prop_comparators_match(x in any::<u64>(), y in any::<u64>()) {
             prop_assert_eq!(ogreater(x, y), u64::from(x > y));
-            prop_assert_eq!(oge(x, y), u64::from(x >= y));
             prop_assert_eq!(oeq(x, y), u64::from(x == y));
-            prop_assert_eq!(omax(x, y), x.max(y));
-            prop_assert_eq!(omin(x, y), x.min(y));
         }
 
         #[test]

@@ -11,10 +11,11 @@
 //!
 //! Credentials are modelled as HMAC capabilities: DP derives
 //! `cred = HMAC(registry_key, user_id)` and hands it to the user out of
-//! band; the enclave, which knows `registry_key` (it is derived from `sk`),
-//! recomputes and compares in constant time. This stands in for the
-//! public/private key pairs of the paper without pulling an asymmetric
-//! primitive into the dependency-free crypto substrate.
+//! band; the enclave, which knows `registry_key` (it is
+//! [`MasterKey::registry_key`], derived from `sk`), recomputes and compares
+//! in constant time. This stands in for the public/private key pairs of
+//! the paper without pulling an asymmetric primitive into the
+//! dependency-free crypto substrate.
 
 use concealer_crypto::hmac::hmac_sha256;
 use concealer_crypto::{ct_eq, MasterKey};
@@ -61,15 +62,6 @@ pub struct RegisteredUser {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct UserRegistry {
     users: BTreeMap<u64, RegisteredUser>,
-}
-
-/// Label used to derive the registry credential key from the master secret.
-fn registry_key(master: &MasterKey) -> [u8; 32] {
-    // Any fixed epoch/purpose works as long as DP and enclave agree; the
-    // registry is not epoch-scoped in the paper.
-    master
-        .epoch_key(concealer_crypto::EpochId(u64::MAX), u64::MAX)
-        .hash_chain_key
 }
 
 impl UserRegistry {
@@ -120,8 +112,10 @@ impl UserRegistry {
     /// The credential DP would issue for `user_id`.
     #[must_use]
     pub fn credential_for(master: &MasterKey, user_id: UserId) -> Credential {
-        let key = registry_key(master);
-        Credential(hmac_sha256(&key, &user_id.0.to_be_bytes()))
+        Credential(hmac_sha256(
+            &master.registry_key(),
+            &user_id.0.to_be_bytes(),
+        ))
     }
 
     /// Look up a user entry.
@@ -130,14 +124,13 @@ impl UserRegistry {
         self.users.get(&user_id.0)
     }
 
-    /// Authenticate a user and authorize the requested scope
-    /// (enclave side). Returns the registry entry on success.
+    /// Authenticate a user (enclave side): the registry entry of
+    /// `user_id`, if `credential` is the one DP issued to them.
     pub fn authenticate(
         &self,
         master: &MasterKey,
         user_id: UserId,
         credential: &Credential,
-        scope: QueryScope,
     ) -> Result<&RegisteredUser> {
         let entry = self
             .users
@@ -147,6 +140,19 @@ impl UserRegistry {
         if !ct_eq(&expected.0, &credential.0) {
             return Err(EnclaveError::AuthenticationFailed);
         }
+        Ok(entry)
+    }
+
+    /// Authenticate a user and authorize the requested scope (enclave
+    /// side).
+    pub fn authorize(
+        &self,
+        master: &MasterKey,
+        user_id: UserId,
+        credential: &Credential,
+        scope: QueryScope,
+    ) -> Result<()> {
+        let entry = self.authenticate(master, user_id, credential)?;
         match scope {
             QueryScope::Aggregate => {
                 if !entry.aggregate_allowed {
@@ -163,7 +169,7 @@ impl UserRegistry {
                 }
             }
         }
-        Ok(entry)
+        Ok(())
     }
 }
 
@@ -181,10 +187,12 @@ mod tests {
         let mut reg = UserRegistry::new();
         let cred = reg.register(&mk, UserId(1), vec![100, 101], true);
         assert_eq!(reg.len(), 1);
-        let entry = reg
-            .authenticate(&mk, UserId(1), &cred, QueryScope::Aggregate)
-            .unwrap();
+        let entry = reg.authenticate(&mk, UserId(1), &cred).unwrap();
         assert_eq!(entry.user_id, UserId(1));
+        assert_eq!(
+            reg.authorize(&mk, UserId(1), &cred, QueryScope::Aggregate),
+            Ok(())
+        );
     }
 
     #[test]
@@ -193,7 +201,7 @@ mod tests {
         let reg = UserRegistry::new();
         let cred = UserRegistry::credential_for(&mk, UserId(5));
         assert_eq!(
-            reg.authenticate(&mk, UserId(5), &cred, QueryScope::Aggregate),
+            reg.authorize(&mk, UserId(5), &cred, QueryScope::Aggregate),
             Err(EnclaveError::UnknownUser)
         );
     }
@@ -205,14 +213,14 @@ mod tests {
         let _ = reg.register(&mk, UserId(1), vec![], true);
         let forged = Credential([0u8; 32]);
         assert_eq!(
-            reg.authenticate(&mk, UserId(1), &forged, QueryScope::Aggregate),
+            reg.authorize(&mk, UserId(1), &forged, QueryScope::Aggregate),
             Err(EnclaveError::AuthenticationFailed)
         );
         // A credential for a *different* user must not work either — this is
         // the "SP must not be able to impersonate a user" requirement.
         let other = UserRegistry::credential_for(&mk, UserId(2));
         assert_eq!(
-            reg.authenticate(&mk, UserId(1), &other, QueryScope::Aggregate),
+            reg.authorize(&mk, UserId(1), &other, QueryScope::Aggregate),
             Err(EnclaveError::AuthenticationFailed)
         );
     }
@@ -223,7 +231,7 @@ mod tests {
         let mut reg = UserRegistry::new();
         let cred = reg.register(&mk, UserId(1), vec![500], true);
         assert!(reg
-            .authenticate(
+            .authorize(
                 &mk,
                 UserId(1),
                 &cred,
@@ -231,7 +239,7 @@ mod tests {
             )
             .is_ok());
         assert!(matches!(
-            reg.authenticate(
+            reg.authorize(
                 &mk,
                 UserId(1),
                 &cred,
@@ -247,11 +255,11 @@ mod tests {
         let mut reg = UserRegistry::new();
         let cred = reg.register(&mk, UserId(3), vec![7], false);
         assert!(matches!(
-            reg.authenticate(&mk, UserId(3), &cred, QueryScope::Aggregate),
+            reg.authorize(&mk, UserId(3), &cred, QueryScope::Aggregate),
             Err(EnclaveError::Unauthorized { .. })
         ));
         assert!(reg
-            .authenticate(
+            .authorize(
                 &mk,
                 UserId(3),
                 &cred,
@@ -268,8 +276,21 @@ mod tests {
         assert!(reg.deregister(UserId(9)));
         assert!(!reg.deregister(UserId(9)));
         assert_eq!(
-            reg.authenticate(&mk, UserId(9), &cred, QueryScope::Aggregate),
+            reg.authorize(&mk, UserId(9), &cred, QueryScope::Aggregate),
             Err(EnclaveError::UnknownUser)
+        );
+    }
+
+    #[test]
+    fn issued_credentials_are_pinned() {
+        // Every credential DP has handed out must keep authenticating:
+        // these bytes were issued before the registry key had its own
+        // derivation.
+        let cred = UserRegistry::credential_for(&MasterKey::from_bytes([7; 32]), UserId(7));
+        let hex: String = cred.0.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "737e4080995db6a175f4d8f469cd8d65180746d0737ef5e08cad19a339326568"
         );
     }
 

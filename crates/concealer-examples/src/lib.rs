@@ -94,24 +94,15 @@ pub fn demo_wifi_config() -> WifiConfig {
 /// ingested. Returns the system, an all-powers user handle, and the
 /// cleartext records (for ground-truth comparison).
 pub fn demo_system(hours: u64, seed: u64) -> (ConcealerSystem, UserHandle, Vec<Record>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let generator = WifiGenerator::new(demo_wifi_config());
-    let records = generator.generate_epoch(0, hours * 3600, &mut rng);
-    let mut system = build_system(demo_config(hours), &mut rng);
-    let user = system.register_user(7, DEMO_DEVICES.collect(), true);
-    system
-        .ingest_epoch(0, &records, &mut rng)
-        .expect("demo ingest");
-    (system, user, records)
+    demo_system_sharded(hours, seed, 0, 1)
 }
 
-/// [`demo_system`] for one shard of a multi-node deployment: identical
-/// RNG draw order (so the master key, fake-tuple draws, and user
-/// credential match the unsharded fixture exactly), but epoch 0 is only
-/// ingested when `shard_of_epoch(0, shard_total) == shard_index`. The
-/// ingest is the *last* RNG consumer in [`demo_system`], so skipping it
-/// on non-owning shards perturbs nothing. Returns the records whether or
-/// not they were ingested (a router-side oracle still needs them).
+/// [`demo_system`] for one shard of a multi-node deployment: the same
+/// master key, fake-tuple draws, user credential and records as the
+/// unsharded fixture, but epoch 0 is only ingested when
+/// `shard_of_epoch(0, shard_total) == shard_index`. Returns the records
+/// whether or not they were ingested (a router-side oracle still needs
+/// them).
 ///
 /// # Panics
 ///
@@ -122,29 +113,16 @@ pub fn demo_system_sharded(
     shard_index: u32,
     shard_total: u32,
 ) -> (ConcealerSystem, UserHandle, Vec<Record>) {
-    assert!(
-        shard_index < shard_total,
-        "shard index {shard_index} out of range for total {shard_total}"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let generator = WifiGenerator::new(demo_wifi_config());
-    let records = generator.generate_epoch(0, hours * 3600, &mut rng);
-    let mut system = build_system(demo_config(hours), &mut rng);
-    let user = system.register_user(7, DEMO_DEVICES.collect(), true);
-    if concealer_core::shard_of_epoch(0, shard_total as usize) == shard_index as usize {
-        system
-            .ingest_epoch(0, &records, &mut rng)
-            .expect("demo ingest");
-    }
-    (system, user, records)
+    demo_fixture(hours, seed, (shard_index, shard_total), true, |rng| {
+        build_system(demo_config(hours), rng)
+    })
 }
 
 /// [`demo_system_sharded`] for one *member* of a replica set sharing the
-/// durable store root `root`: identical RNG draw order to [`demo_system`]
-/// (backend choice consumes no randomness), so every member of the set —
-/// and the unsharded oracle — derives the same master key and user
-/// credential. The writer opens the root owning it and ingests epoch 0
-/// when its shard owns that epoch; replicas open it read-only with
+/// durable store root `root`: every member of the set — and the unsharded
+/// oracle — derives the same master key and user credential. The writer
+/// opens the root owning it and ingests epoch 0 when its shard owns that
+/// epoch; replicas open it read-only with
 /// [`concealer_core::DiskEpochStore::open_replica`] and ingest nothing —
 /// they absorb the writer's committed epochs at open and on
 /// [`ConcealerSystem::refresh_epochs`] ticks. Pass `shard: None` for an
@@ -164,25 +142,42 @@ pub fn demo_system_replica(
     use concealer_core::DiskEpochStore;
     use std::sync::Arc;
 
-    let (shard_index, shard_total) = shard.unwrap_or((0, 1));
+    demo_fixture(hours, seed, shard.unwrap_or((0, 1)), writer, |rng| {
+        let backend: Arc<dyn concealer_core::StorageBackend> = if writer {
+            Arc::new(DiskEpochStore::open(root).expect("open writer store"))
+        } else {
+            Arc::new(DiskEpochStore::open_replica(root).expect("open replica store"))
+        };
+        SystemBuilder::new(demo_config(hours))
+            .with_backend(backend)
+            .build(rng)
+            .expect("replica-set demo store must assemble")
+    })
+}
+
+/// The one body of the demo fixtures. Its RNG draw order — records, then
+/// `build` (master key and engine seed), then user 7's registration, then
+/// the ingest of epoch 0 — is what lets every fixture built from one
+/// `(hours, seed)` hand out the same credential over the same records:
+/// backends consume no randomness, and the ingest is the last draw, so
+/// skipping it (a shard that does not own epoch 0, a replica) perturbs
+/// nothing. `ingest` is whether this member may write at all.
+fn demo_fixture(
+    hours: u64,
+    seed: u64,
+    (shard_index, shard_total): (u32, u32),
+    ingest: bool,
+    build: impl FnOnce(&mut StdRng) -> ConcealerSystem,
+) -> (ConcealerSystem, UserHandle, Vec<Record>) {
     assert!(
         shard_index < shard_total,
         "shard index {shard_index} out of range for total {shard_total}"
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let generator = WifiGenerator::new(demo_wifi_config());
-    let records = generator.generate_epoch(0, hours * 3600, &mut rng);
-    let backend: Arc<dyn concealer_core::StorageBackend> = if writer {
-        Arc::new(DiskEpochStore::open(root).expect("open writer store"))
-    } else {
-        Arc::new(DiskEpochStore::open_replica(root).expect("open replica store"))
-    };
-    let mut system = SystemBuilder::new(demo_config(hours))
-        .with_backend(backend)
-        .build(&mut rng)
-        .expect("replica-set demo store must assemble");
+    let records = WifiGenerator::new(demo_wifi_config()).generate_epoch(0, hours * 3600, &mut rng);
+    let mut system = build(&mut rng);
     let user = system.register_user(7, DEMO_DEVICES.collect(), true);
-    if writer && concealer_core::shard_of_epoch(0, shard_total as usize) == shard_index as usize {
+    if ingest && concealer_core::shard_of_epoch(0, shard_total as usize) == shard_index as usize {
         system
             .ingest_epoch(0, &records, &mut rng)
             .expect("demo ingest");
@@ -253,19 +248,31 @@ mod tests {
         // Replica first: the root is empty, so it assembles with nothing
         // registered and absorbs epoch 0 on a refresh tick after the
         // writer commits it.
-        let (replica, replica_user, _) = demo_system_replica(1, 5, None, &root, false);
+        let (replica, replica_user, replica_records) =
+            demo_system_replica(1, 5, None, &root, false);
         assert!(replica.store_read_only());
         assert!(replica.engine().registered_epochs().is_empty());
 
-        let (writer, writer_user, _) = demo_system_replica(1, 5, None, &root, true);
+        let (writer, writer_user, writer_records) = demo_system_replica(1, 5, None, &root, true);
         assert!(!writer.store_read_only());
         assert_eq!(writer.engine().registered_epochs(), vec![0]);
         assert_eq!(replica.refresh_epochs().unwrap(), vec![0]);
         assert_eq!(replica.engine().registered_epochs(), vec![0]);
 
-        // Identical RNG draw order: both members hand out the same
-        // credential, so a router can authenticate against either.
-        assert_eq!(writer_user.credential, replica_user.credential);
+        // One draw order for every fixture: both members, the unsharded
+        // fixture and a shard of it hand out the same credential over the
+        // same records, so a router can authenticate against any of them
+        // and an oracle can stand in for all of them.
+        let (_, user, records) = demo_system(1, 5);
+        let (_, shard_user, shard_records) = demo_system_sharded(1, 5, 1, 2);
+        for (member_user, member_records) in [
+            (&writer_user, &writer_records),
+            (&replica_user, &replica_records),
+            (&shard_user, &shard_records),
+        ] {
+            assert_eq!(member_user.credential, user.credential);
+            assert_eq!(member_records, &records);
+        }
         drop(writer);
         drop(replica);
         let _ = std::fs::remove_dir_all(&root);

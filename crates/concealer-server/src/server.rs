@@ -42,8 +42,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use concealer_core::{
-    shard_of_epoch, ConcealerSystem, Credential, ExecOptions, Query, QueryScope, Record,
-    SecureIndex, UserHandle, UserId,
+    shard_of_epoch, ConcealerSystem, Credential, ExecOptions, Query, Record, SecureIndex,
+    UserHandle, UserId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -291,24 +291,19 @@ impl ServeHandler for EngineHandler {
     ) -> Result<(UserHandle, DeploymentFacts), Response> {
         let user_id = UserId(user_id);
         let credential = Credential(credential);
-        // The handshake authenticates the credential only; scope
-        // authorization stays per-query. `open_session` checks both, so a
-        // credential-valid but aggregate-unauthorized user comes back
-        // `Unauthorized` — accept those here and let each query's own
-        // scope check decide.
-        match self.system.engine().enclave().open_session(
-            user_id,
-            &credential,
-            QueryScope::Aggregate,
-        ) {
-            Ok(_) | Err(concealer_core::EnclaveError::Unauthorized { .. }) => {}
-            Err(e) => {
-                return Err(error_reply(
-                    CONNECTION_LEVEL_ID,
-                    ErrorCode::AuthFailed,
-                    format!("credential rejected: {e}"),
-                ))
-            }
+        // The handshake authenticates the credential only; each query's
+        // scope is authorized when it runs.
+        if let Err(e) = self
+            .system
+            .engine()
+            .enclave()
+            .authenticate(user_id, &credential)
+        {
+            return Err(error_reply(
+                CONNECTION_LEVEL_ID,
+                ErrorCode::AuthFailed,
+                format!("credential rejected: {e}"),
+            ));
         }
         Ok((
             UserHandle {

@@ -16,9 +16,9 @@
 //!   manifest for atomic epoch commit (see [`crate::disk`]).
 
 use crate::epoch_store::StoredEpoch;
-use crate::{Result, StorageError};
-use parking_lot::RwLock;
+use crate::{unpoisoned, Result, StorageError};
 use std::collections::BTreeMap;
+use std::sync::RwLock;
 
 /// Number of independently locked epoch shards. Epochs hash to a fixed
 /// shard, so queries touching different epochs never contend on one lock
@@ -77,25 +77,38 @@ impl ShardedEpochs {
         let mut ids: Vec<u64> = self
             .shards
             .iter()
-            .flat_map(|shard| shard.read().keys().copied().collect::<Vec<u64>>())
+            .flat_map(|shard| {
+                unpoisoned(shard.read())
+                    .keys()
+                    .copied()
+                    .collect::<Vec<u64>>()
+            })
             .collect();
         ids.sort_unstable();
         ids
     }
 
     pub(crate) fn epoch_count(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().len()).sum()
+        self.shards
+            .iter()
+            .map(|shard| unpoisoned(shard.read()).len())
+            .sum()
     }
 
     pub(crate) fn total_rows(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| shard.read().values().map(|e| e.table.len()).sum::<usize>())
+            .map(|shard| {
+                unpoisoned(shard.read())
+                    .values()
+                    .map(|e| e.table.len())
+                    .sum::<usize>()
+            })
             .sum()
     }
 
     pub(crate) fn with_epoch(&self, epoch_id: u64, f: &mut dyn FnMut(&StoredEpoch)) -> Result<()> {
-        let guard = self.shard(epoch_id).read();
+        let guard = unpoisoned(self.shard(epoch_id).read());
         let epoch = guard
             .get(&epoch_id)
             .ok_or(StorageError::UnknownEpoch { epoch_id })?;
@@ -275,7 +288,7 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()> {
-        self.epochs.shard(epoch_id).write().insert(epoch_id, epoch);
+        unpoisoned(self.epochs.shard(epoch_id).write()).insert(epoch_id, epoch);
         Ok(())
     }
 
@@ -288,7 +301,7 @@ impl StorageBackend for MemoryBackend {
         epoch_id: u64,
         f: &mut dyn FnMut(&mut StoredEpoch) -> Result<()>,
     ) -> Result<()> {
-        let mut guard = self.epochs.shard(epoch_id).write();
+        let mut guard = unpoisoned(self.epochs.shard(epoch_id).write());
         let epoch = guard
             .get_mut(&epoch_id)
             .ok_or(StorageError::UnknownEpoch { epoch_id })?;

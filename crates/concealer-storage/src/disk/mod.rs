@@ -59,14 +59,14 @@ mod segment;
 
 use crate::backend::{RewrapFn, ShardedEpochs, StorageBackend};
 use crate::epoch_store::StoredEpoch;
-use crate::{Result, StorageError};
+use crate::{unpoisoned, Result, StorageError};
 use manifest::{io_err, sync_dir, unsupported, Manifest};
-use parking_lot::Mutex;
 use segment::DecodeOutcome;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 const SEGMENT_DIR: &str = "segments";
 
@@ -167,7 +167,7 @@ impl DiskEpochStore {
     /// recovery property test truncates this file.)
     #[must_use]
     pub fn segment_path(&self, epoch_id: u64) -> Option<PathBuf> {
-        let generation = *self.manifest.lock().entries.get(&epoch_id)?;
+        let generation = *unpoisoned(self.manifest.lock()).entries.get(&epoch_id)?;
         Some(self.segment_file(epoch_id, generation))
     }
 
@@ -196,7 +196,7 @@ impl DiskEpochStore {
     /// superseded generation. The in-memory manifest only advances when the
     /// on-disk swap succeeded.
     fn commit(&self, epoch_id: u64, generation: u64) -> Result<Option<u64>> {
-        let mut m = self.manifest.lock();
+        let mut m = unpoisoned(self.manifest.lock());
         let mut next = m.clone();
         let old = next.entries.insert(epoch_id, generation);
         next.save(&self.root)?;
@@ -304,7 +304,7 @@ fn recover(root: &Path, cache: &ShardedEpochs, loaded: &Manifest) -> Result<(Man
     // Second pass: the store is this build's to repair.
     let mut torn: Vec<PathBuf> = Vec::new();
     for (epoch_id, path, epoch) in committed {
-        let mut shard = cache.shard(epoch_id).write();
+        let mut shard = unpoisoned(cache.shard(epoch_id).write());
         if let Some(epoch) = epoch {
             shard.insert(epoch_id, epoch);
             continue;
@@ -353,7 +353,7 @@ impl StorageBackend for DiskEpochStore {
         // concurrent reader never sees a committed-but-uncached epoch.
         let generation = self.write_segment(epoch_id, &epoch)?;
         let shard = self.cache.shard(epoch_id);
-        let mut guard = shard.write();
+        let mut guard = unpoisoned(shard.write());
         let old = self.commit(epoch_id, generation)?;
         guard.insert(epoch_id, epoch);
         drop(guard);
@@ -372,7 +372,7 @@ impl StorageBackend for DiskEpochStore {
     ) -> Result<()> {
         self.check_writable()?;
         let shard = self.cache.shard(epoch_id);
-        let mut guard = shard.write();
+        let mut guard = unpoisoned(shard.write());
         let current = guard
             .get_mut(&epoch_id)
             .ok_or(StorageError::UnknownEpoch { epoch_id })?;
@@ -427,7 +427,7 @@ impl StorageBackend for DiskEpochStore {
         }
         let disk_manifest = Manifest::decode(&bytes, &path)?;
 
-        let mut loaded = self.manifest.lock();
+        let mut loaded = unpoisoned(self.manifest.lock());
         // Decoded first, absorbed after: a refused format fails the tick
         // with the replica exactly as it was.
         let mut absorbed = Vec::new();
@@ -458,7 +458,7 @@ impl StorageBackend for DiskEpochStore {
         }
         let mut new_epochs = Vec::new();
         for (epoch_id, generation, epoch) in absorbed {
-            self.cache.shard(epoch_id).write().insert(epoch_id, epoch);
+            unpoisoned(self.cache.shard(epoch_id).write()).insert(epoch_id, epoch);
             loaded.entries.insert(epoch_id, generation);
             new_epochs.push(epoch_id);
         }
@@ -484,7 +484,7 @@ impl StorageBackend for DiskEpochStore {
         // running the writer's destructive recovery pass over it. Epochs
         // the replica already absorbed at the manifest's generation are
         // trusted resident; changed or missing ones are (re)read.
-        let mut loaded = self.manifest.lock();
+        let mut loaded = unpoisoned(self.manifest.lock());
         let (recovered, max_gen) = recover(&self.root, &self.cache, &loaded)?;
         *loaded = recovered;
         self.next_gen.store(max_gen + 1, Ordering::Release);
@@ -493,8 +493,7 @@ impl StorageBackend for DiskEpochStore {
     }
 
     fn store_generation(&self) -> u64 {
-        self.manifest
-            .lock()
+        unpoisoned(self.manifest.lock())
             .entries
             .values()
             .copied()
@@ -507,7 +506,7 @@ impl StorageBackend for DiskEpochStore {
         // never-ahead-of-the-counter invariant on reopen, which is also
         // what lets torn-state tests plant an impossible entry.
         self.check_writable()?;
-        let mut m = self.manifest.lock();
+        let mut m = unpoisoned(self.manifest.lock());
         let mut next = m.clone();
         next.wrapped_keys.insert(epoch_id, (generation, wrapped));
         next.save(&self.root)?;
@@ -516,16 +515,19 @@ impl StorageBackend for DiskEpochStore {
     }
 
     fn sealed_key(&self, epoch_id: u64) -> Option<(u64, Vec<u8>)> {
-        self.manifest.lock().wrapped_keys.get(&epoch_id).cloned()
+        unpoisoned(self.manifest.lock())
+            .wrapped_keys
+            .get(&epoch_id)
+            .cloned()
     }
 
     fn key_generation(&self) -> u64 {
-        self.manifest.lock().key_generation
+        unpoisoned(self.manifest.lock()).key_generation
     }
 
     fn begin_key_rotation(&self, new_generation: u64) -> Result<()> {
         self.check_writable()?;
-        let mut m = self.manifest.lock();
+        let mut m = unpoisoned(self.manifest.lock());
         if new_generation <= m.key_generation {
             return Ok(()); // idempotent resume / stale request
         }
@@ -544,7 +546,7 @@ impl StorageBackend for DiskEpochStore {
             // manifest commit, so ingest never waits behind a long batch
             // and a crash between entries loses at most nothing (entries
             // already committed stay committed; the rest stay resumable).
-            let mut m = self.manifest.lock();
+            let mut m = unpoisoned(self.manifest.lock());
             let target_generation = m.key_generation;
             let Some((&epoch_id, (_, old_blob))) = m
                 .wrapped_keys
@@ -565,7 +567,7 @@ impl StorageBackend for DiskEpochStore {
     }
 
     fn rotation_pending(&self) -> usize {
-        let m = self.manifest.lock();
+        let m = unpoisoned(self.manifest.lock());
         m.wrapped_keys
             .values()
             .filter(|(generation, _)| *generation < m.key_generation)

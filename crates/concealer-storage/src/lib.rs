@@ -54,5 +54,47 @@ pub use error::StorageError;
 pub use observer::{AccessEvent, AccessObserver, ObserverSummary};
 pub use table::{EncryptedRow, EncryptedTable, RowArena, RowId, RowRef, RowWriter};
 
+/// The guard of a `std::sync` lock call, recovered if the lock is
+/// poisoned: a thread that panicked while holding it does not take the
+/// lock's other users down with it.
+fn unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Convenience alias for fallible storage calls.
 pub type Result<T> = std::result::Result<T, StorageError>;
+
+#[cfg(test)]
+mod tests {
+    use super::unpoisoned;
+    use std::sync::{Arc, Mutex, RwLock};
+
+    #[test]
+    fn mutex_basic() {
+        let m = Mutex::new(1);
+        *unpoisoned(m.lock()) += 1;
+        assert_eq!(*unpoisoned(m.lock()), 2);
+    }
+
+    #[test]
+    fn rwlock_basic() {
+        let l = RwLock::new(vec![1, 2]);
+        assert_eq!(unpoisoned(l.read()).len(), 2);
+        unpoisoned(l.write()).push(3);
+        assert_eq!(*unpoisoned(l.read()), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn mutex_recovers_from_poison() {
+        let m = Arc::new(Mutex::new(0));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = unpoisoned(m2.lock());
+            panic!("poison the lock");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        *unpoisoned(m.lock()) += 1;
+        assert_eq!(*unpoisoned(m.lock()), 1);
+    }
+}

@@ -14,10 +14,11 @@
 //!   retrieval frequency of the fetched units is near-uniform under a
 //!   uniform query workload.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+use crate::unpoisoned;
 
 /// One observable storage-level event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,7 +149,7 @@ impl AccessObserver {
     /// Record an event.
     pub fn record(&self, event: AccessEvent) {
         if self.is_recording() {
-            self.shared.events.lock().push(event);
+            unpoisoned(self.shared.events.lock()).push(event);
         }
     }
 
@@ -170,7 +171,7 @@ impl AccessObserver {
     /// exactly, not just up to reordering.
     pub fn record_batch(&self, events: Vec<AccessEvent>) {
         if self.is_recording() {
-            self.shared.events.lock().extend(events);
+            unpoisoned(self.shared.events.lock()).extend(events);
         }
     }
 
@@ -179,36 +180,36 @@ impl AccessObserver {
     /// [`AccessObserver::record_batch`].
     #[must_use]
     pub fn take_events(&self) -> Vec<AccessEvent> {
-        std::mem::take(&mut *self.shared.events.lock())
+        std::mem::take(&mut *unpoisoned(self.shared.events.lock()))
     }
 
     /// Number of events recorded so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shared.events.lock().len()
+        unpoisoned(self.shared.events.lock()).len()
     }
 
     /// Whether no events have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.shared.events.lock().is_empty()
+        unpoisoned(self.shared.events.lock()).is_empty()
     }
 
     /// Snapshot the full trace.
     #[must_use]
     pub fn trace(&self) -> Vec<AccessEvent> {
-        self.shared.events.lock().clone()
+        unpoisoned(self.shared.events.lock()).clone()
     }
 
     /// Clear the trace (between experiments).
     pub fn reset(&self) {
-        self.shared.events.lock().clear();
+        unpoisoned(self.shared.events.lock()).clear();
     }
 
     /// Summarize the whole trace.
     #[must_use]
     pub fn summary(&self) -> ObserverSummary {
-        Self::summarize(&self.shared.events.lock())
+        Self::summarize(&unpoisoned(self.shared.events.lock()))
     }
 
     /// Summarize an arbitrary slice of events.
@@ -246,9 +247,7 @@ impl AccessObserver {
     /// segment.
     #[must_use]
     pub fn per_query_summaries(&self) -> Vec<ObserverSummary> {
-        self.shared
-            .events
-            .lock()
+        unpoisoned(self.shared.events.lock())
             .split(|e| matches!(e, AccessEvent::QueryBoundary))
             .filter(|segment| !segment.is_empty())
             .map(Self::summarize)
@@ -260,9 +259,7 @@ impl AccessObserver {
     /// the same bin produce *identical* fetch sets.
     #[must_use]
     pub fn per_query_fetch_sets(&self) -> Vec<Vec<(u64, u64)>> {
-        self.shared
-            .events
-            .lock()
+        unpoisoned(self.shared.events.lock())
             .split(|e| matches!(e, AccessEvent::QueryBoundary))
             .map(|segment| {
                 let mut set: Vec<(u64, u64)> = segment

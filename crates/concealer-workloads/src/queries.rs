@@ -141,28 +141,6 @@ impl QueryWorkload {
         ]
     }
 
-    /// TPC-H aggregation queries of Exp 8: count / sum / min / max over a
-    /// random orderkey (and linenumber) point.
-    pub fn tpch_query<R: Rng>(&self, dims: Vec<u64>, aggregate_name: &str, rng: &mut R) -> Query {
-        let _ = rng;
-        let aggregate = match aggregate_name {
-            "count" => Aggregate::Count,
-            "sum" => Aggregate::Sum { attr: 1 }, // extendedprice
-            "min" => Aggregate::Min { attr: 1 },
-            "max" => Aggregate::Max { attr: 1 },
-            other => panic!("unknown TPC-H aggregate {other}"),
-        };
-        Query {
-            aggregate,
-            predicate: Predicate::Range {
-                dims: Some(dims),
-                observation: None,
-                time_start: self.time_extent.0,
-                time_end: self.time_extent.1.saturating_sub(1),
-            },
-        }
-    }
-
     fn random_window<R: Rng>(&self, range_seconds: u64, rng: &mut R) -> (u64, u64) {
         // Windows are aligned to the filter-column time granularity (60 s in
         // every WiFi deployment in this repo): Concealer's count queries are
@@ -271,35 +249,5 @@ mod tests {
         let queries = w.all_range_queries(1200, &mut rng);
         let labels: Vec<&str> = queries.iter().map(|(l, _)| *l).collect();
         assert_eq!(labels, vec!["Q1", "Q2", "Q3", "Q4", "Q5"]);
-    }
-
-    #[test]
-    fn tpch_aggregates() {
-        let w = workload();
-        let mut rng = StdRng::seed_from_u64(6);
-        assert_eq!(
-            w.tpch_query(vec![1, 2], "count", &mut rng).aggregate,
-            Aggregate::Count
-        );
-        assert_eq!(
-            w.tpch_query(vec![1, 2], "sum", &mut rng).aggregate,
-            Aggregate::Sum { attr: 1 }
-        );
-        assert_eq!(
-            w.tpch_query(vec![1, 2], "min", &mut rng).aggregate,
-            Aggregate::Min { attr: 1 }
-        );
-        assert_eq!(
-            w.tpch_query(vec![1, 2], "max", &mut rng).aggregate,
-            Aggregate::Max { attr: 1 }
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown TPC-H aggregate")]
-    fn tpch_unknown_aggregate_panics() {
-        let w = workload();
-        let mut rng = StdRng::seed_from_u64(7);
-        let _ = w.tpch_query(vec![1], "median", &mut rng);
     }
 }

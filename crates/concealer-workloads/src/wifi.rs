@@ -151,23 +151,6 @@ impl WifiGenerator {
         out
     }
 
-    /// Generate several consecutive epochs; returns `(epoch_start, records)`
-    /// pairs.
-    pub fn generate_epochs<R: Rng>(
-        &self,
-        first_epoch_start: u64,
-        epoch_duration: u64,
-        num_epochs: usize,
-        rng: &mut R,
-    ) -> Vec<(u64, Vec<Record>)> {
-        (0..num_epochs)
-            .map(|i| {
-                let start = first_epoch_start + i as u64 * epoch_duration;
-                (start, self.generate_epoch(start, epoch_duration, rng))
-            })
-            .collect()
-    }
-
     fn sample_location<R: Rng>(&self, rng: &mut R) -> u64 {
         let u: f64 = rand::distributions::Open01.sample(rng);
         match self
@@ -239,20 +222,6 @@ mod tests {
             max >= 3 * min.max(1),
             "expected skew, got max={max} min={min}"
         );
-    }
-
-    #[test]
-    fn epochs_are_consecutive_and_disjoint() {
-        let generator = WifiGenerator::new(WifiConfig::tiny());
-        let mut rng = StdRng::seed_from_u64(4);
-        let epochs = generator.generate_epochs(0, 3600, 3, &mut rng);
-        assert_eq!(epochs.len(), 3);
-        for (i, (start, records)) in epochs.iter().enumerate() {
-            assert_eq!(*start, i as u64 * 3600);
-            for r in records {
-                assert!(r.time >= *start && r.time < start + 3600);
-            }
-        }
     }
 
     #[test]
