@@ -256,10 +256,12 @@ pub fn exp5_dynamic() -> Vec<String> {
         });
         insert_total += d;
     }
-    let (bins, bin_size) = system.engine().bin_stats(8 * 3600).unwrap();
+    let plan = system.engine().plan_stats(8 * 3600).unwrap();
     out.push(format!(
-        "  {rounds} hourly rounds, {rows_total} rows total, {} per round insert; round bin plan: {bins} bins of {bin_size}",
-        fmt_duration(insert_total / rounds as u32)
+        "  {rounds} hourly rounds, {rows_total} rows total, {} per round insert; round bin plan: {} bins of {}",
+        fmt_duration(insert_total / rounds as u32),
+        plan.num_bins,
+        plan.bin_size
     ));
 
     // A forward-private query spanning all rounds.

@@ -178,7 +178,8 @@ pub fn build_wifi_system_full(
     system
         .ingest_epoch(0, &records, &mut rng)
         .expect("ingest benchmark epoch");
-    let bin_stats = system.engine().bin_stats(0).expect("bin stats");
+    let plan = system.engine().plan_stats(0).expect("plan stats");
+    let bin_stats = (plan.num_bins, plan.bin_size);
 
     let workload = QueryWorkload {
         locations: scale.access_points(),

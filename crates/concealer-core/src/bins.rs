@@ -14,6 +14,11 @@
 //! most `n + |b|/2` fake tuples for `n` real tuples. The property tests at
 //! the bottom of this module check those bounds hold for every generated
 //! instance.
+//!
+//! The same metadata sizes winSecRange's intervals ([`WinSecPlan`], §5.3)
+//! and eBPB's windows ([`max_window_load`], §5.2); [`fake_budget`], the
+//! largest need of the three methods, is how many fakes an epoch holds.
+//! Theorem 4.1 bounds the BPB need only.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -157,6 +162,107 @@ impl BinPlan {
     }
 }
 
+/// One fixed time interval of a [`WinSecPlan`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WinSecInterval {
+    /// Every cell-id with at least one grid cell in the interval's time
+    /// rows, with its tuple count.
+    pub cells: Vec<(u32, u32)>,
+    /// Real tuples across those cell-ids.
+    pub real: u64,
+}
+
+/// The winSecRange fixed-interval plan of one epoch (§5.3): the epoch's
+/// time rows cut into intervals of `rows_per_interval` rows, each fetched
+/// whole and padded to the largest interval's size.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WinSecPlan {
+    /// The intervals, in time order.
+    pub intervals: Vec<WinSecInterval>,
+    /// Common (maximum) interval size in tuples.
+    pub interval_size: u64,
+    /// Interval length in grid time rows (λ).
+    pub rows_per_interval: u64,
+}
+
+impl WinSecPlan {
+    /// Build the plan from `cell_id[]` (`assignment`, time the fastest
+    /// coordinate) and `c_tuple[]`, cutting `time_rows` rows every `lambda`
+    /// (clamped to `[1, time_rows]`). A cell-id may appear in several
+    /// intervals (the PRF assignment is not time-stratified): an interval
+    /// retrieves every tuple of every cell-id that *could* hold its tuples.
+    #[must_use]
+    pub fn build(assignment: &[u32], c_tuple: &[u32], time_rows: u64, lambda: u64) -> Self {
+        let lambda = lambda.max(1).min(time_rows);
+        let num_intervals = time_rows.div_ceil(lambda) as usize;
+        let mut interval_cells: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_intervals];
+        let mut seen = vec![vec![false; c_tuple.len()]; num_intervals];
+        for (flat, &cid) in assignment.iter().enumerate() {
+            let interval = ((flat as u64 % time_rows) / lambda) as usize;
+            if !seen[interval][cid as usize] {
+                seen[interval][cid as usize] = true;
+                interval_cells[interval].push((cid, c_tuple[cid as usize]));
+            }
+        }
+        let intervals: Vec<WinSecInterval> = interval_cells
+            .into_iter()
+            .map(|cells| WinSecInterval {
+                real: cells.iter().map(|&(_, c)| u64::from(c)).sum(),
+                cells,
+            })
+            .collect();
+        let interval_size = intervals.iter().map(|i| i.real).max().unwrap_or(0);
+        WinSecPlan {
+            intervals,
+            interval_size,
+            rows_per_interval: lambda,
+        }
+    }
+
+    /// Fake tuples padding every interval to the common size: the most any
+    /// interval set asks for.
+    #[must_use]
+    pub fn total_fake_tuples(&self) -> u64 {
+        self.intervals
+            .iter()
+            .map(|i| self.interval_size - i.real)
+            .sum()
+    }
+}
+
+/// The most tuples any `window_len` consecutive time rows of one grid
+/// column hold (`window_len` clamped to `[1, time_rows]`): the eBPB fetch
+/// size of an ℓ-row range (§5.2). `cell_counts` are the per-flat-cell
+/// tuple counts, `time_rows` per column.
+#[must_use]
+pub fn max_window_load(cell_counts: &[u32], time_rows: u64, window_len: u64) -> u64 {
+    let y = time_rows as usize;
+    let len = (window_len as usize).clamp(1, y);
+    let mut best = 0u64;
+    for column in cell_counts.chunks_exact(y) {
+        let mut window_sum: u64 = column[..len].iter().map(|&c| u64::from(c)).sum();
+        best = best.max(window_sum);
+        for i in len..y {
+            window_sum += u64::from(column[i]);
+            window_sum -= u64::from(column[i - len]);
+            best = best.max(window_sum);
+        }
+    }
+    best
+}
+
+/// How many fake tuples an epoch holds: the largest of the BPB need (every
+/// bin padded), the winSecRange need (every interval padded) and the eBPB
+/// need (the ℓ = y window, the largest column total), so no fetch asks for
+/// a fake index at or above it. The data provider ships exactly this many;
+/// the enclave derives it from the sealed metadata, not from the host.
+#[must_use]
+pub fn fake_budget(bins: &BinPlan, winsec: &WinSecPlan, counts: &[u32], time_rows: u64) -> u64 {
+    bins.total_fake_tuples()
+        .max(winsec.total_fake_tuples())
+        .max(max_window_load(counts, time_rows, time_rows))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +335,25 @@ mod tests {
         for cid in 0..3 {
             assert!(plan.bin_of_cell(cid).is_some());
         }
+    }
+
+    #[test]
+    fn fake_budget_is_the_largest_need() {
+        // Two columns of four time rows (time fastest), λ = 2: cell-id 0
+        // spans both intervals of column 0, so each of its intervals
+        // retrieves all five of its tuples.
+        let assignment = [0, 0, 0, 1, 2, 2, 3, 3];
+        let c_tuple = [5, 1, 2, 0];
+        let counts = [2, 1, 2, 1, 1, 1, 0, 0];
+        let winsec = WinSecPlan::build(&assignment, &c_tuple, 4, 2);
+        let reals: Vec<u64> = winsec.intervals.iter().map(|i| i.real).collect();
+        assert_eq!((reals, winsec.interval_size), (vec![7, 6], 7));
+        assert_eq!(winsec.total_fake_tuples(), 1);
+        assert_eq!(max_window_load(&counts, 4, 1), 2);
+        assert_eq!(max_window_load(&counts, 4, 4), 6);
+        let bins = BinPlan::build(&c_tuple, None);
+        assert_eq!(bins.total_fake_tuples(), 2);
+        assert_eq!(fake_budget(&bins, &winsec, &counts, 4), 6);
     }
 
     proptest! {

@@ -40,10 +40,13 @@ impl GridShape {
 /// the strategy it deploys, and go when it stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FakeTupleStrategy {
-    /// "Simulate the bin-creation method": run the bin-packing algorithm at
-    /// DP and ship exactly the number of fakes needed to pad every bin to
-    /// the common bin size (at most `n + |b|` for `n` real tuples,
-    /// Theorem 4.1), or the winSecRange interval plan's need if larger.
+    /// "Simulate the bin-creation method": the data provider builds the
+    /// plans the enclave will build and ships exactly
+    /// [`crate::bins::fake_budget`] fakes — the largest of the BPB need
+    /// (every bin padded to the common size; at most `n + |b|` for `n`
+    /// real tuples, Theorem 4.1), the winSecRange need (every interval
+    /// padded) and the eBPB need (the largest column total). Theorem 4.1
+    /// bounds the first need only.
     SimulateBins,
 }
 

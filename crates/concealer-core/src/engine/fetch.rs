@@ -223,8 +223,9 @@ impl QueryEngine {
     /// their bin's re-encryption round (so trapdoors and filters use the
     /// right key even after §6 rewrites), and per round generate the
     /// trapdoors, fetch, verify the fetch and fold the rows into `part`.
-    /// The `fakes` padding rides on the first group. Fetch and verify time
-    /// feed the same phase counters as [`QueryEngine::fetch_bin_rows`].
+    /// The `fakes` padding rides on the first group; no method asks for
+    /// more than the epoch's fake budget. Fetch and verify time feed the
+    /// same phase counters as [`QueryEngine::fetch_bin_rows`].
     #[allow(clippy::too_many_arguments)]
     pub(super) fn fetch_cell_groups(
         &self,
@@ -236,6 +237,7 @@ impl QueryEngine {
         part: &mut EpochPartial,
         memo: &mut PlanMemo,
     ) -> Result<()> {
+        debug_assert!(fakes <= rt.total_fakes, "{fakes} fakes over the budget");
         let mut by_round: BTreeMap<u64, Vec<(u32, u32)>> = BTreeMap::new();
         for &cid in cids {
             let round = rt.bin_plan.bin_of_cell(cid).map_or(0, |b| rt.bin_rounds[b]);
@@ -275,17 +277,15 @@ impl QueryEngine {
 }
 
 /// What fetching one whole bin asks the store for: every cell-id packed in
-/// the bin with its tuple count, plus the bin's fake-tuple range clamped to
-/// the fakes the epoch actually shipped.
+/// the bin with its tuple count, plus the bin's fake-tuple range.
 fn bin_fetch_spec(rt: &EpochRuntime, bin_idx: usize) -> FetchSpec {
     let bin = &rt.bin_plan.bins[bin_idx];
-    let (lo, hi) = bin.fake_range;
     FetchSpec {
         cells: bin
             .cell_ids
             .iter()
             .map(|&cid| (cid, rt.c_tuple[cid as usize]))
             .collect(),
-        fake_range: (lo.min(rt.total_fakes), hi.min(rt.total_fakes)),
+        fake_range: bin.fake_range,
     }
 }

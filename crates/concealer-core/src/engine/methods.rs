@@ -7,12 +7,10 @@ use std::sync::Arc;
 use concealer_crypto::EpochId;
 use rand::Rng;
 
-use super::{
-    merge_partials, EpochPartial, EpochRuntime, PlanMemo, QueryEngine, RangeMethod, WinSecInterval,
-    WinSecPlan,
-};
+use super::{merge_partials, EpochPartial, EpochRuntime, PlanMemo, QueryEngine, RangeMethod};
 use crate::api::ExecOptions;
 use crate::bin_cache::BinEntry;
+use crate::bins::max_window_load;
 use crate::dynamic;
 use crate::query::{Query, QueryAnswer};
 use crate::{unpoisoned, CoreError, Result};
@@ -83,53 +81,29 @@ impl QueryEngine {
             .map(|&c| u64::from(rt.c_tuple[c as usize]))
             .sum();
         let target = if query.predicate.dims().is_some() {
-            self.ebpb_window_size(rt, rows_needed.len() as u64)
-                .max(real)
+            let ell = rows_needed.len() as u64;
+            let time_rows = self.config.grid.time_subintervals;
+            let window = *rt
+                .ebpb_sizes
+                .entry(ell)
+                .or_insert_with(|| max_window_load(&rt.cell_counts, time_rows, ell));
+            window.max(real)
         } else {
             real
         };
-        let pad = (target - real).min(rt.total_fakes);
-        self.fetch_cell_groups(rt, &cids, pad, query, opts, part, memo)
-    }
-
-    /// Worst-case tuples in any ℓ consecutive time rows of any dimension
-    /// column (the eBPB bin size), cached per ℓ.
-    fn ebpb_window_size(&self, rt: &mut EpochRuntime, window_len: u64) -> u64 {
-        if let Some(&cached) = rt.ebpb_sizes.get(&window_len) {
-            return cached;
-        }
-        let y = self.config.grid.time_subintervals as usize;
-        let len = (window_len as usize).clamp(1, y);
-        let mut best = 0u64;
-        let columns = rt.cell_counts.len() / y.max(1);
-        for col in 0..columns {
-            let col_counts = &rt.cell_counts[col * y..(col + 1) * y];
-            let mut window_sum: u64 = col_counts[..len].iter().map(|&c| u64::from(c)).sum();
-            best = best.max(window_sum);
-            for i in len..y {
-                window_sum += u64::from(col_counts[i]);
-                window_sum -= u64::from(col_counts[i - len]);
-                best = best.max(window_sum);
-            }
-        }
-        rt.ebpb_sizes.insert(window_len, best);
-        best
+        self.fetch_cell_groups(rt, &cids, target - real, query, opts, part, memo)
     }
 
     /// winSecRange (§5.3): fetch whole fixed time intervals.
     fn execute_winsec(
         &self,
-        rt: &mut EpochRuntime,
+        rt: &EpochRuntime,
         query: &Query,
         opts: &ExecOptions,
         part: &mut EpochPartial,
         memo: &mut PlanMemo,
     ) -> Result<()> {
-        if rt.winsec.is_none() {
-            rt.winsec = Some(self.build_winsec_plan(rt));
-        }
-        let plan = rt.winsec.as_ref().expect("just built");
-
+        let plan = &rt.winsec;
         let grid = self.grid_for(rt);
         let (t_start, t_end) = query.predicate.time_span();
         let rows_needed = grid.time_rows_for_range(t_start, t_end);
@@ -144,64 +118,16 @@ impl QueryEngine {
         // not stratify them by time), so they are deduplicated here to avoid
         // fetching — and counting — the same tuples twice.
         let mut cids: Vec<u32> = Vec::new();
-        let mut fake_budget = 0u64;
+        let mut fakes = 0u64;
         for interval_idx in first_interval..=last_interval {
             if let Some(interval) = plan.intervals.get(interval_idx as usize) {
                 cids.extend(interval.cells.iter().map(|(c, _)| *c));
-                fake_budget += interval.fake_range.1 - interval.fake_range.0;
+                fakes += plan.interval_size - interval.real;
             }
         }
         cids.sort_unstable();
         cids.dedup();
-        let fakes = fake_budget.min(rt.total_fakes);
         self.fetch_cell_groups(rt, &cids, fakes, query, opts, part, memo)
-    }
-
-    pub(super) fn build_winsec_plan(&self, rt: &EpochRuntime) -> WinSecPlan {
-        let y = self.config.grid.time_subintervals;
-        let lambda = self.config.winsec_rows_per_interval.max(1).min(y);
-        let num_intervals = y.div_ceil(lambda);
-
-        // Every interval lists every cell-id that has at least one grid cell
-        // in the interval's time rows. A cell-id may appear in several
-        // intervals (the PRF cell-id assignment is not time-stratified);
-        // retrieving an interval therefore retrieves every tuple of every
-        // cell-id that *could* hold tuples from the interval, which is the
-        // superset the volume-hiding argument needs. Queries spanning
-        // multiple intervals deduplicate the union before fetching.
-        let mut interval_cells: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_intervals as usize];
-        let mut seen: Vec<Vec<bool>> = vec![vec![false; rt.c_tuple.len()]; num_intervals as usize];
-        for (flat, &cid) in rt.cell_assignment.iter().enumerate() {
-            let time_row = (flat as u64) % y;
-            let interval = (time_row / lambda) as usize;
-            if !seen[interval][cid as usize] {
-                seen[interval][cid as usize] = true;
-                interval_cells[interval].push((cid, rt.c_tuple[cid as usize]));
-            }
-        }
-
-        let reals: Vec<u64> = interval_cells
-            .iter()
-            .map(|cells| cells.iter().map(|(_, c)| u64::from(*c)).sum())
-            .collect();
-        let interval_size = reals.iter().copied().max().unwrap_or(0);
-
-        let mut intervals = Vec::with_capacity(num_intervals as usize);
-        let mut next_fake = 0u64;
-        for (cells, real) in interval_cells.into_iter().zip(reals) {
-            let need = (interval_size - real).min(rt.total_fakes.saturating_sub(next_fake));
-            intervals.push(WinSecInterval {
-                cells,
-                real,
-                fake_range: (next_fake, next_fake + need),
-            });
-            next_fake += need;
-        }
-        WinSecPlan {
-            intervals,
-            interval_size,
-            rows_per_interval: lambda,
-        }
     }
 
     /// Execute a forward-private range query (§6). When the engine holds

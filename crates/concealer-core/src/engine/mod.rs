@@ -32,7 +32,7 @@ use std::sync::{Mutex, RwLock};
 
 use crate::api::ExecOptions;
 use crate::bin_cache::{BinCache, BinCacheStats, DEFAULT_BIN_CACHE_CAPACITY};
-use crate::bins::BinPlan;
+use crate::bins::{fake_budget, BinPlan, WinSecPlan};
 use crate::codec;
 use crate::config::SystemConfig;
 use crate::query::filter::FilterPlan;
@@ -77,7 +77,8 @@ struct EpochRuntime {
     max_cell_id_load: u32,
     /// cell-id → number of grid cells assigned to it (super-bin weights).
     cells_per_cell_id: Vec<u32>,
-    /// Number of fake tuples shipped with the epoch.
+    /// The epoch's [`fake_budget`], derived from the metadata above: every
+    /// fake index a fetch requests lies below it.
     total_fakes: u64,
     /// Cached verifiable tags (encrypted), one per cell-id; empty when the
     /// data provider skipped verification.
@@ -86,32 +87,12 @@ struct EpochRuntime {
     bin_plan: BinPlan,
     /// Per-bin re-encryption round counters (the §6 meta-index).
     bin_rounds: Vec<u64>,
-    /// Super-bin plan, built lazily on first use.
-    superbin_plan: Option<SuperBinPlan>,
+    /// Super-bin plans, built lazily and keyed by the clamped `f`.
+    superbin_plans: HashMap<usize, SuperBinPlan>,
     /// Cached eBPB worst-case window sizes, keyed by window length ℓ.
     ebpb_sizes: HashMap<u64, u64>,
-    /// winSecRange interval plan, built lazily.
-    winsec: Option<WinSecPlan>,
-}
-
-/// winSecRange fixed-interval plan for one epoch.
-#[derive(Debug, Clone)]
-struct WinSecPlan {
-    /// Per interval: the cell-ids whose cells fall in the interval, with
-    /// their tuple counts, plus the fake range padding the interval to the
-    /// common size.
-    intervals: Vec<WinSecInterval>,
-    /// Common (maximum) interval size in tuples.
-    interval_size: u64,
-    /// Interval length in grid time rows (λ).
-    rows_per_interval: u64,
-}
-
-#[derive(Debug, Clone)]
-struct WinSecInterval {
-    cells: Vec<(u32, u32)>,
-    real: u64,
-    fake_range: (u64, u64),
+    /// The winSecRange interval plan.
+    winsec: WinSecPlan,
 }
 
 /// Diagnostics for one epoch's query plans, exposed by
@@ -124,7 +105,7 @@ pub struct PlanStats {
     pub num_bins: usize,
     /// Common bin size (tuples fetched per bin retrieval).
     pub bin_size: u64,
-    /// winSecRange interval diagnostics (the plan is built on demand).
+    /// winSecRange interval diagnostics.
     pub winsec: WinSecStats,
 }
 
@@ -359,23 +340,12 @@ impl QueryEngine {
         unpoisoned(self.epochs.read()).keys().copied().collect()
     }
 
-    /// Bin-plan statistics for an epoch: `(num_bins, bin_size)`.
-    pub fn bin_stats(&self, epoch_id: u64) -> Result<(usize, u64)> {
+    /// Query-plan diagnostics for an epoch: the BPB bin plan and the
+    /// winSecRange interval layout.
+    pub fn plan_stats(&self, epoch_id: u64) -> Result<PlanStats> {
         let epochs = unpoisoned(self.epochs.read());
         let rt = epochs.get(&epoch_id).ok_or(CoreError::NoDataForRange)?;
-        Ok((rt.bin_plan.num_bins(), rt.bin_plan.bin_size))
-    }
-
-    /// Full query-plan diagnostics for an epoch: the BPB bin plan plus the
-    /// winSecRange interval layout (building the interval plan on demand if
-    /// no winSecRange query has run yet).
-    pub fn plan_stats(&self, epoch_id: u64) -> Result<PlanStats> {
-        let mut epochs = unpoisoned(self.epochs.write());
-        let rt = epochs.get_mut(&epoch_id).ok_or(CoreError::NoDataForRange)?;
-        if rt.winsec.is_none() {
-            rt.winsec = Some(self.build_winsec_plan(rt));
-        }
-        let plan = rt.winsec.as_ref().expect("just built");
+        let plan = &rt.winsec;
         Ok(PlanStats {
             epoch_id,
             num_bins: rt.bin_plan.num_bins(),
@@ -390,8 +360,10 @@ impl QueryEngine {
     }
 
     /// Register an ingested epoch: pull its metadata from the store,
-    /// decrypt it inside the enclave, and build the bin plan (Step 0 of the
-    /// BPB method).
+    /// decrypt it inside the enclave, build the bin plan (Step 0 of the
+    /// BPB method) and the winSecRange interval plan, and derive the
+    /// epoch's fake budget from them. The row count the host stores with
+    /// the metadata is never read.
     pub fn register_epoch(&self, epoch_id: u64) -> Result<()> {
         let metadata = self.store.metadata(epoch_id)?;
         let key = self.enclave.epoch_key(EpochId(epoch_id), 0);
@@ -420,10 +392,11 @@ impl QueryEngine {
             }
         }
 
-        let real_total: u64 = c_tuple.iter().map(|&c| u64::from(c)).sum();
-        let total_fakes = (metadata.advertised_rows as u64).saturating_sub(real_total);
-
+        let time_rows = self.config.grid.time_subintervals;
+        let lambda = self.config.winsec_rows_per_interval;
         let bin_plan = BinPlan::build(&c_tuple, None);
+        let winsec = WinSecPlan::build(&cell_assignment, &c_tuple, time_rows, lambda);
+        let total_fakes = fake_budget(&bin_plan, &winsec, &cell_counts, time_rows);
         let bin_rounds = vec![0u64; bin_plan.num_bins()];
         let max_cell_id_load = c_tuple.iter().copied().max().unwrap_or(0);
 
@@ -442,9 +415,9 @@ impl QueryEngine {
             tags: metadata.enc_tags,
             bin_plan,
             bin_rounds,
-            superbin_plan: None,
+            superbin_plans: HashMap::new(),
             ebpb_sizes: HashMap::new(),
-            winsec: None,
+            winsec,
         };
         unpoisoned(self.epochs.write()).insert(epoch_id, runtime);
         Ok(())
@@ -524,8 +497,8 @@ impl QueryEngine {
     /// guard on every entry point — a point only reads its epoch's plan, so
     /// points, parallel batch stages and ingest registration all proceed
     /// concurrently. Range predicates take the write guard: their methods
-    /// cache lazily built plans (super-bins, eBPB window sizes, winSecRange
-    /// intervals) on the epoch runtime.
+    /// cache lazily built plans (super-bins per `f`, eBPB window sizes per
+    /// ℓ) on the epoch runtime.
     fn epoch_partials(&self, query: &Query, opts: &ExecOptions) -> Result<Vec<EpochPartial>> {
         let mut memo = PlanMemo::new();
         match &query.predicate {

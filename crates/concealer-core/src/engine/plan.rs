@@ -135,20 +135,19 @@ impl QueryEngine {
         Ok(bins)
     }
 
+    /// Every bin of the super-bins holding `bins`, under the epoch's
+    /// super-bin plan for `num_super_bins` (built once per clamped `f`).
     fn expand_to_superbins(
         &self,
         rt: &mut EpochRuntime,
         bins: &[usize],
         num_super_bins: usize,
     ) -> Vec<usize> {
-        if rt.superbin_plan.is_none() {
-            rt.superbin_plan = Some(SuperBinPlan::build(
-                &rt.bin_plan,
-                &rt.cells_per_cell_id,
-                num_super_bins,
-            ));
-        }
-        let plan = rt.superbin_plan.as_ref().expect("just built");
+        let f = num_super_bins.clamp(1, rt.bin_plan.num_bins().max(1));
+        let plan = rt
+            .superbin_plans
+            .entry(f)
+            .or_insert_with(|| SuperBinPlan::build(&rt.bin_plan, &rt.cells_per_cell_id, f));
         let mut expanded: Vec<usize> = bins
             .iter()
             .flat_map(|&b| plan.fetch_set_for_bin(b).to_vec())

@@ -1,4 +1,5 @@
 use super::*;
+use crate::bins::max_window_load;
 use crate::config::{FakeTupleStrategy, GridShape};
 use crate::query::AnswerValue;
 use crate::types::Record;
@@ -11,6 +12,8 @@ use concealer_storage::{
     AccessEvent, AccessObserver, EncryptedRow, EncryptedTable, MemoryBackend,
     Result as StoreResult, StorageBackend, StoredEpoch,
 };
+use proptest::prelude::{any, proptest, ProptestConfig};
+use rand::Rng;
 
 fn test_config(oblivious: bool) -> SystemConfig {
     SystemConfig {
@@ -1079,6 +1082,34 @@ fn superbins_fetch_more_but_answer_identically() {
     assert_eq!(plain.value, AnswerValue::Count(expected));
 }
 
+/// A super-bin plan belongs to its `f`: `f = 2` and then `f = 5` on one
+/// engine fetch exactly what `f = 5` fetches on a fresh engine.
+#[test]
+fn superbin_plans_are_keyed_by_f() {
+    let query = Query::count().at_dims([1]).between(0, 899);
+    let fetch = |system: &ConcealerSystem, user: &UserHandle, f: usize| {
+        system.observer().reset();
+        let opts = ExecOptions {
+            method: RangeMethod::Bpb,
+            use_superbins: true,
+            num_super_bins: f,
+            ..ExecOptions::default()
+        };
+        let answer = system.session(user).execute_with(&query, opts).unwrap();
+        (
+            answer.rows_fetched,
+            system.observer().per_query_fetch_sets(),
+        )
+    };
+    let (fresh_two, two_user, _) = setup(false);
+    let (fresh_five, five_user, _) = setup(false);
+    let (reused, user, _) = setup(false);
+    let five = fetch(&fresh_five, &five_user, 5);
+    assert_ne!(fetch(&fresh_two, &two_user, 2), five, "f must matter here");
+    fetch(&reused, &user, 2);
+    assert_eq!(fetch(&reused, &user, 5), five);
+}
+
 #[test]
 fn sum_min_max_average_over_payload() {
     let (system, user, records) = setup(false);
@@ -1390,4 +1421,111 @@ fn batch_surfaces_per_query_errors() {
     let results = session.execute_batch(&queries);
     assert!(results[0].is_ok());
     assert!(matches!(results[1], Err(CoreError::NoDataForRange)));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One fake budget, over random grids and temporally skewed records:
+    /// the enclave derives exactly the fakes the provider shipped, and no
+    /// fake index a BPB bin, an eBPB window (every ℓ) or a winSecRange
+    /// interval run requests reaches it. End to end, every single-interval
+    /// winSecRange query fetches `interval_size` rows, and every eBPB query
+    /// (every ℓ, every column) finds a row behind each trapdoor.
+    #[test]
+    fn the_fake_budget_covers_every_fetch(
+        shape in (1u64..5, 2u64..10, 1u64..4, 1u64..5),
+        load in (0u64..300, 1u64..5, any::<u64>()),
+    ) {
+        let (columns, time_rows, cells_per_cid, lambda) = shape;
+        let (n, skew, seed) = load;
+        let config = SystemConfig {
+            grid: GridShape {
+                dim_buckets: vec![columns],
+                time_subintervals: time_rows,
+                num_cell_ids: (columns * time_rows / cells_per_cid).max(1) as u32,
+            },
+            winsec_rows_per_interval: lambda,
+            ..test_config(false)
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Temporal skew: every record lands in the first 1/skew of the epoch.
+        let records: Vec<Record> = (0..n)
+            .map(|_| {
+                let loc = rng.gen_range(0..columns);
+                Record::spatial(loc, rng.gen_range(0..3600 / skew), 100)
+            })
+            .collect();
+        let mut system = ConcealerSystem::new(config, &mut rng);
+        let user = system.register_user(1, vec![], true);
+        let shipped = system.ingest_epoch(0, &records, &mut rng).unwrap().fake_rows as u64;
+        {
+            let epochs = unpoisoned(system.engine().epochs.read());
+            let rt = &epochs[&0];
+            assert_eq!(rt.total_fakes, shipped);
+            assert!(rt.bin_plan.bins.iter().all(|b| b.fake_range.1 <= shipped));
+            for len in 1..=time_rows {
+                assert!(max_window_load(&rt.cell_counts, time_rows, len) <= shipped);
+            }
+            let intervals = &rt.winsec.intervals;
+            for first in 0..intervals.len() {
+                for last in first..intervals.len() {
+                    let fakes: u64 = intervals[first..=last]
+                        .iter()
+                        .map(|i| rt.winsec.interval_size - i.real)
+                        .sum();
+                    assert!(fakes <= shipped);
+                }
+            }
+        }
+
+        let session = system.session(&user);
+        let run = |query: &Query, method: RangeMethod| {
+            system.observer().reset();
+            let answer = session
+                .execute_with(query, ExecOptions::with_method(method))
+                .unwrap();
+            let (dims, t) = match &query.predicate {
+                Predicate::Range { dims, time_start, time_end, .. } => {
+                    (dims.as_deref(), (*time_start, *time_end))
+                }
+                Predicate::Point { .. } => unreachable!("ranges only"),
+            };
+            assert_eq!(
+                answer.value,
+                AnswerValue::Count(cleartext_count(&records, dims, None, t))
+            );
+            let missed = system.observer().trace().iter().any(|e| {
+                matches!(e, AccessEvent::TrapdoorIssued { hit: false, .. })
+            });
+            assert!(!missed, "{method:?} {query:?} asked for a row that is not stored");
+            answer.rows_fetched
+        };
+        // Granule-aligned times inside a time row, so filter tokens cover
+        // exactly the queried span.
+        let per_row = 3600 / time_rows;
+        let start_of = |row: u64| (row * per_row).div_ceil(60) * 60;
+        let end_of = |row: u64| {
+            if row + 1 >= time_rows {
+                3599
+            } else {
+                (row + 1) * per_row / 60 * 60 - 1
+            }
+        };
+        let plan = system.engine().plan_stats(0).unwrap().winsec;
+        for i in 0..plan.num_intervals as u64 {
+            let last = ((i + 1) * plan.rows_per_interval).min(time_rows) - 1;
+            let query = Query::count().between(start_of(i * plan.rows_per_interval), end_of(last));
+            assert_eq!(
+                run(&query, RangeMethod::WinSecRange) as u64,
+                plan.interval_size
+            );
+        }
+        for len in 1..=time_rows {
+            for loc in 0..columns {
+                let query = Query::count().at_dims([loc]).between(0, end_of(len - 1));
+                run(&query, RangeMethod::Ebpb);
+            }
+        }
+    }
 }

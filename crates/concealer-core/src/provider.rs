@@ -7,8 +7,8 @@
 //!    cell-ids to grid cells,
 //! 3. encrypts every tuple: deterministic filter columns, a deterministic
 //!    payload column and the `Index` column `E_k(cid || counter)`,
-//! 4. generates fake tuples (either one per real tuple, or exactly as many
-//!    as a simulated bin-packing run says are needed),
+//! 4. generates fake tuples, exactly as many as [`fake_budget`] says the
+//!    epoch's bin, interval and window plans need,
 //! 5. optionally builds per-cell-id hash chains over the encrypted columns
 //!    and encrypts the final digests as verifiable tags,
 //! 6. pseudo-randomly permutes real and fake tuples together, and
@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::bins::BinPlan;
+use crate::bins::{fake_budget, BinPlan, WinSecPlan};
 use crate::codec;
 use crate::config::SystemConfig;
 use crate::grid::Grid;
@@ -145,8 +145,13 @@ impl DataProvider {
         }
         let real_rows = rows.len();
 
-        // Decide how many fake tuples to ship (Lines 12-15).
-        let fake_rows = self.fake_tuple_budget(&c_tuple, real_rows);
+        // Decide how many fake tuples to ship (Lines 12-15): the number the
+        // enclave derives from the same metadata.
+        let time_rows = self.config.grid.time_subintervals;
+        let lambda = self.config.winsec_rows_per_interval;
+        let bins = BinPlan::build(&c_tuple, None);
+        let winsec = WinSecPlan::build(&cell_assignment, &c_tuple, time_rows, lambda);
+        let fake_rows = fake_budget(&bins, &winsec, &cell_counts, time_rows) as usize;
 
         // Representative column widths so fake rows are indistinguishable
         // from real rows by length.
@@ -222,32 +227,6 @@ impl DataProvider {
             },
             stats,
         })
-    }
-
-    /// How many fake tuples to ship for this epoch: what the BPB bin plan
-    /// needs, or the winSecRange interval plan if that needs more, so the
-    /// stricter range method never runs out of padding material.
-    fn fake_tuple_budget(&self, c_tuple: &[u32], real_rows: usize) -> usize {
-        let bpb = BinPlan::build(c_tuple, None).total_fake_tuples();
-        bpb.max(self.winsec_fake_need(real_rows)) as usize
-    }
-
-    /// Upper bound on the fakes the winSecRange interval plan needs:
-    /// intervals are padded to the largest interval's size.
-    fn winsec_fake_need(&self, real_rows: usize) -> u64 {
-        let rows_per_interval = self.config.winsec_rows_per_interval.max(1);
-        let num_intervals = self
-            .config
-            .grid
-            .time_subintervals
-            .div_ceil(rows_per_interval)
-            .max(1);
-        // Worst case every tuple lands in one interval: the other intervals
-        // each need max-interval-size fakes. Bounded by (k-1)/k * ... but we
-        // take the simple conservative bound capped at real_rows, matching
-        // Theorem 4.1's "at most n fakes" regime used in the evaluation.
-        let avg = (real_rows as u64).div_ceil(num_intervals);
-        (num_intervals - 1) * avg
     }
 }
 

@@ -32,7 +32,10 @@ pub struct EpochMetadata {
     /// Encrypted per-cell-id verifiable tags (hash-chain heads), in cell-id
     /// order. Empty when DP skipped the optional verification step.
     pub enc_tags: Vec<Vec<u8>>,
-    /// Number of rows DP claims to have shipped (real + fake). Public.
+    /// Number of rows DP says it shipped (real + fake): the shipment's own
+    /// statement, public and stored by the untrusted host. The enclave
+    /// never reads it; it derives the number of fakes from the sealed
+    /// vectors above.
     pub advertised_rows: usize,
 }
 
