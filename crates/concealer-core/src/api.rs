@@ -57,6 +57,10 @@ pub struct ExecOptions {
     pub num_super_bins: usize,
     /// Whether to run the §6 multi-round protocol: fetch extra random bins
     /// from every round the query spans and re-encrypt everything fetched.
+    /// The protocol re-encrypts whole bins, so a forward-private *range*
+    /// runs only under [`RangeMethod::Bpb`]: under eBPB (the default) or
+    /// winSecRange it is refused with [`CoreError::InvalidConfig`] before
+    /// any trapdoor. Points fetch one bin under every method and run.
     pub forward_private: bool,
     /// Whether to hash-chain-verify fetched bins. Effective only when the
     /// deployment shipped verification tags (`SystemConfig::verify_integrity`);
@@ -65,19 +69,18 @@ pub struct ExecOptions {
     /// Override the enclave's oblivious (Concealer+) mode for this
     /// execution: `None` inherits the deployment default.
     pub oblivious: Option<bool>,
-    /// Worker threads for batch execution, the calling thread included
-    /// (`0` and `1` both mean one worker, the calling thread). The engine
-    /// uses exactly this many — never more than the batch has bins to
-    /// fetch, and with no regard to the host's core count: capping it is
-    /// deployment policy (`ServerConfig::max_parallelism` in the serving
-    /// layer; [`Session::par_execute_batch`] asks for one per core). Only
-    /// dedup-eligible batches — bin-granular BPB without forward privacy —
-    /// run their fetch+verify and per-query aggregation stages on these
-    /// workers; answers and the adversary-observable trace are
-    /// bit-identical at every count. Batches that fall back to per-query
-    /// execution (eBPB, winSecRange, forward privacy) ignore this knob and
-    /// stay fully sequential, because interleaving their fetches would
-    /// observably reorder the access pattern the caller configured.
+    /// Worker threads for execution, the calling thread included (`0` and
+    /// `1` both mean one worker, the calling thread). The engine uses
+    /// exactly this many — never more than the batch has fetch units, and
+    /// with no regard to the host's core count: capping it is deployment
+    /// policy (`ServerConfig::max_parallelism` in the serving layer;
+    /// [`Session::par_execute_batch`] asks for one per core). Batches of
+    /// every method, and single queries as batches of one, run their
+    /// fetch+verify and per-query aggregation stages on these workers;
+    /// answers and the adversary-observable trace are bit-identical at
+    /// every count. Only forward-private (§6) executions ignore the knob
+    /// and stay sequential: they re-encrypt what each query fetched before
+    /// the next one runs.
     pub parallelism: usize,
 }
 
@@ -179,16 +182,15 @@ impl<'a> Session<'a> {
         self.system.engine().execute(&self.user, query, options)
     }
 
-    /// Execute a batch of queries. Under the bin-granular BPB method
-    /// (`ExecOptions::method = RangeMethod::Bpb`), `(epoch, bin)` fetches
-    /// are deduplicated across the batch: each bin the batch needs is
+    /// Execute a batch of queries. Fetch units — a bin under BPB and for
+    /// points, an eBPB / winSecRange cell-group of one round — are
+    /// deduplicated across the batch: each unit the batch needs is
     /// fetched — and hash-chain-verified — exactly once, then filtered and
     /// aggregated per query, with answers (including per-query fetch
-    /// metadata) identical to sequential execution. Sessions configured
-    /// with eBPB / winSecRange or forward privacy execute the batch
-    /// sequentially instead, preserving their access-pattern profile
-    /// exactly; see [`crate::engine::QueryEngine::execute_batch`] for the
-    /// leakage argument.
+    /// metadata) identical to sequential execution. Forward-private
+    /// sessions execute the batch query by query instead; see
+    /// [`crate::engine::QueryEngine::execute_batch`] for the leakage
+    /// argument.
     pub fn execute_batch(&self, queries: &[Query]) -> Vec<Result<QueryAnswer>> {
         self.system
             .engine()
@@ -213,7 +215,7 @@ impl<'a> Session<'a> {
     }
 
     /// Partial-execution counterpart of [`Session::execute_batch`]: run a
-    /// batch over only the epochs this process holds, with `(epoch, bin)`
+    /// batch over only the epochs this process holds, with `(epoch, unit)`
     /// fetches deduplicated across the batch within the shard's slice.
     /// See [`crate::engine::QueryEngine::execute_batch_partials`].
     pub fn execute_batch_partials(
@@ -232,10 +234,8 @@ impl<'a> Session<'a> {
     /// Parallelism changes **nothing observable**: per-query answers
     /// (including fetch metadata) are bit-identical to sequential
     /// execution, and the storage-level trace is merged back in
-    /// deterministic bin order, so it equals the sequential trace exactly.
-    /// Batches that are not dedup-eligible (eBPB, winSecRange, forward
-    /// privacy) still run fully sequentially — their access-pattern
-    /// profile is never reordered.
+    /// deterministic unit order, so it equals the sequential trace exactly.
+    /// Forward-private batches still run query by query.
     pub fn par_execute_batch(&self, queries: &[Query]) -> Vec<Result<QueryAnswer>> {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let options = ExecOptions {

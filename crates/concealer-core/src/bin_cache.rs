@@ -53,7 +53,8 @@ pub(crate) type BinKey = (u64, usize, u64);
 /// round key, the deterministic trapdoors (replayed against the store on
 /// every hit), the side-channel counters their generation produced, the
 /// fetched rows, and the per-row payload decode results filled in lazily by
-/// the filter stage.
+/// the filter stage. A fetched eBPB / winSecRange cell-group has the same
+/// shape, but is never cached.
 pub(crate) struct BinEntry {
     /// The `(epoch, round)` key the bin's rows are encrypted under.
     pub key: Arc<EpochKey>,

@@ -44,6 +44,7 @@ pub struct ReencryptedBin {
 /// them). `bin_cell_ids` lists every cell-id belonging to the bin — tags
 /// are refreshed for all of them, including cell-ids that currently hold no
 /// tuples, so later verifications under the new round key still succeed.
+/// A cell-id at or above `num_cell_ids` is [`CoreError::CorruptMetadata`].
 pub fn reencrypt_bin<R: RngCore>(
     old_key: &EpochKey,
     new_key: &EpochKey,
@@ -110,24 +111,28 @@ pub fn reencrypt_bin<R: RngCore>(
     }
 
     // Rebuild the hash chains for every cell-id of the bin under the new
-    // key (cell-ids without tuples get the empty-chain tag).
-    let mut chain = HashChainBuilder::new(new_key, num_cell_ids);
+    // key (cell-ids without tuples get the empty-chain tag). The chain
+    // message carries no cell-id, so the builder holds one chain per
+    // touched cell-id, indexed locally.
     let mut touched: Vec<u32> = bin_cell_ids.to_vec();
     touched.extend(per_cell.keys().copied());
     touched.sort_unstable();
     touched.dedup();
-    for &cid in &touched {
+    if touched
+        .last()
+        .is_some_and(|&cid| cid as usize >= num_cell_ids)
+    {
+        return Err(CoreError::CorruptMetadata);
+    }
+    let mut chain = HashChainBuilder::new(new_key, touched.len());
+    for (local, &cid) in (0u32..).zip(&touched) {
         let mut entries = per_cell.remove(&cid).unwrap_or_default();
         entries.sort_unstable_by_key(|(counter, _)| *counter);
         for (_, row_idx) in entries {
-            chain.absorb(cid, &new_rows[row_idx]);
+            chain.absorb(local, &new_rows[row_idx]);
         }
     }
-    let all_tags = chain.finalize(rng);
-    let new_tags: Vec<(u32, Vec<u8>)> = touched
-        .iter()
-        .map(|&cid| (cid, all_tags[cid as usize].clone()))
-        .collect();
+    let new_tags: Vec<(u32, Vec<u8>)> = touched.into_iter().zip(chain.finalize(rng)).collect();
 
     // Shuffle which replacement row lands in which physical slot.
     let old_keys: Vec<Vec<u8>> = rows.iter().map(|r| r.index_key().to_vec()).collect();
@@ -255,6 +260,26 @@ mod tests {
         with_counters.sort_by_key(|(c, _)| *c);
         let ordered: Vec<&EncryptedRow> = with_counters.into_iter().map(|(_, r)| r).collect();
         assert!(crate::verify::verify_cell_chain(&new, 3, &ordered, tag).is_ok());
+    }
+
+    /// Tags are built for the bin's cell-ids alone: an empty cell-id of the
+    /// bin still verifies as empty, and a row naming a cell-id outside the
+    /// epoch is refused instead of indexing past the chains.
+    #[test]
+    fn tags_cover_the_bins_cell_ids_only() {
+        let (old, new) = keys();
+        let mut rng = StdRng::seed_from_u64(5);
+        let rows = vec![real_row(&old, 6, 1)];
+        let out = reencrypt_bin(&old, &new, &rows.into(), &[2, 6], 1_000, &mut rng).unwrap();
+        let cids: Vec<u32> = out.new_tags.iter().map(|(cid, _)| *cid).collect();
+        assert_eq!(cids, vec![2, 6]);
+        assert!(crate::verify::verify_cell_chain(&new, 2, &[], &out.new_tags[0].1).is_ok());
+
+        let rows = vec![real_row(&old, 6, 1)];
+        assert_eq!(
+            reencrypt_bin(&old, &new, &rows.into(), &[2], 4, &mut rng).unwrap_err(),
+            CoreError::CorruptMetadata
+        );
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! The range methods — BPB, eBPB (§5.2), winSecRange (§5.3) — as one
-//! epoch's share of a query, plus the §6 forward-private range protocol
-//! with its bin re-encryption.
-
-use std::sync::Arc;
+//! The §6 forward-private range protocol with its bin re-encryption — the
+//! one execution that is not a union of independent per-epoch fetches.
+//! Every other method (BPB, eBPB §5.2, winSecRange §5.3) is planned in
+//! `plan.rs` and runs on the stage executor in `batch.rs`.
 
 use concealer_crypto::EpochId;
 use rand::Rng;
@@ -10,126 +9,11 @@ use rand::Rng;
 use super::{merge_partials, EpochPartial, EpochRuntime, PlanMemo, QueryEngine, RangeMethod};
 use crate::api::ExecOptions;
 use crate::bin_cache::BinEntry;
-use crate::bins::max_window_load;
 use crate::dynamic;
 use crate::query::{Query, QueryAnswer};
 use crate::{unpoisoned, CoreError, Result};
 
 impl QueryEngine {
-    /// Run one epoch's share of a range query with the method in `opts`,
-    /// folding its fetches into `part` and returning the BPB bins fetched,
-    /// each with what the fetch returned (the §6 protocol re-encrypts
-    /// exactly that afterwards; eBPB / winSecRange fetch cell-groups and
-    /// intervals instead, so they return no bins).
-    pub(super) fn execute_epoch_slice(
-        &self,
-        rt: &mut EpochRuntime,
-        query: &Query,
-        opts: &ExecOptions,
-        part: &mut EpochPartial,
-        memo: &mut PlanMemo,
-    ) -> Result<Vec<(usize, Arc<BinEntry>)>> {
-        match opts.method {
-            RangeMethod::Bpb => self
-                .range_bins_for_epoch(rt, query, opts)?
-                .into_iter()
-                .map(|bin_idx| {
-                    let entry = self.fetch_and_fold_bin(rt, bin_idx, query, opts, part, memo)?;
-                    Ok((bin_idx, entry))
-                })
-                .collect(),
-            RangeMethod::Ebpb => {
-                self.execute_ebpb(rt, query, opts, part, memo)?;
-                Ok(Vec::new())
-            }
-            RangeMethod::WinSecRange => {
-                self.execute_winsec(rt, query, opts, part, memo)?;
-                Ok(Vec::new())
-            }
-        }
-    }
-
-    /// eBPB (§5.2): fetch exactly the cell-ids covering the range, padded to
-    /// the worst-case ℓ-row window size.
-    fn execute_ebpb(
-        &self,
-        rt: &mut EpochRuntime,
-        query: &Query,
-        opts: &ExecOptions,
-        part: &mut EpochPartial,
-        memo: &mut PlanMemo,
-    ) -> Result<()> {
-        let grid = self.grid_for(rt);
-        let (t_start, t_end) = query.predicate.time_span();
-        let rows_needed = grid.time_rows_for_range(t_start, t_end);
-        if rows_needed.is_empty() {
-            return Ok(());
-        }
-        let cells = match query.predicate.dims() {
-            Some(dims) => grid.cells_for_dims(dims, &rows_needed)?,
-            None => grid.cells_for_all_dims(&rows_needed),
-        };
-        let mut cids: Vec<u32> = cells
-            .iter()
-            .map(|&flat| rt.cell_assignment[flat as usize])
-            .collect();
-        cids.sort_unstable();
-        cids.dedup();
-
-        let real: u64 = cids
-            .iter()
-            .map(|&c| u64::from(rt.c_tuple[c as usize]))
-            .sum();
-        let target = if query.predicate.dims().is_some() {
-            let ell = rows_needed.len() as u64;
-            let time_rows = self.config.grid.time_subintervals;
-            let window = *rt
-                .ebpb_sizes
-                .entry(ell)
-                .or_insert_with(|| max_window_load(&rt.cell_counts, time_rows, ell));
-            window.max(real)
-        } else {
-            real
-        };
-        self.fetch_cell_groups(rt, &cids, target - real, query, opts, part, memo)
-    }
-
-    /// winSecRange (§5.3): fetch whole fixed time intervals.
-    fn execute_winsec(
-        &self,
-        rt: &EpochRuntime,
-        query: &Query,
-        opts: &ExecOptions,
-        part: &mut EpochPartial,
-        memo: &mut PlanMemo,
-    ) -> Result<()> {
-        let plan = &rt.winsec;
-        let grid = self.grid_for(rt);
-        let (t_start, t_end) = query.predicate.time_span();
-        let rows_needed = grid.time_rows_for_range(t_start, t_end);
-        if rows_needed.is_empty() {
-            return Ok(());
-        }
-        let first_interval = rows_needed[0] / plan.rows_per_interval;
-        let last_interval = rows_needed[rows_needed.len() - 1] / plan.rows_per_interval;
-
-        // Union of the cell-ids of every interval overlapping the range.
-        // Cell-ids may appear in several intervals (the PRF assignment does
-        // not stratify them by time), so they are deduplicated here to avoid
-        // fetching — and counting — the same tuples twice.
-        let mut cids: Vec<u32> = Vec::new();
-        let mut fakes = 0u64;
-        for interval_idx in first_interval..=last_interval {
-            if let Some(interval) = plan.intervals.get(interval_idx as usize) {
-                cids.extend(interval.cells.iter().map(|(c, _)| *c));
-                fakes += plan.interval_size - interval.real;
-            }
-        }
-        cids.sort_unstable();
-        cids.dedup();
-        self.fetch_cell_groups(rt, &cids, fakes, query, opts, part, memo)
-    }
-
     /// Execute a forward-private range query (§6). When the engine holds
     /// more than one round, the protocol spans the whole stretch of rounds
     /// between the first and last satisfying round: every round in the
@@ -137,11 +21,23 @@ impl QueryEngine {
     /// everything fetched re-encrypted, which is why this loop cannot be
     /// split into independently executed per-epoch partials. It still
     /// accumulates per round and finishes with [`merge_partials`].
+    ///
+    /// Only BPB fetches whole bins, the unit §6 re-encrypts: a range under
+    /// any other method is refused before its first trapdoor.
     pub(super) fn execute_forward_private_range(
         &self,
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryAnswer> {
+        if opts.method != RangeMethod::Bpb {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "forward-private (§6) ranges re-encrypt the whole bins they fetch and \
+                     run only under RangeMethod::Bpb, not {:?}",
+                    opts.method
+                ),
+            });
+        }
         let (t_start, t_end) = query.predicate.time_span();
 
         let mut epochs = unpoisoned(self.epochs.write());
@@ -164,40 +60,45 @@ impl QueryEngine {
         let mut parts = Vec::with_capacity(span.len());
         for epoch_id in span {
             let rt = epochs.get_mut(&epoch_id).expect("registered epoch");
-            let mut part = EpochPartial::empty(epoch_id, self.verification_active(opts, rt));
-            let mut bins_fetched = if rt.window.overlaps(t_start, t_end) {
-                self.execute_epoch_slice(rt, query, opts, &mut part, &mut memo)?
+            let mut bins = if rt.window.overlaps(t_start, t_end) {
+                self.range_bins_for_epoch(rt, query, opts)?
             } else {
                 Vec::new()
             };
-
-            // §6: fetch extra random bins from every round in the span —
-            // their rows are fetched and decrypted (and counted) but their
-            // matches discarded — and re-encrypt everything fetched.
+            // §6: extra random bins from every round in the span — their
+            // rows are fetched and decrypted (and counted) but their
+            // matches discarded.
+            let satisfying = bins.len();
             if multi_round {
                 let num_bins = rt.bin_plan.num_bins();
                 let extra = dynamic::extra_bins_per_round(num_bins);
-                let mut extras = EpochPartial::empty(epoch_id, part.verified);
-                while bins_fetched.len() < extra.min(num_bins) {
+                while bins.len() < extra.min(num_bins) {
                     let candidate = unpoisoned(self.rng.lock()).gen_range(0..num_bins);
-                    if bins_fetched
-                        .iter()
-                        .all(|(fetched, _)| *fetched != candidate)
-                    {
-                        let entry = self.fetch_and_fold_bin(
-                            rt,
-                            candidate,
-                            query,
-                            opts,
-                            &mut extras,
-                            &mut memo,
-                        )?;
-                        bins_fetched.push((candidate, entry));
+                    if !bins.contains(&candidate) {
+                        bins.push(candidate);
                     }
                 }
-                part.rows_fetched += extras.rows_fetched;
-                part.rows_decrypted += extras.rows_decrypted;
-                for (bin_idx, entry) in bins_fetched {
+            }
+
+            let mut part = EpochPartial::empty(epoch_id, self.verification_active(opts, rt));
+            let mut extras = EpochPartial::empty(epoch_id, part.verified);
+            let mut fetched = Vec::with_capacity(bins.len());
+            for (i, &bin_idx) in bins.iter().enumerate() {
+                let entry = self.fetch_bin_rows(&self.store, rt, bin_idx, opts)?;
+                let into = if i < satisfying {
+                    &mut part
+                } else {
+                    &mut extras
+                };
+                self.fold_entry(rt, &entry, query, opts, into, &mut memo)?;
+                fetched.push(entry);
+            }
+            part.rows_fetched += extras.rows_fetched;
+            part.rows_decrypted += extras.rows_decrypted;
+
+            // §6: re-encrypt everything fetched.
+            if multi_round {
+                for (bin_idx, entry) in bins.into_iter().zip(fetched) {
                     self.reencrypt_and_rewrite_bin(rt, bin_idx, &entry)?;
                 }
             }

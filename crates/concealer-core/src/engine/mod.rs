@@ -8,15 +8,30 @@
 //! the fetched tuples, and — for multi-round queries — re-encrypts what it
 //! fetched to preserve forward privacy.
 //!
-//! There is one execution pipeline: plan → fetch and verify each
-//! `(epoch, bin)` once → accumulate per query and per epoch into
-//! [`EpochPartial`]s → [`merge_partials`]. [`QueryEngine::execute_partials`]
-//! and [`QueryEngine::execute_batch_partials`] stop before the merge (the
-//! shard half of multi-node serving); [`QueryEngine::execute`] and
-//! [`QueryEngine::execute_batch`] are the same calls followed by the merge
-//! — one process holding every epoch is the 1-of-1 case. Batches optionally
-//! run on a scoped thread pool (see [`ExecOptions::parallelism`]). All four
-//! are normally reached through [`crate::Session`].
+//! There is one execution pipeline: plan every query into fixed fetch
+//! units (a bin; or one eBPB / winSecRange cell-group of one round with
+//! its fakes) → fetch and verify each `(epoch, unit)` once → accumulate per
+//! query and per epoch into [`EpochPartial`]s → [`merge_partials`]. A
+//! query is a batch of one: [`QueryEngine::execute`] and
+//! [`QueryEngine::execute_partials`] run the planner and stage executor of
+//! [`QueryEngine::execute_batch`] and [`QueryEngine::execute_batch_partials`]
+//! on one query. The partial forms stop before the merge (the shard half
+//! of multi-node serving) — one process holding every epoch is the 1-of-1
+//! case. The stage executor runs on `w` scoped threads (see
+//! [`ExecOptions::parallelism`]). Only the §6 forward-private range, which
+//! is not a union of independent per-epoch fetches, keeps a loop of its
+//! own. All four entry points are normally reached through
+//! [`crate::Session`].
+//!
+//! Lock discipline: planning needs no write access to the `epochs`
+//! registry. The per-epoch tables a range fills on first use (super-bin
+//! plans per `f`, eBPB window sizes per ℓ) sit behind a lock of their own
+//! in the epoch runtime, held only while planning reads or fills them and
+//! never across a fetch. Batches and single points plan and run under the
+//! **read** guard, beside other queries and ingest registration. The write
+//! guard is taken by [`QueryEngine::register_epoch`], by the §6 loop, which
+//! advances round counters and tags, and — for a reason outside the engine,
+//! given at `run_batch` — by a lone range query.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,12 +102,22 @@ struct EpochRuntime {
     bin_plan: BinPlan,
     /// Per-bin re-encryption round counters (the §6 meta-index).
     bin_rounds: Vec<u64>,
-    /// Super-bin plans, built lazily and keyed by the clamped `f`.
-    superbin_plans: HashMap<usize, SuperBinPlan>,
-    /// Cached eBPB worst-case window sizes, keyed by window length ℓ.
-    ebpb_sizes: HashMap<u64, u64>,
+    /// Plans whose key a request chooses, built on first use. Planning
+    /// holds this lock only while it reads or fills a table, never across
+    /// a fetch.
+    lazy: Mutex<LazyPlans>,
     /// The winSecRange interval plan.
     winsec: WinSecPlan,
+}
+
+/// The per-epoch tables a range fills on first use: their keys are chosen
+/// per request, so they cannot be built at registration.
+#[derive(Debug, Default)]
+struct LazyPlans {
+    /// Super-bin plans, keyed by the clamped `f`.
+    superbin_plans: HashMap<usize, SuperBinPlan>,
+    /// eBPB worst-case window sizes, keyed by window length ℓ.
+    ebpb_sizes: HashMap<u64, u64>,
 }
 
 /// Diagnostics for one epoch's query plans, exposed by
@@ -415,8 +440,7 @@ impl QueryEngine {
             tags: metadata.enc_tags,
             bin_plan,
             bin_rounds,
-            superbin_plans: HashMap::new(),
-            ebpb_sizes: HashMap::new(),
+            lazy: Mutex::default(),
             winsec,
         };
         unpoisoned(self.epochs.write()).insert(epoch_id, runtime);
@@ -425,13 +449,17 @@ impl QueryEngine {
 
     /// Execute one query: [`merge_partials`] over this process's per-epoch
     /// partials — a process holding every epoch is the 1-of-1 case of
-    /// sharded execution. Point predicates fetch their single bin, range
-    /// predicates run the method selected by `opts.method`.
+    /// sharded execution. The query runs as a batch of one: the planner
+    /// and the stage executor of [`QueryEngine::execute_batch`], on
+    /// `opts.parallelism` workers. Point predicates fetch their single bin,
+    /// range predicates run the method selected by `opts.method`.
     ///
     /// The one exception is a forward-private (§6) *range*, whose
     /// re-encryption protocol spans rounds that do not satisfy the query
-    /// and cannot be split by epoch; it runs its own loop. Forward-private
-    /// *points* fetch one bin of one round and execute like any point.
+    /// and cannot be split by epoch; it runs its own loop, and only under
+    /// [`RangeMethod::Bpb`] (see [`ExecOptions::forward_private`]).
+    /// Forward-private *points* fetch one bin of one round and execute
+    /// like any point.
     ///
     /// `user` is authorized for the query's scope (individualized when the
     /// predicate pins a device, aggregate otherwise) before any trapdoor is
@@ -442,19 +470,24 @@ impl QueryEngine {
         query: &Query,
         opts: ExecOptions,
     ) -> Result<QueryAnswer> {
-        self.authorize(user, query)?;
         if opts.forward_private && matches!(query.predicate, Predicate::Range { .. }) {
+            self.authorize(user, query)?;
             return self.execute_forward_private_range(query, &opts);
         }
+        let opts = ExecOptions {
+            forward_private: false,
+            ..opts
+        };
         // Merge first: a query no epoch covers fails before it leaves a
         // boundary in the trace.
-        let answer = merge_partials(query, self.epoch_partials(query, &opts)?)?;
+        let answer = merge_partials(query, self.run_one(user, query, &opts)?)?;
         self.store.mark_query_boundary();
         Ok(answer)
     }
 
     /// Execute `query` over only the epochs this process holds, returning
-    /// one [`EpochPartial`] per touched epoch instead of a finished answer.
+    /// one [`EpochPartial`] per touched epoch instead of a finished answer
+    /// — [`QueryEngine::execute_batch_partials`] of one query.
     ///
     /// This is the shard half of multi-node execution: each
     /// `concealer-server --shard i/t` process registers an epoch-hash slice
@@ -475,59 +508,20 @@ impl QueryEngine {
         query: &Query,
         opts: ExecOptions,
     ) -> Result<Vec<EpochPartial>> {
-        self.authorize(user, query)?;
-        if opts.forward_private {
-            return Err(CoreError::InvalidConfig {
-                reason: "forward-private (§6) executions re-encrypt spanning rounds and \
-                         cannot be partitioned into per-epoch partials"
-                    .to_string(),
-            });
-        }
-        let partials = self.epoch_partials(query, &opts)?;
+        let partials = self.run_one(user, query, &opts)?;
         self.store.mark_query_boundary();
         Ok(partials)
     }
 
-    /// The single-query pipeline behind [`QueryEngine::execute`] and
-    /// [`QueryEngine::execute_partials`]: one [`EpochPartial`] per epoch of
-    /// this process the query touches, ascending, each the epoch's fetches
-    /// verified and folded in ascending bin order.
-    ///
-    /// Lock discipline: point predicates run under the `epochs` **read**
-    /// guard on every entry point — a point only reads its epoch's plan, so
-    /// points, parallel batch stages and ingest registration all proceed
-    /// concurrently. Range predicates take the write guard: their methods
-    /// cache lazily built plans (super-bins per `f`, eBPB window sizes per
-    /// ℓ) on the epoch runtime.
-    fn epoch_partials(&self, query: &Query, opts: &ExecOptions) -> Result<Vec<EpochPartial>> {
-        let mut memo = PlanMemo::new();
-        match &query.predicate {
-            Predicate::Point { dims, time } => {
-                let epochs = unpoisoned(self.epochs.read());
-                let Some(rt) = epochs.values().find(|rt| rt.window.contains(*time)) else {
-                    return Ok(Vec::new());
-                };
-                let bin_idx = self.locate_point_bin(rt, dims, *time)?;
-                let mut part = EpochPartial::empty(rt.epoch_id, self.verification_active(opts, rt));
-                self.fetch_and_fold_bin(rt, bin_idx, query, opts, &mut part, &mut memo)?;
-                Ok(vec![part])
-            }
-            Predicate::Range { .. } => {
-                let (t_start, t_end) = query.predicate.time_span();
-                let mut epochs = unpoisoned(self.epochs.write());
-                let mut out = Vec::new();
-                for rt in epochs
-                    .values_mut()
-                    .filter(|rt| rt.window.overlaps(t_start, t_end))
-                {
-                    let mut part =
-                        EpochPartial::empty(rt.epoch_id, self.verification_active(opts, rt));
-                    self.execute_epoch_slice(rt, query, opts, &mut part, &mut memo)?;
-                    out.push(part);
-                }
-                Ok(out)
-            }
-        }
+    /// A batch of one: `query`'s partials, with no boundary marked.
+    fn run_one(
+        &self,
+        user: &UserHandle,
+        query: &Query,
+        opts: &ExecOptions,
+    ) -> Result<Vec<EpochPartial>> {
+        let mut results = self.run_batch(user, std::slice::from_ref(query), opts);
+        results.pop().expect("one result per query")
     }
 
     /// Requirement R2: the enclave checks `user` against the registry for

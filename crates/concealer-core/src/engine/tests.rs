@@ -543,6 +543,38 @@ fn forward_private_query_fetches_each_bin_once() {
     );
 }
 
+/// §6 re-encrypts the whole bins a query fetched, and only BPB fetches
+/// whole bins: a forward-private range under eBPB or winSecRange is refused
+/// before its first trapdoor — run, it would leave the rows it fetched
+/// under the trapdoors the next query issues again. A forward-private point
+/// still runs.
+#[test]
+fn forward_private_ranges_run_only_under_bpb() {
+    let (system, user, _) = two_epochs(Arc::new(MemoryBackend::new()));
+    let range = Query::count().at_dims([2]).between(1800, 5399);
+    for method in [RangeMethod::Ebpb, RangeMethod::WinSecRange] {
+        let opts = ExecOptions {
+            method,
+            ..forward_private_opts()
+        };
+        let session = system.session(&user).with_options(opts);
+        system.observer().reset();
+        let (refused, meter) = system.meter().measure(|| session.execute(&range));
+        assert!(
+            matches!(refused, Err(CoreError::InvalidConfig { .. })),
+            "{method:?}: {refused:?}"
+        );
+        assert!(system.observer().trace().is_empty(), "{method:?}");
+        assert_eq!(meter.trapdoors_generated, 0, "{method:?}");
+        session
+            .execute(&Query::count().at_dims([2]).at(1800))
+            .unwrap();
+    }
+    for epoch in [0, 3600] {
+        assert_eq!(system.store().rewrite_count(epoch).unwrap(), 0);
+    }
+}
+
 /// What a faulty provider serves one read instead of the stored epoch:
 /// `tamper(read, epoch_id, stored, as_ingested)` is consulted on every
 /// read, where `read` counts the backend's reads since it was armed and
@@ -1263,6 +1295,150 @@ fn parallel_batch_reports_integrity_violations_deterministically() {
         sequential.iter().any(Result::is_err),
         "tampering must surface in at least one query"
     );
+}
+
+/// A failing unit fails its query but stops none of the query's other
+/// planned fetches, as in any batch: with every stored row tampered, a BPB
+/// range over several bins fails verification and the provider still sees
+/// every row the honest run fetched.
+#[test]
+fn a_failing_unit_stops_no_other_fetch() {
+    let query = Query::count().at_dims([3]).between(0, 3599);
+    let run = |tamper: bool| {
+        let (system, user, _) = setup(false);
+        if tamper {
+            let rewrites: Vec<_> = system
+                .store()
+                .full_scan(0)
+                .unwrap()
+                .into_iter()
+                .map(|row| {
+                    let mut tampered = row.clone();
+                    tampered.payload[5] ^= 0x01;
+                    (row.index_key, tampered)
+                })
+                .collect();
+            system.store().rewrite_rows(0, rewrites).unwrap();
+        }
+        system.observer().reset();
+        let answer = system
+            .session(&user)
+            .execute_with(&query, ExecOptions::with_method(RangeMethod::Bpb));
+        let bin_size = system.engine().plan_stats(0).unwrap().bin_size as usize;
+        (answer, system.observer().summary(), bin_size)
+    };
+    let (honest, honest_trace, bin_size) = run(false);
+    let (tampered, tampered_trace, _) = run(true);
+    assert_eq!(honest.unwrap().rows_fetched, honest_trace.rows_fetched);
+    assert!(honest_trace.rows_fetched > bin_size, "several bins");
+    assert!(
+        matches!(tampered, Err(CoreError::IntegrityViolation { .. })),
+        "{tampered:?}"
+    );
+    assert_eq!(tampered_trace, honest_trace);
+}
+
+/// A backend whose first read after [`ParkingBackend::park`] waits until
+/// the test releases it, or [`PARK_TIMEOUT`] passes, before it is served.
+#[derive(Default)]
+struct ParkingBackend {
+    inner: MemoryBackend,
+    /// Told when the read parks; released through the receiver.
+    park: Mutex<Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>>,
+}
+
+/// How long a parked read waits for its release.
+const PARK_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+
+impl std::fmt::Debug for ParkingBackend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ParkingBackend").finish_non_exhaustive()
+    }
+}
+
+impl ParkingBackend {
+    /// Park the next read: the returned receiver hears when it parks, and
+    /// a send on the returned sender releases it. The send fails once the
+    /// read has stopped waiting.
+    fn park(&self) -> (std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        *unpoisoned(self.park.lock()) = Some((parked_tx, release_rx));
+        (parked_rx, release_tx)
+    }
+}
+
+impl StorageBackend for ParkingBackend {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+    fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> StoreResult<()> {
+        self.inner.put_epoch(epoch_id, epoch)
+    }
+    fn with_epoch(&self, epoch_id: u64, f: &mut dyn FnMut(&StoredEpoch)) -> StoreResult<()> {
+        let park = unpoisoned(self.park.lock()).take();
+        if let Some((parked, release)) = park {
+            parked.send(()).expect("the test waits for the park");
+            // Released or timed out, the read is served; the test tells
+            // which by whether its release still reached us.
+            let _ = release.recv_timeout(PARK_TIMEOUT);
+        }
+        self.inner.with_epoch(epoch_id, f)
+    }
+    fn update_epoch(
+        &self,
+        epoch_id: u64,
+        f: &mut dyn FnMut(&mut StoredEpoch) -> StoreResult<()>,
+    ) -> StoreResult<()> {
+        self.inner.update_epoch(epoch_id, f)
+    }
+    fn epoch_ids(&self) -> Vec<u64> {
+        self.inner.epoch_ids()
+    }
+    fn epoch_count(&self) -> usize {
+        self.inner.epoch_count()
+    }
+    fn total_rows(&self) -> usize {
+        self.inner.total_rows()
+    }
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+}
+
+/// No batch holds the epoch registry exclusively: while a batch of ranges
+/// (of every method) waits on its first store read, a point on another
+/// thread is planned, fetched and answered.
+#[test]
+fn a_batch_in_flight_does_not_exclude_a_point() {
+    let backend = Arc::new(ParkingBackend::default());
+    let (system, user, _) = two_epochs(backend.clone());
+    let ranges = [
+        Query::count().at_dims([2]).between(1800, 5399),
+        Query::sum(0).at_dims([3]).between(0, 3599),
+    ];
+    let point = Query::count().at_dims([2]).at(4000);
+    for method in [
+        RangeMethod::Bpb,
+        RangeMethod::Ebpb,
+        RangeMethod::WinSecRange,
+    ] {
+        let (parked, release) = backend.park();
+        let session = system.session(&user);
+        let batch = system
+            .session(&user)
+            .with_options(ExecOptions::with_method(method));
+        std::thread::scope(|scope| {
+            let in_flight = scope.spawn(|| batch.execute_batch(&ranges));
+            parked.recv().expect("the batch reads the store");
+            session.execute(&point).unwrap();
+            let overlapped = release.send(()).is_ok();
+            for answer in in_flight.join().unwrap() {
+                answer.unwrap();
+            }
+            assert!(overlapped, "{method:?}: the point waited for the batch");
+        });
+    }
 }
 
 /// A batch whose union is empty — no queries, or queries over none of this

@@ -328,24 +328,26 @@ pub fn process_rows_oblivious(
                     return Err(e);
                 }
             };
+            let authentic = u64::from(slot.is_some());
             if !plan.token_decides {
-                fake_contributed |= fake & u64::from(slot.is_some());
+                fake_contributed |= fake & authentic;
             }
-            let Some((dims, time, payload)) = slot else {
-                // Fake rows fail authentication; they contribute nothing but
-                // the work above was already constant.
-                continue;
-            };
+            // A row that fails authentication (a fake) folds a fixed dummy
+            // record that cannot match, so it costs what a real row costs.
+            let (dims, time, payload) = slot.map_or((&[][..], 0, &[][..]), |(d, t, p)| {
+                (d.as_slice(), *t, p.as_slice())
+            });
             if !plan.token_decides {
-                let in_range = u64::from(*time >= plan.time_range.0 && *time <= plan.time_range.1);
+                let in_range = u64::from(time >= plan.time_range.0 && time <= plan.time_range.1);
                 let obs_ok = match plan.observation {
                     Some(obs) => oeq(payload.first().copied().unwrap_or(u64::MAX), obs),
                     None => 1,
                 };
                 matched = in_range & obs_ok;
             }
+            matched &= authentic;
             ops.cmoves += 4;
-            fold_record_oblivious(&mut acc, aggregate, dims, *time, payload, matched);
+            fold_record_oblivious(&mut acc, aggregate, dims, time, payload, matched);
         } else {
             ops.cmoves += 1;
             acc.count = oadd_if(matched, acc.count, 1);

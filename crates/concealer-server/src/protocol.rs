@@ -99,8 +99,8 @@ pub enum Request {
         options: Option<ExecOptions>,
     },
     /// Execute a batch of queries ([`concealer_core::Session::execute_batch`]
-    /// semantics: cross-query bin dedup under BPB, per-query fallback
-    /// otherwise).
+    /// semantics: cross-query dedup of every method's fetch units;
+    /// forward-private batches run query by query).
     ExecuteBatch {
         /// Caller-chosen request id echoed in the reply (must be nonzero).
         id: u64,

@@ -67,19 +67,35 @@ fn run_batch(
     queries: &[Query],
     parallelism: usize,
 ) -> (Vec<QueryAnswer>, MeterSnapshot, Vec<AccessEvent>) {
-    let session = system
-        .session(user)
-        .with_options(ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(parallelism));
-    system.observer().reset();
-    let (answers, meter) = system.meter().measure(|| {
-        session
+    let opts = ExecOptions::with_method(RangeMethod::Bpb).with_parallelism(parallelism);
+    observed(system, || {
+        system
+            .session(user)
+            .with_options(opts)
             .execute_batch(queries)
             .into_iter()
             .map(|r| r.expect("batched execute"))
             .collect()
-    });
-    (answers, meter, system.observer().take_events())
+    })
 }
+
+/// What `run` returns, with the side-channel meter delta and the
+/// event-level trace it caused.
+fn observed<T>(
+    system: &ConcealerSystem,
+    run: impl FnOnce() -> T,
+) -> (T, MeterSnapshot, Vec<AccessEvent>) {
+    system.observer().reset();
+    let (out, meter) = system.meter().measure(run);
+    (out, meter, system.observer().take_events())
+}
+
+/// Every range method, for the sweeps over `ExecOptions`.
+const METHODS: [RangeMethod; 3] = [
+    RangeMethod::Bpb,
+    RangeMethod::Ebpb,
+    RangeMethod::WinSecRange,
+];
 
 /// A system that keeps no trace — what a server makes of the one it
 /// serves — answers exactly the same and records nothing, on one worker
@@ -155,6 +171,99 @@ proptest! {
             prop_assert_eq!(&trace, &batch_trace, "partial trace at parallelism={}", parallelism);
             prop_assert_eq!(meter, batch_meter, "partial meter at parallelism={}", parallelism);
         }
+
+        // A single `execute` is the batch of one, under every method,
+        // for a point and a range, verifying or not, oblivious or not:
+        // the same answer, the same trace event for event (its boundary
+        // included) and the same side-channel meter.
+        for query in random_mix(seed, 2) {
+            for (method, verify, oblivious) in METHODS
+                .into_iter()
+                .flat_map(|m| [(m, false), (m, true)])
+                .flat_map(|(m, v)| [(m, v, false), (m, v, true)])
+            {
+                let session = system.session(user).with_options(ExecOptions {
+                    method,
+                    verify,
+                    oblivious: Some(oblivious),
+                    ..ExecOptions::default()
+                });
+                let single = observed(system, || session.execute(&query).expect("single"));
+                let (mut batch, meter, trace) = observed(system, || {
+                    session.execute_batch(std::slice::from_ref(&query))
+                });
+                let batch = (batch.remove(0).expect("batch of one"), meter, trace);
+                prop_assert_eq!(
+                    &single,
+                    &batch,
+                    "{:?} verify={} oblivious={} {:?}",
+                    method,
+                    verify,
+                    oblivious,
+                    &query
+                );
+            }
+        }
+    }
+}
+
+/// eBPB and winSecRange batches run on the one stage executor too: a batch
+/// answers as sequential execution does and fetches the union of its
+/// queries' rows, fetching an identical cell-group unit once and leaving
+/// one boundary — a repeated query adds no event. Answers, trace and meter
+/// are the same on one worker and on four.
+#[test]
+fn cell_group_batches_dedupe_units_and_ignore_the_worker_count() {
+    let (system, user, _records) = demo_system(2, 407);
+    let distinct = random_mix(11, 10);
+    let mut queries = distinct.clone();
+    queries.extend_from_slice(&distinct[..5]);
+    for method in [RangeMethod::Ebpb, RangeMethod::WinSecRange] {
+        let session = system
+            .session(&user)
+            .with_options(ExecOptions::with_method(method));
+        system.observer().reset();
+        let sequential: Vec<QueryAnswer> = queries
+            .iter()
+            .map(|q| session.execute(q).expect("sequential"))
+            .collect();
+        let sequential_union: BTreeSet<(u64, u64)> = system
+            .observer()
+            .per_query_fetch_sets()
+            .into_iter()
+            .flatten()
+            .collect();
+        let batch = |queries: &[Query], parallelism: usize| {
+            let session = system
+                .session(&user)
+                .with_options(ExecOptions::with_method(method).with_parallelism(parallelism));
+            observed(&system, || {
+                session
+                    .execute_batch(queries)
+                    .into_iter()
+                    .map(|r| r.expect("batched execute"))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let one = batch(&queries, 1);
+        assert_eq!(one.0, sequential, "{method:?}");
+        let boundaries = one
+            .2
+            .iter()
+            .filter(|e| matches!(e, AccessEvent::QueryBoundary))
+            .count();
+        assert_eq!(boundaries, 1, "{method:?}");
+        let rows: BTreeSet<(u64, u64)> = concealer_storage::AccessObserver::summarize(&one.2)
+            .fetch_frequency
+            .into_keys()
+            .collect();
+        assert_eq!(rows, sequential_union, "{method:?}");
+        assert_eq!(
+            batch(&distinct, 1).2,
+            one.2,
+            "{method:?}: repeats add no event"
+        );
+        assert_eq!(batch(&queries, 4), one, "{method:?} at parallelism 4");
     }
 }
 

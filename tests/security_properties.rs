@@ -4,7 +4,8 @@
 
 use concealer_core::query::AnswerValue;
 use concealer_core::{CoreError, ExecOptions, Query, RangeMethod};
-use concealer_examples::{demo_config, demo_system};
+use concealer_enclave::MeterSnapshot;
+use concealer_examples::{demo_config, demo_system, DEMO_ACCESS_POINTS};
 use concealer_workloads::{WifiConfig, WifiGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -226,6 +227,62 @@ fn oblivious_processing_is_predicate_independent() {
         snap_sparse.trapdoors_generated
     );
     assert_eq!(snap_dense.decryptions, snap_sparse.decryptions);
+}
+
+/// Concealer+ obliviousness across bins: a fake row costs what a real row
+/// costs, so the side-channel meter of a point query is the same whichever
+/// bin it lands in — it does not count the bin's real rows. One point per
+/// bin of the demo epoch (bins told apart by their fetch sets), for every
+/// aggregate.
+#[test]
+fn oblivious_meter_is_the_same_for_every_bin() {
+    let (system, user, _records) = demo_system(1, 208);
+    let session = system.session(&user).with_options(ExecOptions {
+        oblivious: Some(true),
+        ..ExecOptions::default()
+    });
+    let mut per_bin: Vec<(u64, u64)> = Vec::new();
+    let mut fetch_sets: BTreeSet<Vec<(u64, u64)>> = BTreeSet::new();
+    for location in 0..DEMO_ACCESS_POINTS {
+        for time in (0..3600).step_by(900) {
+            system.observer().reset();
+            session
+                .execute(&Query::count().at_dims([location]).at(time))
+                .unwrap();
+            let set = system.observer().per_query_fetch_sets().remove(0);
+            if fetch_sets.insert(set) {
+                per_bin.push((location, time));
+            }
+        }
+    }
+    let bins = system.engine().plan_stats(0).unwrap().num_bins;
+    assert!(per_bin.len() > 1, "one bin of {bins} reached");
+
+    let aggregates = [
+        Query::count(),
+        Query::sum(0),
+        Query::min(0),
+        Query::max(0),
+        Query::average(0),
+        Query::top_k_locations(3),
+        Query::locations_with_at_least(1),
+        Query::collect_rows(),
+    ];
+    for aggregate in aggregates {
+        let meters: Vec<MeterSnapshot> = per_bin
+            .iter()
+            .map(|&(location, time)| {
+                let query = aggregate.clone().at_dims([location]).at(time);
+                let (answer, meter) = system.meter().measure(|| session.execute(&query));
+                answer.unwrap();
+                meter
+            })
+            .collect();
+        assert!(
+            meters.iter().all(|meter| *meter == meters[0]),
+            "{aggregate:?}: {meters:#?}"
+        );
+    }
 }
 
 /// Workload attack (§8): with super-bins enabled the adversary observes a
