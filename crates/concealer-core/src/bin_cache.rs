@@ -19,9 +19,12 @@
 //! exact `TrapdoorIssued`/`RowFetched` event sequence a cold fetch would,
 //! and replays the recorded generation counters into the side-channel
 //! meter. What a hit *skips* is work the adversary cannot observe in either
-//! channel: re-deriving trapdoor ciphertexts, re-verifying hash chains and
-//! re-decrypting payloads inside the enclave. `tests/cache_side_channel.rs`
-//! pins warm-equals-cold for both the event trace and the meter.
+//! channel: re-deriving trapdoor ciphertexts, re-verifying hash chains,
+//! re-decrypting payloads and re-matching every row against the filter
+//! tokens inside the enclave — the entry's [`DecodedBin`] keeps each row's
+//! decode and the indexes that let a fold visit only the rows that can
+//! match. `tests/cache_side_channel.rs` pins warm-equals-cold for both the
+//! event trace and the meter.
 //!
 //! Entries are keyed by `(epoch, bin, round)`; the §6 forward-privacy
 //! protocol bumps a bin's round counter when it rewrites the bin, so
@@ -52,9 +55,14 @@ pub(crate) type BinKey = (u64, usize, u64);
 /// Everything the engine needs to serve a bin without re-deriving it: the
 /// round key, the deterministic trapdoors (replayed against the store on
 /// every hit), the side-channel counters their generation produced, the
-/// fetched rows, and the per-row payload decode results filled in lazily by
-/// the filter stage. A fetched eBPB / winSecRange cell-group has the same
-/// shape, but is never cached.
+/// fetched rows, and what the filter stage fills in lazily: the per-row
+/// payload decodes and the row indexes of [`DecodedBin`]. The indexes,
+/// built by the first fold that needs each, cost 16 B per row for each
+/// filter column plain folds have matched, and 16 B per row more once predicates
+/// the tokens cannot decide have: at most 48 B per row, beside the rows'
+/// ≈145 B of ciphertext. A
+/// fetched eBPB / winSecRange cell-group has the same shape, but is never
+/// cached.
 pub(crate) struct BinEntry {
     /// The `(epoch, round)` key the bin's rows are encrypted under.
     pub key: Arc<EpochKey>,
@@ -68,7 +76,7 @@ pub(crate) struct BinEntry {
     /// The fetched (still encrypted) rows, in fetch order: the enclave's
     /// one copy of what the store returned.
     pub rows: RowArena,
-    /// Lazily populated per-row payload decode results.
+    /// Lazily populated per-row payload decode results and row indexes.
     pub decoded: DecodedBin,
     /// Which rows a fake trapdoor claimed, as verification found them
     /// (empty for an unverified entry): the filter stage refuses any of

@@ -67,7 +67,7 @@ impl QueryEngine {
     /// side-channel meter, so the cache is invisible in both adversary
     /// channels (see [`crate::bin_cache`] module docs). What a hit skips is
     /// enclave-internal work only: trapdoor re-derivation, hash-chain
-    /// re-verification and payload re-decryption.
+    /// re-verification, payload re-decryption and re-matching.
     ///
     /// Takes the store handle explicitly so the batch executor can
     /// substitute a handle bound to a task-local observer (same stored
@@ -174,9 +174,10 @@ impl QueryEngine {
     /// the accumulate step every method ends in. The filter plan is
     /// memoized per `(epoch, round)` in the caller-provided memo (plans
     /// depend only on the round key, the config and the query, so every
-    /// fetch of a round shares one plan), and per-row payload decodes go
-    /// through the entry's [`DecodedBin`] so each row is decrypted at most
-    /// once per entry lifetime regardless of how many queries visit it.
+    /// fetch of a round shares one plan), and per-row payload decodes and
+    /// the row indexes go through the entry's [`DecodedBin`], so each row
+    /// is decrypted and indexed at most once per entry lifetime regardless
+    /// of how many queries visit it.
     pub(super) fn fold_entry(
         &self,
         rt: &EpochRuntime,

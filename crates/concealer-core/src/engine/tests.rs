@@ -1,7 +1,7 @@
 use super::*;
 use crate::bins::max_window_load;
 use crate::config::{FakeTupleStrategy, GridShape};
-use crate::query::AnswerValue;
+use crate::query::{Aggregate, AnswerValue};
 use crate::types::Record;
 use std::collections::btree_map;
 use std::sync::Arc;
@@ -945,7 +945,9 @@ impl Fault {
 
 /// The cleartext count of a count query; a point counts its granule, which
 /// is what its one filter token covers.
-fn oracle_count(records: &[Record], query: &Query) -> AnswerValue {
+/// The cleartext answer to `query` (a `Count`, `Sum` or `TopKLocations`)
+/// over `records`.
+fn oracle(records: &[Record], query: &Query) -> AnswerValue {
     let (dims, span) = match &query.predicate {
         Predicate::Point { dims, time } => {
             (Some(dims.as_slice()), (time / 60 * 60, time / 60 * 60 + 59))
@@ -957,7 +959,26 @@ fn oracle_count(records: &[Record], query: &Query) -> AnswerValue {
             ..
         } => (dims.as_deref(), (*time_start, *time_end)),
     };
-    AnswerValue::Count(cleartext_count(records, dims, None, span))
+    let matching = records
+        .iter()
+        .filter(|r| dims.is_none_or(|d| r.dims == d) && r.time >= span.0 && r.time <= span.1);
+    match query.aggregate {
+        Aggregate::Count => AnswerValue::Count(cleartext_count(records, dims, None, span)),
+        Aggregate::Sum { attr } => {
+            AnswerValue::Number(matching.map(|r| r.payload[attr]).reduce(|a, b| a + b))
+        }
+        Aggregate::TopKLocations { k } => {
+            let mut per_location = BTreeMap::new();
+            for r in matching {
+                *per_location.entry(r.dims[0]).or_insert(0) += 1;
+            }
+            let mut pairs: Vec<(u64, u64)> = per_location.into_iter().collect();
+            pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            pairs.truncate(k);
+            AnswerValue::LocationCounts(pairs)
+        }
+        ref other => panic!("no oracle for {other:?}"),
+    }
 }
 
 /// ROADMAP 5c's first slice: for each method, its executions run once
@@ -970,13 +991,25 @@ fn a_malicious_provider_never_gets_a_wrong_answer_verified() {
     let point = Query::count().at_dims([5]).at(1_000);
     let range = Query::count().at_dims([3]).between(0, 1799);
     let twice = |query: &Query, opts: ExecOptions| vec![(query.clone(), opts); 2];
+    let bpb = ExecOptions::with_method(RangeMethod::Bpb);
     let cases = [
         ("BPB point", false, twice(&point, ExecOptions::default())),
+        // The payload decides: the fold decrypts the token matches.
         (
-            "BPB range",
+            "BPB Sum point",
             false,
-            twice(&range, ExecOptions::with_method(RangeMethod::Bpb)),
+            twice(
+                &Query::sum(0).at_dims([5]).at(1_000),
+                ExecOptions::default(),
+            ),
         ),
+        // No token decides: the fold visits the time index's rows.
+        (
+            "BPB all-locations TopKLocations range",
+            false,
+            twice(&Query::top_k_locations(3).between(600, 2399), bpb),
+        ),
+        ("BPB range", false, twice(&range, bpb)),
         (
             "eBPB",
             false,
@@ -1012,10 +1045,7 @@ fn a_malicious_provider_never_gets_a_wrong_answer_verified() {
     for (name, oblivious, runs) in cases {
         let (system, user, records, backend) = deploy(oblivious);
         backend.watch(system.observer().clone());
-        let oracle: Vec<AnswerValue> = runs
-            .iter()
-            .map(|(q, _)| oracle_count(&records, q))
-            .collect();
+        let oracle: Vec<AnswerValue> = runs.iter().map(|(q, _)| oracle(&records, q)).collect();
         for ((query, opts), want) in runs.iter().zip(&oracle) {
             let answer = system.session(&user).execute_with(query, *opts).unwrap();
             assert_eq!((&answer.value, answer.verified), (want, true), "{name}");

@@ -9,8 +9,12 @@
 //!    predicate values concatenated with each time granule in the queried
 //!    range (`E_k(l||t)`, `E_k(o||t)`), exactly mirroring what the data
 //!    provider stored in the filter columns,
-//! 2. string-matches every fetched row's filter columns against the token
-//!    set (no decryption),
+//! 2. string-matches the fetched rows' filter columns against the sorted
+//!    token lists (no decryption). The plain variant looks each token up
+//!    in the unit's filter index ([`DecodedBin`]), so it visits only the
+//!    rows whose column equals a token; a predicate the tokens cannot
+//!    decide visits only the authentic rows inside its time range, through
+//!    the unit's time index,
 //! 3. decrypts the payload column only for rows that the aggregate actually
 //!    needs values from (counts never decrypt; sums/min/max/top-k decrypt
 //!    matching rows only).
@@ -30,7 +34,7 @@
 //! branch-free and checks it after the loop, so its metered work is that of
 //! an honest fetch.
 
-use std::collections::HashSet;
+use std::ops::Deref;
 use std::sync::OnceLock;
 
 use concealer_crypto::EpochKey;
@@ -53,10 +57,10 @@ const FAKE_SLOT_VIOLATION: CoreError = CoreError::IntegrityViolation { cell_id: 
 pub struct FilterPlan {
     /// Tokens matched against the dimension filter column. Empty when the
     /// predicate does not pin the indexed attributes.
-    pub dim_tokens: HashSet<Vec<u8>>,
+    pub dim_tokens: Tokens,
     /// Tokens matched against the observation filter column. Empty when the
     /// predicate does not pin an observation.
-    pub obs_tokens: HashSet<Vec<u8>>,
+    pub obs_tokens: Tokens,
     /// Inclusive time range every matching tuple must fall in (residual
     /// check applied after decryption when no token filter constrains the
     /// row).
@@ -69,11 +73,47 @@ pub struct FilterPlan {
     pub token_decides: bool,
 }
 
+/// A set of filter tokens, held as a sorted list without duplicates: the
+/// order a fold's binary searches and index walks rely on, kept by
+/// construction. Collect tokens into it; read it as a slice.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Tokens(Vec<Vec<u8>>);
+
+impl Tokens {
+    /// Whether `column` is one of the tokens.
+    #[must_use]
+    pub fn contains(&self, column: &[u8]) -> bool {
+        self.0
+            .binary_search_by(|token| token.as_slice().cmp(column))
+            .is_ok()
+    }
+}
+
+impl FromIterator<Vec<u8>> for Tokens {
+    fn from_iter<I: IntoIterator<Item = Vec<u8>>>(tokens: I) -> Self {
+        let mut tokens: Vec<Vec<u8>> = tokens.into_iter().collect();
+        tokens.sort_unstable();
+        tokens.dedup();
+        Tokens(tokens)
+    }
+}
+
+impl Deref for Tokens {
+    type Target = [Vec<u8>];
+
+    fn deref(&self) -> &[Vec<u8>] {
+        &self.0
+    }
+}
+
 /// One row's decoded payload: `(dims, time, payload)` as stored by the
 /// provider.
 pub type DecodedRow = (Vec<u64>, u64, Vec<u64>);
 
-/// Per-row payload decode cache for one fetched bin.
+/// `(key, row)` pairs sorted by key: the shape of both unit indexes.
+type RowIndex = Vec<(u64, u32)>;
+
+/// Per-row payload decode cache and row indexes for one fetched unit.
 ///
 /// Payload decryption is the dominant per-row cost of the filter stage, and
 /// a batch frequently runs several queries over the same fetched bin. The
@@ -82,20 +122,41 @@ pub type DecodedRow = (Vec<u64>, u64, Vec<u64>);
 /// (whose payload fails authentication by design) — so the second query
 /// over a bin decrypts nothing.
 ///
+/// Beside the decodes it keeps what a plain fold needs to find the rows
+/// that can match, each built by the first fold that needs it:
+/// - per filter column, `(first 8 bytes, row)` over every row, sorted. The
+///   first 8 bytes of a deterministic ciphertext are its SIV tag, which is
+///   uniform, so a token's equal-prefix run is nearly always its matches
+///   alone (a full compare settles the rest).
+/// - `(decoded time, row)` over the authentic rows, sorted. It is built by
+///   decoding every row in row order, as the residual fold does, and is
+///   unusable — every residual fold then visits every row — when a row
+///   fails to decode or an authentic row was claimed by a fake trapdoor,
+///   so those folds fail exactly where a full scan does.
+///
+/// Each index takes 16 B per row of the unit.
+///
+/// A `DecodedBin` describes one fetch: every call passes it the same rows
+/// and the same fake mask (a [`crate::bin_cache`] entry holds all three).
+///
 /// The cache changes no observable behaviour: the side-channel meter's
 /// `decryptions` counter is driven by the *processing schedule* (which rows
 /// the variant would decrypt), not by whether the cache already holds the
-/// plaintext, so metered counts are identical warm and cold. Slots are
-/// [`OnceLock`]s, making concurrent filling from parallel per-query
-/// aggregation tasks safe. Decode *errors* (a corrupt but authentic
-/// payload) are deliberately not cached: they propagate to the caller and
-/// re-surface on every retry. The slots themselves are allocated by the
-/// first decode, so a bin that only ever answers token-decided counts
-/// never pays for them.
+/// plaintext or which rows an index let the fold skip, so metered counts
+/// are identical warm and cold. Slots and indexes are [`OnceLock`]s, making
+/// concurrent filling from parallel per-query aggregation tasks safe.
+/// Decode *errors* (a corrupt but authentic payload) are deliberately not
+/// cached: they propagate to the caller and re-surface on every retry. The
+/// slots themselves are allocated by the first decode, so a bin that only
+/// ever answers token-decided counts never pays for them.
 #[derive(Debug, Default)]
 pub struct DecodedBin {
     rows: usize,
     slots: OnceLock<Vec<OnceLock<Option<DecodedRow>>>>,
+    /// Per filter column (dims, observation): `(prefix, row)`, sorted.
+    filters: [OnceLock<RowIndex>; 2],
+    /// `(time, row)` of the authentic rows, sorted; `None` when unusable.
+    times: OnceLock<Option<RowIndex>>,
 }
 
 impl DecodedBin {
@@ -104,7 +165,7 @@ impl DecodedBin {
     pub fn new(rows: usize) -> Self {
         DecodedBin {
             rows,
-            slots: OnceLock::new(),
+            ..DecodedBin::default()
         }
     }
 
@@ -125,6 +186,51 @@ impl DecodedBin {
             None => decode_into(&slots[idx], key, row),
         }
     }
+
+    /// Filter column `column`'s index over `rows`. A row without that
+    /// column is left out: it matches no token.
+    fn filter_index(&self, column: usize, rows: &RowArena) -> &[(u64, u32)] {
+        self.filters[column].get_or_init(|| {
+            let mut index = RowIndex::with_capacity(rows.len());
+            index.extend(
+                rows.iter()
+                    .zip(0u32..)
+                    .filter_map(|(row, idx)| Some((prefix(filter_of(row, column)?), idx))),
+            );
+            index.sort_unstable();
+            index
+        })
+    }
+
+    /// The time index over `rows` (see the type docs), or `None` where only
+    /// a full scan reproduces the schedule's outcome.
+    fn time_index(
+        &self,
+        key: &EpochKey,
+        rows: &RowArena,
+        fake_claimed: &[bool],
+    ) -> Option<&[(u64, u32)]> {
+        self.times
+            .get_or_init(|| {
+                let mut index = RowIndex::with_capacity(rows.len());
+                for (row, idx) in rows.iter().zip(0u32..) {
+                    let Some((_, time, _)) = self.get_or_decode(idx as usize, key, row).ok()?
+                    else {
+                        continue;
+                    };
+                    if claimed(fake_claimed, idx as usize) {
+                        return None;
+                    }
+                    index.push((*time, idx));
+                }
+                // A fetch returns each cell-id's rows in counter order, which
+                // is the order the provider received them in: a few ascending
+                // runs, which the stable sort merges rather than re-sorts.
+                index.sort();
+                Some(index)
+            })
+            .as_deref()
+    }
 }
 
 /// Decrypt and decode `row`'s payload into its (empty) slot. Kept out of
@@ -143,6 +249,25 @@ fn decode_into<'s>(
     Ok(slot.get_or_init(|| computed).as_ref())
 }
 
+/// A filter column's index key: its first 8 bytes, big-endian, zero-padded.
+/// Byte order and key order agree, so sorted tokens have ascending keys.
+fn prefix(column: &[u8]) -> u64 {
+    let mut head = [0u8; 8];
+    let len = column.len().min(8);
+    head[..len].copy_from_slice(&column[..len]);
+    u64::from_be_bytes(head)
+}
+
+/// Filter column `column` of `row`, if the row has one.
+fn filter_of(row: RowRef<'_>, column: usize) -> Option<&[u8]> {
+    (column < row.filter_count()).then(|| row.filter(column))
+}
+
+/// Whether the fake mask marks row `idx` (an empty mask marks none).
+fn claimed(fake_claimed: &[bool], idx: usize) -> bool {
+    fake_claimed.get(idx).copied().unwrap_or(false)
+}
+
 /// Build the filter plan for a predicate against one epoch window.
 #[must_use]
 pub fn build_filter_plan(
@@ -156,23 +281,25 @@ pub fn build_filter_plan(
     let hi = t_end.min(window.end().saturating_sub(1));
     let g = config.time_granularity.max(1);
 
-    let mut dim_tokens = HashSet::new();
-    let mut obs_tokens = HashSet::new();
+    let mut dim_tokens = Vec::new();
+    let mut obs_tokens = Vec::new();
 
     if lo <= hi {
         let first_granule = lo / g;
         let last_granule = hi / g;
         if let Some(dims) = predicate.dims() {
             for granule in first_granule..=last_granule {
-                dim_tokens.insert(key.det.encrypt(&codec::filter_dims_plain(dims, granule)));
+                dim_tokens.push(key.det.encrypt(&codec::filter_dims_plain(dims, granule)));
             }
         }
         if let Some(obs) = predicate.observation() {
             for granule in first_granule..=last_granule {
-                obs_tokens.insert(key.det.encrypt(&codec::filter_obs_plain(obs, granule)));
+                obs_tokens.push(key.det.encrypt(&codec::filter_obs_plain(obs, granule)));
             }
         }
     }
+    let dim_tokens: Tokens = dim_tokens.into_iter().collect();
+    let obs_tokens: Tokens = obs_tokens.into_iter().collect();
 
     let token_decides = !dim_tokens.is_empty() || !obs_tokens.is_empty();
     FilterPlan {
@@ -188,6 +315,13 @@ pub fn build_filter_plan(
 /// `fake_claimed[i]` says a fake trapdoor claimed row `i` (see the module
 /// docs); an empty mask checks nothing.
 ///
+/// The fold visits, in ascending row order, only the rows that can change
+/// its outcome: those whose filter columns equal a token when the tokens
+/// decide, otherwise the authentic rows inside the time range — or every
+/// row, when the unit's time index is unusable ([`DecodedBin`]). A row it
+/// skips would have done nothing in a full scan, or (an authentic row
+/// outside the time range) only been decrypted, which it still counts.
+///
 /// The metered `decryptions` count follows the processing schedule — one
 /// per row the plain variant decrypts — whether or not `decoded` already
 /// holds the plaintext, so warm and cold executions meter identically.
@@ -200,68 +334,140 @@ pub fn process_rows_plain(
     fake_claimed: &[bool],
     meter: &SideChannelMeter,
 ) -> Result<(Accumulator, usize)> {
-    let mut acc = Accumulator::default();
-    let mut decrypted = 0usize;
+    let mut fold = PlainFold {
+        key,
+        plan,
+        aggregate,
+        rows,
+        decoded,
+        fake_claimed,
+        acc: Accumulator::default(),
+        decrypted: 0,
+        ops: MeterSnapshot::default(),
+    };
+    let out = if plan.token_decides {
+        fold.visit(token_matches(plan, rows, decoded))
+    } else if let Some(by_time) = decoded.time_index(key, rows, fake_claimed) {
+        let (lo, hi) = plan.time_range;
+        let start = by_time.partition_point(|&(time, _)| time < lo);
+        let end = by_time.partition_point(|&(time, _)| time <= hi).max(start);
+        let in_range = &by_time[start..end];
+        // The schedule decrypts every authentic row; those outside the
+        // range are only counted.
+        let skipped = by_time.len() - in_range.len();
+        fold.decrypted += skipped;
+        fold.ops.decryptions += skipped as u64;
+        let mut in_range: Vec<usize> = in_range.iter().map(|&(_, idx)| idx as usize).collect();
+        in_range.sort_unstable();
+        fold.visit(in_range)
+    } else {
+        fold.visit(0..rows.len())
+    };
     // Counters are accumulated locally and flushed once per call so the
     // shared meter mutex is not taken per row (see
-    // `SideChannelMeter::add_snapshot`).
-    let mut ops = MeterSnapshot::default();
-    let is_fake = |idx: usize| fake_claimed.get(idx).copied().unwrap_or(false);
+    // `SideChannelMeter::add_snapshot`). On an error they hold the work
+    // done up to it: that work *was* performed, and the meter is the
+    // side-channel model the security tests reason about.
+    meter.add_snapshot(fold.ops);
+    out.map(|()| (fold.acc, fold.decrypted))
+}
 
-    for (idx, row) in rows.iter().enumerate() {
-        // Fake tuples never match any token and their payloads are not
-        // decryptable; skip them cheaply by token mismatch / decrypt error.
-        let token_match = row_matches_tokens(plan, row);
-        if plan.token_decides {
-            if !token_match {
-                continue;
+/// The rows whose filter columns satisfy `plan`'s token sets, ascending:
+/// every token looked up in one column's index. A row must also match the
+/// other column's tokens, when there are any.
+fn token_matches(plan: &FilterPlan, rows: &RowArena, decoded: &DecodedBin) -> Vec<usize> {
+    let (column, tokens) = if plan.dim_tokens.is_empty() {
+        (1, &plan.obs_tokens)
+    } else {
+        (0, &plan.dim_tokens)
+    };
+    let obs_ok = |row: RowRef<'_>| {
+        column == 1
+            || plan.obs_tokens.is_empty()
+            || filter_of(row, 1).is_some_and(|obs| plan.obs_tokens.contains(obs))
+    };
+    let index = decoded.filter_index(column, rows);
+    let mut matches = Vec::new();
+    // Tokens ascend, and so do their keys: each search starts where the
+    // previous token's run began.
+    let mut from = 0;
+    for token in tokens.iter() {
+        let key = prefix(token);
+        from += index[from..].partition_point(|&(k, _)| k < key);
+        for &(_, idx) in index[from..].iter().take_while(|&&(k, _)| k == key) {
+            let idx = idx as usize;
+            let row = rows.get(idx).expect("an indexed row is in the unit");
+            if filter_of(row, column) == Some(token.as_slice()) && obs_ok(row) {
+                matches.push(idx);
             }
-            if is_fake(idx) {
-                meter.add_snapshot(ops);
+        }
+    }
+    matches.sort_unstable();
+    matches
+}
+
+/// One plain fold over one unit: the per-row body every visit order shares.
+struct PlainFold<'a> {
+    key: &'a EpochKey,
+    plan: &'a FilterPlan,
+    aggregate: &'a Aggregate,
+    rows: &'a RowArena,
+    decoded: &'a DecodedBin,
+    fake_claimed: &'a [bool],
+    acc: Accumulator,
+    decrypted: usize,
+    ops: MeterSnapshot,
+}
+
+impl PlainFold<'_> {
+    /// Fold the rows `visit` names, in its order, stopping at the first
+    /// error.
+    fn visit(&mut self, visit: impl IntoIterator<Item = usize>) -> Result<()> {
+        visit.into_iter().try_for_each(|idx| self.row(idx))
+    }
+
+    /// Fold row `idx`. When the tokens decide, the caller has matched it.
+    fn row(&mut self, idx: usize) -> Result<()> {
+        let plan = self.plan;
+        let is_fake = claimed(self.fake_claimed, idx);
+        if plan.token_decides {
+            if is_fake {
                 return Err(FAKE_SLOT_VIOLATION);
             }
-            if !aggregate.needs_decryption() {
-                acc.count += 1;
-                continue;
+            if !self.aggregate.needs_decryption() {
+                self.acc.count += 1;
+                return Ok(());
             }
         }
         // Need the payload: either the aggregate requires values, or the
         // predicate could not be decided by tokens alone.
-        let slot = match decoded.get_or_decode(idx, key, row) {
-            Ok(slot) => slot,
-            Err(e) => {
-                // The decryption preceding the failed decode did succeed;
-                // flush the counters accumulated so far — the work *was*
-                // performed, and the meter is the side-channel model the
-                // security tests reason about.
-                ops.decryptions += 1;
-                meter.add_snapshot(ops);
-                return Err(e);
-            }
-        };
+        let row = self.rows.get(idx).expect("a visited row is in the unit");
+        let decoded = self.decoded;
+        let slot = decoded
+            .get_or_decode(idx, self.key, row)
+            // The decryption preceding a failed decode did succeed.
+            .inspect_err(|_| self.ops.decryptions += 1)?;
         let Some((dims, time, payload)) = slot else {
-            continue; // fake tuple
+            return Ok(()); // fake tuple
         };
-        decrypted += 1;
-        ops.decryptions += 1;
-        if is_fake(idx) {
-            meter.add_snapshot(ops);
+        self.decrypted += 1;
+        self.ops.decryptions += 1;
+        if is_fake {
             return Err(FAKE_SLOT_VIOLATION);
         }
         if !plan.token_decides {
             if *time < plan.time_range.0 || *time > plan.time_range.1 {
-                continue;
+                return Ok(());
             }
             if let Some(obs) = plan.observation {
                 if payload.first().copied() != Some(obs) {
-                    continue;
+                    return Ok(());
                 }
             }
         }
-        fold_record(&mut acc, aggregate, dims, *time, payload);
+        fold_record(&mut self.acc, self.aggregate, dims, *time, payload);
+        Ok(())
     }
-    meter.add_snapshot(ops);
-    Ok((acc, decrypted))
 }
 
 /// Filter and aggregate obliviously (Concealer+): every row and every token
@@ -288,16 +494,16 @@ pub fn process_rows_oblivious(
     let mut fake_contributed = 0u64;
 
     for (idx, row) in rows.iter().enumerate() {
-        let fake = u64::from(fake_claimed.get(idx).copied().unwrap_or(false));
+        let fake = u64::from(claimed(fake_claimed, idx));
         ops.element_touches += 1;
         // Branch-free token matching: compare against every token.
         let mut dim_match = 0u64;
-        for token in &plan.dim_tokens {
+        for token in plan.dim_tokens.iter() {
             ops.comparisons += 1;
             dim_match = omove(bytes_eq_flag(token, row.filter(0)), 1, dim_match);
         }
         let mut obs_match = 0u64;
-        for token in &plan.obs_tokens {
+        for token in plan.obs_tokens.iter() {
             ops.comparisons += 1;
             obs_match = omove(bytes_eq_flag(token, row.filter(1)), 1, obs_match);
         }
@@ -358,15 +564,6 @@ pub fn process_rows_oblivious(
         return Err(FAKE_SLOT_VIOLATION);
     }
     Ok((acc, decrypted))
-}
-
-/// Whether a row's filter columns satisfy the token sets (plain variant —
-/// early exits are fine here because this path assumes a side-channel-free
-/// enclave).
-fn row_matches_tokens(plan: &FilterPlan, row: RowRef<'_>) -> bool {
-    let dim_ok = plan.dim_tokens.is_empty() || plan.dim_tokens.contains(row.filter(0));
-    let obs_ok = plan.obs_tokens.is_empty() || plan.obs_tokens.contains(row.filter(1));
-    dim_ok && obs_ok
 }
 
 /// Constant-shape byte equality: accumulates a difference mask over the full
@@ -468,6 +665,9 @@ mod tests {
     use crate::config::SystemConfig;
     use concealer_crypto::{EpochId, MasterKey};
     use concealer_storage::EncryptedRow;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn key() -> EpochKey {
         MasterKey::from_bytes([6u8; 32]).epoch_key(EpochId(0), 0)
@@ -904,6 +1104,17 @@ mod tests {
     }
 
     #[test]
+    fn tokens_are_sorted_and_unique_however_collected() {
+        let tokens: Tokens = [b"c", b"a", b"c", b"b"]
+            .map(|t| t.to_vec())
+            .into_iter()
+            .collect();
+        assert_eq!(&*tokens, &[b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
+        assert!(tokens.contains(b"b"));
+        assert!(!tokens.contains(b"d"));
+    }
+
+    #[test]
     fn range_outside_window_produces_no_tokens() {
         let key = key();
         let plan = build_filter_plan(
@@ -918,5 +1129,207 @@ mod tests {
             window(),
         );
         assert!(plan.dim_tokens.is_empty());
+    }
+
+    /// The plain fold as it was before the unit indexes: every row in row
+    /// order, each filter column looked up in the token sets. The oracle of
+    /// `process_rows_plain`.
+    fn full_scan(
+        key: &EpochKey,
+        plan: &FilterPlan,
+        aggregate: &Aggregate,
+        rows: &RowArena,
+        decoded: &DecodedBin,
+        fake_claimed: &[bool],
+        meter: &SideChannelMeter,
+    ) -> Result<(Accumulator, usize)> {
+        let mut acc = Accumulator::default();
+        let mut decrypted = 0usize;
+        let mut ops = MeterSnapshot::default();
+        let is_fake = |idx: usize| fake_claimed.get(idx).copied().unwrap_or(false);
+        let matches = |tokens: &[Vec<u8>], column: &[u8]| {
+            tokens.is_empty() || tokens.iter().any(|t| t.as_slice() == column)
+        };
+        for (idx, row) in rows.iter().enumerate() {
+            let token_match = matches(&plan.dim_tokens, row.filter(0))
+                && matches(&plan.obs_tokens, row.filter(1));
+            if plan.token_decides {
+                if !token_match {
+                    continue;
+                }
+                if is_fake(idx) {
+                    meter.add_snapshot(ops);
+                    return Err(FAKE_SLOT_VIOLATION);
+                }
+                if !aggregate.needs_decryption() {
+                    acc.count += 1;
+                    continue;
+                }
+            }
+            let slot = match decoded.get_or_decode(idx, key, row) {
+                Ok(slot) => slot,
+                Err(e) => {
+                    ops.decryptions += 1;
+                    meter.add_snapshot(ops);
+                    return Err(e);
+                }
+            };
+            let Some((dims, time, payload)) = slot else {
+                continue;
+            };
+            decrypted += 1;
+            ops.decryptions += 1;
+            if is_fake(idx) {
+                meter.add_snapshot(ops);
+                return Err(FAKE_SLOT_VIOLATION);
+            }
+            if !plan.token_decides {
+                if *time < plan.time_range.0 || *time > plan.time_range.1 {
+                    continue;
+                }
+                if let Some(obs) = plan.observation {
+                    if payload.first().copied() != Some(obs) {
+                        continue;
+                    }
+                }
+            }
+            fold_record(&mut acc, aggregate, dims, *time, payload);
+        }
+        meter.add_snapshot(ops);
+        Ok((acc, decrypted))
+    }
+
+    /// A random unit: real rows over four locations, three observations
+    /// and a handful of granules, honest fakes, fakes whose filter columns
+    /// share a real row's first 8 bytes, now and then an authentic row
+    /// whose payload does not decode, and a fake mask that is empty, honest
+    /// (the fakes) or random. Returns the rows, the mask and a real row's
+    /// `(location, time, observation)` to aim predicates at.
+    fn random_unit(key: &EpochKey, rng: &mut StdRng) -> (RowArena, Vec<bool>, (u64, u64, u64)) {
+        let n = rng.gen_range(1..24usize);
+        let broken = rng.gen_bool(0.25).then(|| rng.gen_range(0..n));
+        let mut rows = Vec::with_capacity(n);
+        let mut fakes = Vec::with_capacity(n);
+        let mut aim = (0, 0, 0);
+        for idx in 0..n {
+            let real = real_row(
+                key,
+                rng.gen_range(0..4u64),
+                rng.gen_range(0..6u64) * 60 + rng.gen_range(0..60u64),
+                rng.gen_range(0..3u64),
+            );
+            let row = match rng.gen_range(0..6u32) {
+                _ if broken == Some(idx) => EncryptedRow {
+                    payload: key.det.encrypt(b"not a payload"),
+                    ..real
+                },
+                0 => fake_row(key),
+                1 => {
+                    // Same first 8 bytes as a real row's columns, distinct
+                    // columns.
+                    let mut filters = real.filters;
+                    for column in &mut filters {
+                        *column.last_mut().expect("a filter column") ^= 1;
+                    }
+                    EncryptedRow {
+                        filters,
+                        ..fake_row(key)
+                    }
+                }
+                _ => real,
+            };
+            fakes.push(row.index_key == fake_row(key).index_key);
+            rows.push(row);
+        }
+        for row in &rows {
+            if let Ok(plain) = key.det.decrypt(&row.payload) {
+                if let Ok((dims, time, payload)) = codec::decode_payload_plain(&plain) {
+                    aim = (dims[0], time, payload[0]);
+                }
+            }
+        }
+        let mask = match rng.gen_range(0..3u32) {
+            0 => Vec::new(),
+            1 => fakes,
+            _ => (0..n).map(|_| rng.gen_bool(0.15)).collect(),
+        };
+        (RowArena::from(rows), mask, aim)
+    }
+
+    /// Every predicate shape, aimed at one real row `(location, time,
+    /// observation)`, with a random time range.
+    fn predicates(rng: &mut StdRng, (loc, time, obs): (u64, u64, u64)) -> Vec<Predicate> {
+        let start = rng.gen_range(0..=time);
+        let end = time + rng.gen_range(0..240u64);
+        let range = |dims: Option<Vec<u64>>, observation: Option<u64>| Predicate::Range {
+            dims,
+            observation,
+            time_start: start,
+            time_end: end,
+        };
+        vec![
+            Predicate::Point {
+                dims: vec![loc],
+                time,
+            },
+            range(Some(vec![loc]), None),
+            range(None, Some(obs)),
+            range(Some(vec![loc]), Some(obs)),
+            range(None, None),
+            Predicate::Range {
+                dims: rng.gen_bool(0.5).then(|| vec![loc]),
+                observation: rng.gen_bool(0.5).then_some(obs),
+                time_start: 4_000,
+                time_end: 4_000 + rng.gen_range(0..4_000u64),
+            },
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The plain fold visits only the rows that can match, yet every
+        /// outcome is the full scan's: the accumulator (`CollectRows`
+        /// order included), `rows_decrypted`, the error and the metered
+        /// work, for every aggregate and predicate shape, on a fresh unit
+        /// and on one whose indexes earlier queries built.
+        #[test]
+        fn plain_fold_equals_the_full_scan(seed in any::<u64>()) {
+            let key = key();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (rows, mask, aim) = random_unit(&key, &mut rng);
+            let meter = SideChannelMeter::new();
+            let (scanned, warm) = (DecodedBin::new(rows.len()), DecodedBin::new(rows.len()));
+            let aggregates = [
+                Aggregate::Count,
+                Aggregate::Sum { attr: 0 },
+                Aggregate::Min { attr: 0 },
+                Aggregate::Max { attr: 0 },
+                Aggregate::Average { attr: 0 },
+                Aggregate::TopKLocations { k: 2 },
+                Aggregate::LocationsWithAtLeast { threshold: 1 },
+                Aggregate::CollectRows,
+            ];
+            for predicate in predicates(&mut rng, aim) {
+                let plan = build_filter_plan(&key, &config(), &predicate, window());
+                for aggregate in &aggregates {
+                    let outcome = |out: Result<(Accumulator, usize)>| {
+                        out.map(|(acc, decrypted)| (format!("{acc:?}"), decrypted))
+                    };
+                    let want = meter.measure(|| {
+                        outcome(full_scan(&key, &plan, aggregate, &rows, &scanned, &mask, &meter))
+                    });
+                    let fresh = DecodedBin::new(rows.len());
+                    for (decoded, when) in [(&fresh, "fresh"), (&warm, "warm")] {
+                        let got = meter.measure(|| {
+                            outcome(process_rows_plain(
+                                &key, &plan, aggregate, &rows, decoded, &mask, &meter,
+                            ))
+                        });
+                        prop_assert_eq!(&got, &want, "{:?} {:?} on a {} unit", predicate, aggregate, when);
+                    }
+                }
+            }
+        }
     }
 }

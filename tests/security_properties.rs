@@ -2,6 +2,7 @@
 //! against the adversary-observable traces (storage access observer and
 //! enclave side-channel meter).
 
+use concealer_bench::{build_wifi_system, WifiScale};
 use concealer_core::query::AnswerValue;
 use concealer_core::{CoreError, ExecOptions, Query, RangeMethod};
 use concealer_enclave::MeterSnapshot;
@@ -257,6 +258,66 @@ fn oblivious_meter_is_the_same_for_every_bin() {
     }
     let bins = system.engine().plan_stats(0).unwrap().num_bins;
     assert!(per_bin.len() > 1, "one bin of {bins} reached");
+
+    let aggregates = [
+        Query::count(),
+        Query::sum(0),
+        Query::min(0),
+        Query::max(0),
+        Query::average(0),
+        Query::top_k_locations(3),
+        Query::locations_with_at_least(1),
+        Query::collect_rows(),
+    ];
+    for aggregate in aggregates {
+        let meters: Vec<MeterSnapshot> = per_bin
+            .iter()
+            .map(|&(location, time)| {
+                let query = aggregate.clone().at_dims([location]).at(time);
+                let (answer, meter) = system.meter().measure(|| session.execute(&query));
+                answer.unwrap();
+                meter
+            })
+            .collect();
+        assert!(
+            meters.iter().all(|meter| *meter == meters[0]),
+            "{aggregate:?}: {meters:#?}"
+        );
+    }
+}
+
+/// [`oblivious_meter_is_the_same_for_every_bin`] on a second shape: the
+/// tiny WiFi deployment of the benchmark harness (20 access points, 10
+/// location buckets, 30 cell-ids), one BPB point per bin, for
+/// every aggregate. The plain fold looks its tokens up; the oblivious one
+/// still compares every row with every token.
+#[test]
+fn oblivious_meter_is_the_same_for_every_bin_on_a_wifi_shape() {
+    let wifi = build_wifi_system(WifiScale::Tiny, true, 209);
+    let system = &wifi.system;
+    let session = wifi.session().with_options(ExecOptions {
+        oblivious: Some(true),
+        ..ExecOptions::with_method(RangeMethod::Bpb)
+    });
+    // One point per bin, bins told apart by their fetch sets.
+    let mut per_bin: Vec<(u64, u64)> = Vec::new();
+    let mut fetch_sets: BTreeSet<Vec<(u64, u64)>> = BTreeSet::new();
+    let points = (0..wifi.workload.locations).flat_map(|location| {
+        (0..wifi.span_seconds)
+            .step_by(1800)
+            .map(move |t| (location, t))
+    });
+    for (location, time) in points {
+        system.observer().reset();
+        session
+            .execute(&Query::count().at_dims([location]).at(time))
+            .unwrap();
+        let set = system.observer().per_query_fetch_sets().remove(0);
+        if fetch_sets.insert(set) {
+            per_bin.push((location, time));
+        }
+    }
+    assert!(per_bin.len() > 1, "one bin of {:?} reached", wifi.bin_stats);
 
     let aggregates = [
         Query::count(),
