@@ -21,7 +21,7 @@
 //! meter. What a hit *skips* is work the adversary cannot observe in either
 //! channel: re-deriving trapdoor ciphertexts, re-verifying hash chains,
 //! re-decrypting payloads and re-matching every row against the filter
-//! tokens inside the enclave — the entry's [`DecodedBin`] keeps each row's
+//! tokens inside the enclave — the entry's `DecodedBin` keeps each row's
 //! decode and the indexes that let a fold visit only the rows that can
 //! match. `tests/cache_side_channel.rs` pins warm-equals-cold for both the
 //! event trace and the meter.
@@ -58,9 +58,10 @@ pub(crate) type BinKey = (u64, usize, u64);
 /// fetched rows, and what the filter stage fills in lazily: the per-row
 /// payload decodes and the row indexes of [`DecodedBin`]. The indexes,
 /// built by the first fold that needs each, cost 16 B per row for each
-/// filter column plain folds have matched, and 16 B per row more once predicates
-/// the tokens cannot decide have: at most 48 B per row, beside the rows'
-/// ≈145 B of ciphertext. A
+/// filter column plain folds have matched, and 32 B per authentic row
+/// more once predicates the tokens cannot decide have — the time index
+/// carries each row's time, location and first payload value: at most
+/// 64 B per row, beside the rows' ≈145 B of ciphertext. A
 /// fetched eBPB / winSecRange cell-group has the same shape, but is never
 /// cached.
 pub(crate) struct BinEntry {

@@ -171,7 +171,9 @@ impl QueryEngine {
 
     /// Filter and aggregate one fetched unit's rows for one query, folding
     /// the matches and the fetch/decrypt counts into the epoch's partial —
-    /// the accumulate step every method ends in. The filter plan is
+    /// the accumulate step every method ends in. The plain fold
+    /// accumulates straight into the partial; on an error the query fails
+    /// and its partials are dropped. The filter plan is
     /// memoized per `(epoch, round)` in the caller-provided memo (plans
     /// depend only on the round key, the config and the query, so every
     /// fetch of a round shares one plan), and per-row payload decodes and
@@ -189,22 +191,24 @@ impl QueryEngine {
     ) -> Result<()> {
         let start = Instant::now();
         let key = entry.key.as_ref();
-        let (rows, decoded, fake_claimed) = (&entry.rows, &entry.decoded, &entry.fake_claimed);
+        let (rows, decoded, mask) = (&entry.rows, &entry.decoded, &entry.fake_claimed);
         part.rows_fetched += rows.len();
         let plan: &FilterPlan = memo
             .entry((rt.epoch_id, entry.round))
             .or_insert_with(|| build_filter_plan(key, &self.config, &query.predicate, rt.window));
-        let meter = self.enclave.meter();
-        let aggregate = &query.aggregate;
-        let out = if self.oblivious_enabled(opts) {
-            process_rows_oblivious(key, plan, aggregate, rows, decoded, fake_claimed, meter)
+        let (meter, aggregate, acc) = (self.enclave.meter(), &query.aggregate, &mut part.acc);
+        let rows_decrypted = if self.oblivious_enabled(opts) {
+            process_rows_oblivious(key, plan, aggregate, rows, decoded, mask, meter).map(
+                |(unit, rows_decrypted)| {
+                    acc.merge(unit);
+                    rows_decrypted
+                },
+            )
         } else {
-            process_rows_plain(key, plan, aggregate, rows, decoded, fake_claimed, meter)
+            process_rows_plain(key, plan, aggregate, rows, decoded, mask, meter, acc)
         };
         bump_phase(&self.phases.decrypt_ns, start);
-        let (acc, rows_decrypted) = out?;
-        part.rows_decrypted += rows_decrypted;
-        part.acc.merge(acc);
+        part.rows_decrypted += rows_decrypted?;
         Ok(())
     }
 }

@@ -292,6 +292,42 @@ fn an_unauthorized_query_never_issues_a_trapdoor() {
     }
 }
 
+/// A batch authorizes each scope once, yet answers exactly as its queries
+/// run one by one: scopes recur out of order, an owned device's queries
+/// pass beside a foreign one's refusals, and an unknown user's batch fails
+/// every query.
+#[test]
+fn a_batch_authorizes_per_scope_as_its_queries_would_alone() {
+    let (system, user, _) = setup(false);
+    let owned = |device| Query::count().observing(device).between(0, 1799);
+    let foreign = Query::sum(0).observing(999).between(600, 2399);
+    let batch = [
+        Query::count().at_dims([1]).between(0, 899),
+        foreign.clone(),
+        owned(100),
+        Query::top_k_locations(2).between(0, 3599),
+        owned(103),
+        foreign,
+        owned(100),
+        Query::sum(0).at_dims([3]).between(900, 2699),
+    ];
+    let session = system.session(&user);
+    let together: Vec<_> = session.execute_batch(&batch);
+    let alone: Vec<_> = batch.iter().map(|q| session.execute(q)).collect();
+    assert_eq!(together, alone);
+    let refused = together.iter().filter(|r| r.is_err()).count();
+    assert_eq!(refused, 2, "only the foreign device's queries fail");
+
+    let unknown = UserHandle {
+        user_id: UserId(77),
+        credential: user.credential.clone(),
+    };
+    let refused = Err(CoreError::Enclave(EnclaveError::UnknownUser));
+    for outcome in system.session(&unknown).execute_batch(&batch) {
+        assert_eq!(outcome, refused);
+    }
+}
+
 #[test]
 fn observation_query_counts_device_sightings() {
     let (system, user, records) = setup(false);

@@ -8,13 +8,17 @@
 //! 1. builds the *filter tokens* — deterministic ciphertexts of the
 //!    predicate values concatenated with each time granule in the queried
 //!    range (`E_k(l||t)`, `E_k(o||t)`), exactly mirroring what the data
-//!    provider stored in the filter columns,
+//!    provider stored in the filter columns, eight at a time
+//!    ([`concealer_crypto::DeterministicCipher::encrypt_lockstep`]),
 //! 2. string-matches the fetched rows' filter columns against the sorted
 //!    token lists (no decryption). The plain variant looks each token up
 //!    in the unit's filter index ([`DecodedBin`]), so it visits only the
 //!    rows whose column equals a token; a predicate the tokens cannot
-//!    decide visits only the authentic rows inside its time range, through
-//!    the unit's time index,
+//!    decide reads only the authentic rows inside its time range, through
+//!    the unit's time index. That index carries each row's location and
+//!    first payload value (32 B per row), so an aggregate that reads
+//!    nothing else — a count, attribute 0, the per-location counts —
+//!    tallies the index's entries and never opens a row's decode,
 //! 3. decrypts the payload column only for rows that the aggregate actually
 //!    needs values from (counts never decrypt; sums/min/max/top-k decrypt
 //!    matching rows only).
@@ -110,8 +114,40 @@ impl Deref for Tokens {
 /// provider.
 pub type DecodedRow = (Vec<u64>, u64, Vec<u64>);
 
-/// `(key, row)` pairs sorted by key: the shape of both unit indexes.
+/// `(key, row)` pairs sorted by key: the shape of a filter index.
 type RowIndex = Vec<(u64, u32)>;
+
+/// One authentic row in a unit's time index: its decoded time, its row,
+/// and what a tally reads of its decode — the first dimension (the
+/// location) and the first payload value (the observation, and
+/// attribute 0), each 0 where the row has none. 32 B.
+#[derive(Debug, Clone, Copy)]
+struct TimeEntry {
+    time: u64,
+    location: u64,
+    value: u64,
+    row: u32,
+}
+
+/// A unit's time index: its authentic rows' entries, sorted by time.
+#[derive(Debug)]
+struct TimeIndex {
+    entries: Vec<TimeEntry>,
+    /// Whether every indexed row has a payload value. An empty payload
+    /// matches no observation, yet its entry's `value` reads 0.
+    valued: bool,
+}
+
+impl TimeIndex {
+    /// Whether a residual fold of `aggregate` under `plan` reads nothing
+    /// but what the entries hold: the count, the location or attribute 0,
+    /// with an observation only when every entry's value is a real one.
+    fn tallies(&self, plan: &FilterPlan, aggregate: &Aggregate) -> bool {
+        !matches!(aggregate, Aggregate::CollectRows)
+            && aggregate_attr(aggregate) == 0
+            && (plan.observation.is_none() || self.valued)
+    }
+}
 
 /// Per-row payload decode cache and row indexes for one fetched unit.
 ///
@@ -128,13 +164,17 @@ type RowIndex = Vec<(u64, u32)>;
 ///   first 8 bytes of a deterministic ciphertext are its SIV tag, which is
 ///   uniform, so a token's equal-prefix run is nearly always its matches
 ///   alone (a full compare settles the rest).
-/// - `(decoded time, row)` over the authentic rows, sorted. It is built by
-///   decoding every row in row order, as the residual fold does, and is
-///   unusable — every residual fold then visits every row — when a row
-///   fails to decode or an authentic row was claimed by a fake trapdoor,
-///   so those folds fail exactly where a full scan does.
+/// - `(decoded time, row, location, first payload value)` over the
+///   authentic rows, sorted by time ([`TimeEntry`]), so a residual fold
+///   whose aggregate reads only those tallies its in-range entries without
+///   a visit. It is built by decoding every row in row order, as the
+///   residual fold does, and is unusable — every residual fold then visits
+///   every row — when a row fails to decode or an authentic row was
+///   claimed by a fake trapdoor, so those folds fail exactly where a full
+///   scan does.
 ///
-/// Each index takes 16 B per row of the unit.
+/// Each filter index takes 16 B per row of the unit, the time index 32 B
+/// per authentic row.
 ///
 /// A `DecodedBin` describes one fetch: every call passes it the same rows
 /// and the same fake mask (a [`crate::bin_cache`] entry holds all three).
@@ -155,8 +195,8 @@ pub struct DecodedBin {
     slots: OnceLock<Vec<OnceLock<Option<DecodedRow>>>>,
     /// Per filter column (dims, observation): `(prefix, row)`, sorted.
     filters: [OnceLock<RowIndex>; 2],
-    /// `(time, row)` of the authentic rows, sorted; `None` when unusable.
-    times: OnceLock<Option<RowIndex>>,
+    /// The authentic rows by time; `None` when unusable.
+    times: OnceLock<Option<TimeIndex>>,
 }
 
 impl DecodedBin {
@@ -209,27 +249,35 @@ impl DecodedBin {
         key: &EpochKey,
         rows: &RowArena,
         fake_claimed: &[bool],
-    ) -> Option<&[(u64, u32)]> {
+    ) -> Option<&TimeIndex> {
         self.times
             .get_or_init(|| {
-                let mut index = RowIndex::with_capacity(rows.len());
+                let mut entries = Vec::with_capacity(rows.len());
+                let mut valued = true;
                 for (row, idx) in rows.iter().zip(0u32..) {
-                    let Some((_, time, _)) = self.get_or_decode(idx as usize, key, row).ok()?
+                    let Some((dims, time, payload)) =
+                        self.get_or_decode(idx as usize, key, row).ok()?
                     else {
                         continue;
                     };
                     if claimed(fake_claimed, idx as usize) {
                         return None;
                     }
-                    index.push((*time, idx));
+                    valued &= !payload.is_empty();
+                    entries.push(TimeEntry {
+                        time: *time,
+                        location: dims.first().copied().unwrap_or(0),
+                        value: payload.first().copied().unwrap_or(0),
+                        row: idx,
+                    });
                 }
                 // A fetch returns each cell-id's rows in counter order, which
                 // is the order the provider received them in: a few ascending
                 // runs, which the stable sort merges rather than re-sorts.
-                index.sort();
-                Some(index)
+                entries.sort_by_key(|entry| entry.time);
+                Some(TimeIndex { entries, valued })
             })
-            .as_deref()
+            .as_ref()
     }
 }
 
@@ -281,25 +329,20 @@ pub fn build_filter_plan(
     let hi = t_end.min(window.end().saturating_sub(1));
     let g = config.time_granularity.max(1);
 
-    let mut dim_tokens = Vec::new();
-    let mut obs_tokens = Vec::new();
-
+    let (mut dim_tokens, mut obs_tokens) = (Tokens::default(), Tokens::default());
     if lo <= hi {
-        let first_granule = lo / g;
-        let last_granule = hi / g;
+        let granules = lo / g..=hi / g;
         if let Some(dims) = predicate.dims() {
-            for granule in first_granule..=last_granule {
-                dim_tokens.push(key.det.encrypt(&codec::filter_dims_plain(dims, granule)));
-            }
+            // One indexed attribute (a location) is 19 bytes of plaintext.
+            dim_tokens = seal::<19, 35>(
+                key,
+                granules.clone().map(|t| codec::filter_dims_plain(dims, t)),
+            );
         }
         if let Some(obs) = predicate.observation() {
-            for granule in first_granule..=last_granule {
-                obs_tokens.push(key.det.encrypt(&codec::filter_obs_plain(obs, granule)));
-            }
+            obs_tokens = seal::<17, 33>(key, granules.map(|t| codec::filter_obs_plain(obs, t)));
         }
     }
-    let dim_tokens: Tokens = dim_tokens.into_iter().collect();
-    let obs_tokens: Tokens = obs_tokens.into_iter().collect();
 
     let token_decides = !dim_tokens.is_empty() || !obs_tokens.is_empty();
     FilterPlan {
@@ -309,6 +352,29 @@ pub fn build_filter_plan(
         observation: predicate.observation(),
         token_decides,
     }
+}
+
+/// `plaintexts` sealed into tokens: in lockstep when every plaintext is `N`
+/// bytes long, one [`concealer_crypto::DeterministicCipher::encrypt`] each
+/// otherwise — the same bytes either way.
+fn seal<const N: usize, const C: usize>(
+    key: &EpochKey,
+    plaintexts: impl Iterator<Item = Vec<u8>>,
+) -> Tokens {
+    let plaintexts: Vec<Vec<u8>> = plaintexts.collect();
+    let Ok(fixed) = plaintexts
+        .iter()
+        .map(|plain| <[u8; N]>::try_from(plain.as_slice()))
+        .collect::<std::result::Result<Vec<_>, _>>()
+    else {
+        return plaintexts
+            .iter()
+            .map(|plain| key.det.encrypt(plain))
+            .collect();
+    };
+    let mut sealed: Vec<[u8; C]> = Vec::with_capacity(fixed.len());
+    key.det.encrypt_lockstep(fixed, &mut sealed);
+    sealed.iter().map(|token| token.to_vec()).collect()
 }
 
 /// Filter and aggregate the rows of one fetched bin (plain variant).
@@ -321,10 +387,16 @@ pub fn build_filter_plan(
 /// row, when the unit's time index is unusable ([`DecodedBin`]). A row it
 /// skips would have done nothing in a full scan, or (an authentic row
 /// outside the time range) only been decrypted, which it still counts.
+/// When the time index holds all the aggregate reads, the fold tallies
+/// the in-range entries instead, in time order, and visits no row.
+///
+/// The matches fold straight into `acc`, the query's partial; on an error
+/// `acc` holds what was folded before it. Returns the rows decrypted.
 ///
 /// The metered `decryptions` count follows the processing schedule — one
 /// per row the plain variant decrypts — whether or not `decoded` already
 /// holds the plaintext, so warm and cold executions meter identically.
+#[allow(clippy::too_many_arguments)]
 pub fn process_rows_plain(
     key: &EpochKey,
     plan: &FilterPlan,
@@ -333,7 +405,8 @@ pub fn process_rows_plain(
     decoded: &DecodedBin,
     fake_claimed: &[bool],
     meter: &SideChannelMeter,
-) -> Result<(Accumulator, usize)> {
+    acc: &mut Accumulator,
+) -> Result<usize> {
     let mut fold = PlainFold {
         key,
         plan,
@@ -341,7 +414,7 @@ pub fn process_rows_plain(
         rows,
         decoded,
         fake_claimed,
-        acc: Accumulator::default(),
+        acc,
         decrypted: 0,
         ops: MeterSnapshot::default(),
     };
@@ -349,17 +422,32 @@ pub fn process_rows_plain(
         fold.visit(token_matches(plan, rows, decoded))
     } else if let Some(by_time) = decoded.time_index(key, rows, fake_claimed) {
         let (lo, hi) = plan.time_range;
-        let start = by_time.partition_point(|&(time, _)| time < lo);
-        let end = by_time.partition_point(|&(time, _)| time <= hi).max(start);
-        let in_range = &by_time[start..end];
+        let entries = &by_time.entries;
+        let start = entries.partition_point(|entry| entry.time < lo);
+        let end = entries.partition_point(|entry| entry.time <= hi).max(start);
+        let in_range = &entries[start..end];
         // The schedule decrypts every authentic row; those outside the
         // range are only counted.
-        let skipped = by_time.len() - in_range.len();
+        let skipped = entries.len() - in_range.len();
         fold.decrypted += skipped;
         fold.ops.decryptions += skipped as u64;
-        let mut in_range: Vec<usize> = in_range.iter().map(|&(_, idx)| idx as usize).collect();
-        in_range.sort_unstable();
-        fold.visit(in_range)
+        if by_time.tallies(plan, aggregate) {
+            // The schedule decrypts every in-range row too, and each
+            // entry holds all the aggregate reads of its row.
+            fold.decrypted += in_range.len();
+            fold.ops.decryptions += in_range.len() as u64;
+            for entry in in_range {
+                if plan.observation.is_none_or(|obs| entry.value == obs) {
+                    fold_value(fold.acc, aggregate, entry.location, entry.value);
+                }
+            }
+            Ok(())
+        } else {
+            let mut in_range: Vec<usize> =
+                in_range.iter().map(|entry| entry.row as usize).collect();
+            in_range.sort_unstable();
+            fold.visit(in_range)
+        }
     } else {
         fold.visit(0..rows.len())
     };
@@ -369,7 +457,7 @@ pub fn process_rows_plain(
     // done up to it: that work *was* performed, and the meter is the
     // side-channel model the security tests reason about.
     meter.add_snapshot(fold.ops);
-    out.map(|()| (fold.acc, fold.decrypted))
+    out.map(|()| fold.decrypted)
 }
 
 /// The rows whose filter columns satisfy `plan`'s token sets, ascending:
@@ -414,7 +502,7 @@ struct PlainFold<'a> {
     rows: &'a RowArena,
     decoded: &'a DecodedBin,
     fake_claimed: &'a [bool],
-    acc: Accumulator,
+    acc: &'a mut Accumulator,
     decrypted: usize,
     ops: MeterSnapshot,
 }
@@ -465,7 +553,7 @@ impl PlainFold<'_> {
                 }
             }
         }
-        fold_record(&mut self.acc, self.aggregate, dims, *time, payload);
+        fold_record(self.acc, self.aggregate, dims, *time, payload);
         Ok(())
     }
 }
@@ -581,6 +669,7 @@ fn bytes_eq_flag(a: &[u8], b: &[u8]) -> u64 {
     oeq(u64::from(diff), 0)
 }
 
+/// Fold one matching row into `acc`.
 fn fold_record(
     acc: &mut Accumulator,
     aggregate: &Aggregate,
@@ -588,9 +677,22 @@ fn fold_record(
     time: u64,
     payload: &[u64],
 ) {
+    let location = dims.first().copied().unwrap_or(0);
+    let value = payload.get(aggregate_attr(aggregate)).copied().unwrap_or(0);
+    fold_value(acc, aggregate, location, value);
+    if matches!(aggregate, Aggregate::CollectRows) {
+        acc.rows.push(crate::types::Record {
+            dims: dims.to_vec(),
+            time,
+            payload: payload.to_vec(),
+        });
+    }
+}
+
+/// Fold one matching row's location and aggregated value into `acc`: all
+/// of a row that every aggregate but `CollectRows` reads.
+fn fold_value(acc: &mut Accumulator, aggregate: &Aggregate, location: u64, value: u64) {
     acc.count += 1;
-    let attr = aggregate_attr(aggregate);
-    let value = payload.get(attr).copied().unwrap_or(0);
     acc.sum = acc.sum.wrapping_add(value);
     acc.min = Some(acc.min.map_or(value, |m| m.min(value)));
     acc.max = Some(acc.max.map_or(value, |m| m.max(value)));
@@ -598,16 +700,7 @@ fn fold_record(
         aggregate,
         Aggregate::TopKLocations { .. } | Aggregate::LocationsWithAtLeast { .. }
     ) {
-        *acc.per_location
-            .entry(dims.first().copied().unwrap_or(0))
-            .or_insert(0) += 1;
-    }
-    if matches!(aggregate, Aggregate::CollectRows) {
-        acc.rows.push(crate::types::Record {
-            dims: dims.to_vec(),
-            time,
-            payload: payload.to_vec(),
-        });
+        *acc.per_location.entry(location).or_insert(0) += 1;
     }
 }
 
@@ -686,6 +779,12 @@ mod tests {
 
     /// Encrypt a row exactly the way the provider does.
     fn real_row(key: &EpochKey, loc: u64, time: u64, obs: u64) -> EncryptedRow {
+        valued_row(key, loc, time, obs, &[obs])
+    }
+
+    /// [`real_row`] with the payload values `payload`, which need not hold
+    /// `obs`.
+    fn valued_row(key: &EpochKey, loc: u64, time: u64, obs: u64, payload: &[u64]) -> EncryptedRow {
         let granule = time / config().time_granularity;
         EncryptedRow {
             index_key: key.det.encrypt(&codec::index_real_plain(0, 1)),
@@ -693,8 +792,35 @@ mod tests {
                 key.det.encrypt(&codec::filter_dims_plain(&[loc], granule)),
                 key.det.encrypt(&codec::filter_obs_plain(obs, granule)),
             ],
-            payload: key.det.encrypt(&codec::payload_plain(&[loc], time, &[obs])),
+            payload: key
+                .det
+                .encrypt(&codec::payload_plain(&[loc], time, payload)),
         }
+    }
+
+    /// [`process_rows_plain`] into a fresh accumulator, returned beside the
+    /// rows decrypted, as [`process_rows_oblivious`] returns them.
+    fn plain_fold(
+        key: &EpochKey,
+        plan: &FilterPlan,
+        aggregate: &Aggregate,
+        rows: &RowArena,
+        decoded: &DecodedBin,
+        fake_claimed: &[bool],
+        meter: &SideChannelMeter,
+    ) -> Result<(Accumulator, usize)> {
+        let mut acc = Accumulator::default();
+        process_rows_plain(
+            key,
+            plan,
+            aggregate,
+            rows,
+            decoded,
+            fake_claimed,
+            meter,
+            &mut acc,
+        )
+        .map(|decrypted| (acc, decrypted))
     }
 
     fn fake_row(key: &EpochKey) -> EncryptedRow {
@@ -722,7 +848,7 @@ mod tests {
             time_end: 3599,
         };
         let plan = build_filter_plan(&key, &config(), &predicate, window());
-        let (acc, decrypted) = process_rows_plain(
+        let (acc, decrypted) = plain_fold(
             &key,
             &plan,
             &Aggregate::Count,
@@ -753,7 +879,7 @@ mod tests {
             time_end: 3599,
         };
         let plan = build_filter_plan(&key, &config(), &predicate, window());
-        let (acc, decrypted) = process_rows_plain(
+        let (acc, decrypted) = plain_fold(
             &key,
             &plan,
             &Aggregate::Sum { attr: 0 },
@@ -786,7 +912,7 @@ mod tests {
         let plan = build_filter_plan(&key, &config(), &predicate, window());
         assert!(plan.dim_tokens.is_empty());
         assert!(!plan.obs_tokens.is_empty());
-        let (acc, _) = process_rows_plain(
+        let (acc, _) = plain_fold(
             &key,
             &plan,
             &Aggregate::Count,
@@ -816,7 +942,7 @@ mod tests {
         };
         let plan = build_filter_plan(&key, &config(), &predicate, window());
         assert!(!plan.token_decides);
-        let (acc, decrypted) = process_rows_plain(
+        let (acc, decrypted) = plain_fold(
             &key,
             &plan,
             &Aggregate::TopKLocations { k: 5 },
@@ -854,7 +980,7 @@ mod tests {
                 time_end: 3599,
             };
             let plan = build_filter_plan(&key, &config(), &predicate, window());
-            let (plain, _) = process_rows_plain(
+            let (plain, _) = plain_fold(
                 &key,
                 &plan,
                 &aggregate,
@@ -983,7 +1109,7 @@ mod tests {
             let run = |decoded: &DecodedBin| {
                 meter.measure(|| {
                     if variant == "plain" {
-                        process_rows_plain(
+                        plain_fold(
                             &key,
                             &plan,
                             &Aggregate::Sum { attr: 0 },
@@ -1066,7 +1192,7 @@ mod tests {
                         let process = if oblivious {
                             process_rows_oblivious
                         } else {
-                            process_rows_plain
+                            plain_fold
                         };
                         process(&key, &plan, &aggregate, rows, &decoded, mask, &meter)
                             .map(|(acc, _)| acc.count)
@@ -1101,6 +1227,59 @@ mod tests {
         assert_eq!(plan.dim_tokens.len(), 1);
         assert!(plan.obs_tokens.is_empty());
         assert!(plan.token_decides);
+    }
+
+    /// A 30-minute range's tokens, byte for byte as one `encrypt` per
+    /// token made them: one location (sealed in lockstep), an observation
+    /// (likewise), and two dims (one by one: no lockstep width).
+    #[test]
+    fn filter_tokens_are_pinned() {
+        let key = key();
+        let range = |dims: Option<Vec<u64>>, observation: Option<u64>| Predicate::Range {
+            dims,
+            observation,
+            time_start: 600,
+            time_end: 600 + 30 * 60 - 1,
+        };
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let pinned = |tokens: &Tokens| {
+            let all: Vec<u8> = tokens.iter().flatten().copied().collect();
+            (
+                tokens.len(),
+                tokens.first().map_or(String::new(), |t| hex(t)),
+                hex(&concealer_crypto::sha256::sha256(&all)),
+            )
+        };
+        let none = (
+            0,
+            String::new(),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855".to_string(),
+        );
+        let location = (
+            30,
+            "031f62e32002138b8b81ccf81ef835d607fa1cde43665477cac58320f0a11bf375fffa".to_string(),
+            "4ce52e855fe402a1a83080a714bfbba223fa5f33563113028acda91c232cb85f".to_string(),
+        );
+        let observation = (
+            30,
+            "018572943ac880540f1d5671a2818d597bcd682ad2d83579c6e4a9d25cc3c0a924".to_string(),
+            "74063e3ccfb123fed6106945e666ca4ff944a7bffc3cccd5414dc567ee736237".to_string(),
+        );
+        let two_dims = (
+            30,
+            "0445508d53f47140615ea925ac64dd1d204f808742045dc1fbadcaca1423acbe1963f573787643431374cb"
+                .to_string(),
+            "4de0cad368a50c99888d8fa7b1deec3dae05cf838aff39eede96d648993c576d".to_string(),
+        );
+        for (predicate, dims, obs) in [
+            (range(Some(vec![7]), None), &location, &none),
+            (range(None, Some(1042)), &none, &observation),
+            (range(Some(vec![7, 9]), Some(1042)), &two_dims, &observation),
+        ] {
+            let plan = build_filter_plan(&key, &config(), &predicate, window());
+            assert_eq!(&pinned(&plan.dim_tokens), dims, "{predicate:?}");
+            assert_eq!(&pinned(&plan.obs_tokens), obs, "{predicate:?}");
+        }
     }
 
     #[test]
@@ -1203,21 +1382,26 @@ mod tests {
     /// and a handful of granules, honest fakes, fakes whose filter columns
     /// share a real row's first 8 bytes, now and then an authentic row
     /// whose payload does not decode, and a fake mask that is empty, honest
-    /// (the fakes) or random. Returns the rows, the mask and a real row's
-    /// `(location, time, observation)` to aim predicates at.
-    fn random_unit(key: &EpochKey, rng: &mut StdRng) -> (RowArena, Vec<bool>, (u64, u64, u64)) {
+    /// (the fakes) or random. A real row's payload is `payload(rng, obs)`.
+    /// Returns the rows, the mask and a real row's `(location, time,
+    /// observation)` to aim predicates at.
+    fn random_unit(
+        key: &EpochKey,
+        rng: &mut StdRng,
+        payload: impl Fn(&mut StdRng, u64) -> Vec<u64>,
+    ) -> (RowArena, Vec<bool>, (u64, u64, u64)) {
         let n = rng.gen_range(1..24usize);
         let broken = rng.gen_bool(0.25).then(|| rng.gen_range(0..n));
         let mut rows = Vec::with_capacity(n);
         let mut fakes = Vec::with_capacity(n);
         let mut aim = (0, 0, 0);
         for idx in 0..n {
-            let real = real_row(
-                key,
+            let (loc, time, obs) = (
                 rng.gen_range(0..4u64),
                 rng.gen_range(0..6u64) * 60 + rng.gen_range(0..60u64),
                 rng.gen_range(0..3u64),
             );
+            let real = valued_row(key, loc, time, obs, &payload(rng, obs));
             let row = match rng.gen_range(0..6u32) {
                 _ if broken == Some(idx) => EncryptedRow {
                     payload: key.det.encrypt(b"not a payload"),
@@ -1244,7 +1428,7 @@ mod tests {
         for row in &rows {
             if let Ok(plain) = key.det.decrypt(&row.payload) {
                 if let Ok((dims, time, payload)) = codec::decode_payload_plain(&plain) {
-                    aim = (dims[0], time, payload[0]);
+                    aim = (dims[0], time, payload.first().copied().unwrap_or(0));
                 }
             }
         }
@@ -1297,7 +1481,7 @@ mod tests {
         fn plain_fold_equals_the_full_scan(seed in any::<u64>()) {
             let key = key();
             let mut rng = StdRng::seed_from_u64(seed);
-            let (rows, mask, aim) = random_unit(&key, &mut rng);
+            let (rows, mask, aim) = random_unit(&key, &mut rng, |_, obs| vec![obs]);
             let meter = SideChannelMeter::new();
             let (scanned, warm) = (DecodedBin::new(rows.len()), DecodedBin::new(rows.len()));
             let aggregates = [
@@ -1322,7 +1506,7 @@ mod tests {
                     let fresh = DecodedBin::new(rows.len());
                     for (decoded, when) in [(&fresh, "fresh"), (&warm, "warm")] {
                         let got = meter.measure(|| {
-                            outcome(process_rows_plain(
+                            outcome(plain_fold(
                                 &key, &plan, aggregate, &rows, decoded, &mask, &meter,
                             ))
                         });
@@ -1330,6 +1514,72 @@ mod tests {
                     }
                 }
             }
+
+            // Rows with no, one or two payload values, and plans over a
+            // window the rows precede, so no predicate gets tokens: every
+            // fold is residual, with and without an observation, and the
+            // tally serves every aggregate but `CollectRows` and attribute
+            // 1. Each folds into a random accumulator, as into a partial
+            // that earlier units filled: it must end as the seed merged
+            // with the full scan.
+            let (rows, mask, aim) = random_unit(&key, &mut rng, |rng, obs| {
+                match rng.gen_range(0..8u32) {
+                    0 => Vec::new(),
+                    1 => vec![obs],
+                    _ => vec![obs, rng.gen_range(0..1_000u64)],
+                }
+            });
+            let later = EpochWindow { start: 1 << 20, duration: 3_600 };
+            let (scanned, warm) = (DecodedBin::new(rows.len()), DecodedBin::new(rows.len()));
+            let aggregates = [&aggregates[..], &[Aggregate::Sum { attr: 1 }]].concat();
+            for predicate in predicates(&mut rng, aim) {
+                let plan = build_filter_plan(&key, &config(), &predicate, later);
+                prop_assert!(!plan.token_decides);
+                for aggregate in &aggregates {
+                    let seed = random_accumulator(&mut rng);
+                    let want = meter.measure(|| {
+                        full_scan(&key, &plan, aggregate, &rows, &scanned, &mask, &meter).map(
+                            |(scan, decrypted)| {
+                                let mut acc = seed.clone();
+                                acc.merge(scan);
+                                (format!("{acc:?}"), decrypted)
+                            },
+                        )
+                    });
+                    let fresh = DecodedBin::new(rows.len());
+                    for (decoded, when) in [(&fresh, "fresh"), (&warm, "warm")] {
+                        let got = meter.measure(|| {
+                            let mut acc = seed.clone();
+                            process_rows_plain(
+                                &key, &plan, aggregate, &rows, decoded, &mask, &meter, &mut acc,
+                            )
+                            .map(|decrypted| (format!("{acc:?}"), decrypted))
+                        });
+                        prop_assert_eq!(&got, &want, "{:?} {:?} into {:?} on a {} unit", predicate, aggregate, seed, when);
+                    }
+                }
+            }
+        }
+    }
+
+    /// An accumulator as earlier units may have left it: a few matches,
+    /// a sum near wrapping, per-location counts and collected rows.
+    fn random_accumulator(rng: &mut StdRng) -> Accumulator {
+        let count = rng.gen_range(0..4u64);
+        let value = |rng: &mut StdRng| (count > 0).then(|| rng.gen_range(0..1_000u64));
+        Accumulator {
+            count,
+            sum: u64::MAX - rng.gen_range(0..2_000u64),
+            min: value(rng),
+            max: value(rng),
+            per_location: (0..count).map(|_| (rng.gen_range(0..6u64), 1)).collect(),
+            rows: (0..count)
+                .map(|_| crate::types::Record {
+                    dims: vec![rng.gen_range(0..4u64)],
+                    time: rng.gen_range(0..360u64),
+                    payload: vec![rng.gen_range(0..3u64)],
+                })
+                .collect(),
         }
     }
 }

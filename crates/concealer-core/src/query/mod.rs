@@ -8,7 +8,7 @@
 //! and *individualized* applications (a user's own past movements, keyed by
 //! an observation/device id they own).
 
-pub mod filter;
+pub(crate) mod filter;
 pub mod trapdoor;
 
 use serde::{Deserialize, Serialize};

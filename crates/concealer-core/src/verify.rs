@@ -234,7 +234,7 @@ pub fn verify_cell_chain(
 /// stored under a fake's `Index` value reaches the enclave unchecked. The
 /// returned mask says which rows a fake trapdoor claimed (`true` at their
 /// positions in `rows`); the filter stage fails the fetch if one of them
-/// would contribute to an answer ([`crate::query::filter`]).
+/// would contribute to an answer.
 pub fn verify_fetch(
     key: &EpochKey,
     issued: &LabelledTrapdoors,
