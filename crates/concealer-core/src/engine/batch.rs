@@ -13,13 +13,12 @@ use concealer_storage::{AccessObserver, EpochStore};
 
 use super::plan::{FetchUnit, QueryPlan};
 use super::{
-    bump_phase, merge_partials, scope_for_query, EpochPartial, EpochRuntime, PlanMemo, QueryEngine,
-    UserHandle,
+    bump_phase, merge_partials, EpochPartial, EpochRuntime, PlanMemo, QueryEngine, UserHandle,
 };
 use crate::api::ExecOptions;
 use crate::bin_cache::BinEntry;
 use crate::query::{Predicate, Query, QueryAnswer};
-use crate::{unpoisoned, CoreError, QueryScope, Result};
+use crate::{unpoisoned, CoreError, Result};
 
 /// The partial of `epoch_id` in a plan-seeded (ascending) partial list.
 fn part_of(parts: &mut [EpochPartial], epoch_id: u64) -> &mut EpochPartial {
@@ -160,21 +159,10 @@ impl QueryEngine {
             shared = unpoisoned(self.epochs.read());
             &shared
         };
-        // One batch comes from one user and asks a scope or two: each
-        // scope is authorized once, still before any trapdoor.
-        let mut verdicts: Vec<(QueryScope, Result<()>)> = Vec::new();
         let plans: Vec<Result<QueryPlan>> = queries
             .iter()
             .map(|query| {
-                let scope = scope_for_query(query);
-                match verdicts.iter().find(|(asked, _)| *asked == scope) {
-                    Some((_, verdict)) => verdict.clone()?,
-                    None => {
-                        let verdict = self.authorize(user, scope);
-                        verdicts.push((scope, verdict.clone()));
-                        verdict?;
-                    }
-                }
+                self.authorize(user, query)?;
                 if opts.forward_private {
                     return Err(CoreError::InvalidConfig {
                         reason: "forward-private (§6) executions re-encrypt spanning rounds \

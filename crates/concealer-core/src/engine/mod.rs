@@ -471,7 +471,7 @@ impl QueryEngine {
         opts: ExecOptions,
     ) -> Result<QueryAnswer> {
         if opts.forward_private && matches!(query.predicate, Predicate::Range { .. }) {
-            self.authorize(user, scope_for_query(query))?;
+            self.authorize(user, query)?;
             return self.execute_forward_private_range(query, &opts);
         }
         let opts = ExecOptions {
@@ -525,13 +525,12 @@ impl QueryEngine {
     }
 
     /// Requirement R2: the enclave checks `user` against the registry for
-    /// `scope`, a query's [`scope_for_query`]. Every entry point calls this
-    /// for each query, or once per scope of a batch, before the query's
-    /// first trapdoor.
-    fn authorize(&self, user: &UserHandle, scope: QueryScope) -> Result<()> {
+    /// `query`'s scope. Every entry point calls this once per query, before
+    /// the query's first trapdoor.
+    fn authorize(&self, user: &UserHandle, query: &Query) -> Result<()> {
         Ok(self
             .enclave
-            .authorize(user.user_id, &user.credential, scope)?)
+            .authorize(user.user_id, &user.credential, scope_for_query(query))?)
     }
 
     /// Whether this execution runs the oblivious (Concealer+) code paths.

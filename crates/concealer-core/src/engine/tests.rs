@@ -292,12 +292,11 @@ fn an_unauthorized_query_never_issues_a_trapdoor() {
     }
 }
 
-/// A batch authorizes each scope once, yet answers exactly as its queries
-/// run one by one: scopes recur out of order, an owned device's queries
-/// pass beside a foreign one's refusals, and an unknown user's batch fails
-/// every query.
+/// A batch answers exactly as its queries run one by one: scopes recur
+/// out of order, an owned device's queries pass beside a foreign one's
+/// refusals, and an unknown user's batch fails every query.
 #[test]
-fn a_batch_authorizes_per_scope_as_its_queries_would_alone() {
+fn a_batch_authorizes_as_its_queries_would_alone() {
     let (system, user, _) = setup(false);
     let owned = |device| Query::count().observing(device).between(0, 1799);
     let foreign = Query::sum(0).observing(999).between(600, 2399);

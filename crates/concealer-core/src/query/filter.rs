@@ -8,8 +8,7 @@
 //! 1. builds the *filter tokens* — deterministic ciphertexts of the
 //!    predicate values concatenated with each time granule in the queried
 //!    range (`E_k(l||t)`, `E_k(o||t)`), exactly mirroring what the data
-//!    provider stored in the filter columns, eight at a time
-//!    ([`concealer_crypto::DeterministicCipher::encrypt_lockstep`]),
+//!    provider stored in the filter columns,
 //! 2. string-matches the fetched rows' filter columns against the sorted
 //!    token lists (no decryption). The plain variant looks each token up
 //!    in the unit's filter index ([`DecodedBin`]), so it visits only the
@@ -17,8 +16,9 @@
 //!    decide reads only the authentic rows inside its time range, through
 //!    the unit's time index. That index carries each row's location and
 //!    first payload value (32 B per row), so an aggregate that reads
-//!    nothing else — a count, attribute 0, the per-location counts —
-//!    tallies the index's entries and never opens a row's decode,
+//!    nothing else — a count, attribute 0, the per-location counts — and
+//!    checks no observation tallies the index's entries and never opens a
+//!    row's decode,
 //! 3. decrypts the payload column only for rows that the aggregate actually
 //!    needs values from (counts never decrypt; sums/min/max/top-k decrypt
 //!    matching rows only).
@@ -119,8 +119,8 @@ type RowIndex = Vec<(u64, u32)>;
 
 /// One authentic row in a unit's time index: its decoded time, its row,
 /// and what a tally reads of its decode — the first dimension (the
-/// location) and the first payload value (the observation, and
-/// attribute 0), each 0 where the row has none. 32 B.
+/// location) and the first payload value (attribute 0), each 0 where the
+/// row has none, as [`fold_record`] reads them. 32 B.
 #[derive(Debug, Clone, Copy)]
 struct TimeEntry {
     time: u64,
@@ -129,24 +129,22 @@ struct TimeEntry {
     row: u32,
 }
 
-/// A unit's time index: its authentic rows' entries, sorted by time.
-#[derive(Debug)]
-struct TimeIndex {
-    entries: Vec<TimeEntry>,
-    /// Whether every indexed row has a payload value. An empty payload
-    /// matches no observation, yet its entry's `value` reads 0.
-    valued: bool,
-}
-
-impl TimeIndex {
-    /// Whether a residual fold of `aggregate` under `plan` reads nothing
-    /// but what the entries hold: the count, the location or attribute 0,
-    /// with an observation only when every entry's value is a real one.
-    fn tallies(&self, plan: &FilterPlan, aggregate: &Aggregate) -> bool {
-        !matches!(aggregate, Aggregate::CollectRows)
-            && aggregate_attr(aggregate) == 0
-            && (plan.observation.is_none() || self.valued)
-    }
+/// Whether a residual fold of `aggregate` under `plan` reads nothing but
+/// what a [`TimeEntry`] holds: no observation to check, and an aggregate
+/// of the count, the location or attribute 0. The aggregates are listed
+/// one by one, so a new one visits its rows until it is added here.
+fn tallies(plan: &FilterPlan, aggregate: &Aggregate) -> bool {
+    plan.observation.is_none()
+        && matches!(
+            aggregate,
+            Aggregate::Count
+                | Aggregate::TopKLocations { .. }
+                | Aggregate::LocationsWithAtLeast { .. }
+                | Aggregate::Sum { attr: 0 }
+                | Aggregate::Min { attr: 0 }
+                | Aggregate::Max { attr: 0 }
+                | Aggregate::Average { attr: 0 }
+        )
 }
 
 /// Per-row payload decode cache and row indexes for one fetched unit.
@@ -166,12 +164,12 @@ impl TimeIndex {
 ///   alone (a full compare settles the rest).
 /// - `(decoded time, row, location, first payload value)` over the
 ///   authentic rows, sorted by time ([`TimeEntry`]), so a residual fold
-///   whose aggregate reads only those tallies its in-range entries without
-///   a visit. It is built by decoding every row in row order, as the
-///   residual fold does, and is unusable — every residual fold then visits
-///   every row — when a row fails to decode or an authentic row was
-///   claimed by a fake trapdoor, so those folds fail exactly where a full
-///   scan does.
+///   that checks no observation and whose aggregate reads only those
+///   tallies its in-range entries without a visit. It is built by
+///   decoding every row in row order, as the residual fold does, and is
+///   unusable — every residual fold then visits every row — when a row
+///   fails to decode or an authentic row was claimed by a fake trapdoor,
+///   so those folds fail exactly where a full scan does.
 ///
 /// Each filter index takes 16 B per row of the unit, the time index 32 B
 /// per authentic row.
@@ -196,7 +194,7 @@ pub struct DecodedBin {
     /// Per filter column (dims, observation): `(prefix, row)`, sorted.
     filters: [OnceLock<RowIndex>; 2],
     /// The authentic rows by time; `None` when unusable.
-    times: OnceLock<Option<TimeIndex>>,
+    times: OnceLock<Option<Vec<TimeEntry>>>,
 }
 
 impl DecodedBin {
@@ -249,11 +247,10 @@ impl DecodedBin {
         key: &EpochKey,
         rows: &RowArena,
         fake_claimed: &[bool],
-    ) -> Option<&TimeIndex> {
+    ) -> Option<&[TimeEntry]> {
         self.times
             .get_or_init(|| {
                 let mut entries = Vec::with_capacity(rows.len());
-                let mut valued = true;
                 for (row, idx) in rows.iter().zip(0u32..) {
                     let Some((dims, time, payload)) =
                         self.get_or_decode(idx as usize, key, row).ok()?
@@ -263,7 +260,6 @@ impl DecodedBin {
                     if claimed(fake_claimed, idx as usize) {
                         return None;
                     }
-                    valued &= !payload.is_empty();
                     entries.push(TimeEntry {
                         time: *time,
                         location: dims.first().copied().unwrap_or(0),
@@ -275,9 +271,9 @@ impl DecodedBin {
                 // is the order the provider received them in: a few ascending
                 // runs, which the stable sort merges rather than re-sorts.
                 entries.sort_by_key(|entry| entry.time);
-                Some(TimeIndex { entries, valued })
+                Some(entries)
             })
-            .as_ref()
+            .as_deref()
     }
 }
 
@@ -329,20 +325,25 @@ pub fn build_filter_plan(
     let hi = t_end.min(window.end().saturating_sub(1));
     let g = config.time_granularity.max(1);
 
-    let (mut dim_tokens, mut obs_tokens) = (Tokens::default(), Tokens::default());
+    let mut dim_tokens = Vec::new();
+    let mut obs_tokens = Vec::new();
+
     if lo <= hi {
-        let granules = lo / g..=hi / g;
+        let first_granule = lo / g;
+        let last_granule = hi / g;
         if let Some(dims) = predicate.dims() {
-            // One indexed attribute (a location) is 19 bytes of plaintext.
-            dim_tokens = seal::<19, 35>(
-                key,
-                granules.clone().map(|t| codec::filter_dims_plain(dims, t)),
-            );
+            for granule in first_granule..=last_granule {
+                dim_tokens.push(key.det.encrypt(&codec::filter_dims_plain(dims, granule)));
+            }
         }
         if let Some(obs) = predicate.observation() {
-            obs_tokens = seal::<17, 33>(key, granules.map(|t| codec::filter_obs_plain(obs, t)));
+            for granule in first_granule..=last_granule {
+                obs_tokens.push(key.det.encrypt(&codec::filter_obs_plain(obs, granule)));
+            }
         }
     }
+    let dim_tokens: Tokens = dim_tokens.into_iter().collect();
+    let obs_tokens: Tokens = obs_tokens.into_iter().collect();
 
     let token_decides = !dim_tokens.is_empty() || !obs_tokens.is_empty();
     FilterPlan {
@@ -352,29 +353,6 @@ pub fn build_filter_plan(
         observation: predicate.observation(),
         token_decides,
     }
-}
-
-/// `plaintexts` sealed into tokens: in lockstep when every plaintext is `N`
-/// bytes long, one [`concealer_crypto::DeterministicCipher::encrypt`] each
-/// otherwise — the same bytes either way.
-fn seal<const N: usize, const C: usize>(
-    key: &EpochKey,
-    plaintexts: impl Iterator<Item = Vec<u8>>,
-) -> Tokens {
-    let plaintexts: Vec<Vec<u8>> = plaintexts.collect();
-    let Ok(fixed) = plaintexts
-        .iter()
-        .map(|plain| <[u8; N]>::try_from(plain.as_slice()))
-        .collect::<std::result::Result<Vec<_>, _>>()
-    else {
-        return plaintexts
-            .iter()
-            .map(|plain| key.det.encrypt(plain))
-            .collect();
-    };
-    let mut sealed: Vec<[u8; C]> = Vec::with_capacity(fixed.len());
-    key.det.encrypt_lockstep(fixed, &mut sealed);
-    sealed.iter().map(|token| token.to_vec()).collect()
 }
 
 /// Filter and aggregate the rows of one fetched bin (plain variant).
@@ -387,7 +365,7 @@ fn seal<const N: usize, const C: usize>(
 /// row, when the unit's time index is unusable ([`DecodedBin`]). A row it
 /// skips would have done nothing in a full scan, or (an authentic row
 /// outside the time range) only been decrypted, which it still counts.
-/// When the time index holds all the aggregate reads, the fold tallies
+/// When the time index holds all the fold reads (`tallies`), it tallies
 /// the in-range entries instead, in time order, and visits no row.
 ///
 /// The matches fold straight into `acc`, the query's partial; on an error
@@ -420,9 +398,8 @@ pub fn process_rows_plain(
     };
     let out = if plan.token_decides {
         fold.visit(token_matches(plan, rows, decoded))
-    } else if let Some(by_time) = decoded.time_index(key, rows, fake_claimed) {
+    } else if let Some(entries) = decoded.time_index(key, rows, fake_claimed) {
         let (lo, hi) = plan.time_range;
-        let entries = &by_time.entries;
         let start = entries.partition_point(|entry| entry.time < lo);
         let end = entries.partition_point(|entry| entry.time <= hi).max(start);
         let in_range = &entries[start..end];
@@ -431,15 +408,13 @@ pub fn process_rows_plain(
         let skipped = entries.len() - in_range.len();
         fold.decrypted += skipped;
         fold.ops.decryptions += skipped as u64;
-        if by_time.tallies(plan, aggregate) {
+        if tallies(plan, aggregate) {
             // The schedule decrypts every in-range row too, and each
             // entry holds all the aggregate reads of its row.
             fold.decrypted += in_range.len();
             fold.ops.decryptions += in_range.len() as u64;
             for entry in in_range {
-                if plan.observation.is_none_or(|obs| entry.value == obs) {
-                    fold_value(fold.acc, aggregate, entry.location, entry.value);
-                }
+                fold_value(fold.acc, aggregate, entry.location, entry.value);
             }
             Ok(())
         } else {
@@ -1229,9 +1204,8 @@ mod tests {
         assert!(plan.token_decides);
     }
 
-    /// A 30-minute range's tokens, byte for byte as one `encrypt` per
-    /// token made them: one location (sealed in lockstep), an observation
-    /// (likewise), and two dims (one by one: no lockstep width).
+    /// A 30-minute range's tokens, byte for byte: one location, an
+    /// observation, and two dims with an observation.
     #[test]
     fn filter_tokens_are_pinned() {
         let key = key();
@@ -1517,11 +1491,11 @@ mod tests {
 
             // Rows with no, one or two payload values, and plans over a
             // window the rows precede, so no predicate gets tokens: every
-            // fold is residual, with and without an observation, and the
-            // tally serves every aggregate but `CollectRows` and attribute
-            // 1. Each folds into a random accumulator, as into a partial
-            // that earlier units filled: it must end as the seed merged
-            // with the full scan.
+            // fold is residual. Without an observation the tally serves
+            // every aggregate but `CollectRows` and attribute 1; with one,
+            // every fold visits its rows. Each folds into a random
+            // accumulator, as into a partial that earlier units filled: it
+            // must end as the seed merged with the full scan.
             let (rows, mask, aim) = random_unit(&key, &mut rng, |rng, obs| {
                 match rng.gen_range(0..8u32) {
                     0 => Vec::new(),

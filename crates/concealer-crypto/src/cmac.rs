@@ -56,25 +56,15 @@ impl Cmac {
         self.encrypt(x ^ self.last_word(last)).to_ne_bytes()
     }
 
-    /// The tags of messages of at most two blocks each, side by side:
-    /// `tags[i]` becomes `self.mac(&messages[i])`. Such a message is at most
-    /// one whole block and its last block, so its tag is one or two
-    /// dependent block encryptions, and each step of all the chains goes
+    /// The tags of messages of at most one block each, side by side:
+    /// `tags[i]` becomes `self.mac(&messages[i])`. Such a message is its own
+    /// last block, so its tag is one block encryption, and all of them go
     /// through one [`Aes::encrypt_blocks`] call.
     pub(crate) fn mac_each<const N: usize>(&self, messages: &[[u8; N]], tags: &mut [Block]) {
-        const { assert!(N <= 2 * BLOCK_SIZE, "a message of at most two blocks") };
+        const { assert!(N <= BLOCK_SIZE, "a message of at most one block") };
         assert_eq!(messages.len(), tags.len(), "one tag per message");
-        // Where `split_last_block` cuts an `N`-byte message.
-        let split = N.saturating_sub(1) / BLOCK_SIZE * BLOCK_SIZE;
-        if split > 0 {
-            for (tag, message) in tags.iter_mut().zip(messages) {
-                tag.copy_from_slice(&message[..split]);
-            }
-            self.cipher.encrypt_blocks(tags);
-        }
         for (tag, message) in tags.iter_mut().zip(messages) {
-            let chain = if split > 0 { word(tag) } else { 0 };
-            *tag = (chain ^ self.last_word(&message[split..])).to_ne_bytes();
+            *tag = self.last_word(message).to_ne_bytes();
         }
         self.cipher.encrypt_blocks(tags);
     }

@@ -159,24 +159,21 @@ impl DeterministicCipher {
     }
 
     /// [`Self::encrypt`] every plaintext of `plaintexts`, appending the
-    /// ciphertexts to `out` in order, for plaintexts of at most two blocks:
-    /// `N ≤ 32` bytes in, `C = 16 + N` bytes out, byte-identical to
+    /// ciphertexts to `out` in order, for plaintexts of at most one block:
+    /// `N ≤ 16` bytes in, `C = 16 + N` bytes out, byte-identical to
     /// [`Self::encrypt`] on each.
     ///
-    /// Such a ciphertext is a CMAC chain of one or two blocks, then up to
-    /// two CTR blocks: at most three dependent block encryptions. The
-    /// items go side by side in groups of eight instead — each CMAC step
-    /// of the group in one [`Aes::encrypt_blocks`] call, then all its CTR
-    /// blocks in another — so the hardware rounds have eight or more
-    /// independent blocks in flight.
+    /// Such a ciphertext is one CMAC block and one CTR block, two
+    /// dependent block encryptions. The items go side by side in groups of
+    /// eight instead — the group's CMAC blocks in one
+    /// [`Aes::encrypt_blocks`] call, then its CTR blocks in another — so
+    /// the hardware rounds have eight independent blocks in flight.
     pub fn encrypt_lockstep<const N: usize, const C: usize>(
         &self,
         plaintexts: impl IntoIterator<Item = [u8; N]>,
         out: &mut Vec<[u8; C]>,
     ) {
-        const { assert!(N <= 32 && C == SIV_SIZE + N, "C = 16 + N, N ≤ 32") };
-        // Keystream blocks per item (one for the empty plaintext too).
-        let width = N.div_ceil(BLOCK_SIZE).max(1);
+        const { assert!(N <= BLOCK_SIZE && C == SIV_SIZE + N, "C = 16 + N, N ≤ 16") };
         let mut plaintexts = plaintexts.into_iter().fuse();
         out.reserve(plaintexts.size_hint().0);
         loop {
@@ -191,18 +188,13 @@ impl DeterministicCipher {
             }
             let mut sivs = [[0u8; BLOCK_SIZE]; 8];
             self.cmac.mac_each(&group[..n], &mut sivs[..n]);
-            let mut pads = [[0u8; BLOCK_SIZE]; 16];
-            for (item, siv) in pads.chunks_exact_mut(width).zip(&sivs[..n]) {
-                for (counter, pad) in item.iter_mut().enumerate() {
-                    *pad = CounterLane::Low64.block(siv, counter as u64);
-                }
-            }
-            self.enc.encrypt_blocks(&mut pads[..n * width]);
-            for ((plain, siv), pad) in group[..n].iter().zip(&sivs).zip(pads.chunks_exact(width)) {
+            let mut pads = sivs.map(|siv| CounterLane::Low64.block(&siv, 0));
+            self.enc.encrypt_blocks(&mut pads[..n]);
+            for ((plain, siv), pad) in group[..n].iter().zip(&sivs).zip(&pads) {
                 let mut ct = [0u8; C];
                 let (head, body) = ct.split_at_mut(SIV_SIZE);
                 head.copy_from_slice(siv);
-                for ((c, p), k) in body.iter_mut().zip(plain).zip(pad.as_flattened()) {
+                for ((c, p), k) in body.iter_mut().zip(plain).zip(pad) {
                     *c = p ^ k;
                 }
                 out.push(ct);

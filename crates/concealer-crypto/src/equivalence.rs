@@ -165,30 +165,16 @@ fn lockstep_agrees<const N: usize, const C: usize>(
     }
 }
 
-/// [`lockstep_agrees`] for `count` items of every width `encrypt_lockstep`
-/// takes, 0 to 32 bytes: the empty plaintext, one block and one byte short
-/// of it (the K1 and K2 subkeys), index-sized (9), the filter plaintexts
-/// (17 and 19), two blocks, and everything between.
-fn lockstep_agrees_at_every_width(mac_key: &[u8; 32], enc_key: &[u8; 32], count: usize, fill: u8) {
-    macro_rules! widths {
-        ($($n:literal => $c:literal),*) => {
-            $(lockstep_agrees::<$n, $c>(mac_key, enc_key, &short_items(count, fill.wrapping_add($n)));)*
-        };
-    }
-    widths!(
-        0 => 16, 1 => 17, 2 => 18, 3 => 19, 4 => 20, 5 => 21, 6 => 22, 7 => 23, 8 => 24,
-        9 => 25, 10 => 26, 11 => 27, 12 => 28, 13 => 29, 14 => 30, 15 => 31, 16 => 32,
-        17 => 33, 18 => 34, 19 => 35, 20 => 36, 21 => 37, 22 => 38, 23 => 39, 24 => 40,
-        25 => 41, 26 => 42, 27 => 43, 28 => 44, 29 => 45, 30 => 46, 31 => 47, 32 => 48
-    );
-}
-
 /// No group, one short group, one item short of a full group, one full
-/// group, one past it, and one past two — at every plaintext width.
+/// group, one past it, and one past two — for index-sized plaintexts, a
+/// whole block (the K1 subkey), the empty plaintext and one byte short.
 #[test]
 fn lockstep_det_agrees_for_group_sizes_0_1_7_8_9_17() {
     for count in [0, 1, 7, 8, 9, 17] {
-        lockstep_agrees_at_every_width(&[7; 32], &[8; 32], count, 3);
+        lockstep_agrees::<9, 25>(&[7; 32], &[8; 32], &short_items(count, 3));
+        lockstep_agrees::<16, 32>(&[7; 32], &[8; 32], &short_items(count, 4));
+        lockstep_agrees::<0, 16>(&[7; 32], &[8; 32], &short_items(count, 5));
+        lockstep_agrees::<15, 31>(&[7; 32], &[8; 32], &short_items(count, 6));
     }
 }
 
@@ -202,8 +188,6 @@ proptest! {
     ) {
         lockstep_agrees::<9, 25>(&key(mac), &key(enc), &short_items(count, fill));
         lockstep_agrees::<16, 32>(&key(mac), &key(enc), &short_items(count, fill));
-        lockstep_agrees::<19, 35>(&key(mac), &key(enc), &short_items(count, fill));
-        lockstep_agrees::<32, 48>(&key(mac), &key(enc), &short_items(count, fill));
     }
 
     #[test]
