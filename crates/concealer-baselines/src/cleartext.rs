@@ -45,21 +45,19 @@ pub fn aggregate_records<'a>(
         | concealer_core::Aggregate::Average { attr } => attr,
         _ => 0,
     };
-    let mut per_location: BTreeMap<u64, u64> = BTreeMap::new();
     for r in matching {
         acc.count += 1;
         let v = r.payload.get(attr).copied().unwrap_or(0);
         acc.sum = acc.sum.wrapping_add(v);
         acc.min = Some(acc.min.map_or(v, |m| m.min(v)));
         acc.max = Some(acc.max.map_or(v, |m| m.max(v)));
-        *per_location
+        *acc.per_location
             .entry(r.dims.first().copied().unwrap_or(0))
             .or_insert(0) += 1;
         if matches!(query.aggregate, concealer_core::Aggregate::CollectRows) {
             acc.rows.push(r.clone());
         }
     }
-    acc.per_location = per_location;
     acc.finish(&query.aggregate)
 }
 

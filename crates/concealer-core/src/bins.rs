@@ -21,7 +21,6 @@
 //! Theorem 4.1 bounds the BPB need only.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One bin of the plan.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,8 +55,9 @@ pub struct BinPlan {
     pub bins: Vec<Bin>,
     /// The common size every bin is padded to.
     pub bin_size: u64,
-    /// Which bin each cell-id landed in (`cell_id -> bin index`).
-    cell_to_bin: HashMap<u32, usize>,
+    /// Which bin each cell-id landed in, indexed by cell-id: every
+    /// cell-id of `c_tuple` lands in exactly one bin.
+    cell_to_bin: Vec<u32>,
 }
 
 impl BinPlan {
@@ -107,11 +107,12 @@ impl BinPlan {
             next_fake += need;
         }
 
-        let cell_to_bin = bins
-            .iter()
-            .enumerate()
-            .flat_map(|(i, b)| b.cell_ids.iter().map(move |&cid| (cid, i)))
-            .collect();
+        let mut cell_to_bin = vec![0u32; c_tuple.len()];
+        for (i, bin) in bins.iter().enumerate() {
+            for &cid in &bin.cell_ids {
+                cell_to_bin[cid as usize] = i as u32;
+            }
+        }
 
         BinPlan {
             bins,
@@ -140,8 +141,10 @@ impl BinPlan {
 
     /// The bin (index) containing a cell-id, if the cell-id exists.
     #[must_use]
-    pub fn bin_of_cell(&self, cell_id: u32) -> Option<usize> {
-        self.cell_to_bin.get(&cell_id).copied()
+    pub(crate) fn bin_of_cell(&self, cell_id: u32) -> Option<usize> {
+        self.cell_to_bin
+            .get(cell_id as usize)
+            .map(|&bin| bin as usize)
     }
 
     /// Maximum number of cell-ids in any bin (`#C_max` in §4.3, used to size
@@ -384,6 +387,27 @@ mod tests {
                 }
             }
             prop_assert!(count.iter().all(|&c| c == 1));
+        }
+
+        /// The dense cell-to-bin table agrees with the bins' own lists,
+        /// and names no bin for a cell-id the plan was not built over.
+        #[test]
+        fn prop_bin_of_cell_is_the_bin_listing_it(
+            c_tuple in proptest::collection::vec(0u32..300, 0..150),
+            min_bin_size in 0u64..600,
+        ) {
+            let plan = BinPlan::build(&c_tuple, Some(min_bin_size));
+            for (i, bin) in plan.bins.iter().enumerate() {
+                for &cid in &bin.cell_ids {
+                    prop_assert_eq!(plan.bin_of_cell(cid), Some(i));
+                }
+            }
+            let listed: usize = plan.bins.iter().map(|b| b.cell_ids.len()).sum();
+            prop_assert_eq!(listed, c_tuple.len());
+            for cid in c_tuple.len() as u32..c_tuple.len() as u32 + 3 {
+                prop_assert_eq!(plan.bin_of_cell(cid), None);
+            }
+            prop_assert_eq!(plan.bin_of_cell(u32::MAX), None);
         }
 
         /// All-but-one bins at least half full (the FFD property the

@@ -170,26 +170,18 @@ impl Grid {
     }
 
     /// Flat cell indices for *every* combination of dimension buckets across
-    /// the given time rows (used by all-locations queries such as Q2/Q3).
+    /// the given time rows (used by all-locations queries such as Q2/Q3),
+    /// combinations in lexicographic order (the last dimension fastest).
+    /// That order makes a combination's index its flat prefix, so the
+    /// cells are `combination × time_subintervals + row`.
     #[must_use]
-    pub fn cells_for_all_dims(&self, time_rows: &[u64]) -> Vec<u64> {
-        let mut combos: Vec<Vec<u64>> = vec![Vec::new()];
-        for &buckets in &self.shape.dim_buckets {
-            let mut next = Vec::with_capacity(combos.len() * buckets as usize);
-            for combo in &combos {
-                for b in 0..buckets {
-                    let mut c = combo.clone();
-                    c.push(b);
-                    next.push(c);
-                }
-            }
-            combos = next;
-        }
-        let mut out = Vec::with_capacity(combos.len() * time_rows.len());
-        for combo in &combos {
-            for &r in time_rows {
-                out.push(self.flat_index(combo, r));
-            }
+    pub(crate) fn cells_for_all_dims(&self, time_rows: &[u64]) -> Vec<u64> {
+        let combinations: u64 = self.shape.dim_buckets.iter().product();
+        let per_combination = self.shape.time_subintervals;
+        let mut out = Vec::with_capacity(combinations as usize * time_rows.len());
+        for combination in 0..combinations {
+            let base = combination * per_combination;
+            out.extend(time_rows.iter().map(|&r| base + r));
         }
         out
     }
@@ -304,6 +296,69 @@ mod tests {
         assert_eq!(cells.len(), 4 * 2);
         let unique: std::collections::BTreeSet<u64> = cells.iter().copied().collect();
         assert_eq!(unique.len(), 8, "all cells distinct");
+    }
+
+    /// The enumeration `cells_for_all_dims` had before it walked the flat
+    /// combination index: one `Vec` per bucket combination, the last
+    /// dimension fastest, each mapped through `flat_index`.
+    fn nested_cells(g: &Grid, time_rows: &[u64]) -> Vec<u64> {
+        let mut combos: Vec<Vec<u64>> = vec![Vec::new()];
+        for &buckets in &g.shape().dim_buckets {
+            let mut next = Vec::new();
+            for combo in &combos {
+                for b in 0..buckets {
+                    let mut c = combo.clone();
+                    c.push(b);
+                    next.push(c);
+                }
+            }
+            combos = next;
+        }
+        let mut out = Vec::new();
+        for combo in &combos {
+            for &r in time_rows {
+                out.push(g.flat_index(combo, r));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn cells_for_all_dims_keeps_the_nested_order() {
+        let window = EpochWindow {
+            start: 1000,
+            duration: 600,
+        };
+        let prf = || MasterKey::from_bytes([1u8; 32]).grid_prf(EpochId(1000));
+        for dim_buckets in [
+            vec![4],
+            vec![1],
+            vec![3, 5],
+            vec![5, 1],
+            vec![2, 1, 3],
+            vec![4, 3, 2],
+        ] {
+            let shape = GridShape {
+                dim_buckets,
+                time_subintervals: 6,
+                num_cell_ids: 10,
+            };
+            let g = Grid::new(shape, window, prf());
+            for rows in [
+                vec![],
+                vec![0],
+                vec![5],
+                vec![2, 3, 4],
+                vec![0, 1, 2, 3, 4, 5],
+            ] {
+                assert_eq!(
+                    g.cells_for_all_dims(&rows),
+                    nested_cells(&g, &rows),
+                    "{:?} over rows {rows:?}",
+                    g.shape().dim_buckets
+                );
+            }
+        }
     }
 
     #[test]

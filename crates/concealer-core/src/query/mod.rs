@@ -11,6 +11,10 @@
 pub(crate) mod filter;
 pub mod trapdoor;
 
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use serde::{Deserialize, Serialize};
 
 use crate::types::Record;
@@ -311,8 +315,40 @@ pub struct QueryAnswer {
     pub epochs_touched: usize,
 }
 
+/// Per-location match counts: first-dimension value → matching tuples.
+///
+/// A flat table under [`LocationHasher`], incremented once per match by a
+/// `TopKLocations` or `LocationsWithAtLeast` fold. It iterates in table
+/// order, not location order: [`Accumulator::finish`] and the wire form
+/// of a partial sort what they take from it.
+pub type LocationCounts = HashMap<u64, u64, BuildHasherDefault<LocationHasher>>;
+
+/// The [`LocationCounts`] hasher: the 128-bit product of the key and a
+/// fixed odd constant, folded to 64 bits. It is unkeyed, unlike std's
+/// SipHash: the locations it hashes come from authenticated rows, and a
+/// host that could choose them to collide can already withhold rows.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LocationHasher(u64);
+
+impl Hasher for LocationHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+}
+
 /// Partial aggregation state, merged across bins and epochs.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Accumulator {
     /// Matching-tuple count.
     pub count: u64,
@@ -323,14 +359,44 @@ pub struct Accumulator {
     /// Maximum seen.
     pub max: Option<u64>,
     /// Per-first-dimension counts.
-    pub per_location: std::collections::BTreeMap<u64, u64>,
+    pub per_location: LocationCounts,
     /// Collected records.
     pub rows: Vec<Record>,
 }
 
+/// Lists `per_location` ascending by location, so two accumulators with
+/// equal contents print alike whatever order filled their tables.
+impl fmt::Debug for Accumulator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Ascending(Vec<(u64, u64)>);
+        impl fmt::Debug for Ascending {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter().copied()).finish()
+            }
+        }
+        let mut per_location: Vec<(u64, u64)> =
+            self.per_location.iter().map(|(&l, &c)| (l, c)).collect();
+        per_location.sort_unstable();
+        f.debug_struct("Accumulator")
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .field("per_location", &Ascending(per_location))
+            .field("rows", &self.rows)
+            .finish()
+    }
+}
+
+/// Descending count, then ascending location: the total order every
+/// per-location answer is listed in.
+fn by_count_then_location(a: &(u64, u64), b: &(u64, u64)) -> std::cmp::Ordering {
+    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
 impl Accumulator {
     /// Fold another accumulator into this one.
-    pub fn merge(&mut self, other: Accumulator) {
+    pub fn merge(&mut self, mut other: Accumulator) {
         self.count += other.count;
         self.sum = self.sum.wrapping_add(other.sum);
         self.min = match (self.min, other.min) {
@@ -341,6 +407,11 @@ impl Accumulator {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
+        // Counts add whichever table receives them, so the smaller one is
+        // added into the larger (an empty side takes the other's table).
+        if self.per_location.len() < other.per_location.len() {
+            std::mem::swap(&mut self.per_location, &mut other.per_location);
+        }
         for (loc, c) in other.per_location {
             *self.per_location.entry(loc).or_insert(0) += c;
         }
@@ -364,8 +435,13 @@ impl Accumulator {
             }),
             Aggregate::TopKLocations { k } => {
                 let mut pairs: Vec<(u64, u64)> = self.per_location.into_iter().collect();
-                pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                // Locations are distinct, so the order is total: the k
+                // first after a selection are the k first after a sort.
+                if (1..pairs.len()).contains(k) {
+                    pairs.select_nth_unstable_by(*k - 1, by_count_then_location);
+                }
                 pairs.truncate(*k);
+                pairs.sort_unstable_by(by_count_then_location);
                 AnswerValue::LocationCounts(pairs)
             }
             Aggregate::LocationsWithAtLeast { threshold } => {
@@ -374,7 +450,7 @@ impl Accumulator {
                     .into_iter()
                     .filter(|(_, c)| *c >= *threshold)
                     .collect();
-                pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                pairs.sort_unstable_by(by_count_then_location);
                 AnswerValue::LocationCounts(pairs)
             }
             Aggregate::CollectRows => AnswerValue::Rows(self.rows),
@@ -387,6 +463,8 @@ pub use self::AnswerValue as Answer;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn predicate_time_span_and_accessors() {
@@ -555,5 +633,76 @@ mod tests {
             a.finish(&Aggregate::LocationsWithAtLeast { threshold: 10 }),
             AnswerValue::LocationCounts(vec![(2, 30), (3, 20), (1, 10)])
         );
+    }
+
+    /// The per-location answers as an ordered map produced them before
+    /// the flat table: counts listed ascending by location, then stably
+    /// sorted by descending count, and truncated or filtered.
+    fn ordered_finish(locations: &[u64], aggregate: &Aggregate) -> AnswerValue {
+        let mut sorted = locations.to_vec();
+        sorted.sort_unstable();
+        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        for loc in sorted {
+            match pairs.last_mut() {
+                Some((l, c)) if *l == loc => *c += 1,
+                _ => pairs.push((loc, 1)),
+            }
+        }
+        match aggregate {
+            Aggregate::TopKLocations { k } => {
+                pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                pairs.truncate(*k);
+            }
+            Aggregate::LocationsWithAtLeast { threshold } => {
+                pairs.retain(|(_, c)| *c >= *threshold);
+                pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            }
+            other => panic!("not a per-location aggregate: {other:?}"),
+        }
+        AnswerValue::LocationCounts(pairs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A multiset of locations (few distinct ones, so counts tie; some
+        /// far above the rest) folded into accumulators split anywhere and
+        /// merged in any order finishes as the ordered fold does.
+        #[test]
+        fn per_location_answers_do_not_depend_on_split_or_merge_order(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let distinct = rng.gen_range(1..30u64);
+            let locations: Vec<u64> = (0..rng.gen_range(0..300usize))
+                .map(|_| {
+                    let loc = rng.gen_range(0..distinct);
+                    if rng.gen_range(0..4u32) == 0 { loc << 40 } else { loc }
+                })
+                .collect();
+            let mut parts: Vec<Accumulator> = vec![Accumulator::default(); rng.gen_range(1..8usize)];
+            for &loc in &locations {
+                let part = rng.gen_range(0..parts.len());
+                parts[part].count += 1;
+                *parts[part].per_location.entry(loc).or_insert(0) += 1;
+            }
+            while parts.len() > 1 {
+                let from = parts.swap_remove(rng.gen_range(0..parts.len()));
+                let into = rng.gen_range(0..parts.len());
+                parts[into].merge(from);
+            }
+            let merged = parts.pop().expect("one accumulator is left");
+            prop_assert_eq!(merged.count, locations.len() as u64);
+            let present = merged.per_location.len();
+            let aggregates = [0, 1, 5, present, present + 3]
+                .map(|k| Aggregate::TopKLocations { k })
+                .into_iter()
+                .chain([0, 1, 2, 5, 40].map(|threshold| Aggregate::LocationsWithAtLeast { threshold }));
+            for aggregate in aggregates {
+                prop_assert_eq!(
+                    merged.clone().finish(&aggregate),
+                    ordered_finish(&locations, &aggregate),
+                    "{:?}", aggregate
+                );
+            }
+        }
     }
 }

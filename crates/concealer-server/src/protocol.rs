@@ -387,13 +387,15 @@ pub struct WirePartial {
 
 impl From<concealer_core::EpochPartial> for WirePartial {
     fn from(partial: concealer_core::EpochPartial) -> Self {
+        let mut per_location: Vec<(u64, u64)> = partial.acc.per_location.into_iter().collect();
+        per_location.sort_unstable();
         WirePartial {
             epoch_id: partial.epoch_id,
             count: partial.acc.count,
             sum: partial.acc.sum,
             min: partial.acc.min,
             max: partial.acc.max,
-            per_location: partial.acc.per_location.into_iter().collect(),
+            per_location,
             rows: partial.acc.rows,
             rows_fetched: partial.rows_fetched as u64,
             rows_decrypted: partial.rows_decrypted as u64,
@@ -852,6 +854,38 @@ mod tests {
         };
         let back = WirePartial::from(wire.clone().into_partial());
         assert_eq!(back, wire);
+    }
+
+    /// The engine keeps per-location counts in a hash table; the wire
+    /// lists them ascending by location, in the bytes it always had.
+    #[test]
+    fn wire_partial_lists_locations_ascending() {
+        let mut acc = concealer_core::query::Accumulator {
+            count: 17,
+            sum: 40,
+            min: Some(1),
+            max: Some(9),
+            ..Default::default()
+        };
+        for (loc, count) in [(1u64 << 40, 2u64), (700, 1), (300, 5), (2, 9)] {
+            acc.per_location.insert(loc, count);
+        }
+        let wire = WirePartial::from(concealer_core::EpochPartial {
+            epoch_id: 3600,
+            acc,
+            rows_fetched: 128,
+            rows_decrypted: 96,
+            verified: true,
+        });
+        assert_eq!(
+            wire.per_location,
+            vec![(2, 9), (300, 5), (700, 1), (1 << 40, 2)]
+        );
+        let hex: String = to_bytes(&wire).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "901c112801010109040209ac0205bc0501808080808020020080016001"
+        );
     }
 
     #[test]
