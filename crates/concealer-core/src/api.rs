@@ -55,12 +55,19 @@ pub struct ExecOptions {
     pub use_superbins: bool,
     /// Number of super-bins (`f` in §8).
     pub num_super_bins: usize,
-    /// Whether to run the §6 multi-round protocol: fetch extra random bins
-    /// from every round the query spans and re-encrypt everything fetched.
+    /// Whether to run the §6 multi-round protocol: when the deployment
+    /// holds more than one epoch, a range also fetches random cover bins
+    /// from every round it spans, and after the fetch everything it
+    /// fetched is re-encrypted and written back in one commit per epoch.
+    /// A §6 query whose fetch fails rewrites nothing. In a batch, a bin
+    /// several §6 ranges fetch is fetched and rewritten once. On a
+    /// one-epoch deployment a §6 range is the BPB range.
     /// The protocol re-encrypts whole bins, so a forward-private *range*
     /// runs only under [`RangeMethod::Bpb`]: under eBPB (the default) or
     /// winSecRange it is refused with [`CoreError::InvalidConfig`] before
     /// any trapdoor. Points fetch one bin under every method and run.
+    /// The partial entry points (`execute_partials`,
+    /// `execute_batch_partials`) refuse it.
     pub forward_private: bool,
     /// Whether to hash-chain-verify fetched bins. Effective only when the
     /// deployment shipped verification tags (`SystemConfig::verify_integrity`);
@@ -75,12 +82,11 @@ pub struct ExecOptions {
     /// with no regard to the host's core count: capping it is deployment
     /// policy (`ServerConfig::max_parallelism` in the serving layer;
     /// [`Session::par_execute_batch`] asks for one per core). Batches of
-    /// every method, and single queries as batches of one, run their
-    /// fetch+verify and per-query aggregation stages on these workers;
-    /// answers and the adversary-observable trace are bit-identical at
-    /// every count. Only forward-private (§6) executions ignore the knob
-    /// and stay sequential: they re-encrypt what each query fetched before
-    /// the next one runs.
+    /// every method, single queries as batches of one and forward-private
+    /// (§6) ranges run their fetch+verify and per-query aggregation stages
+    /// on these workers (a §6 rewrite runs after them, on the calling
+    /// thread); answers and the adversary-observable trace are
+    /// bit-identical at every count.
     pub parallelism: usize,
 }
 
@@ -187,8 +193,8 @@ impl<'a> Session<'a> {
     /// deduplicated across the batch: each unit the batch needs is
     /// fetched — and hash-chain-verified — exactly once, then filtered and
     /// aggregated per query, with answers (including per-query fetch
-    /// metadata) identical to sequential execution. Forward-private
-    /// sessions execute the batch query by query instead; see
+    /// metadata) identical to sequential execution. In a forward-private
+    /// session a bin several §6 ranges share is also rewritten once; see
     /// [`crate::engine::QueryEngine::execute_batch`] for the leakage
     /// argument.
     pub fn execute_batch(&self, queries: &[Query]) -> Vec<Result<QueryAnswer>> {
@@ -235,7 +241,6 @@ impl<'a> Session<'a> {
     /// (including fetch metadata) are bit-identical to sequential
     /// execution, and the storage-level trace is merged back in
     /// deterministic unit order, so it equals the sequential trace exactly.
-    /// Forward-private batches still run query by query.
     pub fn par_execute_batch(&self, queries: &[Query]) -> Vec<Result<QueryAnswer>> {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let options = ExecOptions {

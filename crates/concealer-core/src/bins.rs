@@ -20,10 +20,8 @@
 //! largest need of the three methods, is how many fakes an epoch holds.
 //! Theorem 4.1 bounds the BPB need only.
 
-use serde::{Deserialize, Serialize};
-
 /// One bin of the plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bin {
     /// Cell-ids assigned to this bin.
     pub cell_ids: Vec<u32>,
@@ -49,7 +47,7 @@ impl Bin {
 }
 
 /// The complete bin plan for one epoch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinPlan {
     /// The bins, in construction order.
     pub bins: Vec<Bin>,

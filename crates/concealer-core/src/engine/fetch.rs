@@ -71,8 +71,8 @@ impl QueryEngine {
     ///
     /// Takes the store handle explicitly so the batch executor can
     /// substitute a handle bound to a task-local observer (same stored
-    /// data, buffered trace); the §6 loop passes `&self.store`.
-    pub(super) fn fetch_bin_rows(
+    /// data, buffered trace).
+    fn fetch_bin_rows(
         &self,
         store: &EpochStore,
         rt: &EpochRuntime,

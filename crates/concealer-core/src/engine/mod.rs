@@ -18,10 +18,10 @@
 //! on one query. The partial forms stop before the merge (the shard half
 //! of multi-node serving) — one process holding every epoch is the 1-of-1
 //! case. The stage executor runs on `w` scoped threads (see
-//! [`ExecOptions::parallelism`]). Only the §6 forward-private range, which
-//! is not a union of independent per-epoch fetches, keeps a loop of its
-//! own. All four entry points are normally reached through
-//! [`crate::Session`].
+//! [`ExecOptions::parallelism`]). A §6 forward-private range is a batch
+//! like any other: its plan adds cover bins, and a third stage re-encrypts
+//! what it fetched and commits once per epoch. All four entry points are
+//! normally reached through [`crate::Session`].
 //!
 //! Lock discipline: planning needs no write access to the `epochs`
 //! registry. The per-epoch tables a range fills on first use (super-bin
@@ -29,9 +29,10 @@
 //! in the epoch runtime, held only while planning reads or fills them and
 //! never across a fetch. Batches and single points plan and run under the
 //! **read** guard, beside other queries and ingest registration. The write
-//! guard is taken by [`QueryEngine::register_epoch`], by the §6 loop, which
-//! advances round counters and tags, and — for a reason outside the engine,
-//! given at `run_batch` — by a lone range query.
+//! guard is taken by [`QueryEngine::register_epoch`], by a batch holding a
+//! §6 range, whose third stage advances round counters and tags, and — for
+//! a reason outside the engine, given at `run_batch` — by a lone range
+//! query.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,14 +52,13 @@ use crate::bins::{fake_budget, BinPlan, WinSecPlan};
 use crate::codec;
 use crate::config::SystemConfig;
 use crate::query::filter::FilterPlan;
-use crate::query::{Accumulator, Predicate, Query, QueryAnswer};
+use crate::query::{Accumulator, Query, QueryAnswer};
 use crate::superbin::SuperBinPlan;
 use crate::types::EpochWindow;
 use crate::{unpoisoned, CoreError, Result};
 
 mod batch;
 mod fetch;
-mod methods;
 mod plan;
 
 /// Which range-query execution method to use (§4.2, §5.2, §5.3).
@@ -452,12 +452,9 @@ impl QueryEngine {
     /// sharded execution. The query runs as a batch of one: the planner
     /// and the stage executor of [`QueryEngine::execute_batch`], on
     /// `opts.parallelism` workers. Point predicates fetch their single bin,
-    /// range predicates run the method selected by `opts.method`.
-    ///
-    /// The one exception is a forward-private (§6) *range*, whose
-    /// re-encryption protocol spans rounds that do not satisfy the query
-    /// and cannot be split by epoch; it runs its own loop, and only under
-    /// [`RangeMethod::Bpb`] (see [`ExecOptions::forward_private`]).
+    /// range predicates run the method selected by `opts.method`; a
+    /// forward-private (§6) range runs only under [`RangeMethod::Bpb`] and
+    /// re-encrypts what it fetched (see [`ExecOptions::forward_private`]).
     /// Forward-private *points* fetch one bin of one round and execute
     /// like any point.
     ///
@@ -470,17 +467,10 @@ impl QueryEngine {
         query: &Query,
         opts: ExecOptions,
     ) -> Result<QueryAnswer> {
-        if opts.forward_private && matches!(query.predicate, Predicate::Range { .. }) {
-            self.authorize(user, query)?;
-            return self.execute_forward_private_range(query, &opts);
-        }
-        let opts = ExecOptions {
-            forward_private: false,
-            ..opts
-        };
+        let mut results = self.run_batch(user, std::slice::from_ref(query), &opts, true);
         // Merge first: a query no epoch covers fails before it leaves a
         // boundary in the trace.
-        let answer = merge_partials(query, self.run_one(user, query, &opts)?)?;
+        let answer = merge_partials(query, results.pop().expect("one result per query")?)?;
         self.store.mark_query_boundary();
         Ok(answer)
     }
@@ -498,30 +488,20 @@ impl QueryEngine {
     /// [`CoreError::NoDataForRange`].
     ///
     /// Forward-private (§6) executions are refused with
-    /// [`CoreError::InvalidConfig`]: the protocol re-encrypts every bin it
-    /// fetched — including extra bins from *non-satisfying* rounds in the
-    /// span — under enclave-resident round counters, so its work is not
-    /// partitionable by epoch ownership.
+    /// [`CoreError::InvalidConfig`]: whether a range draws cover bins and
+    /// re-encrypts depends on whether the deployment holds more than one
+    /// epoch, which a shard holding a slice cannot tell, and the rewrite
+    /// advances enclave-resident round counters.
     pub fn execute_partials(
         &self,
         user: &UserHandle,
         query: &Query,
         opts: ExecOptions,
     ) -> Result<Vec<EpochPartial>> {
-        let partials = self.run_one(user, query, &opts)?;
+        let mut results = self.run_batch(user, std::slice::from_ref(query), &opts, false);
+        let partials = results.pop().expect("one result per query")?;
         self.store.mark_query_boundary();
         Ok(partials)
-    }
-
-    /// A batch of one: `query`'s partials, with no boundary marked.
-    fn run_one(
-        &self,
-        user: &UserHandle,
-        query: &Query,
-        opts: &ExecOptions,
-    ) -> Result<Vec<EpochPartial>> {
-        let mut results = self.run_batch(user, std::slice::from_ref(query), opts);
-        results.pop().expect("one result per query")
     }
 
     /// Requirement R2: the enclave checks `user` against the registry for

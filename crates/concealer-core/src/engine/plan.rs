@@ -1,15 +1,17 @@
 //! Planning: the fetch units a query needs on this process — a point's
-//! bin, a BPB range's bins with super-bin expansion, an eBPB (§5.2) or
-//! winSecRange (§5.3) range's cell-groups — and the per-query plan built
-//! from them.
+//! bin, a BPB range's bins with super-bin expansion (and, for a
+//! multi-round §6 range, its cover bins), an eBPB (§5.2) or winSecRange
+//! (§5.3) range's cell-groups — and the per-query plan built from them.
 
 use std::collections::BTreeMap;
 
 use concealer_crypto::EpochId;
+use rand::Rng;
 
 use super::{EpochPartial, EpochRuntime, QueryEngine, RangeMethod};
 use crate::api::ExecOptions;
 use crate::bins::max_window_load;
+use crate::dynamic::extra_bins_per_round;
 use crate::grid::Grid;
 use crate::query::{Predicate, Query};
 use crate::superbin::SuperBinPlan;
@@ -37,12 +39,22 @@ pub(super) enum FetchUnit {
 /// error —
 /// other shards may own the query's epochs; only [`merge_partials`] can
 /// decide [`CoreError::NoDataForRange`].
+///
+/// `covers` is `Some` for a multi-round §6 range alone: its cover bins, by
+/// ascending epoch, whose rows are fetched and counted but whose matches
+/// are discarded. Stage 3 re-encrypts every bin such a plan fetched.
 pub(super) struct QueryPlan {
     pub(super) epochs: Vec<(u64, bool)>,
     pub(super) units: Vec<(u64, FetchUnit)>,
+    pub(super) covers: Option<Vec<(u64, FetchUnit)>>,
 }
 
 impl QueryPlan {
+    /// Every unit the plan fetches: its own, then its §6 cover bins.
+    pub(super) fn fetched(&self) -> impl Iterator<Item = &(u64, FetchUnit)> {
+        self.units.iter().chain(self.covers.iter().flatten())
+    }
+
     /// One empty partial per touched epoch, ascending, for the stage
     /// executor to fold the plan's units into.
     pub(super) fn seed(&self) -> Vec<EpochPartial> {
@@ -58,15 +70,33 @@ impl QueryEngine {
     /// touches (with per-epoch verification flags) and the units to fetch
     /// from them. A point fetches its bin whatever `opts.method` says; a
     /// range fetches what its method asks for.
+    ///
+    /// A forward-private (§6) range re-encrypts the whole bins it fetches,
+    /// and only BPB fetches whole bins: under any other method it is
+    /// refused here, before its first trapdoor. When the process holds
+    /// more than one epoch (the protocol's `multi_round`), the plan also
+    /// draws each touched epoch's cover bins from the engine RNG, in
+    /// ascending epoch order. On a one-epoch process it is the BPB range.
     pub(super) fn plan_query_bins(
         &self,
         epochs: &BTreeMap<u64, EpochRuntime>,
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryPlan> {
+        let section_6 = opts.forward_private && matches!(query.predicate, Predicate::Range { .. });
+        if section_6 && opts.method != RangeMethod::Bpb {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "forward-private (§6) ranges re-encrypt the whole bins they fetch and \
+                     run only under RangeMethod::Bpb, not {:?}",
+                    opts.method
+                ),
+            });
+        }
         let mut plan = QueryPlan {
             epochs: Vec::new(),
             units: Vec::new(),
+            covers: (section_6 && epochs.len() > 1).then(Vec::new),
         };
         let (t_start, t_end) = query.predicate.time_span();
         let touched: Vec<&EpochRuntime> = match &query.predicate {
@@ -85,11 +115,24 @@ impl QueryEngine {
                 (Predicate::Point { dims, time }, _) => {
                     vec![FetchUnit::Bin(self.locate_point_bin(rt, dims, *time)?)]
                 }
-                (Predicate::Range { .. }, RangeMethod::Bpb) => self
-                    .range_bins_for_epoch(rt, query, opts)?
-                    .into_iter()
-                    .map(FetchUnit::Bin)
-                    .collect(),
+                (Predicate::Range { .. }, RangeMethod::Bpb) => {
+                    let mut bins = self.range_bins_for_epoch(rt, query, opts)?;
+                    if let Some(covers) = &mut plan.covers {
+                        // §6: random bins until the epoch fetches
+                        // `extra_bins_per_round` of its bins (or all).
+                        let (needed, num_bins) = (bins.len(), rt.bin_plan.num_bins());
+                        let mut rng = unpoisoned(self.rng.lock());
+                        while bins.len() < extra_bins_per_round(num_bins).min(num_bins) {
+                            let candidate = rng.gen_range(0..num_bins);
+                            if !bins.contains(&candidate) {
+                                bins.push(candidate);
+                            }
+                        }
+                        let drawn = bins.drain(needed..);
+                        covers.extend(drawn.map(|b| (rt.epoch_id, FetchUnit::Bin(b))));
+                    }
+                    bins.into_iter().map(FetchUnit::Bin).collect()
+                }
                 (Predicate::Range { .. }, RangeMethod::Ebpb) => {
                     let (cids, fakes) = self.ebpb_cells(rt, query)?;
                     cell_groups(rt, &cids, fakes)
@@ -125,8 +168,8 @@ impl QueryEngine {
 
     /// The sorted, deduplicated bin set a BPB range fetches from one epoch
     /// (the trivial method), with super-bin expansion when `opts` asks for
-    /// it. The §6 loop fetches the same set.
-    pub(super) fn range_bins_for_epoch(
+    /// it.
+    fn range_bins_for_epoch(
         &self,
         rt: &EpochRuntime,
         query: &Query,
@@ -215,7 +258,7 @@ impl QueryEngine {
         Ok((rows, cells))
     }
 
-    pub(super) fn grid_for(&self, rt: &EpochRuntime) -> Grid {
+    fn grid_for(&self, rt: &EpochRuntime) -> Grid {
         let key = self.enclave.epoch_key(EpochId(rt.epoch_id), 0);
         Grid::new(self.config.grid.clone(), rt.window, key.grid_prf.clone())
     }

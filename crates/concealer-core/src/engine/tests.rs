@@ -1,7 +1,7 @@
 use super::*;
 use crate::bins::max_window_load;
 use crate::config::{FakeTupleStrategy, GridShape};
-use crate::query::{Aggregate, AnswerValue};
+use crate::query::{Aggregate, AnswerValue, Predicate};
 use crate::types::Record;
 use std::collections::btree_map;
 use std::sync::Arc;
@@ -608,6 +608,275 @@ fn forward_private_ranges_run_only_under_bpb() {
     for epoch in [0, 3600] {
         assert_eq!(system.store().rewrite_count(epoch).unwrap(), 0);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The §6 protocol covers every round between the first and the last
+    /// one a range satisfies, and the planner fetches from the epochs the
+    /// range overlaps: the two sets are one because every window lasts
+    /// `epoch_duration`. Epoch starts are random, gaps and unaligned (even
+    /// overlapping) windows included.
+    #[test]
+    fn every_registered_epoch_between_touched_ones_is_touched(
+        starts in proptest::collection::btree_set(0u64..40_000, 1..10),
+        duration in 1u64..6_000,
+        range in (0u64..50_000, 0u64..20_000),
+    ) {
+        let windows: BTreeMap<u64, EpochWindow> = starts
+            .iter()
+            .map(|&start| (start, EpochWindow { start, duration }))
+            .collect();
+        let (t_start, t_end) = (range.0, range.0 + range.1);
+        let touched: Vec<u64> = windows
+            .values()
+            .filter(|w| w.overlaps(t_start, t_end))
+            .map(|w| w.start)
+            .collect();
+        if let (Some(&lo), Some(&hi), true) = (touched.first(), touched.last(), windows.len() > 1) {
+            let span: Vec<u64> = windows.range(lo..=hi).map(|(&id, _)| id).collect();
+            proptest::prop_assert_eq!(span, touched);
+        }
+    }
+}
+
+/// Per epoch of `trace`, in ascending order: its `RowFetched` events.
+fn rows_fetched_per_epoch(trace: &[AccessEvent]) -> BTreeMap<u64, usize> {
+    let mut out = BTreeMap::new();
+    for event in trace {
+        if let AccessEvent::RowFetched { epoch_id, .. } = event {
+            *out.entry(*epoch_id).or_insert(0) += 1;
+        }
+    }
+    out
+}
+
+/// A §6 range fetches everything before it rewrites anything, and commits
+/// once per touched epoch: one `EpochRewritten` each, one store rewrite
+/// each.
+#[test]
+fn a_forward_private_range_fetches_everything_then_commits_once_per_epoch() {
+    let (system, user, records) = two_epochs(Arc::new(MemoryBackend::new()));
+    let query = Query::count().at_dims([4]).between(0, 7199);
+    system.observer().reset();
+    let answer = system
+        .session(&user)
+        .execute_with(&query, forward_private_opts())
+        .unwrap();
+    assert_eq!(answer.value, oracle(&records, &query));
+    let trace = system.observer().take_events();
+    let rewritten: Vec<(usize, u64)> = trace
+        .iter()
+        .enumerate()
+        .filter_map(|(i, event)| match event {
+            AccessEvent::EpochRewritten { epoch_id, .. } => Some((i, *epoch_id)),
+            _ => None,
+        })
+        .collect();
+    let epochs: Vec<u64> = rewritten.iter().map(|&(_, epoch_id)| epoch_id).collect();
+    assert_eq!(epochs, vec![0, 3600]);
+    let last_fetch = trace
+        .iter()
+        .rposition(|e| matches!(e, AccessEvent::RowFetched { .. }))
+        .unwrap();
+    assert!(last_fetch < rewritten[0].0, "a row fetched after a rewrite");
+    for epoch in [0, 3600] {
+        assert_eq!(system.store().rewrite_count(epoch).unwrap(), 1);
+    }
+}
+
+/// Cover bins: for a seed, which bins a §6 range draws may change, but
+/// every touched epoch fetches the range's own BPB bins topped up to
+/// `extra_bins_per_round` of its bins, and the answer counts those rows.
+#[test]
+fn a_forward_private_range_tops_each_epoch_up_to_its_cover_bins() {
+    // One grid cell on each side of the epoch boundary: one bin each.
+    let query = Query::count().at_dims([4]).between(3300, 3899);
+    let run = |opts: ExecOptions| {
+        let (system, user, _) = two_epochs(Arc::new(MemoryBackend::new()));
+        system.observer().reset();
+        let answer = system.session(&user).execute_with(&query, opts).unwrap();
+        let per_epoch = rows_fetched_per_epoch(&system.observer().take_events());
+        let plans = [0, 3600].map(|epoch| system.engine().plan_stats(epoch).unwrap());
+        (answer, per_epoch, plans)
+    };
+    let (bpb, bpb_rows, plans) = run(ExecOptions::with_method(RangeMethod::Bpb));
+    let (fp, fp_rows, _) = run(forward_private_opts());
+    assert_eq!(fp.value, bpb.value);
+    let mut expected = BTreeMap::new();
+    for plan in &plans {
+        let bin_size = plan.bin_size as usize;
+        let needed = bpb_rows[&plan.epoch_id] / bin_size;
+        let cover = crate::dynamic::extra_bins_per_round(plan.num_bins).min(plan.num_bins);
+        assert!(cover > needed, "{plan:?}: {needed} bins leave no room");
+        expected.insert(plan.epoch_id, needed.max(cover) * bin_size);
+    }
+    assert_eq!(fp_rows, expected);
+    assert_eq!(fp.rows_fetched, expected.values().sum::<usize>());
+}
+
+/// Two §6 ranges in one batch fetch a bin they share once, rewrite it
+/// once (one commit per epoch, no bin past round 1) and mark one
+/// boundary, and their answer values are those of per-query execution.
+#[test]
+fn a_forward_private_batch_fetches_and_rewrites_a_shared_bin_once() {
+    let queries = [
+        Query::count().at_dims([4]).between(0, 7199),
+        Query::sum(0).at_dims([4]).between(1800, 5399),
+    ];
+    let (system, user, records) = two_epochs(Arc::new(MemoryBackend::new()));
+    system.observer().reset();
+    let batched: Vec<QueryAnswer> = system
+        .session(&user)
+        .with_options(forward_private_opts())
+        .execute_batch(&queries)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect();
+    let trace = system.observer().take_events();
+    let mut fetched: Vec<(u64, u64)> = trace
+        .iter()
+        .filter_map(|event| match *event {
+            AccessEvent::RowFetched {
+                epoch_id, row_id, ..
+            } => Some((epoch_id, row_id)),
+            _ => None,
+        })
+        .collect();
+    let total = fetched.len();
+    fetched.sort_unstable();
+    fetched.dedup();
+    assert_eq!(fetched.len(), total, "a row fetched twice");
+    let count = |pred: fn(&AccessEvent) -> bool| trace.iter().filter(|e| pred(e)).count();
+    assert_eq!(count(|e| matches!(e, AccessEvent::QueryBoundary)), 1);
+    assert_eq!(
+        count(|e| matches!(e, AccessEvent::EpochRewritten { .. })),
+        2
+    );
+    for epoch in [0, 3600] {
+        assert_eq!(system.store().rewrite_count(epoch).unwrap(), 1);
+        let epochs = unpoisoned(system.engine().epochs.read());
+        let rounds = &epochs[&epoch].bin_rounds;
+        assert!(
+            rounds.iter().all(|&r| r <= 1) && rounds.contains(&1),
+            "{rounds:?}"
+        );
+    }
+
+    let (system, user, _) = two_epochs(Arc::new(MemoryBackend::new()));
+    let session = system.session(&user).with_options(forward_private_opts());
+    for ((query, batched), i) in queries.iter().zip(&batched).zip(0..) {
+        let alone = session.execute(query).unwrap();
+        assert_eq!(batched.value, alone.value, "query {i}");
+        assert_eq!(batched.value, oracle(&records, query), "query {i}");
+    }
+}
+
+/// All or nothing: a §6 range whose later epoch fails verification
+/// returns the integrity violation and rewrites no epoch, not even the
+/// earlier one it fetched honestly.
+#[test]
+fn a_forward_private_range_that_fails_verification_rewrites_nothing() {
+    let backend = Arc::new(FaultyBackend::default());
+    let (system, user, records) = two_epochs(backend.clone());
+    // Every row of the later epoch is served with a flipped payload byte,
+    // so a real tuple the query fetches is caught by its hash chain.
+    backend.arm(Box::new(|_, epoch_id, epoch, _| {
+        (epoch_id == 3600).then(|| {
+            edited(epoch, |rows| {
+                for row in rows {
+                    row.payload[5] ^= 0x01;
+                }
+            })
+        })
+    }));
+    let query = Query::count().at_dims([4]).between(0, 7199);
+    let session = system.session(&user);
+    let refused = session.execute_with(&query, forward_private_opts());
+    assert!(
+        matches!(refused, Err(CoreError::IntegrityViolation { .. })),
+        "{refused:?}"
+    );
+    for epoch in [0, 3600] {
+        assert_eq!(
+            system.store().rewrite_count(epoch).unwrap(),
+            0,
+            "epoch {epoch}"
+        );
+    }
+    // The honest epoch still answers, at the round it was ingested under.
+    let honest = Query::count().at_dims([4]).between(0, 3599);
+    let answer = session.execute_with(&honest, ExecOptions::with_method(RangeMethod::Bpb));
+    assert_eq!(answer.unwrap().value, oracle(&records, &honest));
+}
+
+/// On a process holding one epoch, §6 has one round: a forward-private
+/// range draws no cover bin, rewrites nothing, and is event for event,
+/// meter count for meter count, the BPB range.
+#[test]
+fn a_one_epoch_forward_private_range_is_the_bpb_range() {
+    let query = Query::count().at_dims([4]).between(600, 2999);
+    let run = |opts: ExecOptions| {
+        let (system, user, _) = setup(false);
+        system.observer().reset();
+        let (answer, meter) = system
+            .meter()
+            .measure(|| system.session(&user).execute_with(&query, opts).unwrap());
+        assert_eq!(system.store().rewrite_count(0).unwrap(), 0);
+        (answer, system.observer().take_events(), meter)
+    };
+    assert_eq!(
+        run(forward_private_opts()),
+        run(ExecOptions::with_method(RangeMethod::Bpb))
+    );
+}
+
+/// The worker count is unobservable under §6 too: a two-epoch range and a
+/// two-query batch at parallelism 1 and 4 give the same answers,
+/// event-level trace, meter and rewrite counts, and a plain query after
+/// them the same answer.
+#[test]
+fn forward_private_executions_do_not_depend_on_the_worker_count() {
+    let range = Query::count().at_dims([4]).between(0, 7199);
+    let batch = [
+        Query::top_k_locations(3).between(600, 6599),
+        Query::count().at_dims([2]).between(1800, 5399),
+    ];
+    let after = Query::sum(0).between(0, 7199);
+    let run = |parallelism: usize| {
+        let (system, user, records) = two_epochs(Arc::new(MemoryBackend::new()));
+        let session = system
+            .session(&user)
+            .with_options(forward_private_opts().with_parallelism(parallelism));
+        system.observer().reset();
+        let (answers, meter) = system.meter().measure(|| {
+            let mut answers = vec![session.execute(&range)];
+            answers.extend(session.execute_batch(&batch));
+            answers
+        });
+        let rewrites = [0, 3600].map(|epoch| system.store().rewrite_count(epoch).unwrap());
+        let plain = session
+            .execute_with(&after, ExecOptions::with_method(RangeMethod::Bpb))
+            .unwrap();
+        assert_eq!(plain.value, oracle(&records, &after));
+        (
+            answers,
+            system.observer().take_events(),
+            meter,
+            rewrites,
+            plain,
+        )
+    };
+    let one = run(1);
+    assert!(one.0.iter().all(Result::is_ok), "{:?}", one.0);
+    assert!(one.3.iter().all(|&n| n == 2), "{:?}", one.3);
+    let four = run(4);
+    assert_eq!(four.0, one.0, "answers");
+    assert_eq!(four.1, one.1, "event-level trace");
+    assert_eq!(four.2, one.2, "meter");
+    assert_eq!(four.3, one.3, "rewrite counts");
+    assert_eq!(four.4, one.4, "the plain query after them");
 }
 
 /// What a faulty provider serves one read instead of the stored epoch:

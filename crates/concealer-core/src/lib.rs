@@ -83,7 +83,7 @@ pub mod bin_cache;
 pub mod bins;
 pub mod codec;
 pub mod config;
-pub mod dynamic;
+pub(crate) mod dynamic;
 pub mod engine;
 pub mod grid;
 pub mod provider;

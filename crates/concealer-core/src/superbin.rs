@@ -12,12 +12,10 @@
 //! grid cells whose cell-id belongs to the bin: a query for any attribute
 //! value hashing into one of those cells retrieves this bin.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bins::BinPlan;
 
 /// A grouping of bins into super-bins.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuperBinPlan {
     /// `super_bins[s]` lists the bin indices grouped into super-bin `s`.
     pub super_bins: Vec<Vec<usize>>,

@@ -99,8 +99,8 @@ pub enum Request {
         options: Option<ExecOptions>,
     },
     /// Execute a batch of queries ([`concealer_core::Session::execute_batch`]
-    /// semantics: cross-query dedup of every method's fetch units;
-    /// forward-private batches run query by query).
+    /// semantics: cross-query dedup of every method's fetch units,
+    /// forward-private ranges included).
     ExecuteBatch {
         /// Caller-chosen request id echoed in the reply (must be nonzero).
         id: u64,

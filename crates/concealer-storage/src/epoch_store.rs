@@ -350,12 +350,16 @@ impl EpochStore {
         self.rewrite_bin(epoch_id, replacements, Vec::new())
     }
 
-    /// Apply a full §6 bin rewrite atomically: swap re-encrypted rows in
-    /// place (keyed by old `Index` values, as [`EpochStore::rewrite_rows`])
-    /// *and* refresh the affected verifiable tags in one backend commit —
-    /// on the durable backend this persists a single new segment generation
-    /// instead of one per call. The rewrite counter advances (and the
-    /// rewrite is observable) only when rows were actually replaced.
+    /// Apply a §6 rewrite atomically: swap re-encrypted rows in place
+    /// (keyed by old `Index` values, as [`EpochStore::rewrite_rows`]) *and*
+    /// refresh the affected verifiable tags in one backend commit. The rows
+    /// may be any set of the epoch's rows — the engine passes every bin a
+    /// query batch fetched from the epoch at once — and the call is one
+    /// commit (on the durable backend, a single new segment generation),
+    /// one step of the rewrite counter and one
+    /// [`AccessEvent::EpochRewritten`], whatever the number of rows. The
+    /// counter advances (and the rewrite is observable) only when rows were
+    /// actually replaced.
     pub fn rewrite_bin(
         &self,
         epoch_id: u64,

@@ -392,7 +392,7 @@ fn batch_values_match_sequential_even_under_other_default_methods() {
 }
 
 #[test]
-fn forward_private_batches_fall_back_to_sequential_semantics() {
+fn forward_private_batches_run_the_section_6_protocol_as_one_batch() {
     let (system, user) = {
         let mut rng = StdRng::seed_from_u64(406);
         let mut system =
