@@ -366,8 +366,9 @@ impl SystemBuilder {
     }
 
     /// Assemble the deployment. Fails when a pre-populated backend's
-    /// epochs cannot be registered (metadata sealed under a different
-    /// master key, or corrupt).
+    /// epochs cannot be registered (metadata or key-vault entry sealed
+    /// under a different master key, corrupt metadata, or an epoch the §6
+    /// protocol rewrote).
     pub fn build<R: RngCore>(self, rng: &mut R) -> Result<ConcealerSystem> {
         let master = self.master.unwrap_or_else(|| MasterKey::generate(rng));
         let engine_seed = self.engine_seed.unwrap_or_else(|| rng.gen());
@@ -612,6 +613,67 @@ mod tests {
             matches!(err, CoreError::InvalidConfig { ref reason } if reason.contains("re-ingest")),
             "{err}"
         );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A replica's refresh strands no epoch behind one that fails: the
+    /// writer commits epochs 0 and 3600, epoch 0 with its sealed
+    /// `c_tuple[]` corrupted, and the replica's refresh still registers
+    /// 3600, which then answers as on the writer. The refresh reports epoch
+    /// 0's failure, and so does the next one, which retries it.
+    #[test]
+    fn a_failed_epoch_strands_no_later_epoch_on_a_replica() {
+        let root = scratch("replica-strand");
+        let master = MasterKey::from_bytes([11u8; 32]);
+        let build = |backend: DiskEpochStore, seed: u64| {
+            SystemBuilder::new(SystemConfig::small_test())
+                .master(master.clone())
+                .with_backend(Arc::new(backend))
+                .build(&mut StdRng::seed_from_u64(seed))
+                .unwrap()
+        };
+        let mut writer = build(DiskEpochStore::open(&root).unwrap(), 10);
+        let mut replica = build(DiskEpochStore::open_replica(&root).unwrap(), 11);
+
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut shipment = writer
+            .provider()
+            .encrypt_epoch(0, &sample_records(), &mut rng)
+            .unwrap();
+        *shipment.metadata.enc_c_tuple.last_mut().unwrap() ^= 1;
+        writer
+            .store()
+            .ingest_epoch(0, shipment.rows, shipment.metadata)
+            .unwrap();
+        let later: Vec<Record> = sample_records()
+            .into_iter()
+            .map(|mut r| {
+                r.time += 3_600;
+                r
+            })
+            .collect();
+        writer.ingest_epoch(3_600, &later, &mut rng).unwrap();
+
+        let refreshed = replica.refresh_epochs();
+        assert!(
+            matches!(refreshed, Err(CoreError::CorruptMetadata)),
+            "{refreshed:?}"
+        );
+        assert_eq!(replica.engine().registered_epochs(), vec![3_600]);
+        let query = Query::count().at_dims([2]).between(3_600, 7_199);
+        let user = replica.register_user(1, vec![], true);
+        let answer = replica.session(&user).execute(&query).unwrap();
+        let writer_user = writer.register_user(1, vec![], true);
+        let expected = writer.session(&writer_user).execute(&query).unwrap();
+        assert_eq!((&answer.value, answer.verified), (&expected.value, true));
+
+        let retried = replica.refresh_epochs();
+        assert!(
+            matches!(retried, Err(CoreError::CorruptMetadata)),
+            "{retried:?}"
+        );
+        assert_eq!(replica.engine().registered_epochs(), vec![3_600]);
+        drop((writer, replica));
         let _ = std::fs::remove_dir_all(&root);
     }
 }

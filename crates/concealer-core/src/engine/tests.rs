@@ -9,7 +9,7 @@ use std::sync::Arc;
 use concealer_crypto::EpochKey;
 use concealer_enclave::{EnclaveError, MeterSnapshot};
 use concealer_storage::{
-    AccessEvent, AccessObserver, EncryptedRow, EncryptedTable, MemoryBackend,
+    AccessEvent, AccessObserver, EncryptedRow, EncryptedTable, MemoryBackend, NextEpochFn,
     Result as StoreResult, StorageBackend, StoredEpoch,
 };
 use proptest::prelude::{any, proptest, ProptestConfig};
@@ -411,7 +411,7 @@ fn tampering_is_detected_at_query_time() {
             (row.index_key.clone(), tampered)
         })
         .collect();
-    system.store().rewrite_rows(0, rewrites).unwrap();
+    system.store().rewrite_bin(0, rewrites, Vec::new()).unwrap();
 
     // Sweep queries until one hits the tampered row's bin.
     let session = system.session(&user);
@@ -456,7 +456,7 @@ fn tampering_after_a_bin_is_cached_is_detected() {
         tampered.payload[5] ^= 0x01;
         system
             .store()
-            .rewrite_rows(0, vec![(tampered.index_key.clone(), tampered)])
+            .rewrite_bin(0, vec![(tampered.index_key.clone(), tampered)], Vec::new())
             .unwrap();
         let misses = system.engine().bin_cache_stats().misses;
         match session.execute(&query) {
@@ -888,8 +888,8 @@ type Tamper = Box<
     dyn Fn(usize, u64, &StoredEpoch, Option<&StoredEpoch>) -> Option<StoredEpoch> + Send + Sync,
 >;
 
-/// A provider that lies at the storage seam: every `with_epoch` call — a
-/// store fetch, a warm replay, a metadata read — is one read, and the armed
+/// A provider that lies at the storage seam: every snapshot it hands out —
+/// a store fetch, a warm replay, a metadata read — is one read, and the armed
 /// [`Tamper`] decides what each read sees. Watching an observer instead
 /// records where in its trace each read began, so an honest run tells
 /// which rows each read returned.
@@ -906,7 +906,7 @@ struct FaultState {
     watched: Option<AccessObserver>,
     /// Per read since armed: its epoch and the trace length when it began.
     read_starts: Vec<(u64, usize)>,
-    as_ingested: BTreeMap<u64, StoredEpoch>,
+    as_ingested: BTreeMap<u64, Arc<StoredEpoch>>,
 }
 
 impl std::fmt::Debug for FaultyBackend {
@@ -961,48 +961,34 @@ impl StorageBackend for FaultyBackend {
     fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> StoreResult<()> {
         self.inner.put_epoch(epoch_id, epoch)
     }
-    fn with_epoch(&self, epoch_id: u64, f: &mut dyn FnMut(&StoredEpoch)) -> StoreResult<()> {
+    fn epoch(&self, epoch_id: u64) -> StoreResult<Arc<StoredEpoch>> {
         let mut state = unpoisoned(self.state.lock());
         let read = state.reads;
         state.reads += 1;
         if let Some(at) = state.watched.as_ref().map(AccessObserver::len) {
             state.read_starts.push((epoch_id, at));
         }
-        self.inner.with_epoch(epoch_id, &mut |epoch| {
-            let as_ingested = state.as_ingested.get(&epoch_id);
-            let served = state
-                .tamper
-                .as_ref()
-                .and_then(|tamper| tamper(read, epoch_id, epoch, as_ingested));
-            f(served.as_ref().unwrap_or(epoch));
-        })
+        let epoch = self.inner.epoch(epoch_id)?;
+        let as_ingested = state.as_ingested.get(&epoch_id).map(Arc::as_ref);
+        let served = state
+            .tamper
+            .as_ref()
+            .and_then(|tamper| tamper(read, epoch_id, &epoch, as_ingested));
+        Ok(served.map_or(epoch, Arc::new))
     }
-    fn update_epoch(
-        &self,
-        epoch_id: u64,
-        f: &mut dyn FnMut(&mut StoredEpoch) -> StoreResult<()>,
-    ) -> StoreResult<()> {
+    fn update_epoch(&self, epoch_id: u64, next: &mut NextEpochFn<'_>) -> StoreResult<()> {
         if let btree_map::Entry::Vacant(slot) =
             unpoisoned(self.state.lock()).as_ingested.entry(epoch_id)
         {
-            let mut current = None;
-            self.inner
-                .with_epoch(epoch_id, &mut |epoch| current = Some(epoch.clone()))?;
-            slot.insert(current.expect("with_epoch ran the closure"));
+            slot.insert(self.inner.epoch(epoch_id)?);
         }
-        self.inner.update_epoch(epoch_id, f)
+        self.inner.update_epoch(epoch_id, next)
     }
     fn epoch_ids(&self) -> Vec<u64> {
         self.inner.epoch_ids()
     }
-    fn epoch_count(&self) -> usize {
-        self.inner.epoch_count()
-    }
     fn total_rows(&self) -> usize {
         self.inner.total_rows()
-    }
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
     }
 }
 
@@ -1136,9 +1122,10 @@ fn a_fake_slot_never_carries_a_counted_row() {
 
         system
             .store()
-            .rewrite_rows(
+            .rewrite_bin(
                 0,
                 vec![(fake.index_key.clone(), columns_under(&fake, &counted))],
+                Vec::new(),
             )
             .unwrap();
         let refused = Err(CoreError::IntegrityViolation { cell_id: u32::MAX });
@@ -1603,7 +1590,7 @@ fn parallel_batch_reports_integrity_violations_deterministically() {
                 (row.index_key.clone(), tampered)
             })
             .collect();
-        system.store().rewrite_rows(0, rewrites).unwrap();
+        system.store().rewrite_bin(0, rewrites, Vec::new()).unwrap();
     }
     let queries = parallel_test_queries(&records);
     let sequential = seq_sys
@@ -1652,7 +1639,7 @@ fn a_failing_unit_stops_no_other_fetch() {
                     (row.index_key, tampered)
                 })
                 .collect();
-            system.store().rewrite_rows(0, rewrites).unwrap();
+            system.store().rewrite_bin(0, rewrites, Vec::new()).unwrap();
         }
         system.observer().reset();
         let answer = system
@@ -1709,7 +1696,7 @@ impl StorageBackend for ParkingBackend {
     fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> StoreResult<()> {
         self.inner.put_epoch(epoch_id, epoch)
     }
-    fn with_epoch(&self, epoch_id: u64, f: &mut dyn FnMut(&StoredEpoch)) -> StoreResult<()> {
+    fn epoch(&self, epoch_id: u64) -> StoreResult<Arc<StoredEpoch>> {
         let park = unpoisoned(self.park.lock()).take();
         if let Some((parked, release)) = park {
             parked.send(()).expect("the test waits for the park");
@@ -1717,26 +1704,16 @@ impl StorageBackend for ParkingBackend {
             // which by whether its release still reached us.
             let _ = release.recv_timeout(PARK_TIMEOUT);
         }
-        self.inner.with_epoch(epoch_id, f)
+        self.inner.epoch(epoch_id)
     }
-    fn update_epoch(
-        &self,
-        epoch_id: u64,
-        f: &mut dyn FnMut(&mut StoredEpoch) -> StoreResult<()>,
-    ) -> StoreResult<()> {
-        self.inner.update_epoch(epoch_id, f)
+    fn update_epoch(&self, epoch_id: u64, next: &mut NextEpochFn<'_>) -> StoreResult<()> {
+        self.inner.update_epoch(epoch_id, next)
     }
     fn epoch_ids(&self) -> Vec<u64> {
         self.inner.epoch_ids()
     }
-    fn epoch_count(&self) -> usize {
-        self.inner.epoch_count()
-    }
     fn total_rows(&self) -> usize {
         self.inner.total_rows()
-    }
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
     }
 }
 

@@ -57,7 +57,8 @@ impl ConcealerSystem {
 
     /// Wire a deployment around an existing store, re-registering with the
     /// engine every epoch the store already holds (a reopened durable
-    /// backend). Registration decrypts each epoch's metadata, so it fails
+    /// backend; see [`ConcealerSystem::register_stored_epochs`] for the
+    /// rules). Registration decrypts each epoch's metadata, so it fails
     /// with [`CoreError::CorruptMetadata`] when `master` does not match the
     /// key the epochs were sealed under.
     pub(crate) fn assemble(
@@ -74,48 +75,77 @@ impl ConcealerSystem {
         };
         let enclave = Enclave::provision(master, UserRegistry::new(), enclave_config);
         let engine = QueryEngine::new(config, enclave, store.clone(), engine_seed);
-        for epoch_id in store.epoch_ids() {
-            // The §6 protocol re-encrypts bins under per-bin round keys whose
-            // counters are enclave-resident state; registration would reset
-            // them to round 0 and the next query on a rewritten bin would
-            // issue trapdoors that miss every row (surfacing as a spurious
-            // integrity violation, or a wrong answer with verification off).
-            // Fail at build time instead, where the remedy is actionable.
-            if store.rewrite_count(epoch_id)? > 0 {
-                return Err(CoreError::InvalidConfig {
-                    reason: format!(
-                        "epoch {epoch_id} was rewritten by the forward-private (§6) \
-                         protocol; its round counters are enclave state and do not \
-                         survive a restart — re-ingest the epoch"
-                    ),
-                });
-            }
-            // Epochs carrying a key-vault entry must unwrap under this
-            // master at the recorded generation — a mismatch means the
-            // store was sealed under a different master (or a different
-            // lifecycle history) and would fail at decrypt time anyway;
-            // refuse here, where the remedy is actionable. Epochs without
-            // an entry predate the vault and are validated by metadata
-            // registration alone, as before.
-            if let Some((generation, blob)) = store.backend().sealed_key(epoch_id) {
-                if engine
-                    .enclave()
-                    .master_key_for_data_provider()
-                    .unwrap_epoch_seal(generation, epoch_id, &blob)
-                    .is_none()
-                {
-                    return Err(CoreError::CorruptMetadata);
-                }
-            }
-            engine.register_epoch(epoch_id)?;
-        }
-        Ok(ConcealerSystem {
+        let system = ConcealerSystem {
             provider,
             store,
             engine,
             registry: UserRegistry::new(),
             default_user: None,
-        })
+        };
+        system.register_stored_epochs()?;
+        Ok(system)
+    }
+
+    /// Register with the engine every stored epoch it does not hold yet —
+    /// at open, on a replica's refresh tick and at promotion alike — and
+    /// return the epoch ids registered. An epoch that fails stays
+    /// unregistered while the rest are registered; the first failure is
+    /// returned and the next call retries it.
+    ///
+    /// Two rules come before registration proper:
+    ///
+    /// * An epoch the §6 protocol has rewritten is refused: its per-bin
+    ///   round counters are enclave state that did not survive the hop
+    ///   from the process that rewrote it, and registering would reset
+    ///   them to round 0, so the next query on a rewritten bin would issue
+    ///   trapdoors that miss every row (a spurious integrity violation, or
+    ///   a wrong answer with verification off). The remedy is to re-ingest
+    ///   the epoch.
+    /// * An epoch with a key-vault entry must unwrap under this master at
+    ///   the recorded generation; a mismatch means the store was sealed
+    ///   under another master (or another lifecycle history). Epochs
+    ///   without an entry predate the vault and are validated by metadata
+    ///   registration alone.
+    fn register_stored_epochs(&self) -> Result<Vec<u64>> {
+        let known: std::collections::BTreeSet<u64> =
+            self.engine.registered_epochs().into_iter().collect();
+        let mut registered = Vec::new();
+        let mut first_error = None;
+        for epoch_id in self.store.epoch_ids() {
+            if known.contains(&epoch_id) {
+                continue;
+            }
+            match self.register_stored_epoch(epoch_id) {
+                Ok(()) => registered.push(epoch_id),
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        first_error.map_or(Ok(registered), Err)
+    }
+
+    fn register_stored_epoch(&self, epoch_id: u64) -> Result<()> {
+        if self.store.rewrite_count(epoch_id)? > 0 {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "epoch {epoch_id} was rewritten by the forward-private (§6) \
+                     protocol; its round counters are enclave state and do not \
+                     survive a restart — re-ingest the epoch"
+                ),
+            });
+        }
+        if let Some((generation, blob)) = self.store.backend().sealed_key(epoch_id) {
+            if self
+                .provider
+                .master()
+                .unwrap_epoch_seal(generation, epoch_id, &blob)
+                .is_none()
+            {
+                return Err(CoreError::CorruptMetadata);
+            }
+        }
+        self.engine.register_epoch(epoch_id)
     }
 
     /// Register a user with the data provider; the updated registry is
@@ -158,8 +188,8 @@ impl ConcealerSystem {
 
     /// Encrypt and ingest one epoch of records (Phase 1 of the paper).
     ///
-    /// Takes `&self`: ingest only touches the (sharded, internally locked)
-    /// store and the engine's epoch registry, so epochs can be ingested
+    /// Takes `&self`: ingest only publishes a new epoch snapshot to the
+    /// store and touches the engine's epoch registry, so epochs can be ingested
     /// concurrently with query execution — late epochs land while earlier
     /// ones keep serving.
     pub fn ingest_epoch<R: RngCore>(
@@ -194,49 +224,32 @@ impl ConcealerSystem {
     /// [`concealer_storage::StorageBackend::refresh`]). Returns the epoch
     /// ids registered. Takes `&self` for the same reason
     /// [`ConcealerSystem::ingest_epoch`] does: late epochs land while
-    /// earlier ones keep serving.
+    /// earlier ones keep serving. A no-op once the store is writable: the
+    /// writer registers its own ingests.
     ///
-    /// Epochs the writer has rewritten under the forward-private (§6)
-    /// protocol are *not* registered: their per-bin round counters are the
-    /// writer's enclave state and do not survive the hop (the same rule
-    /// that makes a restarted system refuse them — see the build-time
-    /// check in `assemble`).
+    /// Registration follows the rules of a reopened store (see
+    /// [`crate::SystemBuilder::build`]), and an epoch that fails them —
+    /// one the writer has rewritten under the §6 protocol, or whose sealed
+    /// metadata does not decrypt — does not hold back the others: its
+    /// error is returned, and the next tick retries it.
     pub fn refresh_epochs(&self) -> Result<Vec<u64>> {
-        let mut registered = Vec::new();
-        for epoch_id in self.store.refresh()? {
-            if self.store.rewrite_count(epoch_id)? > 0 {
-                continue;
-            }
-            self.engine.register_epoch(epoch_id)?;
-            registered.push(epoch_id);
+        if !self.store.read_only() {
+            return Ok(Vec::new());
         }
-        Ok(registered)
+        self.store.refresh()?;
+        self.register_stored_epochs()
     }
 
     /// Promote this system's store from read-only replica to writer (a
     /// reopen of the durable root — no key material moves; see
     /// [`concealer_storage::StorageBackend::promote`]), then register
-    /// anything the recovery pass surfaced that the refresh loop had not
-    /// absorbed yet. Idempotent on a system that is already the writer.
-    /// Returns the epoch ids newly registered.
-    ///
-    /// Epochs the dead writer rewrote under the §6 protocol do not survive
-    /// the failover (their round counters were the dead writer's enclave
-    /// state — the restart rule); they are skipped here and must be
-    /// re-ingested, exactly as after a single-node restart.
+    /// every stored epoch the refresh ticks had not, as
+    /// [`ConcealerSystem::refresh_epochs`] does: the first failure is
+    /// returned once the rest are registered. Idempotent on a system that
+    /// is already the writer. Returns the epoch ids newly registered.
     pub fn promote_to_writer(&self) -> Result<Vec<u64>> {
         self.store.promote()?;
-        let known: std::collections::BTreeSet<u64> =
-            self.engine.registered_epochs().into_iter().collect();
-        let mut registered = Vec::new();
-        for epoch_id in self.store.epoch_ids() {
-            if known.contains(&epoch_id) || self.store.rewrite_count(epoch_id)? > 0 {
-                continue;
-            }
-            self.engine.register_epoch(epoch_id)?;
-            registered.push(epoch_id);
-        }
-        Ok(registered)
+        self.register_stored_epochs()
     }
 
     /// Whether this system's store is a read-only replica (ingest and §6

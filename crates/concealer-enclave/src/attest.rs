@@ -12,7 +12,7 @@
 //! * the **measurement** is a SHA-256 over a domain-separation label
 //!   ([`MEASUREMENT_DOMAIN`]), the enclave code version
 //!   ([`ENCLAVE_CODE_VERSION`]) and the launch-relevant configuration
-//!   (oblivious mode, EPC tuple budget). Two enclaves with the same code
+//!   (oblivious mode). Two enclaves with the same code
 //!   and config measure identically; flipping either changes the
 //!   measurement, exactly like `MRENCLAVE`;
 //! * the **quote** binds the measurement to a client-chosen nonce and a
@@ -74,7 +74,6 @@ pub fn measure(config: &EnclaveConfig) -> [u8; 32] {
     h.update(MEASUREMENT_DOMAIN.as_bytes());
     h.update(&ENCLAVE_CODE_VERSION.to_le_bytes());
     h.update(&[u8::from(config.oblivious)]);
-    h.update(&(config.epc_tuple_budget as u64).to_le_bytes());
     h.finalize()
 }
 
@@ -157,11 +156,6 @@ mod tests {
         );
         assert_eq!(plain.measurement(), other_master.measurement());
         assert_ne!(plain.measurement(), oblivious.measurement());
-        let budget = EnclaveConfig {
-            epc_tuple_budget: EnclaveConfig::default().epc_tuple_budget + 1,
-            ..EnclaveConfig::default()
-        };
-        assert_ne!(plain.measurement(), enclave(budget).measurement());
     }
 
     #[test]

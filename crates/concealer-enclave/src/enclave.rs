@@ -17,36 +17,19 @@ use crate::registry::{Credential, QueryScope, UserId, UserRegistry};
 use crate::{unpoisoned, Result};
 
 /// Configuration for the simulated enclave.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EnclaveConfig {
     /// Whether the oblivious (Concealer+) code paths should be used.
     /// When `false`, the enclave behaves like the paper's baseline
     /// "Concealer" variant that assumes SGX is side-channel free.
     pub oblivious: bool,
-    /// Enclave page-cache budget in tuples — the size above which the paper
-    /// would sort with column sort instead of bitonic sort (footnote 5). No
-    /// fetch unit here reaches it; the value only enters the attestation
-    /// measurement.
-    pub epc_tuple_budget: usize,
-}
-
-impl Default for EnclaveConfig {
-    fn default() -> Self {
-        EnclaveConfig {
-            oblivious: false,
-            epc_tuple_budget: 64 * 1024,
-        }
-    }
 }
 
 impl EnclaveConfig {
     /// Configuration for the oblivious Concealer+ variant.
     #[must_use]
     pub fn oblivious() -> Self {
-        EnclaveConfig {
-            oblivious: true,
-            ..Self::default()
-        }
+        EnclaveConfig { oblivious: true }
     }
 }
 
@@ -139,14 +122,6 @@ impl Enclave {
         let key = Arc::new(self.master.epoch_key(epoch, round_counter));
         cache.insert((epoch.0, round_counter), Arc::clone(&key));
         key
-    }
-
-    /// Access the master key for DP-side simulation code (the data provider
-    /// legitimately owns `sk`). Marked with a long name to discourage use
-    /// from query-path code.
-    #[must_use]
-    pub fn master_key_for_data_provider(&self) -> &MasterKey {
-        &self.master
     }
 
     /// Authenticate a user: `Ok` when `user_id` is registered and

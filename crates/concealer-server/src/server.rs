@@ -22,8 +22,8 @@
 //!   control propagates the backpressure all the way to the client.
 //! * Queries run on the shared [`ConcealerSystem`] through ordinary
 //!   [`Session`](concealer_core::Session) handles; ingest takes `&self`
-//!   on the sharded store, so epochs land concurrently with live query
-//!   traffic.
+//!   and publishes a new epoch snapshot to the store, so epochs land
+//!   concurrently with live query traffic.
 //!
 //! Shutdown (via [`ServerHandle::signal_shutdown`] or a wire
 //! `Request::Shutdown`) is graceful: whoever raises the drain flag wakes

@@ -8,36 +8,34 @@
 //! so every backend is, by construction, adversary-visible storage whose
 //! contents the hash-chain verification layer keeps honest.
 //!
+//! A stored epoch is a snapshot: [`StorageBackend::epoch`] hands out the
+//! current [`StoredEpoch`] behind an `Arc`, which the reader keeps for as
+//! long as it reads, and a write publishes the next snapshot whole. A
+//! reader therefore never waits for a write in progress, and a write
+//! never edits what a reader holds.
+//!
 //! Two implementations ship:
 //!
-//! * [`MemoryBackend`] — the default: epochs live in a 16-way sharded
-//!   in-process map and vanish with the process.
+//! * [`MemoryBackend`] — the default: epochs live in an in-process map and
+//!   vanish with the process.
 //! * [`crate::DiskEpochStore`] — crash-safe on-disk segments with a
 //!   manifest for atomic epoch commit (see [`crate::disk`]).
 
 use crate::epoch_store::StoredEpoch;
 use crate::{unpoisoned, Result, StorageError};
 use std::collections::BTreeMap;
-use std::sync::RwLock;
-
-/// Number of independently locked epoch shards. Epochs hash to a fixed
-/// shard, so queries touching different epochs never contend on one lock
-/// and parallel batch fetches scale with the shard count rather than
-/// serializing on a single store-wide `RwLock`. Every backend keeps this
-/// discipline so `ingest_epoch(&self)` stays concurrent regardless of
-/// where the bytes land.
-pub(crate) const EPOCH_SHARDS: usize = 16;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// The shard (out of `total`) owning `epoch_id`.
 ///
-/// This is the repository's *one* epoch-sharding discipline: the in-process
-/// lock shards below, the `--shard <i>/<t>` slice a multi-node
-/// `concealer-server` process owns, and the `concealer-router`'s fan-out
-/// all reduce an epoch id through this exact function, so a deployment can
-/// never disagree with itself about which process holds an epoch. Epoch
-/// ids are epoch *start times* (multiples of the epoch duration), so they
-/// are mixed before reduction — a plain modulo would park every epoch of a
-/// deployment whose duration is divisible by the shard count on one shard.
+/// This is the repository's *one* epoch-partitioning rule: the
+/// `--shard <i>/<t>` slice a multi-node `concealer-server` process owns
+/// and the `concealer-router`'s fan-out both reduce an epoch id through
+/// this exact function, so a deployment can never disagree with itself
+/// about which process holds an epoch. Epoch ids are epoch *start times*
+/// (multiples of the epoch duration), so they are mixed before reduction —
+/// a plain modulo would park every epoch of a deployment whose duration is
+/// divisible by the shard count on one shard.
 #[must_use]
 pub fn shard_of_epoch(epoch_id: u64, total: usize) -> usize {
     assert!(total > 0, "shard total must be positive");
@@ -45,75 +43,54 @@ pub fn shard_of_epoch(epoch_id: u64, total: usize) -> usize {
     (mixed >> 32) as usize % total
 }
 
-/// The epoch map, split into [`EPOCH_SHARDS`] independently locked shards.
-/// Shared by the in-memory backend and the disk backend's resident cache.
-#[derive(Debug)]
-pub(crate) struct ShardedEpochs {
-    shards: Vec<RwLock<BTreeMap<u64, StoredEpoch>>>,
+/// The stored epochs, one snapshot each: the in-memory backend's whole
+/// state and the disk backend's resident copy.
+///
+/// The map's lock is held only to clone or swap an `Arc`, so a reader
+/// waits for no write. `writer` makes writes run in turn: a write holds
+/// it from reading the current snapshot to publishing the next, so no
+/// write builds on a snapshot another write has already replaced.
+#[derive(Debug, Default)]
+pub(crate) struct EpochMap {
+    epochs: RwLock<BTreeMap<u64, Arc<StoredEpoch>>>,
+    writer: Mutex<()>,
 }
 
-impl Default for ShardedEpochs {
-    fn default() -> Self {
-        ShardedEpochs {
-            shards: (0..EPOCH_SHARDS).map(|_| RwLock::default()).collect(),
-        }
-    }
-}
-
-impl ShardedEpochs {
-    /// The shard owning `epoch_id`. Epoch ids are epoch *start times*
-    /// (multiples of the epoch duration), so they are mixed before
-    /// reduction — a plain modulo would park every epoch of a deployment
-    /// whose duration is divisible by the shard count on one shard.
-    pub(crate) fn shard(&self, epoch_id: u64) -> &RwLock<BTreeMap<u64, StoredEpoch>> {
-        &self.shards[shard_of_epoch(epoch_id, self.shards.len())]
+impl EpochMap {
+    /// The current snapshot of `epoch_id`.
+    pub(crate) fn get(&self, epoch_id: u64) -> Result<Arc<StoredEpoch>> {
+        unpoisoned(self.epochs.read())
+            .get(&epoch_id)
+            .map(Arc::clone)
+            .ok_or(StorageError::UnknownEpoch { epoch_id })
     }
 
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Make `epoch` the current snapshot of `epoch_id`. The snapshot it
+    /// replaces lives on in the readers that hold it, and is freed after
+    /// the map's lock is released when none does.
+    pub(crate) fn publish(&self, epoch_id: u64, epoch: StoredEpoch) {
+        let epoch = Arc::new(epoch);
+        let _superseded = unpoisoned(self.epochs.write()).insert(epoch_id, epoch);
+    }
+
+    pub(crate) fn remove(&self, epoch_id: u64) {
+        let _removed = unpoisoned(self.epochs.write()).remove(&epoch_id);
+    }
+
+    /// Hold for the whole of one write (see the type's docs).
+    pub(crate) fn lock_writer(&self) -> MutexGuard<'_, ()> {
+        unpoisoned(self.writer.lock())
     }
 
     pub(crate) fn epoch_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                unpoisoned(shard.read())
-                    .keys()
-                    .copied()
-                    .collect::<Vec<u64>>()
-            })
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    pub(crate) fn epoch_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| unpoisoned(shard.read()).len())
-            .sum()
+        unpoisoned(self.epochs.read()).keys().copied().collect()
     }
 
     pub(crate) fn total_rows(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                unpoisoned(shard.read())
-                    .values()
-                    .map(|e| e.table.len())
-                    .sum::<usize>()
-            })
+        unpoisoned(self.epochs.read())
+            .values()
+            .map(|e| e.table.len())
             .sum()
-    }
-
-    pub(crate) fn with_epoch(&self, epoch_id: u64, f: &mut dyn FnMut(&StoredEpoch)) -> Result<()> {
-        let guard = unpoisoned(self.shard(epoch_id).read());
-        let epoch = guard
-            .get(&epoch_id)
-            .ok_or(StorageError::UnknownEpoch { epoch_id })?;
-        f(epoch);
-        Ok(())
     }
 }
 
@@ -127,15 +104,18 @@ impl ShardedEpochs {
 /// * **Atomic visibility** — an epoch either is fully stored (and
 ///   enumerable, fetchable, durable where applicable) or absent; readers
 ///   never observe a half-written segment.
-/// * **Shard discipline** — operations on different epochs must not
-///   serialize on a single store-wide lock, so concurrent ingest and
-///   parallel batch fetches scale ([`StorageBackend::shard_count`] reports
-///   the concurrency the backend provides).
+/// * **Snapshots** — [`StorageBackend::epoch`] returns the epoch as the
+///   last completed write left it, and never waits for a write in
+///   progress; writes to one epoch run in turn.
 ///
 /// The re-wrap callback [`StorageBackend::rewrap_keys`] drives:
 /// `(epoch_id, new_generation, old_blob)` → the blob re-wrapped under the
 /// new generation.
 pub type RewrapFn<'a> = dyn FnMut(u64, u64, &[u8]) -> Result<Vec<u8>> + 'a;
+
+/// The function [`StorageBackend::update_epoch`] applies: the current
+/// snapshot of an epoch → the next one.
+pub type NextEpochFn<'a> = dyn FnMut(&StoredEpoch) -> Result<StoredEpoch> + 'a;
 
 /// Backends store ciphertext only and are *untrusted*: nothing here is
 /// security-sensitive, because tampering (on disk or in memory) is caught
@@ -148,32 +128,21 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// `Ok`, the epoch is committed (durably, for persistent backends).
     fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()>;
 
-    /// Run a closure over a stored epoch under the shard's read lock.
-    /// Returns [`StorageError::UnknownEpoch`] without invoking the closure
-    /// when the epoch is absent.
-    fn with_epoch(&self, epoch_id: u64, f: &mut dyn FnMut(&StoredEpoch)) -> Result<()>;
+    /// The current snapshot of a stored epoch, or
+    /// [`StorageError::UnknownEpoch`] when the epoch is absent.
+    fn epoch(&self, epoch_id: u64) -> Result<Arc<StoredEpoch>>;
 
-    /// Mutate a stored epoch under the shard's write lock. The mutation is
-    /// all-or-nothing: when the closure errors, the stored epoch is
-    /// unchanged; when it succeeds, the new state is committed (durably,
-    /// for persistent backends) before the call returns.
-    fn update_epoch(
-        &self,
-        epoch_id: u64,
-        f: &mut dyn FnMut(&mut StoredEpoch) -> Result<()>,
-    ) -> Result<()>;
+    /// Replace a stored epoch with `next(current)`. The result is
+    /// published only once `next` succeeds (and, for persistent backends,
+    /// once it is durable); on any error the stored epoch is unchanged.
+    /// Readers keep seeing the current snapshot until the publish.
+    fn update_epoch(&self, epoch_id: u64, next: &mut NextEpochFn<'_>) -> Result<()>;
 
     /// Epoch ids currently stored, ascending.
     fn epoch_ids(&self) -> Vec<u64>;
 
-    /// Number of epochs stored.
-    fn epoch_count(&self) -> usize;
-
     /// Total rows across all epochs (real + fake; indistinguishable here).
     fn total_rows(&self) -> usize;
-
-    /// Number of independently locked epoch shards.
-    fn shard_count(&self) -> usize;
 
     /// Whether this backend was opened as a read-only replica following
     /// another process's store. Replicas refuse `put_epoch` /
@@ -265,13 +234,13 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// The default backend: epochs in a sharded in-process map, gone when the
+/// The default backend: epochs in an in-process map, gone when the
 /// process exits. This is the seed implementation the paper's evaluation
 /// ran against; [`crate::DiskEpochStore`] adds durability with identical
 /// observable behavior.
 #[derive(Debug, Default)]
 pub struct MemoryBackend {
-    epochs: ShardedEpochs,
+    epochs: EpochMap,
 }
 
 impl MemoryBackend {
@@ -288,40 +257,28 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()> {
-        unpoisoned(self.epochs.shard(epoch_id).write()).insert(epoch_id, epoch);
+        let _writer = self.epochs.lock_writer();
+        self.epochs.publish(epoch_id, epoch);
         Ok(())
     }
 
-    fn with_epoch(&self, epoch_id: u64, f: &mut dyn FnMut(&StoredEpoch)) -> Result<()> {
-        self.epochs.with_epoch(epoch_id, f)
+    fn epoch(&self, epoch_id: u64) -> Result<Arc<StoredEpoch>> {
+        self.epochs.get(epoch_id)
     }
 
-    fn update_epoch(
-        &self,
-        epoch_id: u64,
-        f: &mut dyn FnMut(&mut StoredEpoch) -> Result<()>,
-    ) -> Result<()> {
-        let mut guard = unpoisoned(self.epochs.shard(epoch_id).write());
-        let epoch = guard
-            .get_mut(&epoch_id)
-            .ok_or(StorageError::UnknownEpoch { epoch_id })?;
-        f(epoch)
+    fn update_epoch(&self, epoch_id: u64, next: &mut NextEpochFn<'_>) -> Result<()> {
+        let _writer = self.epochs.lock_writer();
+        let current = self.epochs.get(epoch_id)?;
+        self.epochs.publish(epoch_id, next(&current)?);
+        Ok(())
     }
 
     fn epoch_ids(&self) -> Vec<u64> {
         self.epochs.epoch_ids()
     }
 
-    fn epoch_count(&self) -> usize {
-        self.epochs.epoch_count()
-    }
-
     fn total_rows(&self) -> usize {
         self.epochs.total_rows()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.epochs.shard_count()
     }
 }
 
@@ -350,19 +307,15 @@ mod tests {
     fn memory_backend_round_trip() {
         let backend = MemoryBackend::new();
         assert_eq!(backend.kind(), "memory");
-        assert_eq!(backend.epoch_count(), 0);
+        assert_eq!(backend.epoch_ids(), Vec::<u64>::new());
         backend.put_epoch(3, epoch(5)).unwrap();
         backend.put_epoch(9, epoch(2)).unwrap();
         assert_eq!(backend.epoch_ids(), vec![3, 9]);
         assert_eq!(backend.total_rows(), 7);
 
-        let mut seen = 0;
-        backend
-            .with_epoch(3, &mut |e| seen = e.table.len())
-            .unwrap();
-        assert_eq!(seen, 5);
+        assert_eq!(backend.epoch(3).unwrap().table.len(), 5);
         assert!(matches!(
-            backend.with_epoch(4, &mut |_| {}),
+            backend.epoch(4),
             Err(StorageError::UnknownEpoch { epoch_id: 4 })
         ));
     }
@@ -373,30 +326,26 @@ mod tests {
         backend.put_epoch(1, epoch(4)).unwrap();
         let err = backend.update_epoch(1, &mut |_| Err(StorageError::DuplicateKey));
         assert_eq!(err, Err(StorageError::DuplicateKey));
+        let before = backend.epoch(1).unwrap();
         backend
             .update_epoch(1, &mut |e| {
-                e.rewrite_count += 1;
-                Ok(())
+                Ok(StoredEpoch {
+                    rewrite_count: e.rewrite_count + 1,
+                    ..e.clone()
+                })
             })
             .unwrap();
-        let mut count = 0;
-        backend
-            .with_epoch(1, &mut |e| count = e.rewrite_count)
-            .unwrap();
-        assert_eq!(count, 1);
+        assert_eq!(backend.epoch(1).unwrap().rewrite_count, 1);
+        // A snapshot taken before the update is not changed by it.
+        assert_eq!(before.rewrite_count, 0);
     }
 
     #[test]
     fn shard_mixing_spreads_epoch_multiples() {
-        let sharded = ShardedEpochs::default();
         // Epoch ids that are multiples of a duration divisible by the shard
         // count must not all land on one shard.
-        let shards: std::collections::BTreeSet<usize> = (0..32u64)
-            .map(|i| {
-                let id = i * 3600;
-                sharded.shard(id) as *const _ as usize
-            })
-            .collect();
+        let shards: std::collections::BTreeSet<usize> =
+            (0..32u64).map(|i| shard_of_epoch(i * 3600, 16)).collect();
         assert!(shards.len() > 1);
     }
 }

@@ -25,11 +25,13 @@
 //!   open with [`StorageError::UnsupportedFormat`] before anything under
 //!   the root is written or removed.
 //!
-//! All committed epochs stay resident in a 16-way sharded in-memory cache
-//! (the same shard discipline as the memory backend), so the fetch path —
-//! and therefore every answer and every adversary-observable trace — is
-//! bit-identical across backends; the disk is only ever touched by ingest,
-//! rewrite and recovery.
+//! Every committed epoch also stays resident as a snapshot in the same
+//! epoch map the memory backend keeps, so the fetch path — and therefore
+//! every answer and every adversary-observable trace — is bit-identical
+//! across backends; the disk is only ever touched by ingest, rewrite and
+//! recovery. A write publishes its snapshot only after its segment fsync
+//! and manifest swap, under the manifest lock, so the map and the manifest
+//! move together and no reader waits on an fsync.
 //!
 //! Trust argument: the files are the *untrusted service provider's* disk.
 //! Checksums here detect crashes and rot, not attacks — an adversary who
@@ -57,7 +59,7 @@
 mod manifest;
 mod segment;
 
-use crate::backend::{RewrapFn, ShardedEpochs, StorageBackend};
+use crate::backend::{EpochMap, NextEpochFn, RewrapFn, StorageBackend};
 use crate::epoch_store::StoredEpoch;
 use crate::{unpoisoned, Result, StorageError};
 use manifest::{io_err, sync_dir, unsupported, Manifest};
@@ -66,7 +68,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 const SEGMENT_DIR: &str = "segments";
 
@@ -80,11 +82,12 @@ const SEGMENT_DIR: &str = "segments";
 #[derive(Debug)]
 pub struct DiskEpochStore {
     root: PathBuf,
+    /// The resident snapshot of every loaded epoch.
+    cache: EpochMap,
     /// What the cache currently holds: epoch → the generation it was
     /// loaded from. On the writer this mirrors the on-disk manifest; on a
     /// replica it may lag it (and keeps the *loaded* generation when the
     /// writer has since rewritten an epoch — rewrites do not replicate).
-    cache: ShardedEpochs,
     manifest: Mutex<Manifest>,
     next_gen: AtomicU64,
     /// Scratch stores delete their root when the last handle drops.
@@ -110,7 +113,7 @@ impl DiskEpochStore {
     /// are dropped, uncommitted and superseded segment files are removed.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self> {
         let root = root.into();
-        let cache = ShardedEpochs::default();
+        let cache = EpochMap::default();
         let (manifest, max_gen) = recover(&root, &cache, &Manifest::default())?;
         Ok(DiskEpochStore {
             root,
@@ -134,7 +137,7 @@ impl DiskEpochStore {
     pub fn open_replica(root: impl Into<PathBuf>) -> Result<Self> {
         let store = DiskEpochStore {
             root: root.into(),
-            cache: ShardedEpochs::default(),
+            cache: EpochMap::default(),
             manifest: Mutex::new(Manifest::default()),
             next_gen: AtomicU64::new(1),
             remove_root_on_drop: false,
@@ -192,23 +195,27 @@ impl DiskEpochStore {
         Ok(generation)
     }
 
-    /// Swap the manifest to point `epoch_id` at `generation`; returns the
-    /// superseded generation. The in-memory manifest only advances when the
-    /// on-disk swap succeeded.
-    fn commit(&self, epoch_id: u64, generation: u64) -> Result<Option<u64>> {
-        let mut m = unpoisoned(self.manifest.lock());
-        let mut next = m.clone();
-        let old = next.entries.insert(epoch_id, generation);
-        next.save(&self.root)?;
-        *m = next;
-        Ok(old)
-    }
-
-    fn remove_superseded(&self, epoch_id: u64, old_gen: Option<u64>) {
-        if let Some(generation) = old_gen {
+    /// Make `epoch` the committed state of `epoch_id`: segment fsync, then
+    /// the manifest swap and the publish under the manifest lock (the
+    /// in-memory manifest and the map advance only when the on-disk swap
+    /// succeeded), then the superseded segment file goes. The caller holds
+    /// the writer lock.
+    fn persist(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()> {
+        let generation = self.write_segment(epoch_id, &epoch)?;
+        let superseded = {
+            let mut m = unpoisoned(self.manifest.lock());
+            let mut next = m.clone();
+            let old = next.entries.insert(epoch_id, generation);
+            next.save(&self.root)?;
+            *m = next;
+            self.cache.publish(epoch_id, epoch);
+            old
+        };
+        if let Some(generation) = superseded {
             // Best effort: a leftover is harmless (reopen deletes it).
             let _ = fs::remove_file(self.segment_file(epoch_id, generation));
         }
+        Ok(())
     }
 
     fn check_writable(&self) -> Result<()> {
@@ -239,7 +246,7 @@ fn parse_segment_name(path: &Path) -> Option<(u64, u64)> {
 /// `cache` — empty on a fresh open; a promoting replica passes what it has
 /// absorbed so only changed or missing epochs are re-read. Returns the
 /// recovered manifest and the highest generation seen on disk.
-fn recover(root: &Path, cache: &ShardedEpochs, loaded: &Manifest) -> Result<(Manifest, u64)> {
+fn recover(root: &Path, cache: &EpochMap, loaded: &Manifest) -> Result<(Manifest, u64)> {
     // The manifest before the directory: a root this build refuses is not
     // even given a `segments/`.
     let mut manifest = Manifest::load(root)?;
@@ -304,16 +311,15 @@ fn recover(root: &Path, cache: &ShardedEpochs, loaded: &Manifest) -> Result<(Man
     // Second pass: the store is this build's to repair.
     let mut torn: Vec<PathBuf> = Vec::new();
     for (epoch_id, path, epoch) in committed {
-        let mut shard = unpoisoned(cache.shard(epoch_id).write());
         if let Some(epoch) = epoch {
-            shard.insert(epoch_id, epoch);
+            cache.publish(epoch_id, epoch);
             continue;
         }
         // Without a footer that vouches for it the epoch is not servable
         // and leaves the committed set — and the cache, where a promoting
         // replica may hold a copy from an older generation: a half-epoch
         // must never serve bins.
-        shard.remove(&epoch_id);
+        cache.remove(epoch_id);
         manifest.entries.remove(&epoch_id);
         manifest.wrapped_keys.remove(&epoch_id);
         torn.push(path);
@@ -323,7 +329,7 @@ fn recover(root: &Path, cache: &ShardedEpochs, loaded: &Manifest) -> Result<(Man
     let missing: Vec<u64> = manifest
         .entries
         .keys()
-        .filter(|epoch_id| cache.with_epoch(**epoch_id, &mut |_| {}).is_err())
+        .filter(|epoch_id| cache.get(**epoch_id).is_err())
         .copied()
         .collect();
     for epoch_id in &missing {
@@ -349,59 +355,27 @@ impl StorageBackend for DiskEpochStore {
 
     fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()> {
         self.check_writable()?;
-        // Segment first; commit + cache insert under the shard lock so a
-        // concurrent reader never sees a committed-but-uncached epoch.
-        let generation = self.write_segment(epoch_id, &epoch)?;
-        let shard = self.cache.shard(epoch_id);
-        let mut guard = unpoisoned(shard.write());
-        let old = self.commit(epoch_id, generation)?;
-        guard.insert(epoch_id, epoch);
-        drop(guard);
-        self.remove_superseded(epoch_id, old);
-        Ok(())
+        let _writer = self.cache.lock_writer();
+        self.persist(epoch_id, epoch)
     }
 
-    fn with_epoch(&self, epoch_id: u64, f: &mut dyn FnMut(&StoredEpoch)) -> Result<()> {
-        self.cache.with_epoch(epoch_id, f)
+    fn epoch(&self, epoch_id: u64) -> Result<Arc<StoredEpoch>> {
+        self.cache.get(epoch_id)
     }
 
-    fn update_epoch(
-        &self,
-        epoch_id: u64,
-        f: &mut dyn FnMut(&mut StoredEpoch) -> Result<()>,
-    ) -> Result<()> {
+    fn update_epoch(&self, epoch_id: u64, next: &mut NextEpochFn<'_>) -> Result<()> {
         self.check_writable()?;
-        let shard = self.cache.shard(epoch_id);
-        let mut guard = unpoisoned(shard.write());
-        let current = guard
-            .get_mut(&epoch_id)
-            .ok_or(StorageError::UnknownEpoch { epoch_id })?;
-        // Mutate a copy so cache and disk advance together or not at all —
-        // a failed persist must not leave the cache ahead of the disk.
-        let mut updated = current.clone();
-        f(&mut updated)?;
-        let generation = self.write_segment(epoch_id, &updated)?;
-        let old = self.commit(epoch_id, generation)?;
-        *current = updated;
-        drop(guard);
-        self.remove_superseded(epoch_id, old);
-        Ok(())
+        let _writer = self.cache.lock_writer();
+        let current = self.cache.get(epoch_id)?;
+        self.persist(epoch_id, next(&current)?)
     }
 
     fn epoch_ids(&self) -> Vec<u64> {
         self.cache.epoch_ids()
     }
 
-    fn epoch_count(&self) -> usize {
-        self.cache.epoch_count()
-    }
-
     fn total_rows(&self) -> usize {
         self.cache.total_rows()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.cache.shard_count()
     }
 
     fn read_only(&self) -> bool {
@@ -458,7 +432,7 @@ impl StorageBackend for DiskEpochStore {
         }
         let mut new_epochs = Vec::new();
         for (epoch_id, generation, epoch) in absorbed {
-            unpoisoned(self.cache.shard(epoch_id).write()).insert(epoch_id, epoch);
+            self.cache.publish(epoch_id, epoch);
             loaded.entries.insert(epoch_id, generation);
             new_epochs.push(epoch_id);
         }
@@ -693,12 +667,13 @@ mod tests {
             .unwrap();
         // One replacement names an old key the segment does not hold: the
         // whole rewrite is refused, the valid half included.
-        let err = store.rewrite_rows(
+        let err = store.rewrite_bin(
             1,
             vec![
                 (vec![1, 0, 1], row(&[9, 9, 9], 0xEE)),
                 (vec![7, 7, 7], row(&[8, 8, 8], 0xEE)),
             ],
+            Vec::new(),
         );
         assert!(matches!(err, Err(StorageError::CardinalityMismatch { .. })));
         assert_eq!(store.rewrite_count(1).unwrap(), 0);
@@ -915,15 +890,10 @@ mod tests {
         // Nothing changed: the fingerprint fast path reports nothing new.
         assert_eq!(replica.refresh().unwrap(), Vec::<u64>::new());
         // The replica serves the same bytes the writer does.
-        let mut rows = (0, 0);
-        replica
-            .with_epoch(3600, &mut |e| rows.0 = e.table.len())
-            .unwrap();
-        writer
-            .backend()
-            .with_epoch(3600, &mut |e| rows.1 = e.table.len())
-            .unwrap();
-        assert_eq!(rows.0, rows.1);
+        assert_eq!(
+            replica.epoch(3600).unwrap().table.len(),
+            writer.backend().epoch(3600).unwrap().table.len()
+        );
 
         // Writes are refused until promotion, and a refused ingest is not
         // an ingest the adversary saw.
@@ -944,19 +914,19 @@ mod tests {
             .ingest_epoch(7, sample_rows(10, 3), sample_meta(3))
             .unwrap();
         let replica = DiskEpochStore::open_replica(&scratch.0).unwrap();
-        assert!(replica.with_epoch(7, &mut |_| {}).is_ok());
+        assert!(replica.epoch(7).is_ok());
 
         // A §6 rewrite bumps the epoch's generation on disk; the replica
         // keeps serving the generation it absorbed.
         writer
-            .rewrite_rows(7, vec![(vec![3, 0, 4], row(&[9, 9, 9], 0xEE))])
+            .rewrite_bin(7, vec![(vec![3, 0, 4], row(&[9, 9, 9], 0xEE))], Vec::new())
             .unwrap();
         assert_eq!(replica.refresh().unwrap(), Vec::<u64>::new());
-        let mut count = u64::MAX;
-        replica
-            .with_epoch(7, &mut |e| count = e.rewrite_count)
-            .unwrap();
-        assert_eq!(count, 0, "rewrites must not replicate");
+        assert_eq!(
+            replica.epoch(7).unwrap().rewrite_count,
+            0,
+            "rewrites must not replicate"
+        );
         assert!(replica.store_generation() < writer.backend().store_generation());
     }
 

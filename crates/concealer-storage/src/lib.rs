@@ -47,7 +47,7 @@ pub mod table;
 mod error;
 mod key_index;
 
-pub use backend::{shard_of_epoch, MemoryBackend, RewrapFn, StorageBackend};
+pub use backend::{shard_of_epoch, MemoryBackend, NextEpochFn, RewrapFn, StorageBackend};
 pub use disk::DiskEpochStore;
 pub use epoch_store::{EpochMetadata, EpochStore, StoredEpoch};
 pub use error::StorageError;

@@ -532,17 +532,18 @@ impl EncryptedTable {
         Ok(EncryptedTable { rows, index })
     }
 
-    /// Put replacement rows in place of the rows currently stored under
-    /// the given old `Index` values (a §6 bin rewrite), keeping every row
-    /// id, and rebuild the index. When two replacements name one old key
-    /// the later wins. All-or-nothing: an old key the table does not hold
-    /// yields [`StorageError::CardinalityMismatch`], new keys that collide
-    /// yield [`StorageError::DuplicateKey`], and either way the table is
-    /// left exactly as it was.
-    pub fn replace_rows(&mut self, replacements: Vec<(Vec<u8>, EncryptedRow)>) -> Result<()> {
-        let (old_keys, new_rows): (Vec<Vec<u8>>, Vec<EncryptedRow>) =
-            replacements.into_iter().unzip();
-        let new_rows = RowArena::from(new_rows);
+    /// The table with replacement rows in place of the rows stored under
+    /// the given old `Index` values (a §6 bin rewrite), every row id kept
+    /// and the index rebuilt. When two replacements name one old key the
+    /// later wins. An old key the table does not hold yields
+    /// [`StorageError::CardinalityMismatch`] and new keys that collide
+    /// yield [`StorageError::DuplicateKey`]; `self` is never changed.
+    pub fn replace_rows(&self, replacements: &[(Vec<u8>, EncryptedRow)]) -> Result<EncryptedTable> {
+        let old_keys: Vec<&[u8]> = replacements.iter().map(|(key, _)| &key[..]).collect();
+        let mut new_rows = RowArena::new();
+        for (_, row) in replacements {
+            new_rows.push(row);
+        }
         let mut views: Vec<RowRef<'_>> = self.rows.iter().collect();
         let mut found = 0;
         for (new, hit) in new_rows
@@ -564,9 +565,8 @@ impl EncryptedTable {
         // the rows are laid out afresh beside the index rebuild.
         let mut rows = RowArena::new();
         rows.extend_from_views(&views);
-        self.index = KeyIndex::build(&rows)?;
-        self.rows = rows;
-        Ok(())
+        let index = KeyIndex::build(&rows)?;
+        Ok(EncryptedTable { rows, index })
     }
 
     /// Number of rows stored.
@@ -680,7 +680,7 @@ pub(crate) mod tests {
     #[test]
     fn replace_rows_keeps_row_ids_and_is_all_or_nothing() {
         let rows: Vec<EncryptedRow> = (0..20u64).map(|i| row(i, i as u8)).collect();
-        let mut table = EncryptedTable::bulk_load(rows.clone()).unwrap();
+        let table = EncryptedTable::bulk_load(rows.clone()).unwrap();
         let unchanged = |table: &EncryptedTable| {
             rows.iter()
                 .enumerate()
@@ -688,7 +688,9 @@ pub(crate) mod tests {
         };
 
         // Unknown old key: nothing moves, not even the known replacement.
-        let err = table.replace_rows(vec![(key(3), row(3, 0xAA)), (key(99), row(99, 0xBB))]);
+        let err = table
+            .replace_rows(&[(key(3), row(3, 0xAA)), (key(99), row(99, 0xBB))])
+            .map(drop);
         assert_eq!(
             err,
             Err(StorageError::CardinalityMismatch {
@@ -698,16 +700,20 @@ pub(crate) mod tests {
         );
         assert!(unchanged(&table));
         // A new key that collides with an untouched row, or with another
-        // replacement: rejected, and the swaps are undone.
-        let err = table.replace_rows(vec![(key(3), row(30, 0xAA)), (key(4), row(5, 0xBB))]);
+        // replacement: rejected, and the table is as it was.
+        let err = table
+            .replace_rows(&[(key(3), row(30, 0xAA)), (key(4), row(5, 0xBB))])
+            .map(drop);
         assert_eq!(err, Err(StorageError::DuplicateKey));
-        let err = table.replace_rows(vec![(key(3), row(30, 0xAA)), (key(4), row(30, 0xBB))]);
+        let err = table
+            .replace_rows(&[(key(3), row(30, 0xAA)), (key(4), row(30, 0xBB))])
+            .map(drop);
         assert_eq!(err, Err(StorageError::DuplicateKey));
         assert!(unchanged(&table));
 
         // Same key with a new payload, a fresh key, and two rows trading keys.
-        table
-            .replace_rows(vec![
+        let table = table
+            .replace_rows(&[
                 (key(3), row(3, 0xAA)),
                 (key(7), row(70, 0xBB)),
                 (key(8), row(9, 0xCC)),
@@ -928,7 +934,7 @@ pub(crate) mod tests {
             };
             let rows: Vec<EncryptedRow> =
                 shapes.into_iter().enumerate().map(|(i, r)| keyed(i, r)).collect();
-            let mut table = EncryptedTable::bulk_load(rows.clone()).unwrap();
+            let table = EncryptedTable::bulk_load(rows.clone()).unwrap();
             let mut model = rows.clone();
             let mut request = Vec::new();
             for (k, (at, row)) in replacements.into_iter().enumerate() {
@@ -937,7 +943,7 @@ pub(crate) mod tests {
                 model[at] = row.clone();
                 request.push((rows[at].index_key.clone(), row));
             }
-            table.replace_rows(request).unwrap();
+            let table = table.replace_rows(&request).unwrap();
             prop_assert_eq!(table.rows().to_rows(), model.clone());
             for (i, row) in model.iter().enumerate() {
                 prop_assert_eq!(lookup(&table, &row.index_key), Some((i as RowId, row.clone())));

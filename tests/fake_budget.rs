@@ -15,7 +15,7 @@ use concealer_core::{
 };
 use concealer_crypto::EpochId;
 use concealer_examples::{build_system, demo_config, demo_wifi_config, DEMO_DEVICES};
-use concealer_storage::{AccessEvent, Result as StoreResult, StoredEpoch};
+use concealer_storage::{AccessEvent, NextEpochFn, Result as StoreResult, StoredEpoch};
 use concealer_workloads::{WifiConfig, WifiGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,35 +131,25 @@ impl StorageBackend for StatedRowCount {
     fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> StoreResult<()> {
         self.inner.put_epoch(epoch_id, epoch)
     }
-    fn with_epoch(&self, epoch_id: u64, f: &mut dyn FnMut(&StoredEpoch)) -> StoreResult<()> {
-        self.inner
-            .with_epoch(epoch_id, &mut |epoch| match self.rows {
-                Some(rows) => {
-                    let mut stated = epoch.clone();
-                    stated.metadata.advertised_rows = rows;
-                    f(&stated);
-                }
-                None => f(epoch),
-            })
+    fn epoch(&self, epoch_id: u64) -> StoreResult<Arc<StoredEpoch>> {
+        let epoch = self.inner.epoch(epoch_id)?;
+        Ok(match self.rows {
+            Some(rows) => {
+                let mut stated = StoredEpoch::clone(&epoch);
+                stated.metadata.advertised_rows = rows;
+                Arc::new(stated)
+            }
+            None => epoch,
+        })
     }
-    fn update_epoch(
-        &self,
-        epoch_id: u64,
-        f: &mut dyn FnMut(&mut StoredEpoch) -> StoreResult<()>,
-    ) -> StoreResult<()> {
-        self.inner.update_epoch(epoch_id, f)
+    fn update_epoch(&self, epoch_id: u64, next: &mut NextEpochFn<'_>) -> StoreResult<()> {
+        self.inner.update_epoch(epoch_id, next)
     }
     fn epoch_ids(&self) -> Vec<u64> {
         self.inner.epoch_ids()
     }
-    fn epoch_count(&self) -> usize {
-        self.inner.epoch_count()
-    }
     fn total_rows(&self) -> usize {
         self.inner.total_rows()
-    }
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
     }
 }
 

@@ -170,7 +170,7 @@ fn row_deletion_detected() {
     forged.index_key = victim.index_key.clone();
     system
         .store()
-        .rewrite_rows(0, vec![(victim.index_key.clone(), forged)])
+        .rewrite_bin(0, vec![(victim.index_key.clone(), forged)], Vec::new())
         .unwrap();
 
     let session = system.session(&user);
