@@ -620,7 +620,7 @@ mod tests {
     /// writer commits epochs 0 and 3600, epoch 0 with its sealed
     /// `c_tuple[]` corrupted, and the replica's refresh still registers
     /// 3600, which then answers as on the writer. The refresh reports epoch
-    /// 0's failure, and so does the next one, which retries it.
+    /// 0's refusal once; the next one does not decrypt it again.
     #[test]
     fn a_failed_epoch_strands_no_later_epoch_on_a_replica() {
         let root = scratch("replica-strand");
@@ -654,9 +654,10 @@ mod tests {
             .collect();
         writer.ingest_epoch(3_600, &later, &mut rng).unwrap();
 
-        let refreshed = replica.refresh_epochs();
+        let refreshed = replica.refresh_epochs().unwrap();
+        assert_eq!(refreshed.registered, vec![3_600]);
         assert!(
-            matches!(refreshed, Err(CoreError::CorruptMetadata)),
+            matches!(refreshed.refused[..], [(0, CoreError::CorruptMetadata)]),
             "{refreshed:?}"
         );
         assert_eq!(replica.engine().registered_epochs(), vec![3_600]);
@@ -667,13 +668,100 @@ mod tests {
         let expected = writer.session(&writer_user).execute(&query).unwrap();
         assert_eq!((&answer.value, answer.verified), (&expected.value, true));
 
-        let retried = replica.refresh_epochs();
+        let again = replica.refresh_epochs().unwrap();
         assert!(
-            matches!(retried, Err(CoreError::CorruptMetadata)),
-            "{retried:?}"
+            again.registered.is_empty() && again.refused.is_empty(),
+            "{again:?}"
         );
         assert_eq!(replica.engine().registered_epochs(), vec![3_600]);
         drop((writer, replica));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A replica that absorbed epochs the writer had already rewritten
+    /// under §6 refuses them, and still becomes the writer on promotion:
+    /// the promotion reports them refused and the promoted member takes
+    /// ingests and answers over them.
+    #[test]
+    fn promotion_survives_epochs_rewritten_before_the_replica_saw_them() {
+        let root = scratch("promote-rewritten");
+        let master = MasterKey::from_bytes([13u8; 32]);
+        let build = |backend: DiskEpochStore, seed: u64| {
+            SystemBuilder::new(SystemConfig::small_test())
+                .master(master.clone())
+                .with_backend(Arc::new(backend))
+                .build(&mut StdRng::seed_from_u64(seed))
+                .unwrap()
+        };
+        let mut writer = build(DiskEpochStore::open(&root).unwrap(), 20);
+        let mut replica = build(DiskEpochStore::open_replica(&root).unwrap(), 21);
+        let shifted = |by: u64| -> Vec<Record> {
+            sample_records()
+                .into_iter()
+                .map(|mut r| {
+                    r.time += by;
+                    r
+                })
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(22);
+        writer.ingest_epoch(0, &shifted(0), &mut rng).unwrap();
+        writer
+            .ingest_epoch(3_600, &shifted(3_600), &mut rng)
+            .unwrap();
+        let user = writer.register_user(1, vec![], true);
+        let opts = ExecOptions {
+            method: RangeMethod::Bpb,
+            forward_private: true,
+            ..ExecOptions::default()
+        };
+        let q = Query::count().at_dims([1]).between(0, 7_199);
+        writer
+            .session(&user)
+            .with_options(opts)
+            .execute(&q)
+            .unwrap();
+        assert!(writer.store().rewrite_count(0).unwrap() > 0);
+        assert!(writer.store().rewrite_count(3_600).unwrap() > 0);
+
+        let refreshed = replica.refresh_epochs().unwrap();
+        assert!(refreshed.registered.is_empty(), "{refreshed:?}");
+        assert_eq!(
+            refreshed
+                .refused
+                .iter()
+                .map(|(e, _)| *e)
+                .collect::<Vec<_>>(),
+            vec![0, 3_600]
+        );
+        drop(writer);
+
+        let promoted = replica.promote_to_writer().unwrap();
+        assert!(promoted.registered.is_empty(), "{promoted:?}");
+        assert!(
+            promoted.refused.iter().all(|(_, e)| {
+                matches!(e, CoreError::InvalidConfig { reason } if reason.contains("re-ingest"))
+            }),
+            "{promoted:?}"
+        );
+        assert_eq!(promoted.refused.len(), 2, "{promoted:?}");
+        assert!(!replica.store_read_only());
+
+        replica
+            .ingest_epoch(7_200, &shifted(7_200), &mut rng)
+            .unwrap();
+        assert_eq!(replica.engine().registered_epochs(), vec![7_200]);
+        let replica_user = replica.register_user(1, vec![], true);
+        let answer = replica
+            .session(&replica_user)
+            .execute(&Query::count().at_dims([1]).between(7_200, 10_799))
+            .unwrap();
+        // Every fourth sample record is at location 1.
+        assert_eq!(
+            (answer.value, answer.verified),
+            (crate::query::AnswerValue::Count(15), true)
+        );
+        drop(replica);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -537,7 +537,7 @@ fn scope_for_query(query: &Query) -> QueryScope {
 
 // The facade lives in `system.rs`; re-exported here so its public path
 // (`concealer_core::engine::ConcealerSystem`) is unchanged.
-pub use crate::system::ConcealerSystem;
+pub use crate::system::{ConcealerSystem, Registration};
 
 #[cfg(test)]
 mod tests;

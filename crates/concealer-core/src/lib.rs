@@ -101,7 +101,7 @@ pub use bins::{Bin, BinPlan};
 pub use config::{FakeTupleStrategy, GridShape, SystemConfig};
 pub use engine::{
     merge_partials, ConcealerSystem, EpochPartial, PhaseBreakdown, PlanStats, QueryEngine,
-    RangeMethod, UserHandle, WinSecStats,
+    RangeMethod, Registration, UserHandle, WinSecStats,
 };
 pub use error::CoreError;
 pub use grid::{CellCoord, Grid};

@@ -15,6 +15,17 @@ use crate::provider::{DataProvider, EpochStats};
 use crate::types::Record;
 use crate::{CoreError, Result};
 
+/// What one registration pass did ([`ConcealerSystem::refresh_epochs`],
+/// [`ConcealerSystem::promote_to_writer`]): the stored epochs it registered
+/// with the engine and those it refused, both ascending.
+#[derive(Debug, Default)]
+pub struct Registration {
+    /// Epoch ids registered by this pass.
+    pub registered: Vec<u64>,
+    /// Epochs left unregistered, each with the rule it failed.
+    pub refused: Vec<(u64, CoreError)>,
+}
+
 /// Convenience facade bundling the data provider, the service-provider
 /// store and the enclave-side query engine — the full deployment of
 /// Figure 1 of the paper in one value. Examples and benchmarks use this;
@@ -57,7 +68,7 @@ impl ConcealerSystem {
 
     /// Wire a deployment around an existing store, re-registering with the
     /// engine every epoch the store already holds (a reopened durable
-    /// backend; see [`ConcealerSystem::register_stored_epochs`] for the
+    /// backend; see [`ConcealerSystem::register_epochs`] for the
     /// rules). Registration decrypts each epoch's metadata, so it fails
     /// with [`CoreError::CorruptMetadata`] when `master` does not match the
     /// key the epochs were sealed under.
@@ -82,15 +93,26 @@ impl ConcealerSystem {
             registry: UserRegistry::new(),
             default_user: None,
         };
-        system.register_stored_epochs()?;
-        Ok(system)
+        match system
+            .register_epochs(system.store.epoch_ids())
+            .refused
+            .into_iter()
+            .next()
+        {
+            Some((_, e)) => Err(e),
+            None => Ok(system),
+        }
     }
 
-    /// Register with the engine every stored epoch it does not hold yet —
-    /// at open, on a replica's refresh tick and at promotion alike — and
-    /// return the epoch ids registered. An epoch that fails stays
-    /// unregistered while the rest are registered; the first failure is
-    /// returned and the next call retries it.
+    /// Register with the engine each of `candidates` that it does not hold
+    /// yet — at open, on a replica's refresh tick and at promotion alike.
+    /// An epoch that fails stays unregistered and the rest are still
+    /// registered; the pass reports both.
+    ///
+    /// Registration is a function of the stored snapshot alone, so a
+    /// refused snapshot is not tried again: a replica's refresh offers only
+    /// the epochs it has just absorbed, and promotion offers every stored
+    /// epoch once more, since its recovery pass may re-read them.
     ///
     /// Two rules come before registration proper:
     ///
@@ -106,23 +128,20 @@ impl ConcealerSystem {
     ///   under another master (or another lifecycle history). Epochs
     ///   without an entry predate the vault and are validated by metadata
     ///   registration alone.
-    fn register_stored_epochs(&self) -> Result<Vec<u64>> {
+    fn register_epochs(&self, candidates: Vec<u64>) -> Registration {
         let known: std::collections::BTreeSet<u64> =
             self.engine.registered_epochs().into_iter().collect();
-        let mut registered = Vec::new();
-        let mut first_error = None;
-        for epoch_id in self.store.epoch_ids() {
+        let mut pass = Registration::default();
+        for epoch_id in candidates {
             if known.contains(&epoch_id) {
                 continue;
             }
             match self.register_stored_epoch(epoch_id) {
-                Ok(()) => registered.push(epoch_id),
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
+                Ok(()) => pass.registered.push(epoch_id),
+                Err(e) => pass.refused.push((epoch_id, e)),
             }
         }
-        first_error.map_or(Ok(registered), Err)
+        pass
     }
 
     fn register_stored_epoch(&self, epoch_id: u64) -> Result<()> {
@@ -221,35 +240,38 @@ impl ConcealerSystem {
 
     /// Pull in and register epochs another process committed to the shared
     /// durable store since the last look (the replica's refresh tick; see
-    /// [`concealer_storage::StorageBackend::refresh`]). Returns the epoch
-    /// ids registered. Takes `&self` for the same reason
-    /// [`ConcealerSystem::ingest_epoch`] does: late epochs land while
-    /// earlier ones keep serving. A no-op once the store is writable: the
-    /// writer registers its own ingests.
+    /// [`concealer_storage::StorageBackend::refresh`]). Takes `&self` for
+    /// the same reason [`ConcealerSystem::ingest_epoch`] does: late epochs
+    /// land while earlier ones keep serving. A no-op once the store is
+    /// writable: the writer registers its own ingests.
     ///
     /// Registration follows the rules of a reopened store (see
-    /// [`crate::SystemBuilder::build`]), and an epoch that fails them —
-    /// one the writer has rewritten under the §6 protocol, or whose sealed
-    /// metadata does not decrypt — does not hold back the others: its
-    /// error is returned, and the next tick retries it.
-    pub fn refresh_epochs(&self) -> Result<Vec<u64>> {
-        if !self.store.read_only() {
-            return Ok(Vec::new());
-        }
-        self.store.refresh()?;
-        self.register_stored_epochs()
+    /// [`crate::SystemBuilder::build`]). An absorbed epoch that fails them
+    /// — one the writer has rewritten under the §6 protocol, or whose
+    /// sealed metadata does not decrypt — is reported in
+    /// [`Registration::refused`] once, holds back no other epoch, and is
+    /// not tried again on later ticks. `Err` means the store's refresh
+    /// itself failed and nothing was registered.
+    pub fn refresh_epochs(&self) -> Result<Registration> {
+        let absorbed = self.store.refresh()?;
+        Ok(self.register_epochs(absorbed))
     }
 
     /// Promote this system's store from read-only replica to writer (a
     /// reopen of the durable root — no key material moves; see
     /// [`concealer_storage::StorageBackend::promote`]), then register
-    /// every stored epoch the refresh ticks had not, as
-    /// [`ConcealerSystem::refresh_epochs`] does: the first failure is
-    /// returned once the rest are registered. Idempotent on a system that
-    /// is already the writer. Returns the epoch ids newly registered.
-    pub fn promote_to_writer(&self) -> Result<Vec<u64>> {
+    /// every stored epoch the engine does not hold yet. Idempotent on a
+    /// system that is already the writer.
+    ///
+    /// Once the store is the writer the promotion has happened, so a
+    /// refused epoch does not fail it: it is reported in
+    /// [`Registration::refused`], and the new writer must re-ingest it.
+    /// That is the fate of an epoch the dead writer rewrote under the §6
+    /// protocol, exactly as after a single-node restart. `Err` means the
+    /// store's promotion itself failed.
+    pub fn promote_to_writer(&self) -> Result<Registration> {
         self.store.promote()?;
-        self.register_stored_epochs()
+        Ok(self.register_epochs(self.store.epoch_ids()))
     }
 
     /// Whether this system's store is a read-only replica (ingest and §6

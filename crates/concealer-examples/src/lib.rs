@@ -256,7 +256,7 @@ mod tests {
         let (writer, writer_user, writer_records) = demo_system_replica(1, 5, None, &root, true);
         assert!(!writer.store_read_only());
         assert_eq!(writer.engine().registered_epochs(), vec![0]);
-        assert_eq!(replica.refresh_epochs().unwrap(), vec![0]);
+        assert_eq!(replica.refresh_epochs().unwrap().registered, vec![0]);
         assert_eq!(replica.engine().registered_epochs(), vec![0]);
 
         // One draw order for every fixture: both members, the unsharded

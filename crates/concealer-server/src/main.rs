@@ -187,10 +187,15 @@ fn main() -> ExitCode {
         let tick = Duration::from_millis(args.refresh_ms);
         std::thread::spawn(move || loop {
             match system.refresh_epochs() {
-                Ok(new_epochs) if !new_epochs.is_empty() => {
-                    eprintln!("concealer-server: replica absorbed epochs {new_epochs:?}");
+                Ok(pass) => {
+                    if !pass.registered.is_empty() {
+                        let absorbed = &pass.registered;
+                        eprintln!("concealer-server: replica absorbed epochs {absorbed:?}");
+                    }
+                    for (epoch_id, e) in &pass.refused {
+                        eprintln!("concealer-server: replica refused epoch {epoch_id}: {e}");
+                    }
                 }
-                Ok(_) => {}
                 Err(e) => eprintln!("concealer-server: replica refresh failed: {e}"),
             }
             if drained_within(&refresh_wait, tick) {

@@ -420,10 +420,17 @@ impl ServeHandler for EngineHandler {
                 stats: system.answer_stats().into(),
             },
             EngineRequest::Promote { id } => match system.promote_to_writer() {
-                Ok(registered) => Response::PromoteOk {
-                    id,
-                    epochs_registered: registered.len() as u64,
-                },
+                Ok(pass) => {
+                    // The member is the writer now; an epoch it could not
+                    // register waits for a re-ingest.
+                    for (epoch_id, e) in &pass.refused {
+                        eprintln!("concealer-server: promotion refused epoch {epoch_id}: {e}");
+                    }
+                    Response::PromoteOk {
+                        id,
+                        epochs_registered: pass.registered.len() as u64,
+                    }
+                }
                 Err(e) => Response::Error {
                     id,
                     error: WireError::from(&e),

@@ -24,7 +24,7 @@
 use crate::epoch_store::StoredEpoch;
 use crate::{unpoisoned, Result, StorageError};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// The shard (out of `total`) owning `epoch_id`.
 ///
@@ -47,13 +47,16 @@ pub fn shard_of_epoch(epoch_id: u64, total: usize) -> usize {
 /// state and the disk backend's resident copy.
 ///
 /// The map's lock is held only to clone or swap an `Arc`, so a reader
-/// waits for no write. `writer` makes writes run in turn: a write holds
-/// it from reading the current snapshot to publishing the next, so no
-/// write builds on a snapshot another write has already replaced.
+/// waits for no write. Writes to one epoch run in turn: a write holds
+/// that epoch's writer lock from reading its current snapshot to
+/// publishing the next, so no write builds on a snapshot another write
+/// has already replaced. Writes to different epochs do not wait for each
+/// other.
 #[derive(Debug, Default)]
 pub(crate) struct EpochMap {
     epochs: RwLock<BTreeMap<u64, Arc<StoredEpoch>>>,
-    writer: Mutex<()>,
+    /// One writer lock per epoch id ever written, kept for the map's life.
+    writers: Mutex<BTreeMap<u64, Arc<Mutex<()>>>>,
 }
 
 impl EpochMap {
@@ -77,9 +80,12 @@ impl EpochMap {
         let _removed = unpoisoned(self.epochs.write()).remove(&epoch_id);
     }
 
-    /// Hold for the whole of one write (see the type's docs).
-    pub(crate) fn lock_writer(&self) -> MutexGuard<'_, ()> {
-        unpoisoned(self.writer.lock())
+    /// Run `write` as the only write to `epoch_id` in progress (see the
+    /// type's docs).
+    pub(crate) fn write<T>(&self, epoch_id: u64, write: impl FnOnce() -> T) -> T {
+        let turn = Arc::clone(unpoisoned(self.writers.lock()).entry(epoch_id).or_default());
+        let _turn = unpoisoned(turn.lock());
+        write()
     }
 
     pub(crate) fn epoch_ids(&self) -> Vec<u64> {
@@ -257,8 +263,8 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()> {
-        let _writer = self.epochs.lock_writer();
-        self.epochs.publish(epoch_id, epoch);
+        self.epochs
+            .write(epoch_id, || self.epochs.publish(epoch_id, epoch));
         Ok(())
     }
 
@@ -267,10 +273,11 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn update_epoch(&self, epoch_id: u64, next: &mut NextEpochFn<'_>) -> Result<()> {
-        let _writer = self.epochs.lock_writer();
-        let current = self.epochs.get(epoch_id)?;
-        self.epochs.publish(epoch_id, next(&current)?);
-        Ok(())
+        self.epochs.write(epoch_id, || {
+            let current = self.epochs.get(epoch_id)?;
+            self.epochs.publish(epoch_id, next(&current)?);
+            Ok(())
+        })
     }
 
     fn epoch_ids(&self) -> Vec<u64> {

@@ -199,7 +199,7 @@ impl DiskEpochStore {
     /// the manifest swap and the publish under the manifest lock (the
     /// in-memory manifest and the map advance only when the on-disk swap
     /// succeeded), then the superseded segment file goes. The caller holds
-    /// the writer lock.
+    /// the epoch's writer lock.
     fn persist(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()> {
         let generation = self.write_segment(epoch_id, &epoch)?;
         let superseded = {
@@ -355,8 +355,7 @@ impl StorageBackend for DiskEpochStore {
 
     fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()> {
         self.check_writable()?;
-        let _writer = self.cache.lock_writer();
-        self.persist(epoch_id, epoch)
+        self.cache.write(epoch_id, || self.persist(epoch_id, epoch))
     }
 
     fn epoch(&self, epoch_id: u64) -> Result<Arc<StoredEpoch>> {
@@ -365,9 +364,10 @@ impl StorageBackend for DiskEpochStore {
 
     fn update_epoch(&self, epoch_id: u64, next: &mut NextEpochFn<'_>) -> Result<()> {
         self.check_writable()?;
-        let _writer = self.cache.lock_writer();
-        let current = self.cache.get(epoch_id)?;
-        self.persist(epoch_id, next(&current)?)
+        self.cache.write(epoch_id, || {
+            let current = self.cache.get(epoch_id)?;
+            self.persist(epoch_id, next(&current)?)
+        })
     }
 
     fn epoch_ids(&self) -> Vec<u64> {

@@ -786,6 +786,70 @@ mod tests {
         }
     }
 
+    /// A write waits only for writes to its own epoch. While an update of
+    /// epoch 1 is parked, an ingest and a rewrite of epoch 2 both land,
+    /// and a re-ingest of epoch 1 lands only after the update, so the
+    /// re-ingest is what stays stored.
+    #[test]
+    fn writes_wait_only_for_writes_to_their_epoch() {
+        for store in stores("writers") {
+            for salt in [1, 2] {
+                store
+                    .ingest_epoch(
+                        u64::from(salt),
+                        sample_epoch(10, salt),
+                        EpochMetadata::default(),
+                    )
+                    .unwrap();
+            }
+            let (parked_tx, parked_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let store = &store;
+            let (other, same_early) = std::thread::scope(|s| {
+                let update = s.spawn(move || {
+                    store.backend().update_epoch(1, &mut move |epoch| {
+                        parked_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        Ok(StoredEpoch {
+                            rewrite_count: epoch.rewrite_count + 1,
+                            ..epoch.clone()
+                        })
+                    })
+                });
+                parked_rx.recv().unwrap();
+                let (other_tx, other_rx) = mpsc::channel();
+                s.spawn(move || {
+                    let meta = EpochMetadata::default();
+                    store.ingest_epoch(2, sample_epoch(12, 2), meta).unwrap();
+                    let rewrite = vec![(vec![2, 0, 3], row(&[2, 0, 3], 0xEE))];
+                    store.rewrite_bin(2, rewrite, Vec::new()).unwrap();
+                    other_tx.send(()).unwrap();
+                });
+                let other = other_rx.recv_timeout(Duration::from_secs(5));
+                let (same_tx, same_rx) = mpsc::channel();
+                s.spawn(move || {
+                    let meta = EpochMetadata::default();
+                    store.ingest_epoch(1, sample_epoch(12, 1), meta).unwrap();
+                    same_tx.send(()).unwrap();
+                });
+                let same_early = same_rx.recv_timeout(Duration::from_millis(100));
+                release_tx.send(()).unwrap();
+                update.join().unwrap().unwrap();
+                same_rx.recv().unwrap();
+                (other, same_early)
+            });
+            let kind = store.backend_kind();
+            other.unwrap_or_else(|e| panic!("{kind}: a write to epoch 2 waited for epoch 1: {e}"));
+            assert!(
+                same_early.is_err(),
+                "{kind}: a re-ingest overtook an update"
+            );
+            assert_eq!(store.full_scan(1).unwrap().len(), 12, "{kind}");
+            assert_eq!(store.rewrite_count(1).unwrap(), 0, "{kind}");
+            assert_eq!(store.rewrite_count(2).unwrap(), 1, "{kind}");
+        }
+    }
+
     /// Two rewrites of one epoch that start together both land: neither
     /// builds its snapshot on one the other has already replaced.
     #[test]

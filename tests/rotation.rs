@@ -294,7 +294,10 @@ fn replica_refresh_across_rotation_stays_bit_identical() {
         .expect("post-rotation vault entry");
     assert_eq!(recorded_generation, 1);
 
-    let absorbed = replica.refresh_epochs().expect("replica refresh");
+    let absorbed = replica
+        .refresh_epochs()
+        .expect("replica refresh")
+        .registered;
     assert!(
         absorbed.contains(&(EPOCHS * EPOCH)),
         "replica absorbed {absorbed:?}"
