@@ -368,7 +368,8 @@ impl SystemBuilder {
     /// Assemble the deployment. Fails when a pre-populated backend's
     /// epochs cannot be registered (metadata or key-vault entry sealed
     /// under a different master key, corrupt metadata, or an epoch the §6
-    /// protocol rewrote).
+    /// protocol rewrote) — except on a read-only replica, which serves the
+    /// rest and lists them in [`ConcealerSystem::refused_at_open`].
     pub fn build<R: RngCore>(self, rng: &mut R) -> Result<ConcealerSystem> {
         let master = self.master.unwrap_or_else(|| MasterKey::generate(rng));
         let engine_seed = self.engine_seed.unwrap_or_else(|| rng.gen());
@@ -762,6 +763,115 @@ mod tests {
             (crate::query::AnswerValue::Count(15), true)
         );
         drop(replica);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    /// A writer over `root` holding epochs 0 and 3600, and its user.
+    fn writer_of_two_epochs(
+        root: &std::path::Path,
+        master: &MasterKey,
+    ) -> (ConcealerSystem, crate::UserHandle) {
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut writer = SystemBuilder::new(SystemConfig::small_test())
+            .master(master.clone())
+            .with_backend(Arc::new(DiskEpochStore::open(root).unwrap()))
+            .build(&mut rng)
+            .unwrap();
+        for start in [0, 3_600] {
+            let records: Vec<Record> = sample_records()
+                .into_iter()
+                .map(|mut r| {
+                    r.time += start;
+                    r
+                })
+                .collect();
+            writer.ingest_epoch(start, &records, &mut rng).unwrap();
+        }
+        let user = writer.register_user(1, vec![], true);
+        (writer, user)
+    }
+
+    /// A BPB §6 count over `[t0, t1]` on `system`, which rewrites every
+    /// epoch it touches.
+    fn forward_private_range(system: &ConcealerSystem, user: &crate::UserHandle, t0: u64, t1: u64) {
+        let opts = ExecOptions {
+            method: RangeMethod::Bpb,
+            forward_private: true,
+            ..ExecOptions::default()
+        };
+        let q = Query::count().at_dims([1]).between(t0, t1);
+        system.session(user).with_options(opts).execute(&q).unwrap();
+    }
+
+    fn replica_of(root: &std::path::Path, master: &MasterKey) -> Result<ConcealerSystem> {
+        SystemBuilder::new(SystemConfig::small_test())
+            .master(master.clone())
+            .with_backend(Arc::new(DiskEpochStore::open_replica(root).unwrap()))
+            .build(&mut StdRng::seed_from_u64(31))
+    }
+
+    fn refused_ids(refused: &[(u64, CoreError)]) -> Vec<u64> {
+        assert!(
+            refused.iter().all(|(_, e)| {
+                matches!(e, CoreError::InvalidConfig { reason } if reason.contains("re-ingest"))
+            }),
+            "{refused:?}"
+        );
+        refused.iter().map(|(epoch_id, _)| *epoch_id).collect()
+    }
+
+    /// A replica registered epochs 0 and 3600 before the writer rewrote
+    /// both under §6. Promotion loads the rewritten generations, so it
+    /// reports both refused; they stay registered, and a query over them
+    /// fails its verification rather than answering without them.
+    #[test]
+    fn promotion_refuses_epochs_rewritten_after_the_replica_registered_them() {
+        let root = scratch("promote-stale");
+        let master = MasterKey::from_bytes([15u8; 32]);
+        let (writer, user) = writer_of_two_epochs(&root, &master);
+        let mut replica = replica_of(&root, &master).unwrap();
+        assert_eq!(replica.engine().registered_epochs(), vec![0, 3_600]);
+        forward_private_range(&writer, &user, 0, 7_199);
+        assert!(writer.store().rewrite_count(0).unwrap() > 0);
+        assert!(writer.store().rewrite_count(3_600).unwrap() > 0);
+        drop(writer);
+
+        let promoted = replica.promote_to_writer().unwrap();
+        assert!(promoted.registered.is_empty(), "{promoted:?}");
+        assert_eq!(refused_ids(&promoted.refused), vec![0, 3_600]);
+        assert_eq!(replica.engine().registered_epochs(), vec![0, 3_600]);
+        let user = replica.register_user(1, vec![], true);
+        let answer = replica
+            .session(&user)
+            .execute(&Query::count().at_dims([1]).between(0, 7_199));
+        assert!(
+            matches!(answer, Err(CoreError::IntegrityViolation { .. })),
+            "{answer:?}"
+        );
+        drop(replica);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A replica started over a root that holds a §6-rewritten epoch
+    /// refuses that epoch, serves the other one verified, and reports the
+    /// refusal as a refresh would.
+    #[test]
+    fn a_replica_opens_over_a_rewritten_epoch() {
+        let root = scratch("replica-open-rewritten");
+        let master = MasterKey::from_bytes([16u8; 32]);
+        let (writer, user) = writer_of_two_epochs(&root, &master);
+        forward_private_range(&writer, &user, 0, 3_599);
+        assert!(writer.store().rewrite_count(0).unwrap() > 0);
+        assert_eq!(writer.store().rewrite_count(3_600).unwrap(), 0);
+
+        let mut replica = replica_of(&root, &master).unwrap();
+        assert_eq!(refused_ids(replica.refused_at_open()), vec![0]);
+        assert_eq!(replica.engine().registered_epochs(), vec![3_600]);
+        let query = Query::count().at_dims([2]).between(3_600, 7_199);
+        let replica_user = replica.register_user(1, vec![], true);
+        let answer = replica.session(&replica_user).execute(&query).unwrap();
+        let expected = writer.session(&user).execute(&query).unwrap();
+        assert_eq!((&answer.value, answer.verified), (&expected.value, true));
+        drop((writer, replica));
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -136,9 +136,10 @@ impl QueryEngine {
     /// partial entry points pass `section_6 = false` and refuse
     /// forward-private queries.
     ///
-    /// A batch holding a forward-private range takes the write guard, which
-    /// stage 3 needs to advance round counters and tags. A lone range also
-    /// holds it. Nothing in it needs the guard; it is kept because the
+    /// A batch holding a forward-private range takes the write guard,
+    /// which stage 3 needs to advance round counters and tags, when the
+    /// process holds several epochs (on one, it rewrites nothing). A lone
+    /// range also holds it. Nothing in it needs the guard; it is kept because the
     /// benchmark's `peak_rss_mb` grows with every request its harness
     /// records (ROADMAP item 0). Run beside other queries, lone ranges let
     /// `wire_points` answer ≈40 % more requests on 2 vCPUs, and that
@@ -151,10 +152,18 @@ impl QueryEngine {
         section_6: bool,
     ) -> Vec<Result<Vec<EpochPartial>>> {
         let plan_start = Instant::now();
-        let is_range = |query: &Query| matches!(query.predicate, Predicate::Range { .. });
-        let write = queries.iter().any(is_range) && (opts.forward_private || queries.len() == 1);
-        let mut exclusive = write.then(|| unpoisoned(self.epochs.write()));
-        let shared = (!write).then(|| unpoisoned(self.epochs.read()));
+        let ranges = queries
+            .iter()
+            .any(|query| matches!(query.predicate, Predicate::Range { .. }));
+        // Registration only adds epochs: more than one under the read
+        // guard is more than one under the write guard.
+        let mut shared = (!ranges || queries.len() > 1).then(|| unpoisoned(self.epochs.read()));
+        let write = (shared.as_ref())
+            .is_none_or(|epochs| ranges && opts.forward_private && epochs.len() > 1);
+        let mut exclusive = write.then(|| {
+            shared = None;
+            unpoisoned(self.epochs.write())
+        });
         let epochs = exclusive
             .as_deref()
             .or(shared.as_deref())
@@ -416,7 +425,9 @@ impl QueryEngine {
             .iter()
             .map(|(cid, tag)| (*cid as usize, tag.clone()))
             .collect();
+        let rewrote = !replacements.is_empty();
         self.store.rewrite_bin(rt.epoch_id, replacements, updates)?;
+        rt.rewrites += u64::from(rewrote);
         for (cid, tag) in tags {
             rt.tags[cid as usize] = tag;
         }

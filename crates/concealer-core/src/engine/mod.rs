@@ -30,7 +30,8 @@
 //! never across a fetch. Batches and single points plan and run under the
 //! **read** guard, beside other queries and ingest registration. The write
 //! guard is taken by [`QueryEngine::register_epoch`], by a batch holding a
-//! §6 range, whose third stage advances round counters and tags, and — for
+//! §6 range on a process holding more than one epoch, whose third stage
+//! advances round counters and tags, and — for
 //! a reason outside the engine, given at `run_batch` — by a lone range
 //! query.
 
@@ -102,6 +103,9 @@ struct EpochRuntime {
     bin_plan: BinPlan,
     /// Per-bin re-encryption round counters (the §6 meta-index).
     bin_rounds: Vec<u64>,
+    /// The store's rewrite count as of registration and this engine's own
+    /// §6 commits since: a stored count past it is another process's.
+    rewrites: u64,
     /// Plans whose key a request chooses, built on first use. Planning
     /// holds this lock only while it reads or fills a table, never across
     /// a fetch.
@@ -390,7 +394,8 @@ impl QueryEngine {
     /// epoch's fake budget from them. The row count the host stores with
     /// the metadata is never read.
     pub fn register_epoch(&self, epoch_id: u64) -> Result<()> {
-        let metadata = self.store.metadata(epoch_id)?;
+        let stored = self.store.backend().epoch(epoch_id)?;
+        let metadata = &stored.metadata;
         let key = self.enclave.epoch_key(EpochId(epoch_id), 0);
 
         let assignment_and_counts = codec::decode_u32_vector(
@@ -437,14 +442,35 @@ impl QueryEngine {
             max_cell_id_load,
             cells_per_cell_id,
             total_fakes,
-            tags: metadata.enc_tags,
+            tags: metadata.enc_tags.clone(),
             bin_plan,
             bin_rounds,
+            rewrites: stored.rewrite_count,
             lazy: Mutex::default(),
             winsec,
         };
         unpoisoned(self.epochs.write()).insert(epoch_id, runtime);
         Ok(())
+    }
+
+    /// Refuse `epoch_id` when the store holds §6 rewrites of it that this
+    /// engine did not commit (of an unregistered epoch, any at all): its
+    /// round counters are enclave state of the process that rewrote it,
+    /// so trapdoors issued here would miss the rewritten rows. Read under
+    /// the registry's guard, so no commit of this engine's falls between.
+    pub(crate) fn check_rewrites(&self, epoch_id: u64) -> Result<()> {
+        let epochs = unpoisoned(self.epochs.read());
+        let committed = epochs.get(&epoch_id).map_or(0, |rt| rt.rewrites);
+        if self.store.rewrite_count(epoch_id)? == committed {
+            return Ok(());
+        }
+        Err(CoreError::InvalidConfig {
+            reason: format!(
+                "epoch {epoch_id} was rewritten by the forward-private (§6) protocol \
+                 in another process, whose round counters this enclave lacks — \
+                 re-ingest the epoch"
+            ),
+        })
     }
 
     /// Execute one query: [`merge_partials`] over this process's per-epoch

@@ -958,8 +958,13 @@ impl StorageBackend for FaultyBackend {
     fn kind(&self) -> &'static str {
         self.inner.kind()
     }
-    fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> StoreResult<()> {
-        self.inner.put_epoch(epoch_id, epoch)
+    fn put_epoch(
+        &self,
+        epoch_id: u64,
+        epoch: StoredEpoch,
+        seal: Option<(u64, Vec<u8>)>,
+    ) -> StoreResult<()> {
+        self.inner.put_epoch(epoch_id, epoch, seal)
     }
     fn epoch(&self, epoch_id: u64) -> StoreResult<Arc<StoredEpoch>> {
         let mut state = unpoisoned(self.state.lock());
@@ -1693,8 +1698,13 @@ impl StorageBackend for ParkingBackend {
     fn kind(&self) -> &'static str {
         self.inner.kind()
     }
-    fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> StoreResult<()> {
-        self.inner.put_epoch(epoch_id, epoch)
+    fn put_epoch(
+        &self,
+        epoch_id: u64,
+        epoch: StoredEpoch,
+        seal: Option<(u64, Vec<u8>)>,
+    ) -> StoreResult<()> {
+        self.inner.put_epoch(epoch_id, epoch, seal)
     }
     fn epoch(&self, epoch_id: u64) -> StoreResult<Arc<StoredEpoch>> {
         let park = unpoisoned(self.park.lock()).take();
@@ -1750,6 +1760,41 @@ fn a_batch_in_flight_does_not_exclude_a_point() {
             assert!(overlapped, "{method:?}: the point waited for the batch");
         });
     }
+}
+
+/// On a process holding one epoch a forward-private range draws no cover
+/// bin and rewrites nothing, so a §6 batch holding one excludes no other
+/// query: while such a two-query batch waits on its first store read, a
+/// point on another thread is answered.
+#[test]
+fn a_one_epoch_forward_private_batch_does_not_exclude_a_point() {
+    let backend = Arc::new(ParkingBackend::default());
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut system = crate::SystemBuilder::new(test_config(false))
+        .with_backend(backend.clone())
+        .build(&mut rng)
+        .unwrap();
+    let user = system.register_user(1, vec![], true);
+    system.ingest_epoch(0, &workload(0, 150), &mut rng).unwrap();
+    let batch = [
+        Query::count().at_dims([2]).between(0, 1799),
+        Query::count().at_dims([3]).at(400),
+    ];
+    let point = Query::count().at_dims([2]).at(400);
+    let (parked, release) = backend.park();
+    let session = system.session(&user);
+    let forward_private = system.session(&user).with_options(forward_private_opts());
+    std::thread::scope(|scope| {
+        let in_flight = scope.spawn(|| forward_private.execute_batch(&batch));
+        parked.recv().expect("the batch reads the store");
+        session.execute(&point).unwrap();
+        let overlapped = release.send(()).is_ok();
+        for answer in in_flight.join().unwrap() {
+            answer.unwrap();
+        }
+        assert!(overlapped, "the point waited for the §6 batch");
+    });
+    assert_eq!(system.store().rewrite_count(0).unwrap(), 0);
 }
 
 /// A batch whose union is empty — no queries, or queries over none of this

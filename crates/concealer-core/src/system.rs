@@ -45,6 +45,7 @@ pub struct ConcealerSystem {
     engine: QueryEngine,
     registry: UserRegistry,
     default_user: Option<UserHandle>,
+    refused_at_open: Vec<(u64, CoreError)>,
 }
 
 impl std::fmt::Debug for ConcealerSystem {
@@ -69,9 +70,10 @@ impl ConcealerSystem {
     /// Wire a deployment around an existing store, re-registering with the
     /// engine every epoch the store already holds (a reopened durable
     /// backend; see [`ConcealerSystem::register_epochs`] for the
-    /// rules). Registration decrypts each epoch's metadata, so it fails
-    /// with [`CoreError::CorruptMetadata`] when `master` does not match the
-    /// key the epochs were sealed under.
+    /// rules). A writer's open fails on a refusal — with
+    /// [`CoreError::CorruptMetadata`] when `master` is not the key the
+    /// epochs were sealed under; a replica's serves the rest and reports
+    /// it in [`ConcealerSystem::refused_at_open`].
     pub(crate) fn assemble(
         config: SystemConfig,
         master: MasterKey,
@@ -86,28 +88,25 @@ impl ConcealerSystem {
         };
         let enclave = Enclave::provision(master, UserRegistry::new(), enclave_config);
         let engine = QueryEngine::new(config, enclave, store.clone(), engine_seed);
-        let system = ConcealerSystem {
+        let mut system = ConcealerSystem {
             provider,
             store,
             engine,
             registry: UserRegistry::new(),
             default_user: None,
+            refused_at_open: Vec::new(),
         };
-        match system
-            .register_epochs(system.store.epoch_ids())
-            .refused
-            .into_iter()
-            .next()
-        {
-            Some((_, e)) => Err(e),
-            None => Ok(system),
+        system.refused_at_open = system.register_epochs(system.store.epoch_ids()).refused;
+        match system.refused_at_open.first() {
+            Some((_, e)) if !system.store.backend().read_only() => Err(e.clone()),
+            _ => Ok(system),
         }
     }
 
     /// Register with the engine each of `candidates` that it does not hold
-    /// yet — at open, on a replica's refresh tick and at promotion alike.
-    /// An epoch that fails stays unregistered and the rest are still
-    /// registered; the pass reports both.
+    /// yet — at open, on a replica's refresh tick and at promotion alike —
+    /// and check each one it holds against the store. An epoch that fails
+    /// is reported and the rest are still registered.
     ///
     /// Registration is a function of the stored snapshot alone, so a
     /// refused snapshot is not tried again: a replica's refresh offers only
@@ -116,13 +115,12 @@ impl ConcealerSystem {
     ///
     /// Two rules come before registration proper:
     ///
-    /// * An epoch the §6 protocol has rewritten is refused: its per-bin
-    ///   round counters are enclave state that did not survive the hop
-    ///   from the process that rewrote it, and registering would reset
-    ///   them to round 0, so the next query on a rewritten bin would issue
-    ///   trapdoors that miss every row (a spurious integrity violation, or
-    ///   a wrong answer with verification off). The remedy is to re-ingest
-    ///   the epoch.
+    /// * An epoch the §6 protocol rewrote in another process is refused
+    ///   ([`QueryEngine::check_rewrites`]) — also one this engine holds,
+    ///   registered by a replica before the writer rewrote it and loaded
+    ///   by promotion since. That one stays registered, so its queries
+    ///   fail verification rather than answer without it. The remedy is
+    ///   to re-ingest the epoch.
     /// * An epoch with a key-vault entry must unwrap under this master at
     ///   the recorded generation; a mismatch means the store was sealed
     ///   under another master (or another lifecycle history). Epochs
@@ -133,11 +131,14 @@ impl ConcealerSystem {
             self.engine.registered_epochs().into_iter().collect();
         let mut pass = Registration::default();
         for epoch_id in candidates {
-            if known.contains(&epoch_id) {
-                continue;
-            }
-            match self.register_stored_epoch(epoch_id) {
-                Ok(()) => pass.registered.push(epoch_id),
+            let registered = if known.contains(&epoch_id) {
+                self.engine.check_rewrites(epoch_id).map(|()| false)
+            } else {
+                self.register_stored_epoch(epoch_id).map(|()| true)
+            };
+            match registered {
+                Ok(true) => pass.registered.push(epoch_id),
+                Ok(false) => {}
                 Err(e) => pass.refused.push((epoch_id, e)),
             }
         }
@@ -145,15 +146,7 @@ impl ConcealerSystem {
     }
 
     fn register_stored_epoch(&self, epoch_id: u64) -> Result<()> {
-        if self.store.rewrite_count(epoch_id)? > 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "epoch {epoch_id} was rewritten by the forward-private (§6) \
-                     protocol; its round counters are enclave state and do not \
-                     survive a restart — re-ingest the epoch"
-                ),
-            });
-        }
+        self.engine.check_rewrites(epoch_id)?;
         if let Some((generation, blob)) = self.store.backend().sealed_key(epoch_id) {
             if self
                 .provider
@@ -165,6 +158,14 @@ impl ConcealerSystem {
             }
         }
         self.engine.register_epoch(epoch_id)
+    }
+
+    /// The stored epochs a replica's open refused, each with the rule it
+    /// failed, as [`ConcealerSystem::refresh_epochs`] reports them. Empty
+    /// on a writer, whose open fails instead.
+    #[must_use]
+    pub fn refused_at_open(&self) -> &[(u64, CoreError)] {
+        &self.refused_at_open
     }
 
     /// Register a user with the data provider; the updated registry is
@@ -219,20 +220,21 @@ impl ConcealerSystem {
     ) -> Result<EpochStats> {
         let shipment = self.provider.encrypt_epoch(epoch_start, records, rng)?;
         let stats = shipment.stats.clone();
-        self.store
-            .ingest_epoch(shipment.epoch_id, shipment.rows, shipment.metadata)?;
-        // Record the epoch's wrapped seal secret in the store's key vault
-        // under the current master generation, so reopen can prove the
-        // epoch is readable under this master and rotation has an entry
-        // to re-wrap. A no-op on backends without lifecycle state.
-        let backend = self.store.backend();
-        let generation = backend.key_generation();
-        backend.seal_key(
-            epoch_start,
-            generation,
-            self.provider
-                .master()
-                .wrap_epoch_seal(generation, epoch_start),
+        // The epoch's seal secret, wrapped under the current master
+        // generation, is its key-vault entry: committed with the epoch in
+        // one store write, so reopen can prove the epoch is readable under
+        // this master and rotation has an entry to re-wrap. Backends
+        // without lifecycle state discard it.
+        let generation = self.store.backend().key_generation();
+        let seal = self
+            .provider
+            .master()
+            .wrap_epoch_seal(generation, epoch_start);
+        self.store.ingest_sealed_epoch(
+            shipment.epoch_id,
+            shipment.rows,
+            shipment.metadata,
+            Some((generation, seal)),
         )?;
         self.engine.register_epoch(epoch_start)?;
         Ok(stats)
@@ -253,24 +255,26 @@ impl ConcealerSystem {
     /// not tried again on later ticks. `Err` means the store's refresh
     /// itself failed and nothing was registered.
     pub fn refresh_epochs(&self) -> Result<Registration> {
-        let absorbed = self.store.refresh()?;
+        let absorbed = self.store.backend().refresh()?;
         Ok(self.register_epochs(absorbed))
     }
 
     /// Promote this system's store from read-only replica to writer (a
     /// reopen of the durable root — no key material moves; see
     /// [`concealer_storage::StorageBackend::promote`]), then register
-    /// every stored epoch the engine does not hold yet. Idempotent on a
-    /// system that is already the writer.
+    /// every stored epoch the engine does not hold yet and check those it
+    /// holds. Idempotent on a system that is already the writer.
     ///
     /// Once the store is the writer the promotion has happened, so a
     /// refused epoch does not fail it: it is reported in
     /// [`Registration::refused`], and the new writer must re-ingest it.
     /// That is the fate of an epoch the dead writer rewrote under the §6
-    /// protocol, exactly as after a single-node restart. `Err` means the
-    /// store's promotion itself failed.
+    /// protocol, exactly as after a single-node restart — also one this
+    /// replica had registered before the rewrite, which stays registered
+    /// and fails its queries' verification. `Err` means the store's
+    /// promotion itself failed.
     pub fn promote_to_writer(&self) -> Result<Registration> {
-        self.store.promote()?;
+        self.store.backend().promote()?;
         Ok(self.register_epochs(self.store.epoch_ids()))
     }
 
@@ -278,7 +282,7 @@ impl ConcealerSystem {
     /// rewrites are refused until [`ConcealerSystem::promote_to_writer`]).
     #[must_use]
     pub fn store_read_only(&self) -> bool {
-        self.store.read_only()
+        self.store.backend().read_only()
     }
 
     /// The master-key generation most recently begun on this system's

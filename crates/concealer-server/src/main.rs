@@ -156,6 +156,9 @@ fn main() -> ExitCode {
         records.len(),
         user.user_id.0
     );
+    for (epoch_id, e) in system.refused_at_open() {
+        eprintln!("concealer-server: replica refused epoch {epoch_id}: {e}");
+    }
 
     let config = ServerConfig {
         bind: SocketAddr::from(([127, 0, 0, 1], args.port)),

@@ -455,7 +455,7 @@ impl ServeHandler for EngineHandler {
                 epoch_duration: self.system.engine().config().epoch_duration,
                 epochs: self.system.engine().registered_epochs(),
                 role,
-                store_generation: self.system.store().store_generation(),
+                store_generation: self.system.store().backend().store_generation(),
             },
         }
     }

@@ -130,9 +130,16 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Short identifier for diagnostics: `"memory"`, `"disk"`, …
     fn kind(&self) -> &'static str;
 
-    /// Insert or replace a whole epoch segment. When the call returns
-    /// `Ok`, the epoch is committed (durably, for persistent backends).
-    fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()>;
+    /// Insert or replace a whole epoch segment with its key-vault entry
+    /// `seal`, `(generation, wrapped seal secret)`, if given (`None` keeps
+    /// an earlier entry); on `Ok` both are committed together (durably,
+    /// for persistent backends). Backends without a vault discard it.
+    fn put_epoch(
+        &self,
+        epoch_id: u64,
+        epoch: StoredEpoch,
+        seal: Option<(u64, Vec<u8>)>,
+    ) -> Result<()>;
 
     /// The current snapshot of a stored epoch, or
     /// [`StorageError::UnknownEpoch`] when the epoch is absent.
@@ -181,17 +188,6 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Backends without a durable commit point report 0.
     fn store_generation(&self) -> u64 {
         0
-    }
-
-    /// Record a wrapped per-epoch seal secret in the store's key vault:
-    /// "epoch `epoch_id`'s seal secret, wrapped under master-key
-    /// generation `generation`". Backends without durable lifecycle state
-    /// accept and discard it — key material never *needs* the vault; it
-    /// exists so a durable store can prove which master generation its
-    /// epochs are readable under and so rotation has something to re-wrap.
-    fn seal_key(&self, epoch_id: u64, generation: u64, wrapped: Vec<u8>) -> Result<()> {
-        let _ = (epoch_id, generation, wrapped);
-        Ok(())
     }
 
     /// The vault entry for an epoch: `(generation, wrapped blob)`, or
@@ -262,7 +258,12 @@ impl StorageBackend for MemoryBackend {
         "memory"
     }
 
-    fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()> {
+    fn put_epoch(
+        &self,
+        epoch_id: u64,
+        epoch: StoredEpoch,
+        _: Option<(u64, Vec<u8>)>,
+    ) -> Result<()> {
         self.epochs
             .write(epoch_id, || self.epochs.publish(epoch_id, epoch));
         Ok(())
@@ -315,8 +316,8 @@ mod tests {
         let backend = MemoryBackend::new();
         assert_eq!(backend.kind(), "memory");
         assert_eq!(backend.epoch_ids(), Vec::<u64>::new());
-        backend.put_epoch(3, epoch(5)).unwrap();
-        backend.put_epoch(9, epoch(2)).unwrap();
+        backend.put_epoch(3, epoch(5), None).unwrap();
+        backend.put_epoch(9, epoch(2), None).unwrap();
         assert_eq!(backend.epoch_ids(), vec![3, 9]);
         assert_eq!(backend.total_rows(), 7);
 
@@ -330,7 +331,7 @@ mod tests {
     #[test]
     fn update_epoch_is_all_or_nothing_on_closure_error() {
         let backend = MemoryBackend::new();
-        backend.put_epoch(1, epoch(4)).unwrap();
+        backend.put_epoch(1, epoch(4), None).unwrap();
         let err = backend.update_epoch(1, &mut |_| Err(StorageError::DuplicateKey));
         assert_eq!(err, Err(StorageError::DuplicateKey));
         let before = backend.epoch(1).unwrap();

@@ -1,17 +1,19 @@
 //! The manifest: the store-level atomic commit point.
 //!
 //! `MANIFEST` maps each *committed* epoch to the generation of the segment
-//! file holding it. Epoch commit order is therefore:
+//! file holding it, beside the key generation and the key vault. Epoch
+//! commit order is therefore:
 //!
 //! 1. write + fsync the new segment file (`segments/ep-<epoch>-g<gen>.seg`),
-//! 2. atomically replace `MANIFEST` (write temp, fsync, rename, fsync dir)
-//!    with the entry pointing at the new generation,
+//! 2. one [`Manifest::commit`] (write temp, fsync, rename, fsync dir) with
+//!    the entry pointing at the new generation — and, on an ingest that
+//!    carries one, the epoch's vault entry,
 //! 3. only then delete any superseded generation.
 //!
 //! A crash anywhere in that sequence leaves either the old manifest (the
-//! new segment is an uncommitted leftover, removed on reopen) or the new
-//! manifest (the old segment is a superseded leftover, removed on reopen)
-//! — never a state that mixes the two.
+//! new segment is an uncommitted leftover) or the new one (the old segment
+//! is a superseded leftover), both removed on reopen — never a mix, nor an
+//! epoch without its vault entry. Nothing else writes the manifest.
 //!
 //! The manifest itself carries a checksum; because it is only ever replaced
 //! via rename, a checksum failure means damage outside the crash model and
@@ -94,21 +96,22 @@ impl Manifest {
         root.join(MANIFEST_FILE)
     }
 
-    /// Load the manifest from `root`. A missing file is an empty (fresh)
-    /// store; a present file is held to [`Manifest::decode`].
-    pub(crate) fn load(root: &Path) -> Result<Manifest> {
-        let path = Self::path(root);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Manifest::default()),
-            Err(e) => return Err(io_err("read manifest", &path, &e)),
-        };
-        Manifest::decode(&bytes, &path)
+    /// The one manifest commit: apply `edit` to a copy of `self`, durably
+    /// replace the manifest under `root` with the copy, and only then make
+    /// it `self`. Callers hold the lock `self` lives behind, so commits
+    /// run one at a time and the in-memory manifest never runs ahead of
+    /// the file.
+    pub(crate) fn commit(&mut self, root: &Path, edit: impl FnOnce(&mut Manifest)) -> Result<()> {
+        let mut next = self.clone();
+        edit(&mut next);
+        next.save(root)?;
+        *self = next;
+        Ok(())
     }
 
     /// Durably replace the manifest on disk: temp file, fsync, rename over
     /// the live name, fsync the directory.
-    pub(crate) fn save(&self, root: &Path) -> Result<()> {
+    fn save(&self, root: &Path) -> Result<()> {
         let path = Self::path(root);
         let tmp = root.join(format!("{MANIFEST_FILE}.tmp"));
         {
@@ -156,6 +159,22 @@ pub(crate) fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> Stora
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Manifest {
+        /// Load the manifest from `root`. A missing file is an empty
+        /// (fresh) store; a present file is held to [`Manifest::decode`].
+        pub(crate) fn load(root: &Path) -> Result<Manifest> {
+            let path = Self::path(root);
+            let bytes = match fs::read(&path) {
+                Ok(b) => b,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    return Ok(Manifest::default())
+                }
+                Err(e) => return Err(io_err("read manifest", &path, &e)),
+            };
+            Manifest::decode(&bytes, &path)
+        }
+    }
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir =

@@ -5,56 +5,47 @@
 //!
 //! ```text
 //! <root>/
-//!   MANIFEST                     committed epochs → segment generation
+//!   MANIFEST                     committed epochs → segment generation, key vault
 //!   segments/ep-<epoch>-g<gen>.seg   one segment per epoch, written whole
 //! ```
 //!
-//! Writes follow write-ahead discipline — segment first (fsync), manifest
-//! swap second (temp + rename + dir fsync), superseded files deleted last —
-//! so every on-disk state a crash can produce maps to exactly one logical
-//! store state. Recovery on [`DiskEpochStore::open`]:
+//! Every write takes four steps: segment fsync; one manifest swap, which
+//! on an ingest also commits the epoch's key-vault entry; publish; delete
+//! the superseded segment file. So every on-disk state a crash can produce
+//! maps to exactly one logical store state, and none holds an ingested
+//! epoch without its vault entry. Every manifest change goes through the
+//! one commit (`Manifest::commit`), under the manifest lock.
 //!
-//! * a committed segment that parses completely serves queries again;
-//! * a committed segment that is torn (crash, external truncation, rot)
-//!   has its epoch dropped from the manifest and its file removed — a
-//!   half-epoch must never serve bins, or the fixed-size-fetch
-//!   volume-hiding invariant would break;
-//! * segment files the manifest does not reference (crash between segment
-//!   write and manifest swap, or a superseded generation) are deleted;
-//! * a manifest or committed segment in an older on-disk format fails the
-//!   open with [`StorageError::UnsupportedFormat`] before anything under
-//!   the root is written or removed.
+//! The root is read in one pass (`read_root`): `MANIFEST`, then the
+//! committed segments the store does not hold yet. It only reads, so an
+//! older format ([`StorageError::UnsupportedFormat`]) or a segment under
+//! another epoch's name fails it with every file as it was. Then:
 //!
-//! Every committed epoch also stays resident as a snapshot in the same
-//! epoch map the memory backend keeps, so the fetch path — and therefore
-//! every answer and every adversary-observable trace — is bit-identical
-//! across backends; the disk is only ever touched by ingest, rewrite and
-//! recovery. A write publishes its snapshot only after its segment fsync
-//! and manifest swap, under the manifest lock, so the map and the manifest
-//! move together and no reader waits on an fsync.
+//! * the writer — [`DiskEpochStore::open`], [`StorageBackend::promote`] —
+//!   repairs the root: a torn or missing committed segment has its epoch
+//!   dropped whole, vault entry included (a half-epoch must never serve
+//!   bins, or fixed-size fetches would stop hiding volumes), and segment
+//!   files the manifest does not name are deleted;
+//! * a replica — [`DiskEpochStore::open_replica`],
+//!   [`StorageBackend::refresh`] — publishes the complete segments of
+//!   epochs it does not hold, skips torn or missing ones (the writer may
+//!   be mid-write; the next refresh retries), and writes nothing. Once a
+//!   pass absorbed all the manifest names, its fingerprint lets an
+//!   unchanged manifest cost a tick one `read`. An epoch already held is
+//!   not re-read: §6 rewrites do not replicate, and the replica serves
+//!   the snapshot it absorbed. Promotion is the writer's open over the
+//!   root, re-reading only epochs whose generation changed; it moves no
+//!   key material.
+//!
+//! Committed epochs stay resident in the epoch map the memory backend
+//! keeps, so answers and adversary-observable traces are bit-identical
+//! across backends; a write publishes only after its fsync and manifest
+//! swap, under the manifest lock, so no reader waits on an fsync.
 //!
 //! Trust argument: the files are the *untrusted service provider's* disk.
 //! Checksums here detect crashes and rot, not attacks — an adversary who
-//! rewrites a segment consistently (valid tables, matching footer) is
-//! caught by the enclave's hash-chain verification at query time, exactly
-//! as with the in-memory store. Durability adds no new trust assumptions.
-//!
-//! # Replica mode
-//!
-//! [`DiskEpochStore::open_replica`] opens the same root *read-only* and
-//! non-destructively: it loads committed segments that parse completely,
-//! skips anything torn or in-flight (the writer may be mid-write; the next
-//! refresh retries), and never deletes files or saves the manifest — the
-//! writer owns the root. [`StorageBackend::refresh`]
-//! re-reads `MANIFEST` (with a byte-fingerprint fast path, so an idle
-//! store costs one `read` per tick) and pulls in epochs committed since
-//! the last look; generation changes to epochs already resident — §6
-//! forward-private rewrites — do **not** replicate, matching the enclave's
-//! refusal to re-register rewritten epochs after a restart.
-//! [`StorageBackend::promote`] turns a replica into the writer by running
-//! the destructive recovery pass above over the root, after which writes
-//! are accepted; promotion moves no key material — it is exactly a store
-//! reopen.
+//! rewrites a segment consistently is caught by the enclave's hash-chain
+//! verification at query time, exactly as with the in-memory store.
 
 mod manifest;
 mod segment;
@@ -65,20 +56,17 @@ use crate::{unpoisoned, Result, StorageError};
 use manifest::{io_err, sync_dir, unsupported, Manifest};
 use segment::DecodeOutcome;
 use std::fs;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 const SEGMENT_DIR: &str = "segments";
 
-/// Durable, crash-safe storage of sealed epoch segments.
-///
-/// Create with [`DiskEpochStore::open`] and hand to
-/// [`crate::EpochStore::with_backend`] (or
-/// `concealer_core::SystemBuilder::with_backend`). Opening an existing
-/// root recovers every committed epoch; see the module docs for the
-/// recovery rules.
+/// Durable, crash-safe storage of sealed epoch segments: open with
+/// [`DiskEpochStore::open`] and hand to [`crate::EpochStore::with_backend`]
+/// (or `concealer_core::SystemBuilder::with_backend`). See the module docs
+/// for the recovery rules.
 #[derive(Debug)]
 pub struct DiskEpochStore {
     root: PathBuf,
@@ -108,44 +96,37 @@ impl Drop for DiskEpochStore {
 }
 
 impl DiskEpochStore {
-    /// Open (or initialize) a store rooted at `root`, running crash
-    /// recovery: committed epochs are loaded and verified, torn segments
-    /// are dropped, uncommitted and superseded segment files are removed.
+    /// Open (or initialize) a store rooted at `root` as its writer,
+    /// running crash recovery (see the module docs).
     pub fn open(root: impl Into<PathBuf>) -> Result<Self> {
-        let root = root.into();
-        let cache = EpochMap::default();
-        let (manifest, max_gen) = recover(&root, &cache, &Manifest::default())?;
-        Ok(DiskEpochStore {
-            root,
-            cache,
-            manifest: Mutex::new(manifest),
-            next_gen: AtomicU64::new(max_gen + 1),
-            remove_root_on_drop: false,
-            read_only: AtomicBool::new(false),
-            manifest_fingerprint: AtomicU64::new(0),
-        })
+        let store = Self::unopened(root.into());
+        store.promote()?;
+        Ok(store)
     }
 
     /// Open the store rooted at `root` as a *read-only replica* of another
-    /// process's writer. Non-destructive: committed segments that parse
-    /// completely are loaded, anything torn or in-flight is skipped (the
-    /// writer may be mid-write; the next [`StorageBackend::refresh`]
-    /// retries), and nothing on disk is created, deleted or rewritten.
-    /// Writes are refused with [`StorageError::ReadOnly`] until
-    /// [`StorageBackend::promote`] is called. A root the writer has not
+    /// process's writer: a first [`StorageBackend::refresh`], which writes
+    /// nothing on disk. Writes are refused with [`StorageError::ReadOnly`]
+    /// until [`StorageBackend::promote`]. A root the writer has not
     /// initialized yet opens as an empty replica and fills in on refresh.
     pub fn open_replica(root: impl Into<PathBuf>) -> Result<Self> {
-        let store = DiskEpochStore {
-            root: root.into(),
+        let store = Self::unopened(root.into());
+        store.refresh()?;
+        Ok(store)
+    }
+
+    /// A read-only store over `root` that holds nothing yet: the writer's
+    /// open promotes it, a replica's open refreshes it.
+    fn unopened(root: PathBuf) -> Self {
+        DiskEpochStore {
+            root,
             cache: EpochMap::default(),
             manifest: Mutex::new(Manifest::default()),
             next_gen: AtomicU64::new(1),
             remove_root_on_drop: false,
             read_only: AtomicBool::new(true),
             manifest_fingerprint: AtomicU64::new(0),
-        };
-        store.refresh()?;
-        Ok(store)
+        }
     }
 
     /// Open a *scratch* store: identical to [`DiskEpochStore::open`],
@@ -171,51 +152,121 @@ impl DiskEpochStore {
     #[must_use]
     pub fn segment_path(&self, epoch_id: u64) -> Option<PathBuf> {
         let generation = *unpoisoned(self.manifest.lock()).entries.get(&epoch_id)?;
-        Some(self.segment_file(epoch_id, generation))
+        Some(segment_file(&self.root, epoch_id, generation))
     }
 
-    fn segment_file(&self, epoch_id: u64, generation: u64) -> PathBuf {
-        self.root
-            .join(SEGMENT_DIR)
-            .join(format!("ep-{epoch_id}-g{generation}.seg"))
-    }
-
-    /// Write + fsync a new segment generation for `epoch_id`; returns the
-    /// generation. Not yet committed — that is the manifest swap.
-    fn write_segment(&self, epoch_id: u64, epoch: &StoredEpoch) -> Result<u64> {
+    /// Make `epoch` the committed state of `epoch_id`, with its key-vault
+    /// entry `seal` when one is given, in the commit order of the module
+    /// docs; the map advances only once the manifest swap succeeded. The
+    /// caller holds the epoch's writer lock.
+    fn persist(
+        &self,
+        epoch_id: u64,
+        epoch: StoredEpoch,
+        seal: Option<(u64, Vec<u8>)>,
+    ) -> Result<()> {
         let generation = self.next_gen.fetch_add(1, Ordering::Relaxed);
-        let path = self.segment_file(epoch_id, generation);
-        let bytes = segment::encode(epoch_id, epoch);
+        let path = segment_file(&self.root, epoch_id, generation);
         let mut f = fs::File::create(&path).map_err(|e| io_err("create segment", &path, &e))?;
-        f.write_all(&bytes)
+        f.write_all(&segment::encode(epoch_id, &epoch))
             .map_err(|e| io_err("write segment", &path, &e))?;
         f.sync_all()
             .map_err(|e| io_err("sync segment", &path, &e))?;
         sync_dir(&self.root.join(SEGMENT_DIR))?;
-        Ok(generation)
-    }
-
-    /// Make `epoch` the committed state of `epoch_id`: segment fsync, then
-    /// the manifest swap and the publish under the manifest lock (the
-    /// in-memory manifest and the map advance only when the on-disk swap
-    /// succeeded), then the superseded segment file goes. The caller holds
-    /// the epoch's writer lock.
-    fn persist(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()> {
-        let generation = self.write_segment(epoch_id, &epoch)?;
         let superseded = {
             let mut m = unpoisoned(self.manifest.lock());
-            let mut next = m.clone();
-            let old = next.entries.insert(epoch_id, generation);
-            next.save(&self.root)?;
-            *m = next;
+            let superseded = m.entries.get(&epoch_id).copied();
+            m.commit(&self.root, |next| {
+                next.entries.insert(epoch_id, generation);
+                if let Some(seal) = seal {
+                    next.wrapped_keys.insert(epoch_id, seal);
+                }
+            })?;
             self.cache.publish(epoch_id, epoch);
-            old
+            superseded
         };
         if let Some(generation) = superseded {
             // Best effort: a leftover is harmless (reopen deletes it).
-            let _ = fs::remove_file(self.segment_file(epoch_id, generation));
+            let _ = fs::remove_file(segment_file(&self.root, epoch_id, generation));
         }
         Ok(())
+    }
+
+    /// The writer's repair of what a read pass found, shared by
+    /// [`DiskEpochStore::open`] and [`StorageBackend::promote`]: publish
+    /// the complete epochs, drop torn or missing ones from the committed
+    /// set (and the map, where a promoting replica may hold an older
+    /// generation), then delete the files the manifest does not name.
+    /// Returns the repaired manifest and the highest generation on disk.
+    fn repair(&self, read: RootRead) -> Result<(Manifest, u64)> {
+        let mut manifest = read.manifest;
+        // Vault invariant: `begin_key_rotation` durably bumps the generation
+        // counter *before* any entry is re-wrapped, so no crash can leave an
+        // entry wrapped under a generation the store never began. An entry
+        // ahead of the counter is damage outside the crash model.
+        if manifest
+            .wrapped_keys
+            .values()
+            .any(|(generation, _)| *generation > manifest.key_generation)
+        {
+            return Err(StorageError::Corrupt {
+                path: Manifest::path(&self.root).display().to_string(),
+                reason: "key vault entry wrapped under a generation the store never began",
+            });
+        }
+        let seg_dir = self.root.join(SEGMENT_DIR);
+        fs::create_dir_all(&seg_dir).map_err(|e| io_err("create segment dir", &seg_dir, &e))?;
+        // Files the manifest does not name are uncommitted (a crash before
+        // the manifest swap) or superseded (a crash before the cleanup):
+        // the write they belonged to was never acknowledged.
+        let mut doomed = Vec::new();
+        let mut max_gen = 0u64;
+        let entries =
+            fs::read_dir(&seg_dir).map_err(|e| io_err("scan segment dir", &seg_dir, &e))?;
+        for entry in entries {
+            let path = entry
+                .map_err(|e| io_err("scan segment dir", &seg_dir, &e))?
+                .path();
+            let Some((epoch_id, generation)) = parse_segment_name(&path) else {
+                continue; // not ours; leave unknown files alone
+            };
+            max_gen = max_gen.max(generation);
+            if manifest.entries.get(&epoch_id) != Some(&generation) {
+                doomed.push(path);
+            }
+        }
+        let mut dropped = Vec::new();
+        for (epoch_id, generation, epoch) in read.segments {
+            match epoch {
+                Some(epoch) => self.cache.publish(epoch_id, epoch),
+                None => {
+                    self.cache.remove(epoch_id);
+                    dropped.push(epoch_id);
+                    doomed.push(segment_file(&self.root, epoch_id, generation));
+                }
+            }
+        }
+        if !dropped.is_empty() {
+            manifest.commit(&self.root, |next| {
+                for epoch_id in &dropped {
+                    next.entries.remove(epoch_id);
+                    next.wrapped_keys.remove(epoch_id);
+                }
+            })?;
+        }
+        // Files last, as on every commit path: a crash before this line
+        // leaves files the manifest does not name, which the next open
+        // removes; removing first could leave a manifest naming a file that
+        // is gone.
+        for path in &doomed {
+            match fs::remove_file(path) {
+                Err(e) if e.kind() != ErrorKind::NotFound => {
+                    return Err(io_err("remove stale segment", path, &e))
+                }
+                _ => {}
+            }
+        }
+        Ok((manifest, max_gen))
     }
 
     fn check_writable(&self) -> Result<()> {
@@ -228,6 +279,11 @@ impl DiskEpochStore {
     }
 }
 
+fn segment_file(root: &Path, epoch_id: u64, generation: u64) -> PathBuf {
+    root.join(SEGMENT_DIR)
+        .join(format!("ep-{epoch_id}-g{generation}.seg"))
+}
+
 /// Parse `ep-<epoch>-g<gen>.seg`.
 fn parse_segment_name(path: &Path) -> Option<(u64, u64)> {
     let name = path.file_name()?.to_str()?;
@@ -236,116 +292,66 @@ fn parse_segment_name(path: &Path) -> Option<(u64, u64)> {
     Some((epoch.parse().ok()?, generation.parse().ok()?))
 }
 
-/// The writer's destructive recovery pass, shared by [`DiskEpochStore::open`]
-/// and [`StorageBackend::promote`]: load committed epochs into `cache`,
-/// drop torn ones from the committed set and remove their files, delete
-/// uncommitted and superseded segment files, prune manifest entries whose
-/// segment vanished, and persist the manifest if it changed.
-///
-/// `loaded` names the epochs (and the generations) already resident in
-/// `cache` — empty on a fresh open; a promoting replica passes what it has
-/// absorbed so only changed or missing epochs are re-read. Returns the
-/// recovered manifest and the highest generation seen on disk.
-fn recover(root: &Path, cache: &EpochMap, loaded: &Manifest) -> Result<(Manifest, u64)> {
-    // The manifest before the directory: a root this build refuses is not
-    // even given a `segments/`.
-    let mut manifest = Manifest::load(root)?;
-    // Vault invariant: `begin_key_rotation` durably bumps the generation
-    // counter *before* any entry is re-wrapped, so no crash can leave an
-    // entry wrapped under a generation the store never began. An entry
-    // ahead of the counter is damage outside the crash model.
-    if manifest
-        .wrapped_keys
-        .values()
-        .any(|(generation, _)| *generation > manifest.key_generation)
-    {
-        return Err(StorageError::Corrupt {
-            path: Manifest::path(root).display().to_string(),
-            reason: "key vault entry wrapped under a generation the store never began",
-        });
-    }
-    let seg_dir = root.join(SEGMENT_DIR);
-    fs::create_dir_all(&seg_dir).map_err(|e| io_err("create segment dir", &seg_dir, &e))?;
+/// What one read pass found: the manifest (empty for a root without one),
+/// its bytes' fnv1a, and each committed epoch read with its generation and
+/// its decoded segment, `None` when the file is torn or missing.
+struct RootRead {
+    manifest: Manifest,
+    fingerprint: u64,
+    segments: Vec<(u64, u64, Option<StoredEpoch>)>,
+}
 
-    // First pass, reading only: what this pass refuses — an older format,
-    // a segment under another epoch's name — it refuses with every file
-    // as it was.
-    let mut max_gen = 0u64;
-    let mut stale: Vec<PathBuf> = Vec::new();
-    let mut committed: Vec<(u64, PathBuf, Option<StoredEpoch>)> = Vec::new();
-    let entries = fs::read_dir(&seg_dir).map_err(|e| io_err("scan segment dir", &seg_dir, &e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err("scan segment dir", &seg_dir, &e))?;
-        let path = entry.path();
-        let Some((epoch_id, generation)) = parse_segment_name(&path) else {
-            continue; // not ours; leave unknown files alone
+/// The one read pass over `root`: `MANIFEST`, then each committed segment
+/// it names for which `resident(epoch, generation)` is false, decoded.
+/// It only reads. `None`, having decoded nothing, when the manifest's
+/// bytes fingerprint to `unchanged`.
+fn read_root(
+    root: &Path,
+    unchanged: Option<u64>,
+    resident: impl Fn(u64, u64) -> bool,
+) -> Result<Option<RootRead>> {
+    let path = Manifest::path(root);
+    let bytes = match fs::read(&path) {
+        Ok(bytes) => Some(bytes),
+        Err(e) if e.kind() == ErrorKind::NotFound => None,
+        Err(e) => return Err(io_err("read manifest", &path, &e)),
+    };
+    let fingerprint = segment::fnv1a(bytes.as_deref().unwrap_or_default());
+    if unchanged == Some(fingerprint) {
+        return Ok(None);
+    }
+    let manifest = bytes.map_or(Ok(Manifest::default()), |b| Manifest::decode(&b, &path))?;
+    let mut segments = Vec::new();
+    for (&epoch_id, &generation) in &manifest.entries {
+        if resident(epoch_id, generation) {
+            continue;
+        }
+        let path = segment_file(root, epoch_id, generation);
+        let epoch = match fs::read(&path) {
+            Err(e) if e.kind() == ErrorKind::NotFound => None,
+            Err(e) => return Err(io_err("read segment", &path, &e)),
+            Ok(bytes) => match segment::decode(&bytes) {
+                DecodeOutcome::Complete {
+                    epoch_id: stored,
+                    epoch,
+                } if stored == epoch_id => Some(epoch),
+                DecodeOutcome::Complete { .. } => {
+                    return Err(StorageError::Corrupt {
+                        path: path.display().to_string(),
+                        reason: "segment header epoch does not match its file name",
+                    });
+                }
+                DecodeOutcome::Torn => None,
+                DecodeOutcome::Unsupported { found } => return Err(unsupported(&path, found)),
+            },
         };
-        max_gen = max_gen.max(generation);
-        if manifest.entries.get(&epoch_id) != Some(&generation) {
-            // Uncommitted leftover (crash before manifest swap) or a
-            // superseded generation (crash before cleanup): the ingest
-            // or rewrite it belonged to was never acknowledged.
-            stale.push(path);
-            continue;
-        }
-        if loaded.entries.get(&epoch_id) == Some(&generation) {
-            continue; // already resident at exactly this generation
-        }
-        let bytes = fs::read(&path).map_err(|e| io_err("read segment", &path, &e))?;
-        match segment::decode(&bytes) {
-            DecodeOutcome::Complete {
-                epoch_id: stored,
-                epoch,
-            } if stored == epoch_id => committed.push((epoch_id, path, Some(epoch))),
-            DecodeOutcome::Complete { .. } => {
-                return Err(StorageError::Corrupt {
-                    path: path.display().to_string(),
-                    reason: "segment header epoch does not match its file name",
-                });
-            }
-            DecodeOutcome::Torn => committed.push((epoch_id, path, None)),
-            DecodeOutcome::Unsupported { found } => return Err(unsupported(&path, found)),
-        }
+        segments.push((epoch_id, generation, epoch));
     }
-
-    // Second pass: the store is this build's to repair.
-    let mut torn: Vec<PathBuf> = Vec::new();
-    for (epoch_id, path, epoch) in committed {
-        if let Some(epoch) = epoch {
-            cache.publish(epoch_id, epoch);
-            continue;
-        }
-        // Without a footer that vouches for it the epoch is not servable
-        // and leaves the committed set — and the cache, where a promoting
-        // replica may hold a copy from an older generation: a half-epoch
-        // must never serve bins.
-        cache.remove(epoch_id);
-        manifest.entries.remove(&epoch_id);
-        manifest.wrapped_keys.remove(&epoch_id);
-        torn.push(path);
-    }
-    // Committed epochs whose segment file vanished entirely cannot be
-    // served either.
-    let missing: Vec<u64> = manifest
-        .entries
-        .keys()
-        .filter(|epoch_id| cache.get(**epoch_id).is_err())
-        .copied()
-        .collect();
-    for epoch_id in &missing {
-        manifest.entries.remove(epoch_id);
-        manifest.wrapped_keys.remove(epoch_id);
-    }
-    if !(torn.is_empty() && missing.is_empty()) {
-        manifest.save(root)?;
-    }
-    // Files last, as on every commit path: a crash before this line leaves
-    // files the manifest does not name, which the next open removes here;
-    // removing first could leave a manifest naming a file that is gone.
-    for path in stale.iter().chain(&torn) {
-        fs::remove_file(path).map_err(|e| io_err("remove stale segment", path, &e))?;
-    }
-    Ok((manifest, max_gen))
+    Ok(Some(RootRead {
+        manifest,
+        fingerprint,
+        segments,
+    }))
 }
 
 impl StorageBackend for DiskEpochStore {
@@ -353,9 +359,15 @@ impl StorageBackend for DiskEpochStore {
         "disk"
     }
 
-    fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> Result<()> {
+    fn put_epoch(
+        &self,
+        epoch_id: u64,
+        epoch: StoredEpoch,
+        seal: Option<(u64, Vec<u8>)>,
+    ) -> Result<()> {
         self.check_writable()?;
-        self.cache.write(epoch_id, || self.persist(epoch_id, epoch))
+        self.cache
+            .write(epoch_id, || self.persist(epoch_id, epoch, seal))
     }
 
     fn epoch(&self, epoch_id: u64) -> Result<Arc<StoredEpoch>> {
@@ -366,7 +378,7 @@ impl StorageBackend for DiskEpochStore {
         self.check_writable()?;
         self.cache.write(epoch_id, || {
             let current = self.cache.get(epoch_id)?;
-            self.persist(epoch_id, next(&current)?)
+            self.persist(epoch_id, next(&current)?, None)
         })
     }
 
@@ -388,79 +400,59 @@ impl StorageBackend for DiskEpochStore {
             // may legally write this root.
             return Ok(Vec::new());
         }
-        let path = Manifest::path(&self.root);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            // Writer has not initialized the root yet; nothing to absorb.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(io_err("read manifest", &path, &e)),
+        let mut held = unpoisoned(self.manifest.lock());
+        let seen = self.manifest_fingerprint.load(Ordering::Acquire);
+        // A resident epoch is not read again at any generation: generation
+        // changes to resident epochs are §6 rewrites, and they do not
+        // replicate (the enclave likewise refuses to register an epoch
+        // rewritten by another process).
+        let Some(read) = read_root(&self.root, Some(seen), |epoch_id, _| {
+            held.entries.contains_key(&epoch_id)
+        })?
+        else {
+            return Ok(Vec::new()); // unchanged since the last full pass
         };
-        let fingerprint = segment::fnv1a(&bytes);
-        if fingerprint == self.manifest_fingerprint.load(Ordering::Acquire) {
-            return Ok(Vec::new()); // unchanged since last fully absorbed look
-        }
-        let disk_manifest = Manifest::decode(&bytes, &path)?;
-
-        let mut loaded = unpoisoned(self.manifest.lock());
-        // Decoded first, absorbed after: a refused format fails the tick
-        // with the replica exactly as it was.
         let mut absorbed = Vec::new();
-        let mut fully_absorbed = true;
-        for (&epoch_id, &generation) in &disk_manifest.entries {
-            if loaded.entries.contains_key(&epoch_id) {
-                // Generation changes to resident epochs are §6 rewrites;
-                // they do not replicate (the enclave likewise refuses to
-                // re-register rewritten epochs after a restart).
-                continue;
-            }
-            let seg = self.segment_file(epoch_id, generation);
-            let Ok(seg_bytes) = fs::read(&seg) else {
-                // Racing the writer (supersede-delete or slow publish):
-                // leave the fingerprint stale so the next tick retries.
-                fully_absorbed = false;
+        let mut complete = true;
+        for (epoch_id, generation, epoch) in read.segments {
+            // Torn or missing: the writer is mid-write or mid-delete. Leave
+            // the fingerprint stale so the next tick retries.
+            let Some(epoch) = epoch else {
+                complete = false;
                 continue;
             };
-            match segment::decode(&seg_bytes) {
-                DecodeOutcome::Complete {
-                    epoch_id: stored,
-                    epoch,
-                } if stored == epoch_id => absorbed.push((epoch_id, generation, epoch)),
-                DecodeOutcome::Unsupported { found } => return Err(unsupported(&seg, found)),
-                // Torn or mislabeled mid-write state: skip, retry next tick.
-                _ => fully_absorbed = false,
-            }
-        }
-        let mut new_epochs = Vec::new();
-        for (epoch_id, generation, epoch) in absorbed {
             self.cache.publish(epoch_id, epoch);
-            loaded.entries.insert(epoch_id, generation);
-            new_epochs.push(epoch_id);
+            held.entries.insert(epoch_id, generation);
+            absorbed.push(epoch_id);
         }
         // Master-key lifecycle state replicates unconditionally: a
         // rotation only rewrites the vault, adds no epochs, and the
         // replica's own master validates entries at registration time —
         // so a refresh across a rotation boundary just adopts the
         // writer's counter and blobs.
-        loaded.key_generation = disk_manifest.key_generation;
-        loaded.wrapped_keys = disk_manifest.wrapped_keys;
-        if fully_absorbed {
+        held.key_generation = read.manifest.key_generation;
+        held.wrapped_keys = read.manifest.wrapped_keys;
+        if complete {
             self.manifest_fingerprint
-                .store(fingerprint, Ordering::Release);
+                .store(read.fingerprint, Ordering::Release);
         }
-        Ok(new_epochs)
+        Ok(absorbed)
     }
 
     fn promote(&self) -> Result<()> {
         if !self.read_only.load(Ordering::Acquire) {
             return Ok(()); // already the writer
         }
-        // Serialize against refresh, then take ownership of the root by
-        // running the writer's destructive recovery pass over it. Epochs
-        // the replica already absorbed at the manifest's generation are
-        // trusted resident; changed or missing ones are (re)read.
-        let mut loaded = unpoisoned(self.manifest.lock());
-        let (recovered, max_gen) = recover(&self.root, &self.cache, &loaded)?;
-        *loaded = recovered;
+        // Serialized against refresh by the manifest lock. Epochs held at
+        // the manifest's generation are trusted resident; changed or
+        // missing ones are (re)read.
+        let mut held = unpoisoned(self.manifest.lock());
+        let read = read_root(&self.root, None, |epoch_id, generation| {
+            held.entries.get(&epoch_id) == Some(&generation)
+        })?
+        .expect("a pass with no fingerprint to match reads the root");
+        let (manifest, max_gen) = self.repair(read)?;
+        *held = manifest;
         self.next_gen.store(max_gen + 1, Ordering::Release);
         self.read_only.store(false, Ordering::Release);
         Ok(())
@@ -473,19 +465,6 @@ impl StorageBackend for DiskEpochStore {
             .copied()
             .max()
             .unwrap_or(0)
-    }
-
-    fn seal_key(&self, epoch_id: u64, generation: u64, wrapped: Vec<u8>) -> Result<()> {
-        // The generation is recorded as given — `recover` enforces the
-        // never-ahead-of-the-counter invariant on reopen, which is also
-        // what lets torn-state tests plant an impossible entry.
-        self.check_writable()?;
-        let mut m = unpoisoned(self.manifest.lock());
-        let mut next = m.clone();
-        next.wrapped_keys.insert(epoch_id, (generation, wrapped));
-        next.save(&self.root)?;
-        *m = next;
-        Ok(())
     }
 
     fn sealed_key(&self, epoch_id: u64) -> Option<(u64, Vec<u8>)> {
@@ -505,11 +484,7 @@ impl StorageBackend for DiskEpochStore {
         if new_generation <= m.key_generation {
             return Ok(()); // idempotent resume / stale request
         }
-        let mut next = m.clone();
-        next.key_generation = new_generation;
-        next.save(&self.root)?;
-        *m = next;
-        Ok(())
+        m.commit(&self.root, |next| next.key_generation = new_generation)
     }
 
     fn rewrap_keys(&self, rewrap: &mut RewrapFn<'_>, limit: usize) -> Result<usize> {
@@ -530,11 +505,10 @@ impl StorageBackend for DiskEpochStore {
                 return Ok(done);
             };
             let new_blob = rewrap(epoch_id, target_generation, old_blob)?;
-            let mut next = m.clone();
-            next.wrapped_keys
-                .insert(epoch_id, (target_generation, new_blob));
-            next.save(&self.root)?;
-            *m = next;
+            m.commit(&self.root, |next| {
+                next.wrapped_keys
+                    .insert(epoch_id, (target_generation, new_blob));
+            })?;
             done += 1;
         }
         Ok(done)
@@ -600,6 +574,15 @@ mod tests {
             enc_c_tuple: vec![salt, 3],
             enc_tags: vec![vec![salt], vec![salt, salt]],
             advertised_rows: 40,
+        }
+    }
+
+    /// An empty epoch, for tests that exercise the key vault alone.
+    fn sample_epoch() -> StoredEpoch {
+        StoredEpoch {
+            table: crate::EncryptedTable::new(),
+            metadata: sample_meta(0),
+            rewrite_count: 0,
         }
     }
 
@@ -692,15 +675,13 @@ mod tests {
             let disk = Arc::new(DiskEpochStore::open(&scratch.0).unwrap());
             seg_path = {
                 let store = EpochStore::with_backend(disk.clone());
+                let seal = Some((0, vec![7; 64]));
                 store
-                    .ingest_epoch(0, sample_rows(30, 1), sample_meta(1))
+                    .ingest_sealed_epoch(0, sample_rows(30, 1), sample_meta(1), seal.clone())
                     .unwrap();
                 store
-                    .ingest_epoch(3600, sample_rows(30, 2), sample_meta(2))
+                    .ingest_sealed_epoch(3600, sample_rows(30, 2), sample_meta(2), seal)
                     .unwrap();
-                for epoch in [0, 3600] {
-                    disk.seal_key(epoch, 0, vec![7; 64]).unwrap();
-                }
                 disk.segment_path(3600).unwrap()
             };
         }
@@ -1007,7 +988,8 @@ mod tests {
         let scratch = ScratchRoot::new("vault");
         let disk = DiskEpochStore::open(&scratch.0).unwrap();
         for epoch in [0u64, 3600, 7200] {
-            disk.seal_key(epoch, 0, vec![epoch as u8; 64]).unwrap();
+            let seal = Some((0, vec![epoch as u8; 64]));
+            disk.put_epoch(epoch, sample_epoch(), seal).unwrap();
         }
         assert_eq!(disk.key_generation(), 0);
         assert_eq!(disk.rotation_pending(), 0);
@@ -1053,7 +1035,8 @@ mod tests {
             let disk = DiskEpochStore::open(&scratch.0).unwrap();
             // A generation the store never began: impossible under the
             // crash model, so reopen must refuse rather than "resume".
-            disk.seal_key(0, 7, vec![0u8; 64]).unwrap();
+            disk.put_epoch(0, sample_epoch(), Some((7, vec![0u8; 64])))
+                .unwrap();
         }
         assert!(matches!(
             DiskEpochStore::open(&scratch.0),
@@ -1065,10 +1048,10 @@ mod tests {
     fn replica_refresh_adopts_rotation_state() {
         let scratch = ScratchRoot::new("vault-replica");
         let writer = disk_store(&scratch.0);
+        let seal = Some((0, vec![1u8; 64]));
         writer
-            .ingest_epoch(0, sample_rows(10, 1), sample_meta(1))
+            .ingest_sealed_epoch(0, sample_rows(10, 1), sample_meta(1), seal)
             .unwrap();
-        writer.backend().seal_key(0, 0, vec![1u8; 64]).unwrap();
 
         let replica = DiskEpochStore::open_replica(&scratch.0).unwrap();
         assert_eq!(StorageBackend::key_generation(&replica), 0);

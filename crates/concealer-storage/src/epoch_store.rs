@@ -127,41 +127,29 @@ impl EpochStore {
         self.backend.kind()
     }
 
-    /// Whether the backend was opened as a read-only replica (see
-    /// [`StorageBackend::read_only`]).
-    #[must_use]
-    pub fn read_only(&self) -> bool {
-        self.backend.read_only()
-    }
-
-    /// Pull in epochs committed to shared durable state by another process
-    /// since the last look; returns the newly visible epoch ids (see
-    /// [`StorageBackend::refresh`]).
-    pub fn refresh(&self) -> Result<Vec<u64>> {
-        self.backend.refresh()
-    }
-
-    /// Promote a read-only replica backend to writer (see
-    /// [`StorageBackend::promote`]).
-    pub fn promote(&self) -> Result<()> {
-        self.backend.promote()
-    }
-
-    /// The backend's monotonic durable commit-point version (see
-    /// [`StorageBackend::store_generation`]).
-    #[must_use]
-    pub fn store_generation(&self) -> u64 {
-        self.backend.store_generation()
-    }
-
     /// Ingest a new epoch shipment — the data provider's [`RowArena`], or
     /// owned rows in shipment order. Replaces any previous segment for the
     /// same epoch id (the paper never re-ships an epoch, but tests do).
+    /// This is [`Self::ingest_sealed_epoch`] without a key-vault entry.
     pub fn ingest_epoch(
         &self,
         epoch_id: u64,
         rows: impl Into<RowArena>,
         metadata: EpochMetadata,
+    ) -> Result<()> {
+        self.ingest_sealed_epoch(epoch_id, rows, metadata, None)
+    }
+
+    /// Ingest a new epoch shipment together with its key-vault entry
+    /// `seal`, `(generation, wrapped seal secret)`, in one backend commit
+    /// (see [`StorageBackend::put_epoch`]): no crash and no failed call
+    /// leaves the epoch committed without its entry.
+    pub fn ingest_sealed_epoch(
+        &self,
+        epoch_id: u64,
+        rows: impl Into<RowArena>,
+        metadata: EpochMetadata,
+        seal: Option<(u64, Vec<u8>)>,
     ) -> Result<()> {
         let rows = rows.into();
         let bytes = rows.byte_size();
@@ -174,6 +162,7 @@ impl EpochStore {
                 metadata,
                 rewrite_count: 0,
             },
+            seal,
         )?;
         // Only a committed shipment is an ingest the adversary saw happen.
         self.observer.record(AccessEvent::EpochIngested {
@@ -201,33 +190,18 @@ impl EpochStore {
         Ok(self.backend.epoch(epoch_id)?.metadata.clone())
     }
 
-    /// Execute one exact-match trapdoor against an epoch's index, recording
-    /// what the adversary observes. Returns the matching row, if any.
-    pub fn fetch_by_trapdoor(
-        &self,
-        epoch_id: u64,
-        trapdoor: &[u8],
-    ) -> Result<Option<EncryptedRow>> {
-        let epoch = self.backend.epoch(epoch_id)?;
-        let mut events = self.event_buffer(1);
-        let hit = epoch.table.lookup(trapdoor);
-        let row = observe_lookup(epoch_id, trapdoor, hit, &mut events).map(|row| row.to_row());
-        self.record_events(events);
-        Ok(row)
-    }
-
     /// Execute a batch of trapdoors (one bin fetch). Rows are returned in
     /// trapdoor order; misses are silently skipped, as a DBMS `IN (...)`
     /// predicate would. The hits are copied into one arena — the enclave's
     /// copy of what the provider sent — together, not row by row
-    /// ([`RowArena::extend_from_views`]).
+    /// (`RowArena::extend_from_views`).
     ///
     /// The whole batch reads one snapshot of the epoch, its trapdoors
     /// are resolved against the index together
-    /// ([`EncryptedTable::lookup_many`]), and its events are appended to
+    /// (`EncryptedTable::lookup_many`), and its events are appended to
     /// the observer in one [`AccessObserver::record_batch`] call — per
     /// trapdoor, in trapdoor order, the same event sequence
-    /// [`Self::fetch_by_trapdoor`] records (`TrapdoorIssued`, then
+    /// `fetch_by_trapdoor` records (`TrapdoorIssued`, then
     /// `RowFetched` on a hit), just without a snapshot per row.
     pub fn fetch_batch<K: AsRef<[u8]>>(&self, epoch_id: u64, trapdoors: &[K]) -> Result<RowArena> {
         let epoch = self.backend.epoch(epoch_id)?;
@@ -325,7 +299,7 @@ impl EpochStore {
     /// when rows were actually replaced.
     ///
     /// The rewrite builds the epoch's next snapshot from its current one
-    /// ([`EncryptedTable::replace_rows`]); readers holding the current
+    /// (`EncryptedTable::replace_rows`); readers holding the current
     /// snapshot keep it.
     pub fn rewrite_bin(
         &self,
@@ -404,6 +378,25 @@ mod tests {
     use crate::StorageError;
     use std::sync::{mpsc, Barrier};
     use std::time::Duration;
+
+    impl EpochStore {
+        /// Execute one exact-match trapdoor against an epoch's index,
+        /// recording what the adversary observes, and return the matching
+        /// row, if any: the reference [`Self::fetch_batch`] is tested
+        /// against.
+        pub(crate) fn fetch_by_trapdoor(
+            &self,
+            epoch_id: u64,
+            trapdoor: &[u8],
+        ) -> Result<Option<EncryptedRow>> {
+            let epoch = self.backend.epoch(epoch_id)?;
+            let mut events = self.event_buffer(1);
+            let hit = epoch.table.lookup(trapdoor);
+            let row = observe_lookup(epoch_id, trapdoor, hit, &mut events).map(|row| row.to_row());
+            self.record_events(events);
+            Ok(row)
+        }
+    }
 
     fn row(key: &[u8], tag: u8) -> EncryptedRow {
         EncryptedRow {

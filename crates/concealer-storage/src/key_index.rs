@@ -9,7 +9,7 @@
 //! trapdoors against this index. Exact match is the *only* operation the
 //! server needs — there is no range scan, no ordered iteration and no
 //! single-row insert, because epochs arrive whole and §6 rewrites swap
-//! whole bins (see [`crate::EncryptedTable::replace_rows`]).
+//! whole bins (see `EncryptedTable::replace_rows`).
 //!
 //! **Entries.** One sorted array of 8-byte big-endian key prefixes beside
 //! one array of row positions. No key bytes are copied into the index —

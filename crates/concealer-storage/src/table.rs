@@ -43,7 +43,7 @@ pub struct EncryptedRow {
 impl EncryptedRow {
     /// Total ciphertext bytes in this row (used for transfer accounting).
     #[must_use]
-    pub fn byte_size(&self) -> usize {
+    pub(crate) fn byte_size(&self) -> usize {
         self.columns().map(<[u8]>::len).sum()
     }
 
@@ -133,7 +133,7 @@ impl RowArena {
 
     /// Total ciphertext bytes held.
     #[must_use]
-    pub fn byte_size(&self) -> usize {
+    pub(crate) fn byte_size(&self) -> usize {
         self.bytes.len()
     }
 
@@ -192,7 +192,7 @@ impl RowArena {
 
     /// Append a copy of a row viewed in (usually another) arena: one copy
     /// of its bytes and its column table, moved to this arena's offsets.
-    pub fn push_ref(&mut self, row: RowRef<'_>) {
+    pub(crate) fn push_ref(&mut self, row: RowRef<'_>) {
         let base = offset(self.bytes.len());
         self.bytes.extend_from_slice(row.row_bytes());
         // The row's last column ends where the buffer now does, so this
@@ -212,7 +212,7 @@ impl RowArena {
     /// copy from the rows' bounds and reserves exactly that; the second
     /// loads one byte of every cache line the copy will read; the third
     /// copies, from lines already on their way in.
-    pub fn extend_from_views(&mut self, rows: &[RowRef<'_>]) {
+    pub(crate) fn extend_from_views(&mut self, rows: &[RowRef<'_>]) {
         let (bytes, cols) = rows.iter().fold((0, 0), |(bytes, cols), row| {
             (bytes + row.byte_size(), cols + row.cols())
         });
@@ -408,7 +408,7 @@ impl<'a> RowRef<'a> {
     /// Total ciphertext bytes in this row (used for transfer accounting).
     #[must_use]
     #[inline]
-    pub fn byte_size(&self) -> usize {
+    pub(crate) fn byte_size(&self) -> usize {
         self.row_bytes().len()
     }
 
@@ -538,7 +538,10 @@ impl EncryptedTable {
     /// later wins. An old key the table does not hold yields
     /// [`StorageError::CardinalityMismatch`] and new keys that collide
     /// yield [`StorageError::DuplicateKey`]; `self` is never changed.
-    pub fn replace_rows(&self, replacements: &[(Vec<u8>, EncryptedRow)]) -> Result<EncryptedTable> {
+    pub(crate) fn replace_rows(
+        &self,
+        replacements: &[(Vec<u8>, EncryptedRow)],
+    ) -> Result<EncryptedTable> {
         let old_keys: Vec<&[u8]> = replacements.iter().map(|(key, _)| &key[..]).collect();
         let mut new_rows = RowArena::new();
         for (_, row) in replacements {
@@ -598,7 +601,7 @@ impl EncryptedTable {
     /// [`Self::lookup`] for every trapdoor of a batch (one bin fetch), in
     /// their order. Equal to looking each up in turn; resolving them
     /// together lets the index overlap their memory accesses.
-    pub fn lookup_many<K: AsRef<[u8]>>(
+    pub(crate) fn lookup_many<K: AsRef<[u8]>>(
         &self,
         trapdoors: &[K],
     ) -> impl ExactSizeIterator<Item = Option<(RowId, RowRef<'_>)>> {
@@ -622,12 +625,6 @@ impl EncryptedTable {
     /// Iterate over all rows (used by full-scan baselines).
     pub fn scan(&self) -> impl Iterator<Item = (RowId, RowRef<'_>)> + '_ {
         self.rows.iter().enumerate().map(|(i, r)| (i as RowId, r))
-    }
-
-    /// Total ciphertext bytes in the segment.
-    #[must_use]
-    pub fn byte_size(&self) -> usize {
-        self.rows.byte_size()
     }
 }
 
@@ -983,6 +980,6 @@ pub(crate) mod tests {
         let r = row(1, 3);
         assert_eq!(r.byte_size(), 8 + 8 + 8 + 32);
         let table = EncryptedTable::bulk_load(vec![row(1, 3), row(2, 4)]).unwrap();
-        assert_eq!(table.byte_size(), 2 * (8 + 8 + 8 + 32));
+        assert_eq!(table.rows().byte_size(), 2 * (8 + 8 + 8 + 32));
     }
 }

@@ -21,27 +21,35 @@ use concealer_workloads::QueryWorkload;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
+use std::rc::Rc;
 
-/// One shared deployment for the property test — building a system per
-/// generated case would dominate the runtime.
-fn shared_system() -> &'static (ConcealerSystem, UserHandle, QueryWorkload) {
-    static SYSTEM: OnceLock<(ConcealerSystem, UserHandle, QueryWorkload)> = OnceLock::new();
-    SYSTEM.get_or_init(|| {
-        let (system, user, _records) = demo_system(2, 401);
-        let workload = QueryWorkload {
-            locations: 30,
-            devices: (1000..1300).collect(),
-            time_extent: (0, 2 * 3600),
-        };
-        (system, user, workload)
+/// One deployment shared by the property test's cases — building a system
+/// per generated case would dominate the runtime. It lives in a
+/// thread-local of the test's thread, so it is dropped when the test ends:
+/// a `static` never is, and on the disk backend its scratch store would
+/// outlive the run.
+fn shared_system() -> Rc<(ConcealerSystem, UserHandle)> {
+    thread_local! {
+        static SYSTEM: OnceCell<Rc<(ConcealerSystem, UserHandle)>> = const { OnceCell::new() };
+    }
+    SYSTEM.with(|system| {
+        let system = system.get_or_init(|| {
+            let (system, user, _records) = demo_system(2, 401);
+            Rc::new((system, user))
+        });
+        Rc::clone(system)
     })
 }
 
 /// A random mix of the paper's query templates (point + Q1/Q2/Q5 ranges).
 fn random_mix(seed: u64, len: usize) -> Vec<Query> {
-    let (_, _, workload) = shared_system();
+    let workload = QueryWorkload {
+        locations: 30,
+        devices: (1000..1300).collect(),
+        time_extent: (0, 2 * 3600),
+    };
     let mut rng = StdRng::seed_from_u64(seed);
     (0..len)
         .map(|i| match i % 5 {
@@ -132,7 +140,8 @@ proptest! {
     /// `execute_batch` *and* `execute_batch_partials` + `merge_partials`.
     #[test]
     fn batch_answers_equal_sequential(seed in 0u64..1_000, len in 1usize..12) {
-        let (system, user, _) = shared_system();
+        let shared = shared_system();
+        let (system, user) = &*shared;
         let session = system
             .session(user)
             .with_options(ExecOptions::with_method(RangeMethod::Bpb));

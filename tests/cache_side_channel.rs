@@ -28,7 +28,8 @@ use concealer_workloads::WifiGenerator;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::OnceLock;
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 const HOURS: u64 = 2;
 
@@ -65,10 +66,15 @@ fn random_mix(seed: u64, len: usize) -> Vec<Query> {
 /// One shared deployment for the property test — building a system per
 /// generated case would dominate the runtime. The cache persists across
 /// cases, which is the point: trace invariance must hold at *any* cache
-/// state, not just cold-then-warm.
-fn shared_system() -> &'static (ConcealerSystem, UserHandle) {
-    static SYSTEM: OnceLock<(ConcealerSystem, UserHandle)> = OnceLock::new();
-    SYSTEM.get_or_init(|| pinned_system(&demo_records(501)))
+/// state, not just cold-then-warm. It lives in a thread-local of the
+/// test's thread, so it is dropped when the test ends: a `static` never
+/// is, and on the disk backend its scratch store would outlive the run.
+fn shared_system() -> Rc<(ConcealerSystem, UserHandle)> {
+    thread_local! {
+        static SYSTEM: OnceCell<Rc<(ConcealerSystem, UserHandle)>> = const { OnceCell::new() };
+    }
+    SYSTEM
+        .with(|system| Rc::clone(system.get_or_init(|| Rc::new(pinned_system(&demo_records(501))))))
 }
 
 proptest! {
@@ -79,7 +85,8 @@ proptest! {
     /// second run's fetches the cache serves warm — and it must serve some.
     #[test]
     fn warm_hits_replay_trace_and_meter_exactly(seed in 0u64..1_000, len in 4usize..10) {
-        let (system, user) = shared_system();
+        let shared = shared_system();
+        let (system, user) = &*shared;
         let session = system
             .session(user)
             .with_options(ExecOptions::with_method(RangeMethod::Bpb));

@@ -128,8 +128,13 @@ impl StorageBackend for StatedRowCount {
     fn kind(&self) -> &'static str {
         self.inner.kind()
     }
-    fn put_epoch(&self, epoch_id: u64, epoch: StoredEpoch) -> StoreResult<()> {
-        self.inner.put_epoch(epoch_id, epoch)
+    fn put_epoch(
+        &self,
+        epoch_id: u64,
+        epoch: StoredEpoch,
+        seal: Option<(u64, Vec<u8>)>,
+    ) -> StoreResult<()> {
+        self.inner.put_epoch(epoch_id, epoch, seal)
     }
     fn epoch(&self, epoch_id: u64) -> StoreResult<Arc<StoredEpoch>> {
         let epoch = self.inner.epoch(epoch_id)?;

@@ -12,6 +12,7 @@ use concealer_core::{
     ConcealerSystem, CoreError, DiskEpochStore, MasterKey, Query, QueryAnswer, Record,
     SystemBuilder, SystemConfig, UserHandle,
 };
+use concealer_storage::StoredEpoch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -218,10 +219,10 @@ fn vault_entries_that_do_not_unwrap_refuse_reopen() {
     let root = TempRoot::new("garbage");
     {
         let (system, _user) = build_disk_system(&root.0, &master, 2);
-        system
-            .store()
-            .backend()
-            .seal_key(0, system.key_generation(), vec![0xFF; 48])
+        let backend = system.store().backend();
+        let epoch = StoredEpoch::clone(&backend.epoch(0).expect("stored epoch"));
+        backend
+            .put_epoch(0, epoch, Some((system.key_generation(), vec![0xFF; 48])))
             .expect("overwrite vault entry");
     }
     match reopen(&root.0, &master) {
@@ -237,8 +238,9 @@ fn vault_entries_that_do_not_unwrap_refuse_reopen() {
         let (system, _user) = build_disk_system(&root.0, &master, 2);
         let backend = system.store().backend();
         backend.begin_key_rotation(3).expect("bump generation");
+        let epoch = StoredEpoch::clone(&backend.epoch(0).expect("stored epoch"));
         backend
-            .seal_key(0, 3, master.wrap_epoch_seal(0, 0))
+            .put_epoch(0, epoch, Some((3, master.wrap_epoch_seal(0, 0))))
             .expect("record mis-wrapped entry");
     }
     match reopen(&root.0, &master) {
