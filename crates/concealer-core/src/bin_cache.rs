@@ -15,10 +15,13 @@
 //! queried" from "bin first touched" by the *absence* of fetches. The
 //! engine therefore never short-circuits the observable access pattern — a
 //! warm hit replays the cached trapdoors against the store
-//! ([`concealer_storage::EpochStore::fetch_batch_matches`]), producing the
-//! exact `TrapdoorIssued`/`RowFetched` event sequence a cold fetch would,
-//! and replays the recorded generation counters into the side-channel
-//! meter. What a hit *skips* is work the adversary cannot observe in either
+//! ([`concealer_storage::EpochStore::fetch_batch_matches`]): the staged
+//! lookup a cold fetch makes, every lookup and key confirmation included,
+//! so it records the exact `TrapdoorIssued`/`RowFetched` event sequence a
+//! cold fetch would, and the replayed rows are compared byte for byte
+//! with the cached ones where a cold fetch copies them. It also replays
+//! the recorded generation counters into the side-channel meter. What a
+//! hit *skips* is work the adversary cannot observe in either
 //! channel: re-deriving trapdoor ciphertexts, re-verifying hash chains,
 //! re-decrypting payloads and re-matching every row against the filter
 //! tokens inside the enclave — the entry's `DecodedBin` keeps each row's

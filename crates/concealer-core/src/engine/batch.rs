@@ -246,20 +246,19 @@ impl QueryEngine {
                     .collect()
             };
             if w == 0 {
-                return (fetch(&self.store), Vec::new());
+                return (fetch(&self.store), None);
             }
             let local = AccessObserver::new();
             // A served system keeps no trace: then neither do its tasks.
             local.set_recording(self.store.observer().is_recording());
-            (
-                fetch(&self.store.observed_by(local.clone())),
-                local.take_events(),
-            )
+            (fetch(&self.store.observed_by(local.clone())), Some(local))
         };
         let mut fetches = Vec::with_capacity(union.len());
         for (fetched, recorded) in on_threads(workers, fetch_slice) {
             fetches.extend(fetched);
-            self.store.observer().record_batch(recorded);
+            if let Some(local) = recorded {
+                self.store.observer().append(&local);
+            }
         }
 
         let mut results: Vec<Result<Vec<EpochPartial>>> = plans

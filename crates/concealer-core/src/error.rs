@@ -27,9 +27,13 @@ pub enum CoreError {
     /// Integrity verification failed: the fetched tuples do not match the
     /// data provider's verifiable tags, or the store returned a row none
     /// of the issued trapdoors asked for.
+    ///
+    /// The display text names no cell-id, so neither does the wire error
+    /// built from it.
     IntegrityViolation {
         /// Which cell-id failed verification (for an unasked-for row, the
-        /// first cell-id of the fetch it came back in).
+        /// first cell-id of the fetch it came back in). For in-enclave
+        /// diagnostics and tests only: it is sealed metadata.
         cell_id: u32,
     },
     /// The query predicate is incompatible with the aggregate (for example a
@@ -72,9 +76,10 @@ impl fmt::Display for CoreError {
                 "timestamp {time} outside epoch window [{epoch_start}, {epoch_end})"
             ),
             CoreError::NoDataForRange => write!(f, "no ingested epoch overlaps the queried range"),
-            CoreError::IntegrityViolation { cell_id } => {
-                write!(f, "integrity verification failed for cell-id {cell_id}")
-            }
+            // The cell-id stays in the enclave: the text crosses the wire,
+            // and a host that tampers with one row at a time would learn
+            // from it how a bin's rows divide into cell-ids.
+            CoreError::IntegrityViolation { .. } => write!(f, "integrity verification failed"),
             CoreError::InvalidQuery { reason } => write!(f, "invalid query: {reason}"),
             CoreError::CorruptMetadata => write!(f, "corrupt epoch metadata"),
             CoreError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
@@ -120,9 +125,10 @@ mod tests {
         assert!(CoreError::NoDataForRange
             .to_string()
             .contains("no ingested epoch"));
-        assert!(CoreError::IntegrityViolation { cell_id: 4 }
-            .to_string()
-            .contains('4'));
+        assert_eq!(
+            CoreError::IntegrityViolation { cell_id: 4 }.to_string(),
+            "integrity verification failed"
+        );
         assert!(CoreError::InvalidConfig {
             reason: "bad backend".into()
         }

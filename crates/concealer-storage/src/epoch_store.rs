@@ -16,7 +16,7 @@
 //! adversary-observable traces are identical across backends.
 
 use crate::backend::{MemoryBackend, StorageBackend};
-use crate::observer::{AccessEvent, AccessObserver};
+use crate::observer::{AccessEvent, AccessObserver, TraceLog};
 use crate::table::{EncryptedRow, EncryptedTable, RowArena, RowId, RowRef};
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -100,7 +100,7 @@ impl EpochStore {
     /// different observer. The batch executor hands each spawned worker a
     /// handle bound to a task-local observer, then merges the task traces
     /// into the shared observer in deterministic (bin) order — see
-    /// [`AccessObserver::record_batch`].
+    /// [`AccessObserver::append`].
     #[must_use]
     pub fn observed_by(&self, observer: AccessObserver) -> EpochStore {
         EpochStore {
@@ -193,40 +193,45 @@ impl EpochStore {
     /// Execute a batch of trapdoors (one bin fetch). Rows are returned in
     /// trapdoor order; misses are silently skipped, as a DBMS `IN (...)`
     /// predicate would. The hits are copied into one arena — the enclave's
-    /// copy of what the provider sent — together, not row by row
-    /// (`RowArena::extend_from_views`).
+    /// copy of what the provider sent — sized once for every candidate
+    /// row.
     ///
-    /// The whole batch reads one snapshot of the epoch, its trapdoors
-    /// are resolved against the index together
-    /// (`EncryptedTable::lookup_many`), and its events are appended to
-    /// the observer in one [`AccessObserver::record_batch`] call — per
-    /// trapdoor, in trapdoor order, the same event sequence
-    /// `fetch_by_trapdoor` records (`TrapdoorIssued`, then
-    /// `RowFetched` on a hit), just without a snapshot per row.
+    /// The whole batch reads one snapshot of the epoch and is one staged
+    /// lookup (`table::StagedLookup`): every trapdoor's candidate row
+    /// resolved, every line of every candidate loaded, then per trapdoor
+    /// the key confirmed, the hit copied and the lookup recorded. The
+    /// lookups reach the observer in one [`AccessObserver`] append — per
+    /// trapdoor, in trapdoor order, what `fetch_by_trapdoor` records
+    /// (`TrapdoorIssued`, then `RowFetched` on a hit), kept as one record
+    /// per lookup.
     pub fn fetch_batch<K: AsRef<[u8]>>(&self, epoch_id: u64, trapdoors: &[K]) -> Result<RowArena> {
         let epoch = self.backend.epoch(epoch_id)?;
-        let mut events = self.event_buffer(trapdoors.len());
-        let hits: Vec<RowRef<'_>> = trapdoors
-            .iter()
-            .zip(epoch.table.lookup_many(trapdoors))
-            .filter_map(|(t, hit)| observe_lookup(epoch_id, t.as_ref(), hit, &mut events))
-            .collect();
+        // The fetch's scratch is allocated around the arena, which outlives
+        // it, in this order: log, lookup, arena. Allocating the log after
+        // the arena left ≈11 MB more of the heap resident under a stream of
+        // cold fetches, and freeing the lookup after the log ≈2 MB.
+        let mut log = self.trace_log(trapdoors.len());
+        let lookup = epoch.table.lookup_many(trapdoors);
         let mut rows = RowArena::new();
-        rows.extend_from_views(&hits);
-        // Freed before the events are handed on: freeing the view list
-        // after them left ≈2 MB more of the heap resident under a stream
-        // of cold fetches.
-        drop(hits);
-        self.record_events(events);
+        rows.reserve_views(lookup.candidates());
+        for (trapdoor, hit) in lookup.hits() {
+            if let Some(row) = observe_lookup(epoch_id, trapdoor, hit, &mut log) {
+                rows.push_ref(row);
+            }
+        }
+        drop(lookup);
+        self.record_log(log);
         Ok(rows)
     }
 
     /// Re-execute a batch of trapdoors and compare the hits against
     /// `expected` **without copying any row**. The adversary-observable
     /// events are exactly those of [`Self::fetch_batch`] with the same
-    /// trapdoors; only the enclave-side copy is skipped. Returns `true`
-    /// when the fetched rows equal `expected` exactly (same rows byte for
-    /// byte with the same column boundaries, same order, same count).
+    /// trapdoors, from the same staged lookup; only the enclave-side copy
+    /// is skipped, and each confirmed hit is compared in full with its
+    /// cached row instead. Returns `true` when the fetched rows equal
+    /// `expected` exactly (same rows byte for byte with the same column
+    /// boundaries, same order, same count).
     ///
     /// This is the warm half of the engine's decrypted-bin cache: a cache
     /// hit still drives the full fetch through the untrusted store — so the
@@ -239,31 +244,33 @@ impl EpochStore {
         expected: &RowArena,
     ) -> Result<bool> {
         let epoch = self.backend.epoch(epoch_id)?;
-        let mut events = self.event_buffer(trapdoors.len());
+        let mut log = self.trace_log(trapdoors.len());
+        let lookup = epoch.table.lookup_many(trapdoors);
         let mut matched = 0usize;
         let mut same = true;
-        for (t, hit) in trapdoors.iter().zip(epoch.table.lookup_many(trapdoors)) {
-            if let Some(row) = observe_lookup(epoch_id, t.as_ref(), hit, &mut events) {
+        for (trapdoor, hit) in lookup.hits() {
+            if let Some(row) = observe_lookup(epoch_id, trapdoor, hit, &mut log) {
                 same = same && expected.get(matched) == Some(row);
                 matched += 1;
             }
         }
-        self.record_events(events);
+        drop(lookup);
+        self.record_log(log);
         Ok(same && matched == expected.len())
     }
 
-    /// Room for the events of `trapdoors` lookups — or nothing at all when
+    /// Room for the records of `trapdoors` lookups — or nothing at all when
     /// the observer is not recording, so a serving process does not build
-    /// two events per fetched row only to drop them.
-    fn event_buffer(&self, trapdoors: usize) -> Option<Vec<AccessEvent>> {
+    /// a trace only to drop it.
+    fn trace_log(&self, trapdoors: usize) -> Option<TraceLog> {
         self.observer
             .is_recording()
-            .then(|| Vec::with_capacity(trapdoors * 2))
+            .then(|| TraceLog::with_lookups(trapdoors))
     }
 
-    fn record_events(&self, events: Option<Vec<AccessEvent>>) {
-        if let Some(events) = events {
-            self.observer.record_batch(events);
+    fn record_log(&self, log: Option<TraceLog>) {
+        if let Some(log) = log {
+            self.observer.record_log(log);
         }
     }
 
@@ -346,30 +353,20 @@ impl EpochStore {
     }
 }
 
-/// Append to `events` what the adversary observes of one trapdoor's
-/// lookup, whose outcome is `hit`: `TrapdoorIssued`, then `RowFetched` on a
-/// hit. Returns the row hit.
+/// Append to `log` what the adversary observes of one trapdoor's lookup,
+/// whose outcome is `hit`: one lookup record, which reads back as
+/// `TrapdoorIssued`, then `RowFetched` on a hit. Returns the row hit.
 fn observe_lookup<'a>(
     epoch_id: u64,
     trapdoor: &[u8],
     hit: Option<(RowId, RowRef<'a>)>,
-    events: &mut Option<Vec<AccessEvent>>,
+    log: &mut Option<TraceLog>,
 ) -> Option<RowRef<'a>> {
-    let Some(events) = events else {
-        return hit.map(|(_, row)| row);
-    };
-    events.push(AccessEvent::TrapdoorIssued {
-        epoch_id,
-        trapdoor_len: trapdoor.len(),
-        hit: hit.is_some(),
-    });
-    let (row_id, row) = hit?;
-    events.push(AccessEvent::RowFetched {
-        epoch_id,
-        row_id,
-        bytes: row.byte_size(),
-    });
-    Some(row)
+    if let Some(log) = log {
+        let fetched = hit.map(|(row_id, row)| (row_id, row.byte_size()));
+        log.push_lookup(epoch_id, trapdoor.len(), fetched);
+    }
+    hit.map(|(_, row)| row)
 }
 
 #[cfg(test)]
@@ -384,17 +381,30 @@ mod tests {
         /// recording what the adversary observes, and return the matching
         /// row, if any: the reference [`Self::fetch_batch`] is tested
         /// against.
+        ///
+        /// It records the trace as events, one at a time, so the
+        /// records of a staged fetch are checked against the events they
+        /// must read back as.
         pub(crate) fn fetch_by_trapdoor(
             &self,
             epoch_id: u64,
             trapdoor: &[u8],
         ) -> Result<Option<EncryptedRow>> {
             let epoch = self.backend.epoch(epoch_id)?;
-            let mut events = self.event_buffer(1);
             let hit = epoch.table.lookup(trapdoor);
-            let row = observe_lookup(epoch_id, trapdoor, hit, &mut events).map(|row| row.to_row());
-            self.record_events(events);
-            Ok(row)
+            self.observer.record(AccessEvent::TrapdoorIssued {
+                epoch_id,
+                trapdoor_len: trapdoor.len(),
+                hit: hit.is_some(),
+            });
+            Ok(hit.map(|(row_id, row)| {
+                self.observer.record(AccessEvent::RowFetched {
+                    epoch_id,
+                    row_id,
+                    bytes: row.byte_size(),
+                });
+                row.to_row()
+            }))
         }
     }
 
@@ -504,6 +514,93 @@ mod tests {
                 let fetched = store.fetch_batch(1, batch).unwrap();
                 proptest::prop_assert_eq!(store.observer().take_events(), singles);
                 proptest::prop_assert_eq!(fetched, RowArena::from(rows));
+            }
+        }
+    }
+
+    /// A row of 267 bytes, so a compare runs past the first three cache
+    /// lines a key confirmation loads: two filters and a payload whose
+    /// bytes differ from column to column and from byte to byte.
+    fn long_row(key: &[u8], tag: u8) -> EncryptedRow {
+        let bytes = |len: usize, salt: u8| -> Vec<u8> {
+            (0..len).map(|i| tag ^ salt ^ (i as u8)).collect()
+        };
+        EncryptedRow {
+            index_key: key.to_vec(),
+            filters: vec![bytes(24, 0x11), bytes(40, 0x22)],
+            payload: bytes(200, 0x33),
+        }
+    }
+
+    /// `rows` with one change drawn from `(kind, a, b)`: none, one byte
+    /// flipped at a drawn column and offset, the payload's last byte
+    /// flipped, a column boundary shifted by a byte, a row dropped, or a
+    /// row added.
+    fn changed(rows: &RowArena, kind: u8, a: usize, b: usize) -> RowArena {
+        let mut rows = rows.to_rows();
+        let n = rows.len();
+        match kind {
+            1..=3 if n > 0 => {
+                let row = &mut rows[a % n];
+                let cols = row.filters.len() + 2;
+                let col = match kind {
+                    1 => b % cols,
+                    _ => cols - 1,
+                };
+                let column = match col {
+                    0 => &mut row.index_key,
+                    c if c == cols - 1 => &mut row.payload,
+                    c => &mut row.filters[c - 1],
+                };
+                if kind == 3 {
+                    // The payload's first byte moves to the last filter.
+                    let moved = column.remove(0);
+                    row.filters.last_mut().unwrap().push(moved);
+                } else {
+                    let at = if kind == 2 {
+                        column.len() - 1
+                    } else {
+                        (a / n) % column.len()
+                    };
+                    column[at] ^= 1 << (b % 8);
+                }
+            }
+            4 if n > 0 => drop(rows.remove(a % n)),
+            5 => rows.insert(a % (n + 1), long_row(&[1, 0, (a % 300) as u8], b as u8)),
+            _ => {}
+        }
+        rows.into()
+    }
+
+    proptest::proptest! {
+        /// The replay is fetch-then-compare: on rows longer than the lines
+        /// key confirmation loads, for trapdoor lists with hits, misses,
+        /// repeats and none at all, and an expectation that is the cold
+        /// fetch or the cold fetch with one byte flipped, a column boundary
+        /// shifted, a row dropped or a row added, `fetch_batch_matches`
+        /// says exactly whether `fetch_batch` returns the expectation, and
+        /// records the trace `fetch_batch` records.
+        #[test]
+        fn fetch_batch_matches_is_fetch_then_compare(
+            picks in proptest::collection::vec(0u16..400, 0..60),
+            change in (0u8..6, proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+        ) {
+            let store = EpochStore::new();
+            let shipment: Vec<EncryptedRow> =
+                (0..300u16).map(|i| long_row(&[1, (i >> 8) as u8, i as u8], i as u8)).collect();
+            store.ingest_epoch(1, shipment, EpochMetadata::default()).unwrap();
+            // Rows 0..300 hold keys [1, hi, lo]; a pick past them misses.
+            let trapdoor = |p: u16| vec![1 + u8::from(p >= 300), (p >> 8) as u8, p as u8];
+            let batch: Vec<Vec<u8>> = picks.iter().map(|&p| trapdoor(p)).collect();
+            for batch in [&batch[..], &[]] {
+                store.observer().reset();
+                let fetched = store.fetch_batch(1, batch).unwrap();
+                let fetch_trace = store.observer().take_events();
+                let (kind, a, b) = change;
+                let expected = changed(&fetched, kind, a, b);
+                let matches = store.fetch_batch_matches(1, batch, &expected).unwrap();
+                proptest::prop_assert_eq!(store.observer().take_events(), fetch_trace);
+                proptest::prop_assert_eq!(matches, fetched == expected);
             }
         }
     }

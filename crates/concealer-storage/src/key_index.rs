@@ -44,13 +44,17 @@
 //! 4–8 B per row on top of the entries' 12 B.
 //!
 //! **Batches.** A bin fetch is hundreds of lookups whose keys are all
-//! known up front, so [`KeyIndex::get_many`] resolves them stage by stage
-//! — every key's bucket, then every run start and row position, then
-//! every full-key confirmation — instead of key by key. Each stage is a
-//! tight loop of loads that do not depend on one another, which the core
-//! overlaps; key by key, each lookup's chain of dependent cache misses
-//! (directory → prefix → position → row bounds → row bytes) mostly waits
-//! for the one before it.
+//! known up front, so a batch is resolved stage by stage — every key's
+//! bucket, then every run start and candidate row
+//! ([`KeyIndex::candidates`], both into one buffer of [`Probe`]s), then
+//! every full-key confirmation ([`KeyIndex::confirm`]) — instead of key by
+//! key. Each stage is a tight loop of loads that do not depend on one
+//! another, which the core overlaps; key by key, each lookup's chain of
+//! dependent cache misses (directory → prefix → position → row bounds →
+//! row bytes) mostly waits for the one before it. The store's fetch
+//! (`table::StagedLookup`) puts one more stage between the last two: it
+//! loads every line of every candidate row, so confirmation and what
+//! follows it find the rows on their way in.
 
 use crate::table::{RowArena, RowRef};
 use crate::{Result, StorageError};
@@ -67,6 +71,33 @@ fn prefix(key: &[u8]) -> u64 {
 /// The row at `pos` of the arena the index was built over.
 fn row_at(rows: &RowArena, pos: u32) -> RowRef<'_> {
     rows.get(pos as usize).expect("indexed position")
+}
+
+/// A key's slot in a staged batch lookup. [`KeyIndex::candidates`] fills
+/// it in two stages: first with the key's prefix and bucket, then, in
+/// place, with the key's candidate row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe {
+    /// The key's prefix.
+    wanted: u64,
+    /// After the first stage, where the key's bucket starts; after the
+    /// second, the row the key's run names first, or [`NO_ROW`] when no
+    /// entry has the key's prefix.
+    at: u32,
+    /// Where the key's bucket ends.
+    end: u32,
+}
+
+/// The candidate of a [`Probe`] whose prefix no entry has. No row has this
+/// position: a segment holds at most `u32::MAX` rows.
+const NO_ROW: u32 = u32::MAX;
+
+impl Probe {
+    /// The row whose key the second stage found the probe's prefix on:
+    /// the only row the key can be, unless two keys share the prefix.
+    pub(crate) fn candidate(self) -> Option<u32> {
+        (self.at != NO_ROW).then_some(self.at)
+    }
 }
 
 /// Exact-match index from `Index` value to row position over one segment's
@@ -169,42 +200,50 @@ impl KeyIndex {
             .find(|(_, row)| row.index_key() == key)
     }
 
-    /// [`Self::get`] for every key of `keys`, in their order.
-    pub(crate) fn get_many<'r, K: AsRef<[u8]>>(
-        &self,
-        keys: &[K],
-        rows: &'r RowArena,
-    ) -> Vec<Option<(usize, RowRef<'r>)>> {
-        // The directory slots of every key.
-        let buckets: Vec<(u64, Range<usize>)> = keys
+    /// The first two stages of a batch lookup of `keys`, into one probe
+    /// per key in their order: every key's bucket, then where each key's
+    /// run starts and the row its first entry names.
+    pub(crate) fn candidates<K: AsRef<[u8]>>(&self, keys: &[K]) -> Vec<Probe> {
+        let mut probes: Vec<Probe> = keys
             .iter()
             .map(|key| {
                 let wanted = prefix(key.as_ref());
-                (wanted, self.bucket(wanted))
-            })
-            .collect();
-        // Where each key's run starts, and the row its first entry names.
-        let firsts: Vec<Option<u32>> = buckets
-            .into_iter()
-            .map(|(wanted, bucket)| {
-                let start = self.run_start(wanted, bucket);
-                (self.prefixes.get(start) == Some(&wanted)).then(|| self.positions[start])
-            })
-            .collect();
-        // The full key against the row; a run's first entry is its only
-        // one unless two keys share a prefix, and then `get` walks it.
-        keys.iter()
-            .zip(firsts)
-            .map(|(key, first)| {
-                let (key, pos) = (key.as_ref(), first?);
-                let row = row_at(rows, pos);
-                if row.index_key() == key {
-                    Some((pos as usize, row))
-                } else {
-                    self.get(key, rows)
+                let bucket = self.bucket(wanted);
+                Probe {
+                    wanted,
+                    at: bucket.start as u32,
+                    end: bucket.end as u32,
                 }
             })
-            .collect()
+            .collect();
+        for probe in &mut probes {
+            let start = self.run_start(probe.wanted, probe.at as usize..probe.end as usize);
+            probe.at = match self.prefixes.get(start) {
+                Some(&p) if p == probe.wanted => self.positions[start],
+                _ => NO_ROW,
+            };
+        }
+        probes
+    }
+
+    /// The last stage of a batch lookup: the row of `rows` whose `Index`
+    /// column equals `key`, and its position, given the key's `probe`. A
+    /// run's first entry is its only one unless two keys share a prefix,
+    /// and then [`Self::get`] walks it.
+    #[inline]
+    pub(crate) fn confirm<'r>(
+        &self,
+        key: &[u8],
+        probe: Probe,
+        rows: &'r RowArena,
+    ) -> Option<(usize, RowRef<'r>)> {
+        let pos = probe.candidate()?;
+        let row = row_at(rows, pos);
+        if row.index_key() == key {
+            Some((pos as usize, row))
+        } else {
+            self.get(key, rows)
+        }
     }
 }
 
@@ -324,6 +363,19 @@ mod tests {
             .all(|k| get(&index, k, rows) == reference.get(k.as_slice()).copied())
     }
 
+    /// [`KeyIndex::get`] for every key of `keys`, in their order, resolved
+    /// in stages.
+    fn get_many<'r, K: AsRef<[u8]>>(
+        index: &KeyIndex,
+        keys: &[K],
+        rows: &'r RowArena,
+    ) -> Vec<Option<(usize, RowRef<'r>)>> {
+        keys.iter()
+            .zip(index.candidates(keys))
+            .map(|(key, probe)| index.confirm(key.as_ref(), probe, rows))
+            .collect()
+    }
+
     /// [`matches_btreemap`], and the batch form agrees with the single one
     /// on the shipment's keys followed by `probes`.
     fn batch_and_single_match_btreemap(rows: &RowArena, probes: &[Vec<u8>]) -> bool {
@@ -334,7 +386,7 @@ mod tests {
             .chain(probes.iter().map(Vec::as_slice))
             .collect();
         let singles: Vec<_> = keys.iter().map(|k| index.get(k, rows)).collect();
-        matches_btreemap(rows, probes) && index.get_many(&keys, rows) == singles
+        matches_btreemap(rows, probes) && get_many(&index, &keys, rows) == singles
     }
 
     /// Keys spread over the whole prefix space, as CMAC-led ciphertexts are.

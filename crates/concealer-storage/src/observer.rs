@@ -13,11 +13,21 @@
 //! * **workload-attack mitigation** (§8) — with super-bins enabled the
 //!   retrieval frequency of the fetched units is near-uniform under a
 //!   uniform query workload.
+//!
+//! The trace is a sequence of [`AccessEvent`]s, and every reader sees it
+//! as one. It is *kept* more compactly: an index lookup, which the trace
+//! states as `TrapdoorIssued` and, on a hit, `RowFetched`, is one 24-byte
+//! record (epoch, row id or a miss marker, bytes, trapdoor length), and
+//! the other events — ingests, rewrites, scans, query boundaries, one or
+//! a few per query — sit beside the records at their place in the order.
+//! Lookups are nearly all of a trace, so it takes 24 B per lookup instead
+//! of two 32-byte events.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::table::RowId;
 use crate::unpoisoned;
 
 /// One observable storage-level event.
@@ -90,15 +100,230 @@ pub struct ObserverSummary {
     pub fetch_frequency: BTreeMap<(u64, u64), usize>,
 }
 
+impl ObserverSummary {
+    /// Count one more event.
+    fn add(&mut self, event: &AccessEvent) {
+        match *event {
+            AccessEvent::TrapdoorIssued { .. } => self.trapdoors += 1,
+            AccessEvent::RowFetched {
+                epoch_id,
+                row_id,
+                bytes,
+            } => {
+                self.rows_fetched += 1;
+                self.bytes_fetched += bytes;
+                *self.fetch_frequency.entry((epoch_id, row_id)).or_insert(0) += 1;
+                self.distinct_rows_touched = self.fetch_frequency.len();
+            }
+            AccessEvent::FullScan { rows, bytes, .. } => {
+                self.full_scans += 1;
+                self.scanned_rows += rows;
+                self.bytes_fetched += bytes;
+            }
+            AccessEvent::EpochIngested { .. }
+            | AccessEvent::EpochRewritten { .. }
+            | AccessEvent::QueryBoundary => {}
+        }
+    }
+}
+
+/// The `row_id` of a [`Lookup`] that missed. No hit carries it: a segment
+/// holds at most `u32::MAX` rows, so row ids stop one below.
+const MISS: u32 = u32::MAX;
+
+/// One index lookup as a trace keeps it: the `TrapdoorIssued` event and,
+/// on a hit, the `RowFetched` event that follow from it, in 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Lookup {
+    epoch_id: u64,
+    /// The row fetched, or [`MISS`].
+    row_id: u32,
+    /// Bytes of the row fetched; 0 on a miss.
+    bytes: u32,
+    trapdoor_len: u32,
+}
+
+impl Lookup {
+    /// The record of a lookup of a `trapdoor_len`-byte trapdoor in
+    /// `epoch_id` that hit `(row id, bytes)` or missed — `None` when a
+    /// value does not fit the record, and the log keeps the events instead.
+    fn new(epoch_id: u64, trapdoor_len: usize, hit: Option<(RowId, usize)>) -> Option<Lookup> {
+        let (row_id, bytes) = match hit {
+            Some((row_id, bytes)) => (
+                u32::try_from(row_id).ok().filter(|&id| id != MISS)?,
+                u32::try_from(bytes).ok()?,
+            ),
+            None => (MISS, 0),
+        };
+        Some(Lookup {
+            epoch_id,
+            row_id,
+            bytes,
+            trapdoor_len: u32::try_from(trapdoor_len).ok()?,
+        })
+    }
+
+    /// The events the record stands for: `TrapdoorIssued`, then
+    /// `RowFetched` on a hit.
+    fn events(self) -> (AccessEvent, Option<AccessEvent>) {
+        let hit = self.row_id != MISS;
+        let issued = AccessEvent::TrapdoorIssued {
+            epoch_id: self.epoch_id,
+            trapdoor_len: self.trapdoor_len as usize,
+            hit,
+        };
+        let fetched = hit.then_some(AccessEvent::RowFetched {
+            epoch_id: self.epoch_id,
+            row_id: u64::from(self.row_id),
+            bytes: self.bytes as usize,
+        });
+        (issued, fetched)
+    }
+}
+
+/// A trace in the form it is kept in: one [`Lookup`] per index lookup, and
+/// every other event beside the lookups at its place in the order. The
+/// events it stands for are [`TraceLog::events`].
+#[derive(Debug, Default)]
+pub(crate) struct TraceLog {
+    lookups: Vec<Lookup>,
+    /// Every other event, after the number of lookups it follows: an event
+    /// at `n` comes after lookup `n - 1` and before lookup `n`, and events
+    /// at one place keep the order they were pushed in.
+    others: Vec<(usize, AccessEvent)>,
+    /// How many events the log stands for.
+    len: usize,
+}
+
+impl TraceLog {
+    /// An empty log with room for `lookups` lookups.
+    pub(crate) fn with_lookups(lookups: usize) -> Self {
+        TraceLog {
+            lookups: Vec::with_capacity(lookups),
+            ..TraceLog::default()
+        }
+    }
+
+    /// Append one event.
+    pub(crate) fn push(&mut self, event: AccessEvent) {
+        self.others.push((self.lookups.len(), event));
+        self.len += 1;
+    }
+
+    /// Append one index lookup of a `trapdoor_len`-byte trapdoor in
+    /// `epoch_id` that hit `(row id, row bytes)` or missed.
+    pub(crate) fn push_lookup(
+        &mut self,
+        epoch_id: u64,
+        trapdoor_len: usize,
+        hit: Option<(RowId, usize)>,
+    ) {
+        match Lookup::new(epoch_id, trapdoor_len, hit) {
+            Some(lookup) => {
+                self.lookups.push(lookup);
+                self.len += 1 + usize::from(hit.is_some());
+            }
+            None => {
+                self.push(AccessEvent::TrapdoorIssued {
+                    epoch_id,
+                    trapdoor_len,
+                    hit: hit.is_some(),
+                });
+                if let Some((row_id, bytes)) = hit {
+                    self.push(AccessEvent::RowFetched {
+                        epoch_id,
+                        row_id,
+                        bytes,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Append `other`'s events behind this log's.
+    fn append(&mut self, other: TraceLog) {
+        let base = self.lookups.len();
+        self.others
+            .extend(other.others.into_iter().map(|(at, e)| (base + at, e)));
+        self.lookups.extend_from_slice(&other.lookups);
+        self.len += other.len;
+    }
+
+    /// Drop every event, keeping the buffers' room.
+    fn clear(&mut self) {
+        self.lookups.clear();
+        self.others.clear();
+        self.len = 0;
+    }
+
+    /// The events the log stands for, in order, one at a time.
+    fn events(&self) -> Events<'_> {
+        Events {
+            log: self,
+            lookup: 0,
+            other: 0,
+            fetched: None,
+        }
+    }
+
+    /// The fold of each query segment's events by `add`, starting from
+    /// `T::default()`: segments end at [`AccessEvent::QueryBoundary`]
+    /// markers, and one with no other event folds to nothing.
+    fn per_segment<T: Default>(&self, mut add: impl FnMut(&mut T, &AccessEvent)) -> Vec<T> {
+        let mut segments = Vec::new();
+        let mut open: Option<T> = None;
+        for event in self.events() {
+            match event {
+                AccessEvent::QueryBoundary => segments.extend(open.take()),
+                event => add(open.get_or_insert_with(T::default), &event),
+            }
+        }
+        segments.extend(open);
+        segments
+    }
+}
+
+/// The events of a [`TraceLog`], expanded from its records as they are
+/// reached.
+struct Events<'a> {
+    log: &'a TraceLog,
+    /// The next lookup and the next other event to yield.
+    lookup: usize,
+    other: usize,
+    /// The `RowFetched` half of the lookup just yielded, if it hit.
+    fetched: Option<AccessEvent>,
+}
+
+impl Iterator for Events<'_> {
+    type Item = AccessEvent;
+
+    fn next(&mut self) -> Option<AccessEvent> {
+        if let Some(fetched) = self.fetched.take() {
+            return Some(fetched);
+        }
+        if let Some((at, event)) = self.log.others.get(self.other) {
+            if *at == self.lookup {
+                self.other += 1;
+                return Some(event.clone());
+            }
+        }
+        let lookup = self.log.lookups.get(self.lookup)?;
+        self.lookup += 1;
+        let (issued, fetched) = lookup.events();
+        self.fetched = fetched;
+        Some(issued)
+    }
+}
+
 /// Thread-safe recorder of [`AccessEvent`]s. Cloning shares the underlying
 /// trace (it is an `Arc`), so the storage layer, the enclave and the test
 /// harness can all hold handles to the same observer.
 ///
-/// The trace is unbounded — two events per fetched row — so it is kept only
-/// while somebody is there to read it: recording is on for a fresh
-/// observer, which is what every in-process reader (tests, examples, the
-/// benchmark's probes) relies on, and a serving process, which never reads
-/// its own trace, switches it off
+/// The trace is unbounded — one 24-byte record per index lookup (see the
+/// module docs) — so it is kept only while somebody is there to read it:
+/// recording is on for a fresh observer, which is what every in-process
+/// reader (tests, examples, the benchmark's probes) relies on, and a
+/// serving process, which never reads its own trace, switches it off
 /// ([`AccessObserver::set_recording`]). What the adversary *can* observe is
 /// the same either way; the switch only decides whether this process keeps
 /// a copy.
@@ -109,7 +334,7 @@ pub struct AccessObserver {
 
 #[derive(Debug)]
 struct Shared {
-    events: Mutex<Vec<AccessEvent>>,
+    log: Mutex<TraceLog>,
     recording: AtomicBool,
 }
 
@@ -117,7 +342,7 @@ impl Default for AccessObserver {
     fn default() -> Self {
         AccessObserver {
             shared: Arc::new(Shared {
-                events: Mutex::new(Vec::new()),
+                log: Mutex::new(TraceLog::default()),
                 recording: AtomicBool::new(true),
             }),
         }
@@ -133,14 +358,15 @@ impl AccessObserver {
 
     /// Keep (`true`, the default) or stop keeping (`false`) the trace, for
     /// this handle and every clone of it. While off, [`Self::record`],
-    /// [`Self::record_batch`] and [`Self::mark_query_boundary`] return at
-    /// once; events already recorded stay until drained or reset.
+    /// [`Self::record_batch`], [`Self::append`] and
+    /// [`Self::mark_query_boundary`] return at once; events already
+    /// recorded stay until drained or reset.
     pub fn set_recording(&self, on: bool) {
         self.shared.recording.store(on, Ordering::SeqCst);
     }
 
-    /// Whether events are being kept. Callers that would build a vector of
-    /// events only to hand it to [`Self::record_batch`] ask first.
+    /// Whether events are being kept. Callers that would build a log only
+    /// to hand it over ask first.
     #[must_use]
     pub fn is_recording(&self) -> bool {
         self.shared.recording.load(Ordering::SeqCst)
@@ -149,7 +375,7 @@ impl AccessObserver {
     /// Record an event.
     pub fn record(&self, event: AccessEvent) {
         if self.is_recording() {
-            unpoisoned(self.shared.events.lock()).push(event);
+            unpoisoned(self.shared.log.lock()).push(event);
         }
     }
 
@@ -161,85 +387,84 @@ impl AccessObserver {
     /// Append a pre-ordered batch of events under a single lock
     /// acquisition, so no event from another thread can interleave inside
     /// the batch.
-    ///
-    /// This is the merge half of the batch execution protocol: spawned
-    /// workers record into task-local observers (one per contiguous slice
-    /// of the batch's `(epoch, bin)` union), and the engine appends the
-    /// buffers here **in ascending bin order**, behind the calling
-    /// thread's own slice. The resulting trace is byte-identical at every
-    /// worker count — the union-of-per-query-traces invariant holds
-    /// exactly, not just up to reordering.
     pub fn record_batch(&self, events: Vec<AccessEvent>) {
         if self.is_recording() {
-            unpoisoned(self.shared.events.lock()).extend(events);
+            let mut log = unpoisoned(self.shared.log.lock());
+            for event in events {
+                log.push(event);
+            }
         }
     }
 
-    /// Drain all recorded events, leaving the observer empty. Used to move
-    /// a task-local trace into the shared observer via
-    /// [`AccessObserver::record_batch`].
+    /// Append a log built outside the lock — one store fetch's lookups —
+    /// under a single lock acquisition.
+    pub(crate) fn record_log(&self, log: TraceLog) {
+        if self.is_recording() {
+            unpoisoned(self.shared.log.lock()).append(log);
+        }
+    }
+
+    /// Move `from`'s trace behind this observer's, under a single lock
+    /// acquisition of each, leaving `from` empty.
+    ///
+    /// This is the merge half of the batch execution protocol: spawned
+    /// workers record into task-local observers (one per contiguous slice
+    /// of the batch's `(epoch, bin)` union), and the engine appends them
+    /// here **in ascending bin order**, behind the calling thread's own
+    /// slice. The resulting trace is byte-identical at every worker count
+    /// — the union-of-per-query-traces invariant holds exactly, not just
+    /// up to reordering — and the records move as they are, never
+    /// expanded into events.
+    pub fn append(&self, from: &AccessObserver) {
+        let taken = std::mem::take(&mut *unpoisoned(from.shared.log.lock()));
+        self.record_log(taken);
+    }
+
+    /// Drain all recorded events, leaving the observer empty.
     #[must_use]
     pub fn take_events(&self) -> Vec<AccessEvent> {
-        std::mem::take(&mut *unpoisoned(self.shared.events.lock()))
+        let taken = std::mem::take(&mut *unpoisoned(self.shared.log.lock()));
+        taken.events().collect()
     }
 
     /// Number of events recorded so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        unpoisoned(self.shared.events.lock()).len()
+        unpoisoned(self.shared.log.lock()).len
     }
 
     /// Whether no events have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        unpoisoned(self.shared.events.lock()).is_empty()
+        self.len() == 0
     }
 
     /// Snapshot the full trace.
     #[must_use]
     pub fn trace(&self) -> Vec<AccessEvent> {
-        unpoisoned(self.shared.events.lock()).clone()
+        unpoisoned(self.shared.log.lock()).events().collect()
     }
 
     /// Clear the trace (between experiments).
     pub fn reset(&self) {
-        unpoisoned(self.shared.events.lock()).clear();
+        unpoisoned(self.shared.log.lock()).clear();
     }
 
-    /// Summarize the whole trace.
+    /// Summarize the whole trace, walking it event by event.
     #[must_use]
     pub fn summary(&self) -> ObserverSummary {
-        Self::summarize(&unpoisoned(self.shared.events.lock()))
+        let log = unpoisoned(self.shared.log.lock());
+        let mut summary = ObserverSummary::default();
+        log.events().for_each(|event| summary.add(&event));
+        summary
     }
 
     /// Summarize an arbitrary slice of events.
     #[must_use]
     pub fn summarize(events: &[AccessEvent]) -> ObserverSummary {
-        let mut s = ObserverSummary::default();
-        for e in events {
-            match e {
-                AccessEvent::TrapdoorIssued { .. } => s.trapdoors += 1,
-                AccessEvent::RowFetched {
-                    epoch_id,
-                    row_id,
-                    bytes,
-                } => {
-                    s.rows_fetched += 1;
-                    s.bytes_fetched += bytes;
-                    *s.fetch_frequency.entry((*epoch_id, *row_id)).or_insert(0) += 1;
-                }
-                AccessEvent::FullScan { rows, bytes, .. } => {
-                    s.full_scans += 1;
-                    s.scanned_rows += rows;
-                    s.bytes_fetched += bytes;
-                }
-                AccessEvent::EpochIngested { .. }
-                | AccessEvent::EpochRewritten { .. }
-                | AccessEvent::QueryBoundary => {}
-            }
-        }
-        s.distinct_rows_touched = s.fetch_frequency.len();
-        s
+        let mut summary = ObserverSummary::default();
+        events.iter().for_each(|event| summary.add(event));
+        summary
     }
 
     /// Split the trace into per-query segments using [`AccessEvent::QueryBoundary`]
@@ -247,11 +472,7 @@ impl AccessObserver {
     /// segment.
     #[must_use]
     pub fn per_query_summaries(&self) -> Vec<ObserverSummary> {
-        unpoisoned(self.shared.events.lock())
-            .split(|e| matches!(e, AccessEvent::QueryBoundary))
-            .filter(|segment| !segment.is_empty())
-            .map(Self::summarize)
-            .collect()
+        unpoisoned(self.shared.log.lock()).per_segment(ObserverSummary::add)
     }
 
     /// The multiset of rows fetched in each query segment, as sorted vectors
@@ -259,23 +480,18 @@ impl AccessObserver {
     /// the same bin produce *identical* fetch sets.
     #[must_use]
     pub fn per_query_fetch_sets(&self) -> Vec<Vec<(u64, u64)>> {
-        unpoisoned(self.shared.events.lock())
-            .split(|e| matches!(e, AccessEvent::QueryBoundary))
-            .map(|segment| {
-                let mut set: Vec<(u64, u64)> = segment
-                    .iter()
-                    .filter_map(|e| match e {
-                        AccessEvent::RowFetched {
-                            epoch_id, row_id, ..
-                        } => Some((*epoch_id, *row_id)),
-                        _ => None,
-                    })
-                    .collect();
-                set.sort_unstable();
-                set
-            })
-            .filter(|set| !set.is_empty())
-            .collect()
+        let log = unpoisoned(self.shared.log.lock());
+        let mut sets = log.per_segment(|set: &mut Vec<(u64, u64)>, event| {
+            if let AccessEvent::RowFetched {
+                epoch_id, row_id, ..
+            } = *event
+            {
+                set.push((epoch_id, row_id));
+            }
+        });
+        sets.retain(|set| !set.is_empty());
+        sets.iter_mut().for_each(|set| set.sort_unstable());
+        sets
     }
 }
 
@@ -404,5 +620,187 @@ mod tests {
         // no trailing boundary
         assert_eq!(obs.per_query_summaries().len(), 2);
         assert_eq!(obs.per_query_fetch_sets().len(), 2);
+    }
+
+    /// The trace as a plain event vector, fed the calls the observer is:
+    /// what every reader of the compact log must see.
+    #[derive(Default)]
+    struct Reference {
+        events: Vec<AccessEvent>,
+    }
+
+    impl Reference {
+        fn lookup(&mut self, epoch_id: u64, trapdoor_len: usize, hit: Option<(u64, usize)>) {
+            self.events.push(AccessEvent::TrapdoorIssued {
+                epoch_id,
+                trapdoor_len,
+                hit: hit.is_some(),
+            });
+            if let Some((row_id, bytes)) = hit {
+                self.events.push(AccessEvent::RowFetched {
+                    epoch_id,
+                    row_id,
+                    bytes,
+                });
+            }
+        }
+
+        fn segments(&self) -> impl Iterator<Item = &[AccessEvent]> {
+            self.events
+                .split(|e| matches!(e, AccessEvent::QueryBoundary))
+                .filter(|segment| !segment.is_empty())
+        }
+
+        fn per_query_summaries(&self) -> Vec<ObserverSummary> {
+            self.segments().map(AccessObserver::summarize).collect()
+        }
+
+        fn per_query_fetch_sets(&self) -> Vec<Vec<(u64, u64)>> {
+            self.segments()
+                .map(|segment| {
+                    let mut set: Vec<(u64, u64)> = segment
+                        .iter()
+                        .filter_map(|e| match *e {
+                            AccessEvent::RowFetched {
+                                epoch_id, row_id, ..
+                            } => Some((epoch_id, row_id)),
+                            _ => None,
+                        })
+                        .collect();
+                    set.sort_unstable();
+                    set
+                })
+                .filter(|set| !set.is_empty())
+                .collect()
+        }
+    }
+
+    /// A drawn lookup: mostly small values, now and then a row id or a
+    /// length the 24-byte record cannot hold.
+    fn drawn_lookup(a: u64, b: u64) -> (u64, usize, Option<(u64, usize)>) {
+        let epoch = a % 3;
+        let trapdoor_len = match b % 13 {
+            0 => u32::MAX as usize + (a % 2) as usize,
+            _ => 25 + (b % 3) as usize,
+        };
+        let hit = match (a >> 8) % 11 {
+            0..=2 => None,
+            3 => Some((u64::from(u32::MAX) - (a >> 20) % 2, 67)),
+            4 => Some(((a >> 20) % 7, u32::MAX as usize + 1)),
+            _ => Some(((a >> 20) % 9, 60 + (b >> 8) as usize % 9)),
+        };
+        (epoch, trapdoor_len, hit)
+    }
+
+    /// `n` drawn lookups recorded as a store fetch records them (one log
+    /// behind one lock) into `obs`, and into `reference`.
+    fn fetch(obs: &AccessObserver, reference: &mut Reference, n: u64, a: u64, b: u64) {
+        let mut log = TraceLog::with_lookups(n as usize);
+        for i in 0..n {
+            let (epoch, len, hit) = drawn_lookup(a.rotate_left(i as u32 * 7), b ^ i);
+            log.push_lookup(epoch, len, hit);
+            reference.lookup(epoch, len, hit);
+        }
+        obs.record_log(log);
+    }
+
+    fn rare_event(a: u64, b: u64) -> AccessEvent {
+        let (epoch_id, n) = (a % 3, (b % 1000) as usize);
+        match b % 5 {
+            0 => AccessEvent::FullScan {
+                epoch_id,
+                rows: n,
+                bytes: 67 * n,
+            },
+            1 => AccessEvent::EpochIngested {
+                epoch_id,
+                rows: n,
+                bytes: 67 * n,
+            },
+            2 => AccessEvent::EpochRewritten { epoch_id, rows: n },
+            // A lookup's own events, recorded one by one as events.
+            3 => AccessEvent::TrapdoorIssued {
+                epoch_id,
+                trapdoor_len: 25,
+                hit: a % 2 == 0,
+            },
+            _ => AccessEvent::RowFetched {
+                epoch_id,
+                row_id: n as u64,
+                bytes: 67,
+            },
+        }
+    }
+
+    proptest::proptest! {
+        /// The compact log is the event vector: any interleaving of single
+        /// events, store fetches (hits and misses on several epochs, and
+        /// lookups too large for a record), query boundaries, merges of
+        /// task-local observers, drains and resets reads back — trace,
+        /// length, summary and per-query views — as a plain vector fed the
+        /// same calls.
+        #[test]
+        fn the_compact_log_is_the_event_vector(
+            ops in proptest::collection::vec((0u8..8, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()), 0..40),
+        ) {
+            proptest::prop_assert!(std::mem::size_of::<Lookup>() <= 24);
+            let obs = AccessObserver::new();
+            let mut reference = Reference::default();
+            for (op, a, b) in ops {
+                match op {
+                    0 => {
+                        let event = rare_event(a, b);
+                        reference.events.push(event.clone());
+                        obs.record(event);
+                    }
+                    1 | 2 => fetch(&obs, &mut reference, a % 6, a, b),
+                    3 => {
+                        obs.mark_query_boundary();
+                        reference.events.push(AccessEvent::QueryBoundary);
+                    }
+                    4 => {
+                        // A worker's slice: its own fetches, boundaries
+                        // and events, merged behind the shared trace.
+                        let local = AccessObserver::new();
+                        let mut merged = Reference::default();
+                        for step in 0..a % 4 {
+                            match (b >> (step * 4)) % 3 {
+                                0 => fetch(&local, &mut merged, (b >> step) % 5, a ^ step, b),
+                                1 => {
+                                    local.mark_query_boundary();
+                                    merged.events.push(AccessEvent::QueryBoundary);
+                                }
+                                _ => {
+                                    let event = rare_event(b, a ^ step);
+                                    merged.events.push(event.clone());
+                                    local.record(event);
+                                }
+                            }
+                        }
+                        obs.append(&local);
+                        reference.events.extend(merged.events);
+                        proptest::prop_assert!(local.is_empty());
+                    }
+                    5 => {
+                        proptest::prop_assert_eq!(obs.take_events(), std::mem::take(&mut reference.events));
+                    }
+                    6 => {
+                        obs.reset();
+                        reference.events.clear();
+                    }
+                    _ => {
+                        let events = vec![rare_event(a, b), rare_event(b, a)];
+                        reference.events.extend(events.iter().cloned());
+                        obs.record_batch(events);
+                    }
+                }
+                proptest::prop_assert_eq!(obs.len(), reference.events.len());
+                proptest::prop_assert_eq!(obs.is_empty(), reference.events.is_empty());
+            }
+            proptest::prop_assert_eq!(obs.trace(), reference.events.clone());
+            proptest::prop_assert_eq!(obs.summary(), AccessObserver::summarize(&reference.events));
+            proptest::prop_assert_eq!(obs.per_query_summaries(), reference.per_query_summaries());
+            proptest::prop_assert_eq!(obs.per_query_fetch_sets(), reference.per_query_fetch_sets());
+        }
     }
 }

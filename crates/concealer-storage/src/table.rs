@@ -18,7 +18,7 @@
 //! disk segment stores (its `Serialize` / `Deserialize` impls): the buffer
 //! as it is, the tables as lengths, checked on the way back in.
 
-use crate::key_index::KeyIndex;
+use crate::key_index::{KeyIndex, Probe};
 use crate::{Result, StorageError};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
@@ -209,27 +209,26 @@ impl RowArena {
     /// arena [`Self::push_ref`] on each in turn makes, built in three
     /// passes so that the cache misses of different rows overlap instead
     /// of each row's copy waiting on its own. The first pass sizes the
-    /// copy from the rows' bounds and reserves exactly that; the second
-    /// loads one byte of every cache line the copy will read; the third
-    /// copies, from lines already on their way in.
+    /// copy from the rows' bounds and reserves exactly that
+    /// ([`Self::reserve_views`]); the second loads every cache line the
+    /// copy will read ([`touch_lines`]); the third copies, from lines
+    /// already on their way in.
     pub(crate) fn extend_from_views(&mut self, rows: &[RowRef<'_>]) {
-        let (bytes, cols) = rows.iter().fold((0, 0), |(bytes, cols), row| {
-            (bytes + row.byte_size(), cols + row.cols())
-        });
-        self.bytes.reserve_exact(bytes);
-        self.offsets.reserve_exact(cols);
-        self.row_ends.reserve_exact(rows.len());
-        // A byte every 64 from a row's start lands in each of its lines
-        // but perhaps the last; its last byte lands in that one.
-        let touched = rows.iter().fold(0u8, |acc, row| {
-            let bytes = row.row_bytes();
-            let last = bytes.last().copied().unwrap_or(0);
-            bytes.iter().step_by(64).fold(acc ^ last, |acc, &b| acc ^ b)
-        });
-        std::hint::black_box(touched);
+        self.reserve_views(rows.iter().copied());
+        touch_lines(rows.iter().copied());
         for &row in rows {
             self.push_ref(row);
         }
+    }
+
+    /// Make room for copies of `rows`, exactly.
+    pub(crate) fn reserve_views<'a>(&mut self, rows: impl Iterator<Item = RowRef<'a>>) {
+        let (count, bytes, cols) = rows.fold((0, 0, 0), |(count, bytes, cols), row| {
+            (count + 1, bytes + row.byte_size(), cols + row.cols())
+        });
+        self.bytes.reserve_exact(bytes);
+        self.offsets.reserve_exact(cols);
+        self.row_ends.reserve_exact(count);
     }
 
     /// A new arena holding this arena's rows in the order `order` names
@@ -253,6 +252,21 @@ impl RowArena {
     pub fn to_rows(&self) -> Vec<EncryptedRow> {
         self.iter().map(|row| row.to_row()).collect()
     }
+}
+
+/// Load one byte of every cache line `rows` lie on, in one pass of loads
+/// that do not depend on one another, so that the reads of the rows that
+/// follow find them on their way in instead of each waiting on its own
+/// misses.
+pub(crate) fn touch_lines<'a>(rows: impl Iterator<Item = RowRef<'a>>) {
+    // A byte every 64 from a row's start lands in each of its lines but
+    // perhaps the last; its last byte lands in that one.
+    let touched = rows.fold(0u8, |acc, row| {
+        let bytes = row.row_bytes();
+        let last = bytes.last().copied().unwrap_or(0);
+        bytes.iter().step_by(64).fold(acc ^ last, |acc, &b| acc ^ b)
+    });
+    std::hint::black_box(touched);
 }
 
 impl From<Vec<EncryptedRow>> for RowArena {
@@ -549,12 +563,9 @@ impl EncryptedTable {
         }
         let mut views: Vec<RowRef<'_>> = self.rows.iter().collect();
         let mut found = 0;
-        for (new, hit) in new_rows
-            .iter()
-            .zip(self.index.get_many(&old_keys, &self.rows))
-        {
+        for (new, (_, hit)) in new_rows.iter().zip(self.lookup_many(&old_keys).hits()) {
             if let Some((pos, _)) = hit {
-                views[pos] = new;
+                views[pos as usize] = new;
                 found += 1;
             }
         }
@@ -599,16 +610,21 @@ impl EncryptedTable {
     }
 
     /// [`Self::lookup`] for every trapdoor of a batch (one bin fetch), in
-    /// their order. Equal to looking each up in turn; resolving them
-    /// together lets the index overlap their memory accesses.
-    pub(crate) fn lookup_many<K: AsRef<[u8]>>(
-        &self,
-        trapdoors: &[K],
-    ) -> impl ExactSizeIterator<Item = Option<(RowId, RowRef<'_>)>> {
-        self.index
-            .get_many(trapdoors, &self.rows)
-            .into_iter()
-            .map(|hit| hit.map(|(pos, row)| (pos as RowId, row)))
+    /// their order, as a [`StagedLookup`]: its first stages run here, the
+    /// last as its [`StagedLookup::hits`] are read. Equal to looking each
+    /// up in turn; resolving them together lets the index and the rows
+    /// overlap their memory accesses.
+    pub(crate) fn lookup_many<'t, 'k, K: AsRef<[u8]>>(
+        &'t self,
+        trapdoors: &'k [K],
+    ) -> StagedLookup<'t, 'k, K> {
+        let lookup = StagedLookup {
+            table: self,
+            trapdoors,
+            probes: self.index.candidates(trapdoors),
+        };
+        touch_lines(lookup.candidates());
+        lookup
     }
 
     /// Fetch a row by id.
@@ -625,6 +641,52 @@ impl EncryptedTable {
     /// Iterate over all rows (used by full-scan baselines).
     pub fn scan(&self) -> impl Iterator<Item = (RowId, RowRef<'_>)> + '_ {
         self.rows.iter().enumerate().map(|(i, r)| (i as RowId, r))
+    }
+}
+
+/// A batch of trapdoors looked up together against one table, in three
+/// stages:
+///
+/// 1. every trapdoor's candidate row, through the index's first two
+///    stages ([`KeyIndex::candidates`]), into one buffer;
+/// 2. one pass of independent loads over every cache line of every
+///    candidate row ([`touch_lines`]);
+/// 3. per trapdoor, in order, as [`Self::hits`] are read: the key
+///    confirmed against its candidate's `Index` column, and whatever the
+///    caller does with the hit — copy it, compare it — done on lines
+///    already on their way in.
+///
+/// The first two run in [`EncryptedTable::lookup_many`]. Every lookup and
+/// every key confirmation is made; only the row-after-row waits for cache
+/// misses go.
+pub(crate) struct StagedLookup<'t, 'k, K> {
+    table: &'t EncryptedTable,
+    trapdoors: &'k [K],
+    probes: Vec<Probe>,
+}
+
+impl<'t, 'k, K: AsRef<[u8]>> StagedLookup<'t, 'k, K> {
+    /// The candidate rows of the batch's trapdoors: the rows the hits
+    /// will be, unless a trapdoor's prefix matches a row its key does not.
+    pub(crate) fn candidates(&self) -> impl Iterator<Item = RowRef<'t>> + '_ {
+        let rows = &self.table.rows;
+        self.probes
+            .iter()
+            .filter_map(|probe| probe.candidate())
+            .map(move |pos| rows.get(pos as usize).expect("indexed position"))
+    }
+
+    /// Stage 3: per trapdoor, in order, the trapdoor and the row it names
+    /// (its id and a view), or `None` on a miss.
+    pub(crate) fn hits(
+        &self,
+    ) -> impl Iterator<Item = (&'k [u8], Option<(RowId, RowRef<'t>)>)> + '_ {
+        let (table, trapdoors) = (self.table, self.trapdoors);
+        trapdoors.iter().zip(&self.probes).map(move |(t, &probe)| {
+            let t = t.as_ref();
+            let hit = table.index.confirm(t, probe, &table.rows);
+            (t, hit.map(|(pos, row)| (pos as RowId, row)))
+        })
     }
 }
 
@@ -970,7 +1032,9 @@ pub(crate) mod tests {
             trapdoors.extend_from_within(..);
             for batch in [trapdoors.as_slice(), &[]] {
                 let singles: Vec<_> = batch.iter().map(|t| table.lookup(t)).collect();
-                prop_assert_eq!(table.lookup_many(batch).collect::<Vec<_>>(), singles);
+                let staged = table.lookup_many(batch);
+                let hits: Vec<_> = staged.hits().map(|(_, hit)| hit).collect();
+                prop_assert_eq!(hits, singles);
             }
         }
     }

@@ -407,3 +407,103 @@ fn superbins_coarsen_observable_access_patterns() {
         other => panic!("unexpected {other:?}"),
     }
 }
+
+/// Serves every snapshot of epoch 0 with the payload of one stored row —
+/// whichever `target` names, if any — changed in its first byte: the
+/// malicious provider tampering with one row at a time.
+#[derive(Debug, Default)]
+struct TamperOneRow {
+    inner: concealer_storage::MemoryBackend,
+    target: std::sync::Mutex<Option<u64>>,
+}
+
+impl concealer_storage::StorageBackend for TamperOneRow {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+    fn put_epoch(
+        &self,
+        epoch_id: u64,
+        epoch: concealer_storage::StoredEpoch,
+        seal: Option<(u64, Vec<u8>)>,
+    ) -> Result<(), concealer_storage::StorageError> {
+        self.inner.put_epoch(epoch_id, epoch, seal)
+    }
+    fn epoch(
+        &self,
+        epoch_id: u64,
+    ) -> Result<std::sync::Arc<concealer_storage::StoredEpoch>, concealer_storage::StorageError>
+    {
+        let epoch = self.inner.epoch(epoch_id)?;
+        let Some(target) = *self.target.lock().unwrap() else {
+            return Ok(epoch);
+        };
+        let mut rows = epoch.table.rows().to_rows();
+        rows[target as usize].payload[0] ^= 1;
+        Ok(std::sync::Arc::new(concealer_storage::StoredEpoch {
+            table: concealer_storage::EncryptedTable::bulk_load(rows)?,
+            ..(*epoch).clone()
+        }))
+    }
+    fn update_epoch(
+        &self,
+        epoch_id: u64,
+        next: &mut concealer_storage::NextEpochFn<'_>,
+    ) -> Result<(), concealer_storage::StorageError> {
+        self.inner.update_epoch(epoch_id, next)
+    }
+    fn epoch_ids(&self) -> Vec<u64> {
+        self.inner.epoch_ids()
+    }
+    fn total_rows(&self) -> usize {
+        self.inner.total_rows()
+    }
+}
+
+/// Integrity: a detected tampering tells the host nothing about the row it
+/// tampered with. Each row of one bin is tampered with in turn; every
+/// query it fails fails with the same error text and the same encoded
+/// wire error, so the host cannot learn a row's cell-id from the reply.
+#[test]
+fn an_integrity_error_names_no_cell_id() {
+    use concealer_examples::{demo_config, demo_wifi_config, DEMO_DEVICES};
+    use concealer_server::WireError;
+
+    let backend = std::sync::Arc::new(TamperOneRow::default());
+    let mut rng = StdRng::seed_from_u64(211);
+    let records = WifiGenerator::new(demo_wifi_config()).generate_epoch(0, 3600, &mut rng);
+    let mut system = concealer_core::SystemBuilder::new(demo_config(1))
+        .with_backend(backend.clone())
+        .build(&mut rng)
+        .unwrap();
+    let user = system.register_user(7, DEMO_DEVICES.collect(), true);
+    system.ingest_epoch(0, &records, &mut rng).unwrap();
+
+    let session = system.session(&user);
+    let target = &records[0];
+    let query = Query::count().at_dims(target.dims.clone()).at(target.time);
+    system.observer().reset();
+    let honest = session.execute(&query).unwrap();
+    let bin = system.observer().per_query_fetch_sets().remove(0);
+
+    let mut replies = BTreeSet::new();
+    let mut detected = 0;
+    for &(_, row_id) in &bin {
+        *backend.target.lock().unwrap() = Some(row_id);
+        match session.execute(&query) {
+            Ok(answer) => assert_eq!(answer.value, honest.value, "row {row_id}"),
+            Err(e) => {
+                assert!(
+                    matches!(e, CoreError::IntegrityViolation { .. }),
+                    "row {row_id}: {e}"
+                );
+                detected += 1;
+                let wire = serde::bin::to_bytes(&WireError::from(&e));
+                replies.insert((e.to_string(), wire));
+            }
+        }
+        *backend.target.lock().unwrap() = None;
+    }
+    assert!(detected > 1, "{detected} of {} rows detected", bin.len());
+    assert_eq!(replies.len(), 1, "{replies:?}");
+}
