@@ -179,12 +179,47 @@ mod tests {
         }
     }
 
+    /// A fake tuple as the provider ships one: random filler as wide as a
+    /// real row's columns.
     fn fake_row(key: &EpochKey, id: u64) -> EncryptedRow {
+        let real = real_row(key, 0, 1);
         EncryptedRow {
             index_key: key.det.encrypt(&codec::index_fake_plain(id)),
-            filters: vec![vec![1u8; 41], vec![2u8; 33]],
-            payload: vec![3u8; 61],
+            filters: vec![
+                vec![1u8; real.filters[0].len()],
+                vec![2u8; real.filters[1].len()],
+            ],
+            payload: vec![3u8; real.payload.len()],
         }
+    }
+
+    fn widths(row: &EncryptedRow) -> Vec<usize> {
+        row.columns().map(<[u8]>::len).collect()
+    }
+
+    /// §6 keeps every column's width: each replacement, real or fake, is
+    /// as wide, column for column, as the row it replaces.
+    #[test]
+    fn every_rewritten_row_keeps_its_column_widths() {
+        let (old, new) = keys();
+        let mut rng = StdRng::seed_from_u64(6);
+        let rows = vec![
+            real_row(&old, 2, 1),
+            fake_row(&old, 0),
+            real_row(&old, 2, 2),
+            fake_row(&old, 1),
+            fake_row(&old, 2),
+        ];
+        let out = reencrypt_bin(&old, &new, &rows.clone().into(), &[2], 4, &mut rng).unwrap();
+        assert_eq!(out.replacements.len(), rows.len());
+        let mut fakes = 0;
+        for (old_key, replacement) in &out.replacements {
+            let original = rows.iter().find(|r| &r.index_key == old_key).unwrap();
+            assert_eq!(widths(replacement), widths(original));
+            let plain = new.det.decrypt(&replacement.index_key).unwrap();
+            fakes += usize::from(codec::decode_index_plain(&plain).is_none());
+        }
+        assert_eq!(fakes, 3);
     }
 
     #[test]

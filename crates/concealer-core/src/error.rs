@@ -5,7 +5,9 @@ use std::fmt;
 /// Errors raised by the Concealer core.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
-    /// A record's attributes did not match the configured grid shape.
+    /// A record's attributes did not match the configured grid shape, or
+    /// its payload values did not match the other records of its epoch
+    /// (an epoch's rows share one width).
     SchemaMismatch {
         /// What was expected.
         expected: usize,
@@ -64,7 +66,7 @@ impl fmt::Display for CoreError {
             CoreError::SchemaMismatch { expected, got } => {
                 write!(
                     f,
-                    "schema mismatch: expected {expected} grid attributes, got {got}"
+                    "schema mismatch: expected {expected} attributes, got {got}"
                 )
             }
             CoreError::TimeOutOfEpoch {

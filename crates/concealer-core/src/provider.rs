@@ -111,6 +111,19 @@ impl DataProvider {
         let mut c_tuple = vec![0u32; num_cell_ids];
         let mut cell_counts = vec![0u32; grid.total_cells() as usize];
 
+        // An epoch is a table of one row shape: a record with more or fewer
+        // payload values than the others would ship a wider or narrower
+        // row, which the host could tell from the fakes by its length.
+        if let Some(first) = records.first() {
+            let expected = first.payload.len();
+            if let Some(odd) = records.iter().find(|r| r.payload.len() != expected) {
+                return Err(crate::CoreError::SchemaMismatch {
+                    expected,
+                    got: odd.payload.len(),
+                });
+            }
+        }
+
         // Encrypt real tuples (Lines 4-11 of Algorithm 1).
         let mut rows = RowArena::new();
         let mut chain = HashChainBuilder::new(&key, num_cell_ids);
@@ -272,6 +285,33 @@ mod tests {
         (0..n)
             .map(|i| Record::spatial(i % 10, i * 36 % 3600, 100 + i % 4))
             .collect()
+    }
+
+    /// Every row of an epoch, real or fake, has one width: records whose
+    /// payloads differ in length are refused before anything is encrypted.
+    #[test]
+    fn an_epoch_of_rows_of_several_widths_is_refused() {
+        let dp = provider();
+        let mut rng = StdRng::seed_from_u64(1);
+        let shipment = dp.encrypt_epoch(0, &sample_records(150), &mut rng).unwrap();
+        let widths: std::collections::BTreeSet<usize> = shipment
+            .rows
+            .iter()
+            .map(|row| row.columns().map(<[u8]>::len).sum())
+            .collect();
+        assert_eq!(widths.len(), 1, "{widths:?}");
+
+        let mut records = sample_records(150);
+        for record in records.iter_mut().step_by(3) {
+            record.payload.push(7);
+        }
+        assert_eq!(
+            dp.encrypt_epoch(0, &records, &mut rng).err(),
+            Some(crate::CoreError::SchemaMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
     }
 
     #[test]

@@ -798,11 +798,18 @@ mod tests {
         .map(|decrypted| (acc, decrypted))
     }
 
+    /// A fake tuple as the provider ships one: zero filler as wide as a
+    /// real row's columns.
     fn fake_row(key: &EpochKey) -> EncryptedRow {
+        fake_like(key, &real_row(key, 0, 0, 0))
+    }
+
+    /// A fake tuple as wide, column for column, as `real`.
+    fn fake_like(key: &EpochKey, real: &EncryptedRow) -> EncryptedRow {
         EncryptedRow {
             index_key: key.det.encrypt(&codec::index_fake_plain(1)),
-            filters: vec![vec![0u8; 41], vec![0u8; 33]],
-            payload: vec![0u8; 60],
+            filters: real.filters.iter().map(|f| vec![0u8; f.len()]).collect(),
+            payload: vec![0u8; real.payload.len()],
         }
     }
 
@@ -1376,23 +1383,25 @@ mod tests {
                 rng.gen_range(0..3u64),
             );
             let real = valued_row(key, loc, time, obs, &payload(rng, obs));
+            // A payload that decrypts but does not decode, as wide as
+            // the real one.
+            let overhead = key.det.encrypt(b"").len();
+            let not_a_payload = vec![b'x'; real.payload.len() - overhead];
             let row = match rng.gen_range(0..6u32) {
                 _ if broken == Some(idx) => EncryptedRow {
-                    payload: key.det.encrypt(b"not a payload"),
+                    payload: key.det.encrypt(&not_a_payload),
                     ..real
                 },
-                0 => fake_row(key),
+                0 => fake_like(key, &real),
                 1 => {
                     // Same first 8 bytes as a real row's columns, distinct
                     // columns.
+                    let fake = fake_like(key, &real);
                     let mut filters = real.filters;
                     for column in &mut filters {
                         *column.last_mut().expect("a filter column") ^= 1;
                     }
-                    EncryptedRow {
-                        filters,
-                        ..fake_row(key)
-                    }
+                    EncryptedRow { filters, ..fake }
                 }
                 _ => real,
             };
@@ -1489,19 +1498,21 @@ mod tests {
                 }
             }
 
-            // Rows with no, one or two payload values, and plans over a
-            // window the rows precede, so no predicate gets tokens: every
+            // Units whose rows carry no, one or two payload values (one
+            // count per unit: an epoch's rows share one width), and plans
+            // over a window the rows precede, so no predicate gets tokens: every
             // fold is residual. Without an observation the tally serves
             // every aggregate but `CollectRows` and attribute 1; with one,
             // every fold visits its rows. Each folds into a random
             // accumulator, as into a partial that earlier units filled: it
             // must end as the seed merged with the full scan.
+            let values = match rng.gen_range(0..8u32) {
+                0 => 0,
+                1 => 1,
+                _ => 2,
+            };
             let (rows, mask, aim) = random_unit(&key, &mut rng, |rng, obs| {
-                match rng.gen_range(0..8u32) {
-                    0 => Vec::new(),
-                    1 => vec![obs],
-                    _ => vec![obs, rng.gen_range(0..1_000u64)],
-                }
+                [obs, rng.gen_range(0..1_000u64)][..values].to_vec()
             });
             let later = EpochWindow { start: 1 << 20, duration: 3_600 };
             let (scanned, warm) = (DecodedBin::new(rows.len()), DecodedBin::new(rows.len()));

@@ -508,7 +508,16 @@ mod tests {
                     ),
                     (
                         "a row that matches no trapdoor",
-                        Box::new(|r| r.insert(1, row(0xEE))),
+                        Box::new(|r| {
+                            let index_key = vec![0xEE; r[0].index_key.len()];
+                            r.insert(
+                                1,
+                                EncryptedRow {
+                                    index_key,
+                                    ..row(0xEE)
+                                },
+                            );
+                        }),
                     ),
                 ];
                 assert_eq!(epoch.verify(&issued, honest.clone()), Ok(()), "{shape}");
@@ -598,14 +607,15 @@ mod tests {
         let want = concealer_crypto::sha256::sha256(&message);
 
         // Owned rows and views hash alike, and an empty cell-id seals the
-        // prefix's own digest.
-        let arena = RowArena::from(vec![long.clone(), short.clone()]);
+        // prefix's own digest. The rows differ in shape, so each is viewed
+        // in an arena of its own.
+        let arenas = [&long, &short].map(|row| RowArena::from(vec![row.clone()]));
         let mut owned = HashChainBuilder::new(&key, 2);
         let mut viewed = HashChainBuilder::new(&key, 2);
         owned.absorb(0, &long);
         owned.absorb(0, &short);
-        viewed.absorb_view(0, arena.get(0).unwrap());
-        viewed.absorb_view(0, arena.get(1).unwrap());
+        viewed.absorb_view(0, arenas[0].get(0).unwrap());
+        viewed.absorb_view(0, arenas[1].get(0).unwrap());
         assert_eq!(owned.digests(), [want, prefix_digest]);
         assert_eq!(viewed.digests(), owned.digests());
         let rows = [&long, &short].map(EncryptedRow::columns);

@@ -204,10 +204,36 @@ mod tests {
         assert_complete(&bytes, 42, &epoch);
     }
 
-    /// Rows of unlike shapes in one table: no columns' worth of bytes, no
-    /// filters, empty filters, bytes with the high bit set.
-    fn mixed_shapes() -> StoredEpoch {
-        let rows = vec![
+    /// A complete segment of `epoch_id` — header, empty metadata, then
+    /// `rows_section` as its rows — under a footer that vouches for it.
+    fn segment(epoch_id: u64, rows_section: &[u8], row_count: u64) -> Vec<u8> {
+        let header = SegmentHeader {
+            epoch_id,
+            rewrite_count: 0,
+            row_count,
+        };
+        let mut body = MAGIC.to_vec();
+        body.extend_from_slice(&serde::bin::to_bytes(&header));
+        body.extend_from_slice(&serde::bin::to_bytes(&EpochMetadata::default()));
+        body.extend_from_slice(rows_section);
+        seal(body, row_count)
+    }
+
+    /// A rows section in the stored form, written out by hand: the row
+    /// bytes, every column's length, every row's column count.
+    fn rows_section(bytes: &[u8], column_lens: &[u32], row_cols: &[u32]) -> Vec<u8> {
+        use serde::bin::to_bytes;
+        let mut section = to_bytes(&bytes.to_vec());
+        section.extend_from_slice(&to_bytes(&column_lens.to_vec()));
+        section.extend_from_slice(&to_bytes(&row_cols.to_vec()));
+        section
+    }
+
+    /// Epoch 7 as segment format 3 stores rows of unlike shapes — no
+    /// columns' worth of bytes, no filters, empty filters, bytes with the
+    /// high bit set — which an older build wrote and this one refuses.
+    fn mixed_shapes() -> Vec<u8> {
+        let rows = [
             EncryptedRow {
                 index_key: vec![],
                 filters: vec![],
@@ -224,31 +250,39 @@ mod tests {
                 payload: vec![],
             },
         ];
-        StoredEpoch {
-            table: EncryptedTable::bulk_load(rows).unwrap(),
-            metadata: EpochMetadata::default(),
-            rewrite_count: 0,
-        }
+        let bytes: Vec<u8> = rows
+            .iter()
+            .flat_map(|r| r.columns().flatten())
+            .copied()
+            .collect();
+        let column_lens: Vec<u32> = rows
+            .iter()
+            .flat_map(|r| r.columns().map(|c| c.len() as u32))
+            .collect();
+        let row_cols: Vec<u32> = rows.iter().map(|r| r.filters.len() as u32 + 2).collect();
+        segment(7, &rows_section(&bytes, &column_lens, &row_cols), 3)
     }
 
     /// Segment format 3 — format 2's layout, pinned when the rows section
     /// became the arena, under the magic of hash-chain v3's tags: a format
     /// change must be a decision (a new magic, the old one added to
-    /// `REFUSED_MAGICS`), never a side effect.
+    /// `REFUSED_MAGICS`), never a side effect. The second file is the
+    /// one the previous build wrote for rows of several shapes: the
+    /// format did not change, only such rows are refused.
     #[test]
     fn encoding_is_pinned() {
         let bytes = encode(42, &sample(17, 3));
         assert_eq!((bytes.len(), fnv1a(&bytes)), (803, 0x8b30_c69a_1b23_0710));
-        let bytes = encode(7, &mixed_shapes());
+        let bytes = mixed_shapes();
         assert_eq!((bytes.len(), fnv1a(&bytes)), (185, 0xab64_78c4_a5e8_6109));
     }
 
+    /// A segment whose rows differ in shape is refused as torn, whole or
+    /// cut anywhere in its odd-shaped rows.
     #[test]
     fn mixed_row_shapes_round_trip() {
-        let epoch = mixed_shapes();
-        let bytes = encode(7, &epoch);
-        assert_complete(&bytes, 7, &epoch);
-        // A torn tail inside the odd-shaped rows is still a torn tail.
+        let bytes = mixed_shapes();
+        assert!(matches!(decode(&bytes), DecodeOutcome::Torn));
         for cut in [bytes.len() - 1, bytes.len() - 20, bytes.len() / 2] {
             assert!(matches!(decode(&bytes[..cut]), DecodeOutcome::Torn));
         }
@@ -348,31 +382,26 @@ mod tests {
     #[test]
     fn a_bad_arena_under_a_good_footer_is_torn() {
         use serde::bin::to_bytes;
-        let segment = |rows_section: Vec<u8>, row_count: u64| {
-            let header = SegmentHeader {
-                epoch_id: 1,
-                rewrite_count: 0,
-                row_count,
-            };
-            let mut body = MAGIC.to_vec();
-            body.extend_from_slice(&to_bytes(&header));
-            body.extend_from_slice(&to_bytes(&EpochMetadata::default()));
-            body.extend_from_slice(&rows_section);
-            seal(body, row_count)
-        };
         let arena = |column_lens: &[u32], row_cols: &[u32]| {
-            let mut section = to_bytes(&b"abcd".to_vec());
-            section.extend_from_slice(&to_bytes(&column_lens.to_vec()));
-            section.extend_from_slice(&to_bytes(&row_cols.to_vec()));
-            segment(section, row_cols.len() as u64)
+            let section = rows_section(b"abcd", column_lens, row_cols);
+            segment(1, &section, row_cols.len() as u64)
         };
         // The builder builds what the decoder reads.
         assert!(matches!(
-            decode(&arena(&[1, 0, 3, 0, 0], &[3, 2])),
+            decode(&arena(&[1, 0, 1, 1, 0, 1], &[3, 3])),
             DecodeOutcome::Complete { epoch_id: 1, epoch } if epoch.table.len() == 2
         ));
         let huge_len = to_bytes(&(1u64 << 40));
-        let bad: [(&str, Vec<u8>); 10] = [
+        let bad: [(&str, Vec<u8>); 13] = [
+            (
+                "rows of two column counts",
+                arena(&[1, 0, 3, 0, 0], &[3, 2]),
+            ),
+            ("rows of two shapes", arena(&[1, 1, 2, 0], &[2, 2])),
+            (
+                "a row of another shape last",
+                arena(&[1, 0, 1, 0, 1, 0, 0, 1], &[2, 2, 2, 2]),
+            ),
             ("columns end before the bytes do", arena(&[1, 1, 1], &[3])),
             ("columns run past the bytes", arena(&[1, 1, 3], &[3])),
             (
@@ -389,11 +418,15 @@ mod tests {
             ),
             (
                 "row bytes longer than the file",
-                segment([&huge_len[..], b"abcd"].concat(), 0),
+                segment(1, &[&huge_len[..], b"abcd"].concat(), 0),
             ),
             (
                 "a column table longer than the file",
-                segment([&to_bytes(&b"abcd".to_vec())[..], &huge_len].concat(), 0),
+                segment(
+                    1,
+                    &[&to_bytes(&b"abcd".to_vec())[..], &huge_len].concat(),
+                    0,
+                ),
             ),
         ];
         for (what, bytes) in bad {

@@ -17,7 +17,7 @@
 
 use crate::backend::{MemoryBackend, StorageBackend};
 use crate::observer::{AccessEvent, AccessObserver, TraceLog};
-use crate::table::{EncryptedRow, EncryptedTable, RowArena, RowId, RowRef};
+use crate::table::{EncryptedRow, EncryptedTable, RowArena, RowId};
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -199,11 +199,11 @@ impl EpochStore {
     /// The whole batch reads one snapshot of the epoch and is one staged
     /// lookup (`table::StagedLookup`): every trapdoor's candidate row
     /// resolved, every line of every candidate loaded, then per trapdoor
-    /// the key confirmed, the hit copied and the lookup recorded. The
-    /// lookups reach the observer in one [`AccessObserver`] append — per
-    /// trapdoor, in trapdoor order, what `fetch_by_trapdoor` records
-    /// (`TrapdoorIssued`, then `RowFetched` on a hit), kept as one record
-    /// per lookup.
+    /// the key confirmed against the row's first bytes, the row copied
+    /// whole and the lookup recorded. The lookups reach the observer in
+    /// one [`AccessObserver`] append — per trapdoor, in trapdoor order,
+    /// what `fetch_by_trapdoor` records (`TrapdoorIssued`, then
+    /// `RowFetched` on a hit), kept as one row id per lookup.
     pub fn fetch_batch<K: AsRef<[u8]>>(&self, epoch_id: u64, trapdoors: &[K]) -> Result<RowArena> {
         let epoch = self.backend.epoch(epoch_id)?;
         // The fetch's scratch is allocated around the arena, which outlives
@@ -212,13 +212,7 @@ impl EpochStore {
         // cold fetches, and freeing the lookup after the log ≈2 MB.
         let mut log = self.trace_log(trapdoors.len());
         let lookup = epoch.table.lookup_many(trapdoors);
-        let mut rows = RowArena::new();
-        rows.reserve_views(lookup.candidates());
-        for (trapdoor, hit) in lookup.hits() {
-            if let Some(row) = observe_lookup(epoch_id, trapdoor, hit, &mut log) {
-                rows.push_ref(row);
-            }
-        }
+        let rows = lookup.copy_hits(|trapdoor, hit| observe(&mut log, epoch_id, trapdoor, hit));
         drop(lookup);
         self.record_log(log);
         Ok(rows)
@@ -246,17 +240,12 @@ impl EpochStore {
         let epoch = self.backend.epoch(epoch_id)?;
         let mut log = self.trace_log(trapdoors.len());
         let lookup = epoch.table.lookup_many(trapdoors);
-        let mut matched = 0usize;
-        let mut same = true;
-        for (trapdoor, hit) in lookup.hits() {
-            if let Some(row) = observe_lookup(epoch_id, trapdoor, hit, &mut log) {
-                same = same && expected.get(matched) == Some(row);
-                matched += 1;
-            }
-        }
+        let same = lookup.hits_equal(expected, |trapdoor, hit| {
+            observe(&mut log, epoch_id, trapdoor, hit);
+        });
         drop(lookup);
         self.record_log(log);
-        Ok(same && matched == expected.len())
+        Ok(same)
     }
 
     /// Room for the records of `trapdoors` lookups — or nothing at all when
@@ -354,19 +343,18 @@ impl EpochStore {
 }
 
 /// Append to `log` what the adversary observes of one trapdoor's lookup,
-/// whose outcome is `hit`: one lookup record, which reads back as
-/// `TrapdoorIssued`, then `RowFetched` on a hit. Returns the row hit.
-fn observe_lookup<'a>(
+/// whose outcome is `hit` (row id and bytes): one lookup record, which
+/// reads back as `TrapdoorIssued`, then `RowFetched` on a hit.
+#[inline]
+fn observe(
+    log: &mut Option<TraceLog>,
     epoch_id: u64,
     trapdoor: &[u8],
-    hit: Option<(RowId, RowRef<'a>)>,
-    log: &mut Option<TraceLog>,
-) -> Option<RowRef<'a>> {
+    hit: Option<(RowId, usize)>,
+) {
     if let Some(log) = log {
-        let fetched = hit.map(|(row_id, row)| (row_id, row.byte_size()));
-        log.push_lookup(epoch_id, trapdoor.len(), fetched);
+        log.push_lookup(epoch_id, trapdoor.len(), hit);
     }
-    hit.map(|(_, row)| row)
 }
 
 #[cfg(test)]

@@ -27,6 +27,11 @@ pub enum StorageError {
     },
     /// Duplicate key inserted into a unique index.
     DuplicateKey,
+    /// Rows of several shapes met where one epoch's rows must share one:
+    /// an epoch is a table of rows whose columns have the same widths (so
+    /// fake rows cannot be told from real ones by length), and a §6
+    /// replacement keeps its row's shape.
+    RowShape,
     /// An I/O operation against a persistent backend failed.
     Io {
         /// What the store was doing (`"write segment"`, `"sync manifest"`, …).
@@ -79,6 +84,7 @@ impl fmt::Display for StorageError {
                 )
             }
             StorageError::DuplicateKey => write!(f, "duplicate key in unique index"),
+            StorageError::RowShape => write!(f, "rows of several shapes in one epoch"),
             StorageError::Io { op, path, message } => {
                 write!(f, "storage i/o failure during {op} on {path}: {message}")
             }

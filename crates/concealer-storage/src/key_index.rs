@@ -50,13 +50,15 @@
 //! every full-key confirmation ([`KeyIndex::confirm`]) — instead of key by
 //! key. Each stage is a tight loop of loads that do not depend on one
 //! another, which the core overlaps; key by key, each lookup's chain of
-//! dependent cache misses (directory → prefix → position → row bounds →
-//! row bytes) mostly waits for the one before it. The store's fetch
+//! dependent cache misses (directory → prefix → position → row bytes)
+//! mostly waits for the one before it. A position is a row's place in its
+//! arena's fixed-width slots, so the row is one multiply away and its key
+//! is its first `key_width` bytes. The store's fetch
 //! (`table::StagedLookup`) puts one more stage between the last two: it
 //! loads every line of every candidate row, so confirmation and what
 //! follows it find the rows on their way in.
 
-use crate::table::{RowArena, RowRef};
+use crate::table::{RowArena, Slots};
 use crate::{Result, StorageError};
 use std::ops::Range;
 
@@ -66,11 +68,6 @@ fn prefix(key: &[u8]) -> u64 {
     let n = key.len().min(8);
     buf[..n].copy_from_slice(&key[..n]);
     u64::from_be_bytes(buf)
-}
-
-/// The row at `pos` of the arena the index was built over.
-fn row_at(rows: &RowArena, pos: u32) -> RowRef<'_> {
-    rows.get(pos as usize).expect("indexed position")
 }
 
 /// A key's slot in a staged batch lookup. [`KeyIndex::candidates`] fills
@@ -102,7 +99,7 @@ impl Probe {
 
 /// Exact-match index from `Index` value to row position over one segment's
 /// rows. It borrows the keys from the rows it was built over: every
-/// method takes that same arena.
+/// method takes that same arena's slots.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyIndex {
     /// Key prefixes, ascending (ties in full-key order).
@@ -129,11 +126,10 @@ impl KeyIndex {
             u32::try_from(rows.len()).is_ok(),
             "a segment holds at most u32::MAX rows"
         );
-        let key_of = |pos: u32| row_at(rows, pos).index_key();
-        let mut entries: Vec<(u64, u32)> = rows
-            .iter()
-            .enumerate()
-            .map(|(pos, row)| (prefix(row.index_key()), pos as u32))
+        let slots = rows.slots();
+        let key_of = |pos: u32| slots.key(pos as usize);
+        let mut entries: Vec<(u64, u32)> = (0..rows.len() as u32)
+            .map(|pos| (prefix(key_of(pos)), pos))
             .collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key_of(a.1).cmp(key_of(b.1))));
         if entries
@@ -186,18 +182,18 @@ impl KeyIndex {
         bucket.start + self.prefixes[bucket].partition_point(|&p| p < wanted)
     }
 
-    /// The row of `rows` whose `Index` column equals `key`, and its
-    /// position: walk the run of entries with the key's prefix, comparing
+    /// The position of the row of `rows` whose `Index` column equals
+    /// `key`: walk the run of entries with the key's prefix, comparing
     /// full keys.
-    pub(crate) fn get<'r>(&self, key: &[u8], rows: &'r RowArena) -> Option<(usize, RowRef<'r>)> {
+    pub(crate) fn get(&self, key: &[u8], rows: Slots<'_>) -> Option<usize> {
         let wanted = prefix(key);
         let start = self.run_start(wanted, self.bucket(wanted));
         self.prefixes[start..]
             .iter()
             .zip(&self.positions[start..])
             .take_while(|(&p, _)| p == wanted)
-            .map(|(_, &pos)| (pos as usize, row_at(rows, pos)))
-            .find(|(_, row)| row.index_key() == key)
+            .map(|(_, &pos)| pos as usize)
+            .find(|&pos| rows.key(pos) == key)
     }
 
     /// The first two stages of a batch lookup of `keys`, into one probe
@@ -226,21 +222,15 @@ impl KeyIndex {
         probes
     }
 
-    /// The last stage of a batch lookup: the row of `rows` whose `Index`
-    /// column equals `key`, and its position, given the key's `probe`. A
-    /// run's first entry is its only one unless two keys share a prefix,
+    /// The last stage of a batch lookup: the position of the row of
+    /// `rows` whose `Index` column equals `key`, given the key's `probe`.
+    /// A run's first entry is its only one unless two keys share a prefix,
     /// and then [`Self::get`] walks it.
     #[inline]
-    pub(crate) fn confirm<'r>(
-        &self,
-        key: &[u8],
-        probe: Probe,
-        rows: &'r RowArena,
-    ) -> Option<(usize, RowRef<'r>)> {
-        let pos = probe.candidate()?;
-        let row = row_at(rows, pos);
-        if row.index_key() == key {
-            Some((pos as usize, row))
+    pub(crate) fn confirm(&self, key: &[u8], probe: Probe, rows: Slots<'_>) -> Option<usize> {
+        let pos = probe.candidate()? as usize;
+        if rows.key(pos) == key {
+            Some(pos)
         } else {
             self.get(key, rows)
         }
@@ -267,19 +257,30 @@ mod tests {
             .into()
     }
 
-    /// The round-trip law: after `build(rows)`, looking up `rows[i]`'s key
-    /// yields `i`, for every `i`.
-    /// `KeyIndex::get`, position only.
+    /// `KeyIndex::get` over the slots of `rows`.
     fn get(index: &KeyIndex, key: &[u8], rows: &RowArena) -> Option<usize> {
-        index.get(key, rows).map(|(pos, _)| pos)
+        index.get(key, rows.slots())
     }
 
+    /// The round-trip law: after `build(rows)`, looking up `rows[i]`'s key
+    /// yields `i`, for every `i`.
     fn assert_round_trip(rows: &RowArena) -> KeyIndex {
         let index = KeyIndex::build(rows).unwrap();
         for (i, row) in rows.iter().enumerate() {
-            assert_eq!(index.get(row.index_key(), rows), Some((i, row)));
+            assert_eq!(get(&index, row.index_key(), rows), Some(i));
         }
         index
+    }
+
+    /// `keys` cut or zero-padded to `width` bytes: a table's keys share
+    /// one width, as its rows share one shape.
+    fn of_width(keys: impl IntoIterator<Item = Vec<u8>>, width: usize) -> BTreeSet<Vec<u8>> {
+        keys.into_iter()
+            .map(|mut key| {
+                key.resize(width, 0);
+                key
+            })
+            .collect()
     }
 
     #[test]
@@ -322,24 +323,43 @@ mod tests {
         assert_eq!(get(&index, &5000u64.to_be_bytes(), &rows), None);
     }
 
+    /// Keys of one width per table: below 8 bytes, whose prefixes are
+    /// zero-padded, and above, where keys share 8-byte prefixes and a
+    /// lookup walks their run. Trapdoors of other lengths miss, also where
+    /// their zero-padded prefix is a key's.
     #[test]
     fn variable_length_keys() {
-        let rows = rows_of([
-            b"".to_vec(),
-            b"a".to_vec(),
-            b"aa".to_vec(),
+        let short = rows_of([
+            b"\0\0\0".to_vec(),
+            b"a\0\0".to_vec(),
+            b"aa\0".to_vec(),
             b"aaa".to_vec(),
-            b"ab".to_vec(),
-            vec![0xff; 100],
-            // Equal zero-padded prefixes, different keys.
-            vec![1],
-            vec![1, 0],
-            vec![1, 0, 0, 0, 0, 0, 0, 0],
-            vec![1, 0, 0, 0, 0, 0, 0, 0, 0],
+            b"ab\0".to_vec(),
+            vec![0xff; 3],
+            vec![1, 0, 0],
         ]);
-        let index = assert_round_trip(&rows);
-        assert_eq!(get(&index, &[1, 0, 0], &rows), None);
-        assert_eq!(get(&index, &[0xff; 99], &rows), None);
+        let index = assert_round_trip(&short);
+        for probe in [&[1][..], &[1, 0], &[1, 0, 0, 0], b"aa", b"", &[0xff; 4]] {
+            assert_eq!(get(&index, probe, &short), None, "{probe:?}");
+        }
+        let long = rows_of([
+            vec![0xff; 100],
+            [&[0xff; 99][..], &[0]].concat(),
+            [&[1, 0, 0, 0, 0, 0, 0, 0][..], &[0; 92]].concat(),
+            [&[1, 0, 0, 0, 0, 0, 0, 0][..], &[0; 91], &[1]].concat(),
+            [&[1, 0, 0, 0, 0, 0, 0, 0][..], &[1; 92]].concat(),
+        ]);
+        let index = assert_round_trip(&long);
+        assert_eq!(get(&index, &[0xff; 99], &long), None);
+        assert_eq!(get(&index, &[1, 0, 0, 0, 0, 0, 0, 0], &long), None);
+        assert_eq!(
+            get(
+                &index,
+                &[[1, 0, 0, 0, 0, 0, 0, 0].as_slice(), &[2; 92]].concat(),
+                &long
+            ),
+            None
+        );
     }
 
     /// A shipment holding exactly `keys`, in an order drawn from `seed`.
@@ -365,14 +385,14 @@ mod tests {
 
     /// [`KeyIndex::get`] for every key of `keys`, in their order, resolved
     /// in stages.
-    fn get_many<'r, K: AsRef<[u8]>>(
+    fn get_many<K: AsRef<[u8]>>(
         index: &KeyIndex,
         keys: &[K],
-        rows: &'r RowArena,
-    ) -> Vec<Option<(usize, RowRef<'r>)>> {
+        rows: &RowArena,
+    ) -> Vec<Option<usize>> {
         keys.iter()
             .zip(index.candidates(keys))
-            .map(|(key, probe)| index.confirm(key.as_ref(), probe, rows))
+            .map(|(key, probe)| index.confirm(key.as_ref(), probe, rows.slots()))
             .collect()
     }
 
@@ -385,7 +405,7 @@ mod tests {
             .map(|r| r.index_key())
             .chain(probes.iter().map(Vec::as_slice))
             .collect();
-        let singles: Vec<_> = keys.iter().map(|k| index.get(k, rows)).collect();
+        let singles: Vec<_> = keys.iter().map(|k| get(&index, k, rows)).collect();
         matches_btreemap(rows, probes) && get_many(&index, &keys, rows) == singles
     }
 
@@ -408,29 +428,34 @@ mod tests {
     #[test]
     fn one_bucket_holding_every_key_is_a_binary_search() {
         // 1000 rows index on the top 10 bits; these keys agree on 16, so
-        // one bucket holds them all — with runs of equal prefixes inside.
+        // one bucket holds them all — with runs of four equal prefixes
+        // inside, keys being 9 bytes.
         let head = [0xAB, 0xCD];
-        let clustered = |i: u16| [head.as_slice(), &i.to_be_bytes()].concat();
-        let mut keys: Vec<Vec<u8>> = (0..1000).map(clustered).collect();
-        keys.extend([
-            head.to_vec(),
-            [head.as_slice(), &[0]].concat(),
-            [head.as_slice(), &[0, 0, 0, 0, 0, 0]].concat(),
-            [head.as_slice(), &[0, 0, 0, 0, 0, 0, 0]].concat(),
-        ]);
+        let clustered =
+            |i: u16, last: u8| [head.as_slice(), &i.to_be_bytes(), &[0, 0, 0, 0, last]].concat();
+        let keys: Vec<Vec<u8>> = (0..250)
+            .flat_map(|i| (0..4).map(move |last| clustered(i, last)))
+            .collect();
         let probes = [
-            clustered(1000),
-            [head.as_slice(), &[0, 0]].concat(),
+            clustered(250, 0),
+            clustered(3, 4),
+            [head.as_slice(), &[0, 3, 0, 0, 0, 0]].concat(),
             vec![0xAB],
             vec![0xAB, 0xCE],
             vec![],
         ];
         assert!(batch_and_single_match_btreemap(&rows_of(keys), &probes));
 
-        // Short keys alone, the `[1]` / `[1, 0]` run among them: every
-        // prefix is in bucket 0 or 1 of the two there are.
-        let short = rows_of([vec![1], vec![1, 0], vec![1, 0, 0], vec![0, 1], vec![]]);
-        let probes = [vec![1, 0, 0, 0], vec![0], vec![2], vec![0xff; 7]];
+        // Short keys alone, zero-padded: every prefix is in bucket 0 or 1
+        // of the two there are.
+        let short = rows_of([vec![1, 0, 0], vec![1, 0, 1], vec![0, 1, 0], vec![0, 0, 0]]);
+        let probes = [
+            vec![1, 0, 0, 0],
+            vec![1, 0],
+            vec![0],
+            vec![2, 0, 0],
+            vec![0xff; 7],
+        ];
         assert!(batch_and_single_match_btreemap(&short, &probes));
     }
 
@@ -447,43 +472,59 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// One key width per table, drawn; probes of that width and of
+        /// any other.
         #[test]
         fn prop_matches_std_btreemap(
+            width in 0usize..24,
             keys in proptest::collection::btree_set(proptest::collection::vec(any::<u8>(), 0..24), 0..600),
             probes in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..50),
             seed in any::<u64>(),
         ) {
-            prop_assert!(matches_btreemap(&shipment(keys, seed), &probes));
+            let mut probes = probes;
+            probes.extend(of_width(probes.clone(), width));
+            prop_assert!(matches_btreemap(&shipment(of_width(keys, width), seed), &probes));
         }
 
+        /// Keys of 9–14 bytes under one 8-byte head: every lookup walks a
+        /// run of equal prefixes.
         #[test]
         fn prop_keys_sharing_a_prefix_match_std_btreemap(
             head in proptest::collection::vec(any::<u8>(), 8..12),
+            tail_width in 1usize..4,
             tails in proptest::collection::btree_set(proptest::collection::vec(0u8..4, 0..4), 0..80),
             probes in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..4), 0..40),
             seed in any::<u64>(),
         ) {
-            let keys = with_head(&head, tails).into_iter().collect();
-            prop_assert!(matches_btreemap(&shipment(keys, seed), &with_head(&head, probes)));
+            let keys = with_head(&head, of_width(tails, tail_width)).into_iter().collect();
+            let mut probes = with_head(&head, probes.clone());
+            probes.extend(with_head(&head, of_width(probes.clone(), tail_width)));
+            prop_assert!(matches_btreemap(&shipment(keys, seed), &probes));
         }
 
+        /// Keys below 8 bytes, zero-padded to their prefixes, one width
+        /// per table; probes of every short length.
         #[test]
         fn prop_short_keys_match_std_btreemap(
+            width in 0usize..8,
             keys in proptest::collection::btree_set(short_key(), 0..100),
             probes in proptest::collection::vec(short_key(), 0..40),
             seed in any::<u64>(),
         ) {
-            prop_assert!(matches_btreemap(&shipment(keys, seed), &probes));
+            let mut probes = probes;
+            probes.extend(of_width(probes.clone(), width));
+            prop_assert!(matches_btreemap(&shipment(of_width(keys, width), seed), &probes));
         }
 
         #[test]
         fn prop_a_duplicate_anywhere_is_rejected(
+            width in 0usize..24,
             keys in proptest::collection::btree_set(proptest::collection::vec(any::<u8>(), 0..24), 1..200),
             seed in any::<u64>(),
             from in any::<usize>(),
             to in any::<usize>(),
         ) {
-            let mut rows = shipment(keys, seed).to_rows();
+            let mut rows = shipment(of_width(keys, width), seed).to_rows();
             let twin = rows[from % rows.len()].clone();
             rows.insert(to % (rows.len() + 1), twin);
             prop_assert_eq!(KeyIndex::build(&rows.into()).err(), Some(StorageError::DuplicateKey));

@@ -16,12 +16,14 @@
 //!
 //! The trace is a sequence of [`AccessEvent`]s, and every reader sees it
 //! as one. It is *kept* more compactly: an index lookup, which the trace
-//! states as `TrapdoorIssued` and, on a hit, `RowFetched`, is one 24-byte
-//! record (epoch, row id or a miss marker, bytes, trapdoor length), and
-//! the other events — ingests, rewrites, scans, query boundaries, one or
-//! a few per query — sit beside the records at their place in the order.
-//! Lookups are nearly all of a trace, so it takes 24 B per lookup instead
-//! of two 32-byte events.
+//! states as `TrapdoorIssued` and, on a hit, `RowFetched`, is one 4-byte
+//! row id (or a miss marker), and a run of lookups that share their epoch,
+//! trapdoor length and row width — a bin fetch is one, as an epoch's rows
+//! have one shape — shares one header that states those three. The other
+//! events — ingests, rewrites, scans, query boundaries, one or a few per
+//! query — sit beside the lookups at their place in the order. Lookups
+//! are nearly all of a trace, so it takes 4 B per lookup instead of two
+//! 32-byte events.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -127,66 +129,65 @@ impl ObserverSummary {
     }
 }
 
-/// The `row_id` of a [`Lookup`] that missed. No hit carries it: a segment
+/// The row id of a lookup that missed. No hit carries it: a segment
 /// holds at most `u32::MAX` rows, so row ids stop one below.
 const MISS: u32 = u32::MAX;
 
-/// One index lookup as a trace keeps it: the `TrapdoorIssued` event and,
-/// on a hit, the `RowFetched` event that follow from it, in 24 bytes.
-#[derive(Debug, Clone, Copy)]
-struct Lookup {
+/// What a run of lookups shares: the epoch, the trapdoor length and the
+/// bytes of a row fetched. The run's lookups are the log's row ids from
+/// `start` up to the next run's `start`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
     epoch_id: u64,
-    /// The row fetched, or [`MISS`].
-    row_id: u32,
-    /// Bytes of the row fetched; 0 on a miss.
-    bytes: u32,
-    trapdoor_len: u32,
+    trapdoor_len: usize,
+    /// Bytes of each row the run fetched; `None` while every lookup of the
+    /// run missed.
+    bytes: Option<usize>,
+    start: usize,
 }
 
-impl Lookup {
-    /// The record of a lookup of a `trapdoor_len`-byte trapdoor in
-    /// `epoch_id` that hit `(row id, bytes)` or missed — `None` when a
-    /// value does not fit the record, and the log keeps the events instead.
-    fn new(epoch_id: u64, trapdoor_len: usize, hit: Option<(RowId, usize)>) -> Option<Lookup> {
-        let (row_id, bytes) = match hit {
-            Some((row_id, bytes)) => (
-                u32::try_from(row_id).ok().filter(|&id| id != MISS)?,
-                u32::try_from(bytes).ok()?,
-            ),
-            None => (MISS, 0),
-        };
-        Some(Lookup {
-            epoch_id,
-            row_id,
-            bytes,
-            trapdoor_len: u32::try_from(trapdoor_len).ok()?,
-        })
+impl Run {
+    /// Take a lookup of `trapdoor_len` bytes in `epoch_id` that hit a row
+    /// of `bytes`, or missed (`None`), if it reads back right as one of
+    /// this run's.
+    fn take(&mut self, epoch_id: u64, trapdoor_len: usize, bytes: Option<usize>) -> bool {
+        let fits = self.epoch_id == epoch_id
+            && self.trapdoor_len == trapdoor_len
+            && (bytes.is_none() || self.bytes.is_none() || bytes == self.bytes);
+        if fits && bytes.is_some() {
+            self.bytes = bytes;
+        }
+        fits
     }
 
-    /// The events the record stands for: `TrapdoorIssued`, then
-    /// `RowFetched` on a hit.
-    fn events(self) -> (AccessEvent, Option<AccessEvent>) {
-        let hit = self.row_id != MISS;
+    /// The events of this run's lookup that fetched `row_id` (or
+    /// [`MISS`]): `TrapdoorIssued`, then `RowFetched` on a hit.
+    fn events(&self, row_id: u32) -> (AccessEvent, Option<AccessEvent>) {
+        let hit = row_id != MISS;
         let issued = AccessEvent::TrapdoorIssued {
             epoch_id: self.epoch_id,
-            trapdoor_len: self.trapdoor_len as usize,
+            trapdoor_len: self.trapdoor_len,
             hit,
         };
         let fetched = hit.then_some(AccessEvent::RowFetched {
             epoch_id: self.epoch_id,
-            row_id: u64::from(self.row_id),
-            bytes: self.bytes as usize,
+            row_id: u64::from(row_id),
+            bytes: self.bytes.unwrap_or(0),
         });
         (issued, fetched)
     }
 }
 
-/// A trace in the form it is kept in: one [`Lookup`] per index lookup, and
-/// every other event beside the lookups at its place in the order. The
-/// events it stands for are [`TraceLog::events`].
+/// A trace in the form it is kept in: one row id per index lookup, one
+/// [`Run`] header per run of lookups that share theirs, and every other
+/// event beside the lookups at its place in the order. The events it
+/// stands for are [`TraceLog::events`].
 #[derive(Debug, Default)]
 pub(crate) struct TraceLog {
-    lookups: Vec<Lookup>,
+    /// Per lookup, the row it fetched or [`MISS`].
+    ids: Vec<u32>,
+    /// The runs, by ascending `start`; the first starts at 0.
+    runs: Vec<Run>,
     /// Every other event, after the number of lookups it follows: an event
     /// at `n` comes after lookup `n - 1` and before lookup `n`, and events
     /// at one place keep the order they were pushed in.
@@ -199,59 +200,80 @@ impl TraceLog {
     /// An empty log with room for `lookups` lookups.
     pub(crate) fn with_lookups(lookups: usize) -> Self {
         TraceLog {
-            lookups: Vec::with_capacity(lookups),
+            ids: Vec::with_capacity(lookups),
             ..TraceLog::default()
         }
     }
 
     /// Append one event.
     pub(crate) fn push(&mut self, event: AccessEvent) {
-        self.others.push((self.lookups.len(), event));
+        self.others.push((self.ids.len(), event));
         self.len += 1;
     }
 
     /// Append one index lookup of a `trapdoor_len`-byte trapdoor in
-    /// `epoch_id` that hit `(row id, row bytes)` or missed.
+    /// `epoch_id` that hit `(row id, row bytes)` or missed. A lookup whose
+    /// row id does not fit a `u32` below [`MISS`] is kept as its events.
+    #[inline]
     pub(crate) fn push_lookup(
         &mut self,
         epoch_id: u64,
         trapdoor_len: usize,
         hit: Option<(RowId, usize)>,
     ) {
-        match Lookup::new(epoch_id, trapdoor_len, hit) {
-            Some(lookup) => {
-                self.lookups.push(lookup);
-                self.len += 1 + usize::from(hit.is_some());
-            }
-            None => {
-                self.push(AccessEvent::TrapdoorIssued {
-                    epoch_id,
-                    trapdoor_len,
-                    hit: hit.is_some(),
-                });
-                if let Some((row_id, bytes)) = hit {
+        let id = match hit {
+            None => MISS,
+            Some((row_id, bytes)) => match u32::try_from(row_id) {
+                Ok(id) if id != MISS => id,
+                _ => {
+                    self.push(AccessEvent::TrapdoorIssued {
+                        epoch_id,
+                        trapdoor_len,
+                        hit: true,
+                    });
                     self.push(AccessEvent::RowFetched {
                         epoch_id,
                         row_id,
                         bytes,
                     });
+                    return;
                 }
-            }
+            },
+        };
+        let bytes = hit.map(|(_, bytes)| bytes);
+        if !self
+            .runs
+            .last_mut()
+            .is_some_and(|run| run.take(epoch_id, trapdoor_len, bytes))
+        {
+            self.runs.push(Run {
+                epoch_id,
+                trapdoor_len,
+                bytes,
+                start: self.ids.len(),
+            });
         }
+        self.ids.push(id);
+        self.len += 1 + usize::from(id != MISS);
     }
 
     /// Append `other`'s events behind this log's.
     fn append(&mut self, other: TraceLog) {
-        let base = self.lookups.len();
+        let base = self.ids.len();
         self.others
             .extend(other.others.into_iter().map(|(at, e)| (base + at, e)));
-        self.lookups.extend_from_slice(&other.lookups);
+        self.runs.extend(other.runs.into_iter().map(|run| Run {
+            start: base + run.start,
+            ..run
+        }));
+        self.ids.extend_from_slice(&other.ids);
         self.len += other.len;
     }
 
     /// Drop every event, keeping the buffers' room.
     fn clear(&mut self) {
-        self.lookups.clear();
+        self.ids.clear();
+        self.runs.clear();
         self.others.clear();
         self.len = 0;
     }
@@ -261,6 +283,7 @@ impl TraceLog {
         Events {
             log: self,
             lookup: 0,
+            run: 0,
             other: 0,
             fetched: None,
         }
@@ -287,8 +310,9 @@ impl TraceLog {
 /// reached.
 struct Events<'a> {
     log: &'a TraceLog,
-    /// The next lookup and the next other event to yield.
+    /// The next lookup, its run, and the next other event to yield.
     lookup: usize,
+    run: usize,
     other: usize,
     /// The `RowFetched` half of the lookup just yielded, if it hit.
     fetched: Option<AccessEvent>,
@@ -307,9 +331,16 @@ impl Iterator for Events<'_> {
                 return Some(event.clone());
             }
         }
-        let lookup = self.log.lookups.get(self.lookup)?;
+        let &id = self.log.ids.get(self.lookup)?;
+        let runs = &self.log.runs;
+        while runs
+            .get(self.run + 1)
+            .is_some_and(|next| next.start <= self.lookup)
+        {
+            self.run += 1;
+        }
         self.lookup += 1;
-        let (issued, fetched) = lookup.events();
+        let (issued, fetched) = runs[self.run].events(id);
         self.fetched = fetched;
         Some(issued)
     }
@@ -319,7 +350,7 @@ impl Iterator for Events<'_> {
 /// trace (it is an `Arc`), so the storage layer, the enclave and the test
 /// harness can all hold handles to the same observer.
 ///
-/// The trace is unbounded — one 24-byte record per index lookup (see the
+/// The trace is unbounded — a 4-byte row id per index lookup (see the
 /// module docs) — so it is kept only while somebody is there to read it:
 /// recording is on for a fresh observer, which is what every in-process
 /// reader (tests, examples, the benchmark's probes) relies on, and a
@@ -675,8 +706,19 @@ mod tests {
         }
     }
 
-    /// A drawn lookup: mostly small values, now and then a row id or a
-    /// length the 24-byte record cannot hold.
+    /// A bin fetch's lookups — one epoch, one trapdoor length, rows of one
+    /// width, hits and misses in any order — are one run: one header, and
+    /// 4 bytes per lookup.
+    fn a_fetch_keeps_one_header_and_a_row_id_per_lookup() -> bool {
+        let mut log = TraceLog::with_lookups(4);
+        for hit in [None, Some((7, 138)), None, Some((2, 138))] {
+            log.push_lookup(3, 32, hit);
+        }
+        log.runs.len() == 1 && std::mem::size_of_val(log.ids.as_slice()) == 4 * 4
+    }
+
+    /// A drawn lookup: mostly small values, now and then a row id a
+    /// 4-byte slot cannot hold, or a length past `u32`.
     fn drawn_lookup(a: u64, b: u64) -> (u64, usize, Option<(u64, usize)>) {
         let epoch = a % 3;
         let trapdoor_len = match b % 13 {
@@ -743,7 +785,7 @@ mod tests {
         fn the_compact_log_is_the_event_vector(
             ops in proptest::collection::vec((0u8..8, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()), 0..40),
         ) {
-            proptest::prop_assert!(std::mem::size_of::<Lookup>() <= 24);
+            proptest::prop_assert!(a_fetch_keeps_one_header_and_a_row_id_per_lookup());
             let obs = AccessObserver::new();
             let mut reference = Reference::default();
             for (op, a, b) in ops {

@@ -10,13 +10,23 @@
 //!
 //! Rows are held in a [`RowArena`]: one byte buffer per segment with every
 //! ciphertext column of a row back to back, row after row in shipment
-//! order, and a flat table of column end-offsets beside it. Readers walk
-//! borrowed [`RowRef`] views; [`EncryptedRow`] is the owned form a caller
-//! builds or keeps one row in. The two are interchangeable without loss:
-//! `RowArena::from(rows).to_rows() == rows`, and
-//! `RowArena::from(arena.to_rows()) == arena`. An arena is also what a
-//! disk segment stores (its `Serialize` / `Deserialize` impls): the buffer
-//! as it is, the tables as lengths, checked on the way back in.
+//! order. An epoch's rows all have one shape — the paper's tuples are the
+//! same columns, and volume hiding makes fake tuples as wide as real ones
+//! — so an arena stores its column widths once and row `i` is the `i`-th
+//! run of `stride` bytes: a lookup goes from a position straight to the
+//! row's bytes. Readers walk borrowed [`RowRef`] views; [`EncryptedRow`]
+//! is the owned form a caller builds or keeps one row in. The two are
+//! interchangeable without loss: `RowArena::from(rows).to_rows() == rows`
+//! for rows of one shape, and `RowArena::from(arena.to_rows()) == arena`.
+//! An arena is also what a disk segment stores (its `Serialize` /
+//! `Deserialize` impls): the buffer as it is, the widths as lengths,
+//! checked on the way back in.
+//!
+//! Rows of several shapes are refused where they would enter a table:
+//! [`EncryptedTable::bulk_load`] (so every ingest), a segment read from
+//! disk, and a §6 replacement row. Appending one to an arena leaves an
+//! arena with no shape, which every one of those refuses, which equals no
+//! arena of one shape, and whose rows cannot be read.
 
 use crate::key_index::{KeyIndex, Probe};
 use crate::{Result, StorageError};
@@ -55,37 +65,28 @@ impl EncryptedRow {
     }
 }
 
-/// Narrow a buffer or table length to the arena's `u32` offsets.
-fn offset(len: usize) -> u32 {
-    u32::try_from(len).expect("a row arena holds at most u32::MAX bytes and columns")
+/// Narrow a row width to the arena's `u32` column bounds.
+fn width(len: usize) -> u32 {
+    u32::try_from(len).expect("a row is at most u32::MAX bytes wide")
 }
 
-/// Rows of ciphertext columns in one contiguous buffer.
+/// Rows of ciphertext columns of one shape in one contiguous buffer.
 ///
-/// Row `i` is its position in push order. Every row has at least two
-/// columns — `Index` first, payload last, any number of filter columns
-/// between — and columns may be empty.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Row `i` is its position in push order. Every row has the same columns —
+/// `Index` first, payload last, any number of filter columns between — of
+/// the same widths, and columns may be empty.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RowArena {
-    /// Every column of every row, back to back.
+    /// Every row's columns, back to back: row `i` is
+    /// `bytes[i * stride..(i + 1) * stride]`.
     bytes: Vec<u8>,
-    /// Where the columns lie in `bytes`, row after row: `0`, then the end
-    /// of every column. A column starts where the one before it ends (the
-    /// first column of a row where the last of the row before it ends), so
-    /// column `c` overall is `bytes[offsets[c]..offsets[c + 1]]`.
-    offsets: Vec<u32>,
-    /// `row_ends[i]` is how many columns rows `0..=i` have together.
-    row_ends: Vec<u32>,
-}
-
-impl Default for RowArena {
-    fn default() -> Self {
-        RowArena {
-            bytes: Vec::new(),
-            offsets: vec![0],
-            row_ends: Vec::new(),
-        }
-    }
+    /// The shape every row has: where each column starts within a row, and
+    /// last the row's width (`stride`), so column `c` of a row is
+    /// `row[bounds[c]..bounds[c + 1]]`. Empty while the arena holds no row,
+    /// and in an arena a row of another shape was appended to.
+    bounds: Vec<u32>,
+    /// Number of rows.
+    len: usize,
 }
 
 impl RowArena {
@@ -95,40 +96,23 @@ impl RowArena {
         Self::default()
     }
 
-    /// An empty arena with room for `rows` rows, `cols` columns and `bytes`
-    /// bytes.
-    fn with_capacity(rows: usize, cols: usize, bytes: usize) -> Self {
-        let mut offsets = Vec::with_capacity(cols + 1);
-        offsets.push(0);
-        RowArena {
-            bytes: Vec::with_capacity(bytes),
-            offsets,
-            row_ends: Vec::with_capacity(rows),
-        }
-    }
-
-    /// Make room for `additional` more rows of the average shape of those
-    /// already here (rounded up — exact when they share one shape, as an
-    /// epoch's do), so a producer that knows its row count grows the
-    /// buffer once instead of by doubling.
+    /// Make room for `additional` more rows of the arena's shape, so a
+    /// producer that knows its row count grows the buffer once instead of
+    /// by doubling.
     pub fn reserve(&mut self, additional: usize) {
-        let per_row = |total: usize| total.div_ceil(self.len().max(1));
-        let (bytes, cols) = (per_row(self.bytes.len()), per_row(self.offsets.len() - 1));
-        self.bytes.reserve(additional * bytes);
-        self.offsets.reserve(additional * cols);
-        self.row_ends.reserve(additional);
+        self.bytes.reserve(additional * self.stride());
     }
 
     /// Number of rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.row_ends.len()
+        self.len
     }
 
     /// Whether the arena holds no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.row_ends.is_empty()
+        self.len == 0
     }
 
     /// Total ciphertext bytes held.
@@ -137,48 +121,68 @@ impl RowArena {
         self.bytes.len()
     }
 
-    /// How many columns the committed rows have together.
-    fn committed_cols(&self) -> usize {
-        self.row_ends.last().map_or(0, |&end| end as usize)
+    /// Bytes per row.
+    fn stride(&self) -> usize {
+        self.bounds.last().map_or(0, |&w| w as usize)
     }
 
-    /// A view of row `idx`, or `None` past the end.
+    /// Whether rows of more than one shape were appended: such an arena
+    /// has no shape and its rows cannot be read.
+    pub(crate) fn is_shapeless(&self) -> bool {
+        self.len > 0 && self.bounds.is_empty()
+    }
+
+    /// The rows as fixed-width slots, for the lookup path.
+    pub(crate) fn slots(&self) -> Slots<'_> {
+        assert!(
+            !self.is_shapeless(),
+            "rows of several shapes cannot be read"
+        );
+        Slots {
+            bytes: &self.bytes,
+            stride: self.stride(),
+            key_width: self.bounds.get(1).map_or(0, |&w| w as usize),
+        }
+    }
+
+    /// A view of row `idx`, or `None` past the end. Panics when the arena
+    /// holds rows of several shapes.
     #[must_use]
     #[inline]
     pub fn get(&self, idx: usize) -> Option<RowRef<'_>> {
-        let last = *self.row_ends.get(idx)?;
-        let first = match idx {
-            0 => 0,
-            _ => self.row_ends[idx - 1],
-        };
-        Some(RowRef {
-            arena: self,
-            first,
-            last,
-        })
+        (idx < self.len).then(|| self.view(self.slots().row(idx)))
+    }
+
+    /// The view of `row`, one row of this arena.
+    #[inline]
+    fn view<'a>(&'a self, row: &'a [u8]) -> RowRef<'a> {
+        RowRef {
+            row,
+            bounds: &self.bounds,
+        }
     }
 
     /// Views of all rows, in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = RowRef<'_>> + '_ {
-        // A row's bounds start on the last bound of the row before it.
-        let mut first = 0;
-        self.row_ends.iter().map(move |&last| {
-            let row = RowRef {
-                arena: self,
-                first,
-                last,
-            };
-            first = last;
-            row
-        })
+        let slots = self.slots();
+        (0..self.len).map(move |idx| self.view(slots.row(idx)))
     }
 
     /// Start appending a row. Columns are written through the returned
     /// writer in layout order; the row joins the arena on
     /// [`RowWriter::finish`] and leaves no trace if the writer is dropped
-    /// before that.
+    /// before that. The arena's first row sets its shape.
     pub fn begin_row(&mut self) -> RowWriter<'_> {
-        RowWriter { arena: self }
+        if self.len == 0 {
+            self.bounds.clear();
+            self.bounds.push(0);
+        }
+        RowWriter {
+            start: self.bytes.len(),
+            cols: 0,
+            fits: true,
+            arena: self,
+        }
     }
 
     /// Append a copy of an owned row.
@@ -190,60 +194,29 @@ impl RowArena {
         writer.finish();
     }
 
-    /// Append a copy of a row viewed in (usually another) arena: one copy
-    /// of its bytes and its column table, moved to this arena's offsets.
-    pub(crate) fn push_ref(&mut self, row: RowRef<'_>) {
-        let base = offset(self.bytes.len());
-        self.bytes.extend_from_slice(row.row_bytes());
-        // The row's last column ends where the buffer now does, so this
-        // one check bounds every offset moved below.
-        let end = offset(self.bytes.len());
-        let bounds = row.bounds();
-        self.offsets
-            .extend(bounds[1..].iter().map(|e| e - bounds[0] + base));
-        debug_assert_eq!(self.offsets.last(), Some(&end));
-        self.row_ends.push(offset(self.offsets.len() - 1));
-    }
-
-    /// Append copies of `rows` (views into other arenas), in order: the
-    /// arena [`Self::push_ref`] on each in turn makes, built in three
-    /// passes so that the cache misses of different rows overlap instead
-    /// of each row's copy waiting on its own. The first pass sizes the
-    /// copy from the rows' bounds and reserves exactly that
-    /// ([`Self::reserve_views`]); the second loads every cache line the
-    /// copy will read ([`touch_lines`]); the third copies, from lines
-    /// already on their way in.
-    pub(crate) fn extend_from_views(&mut self, rows: &[RowRef<'_>]) {
-        self.reserve_views(rows.iter().copied());
-        touch_lines(rows.iter().copied());
-        for &row in rows {
-            self.push_ref(row);
+    /// Append a copy of `row`, a row of `like`'s shape: one copy of its
+    /// bytes. The first row copied takes `like`'s shape.
+    #[inline]
+    pub(crate) fn push_copy(&mut self, like: &RowArena, row: &[u8]) {
+        debug_assert_eq!(row.len(), like.stride());
+        if self.len == 0 {
+            self.bounds.clone_from(&like.bounds);
         }
-    }
-
-    /// Make room for copies of `rows`, exactly.
-    pub(crate) fn reserve_views<'a>(&mut self, rows: impl Iterator<Item = RowRef<'a>>) {
-        let (count, bytes, cols) = rows.fold((0, 0, 0), |(count, bytes, cols), row| {
-            (count + 1, bytes + row.byte_size(), cols + row.cols())
-        });
-        self.bytes.reserve_exact(bytes);
-        self.offsets.reserve_exact(cols);
-        self.row_ends.reserve_exact(count);
+        self.bytes.extend_from_slice(row);
+        self.len += 1;
     }
 
     /// A new arena holding this arena's rows in the order `order` names
     /// them: row `k` of the result is row `order[k]` of `self`.
     #[must_use]
     pub fn gather(&self, order: &[u32]) -> RowArena {
-        let views: Vec<RowRef<'_>> = order
-            .iter()
-            .map(|&idx| {
-                self.get(idx as usize)
-                    .expect("order names rows of this arena")
-            })
-            .collect();
+        let slots = self.slots();
         let mut out = RowArena::new();
-        out.extend_from_views(&views);
+        out.bytes.reserve_exact(order.len() * slots.stride);
+        for &idx in order {
+            assert!((idx as usize) < self.len, "order names rows of this arena");
+            out.push_copy(self, slots.row(idx as usize));
+        }
         out
     }
 
@@ -254,28 +227,53 @@ impl RowArena {
     }
 }
 
+/// An arena's rows as fixed-width slots: row `pos` is the `pos`-th run of
+/// `stride` bytes, its `Index` column the first `key_width` of them.
+#[derive(Clone, Copy)]
+pub(crate) struct Slots<'a> {
+    bytes: &'a [u8],
+    stride: usize,
+    key_width: usize,
+}
+
+impl<'a> Slots<'a> {
+    /// The bytes of row `pos`.
+    #[inline]
+    pub(crate) fn row(self, pos: usize) -> &'a [u8] {
+        let at = pos * self.stride;
+        &self.bytes[at..at + self.stride]
+    }
+
+    /// The `Index` column of row `pos`.
+    #[inline]
+    pub(crate) fn key(self, pos: usize) -> &'a [u8] {
+        let at = pos * self.stride;
+        &self.bytes[at..at + self.key_width]
+    }
+}
+
 /// Load one byte of every cache line `rows` lie on, in one pass of loads
 /// that do not depend on one another, so that the reads of the rows that
 /// follow find them on their way in instead of each waiting on its own
 /// misses.
-pub(crate) fn touch_lines<'a>(rows: impl Iterator<Item = RowRef<'a>>) {
+fn touch_lines<'a>(rows: impl Iterator<Item = &'a [u8]>) {
     // A byte every 64 from a row's start lands in each of its lines but
     // perhaps the last; its last byte lands in that one.
     let touched = rows.fold(0u8, |acc, row| {
-        let bytes = row.row_bytes();
-        let last = bytes.last().copied().unwrap_or(0);
-        bytes.iter().step_by(64).fold(acc ^ last, |acc, &b| acc ^ b)
+        let last = row.last().copied().unwrap_or(0);
+        row.iter().step_by(64).fold(acc ^ last, |acc, &b| acc ^ b)
     });
     std::hint::black_box(touched);
 }
 
+/// Rows of one shape make an arena of that shape; rows of several make an
+/// arena with no shape (see the module docs), which no table takes.
 impl From<Vec<EncryptedRow>> for RowArena {
     fn from(rows: Vec<EncryptedRow>) -> Self {
-        let mut arena = RowArena::with_capacity(
-            rows.len(),
-            rows.iter().map(|r| r.filters.len() + 2).sum(),
-            rows.iter().map(EncryptedRow::byte_size).sum(),
-        );
+        let mut arena = RowArena::new();
+        arena
+            .bytes
+            .reserve_exact(rows.iter().map(EncryptedRow::byte_size).sum());
         for row in &rows {
             arena.push(row);
         }
@@ -287,6 +285,13 @@ impl From<Vec<EncryptedRow>> for RowArena {
 #[derive(Debug)]
 pub struct RowWriter<'a> {
     arena: &'a mut RowArena,
+    /// Where the row starts in the arena's buffer.
+    start: usize,
+    /// Columns written so far.
+    cols: usize,
+    /// Whether every column so far has the width the arena's shape gives
+    /// it (on the arena's first row, the shape is being written).
+    fits: bool,
 }
 
 impl RowWriter<'_> {
@@ -299,25 +304,33 @@ impl RowWriter<'_> {
     /// what it appends is the column. This is how ciphertext is produced
     /// in place, e.g. by an `encrypt_into(plaintext, buf)`.
     pub fn column_with<T>(&mut self, write: impl FnOnce(&mut Vec<u8>) -> T) -> T {
-        let start = self.arena.bytes.len();
-        let out = write(&mut self.arena.bytes);
-        assert!(
-            self.arena.bytes.len() >= start,
-            "a column writer only appends"
-        );
-        self.arena.offsets.push(offset(self.arena.bytes.len()));
+        let arena = &mut *self.arena;
+        let before = arena.bytes.len();
+        let out = write(&mut arena.bytes);
+        assert!(arena.bytes.len() >= before, "a column writer only appends");
+        let end = width(arena.bytes.len() - self.start);
+        self.cols += 1;
+        if arena.len == 0 {
+            arena.bounds.push(end);
+        } else {
+            self.fits &= arena.bounds.get(self.cols) == Some(&end);
+        }
         out
     }
 
-    /// Commit the row.
-    pub fn finish(self) {
-        let arena = &mut *self.arena;
-        let cols = arena.offsets.len() - 1;
+    /// Commit the row. A row of another shape than the arena's rows leaves
+    /// the arena without a shape.
+    pub fn finish(mut self) {
         assert!(
-            cols >= arena.committed_cols() + 2,
+            self.cols >= 2,
             "a row has at least an Index and a payload column"
         );
-        arena.row_ends.push(offset(cols));
+        let arena = &mut *self.arena;
+        if !self.fits || self.cols + 1 != arena.bounds.len() {
+            arena.bounds.clear();
+        }
+        arena.len += 1;
+        self.start = arena.bytes.len();
     }
 }
 
@@ -325,9 +338,10 @@ impl Drop for RowWriter<'_> {
     /// Cut the arena back to its last committed row (nothing to cut after
     /// [`RowWriter::finish`]).
     fn drop(&mut self) {
-        let cols = self.arena.committed_cols();
-        self.arena.offsets.truncate(cols + 1);
-        self.arena.bytes.truncate(self.arena.offsets[cols] as usize);
+        self.arena.bytes.truncate(self.start);
+        if self.arena.len == 0 {
+            self.arena.bounds.clear();
+        }
     }
 }
 
@@ -338,40 +352,23 @@ impl Drop for RowWriter<'_> {
 /// `["a", "bc"]`.
 #[derive(Clone, Copy)]
 pub struct RowRef<'a> {
-    arena: &'a RowArena,
-    /// The row's bounds are `arena.offsets[first..=last]`, looked up when
-    /// a column is read: walking rows costs nothing per row until then.
-    first: u32,
-    last: u32,
+    /// The row's bytes.
+    row: &'a [u8],
+    /// The arena's shape: column `c` is `row[bounds[c]..bounds[c + 1]]`.
+    bounds: &'a [u32],
 }
 
 impl<'a> RowRef<'a> {
-    /// Where the row's columns lie in the arena's buffer: column `c` is
-    /// `bytes[bounds[c]..bounds[c + 1]]`.
-    #[inline]
-    fn bounds(&self) -> &'a [u32] {
-        &self.arena.offsets[self.first as usize..=self.last as usize]
-    }
-
     #[inline]
     fn column(&self, idx: usize) -> &'a [u8] {
         assert!(idx < self.cols(), "row has no such column");
-        let at = self.first as usize + idx;
-        let bounds = &self.arena.offsets[at..at + 2];
-        &self.arena.bytes[bounds[0] as usize..bounds[1] as usize]
-    }
-
-    /// The row's columns, back to back.
-    #[inline]
-    fn row_bytes(&self) -> &'a [u8] {
-        let bounds = self.bounds();
-        &self.arena.bytes[bounds[0] as usize..bounds[bounds.len() - 1] as usize]
+        &self.row[self.bounds[idx] as usize..self.bounds[idx + 1] as usize]
     }
 
     /// Number of columns.
     #[inline]
     fn cols(&self) -> usize {
-        (self.last - self.first) as usize
+        self.bounds.len() - 1
     }
 
     /// The searchable `Index` column (see [`EncryptedRow::index_key`]).
@@ -398,10 +395,8 @@ impl<'a> RowRef<'a> {
 
     /// The filter columns, in order.
     pub fn filters(&self) -> impl ExactSizeIterator<Item = &'a [u8]> + 'a {
-        let (bounds, bytes) = (self.bounds(), self.arena.bytes.as_slice());
-        bounds[1..bounds.len() - 1]
-            .windows(2)
-            .map(move |w| &bytes[w[0] as usize..w[1] as usize])
+        let cols = self.cols();
+        self.columns().skip(1).take(cols - 2)
     }
 
     /// The encrypted payload column (see [`EncryptedRow::payload`]).
@@ -413,17 +408,16 @@ impl<'a> RowRef<'a> {
 
     /// The row's columns in layout order: `Index`, the filters, payload.
     pub fn columns(&self) -> impl ExactSizeIterator<Item = &'a [u8]> + Clone + 'a {
-        let (bounds, bytes) = (self.bounds(), self.arena.bytes.as_slice());
-        bounds
+        let row = self.row;
+        self.bounds
             .windows(2)
-            .map(move |w| &bytes[w[0] as usize..w[1] as usize])
+            .map(move |w| &row[w[0] as usize..w[1] as usize])
     }
 
-    /// Total ciphertext bytes in this row (used for transfer accounting).
-    #[must_use]
-    #[inline]
+    /// Total ciphertext bytes in this row.
+    #[cfg(test)]
     pub(crate) fn byte_size(&self) -> usize {
-        self.row_bytes().len()
+        self.row.len()
     }
 
     /// An owned copy of the row.
@@ -439,10 +433,7 @@ impl<'a> RowRef<'a> {
 
 impl PartialEq for RowRef<'_> {
     fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (self.bounds(), other.bounds());
-        a.len() == b.len()
-            && self.row_bytes() == other.row_bytes()
-            && a.iter().zip(b).all(|(x, y)| x - a[0] == y - b[0])
+        self.bounds == other.bounds && self.row == other.row
     }
 }
 
@@ -465,26 +456,33 @@ impl std::fmt::Debug for RowRef<'_> {
 }
 
 /// The stored form of an arena: its buffer as one byte string, then the
-/// length of every column and the column count of every row. Lengths, not
-/// offsets, so a table costs a byte per column whatever the segment's size
-/// and cannot name a range that runs backwards.
+/// length of every column of every row and the column count of every row.
+/// Lengths, not bounds, so a table costs a byte per column whatever the
+/// segment's size and cannot name a range that runs backwards. Panics on
+/// an arena of rows of several shapes, which no table holds.
 impl Serialize for RowArena {
     fn serialize<S: Serializer>(&self, serializer: &mut S) -> std::result::Result<(), S::Error> {
+        assert!(
+            !self.is_shapeless(),
+            "rows of several shapes are not stored"
+        );
         self.bytes.serialize(serializer)?;
-        serializer.begin_seq(self.offsets.len() - 1)?;
-        self.offsets
-            .windows(2)
-            .try_for_each(|w| serializer.write_u64(u64::from(w[1] - w[0])))?;
-        serializer.begin_seq(self.len())?;
-        self.iter()
-            .try_for_each(|row| serializer.write_u64(row.cols() as u64))
+        let cols = self.bounds.len().saturating_sub(1);
+        serializer.begin_seq(self.len * cols)?;
+        for _ in 0..self.len {
+            self.bounds
+                .windows(2)
+                .try_for_each(|w| serializer.write_u64(u64::from(w[1] - w[0])))?;
+        }
+        serializer.begin_seq(self.len)?;
+        (0..self.len).try_for_each(|_| serializer.write_u64(cols as u64))
     }
 }
 
 /// The one way from stored bytes to an arena. The input is the untrusted
-/// provider's disk: the tables are rebuilt from the lengths and must
-/// account for the buffer and for each other exactly, so no view of the
-/// result can index out of bounds.
+/// provider's disk: the lengths must describe rows of one shape that
+/// account for the buffer exactly, so no view of the result can index out
+/// of bounds and no row differs from the others in width.
 impl<'de> Deserialize<'de> for RowArena {
     fn deserialize<D: Deserializer<'de>>(
         deserializer: &mut D,
@@ -492,32 +490,43 @@ impl<'de> Deserialize<'de> for RowArena {
         let bytes = Vec::<u8>::deserialize(deserializer)?;
         let column_lens = Vec::<u32>::deserialize(deserializer)?;
         let row_cols = Vec::<u32>::deserialize(deserializer)?;
-        let mut arena = RowArena::with_capacity(row_cols.len(), column_lens.len(), 0);
         let invalid = |what| Err(deserializer.invalid_value(what));
-        let mut end = 0u32;
-        for &len in &column_lens {
-            let Some(next) = end.checked_add(len) else {
-                return invalid("column lengths overflow the arena");
-            };
-            end = next;
-            arena.offsets.push(end);
+        let Some(&cols) = row_cols.first() else {
+            if !column_lens.is_empty() || !bytes.is_empty() {
+                return invalid("rows do not cover the columns");
+            }
+            return Ok(RowArena::new());
+        };
+        let cols = cols as usize;
+        if cols < 2 {
+            return invalid("a row has at least an Index and a payload column");
         }
-        if end as usize != bytes.len() {
+        if row_cols.iter().any(|&n| n as usize != cols)
+            || row_cols.len().checked_mul(cols) != Some(column_lens.len())
+        {
+            return invalid("rows differ in shape or do not cover the columns");
+        }
+        let (shape, rest) = column_lens.split_at(cols);
+        if rest.chunks_exact(cols).any(|row| row != shape) {
+            return invalid("rows differ in shape");
+        }
+        let mut bounds = Vec::with_capacity(cols + 1);
+        bounds.push(0u32);
+        for &len in shape {
+            let Some(end) = bounds[bounds.len() - 1].checked_add(len) else {
+                return invalid("column lengths overflow a row");
+            };
+            bounds.push(end);
+        }
+        let stride = bounds[cols] as usize;
+        if stride.checked_mul(row_cols.len()) != Some(bytes.len()) {
             return invalid("column lengths do not cover the row bytes");
         }
-        let mut cols = 0u32;
-        for &n in &row_cols {
-            let Some(next) = cols.checked_add(n).filter(|_| n >= 2) else {
-                return invalid("a row has at least an Index and a payload column");
-            };
-            cols = next;
-            arena.row_ends.push(cols);
-        }
-        if cols as usize != column_lens.len() {
-            return invalid("rows do not cover the columns");
-        }
-        arena.bytes = bytes;
-        Ok(arena)
+        Ok(RowArena {
+            bytes,
+            bounds,
+            len: row_cols.len(),
+        })
     }
 }
 
@@ -539,9 +548,14 @@ impl EncryptedTable {
     /// index on the `Index` column as part of the load, exactly as the paper
     /// describes ("SP inserts the data into DBMS that creates/modifies the
     /// index"). A row's id is its position in `rows`. Fails with
-    /// [`StorageError::DuplicateKey`] when two rows share an `Index` value.
+    /// [`StorageError::RowShape`] when the rows are of several shapes and
+    /// with [`StorageError::DuplicateKey`] when two rows share an `Index`
+    /// value.
     pub fn bulk_load(rows: impl Into<RowArena>) -> Result<Self> {
         let rows = rows.into();
+        if rows.is_shapeless() {
+            return Err(StorageError::RowShape);
+        }
         let index = KeyIndex::build(&rows)?;
         Ok(EncryptedTable { rows, index })
     }
@@ -549,23 +563,30 @@ impl EncryptedTable {
     /// The table with replacement rows in place of the rows stored under
     /// the given old `Index` values (a §6 bin rewrite), every row id kept
     /// and the index rebuilt. When two replacements name one old key the
-    /// later wins. An old key the table does not hold yields
-    /// [`StorageError::CardinalityMismatch`] and new keys that collide
-    /// yield [`StorageError::DuplicateKey`]; `self` is never changed.
+    /// later wins. A replacement of another shape than the table's rows
+    /// yields [`StorageError::RowShape`], an old key the table does not
+    /// hold [`StorageError::CardinalityMismatch`], and new keys that
+    /// collide [`StorageError::DuplicateKey`]; `self` is never changed.
     pub(crate) fn replace_rows(
         &self,
         replacements: &[(Vec<u8>, EncryptedRow)],
     ) -> Result<EncryptedTable> {
-        let old_keys: Vec<&[u8]> = replacements.iter().map(|(key, _)| &key[..]).collect();
         let mut new_rows = RowArena::new();
         for (_, row) in replacements {
             new_rows.push(row);
         }
-        let mut views: Vec<RowRef<'_>> = self.rows.iter().collect();
+        if !new_rows.is_empty() && !self.rows.is_empty() && new_rows.bounds != self.rows.bounds {
+            return Err(StorageError::RowShape);
+        }
+        // Rows of one shape: each replacement overwrites its row in place.
+        let old_keys: Vec<&[u8]> = replacements.iter().map(|(key, _)| &key[..]).collect();
+        let mut rows = self.rows.clone();
+        let (stride, new_slots) = (self.rows.stride(), new_rows.slots());
         let mut found = 0;
-        for (new, (_, hit)) in new_rows.iter().zip(self.lookup_many(&old_keys).hits()) {
+        for (k, (_, hit)) in self.lookup_many(&old_keys).hits().enumerate() {
             if let Some((pos, _)) = hit {
-                views[pos as usize] = new;
+                let at = pos as usize * stride;
+                rows.bytes[at..at + stride].copy_from_slice(new_slots.row(k));
                 found += 1;
             }
         }
@@ -575,10 +596,6 @@ impl EncryptedTable {
                 got: found,
             });
         }
-        // A replacement may differ in length from the row it displaces, so
-        // the rows are laid out afresh beside the index rebuild.
-        let mut rows = RowArena::new();
-        rows.extend_from_views(&views);
         let index = KeyIndex::build(&rows)?;
         Ok(EncryptedTable { rows, index })
     }
@@ -605,8 +622,9 @@ impl EncryptedTable {
     /// and a view of the row.
     #[must_use]
     pub fn lookup(&self, trapdoor: &[u8]) -> Option<(RowId, RowRef<'_>)> {
-        let (pos, row) = self.index.get(trapdoor, &self.rows)?;
-        Some((pos as RowId, row))
+        let slots = self.rows.slots();
+        let pos = self.index.get(trapdoor, slots)?;
+        Some((pos as RowId, self.rows.view(slots.row(pos))))
     }
 
     /// [`Self::lookup`] for every trapdoor of a batch (one bin fetch), in
@@ -620,6 +638,7 @@ impl EncryptedTable {
     ) -> StagedLookup<'t, 'k, K> {
         let lookup = StagedLookup {
             table: self,
+            slots: self.rows.slots(),
             trapdoors,
             probes: self.index.candidates(trapdoors),
         };
@@ -652,15 +671,17 @@ impl EncryptedTable {
 /// 2. one pass of independent loads over every cache line of every
 ///    candidate row ([`touch_lines`]);
 /// 3. per trapdoor, in order, as [`Self::hits`] are read: the key
-///    confirmed against its candidate's `Index` column, and whatever the
-///    caller does with the hit — copy it, compare it — done on lines
-///    already on their way in.
+///    confirmed against its candidate's first `key_width` bytes, and
+///    whatever the caller does with the hit — copy it
+///    ([`Self::copy_hits`]), compare it ([`Self::hits_equal`]) — done on
+///    lines already on their way in.
 ///
 /// The first two run in [`EncryptedTable::lookup_many`]. Every lookup and
 /// every key confirmation is made; only the row-after-row waits for cache
 /// misses go.
 pub(crate) struct StagedLookup<'t, 'k, K> {
     table: &'t EncryptedTable,
+    slots: Slots<'t>,
     trapdoors: &'k [K],
     probes: Vec<Probe>,
 }
@@ -668,25 +689,73 @@ pub(crate) struct StagedLookup<'t, 'k, K> {
 impl<'t, 'k, K: AsRef<[u8]>> StagedLookup<'t, 'k, K> {
     /// The candidate rows of the batch's trapdoors: the rows the hits
     /// will be, unless a trapdoor's prefix matches a row its key does not.
-    pub(crate) fn candidates(&self) -> impl Iterator<Item = RowRef<'t>> + '_ {
-        let rows = &self.table.rows;
+    fn candidates(&self) -> impl Iterator<Item = &'t [u8]> + '_ {
+        let slots = self.slots;
         self.probes
             .iter()
             .filter_map(|probe| probe.candidate())
-            .map(move |pos| rows.get(pos as usize).expect("indexed position"))
+            .map(move |pos| slots.row(pos as usize))
     }
 
     /// Stage 3: per trapdoor, in order, the trapdoor and the row it names
-    /// (its id and a view), or `None` on a miss.
-    pub(crate) fn hits(
+    /// (its id and its bytes), or `None` on a miss.
+    pub(crate) fn hits(&self) -> impl Iterator<Item = (&'k [u8], Option<(RowId, &'t [u8])>)> + '_ {
+        let (index, slots) = (&self.table.index, self.slots);
+        self.trapdoors
+            .iter()
+            .zip(&self.probes)
+            .map(move |(t, &probe)| {
+                let t = t.as_ref();
+                let hit = index.confirm(t, probe, slots);
+                (t, hit.map(|pos| (pos as RowId, slots.row(pos))))
+            })
+    }
+
+    /// Stage 3 of a fetch: every hit copied, in trapdoor order, into one
+    /// arena sized once for every candidate row; `seen` is told of every
+    /// lookup (the trapdoor, and the row id and width of a hit).
+    pub(crate) fn copy_hits(
         &self,
-    ) -> impl Iterator<Item = (&'k [u8], Option<(RowId, RowRef<'t>)>)> + '_ {
-        let (table, trapdoors) = (self.table, self.trapdoors);
-        trapdoors.iter().zip(&self.probes).map(move |(t, &probe)| {
-            let t = t.as_ref();
-            let hit = table.index.confirm(t, probe, &table.rows);
-            (t, hit.map(|(pos, row)| (pos as RowId, row)))
-        })
+        mut seen: impl FnMut(&[u8], Option<(RowId, usize)>),
+    ) -> RowArena {
+        let table_rows = &self.table.rows;
+        let mut rows = RowArena::new();
+        let candidates = self.probes.iter().filter(|p| p.candidate().is_some());
+        rows.bytes
+            .reserve_exact(candidates.count() * self.slots.stride);
+        for (trapdoor, hit) in self.hits() {
+            seen(trapdoor, hit.map(|(id, row)| (id, row.len())));
+            if let Some((_, row)) = hit {
+                rows.push_copy(table_rows, row);
+            }
+        }
+        rows
+    }
+
+    /// Stage 3 of a warm replay: whether the hits, in trapdoor order, are
+    /// `expected` — the same rows byte for byte, of the same shape, as
+    /// many — with every hit compared in full and no row copied; `seen`
+    /// is told of every lookup as [`Self::copy_hits`] tells it.
+    pub(crate) fn hits_equal(
+        &self,
+        expected: &RowArena,
+        mut seen: impl FnMut(&[u8], Option<(RowId, usize)>),
+    ) -> bool {
+        let mut same = expected.is_empty() || expected.bounds == self.table.rows.bounds;
+        let want = Slots {
+            bytes: &expected.bytes,
+            stride: self.slots.stride,
+            key_width: 0,
+        };
+        let mut matched = 0usize;
+        for (trapdoor, hit) in self.hits() {
+            seen(trapdoor, hit.map(|(id, row)| (id, row.len())));
+            if let Some((_, row)) = hit {
+                same = same && matched < expected.len && want.row(matched) == row;
+                matched += 1;
+            }
+        }
+        same && matched == expected.len
     }
 }
 
@@ -769,6 +838,19 @@ pub(crate) mod tests {
             .map(drop);
         assert_eq!(err, Err(StorageError::DuplicateKey));
         assert!(unchanged(&table));
+        // A replacement of another shape — a payload byte longer, or a
+        // filter column fewer: refused, and nothing moves.
+        let mut wide = row(3, 0xAA);
+        wide.payload.push(0);
+        let mut narrow = row(4, 0xBB);
+        narrow.filters.pop();
+        for odd in [wide, narrow] {
+            let err = table
+                .replace_rows(&[(key(5), row(5, 0xCC)), (key(3), odd)])
+                .map(drop);
+            assert_eq!(err, Err(StorageError::RowShape));
+            assert!(unchanged(&table));
+        }
 
         // Same key with a new payload, a fresh key, and two rows trading keys.
         let table = table
@@ -810,6 +892,8 @@ pub(crate) mod tests {
         assert_eq!(scanned, rows);
     }
 
+    /// Rows of one shape per arena; equal bytes cut at other boundaries
+    /// are other rows, across arenas of different shapes.
     #[test]
     fn view_equality_sees_column_boundaries() {
         let split = |index_key: &[u8], filter: &[u8], payload: &[u8]| EncryptedRow {
@@ -817,26 +901,80 @@ pub(crate) mod tests {
             filters: vec![filter.to_vec()],
             payload: payload.to_vec(),
         };
-        let arena = RowArena::from(vec![
-            split(b"ab", b"c", b"d"),
-            split(b"a", b"bc", b"d"),
-            split(b"ab", b"", b"cd"),
-            split(b"ab", b"c", b"d"),
-        ]);
-        let view = |i| arena.get(i).unwrap();
-        assert_ne!(view(0), view(1));
-        assert_ne!(view(0), view(2));
-        assert_eq!(view(0), view(3), "equal rows at different offsets");
-        assert_eq!(view(1), split(b"a", b"bc", b"d"));
-        assert_ne!(view(1), split(b"ab", b"c", b"d"));
+        let arena = RowArena::from(vec![split(b"ab", b"c", b"d"), split(b"ab", b"c", b"d")]);
+        let shifted = RowArena::from(vec![split(b"a", b"bc", b"d")]);
+        let moved = RowArena::from(vec![split(b"ab", b"", b"cd")]);
+        fn view(arena: &RowArena, i: usize) -> RowRef<'_> {
+            arena.get(i).unwrap()
+        }
+        assert_ne!(view(&arena, 0), view(&shifted, 0));
+        assert_ne!(view(&arena, 0), view(&moved, 0));
+        assert_eq!(
+            view(&arena, 0),
+            view(&arena, 1),
+            "equal rows at different offsets"
+        );
+        assert_eq!(view(&shifted, 0), split(b"a", b"bc", b"d"));
+        assert_ne!(view(&shifted, 0), split(b"ab", b"c", b"d"));
+        assert_ne!(arena.gather(&[0]), shifted);
         // The same bytes with a filter column more or less.
         let unsplit = EncryptedRow {
             index_key: b"ab".to_vec(),
             filters: vec![],
             payload: b"cd".to_vec(),
         };
-        assert_ne!(view(2), unsplit);
-        assert_ne!(RowArena::from(vec![unsplit]), arena.gather(&[2]));
+        assert_ne!(view(&moved, 0), unsplit);
+        assert_ne!(RowArena::from(vec![unsplit]), moved);
+    }
+
+    /// Appending a row of another shape leaves an arena with no shape:
+    /// it keeps its count and bytes, equals no arena of one shape, no
+    /// table takes it, and its rows cannot be read.
+    #[test]
+    fn rows_of_several_shapes_make_no_table() {
+        let mixed = RowArena::from(vec![row(1, 1), row(2, 2), row(3, 3)]);
+        let mut other = mixed.to_rows();
+        other[1].payload.pop();
+        let several = [
+            other.clone(),
+            vec![
+                other[0].clone(),
+                EncryptedRow {
+                    filters: vec![],
+                    ..other[0].clone()
+                },
+            ],
+            vec![
+                other[0].clone(),
+                EncryptedRow {
+                    index_key: vec![2; 9],
+                    ..other[0].clone()
+                },
+            ],
+        ];
+        for rows in several {
+            let arena = RowArena::from(rows.clone());
+            assert!(arena.is_shapeless());
+            assert_eq!(arena.len(), rows.len());
+            assert_eq!(
+                arena.byte_size(),
+                rows.iter().map(EncryptedRow::byte_size).sum::<usize>()
+            );
+            assert_ne!(arena, mixed);
+            assert_eq!(
+                EncryptedTable::bulk_load(arena.clone()).err(),
+                Some(StorageError::RowShape)
+            );
+            let read = std::panic::catch_unwind(|| arena.get(0).map(|r| r.to_row()));
+            assert!(read.is_err(), "a row of a shapeless arena was read");
+        }
+        // An unfinished row of another shape changes nothing.
+        let mut arena = mixed.clone();
+        let mut writer = arena.begin_row();
+        writer.column(b"x");
+        writer.column(b"y");
+        drop(writer);
+        assert_eq!(arena, mixed);
     }
 
     #[test]
@@ -863,14 +1001,33 @@ pub(crate) mod tests {
     /// A row's columns as drawn: `(Index, filters, payload)`.
     pub(crate) type Columns = (Vec<u8>, Vec<Vec<u8>>, Vec<u8>);
 
-    /// Rows of every shape the arena must hold: 0–3 filters, empty columns.
-    pub(crate) fn any_row() -> impl Strategy<Value = Columns> {
-        let column = || proptest::collection::vec(any::<u8>(), 0..6);
-        (
-            column(),
-            proptest::collection::vec(column(), 0..4),
-            column(),
-        )
+    /// Rows of `rows` rows, all of one shape drawn per table, of every
+    /// shape the arena must hold: 0–3 filters, columns of 0–5 bytes,
+    /// empty ones included.
+    pub(crate) struct OneShape {
+        rows: std::ops::Range<usize>,
+    }
+
+    impl Strategy for OneShape {
+        type Value = Vec<Columns>;
+
+        fn generate(&self, rng: &mut proptest::test_runner::TestRng) -> Vec<Columns> {
+            let widths = proptest::collection::vec(0usize..6, 2..6).generate(rng);
+            let column = |rng: &mut proptest::test_runner::TestRng, width: usize| {
+                proptest::collection::vec(any::<u8>(), width..width + 1).generate(rng)
+            };
+            let rows = self.rows.generate(rng);
+            (0..rows)
+                .map(|_| {
+                    let (index, filters) = (widths[0], &widths[1..widths.len() - 1]);
+                    (
+                        column(rng, index),
+                        filters.iter().map(|&w| column(rng, w)).collect(),
+                        column(rng, widths[widths.len() - 1]),
+                    )
+                })
+                .collect()
+        }
     }
 
     pub(crate) fn row_of((index_key, filters, payload): Columns) -> EncryptedRow {
@@ -881,26 +1038,24 @@ pub(crate) mod tests {
         }
     }
 
-    /// Tables of mixed shapes, the empty table included.
+    /// Tables of one shape each, the empty table included.
     pub(crate) fn any_rows() -> impl Strategy<Value = Vec<Columns>> {
-        proptest::collection::vec(any_row(), 0..24)
+        OneShape { rows: 0..24 }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Arena ≡ `Vec<EncryptedRow>`: views read back the rows column for
-        /// column, and the two conversions are inverse to each other — on
-        /// arenas laid out by `from`, and on arenas laid out by copying
-        /// views (`gather`), whose offsets were moved.
+        /// Arena ≡ `Vec<EncryptedRow>` of one shape: views read back the
+        /// rows column for column, and the two conversions are inverse to
+        /// each other — on arenas laid out by `from`, and on arenas laid
+        /// out by copying rows (`gather`).
         ///
-        /// Appending views in three passes (`extend_from_views`) is
-        /// `push_ref` on each in turn: onto an arena that already holds
-        /// rows, in any order, with rows repeated, and for the empty list.
+        /// Gathering any picks, in any order, with rows repeated, and
+        /// none, is the arena of the picked rows.
         #[test]
         fn prop_arena_is_the_rows(
             rows in any_rows(),
-            head in any_rows(),
             picks in proptest::collection::vec(any::<usize>(), 0..40),
         ) {
             let rows: Vec<EncryptedRow> = rows.into_iter().map(row_of).collect();
@@ -926,20 +1081,13 @@ pub(crate) mod tests {
             prop_assert_eq!(&RowArena::from(gathered.to_rows()), &gathered);
             prop_assert_eq!(gathered.gather(&reversed), arena.clone());
 
-            let head = RowArena::from(head.into_iter().map(row_of).collect::<Vec<_>>());
-            let views: Vec<RowRef<'_>> = match rows.len() {
+            let picks: Vec<u32> = match rows.len() {
                 0 => Vec::new(),
-                n => picks.iter().map(|p| arena.get(p % n).unwrap()).collect(),
+                n => picks.iter().map(|p| (p % n) as u32).collect(),
             };
-            let mut one_by_one = head.clone();
-            for &view in &views {
-                one_by_one.push_ref(view);
-            }
-            for list in [&views[..], &[]] {
-                let mut staged = head.clone();
-                staged.extend_from_views(list);
-                let want = if list.is_empty() { &head } else { &one_by_one };
-                prop_assert_eq!(&staged, want);
+            for picks in [&picks[..], &[]] {
+                let picked: Vec<EncryptedRow> = picks.iter().map(|&p| rows[p as usize].clone()).collect();
+                prop_assert_eq!(arena.gather(picks), RowArena::from(picked));
             }
         }
 
@@ -958,9 +1106,9 @@ pub(crate) mod tests {
         }
 
         /// The stored form is the rows, not the layout: an arena filled by
-        /// copying views (offsets moved) encodes to the bytes one filled
-        /// from owned rows does — one stored byte per ciphertext byte,
-        /// one per column and one per row — and decodes back to it.
+        /// copying rows encodes to the bytes one filled from owned rows
+        /// does — one stored byte per ciphertext byte, one per column and
+        /// one per row — and decodes back to it.
         #[test]
         fn prop_views_encode_as_rows(rows in any_rows()) {
             let rows: Vec<EncryptedRow> = rows.into_iter().map(row_of).collect();
@@ -979,12 +1127,18 @@ pub(crate) mod tests {
         }
 
         /// `replace_rows` against the same replacement done on a `Vec`,
-        /// with replacement rows of other shapes and lengths.
+        /// with replacement rows of the table's shape (`replacements`
+        /// draws one table of them), and a replacement of another shape
+        /// refused with the table unchanged.
         #[test]
         fn prop_replace_rows_matches_vec_model(
-            shapes in proptest::collection::vec(any_row(), 1..16),
-            replacements in proptest::collection::vec((any::<usize>(), any_row()), 0..6),
+            shapes in OneShape { rows: 7..23 },
+            at in proptest::collection::vec(any::<usize>(), 0..6),
+            cut in any::<usize>(),
         ) {
+            let (shapes, replacements) = shapes.split_at(shapes.len() / 2);
+            let (shapes, replacements) = (shapes.to_vec(), replacements.to_vec());
+            let replacements: Vec<(usize, Columns)> = at.into_iter().zip(replacements).collect();
             // Unique keys: the position, then whatever the strategy drew.
             let keyed = |i: usize, columns: Columns| {
                 let mut row = row_of(columns);
@@ -1002,6 +1156,17 @@ pub(crate) mod tests {
                 model[at] = row.clone();
                 request.push((rows[at].index_key.clone(), row));
             }
+            // The same request with one replacement a column's byte wider
+            // or narrower: refused.
+            if !request.is_empty() {
+                let mut odd = request.clone();
+                let k = cut % odd.len();
+                let row = &mut odd[k].1;
+                if row.payload.pop().is_none() {
+                    row.payload.push(0);
+                }
+                prop_assert_eq!(table.replace_rows(&odd).err(), Some(StorageError::RowShape));
+            }
             let table = table.replace_rows(&request).unwrap();
             prop_assert_eq!(table.rows().to_rows(), model.clone());
             for (i, row) in model.iter().enumerate() {
@@ -1010,14 +1175,23 @@ pub(crate) mod tests {
         }
 
         /// A batch lookup is the single lookups in order — hits, misses,
-        /// keys that share a zero-padded prefix (`[1]`, `[1, 0]`), one
-        /// trapdoor twice in a batch, and the empty batch.
+        /// trapdoors that share a key's zero-padded prefix (`[1]` against
+        /// `[1, 0]`), keys that share an 8-byte prefix, one trapdoor twice
+        /// in a batch, and the empty batch — on tables of one key width.
         #[test]
         fn prop_lookup_many_is_lookup_per_trapdoor(
+            width in 0usize..10,
             keys in proptest::collection::btree_set(proptest::collection::vec(0u8..3, 0..10), 0..60),
             picks in proptest::collection::vec(any::<usize>(), 0..40),
             misses in proptest::collection::vec(proptest::collection::vec(0u8..3, 0..10), 0..10),
         ) {
+            let keys: std::collections::BTreeSet<Vec<u8>> = keys
+                .into_iter()
+                .map(|mut key| {
+                    key.resize(width, 0);
+                    key
+                })
+                .collect();
             let keys: Vec<Vec<u8>> = keys.into_iter().collect();
             let rows: Vec<EncryptedRow> = keys
                 .iter()
@@ -1032,6 +1206,10 @@ pub(crate) mod tests {
             trapdoors.extend_from_within(..);
             for batch in [trapdoors.as_slice(), &[]] {
                 let singles: Vec<_> = batch.iter().map(|t| table.lookup(t)).collect();
+                let singles: Vec<_> = singles
+                    .into_iter()
+                    .map(|hit| hit.map(|(id, row)| (id, row.row)))
+                    .collect();
                 let staged = table.lookup_many(batch);
                 let hits: Vec<_> = staged.hits().map(|(_, hit)| hit).collect();
                 prop_assert_eq!(hits, singles);
